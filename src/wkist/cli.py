@@ -98,8 +98,11 @@ def _build_profile(cfg: RunConfig):
 
 
 def _read_samples_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as err:
+        raise InvalidArgumentError(f"{path}: cannot read samples ({err})") from err
     if not rows or rows[0][:3] != ["coordinate", "re", "im"]:
         raise InvalidArgumentError(f"{path}: expected header coordinate,re,im")
     data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=float)
@@ -198,16 +201,21 @@ def run_evolve(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def _load_reflection(indir: Path) -> ScatteringData:
-    manifest = json.loads((indir / "manifest.json").read_text())
-    c = manifest["config"]
-    zgrid = make_spectral_grid(c["Z"], c["N_z"], z_min=manifest["results"]["z_min"])
+    path = indir / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text())
+        c, results = manifest["config"], manifest["results"]
+        Z, N_z = float(c["Z"]), int(c["N_z"])
+        z_min, time = float(results["z_min"]), float(results["time"])
+    except (OSError, ValueError, KeyError, TypeError) as err:
+        raise InvalidArgumentError(f"{path}: not a readable forward manifest ({err!r})") from err
+    zgrid = make_spectral_grid(Z, N_z, z_min=z_min)
     coords, values = _read_samples_csv(indir / "reflection.csv")
     if len(coords) != zgrid.point_count:
         raise InvalidArgumentError("reflection.csv does not match its manifest grid")
     active = (np.abs(zgrid.points) >= zgrid.z_min) & (zgrid.points != 0.0)
     empty = np.zeros(0, dtype=complex)
-    return ScatteringData(zgrid, values, active, empty.real, empty, empty,
-                          time=float(manifest["results"]["time"]))
+    return ScatteringData(zgrid, values, active, empty.real, empty, empty, time=time)
 
 
 def _write_reconstruction(rec, outdir: Path):

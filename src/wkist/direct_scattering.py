@@ -95,25 +95,12 @@ def _matmul2(E, P):
     return out
 
 
-def _free_matrix(lam, x):
-    psi = np.zeros(np.shape(lam) + (2, 2), dtype=complex)
-    psi[..., 0, 0] = np.exp(1j * np.asarray(lam) * x)
-    psi[..., 1, 1] = np.exp(-1j * np.asarray(lam) * x)
-    return psi
-
-
 def _midpoint_values(p: Potential, k0, k1):
     """Potential values at the midpoints of cells k0..k1-1."""
     x = p.grid.points
     if p.profile is not None:
         return np.asarray(p.profile(x[k0:k1] + 0.5 * p.grid.spacing), dtype=complex)
     return 0.5 * (p.q[k0:k1] + p.q[k0 + 1:k1 + 1])
-
-
-def _substep_counts(lams, qm, h, bound):
-    lam_max = float(np.max(np.abs(lams))) if np.size(lams) else 0.0
-    err = lam_max**2 * np.abs(qm) * h**3
-    return np.maximum(1, np.ceil(np.sqrt(err / bound)).astype(int))
 
 
 def _sub_values(p: Potential, k, m):
@@ -127,123 +114,99 @@ def _sub_values(p: Potential, k, m):
     return p.q[k] * (1 - frac) + p.q[k + 1] * frac
 
 
-def _propagate_to_mid(p: Potential, lams, side, bound=LOCAL_ERROR_BOUND, cap_factor=STEP_CAP_FACTOR,
-                      store=False):
-    """Propagate psi from the `side` infinity to x = 0 for a batch of lam.
+def _det_defect(psi) -> float:
+    det = psi[..., 0, 0] * psi[..., 1, 1] - psi[..., 0, 1] * psi[..., 1, 0]
+    return float(np.max(np.abs(det - 1.0)))
 
-    Returns (psi_at_0 with shape (len(lams), 2, 2), max det defect,
-    stored samples or None).  Storage covers the traversed half-grid,
-    including both endpoints.
+
+def _march(p: Potential, lams, side, stop, bound):
+    """Step psi cell by cell from the `side` infinity to grid index `stop`.
+
+    A generator: yields (grid index, psi) at the start point and after
+    each cell, psi of shape (len(lams), 2, 2).  The substep budget of the
+    traversed cells is checked before the first step.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     grid = p.grid
     N = grid.point_count
-    mid = N // 2  # x = 0 exactly (N even, symmetric grid)
     h = grid.spacing
-
     if side == "-":
-        cells = range(0, mid)
-        x_start = grid.points[0]
-        step = h
+        start, cells, step = 0, range(0, stop), h
     elif side == "+":
-        cells = range(N - 2, mid - 1, -1)
-        x_start = grid.points[-1]
-        step = -h
+        start, cells, step = N - 1, range(N - 2, stop - 1, -1), -h
     else:
         raise InvalidArgumentError(f"side must be '+' or '-', got {side!r}")
 
     qm_all = _midpoint_values(p, 0, N - 1)
-    msub = _substep_counts(lams, qm_all, h, bound)
+    lam_max = float(np.max(np.abs(lams))) if lams.size else 0.0
+    err = lam_max**2 * np.abs(qm_all) * h**3
+    msub = np.maximum(1, np.ceil(np.sqrt(err / bound)).astype(int))
     total = int(msub[list(cells)].sum()) if N > 1 else 0
-    if total > cap_factor * N:
+    if total > STEP_CAP_FACTOR * N:
         raise ResolutionExceededError(
-            f"propagation needs {total} substeps (> {cap_factor * N}); "
+            f"propagation needs {total} substeps (> {STEP_CAP_FACTOR * N}); "
             "lam is too large for this grid"
         )
 
-    psi = _free_matrix(lams, x_start)
-    stored = [psi[0].copy()] if store else None
-    det_defect = 0.0
+    psi = np.zeros((lams.size, 2, 2), dtype=complex)
+    psi[:, 0, 0] = np.exp(1j * lams * grid.points[start])
+    psi[:, 1, 1] = np.exp(-1j * lams * grid.points[start])
+    yield start, psi
     for k in cells:
         m = msub[k]
         if m == 1:
-            E = _cell_exponential(step, lams, qm_all[k])
-            psi = _matmul2(E, psi)
+            psi = _matmul2(_cell_exponential(step, lams, qm_all[k]), psi)
         else:
             for qs in _sub_values(p, k, m):
-                E = _cell_exponential(step / m, lams, qs)
-                psi = _matmul2(E, psi)
-        det = psi[..., 0, 0] * psi[..., 1, 1] - psi[..., 0, 1] * psi[..., 1, 0]
-        det_defect = max(det_defect, float(np.max(np.abs(det - 1.0))))
-        if store:
-            stored.append(psi[0].copy())
-    return psi, det_defect, stored
+                psi = _matmul2(_cell_exponential(step / m, lams, qs), psi)
+        yield (k + 1 if side == "-" else k), psi
+
+
+def _propagate_to_mid(p: Potential, lams, side, bound=LOCAL_ERROR_BOUND):
+    """Propagate psi from the `side` infinity to x = 0 for a batch of lam.
+
+    Returns (psi at x = 0 with shape (len(lams), 2, 2), max det defect).
+    """
+    steps = _march(p, lams, side, p.grid.point_count // 2, bound)  # x = 0 (N even)
+    _, psi = next(steps)
+    det_defect = 0.0
+    for _, psi in steps:
+        det_defect = max(det_defect, _det_defect(psi))
+    return psi, det_defect
 
 
 def propagate_jost(p: Potential, lam: float, side: str,
                    bound: float = LOCAL_ERROR_BOUND) -> JostSolution:
     """Jost solution normalized at the `side` infinity, sampled on the grid.
 
-    The returned samples cover the whole grid: the propagation continues
-    through x = 0 to the far end.  det psi = 1 holds to roundoff at
-    every point because each cell propagator is exactly unimodular.
+    The same cell propagation as the scattering coefficients, continued
+    through x = 0 to the far end so the samples cover the whole grid.
+    det psi = 1 holds to roundoff at every point because each cell
+    propagator is exactly unimodular; ``det_defect`` is the largest
+    deviation over the grid.
     """
-    lam = float(lam)
-    grid = p.grid
-    N = grid.point_count
-    h = grid.spacing
-    lam_arr = np.asarray([lam])
-
-    qm_all = _midpoint_values(p, 0, N - 1)
-    msub = _substep_counts([lam], qm_all, h, bound)
-    total = int(msub.sum())
-    if total > STEP_CAP_FACTOR * N:
-        raise ResolutionExceededError(
-            f"propagation needs {total} substeps (> {STEP_CAP_FACTOR * N})"
-        )
-
-    if side == "-":
-        order = range(0, N - 1)
-        start_idx, step = 0, h
-    elif side == "+":
-        order = range(N - 2, -1, -1)
-        start_idx, step = N - 1, -h
-    else:
-        raise InvalidArgumentError(f"side must be '+' or '-', got {side!r}")
-
+    N = p.grid.point_count
     psi_samples = np.empty((N, 2, 2), dtype=complex)
-    psi = _free_matrix([lam], grid.points[start_idx])
-    psi_samples[start_idx] = psi[0]
-    det_defect = 0.0
-    for k in order:
-        m = msub[k]
-        if m == 1:
-            psi = _matmul2(_cell_exponential(step, lam_arr, qm_all[k]), psi)
-        else:
-            for qs in _sub_values(p, k, m):
-                psi = _matmul2(_cell_exponential(step / m, lam_arr, qs), psi)
-        target = k + 1 if side == "-" else k
-        psi_samples[target] = psi[0]
-        det = psi[0, 0, 0] * psi[0, 1, 1] - psi[0, 0, 1] * psi[0, 1, 0]
-        det_defect = max(det_defect, abs(det - 1.0))
-    return JostSolution(lam, side, grid, psi_samples, det_defect)
+    for k, psi in _march(p, [float(lam)], side, 0 if side == "+" else N - 1, bound):
+        psi_samples[k] = psi[0]
+    return JostSolution(float(lam), side, p.grid, psi_samples, _det_defect(psi_samples))
 
 
-def _wronskians(psim, psip):
-    """a, b, c, d from psi_-(0), psi_+(0); trailing axes (..., 2, 2)."""
+def _wronskians(p: Potential, lams, bound=LOCAL_ERROR_BOUND):
+    """a, b, c, d for a batch of lam, and the det defect of both halves."""
+    psim, ddm = _propagate_to_mid(p, lams, "-", bound)
+    psip, ddp = _propagate_to_mid(p, lams, "+", bound)
     a = psip[..., 0, 0] * psim[..., 1, 1] - psim[..., 0, 1] * psip[..., 1, 0]
     b = psim[..., 0, 0] * psip[..., 1, 0] - psip[..., 0, 0] * psim[..., 1, 0]
     c = psim[..., 0, 0] * psip[..., 1, 1] - psip[..., 0, 1] * psim[..., 1, 0]
     d = psip[..., 0, 1] * psim[..., 1, 1] - psim[..., 0, 1] * psip[..., 1, 1]
-    return a, b, c, d
+    return a, b, c, d, max(ddm, ddp)
 
 
 def transition_matrix(p: Potential, lam: float) -> np.ndarray:
     """Transition matrix T = [[a, d], [b, c]] with psi_+ = psi_- T."""
-    psim, _, _ = _propagate_to_mid(p, [lam], "-")
-    psip, _, _ = _propagate_to_mid(p, [lam], "+")
-    a, b, c, d = _wronskians(psim[0], psip[0])
-    return np.array([[a, d], [b, c]], dtype=complex)
+    a, b, c, d, _ = _wronskians(p, [lam])
+    return np.array([[a[0], d[0]], [b[0], c[0]]], dtype=complex)
 
 
 def symmetry_defect(T: np.ndarray) -> float:
@@ -264,9 +227,7 @@ def reflection_coefficient(p: Potential, zgrid: SpectralGrid, a_floor: float = 0
     active = (np.abs(z) >= max(zgrid.z_min, 1e-300)) & (z != 0.0)
     lam = -1.0 / z[active]
 
-    psim, ddm, _ = _propagate_to_mid(p, lam, "-", bound)
-    psip, ddp, _ = _propagate_to_mid(p, lam, "+", bound)
-    a, b, c, d = _wronskians(psim, psip)
+    a, b, c, d, det_defect = _wronskians(p, lam, bound)
 
     min_abs_a = float(np.min(np.abs(a)))
     if min_abs_a < a_floor:
@@ -285,7 +246,7 @@ def reflection_coefficient(p: Potential, zgrid: SpectralGrid, a_floor: float = 0
     diagnostics = {
         "unitarity_defect": float(np.max(np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0))),
         "min_abs_a": min_abs_a,
-        "det_defect": max(ddm, ddp),
+        "det_defect": det_defect,
         "symmetry_defect": float(np.max(np.abs(d + np.conj(b)) + np.abs(c - np.conj(a)))),
         "outer_truncation": float(np.max(np.abs(r[active][outer]))),
         "inner_truncation": float(np.max(np.abs(r[active][inner]))),
@@ -322,9 +283,7 @@ def check_a_asymptotics(p: Potential, lam_list) -> dict:
     int_B = complex(np.trapezoid(fields.B, dx=h))
     lams = np.atleast_1d(np.asarray(lam_list, dtype=float))
 
-    psim, _, _ = _propagate_to_mid(p, lams, "-")
-    psip, _, _ = _propagate_to_mid(p, lams, "+")
-    a, _, _, _ = _wronskians(psim, psip)
+    a = _wronskians(p, lams)[0]
     defects = np.abs(a * np.exp(1j * lams * int_H) - np.exp(-int_B))
     return {
         "lams": lams,

@@ -209,7 +209,7 @@ def _tail_fit(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
 
 def _check_decay(f: GridFunction):
     v = np.abs(f.values)
-    end = max(v[0], v[-1])
+    end = max(np.max(v[0]), np.max(v[-1]))
     if end > _DECAY_TOL:
         warnings.warn(
             f"samples do not decay at the grid ends (|f| = {end:.3e} > {_DECAY_TOL:g}); "
@@ -220,13 +220,19 @@ def _check_decay(f: GridFunction):
 
 
 def _completed_cauchy_plus(f: GridFunction) -> np.ndarray:
-    """C+ of the fitted tail (the tail itself) plus the kernel on the rest."""
+    """C+ of the fitted tail (the tail itself) plus the kernel on the rest.
+
+    Works along the sample axis (axis 0); matrix-valued samples are
+    fitted and projected entry by entry.
+    """
     if not isinstance(f.grid, SpectralGrid):
         raise InvalidArgumentError("the Cauchy projections expect a function on a SpectralGrid")
     _check_decay(f)
     values = np.asarray(f.values, complex)
-    tail = _tail_fit(values, f.grid)
-    return tail + _cauchy_plus_batch(values - tail, f.grid)
+    columns = values.reshape(len(values), -1)
+    tail = _tail_fit(columns, f.grid)
+    out = tail + _cauchy_plus_batch((columns - tail).T, f.grid).T
+    return out.reshape(values.shape)
 
 
 def cauchy_plus(f: GridFunction) -> GridFunction:

@@ -37,7 +37,7 @@ from .lax import conserved_E1, make_potential
 from .rhp import (
     DELTA_CONJUGATED,
     TRIANGULAR,
-    _inv_z,
+    _jump_derivatives,
     _jump_entries,
     _moment_rows,
     _solve_batch,
@@ -254,7 +254,6 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
     dm11 = np.zeros(n_cells, dtype=complex)      # coefficients of mu_11
     dx12 = np.zeros(n_cells, dtype=complex)
     cells = []
-    iz = _inv_z(zgrid)
     dense_count = 0
     worst_residual = 0.0
 
@@ -269,9 +268,8 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
             mu = out["mu"]
             dmu = out["dmu"]
             e11, e12, _, _ = _moment_rows(*mu, u21, u12, zgrid.spacing)
-            du21, du12 = 2j * iz * u21, -2j * iz * u12
             a = _moment_rows(*dmu, u21, u12, zgrid.spacing)
-            b = _moment_rows(*mu, du21, du12, zgrid.spacing)
+            b = _moment_rows(*mu, *_jump_derivatives(u21, u12, zgrid), zgrid.spacing)
             sl = offset
             m11_raw[sl:sl + block.size] = e11
             dm11[sl:sl + block.size] = a[0] + b[0]

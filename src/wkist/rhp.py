@@ -32,7 +32,7 @@ the entries themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -97,13 +97,15 @@ def delta_function(r: GridFunction):
 
 @dataclass
 class JumpFactorization:
-    """Jump data w_+-, their x_H-derivatives, and the phase per point.
+    """Jump data of one (x_H, t): its two nonzero entries and the phase.
 
-    ``u12``/``u21`` views: in both kinds exactly one of (w_+, w_-) holds
-    the (1,2) entry and the other the (2,1) entry; the solver uses that
-    entry pair plus the kind to route each product through C+ or C-.
-    ``d1`` is the moment correction of the delta conjugation (0 for the
-    Triangular kind).
+    In both kinds exactly one of (w_+, w_-) holds the (1,2) entry and the
+    other the (2,1) entry: the Triangular kind puts ``u21`` in w_+ and
+    ``u12`` in w_-, the DeltaConjugated kind the other way round.  The
+    solver needs only the entry pair and the kind; the (N, 2, 2) matrices
+    ``w_plus``, ``w_minus`` and their x_H-derivatives ``dw_plus``,
+    ``dw_minus`` are built from them on demand.  ``d1`` is the moment
+    correction of the delta conjugation (0 for the Triangular kind).
     """
 
     kind: str
@@ -111,26 +113,36 @@ class JumpFactorization:
     x_H: float
     t: float
     theta: np.ndarray
-    w_plus: np.ndarray    # (N, 2, 2)
-    w_minus: np.ndarray
-    dw_plus: np.ndarray
-    dw_minus: np.ndarray
+    u21: np.ndarray       # (2,1)-position entry, carries e^{+2 i theta}
+    u12: np.ndarray       # (1,2)-position entry, carries e^{-2 i theta}
     r: np.ndarray
     d1: complex = 0.0
-    delta_plus: Optional[np.ndarray] = None
-    delta_minus: Optional[np.ndarray] = None
     Delta: Optional[np.ndarray] = None
     rho: Optional[np.ndarray] = None
 
-    @property
-    def u21(self) -> np.ndarray:
-        """(2,1)-position jump entry (carries e^{+2 i theta})."""
-        return self.w_plus[:, 1, 0] if self.kind == TRIANGULAR else self.w_minus[:, 1, 0]
+    def _factor(self, e21, e12, plus: bool) -> np.ndarray:
+        w = np.zeros((e21.shape[-1], 2, 2), dtype=complex)
+        if (self.kind == TRIANGULAR) == plus:
+            w[:, 1, 0] = e21
+        else:
+            w[:, 0, 1] = e12
+        return w
 
     @property
-    def u12(self) -> np.ndarray:
-        """(1,2)-position jump entry (carries e^{-2 i theta})."""
-        return self.w_minus[:, 0, 1] if self.kind == TRIANGULAR else self.w_plus[:, 0, 1]
+    def w_plus(self) -> np.ndarray:
+        return self._factor(self.u21, self.u12, plus=True)
+
+    @property
+    def w_minus(self) -> np.ndarray:
+        return self._factor(self.u21, self.u12, plus=False)
+
+    @property
+    def dw_plus(self) -> np.ndarray:
+        return self._factor(*_jump_derivatives(self.u21, self.u12, self.zgrid), plus=True)
+
+    @property
+    def dw_minus(self) -> np.ndarray:
+        return self._factor(*_jump_derivatives(self.u21, self.u12, self.zgrid), plus=False)
 
 
 @dataclass
@@ -143,7 +155,6 @@ class RHPSolution:
     residual_dmu: float = np.nan
     iterations_dmu: int = 0
     solver_dmu: str = ""
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _inv_z(zgrid: SpectralGrid) -> np.ndarray:
@@ -154,6 +165,7 @@ def _inv_z(zgrid: SpectralGrid) -> np.ndarray:
 def _jump_entries(kind, r_values, zgrid, x_H_col, t, Delta=None):
     """u21, u12, theta as (B, N) arrays for a batch of x_H values.
 
+    The DeltaConjugated kind needs ``Delta`` from :func:`delta_function`.
     theta is reported as 0 at z = 0; the jump entries vanish there
     because r does (truncation floor), so the value is never used.
     """
@@ -164,8 +176,6 @@ def _jump_entries(kind, r_values, zgrid, x_H_col, t, Delta=None):
         u21 = r_values * e2
         u12 = np.conj(r_values) / e2
     elif kind == DELTA_CONJUGATED:
-        if Delta is None:
-            Delta = delta_function(GridFunction(zgrid, r_values))[2].values
         rho = r_values * Delta
         u21 = rho * e2
         u12 = np.conj(rho) / e2
@@ -174,8 +184,14 @@ def _jump_entries(kind, r_values, zgrid, x_H_col, t, Delta=None):
     return u21, u12, theta
 
 
+def _jump_derivatives(u21, u12, zgrid):
+    """x_H-derivatives of the jump entries: (2i/z) u21 and (-2i/z) u12."""
+    iz = _inv_z(zgrid)
+    return 2j * iz * u21, -2j * iz * u12
+
+
 def build_factorization(r: GridFunction, x_H: float, t: float, kind: str) -> JumpFactorization:
-    """Assemble w_+-, their derivatives, and the phase for one (x_H, t).
+    """The jump entries and the phase for one (x_H, t).
 
     The reflection data may be given either at time zero together with
     the physical t here, or already evolved to time t with t = 0 here;
@@ -184,39 +200,17 @@ def build_factorization(r: GridFunction, x_H: float, t: float, kind: str) -> Jum
     """
     zgrid = r.grid
     rv = np.asarray(r.values, dtype=complex)
-    n = zgrid.point_count
     d1 = 0.0 + 0.0j
-    delta_plus = delta_minus = Delta = rho = None
+    Delta = rho = None
     if kind == DELTA_CONJUGATED:
-        dp, dm, dd = delta_function(r)
-        delta_plus, delta_minus, Delta = dp.values, dm.values, dd.values
+        Delta = delta_function(r)[2].values
         rho = rv * Delta
         d1 = np.trapezoid(np.log1p(np.abs(rv) ** 2), dx=zgrid.spacing) / (2j * np.pi)
 
     u21, u12, theta = _jump_entries(kind, rv, zgrid, np.array([[x_H]]), t, Delta)
-    u21, u12, theta = u21[0], u12[0], theta[0]
-    iz = _inv_z(zgrid)
-
-    w_plus = np.zeros((n, 2, 2), dtype=complex)
-    w_minus = np.zeros((n, 2, 2), dtype=complex)
-    dw_plus = np.zeros((n, 2, 2), dtype=complex)
-    dw_minus = np.zeros((n, 2, 2), dtype=complex)
-    if kind == TRIANGULAR:
-        w_plus[:, 1, 0] = u21
-        w_minus[:, 0, 1] = u12
-        dw_plus[:, 1, 0] = 2j * iz * u21
-        dw_minus[:, 0, 1] = -2j * iz * u12
-    else:
-        w_minus[:, 1, 0] = u21
-        w_plus[:, 0, 1] = u12
-        dw_minus[:, 1, 0] = 2j * iz * u21
-        dw_plus[:, 0, 1] = -2j * iz * u12
-
     return JumpFactorization(
-        kind=kind, zgrid=zgrid, x_H=float(x_H), t=float(t), theta=theta,
-        w_plus=w_plus, w_minus=w_minus, dw_plus=dw_plus, dw_minus=dw_minus,
-        r=rv, d1=d1, delta_plus=delta_plus, delta_minus=delta_minus,
-        Delta=Delta, rho=rho,
+        kind=kind, zgrid=zgrid, x_H=float(x_H), t=float(t), theta=theta[0],
+        u21=u21[0], u12=u12[0], r=rv, d1=d1, Delta=Delta, rho=rho,
     )
 
 
@@ -307,93 +301,74 @@ def _dense_solve(u21_row, u12_row, rhs_pairs, kind, zgrid):
     return [(X[:n, j], X[n:, j]) for j in range(X.shape[1])]
 
 
+def _solve(u21, u12, rhs, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP):
+    """Solve (I - C_w) X = rhs for a (B, N) batch of cells.
+
+    ``rhs`` holds the four right-hand-side entries.  Neumann iteration
+    runs first; each cell on which it does not converge is solved again
+    by dense collocation (grids up to N = DENSE_CAP) and its residual is
+    recomputed from the dense solution, which must then meet 100 tol.
+    Returns the four solution entries, the per-cell residuals, the
+    Neumann iteration count and the mask of cells solved densely.
+    """
+    x, res, iterations, ok = _neumann(u21, u12, *rhs, kind, zgrid, tol, cap)
+    dense = ~ok
+    for j in np.nonzero(dense)[0]:
+        r11, r12, r21, r22 = (a[j] for a in rhs)
+        (x[0][j], x[1][j]), (x[2][j], x[3][j]) = _dense_solve(
+            u21[j], u12[j], [(r11, r12), (r21, r22)], kind, zgrid)
+        xj = [a[j:j + 1] for a in x]
+        cj = _apply_cw(*xj, u21[j:j + 1], u12[j:j + 1], kind, zgrid)
+        res[j] = _l2_residual(*(xa - ra[j] - ca for xa, ra, ca in zip(xj, rhs, cj)),
+                              zgrid.spacing)[0]
+        if res[j] > 100 * tol:
+            raise RhpUnsolvedError(
+                f"dense fallback residual {res[j]:.3e} still above tolerance"
+            )
+    return x, res, iterations, dense
+
+
 def _solve_batch(u21, u12, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP,
-                 want_derivative=True, iz=None, tail_rhs=None):
+                 want_derivative=True, tail_rhs=None):
     """Full per-cell solve: mu, d mu/d x_H, residuals. Arrays are (B, N).
 
     ``tail_rhs`` (from :func:`tail_band_rhs`) carries the Cauchy
     transform of the jump beyond the grid edge; adding it to the
     right-hand side solves the full-line equation rather than the
     truncated one, which otherwise leaves an O(1/Z) bias in the moments.
+    A cell is reported as "dense" when either of its solves needed the
+    dense fallback.
     """
-    b, n = u21.shape
-    h = zgrid.spacing
-    ones = np.ones((b, n), dtype=complex)
-    zeros = np.zeros((b, n), dtype=complex)
-    if tail_rhs is None:
-        rhs12, rhs21 = zeros, zeros
-        dt12 = dt21 = 0.0
-    else:
-        rhs12, rhs21 = tail_rhs["T12"], tail_rhs["T21"]
-        dt12, dt21 = tail_rhs["dT12"], tail_rhs["dT21"]
-
-    (m11, m12, m21, m22), res_mu, it_mu, ok = _neumann(
-        u21, u12, ones, rhs12, rhs21, ones, kind, zgrid, tol, cap
-    )
-    solver = np.full(b, "neumann", dtype=object)
-
-    if iz is None:
-        iz = _inv_z(zgrid)
-    du21 = 2j * iz * u21
-    du12 = -2j * iz * u12
-
-    dm11 = dm12 = dm21 = dm22 = None
-    res_dmu = np.full(b, np.nan)
-    it_dmu = 0
-    ok_d = np.ones(b, dtype=bool)
+    ones = np.ones(u21.shape, dtype=complex)
+    zeros = np.zeros(u21.shape, dtype=complex)
+    trhs = tail_rhs or {"T12": zeros, "T21": zeros, "dT12": 0.0, "dT21": 0.0}
+    mu, res_mu, it_mu, dense = _solve(
+        u21, u12, (ones, trhs["T12"], trhs["T21"], ones), kind, zgrid, tol, cap)
+    dmu, res_dmu, it_dmu = None, np.full(len(u21), np.nan), 0
     if want_derivative:
-        g11, g12, g21, g22 = _apply_cw(m11, m12, m21, m22, du21, du12, kind, zgrid)
-        g12 = g12 + dt12
-        g21 = g21 + dt21
-        (dm11, dm12, dm21, dm22), res_dmu, it_dmu, ok_d = _neumann(
-            u21, u12, g11, g12, g21, g22, kind, zgrid, tol, cap
-        )
-
-    bad = ~ok | (~ok_d if want_derivative else False)
-    for j in np.nonzero(bad)[0]:
-        sols = _dense_solve(u21[j], u12[j],
-                            [(ones[j], rhs12[j]), (rhs21[j], ones[j])],
-                            kind, zgrid)
-        m11[j], m12[j] = sols[0]
-        m21[j], m22[j] = sols[1]
-        if want_derivative:
-            # rebuild the derivative right-hand side from the dense mu
-            gj = _apply_cw(m11[j:j + 1], m12[j:j + 1], m21[j:j + 1], m22[j:j + 1],
-                           du21[j:j + 1], du12[j:j + 1], kind, zgrid)
-            gj12 = gj[1][0] + (dt12[j] if tail_rhs is not None else 0.0)
-            gj21 = gj[2][0] + (dt21[j] if tail_rhs is not None else 0.0)
-            dsols = _dense_solve(u21[j], u12[j],
-                                 [(gj[0][0], gj12), (gj21, gj[3][0])],
-                                 kind, zgrid)
-            dm11[j], dm12[j] = dsols[0]
-            dm21[j], dm22[j] = dsols[1]
-        solver[j] = "dense"
-        c11, c12, c21, c22 = _apply_cw(m11[j:j + 1], m12[j:j + 1], m21[j:j + 1],
-                                       m22[j:j + 1], u21[j:j + 1], u12[j:j + 1],
-                                       kind, zgrid)
-        res_mu[j] = _l2_residual(m11[j:j + 1] - 1 - c11, m12[j:j + 1] - rhs12[j] - c12,
-                                 m21[j:j + 1] - rhs21[j] - c21, m22[j:j + 1] - 1 - c22, h)[0]
-        if res_mu[j] > 100 * tol:
-            raise RhpUnsolvedError(
-                f"dense fallback residual {res_mu[j]:.3e} still above tolerance"
-            )
+        g11, g12, g21, g22 = _apply_cw(*mu, *_jump_derivatives(u21, u12, zgrid), kind, zgrid)
+        dmu, res_dmu, it_dmu, dense_d = _solve(
+            u21, u12, (g11, g12 + trhs["dT12"], g21 + trhs["dT21"], g22), kind, zgrid, tol, cap)
+        dense = dense | dense_d
     return {
-        "mu": (m11, m12, m21, m22),
-        "dmu": (dm11, dm12, dm21, dm22) if want_derivative else None,
+        "mu": mu,
+        "dmu": dmu,
         "residual": res_mu,
         "residual_dmu": res_dmu,
         "iterations": it_mu,
         "iterations_dmu": it_dmu,
-        "solver": solver,
+        "solver": np.where(dense, "dense", "neumann"),
     }
 
 
 def _pack_mu(m11, m12, m21, m22):
-    n = m11.shape[-1]
-    out = np.empty((n, 2, 2), dtype=complex)
-    out[:, 0, 0], out[:, 0, 1] = m11, m12
-    out[:, 1, 0], out[:, 1, 1] = m21, m22
-    return out
+    """The four (N,) entries as one (N, 2, 2) solution."""
+    return np.stack([m11, m12, m21, m22], axis=-1).reshape(-1, 2, 2)
+
+
+def _unpack_mu(mu):
+    """The four entries of an (N, 2, 2) solution as (1, N) batch rows."""
+    return tuple(mu[None, :, i, j] for i in (0, 1) for j in (0, 1))
 
 
 def solve_mu(f: JumpFactorization, tol: float = NEUMANN_TOL,
@@ -405,9 +380,8 @@ def solve_mu(f: JumpFactorization, tol: float = NEUMANN_TOL,
     """
     out = _solve_batch(f.u21[None, :], f.u12[None, :], f.kind, f.zgrid,
                        tol, max_iterations, want_derivative=False)
-    m11, m12, m21, m22 = (a[0] for a in out["mu"])
     return RHPSolution(
-        mu=_pack_mu(m11, m12, m21, m22),
+        mu=_pack_mu(*(a[0] for a in out["mu"])),
         residual=float(out["residual"][0]),
         iterations=out["iterations"],
         solver=str(out["solver"][0]),
@@ -417,30 +391,14 @@ def solve_mu(f: JumpFactorization, tol: float = NEUMANN_TOL,
 def solve_dmu(f: JumpFactorization, sol: RHPSolution, tol: float = NEUMANN_TOL,
               max_iterations: int = NEUMANN_CAP) -> RHPSolution:
     """Solve (I - C_w) dmu = C_{dw}(mu); fills the derivative part of sol."""
-    mu = sol.mu
-    m = (mu[None, :, 0, 0], mu[None, :, 0, 1], mu[None, :, 1, 0], mu[None, :, 1, 1])
     u21, u12 = f.u21[None, :], f.u12[None, :]
-    iz = _inv_z(f.zgrid)
-    g = _apply_cw(*m, 2j * iz * u21, -2j * iz * u12, f.kind, f.zgrid)
-    (d11, d12, d21, d22), res, its, ok = _neumann(
-        u21, u12, *g, f.kind, f.zgrid, tol, max_iterations
-    )
-    solver = "neumann"
-    if not ok[0]:
-        sols = _dense_solve(f.u21, f.u12, [(g[0][0], g[1][0]), (g[2][0], g[3][0])],
-                            f.kind, f.zgrid)
-        d11[0], d12[0] = sols[0]
-        d21[0], d22[0] = sols[1]
-        solver = "dense"
-        c = _apply_cw(d11, d12, d21, d22, u21, u12, f.kind, f.zgrid)
-        res = _l2_residual(d11 - g[0] - c[0], d12 - g[1] - c[1],
-                           d21 - g[2] - c[2], d22 - g[3] - c[3], f.zgrid.spacing)
-        if res[0] > 100 * tol:
-            raise RhpUnsolvedError(f"derivative solve residual {res[0]:.3e}")
-    sol.dmu = _pack_mu(d11[0], d12[0], d21[0], d22[0])
+    g = _apply_cw(*_unpack_mu(sol.mu), *_jump_derivatives(u21, u12, f.zgrid),
+                  f.kind, f.zgrid)
+    dmu, res, its, dense = _solve(u21, u12, g, f.kind, f.zgrid, tol, max_iterations)
+    sol.dmu = _pack_mu(*(a[0] for a in dmu))
     sol.residual_dmu = float(res[0])
     sol.iterations_dmu = its
-    sol.solver_dmu = solver
+    sol.solver_dmu = "dense" if dense[0] else "neumann"
     return sol
 
 
@@ -461,12 +419,8 @@ def m1_moment(f: JumpFactorization, sol: RHPSolution) -> np.ndarray:
     delta-conjugated problem; the diagonal shift d1 * sigma3 is removed
     so both kinds report the same matrix.
     """
-    mu = sol.mu
-    e11, e12, e21, e22 = _moment_rows(
-        mu[None, :, 0, 0], mu[None, :, 0, 1], mu[None, :, 1, 0], mu[None, :, 1, 1],
-        f.u21[None, :], f.u12[None, :], f.zgrid.spacing,
-    )
-    m1 = np.array([[e11[0], e12[0]], [e21[0], e22[0]]], dtype=complex)
+    e = _moment_rows(*_unpack_mu(sol.mu), f.u21[None, :], f.u12[None, :], f.zgrid.spacing)
+    m1 = np.array(e, dtype=complex).reshape(2, 2)
     if f.kind == DELTA_CONJUGATED:
         m1[0, 0] -= f.d1
         m1[1, 1] += f.d1
@@ -482,17 +436,11 @@ def dx_m1(f: JumpFactorization, sol: RHPSolution) -> np.ndarray:
     """
     if sol.dmu is None:
         raise InvalidArgumentError("solve_dmu must run before dx_m1")
-    mu, dmu = sol.mu, sol.dmu
-    iz = _inv_z(f.zgrid)
     u21, u12 = f.u21[None, :], f.u12[None, :]
-    du21, du12 = 2j * iz * u21, -2j * iz * u12
     h = f.zgrid.spacing
-    a = _moment_rows(dmu[None, :, 0, 0], dmu[None, :, 0, 1],
-                     dmu[None, :, 1, 0], dmu[None, :, 1, 1], u21, u12, h)
-    b = _moment_rows(mu[None, :, 0, 0], mu[None, :, 0, 1],
-                     mu[None, :, 1, 0], mu[None, :, 1, 1], du21, du12, h)
-    return np.array([[a[0][0] + b[0][0], a[1][0] + b[1][0]],
-                     [a[2][0] + b[2][0], a[3][0] + b[3][0]]], dtype=complex)
+    a = _moment_rows(*_unpack_mu(sol.dmu), u21, u12, h)
+    b = _moment_rows(*_unpack_mu(sol.mu), *_jump_derivatives(u21, u12, f.zgrid), h)
+    return (np.array(a) + np.array(b)).reshape(2, 2)
 
 
 def suggest_z_min(zgrid_or_Z, N_z=None, window: float = 6.0, t_max: float = 0.0,
@@ -554,6 +502,12 @@ class TailModel:
     @property
     def c1(self) -> complex:
         return complex(0.5 * (self.pos[0] + self.neg[0]))
+
+    def series(self, lam: np.ndarray) -> np.ndarray:
+        """The fitted z r(z) at z = -1/lam; lam < 0 is the z > 0 side."""
+        pv = np.polynomial.polynomial.polyval
+        v = -self.Z * lam
+        return np.where(lam < 0, pv(v, self.pos), pv(v, self.neg))
 
 
 def fit_tail_model(sd, terms: int = 4, band: float = 0.5) -> TailModel:
@@ -642,14 +596,11 @@ def tail_band_rhs(tail: TailModel, zgrid: SpectralGrid, x_H, t: float) -> dict:
     # lam < 0 is the s > Z side (positive-z tail coefficients)
     lam = np.concatenate([-lam_half, lam_half])
     w = np.concatenate([w_half, w_half])
-    v = -Z * lam
-    pv = np.polynomial.polynomial.polyval
-    P = np.where(lam < 0, pv(v, tail.pos), pv(v, tail.neg))
-    Pc = np.where(lam < 0, pv(v, np.conj(tail.pos)), pv(v, np.conj(tail.neg)))
+    P = tail.series(lam)
 
     x_H = np.atleast_1d(np.asarray(x_H, dtype=float))
     th = -np.outer(x_H, lam) + 2.0 * t * lam**2
-    g12 = Pc * np.exp(-2j * th)
+    g12 = np.conj(P) * np.exp(-2j * th)
     g21 = P * np.exp(2j * th)
 
     z = zgrid.points.copy()
@@ -679,8 +630,8 @@ def outer_band_moments(tail, Z: float, x_H, t: float, nodes: int = 96,
     to lam in (-1/Z, 1/Z), where it is evaluated by Gauss-Legendre
     quadrature with r(s) replaced by its tail model.
 
-    ``tail`` is either a plain complex c1 (r ~ c1/s) or a ``TailModel``
-    carrying the per-side higher-order fit.
+    ``tail`` is a ``TailModel`` carrying the per-side fit, or a plain
+    complex c1 (r ~ c1/s), which is read as the one-term model.
 
     ``m11``/``dm11`` (per-x_H arrays) are the 1/s coefficients of
     mu_11 - 1 and of its x_H-derivative, i.e. the raw first moments of
@@ -695,13 +646,10 @@ def outer_band_moments(tail, Z: float, x_H, t: float, nodes: int = 96,
     xg, wg = np.polynomial.legendre.leggauss(nodes)
     lam = xg / Z            # lam = -1/s over the outer band
     w = wg / Z
-    # r(s) = (1/s) P(Z/s) = (-lam) P(-Z lam); lam < 0 is the s > Z side
-    if isinstance(tail, TailModel):
-        v = -Z * lam
-        pv = np.polynomial.polynomial.polyval
-        rvals = (-lam) * np.where(lam < 0, pv(v, tail.pos), pv(v, tail.neg))
-    else:
-        rvals = -complex(tail) * lam
+    if not isinstance(tail, TailModel):
+        c1 = np.array([complex(tail)])
+        tail = TailModel(Z=float(Z), pos=c1, neg=c1)
+    rvals = (-lam) * tail.series(lam)
     x_H = np.atleast_1d(np.asarray(x_H, dtype=float))
     th = -np.outer(x_H, lam) + 2.0 * t * lam**2
     pref = -1.0 / (2j * np.pi)

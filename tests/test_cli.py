@@ -95,6 +95,34 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
     assert err["kind"] == "invalid-argument"
 
 
+@pytest.mark.parametrize("manifest", [
+    None, "{not json", {"config": {"N_z": 2048}}, {"config": {"Z": 40.0, "N_z": 2048}},
+    {"config": {"Z": "forty", "N_z": 2048}, "results": {"z_min": 0.5, "time": 0.0}},
+])
+def test_unreadable_reflection_manifest_exits_2(tmp_path, capsys, manifest):
+    # a missing, malformed or incomplete forward manifest is bad input
+    indir, out = tmp_path / "in", tmp_path / "out"
+    indir.mkdir()
+    write_bad_reflection(indir)
+    if manifest is None:
+        (indir / "manifest.json").unlink()
+    else:
+        text = manifest if isinstance(manifest, str) else json.dumps(manifest)
+        (indir / "manifest.json").write_text(text)
+    assert run(["inverse", "--input", str(indir), "--outdir", str(out)], capsys) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "invalid-argument"
+
+
+def test_missing_reflection_samples_exit_2(tmp_path, capsys):
+    indir, out = tmp_path / "in", tmp_path / "out"
+    indir.mkdir()
+    write_bad_reflection(indir)
+    (indir / "reflection.csv").unlink()
+    assert run(["inverse", "--input", str(indir), "--outdir", str(out)], capsys) == 2
+    assert json.loads((out / "error.json").read_text())["kind"] == "invalid-argument"
+
+
 def test_bound_state_guard_exits_3(tmp_path, capsys):
     out = tmp_path / "out"
     code = run(["forward", "--a-floor", "0.9999", "--outdir", str(out)]

@@ -7,6 +7,7 @@ from wkist.lattice import GridFunction, make_spatial_grid, make_spectral_grid
 from wkist.lax import make_potential
 from wkist.rhp import (
     DELTA_CONJUGATED,
+    NEUMANN_TOL,
     TRIANGULAR,
     TailModel,
     _dense_solve,
@@ -132,6 +133,19 @@ def test_dense_fallback_size_cap():
     f = build_factorization(r, -0.5, 0.0, TRIANGULAR)
     with pytest.raises(RhpUnsolvedError):
         solve_mu(f)
+
+
+def test_dense_fallback_reports_the_dense_derivative_residual():
+    # |r| = 3 is outside the contraction regime: both Neumann solves
+    # diverge, and the residuals reported must be those of the dense
+    # solutions that replace them, not of the diverged iterates
+    sd = small_reflection(N=512, N_z=512, z_min=0.9)
+    r = 3.0 * sd.r / np.max(np.abs(sd.r))
+    u21, u12, _ = _jump_entries(TRIANGULAR, r, sd.zgrid, np.array([[-0.4]]), 0.0)
+    out = _solve_batch(u21, u12, TRIANGULAR, sd.zgrid)
+    assert out["solver"][0] == "dense"
+    assert out["residual"][0] < 100 * NEUMANN_TOL
+    assert out["residual_dmu"][0] < 100 * NEUMANN_TOL
 
 
 def test_derivative_solve_matches_finite_differences():
