@@ -105,8 +105,11 @@ def _read_samples_csv(path) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidArgumentError(f"{path}: cannot read samples ({err})") from err
     if not rows or rows[0][:3] != ["coordinate", "re", "im"]:
         raise InvalidArgumentError(f"{path}: expected header coordinate,re,im")
-    data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=float)
-    return data[:, 0], data[:, 1] + 1j * data[:, 2]
+    try:
+        data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=float)
+        return data[:, 0], data[:, 1] + 1j * data[:, 2]
+    except (ValueError, IndexError) as err:
+        raise InvalidArgumentError(f"{path}: expected numeric coordinate,re,im rows ({err})") from err
 
 
 def _make_grids(cfg: RunConfig):

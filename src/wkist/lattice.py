@@ -27,6 +27,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .errors import InvalidArgumentError
 
@@ -162,15 +163,19 @@ _TAIL_REGION = 7.0 / 8.0
 
 @functools.lru_cache(maxsize=16)
 def _hilbert_kernel_fft(n: int) -> np.ndarray:
-    """FFT of the length-2n circulant embedding of the sinc Hilbert kernel.
+    """i/2 times the FFT of the length-2n circulant embedding of the sinc kernel.
 
     The kernel 2/(pi m) on odd offsets m and 0 on even ones does not
     depend on the spacing, so one array serves every grid of n points.
+    The factor i/2 of C+ = (v + i H v)/2 is folded in here; scaling by
+    i/2 is exact in floating point.
     """
     m = np.arange(1, n)
     half = np.where(m % 2 == 1, 2.0 / (np.pi * m), 0.0)
     col = np.concatenate([[0.0], half, [0.0], -half[::-1]])
-    out = np.fft.fft(col)
+    # transformed as complex data, like the samples: the real-input path
+    # of scipy.fft rounds differently
+    out = 0.5j * scipy.fft.fft(col.astype(complex))
     out.setflags(write=False)
     return out
 
@@ -180,18 +185,22 @@ def _cauchy_plus_batch(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
 
     C+ v = (v + i H v) / 2, with H the sinc discrete Hilbert transform
     (Hv)_k = sum over odd k - j of 2 v_j / (pi (k - j)), applied as a
-    Toeplitz product by circulant embedding of length 2N.  On samples
-    that decay inside the window it converges spectrally; samples it is
-    not given count as zero, so a 1/s tail outside [-Z, Z) costs O(1/Z).
-    The public ``cauchy_plus`` completes such tails; the solver calls
-    this kernel directly and supplies its outer band itself.
-    ``grid.padding`` is not read.
+    Toeplitz product by circulant embedding of length 2N: a forward FFT,
+    the cached kernel spectrum multiplied in place, and an inverse FFT
+    that overwrites its input.  On samples that decay inside the window
+    it converges spectrally; samples it is not given count as zero, so a
+    1/s tail outside [-Z, Z) costs O(1/Z).  The public ``cauchy_plus``
+    completes such tails; the solver calls this kernel directly, once per
+    half-step of a Beals-Coifman sweep, and supplies its outer band
+    itself.  ``grid.padding`` is not read.
     """
     n = grid.point_count
     values = np.asarray(values, dtype=complex)
-    spectrum = np.fft.fft(values, n=2 * n, axis=-1) * _hilbert_kernel_fft(n)
-    hilbert = np.fft.ifft(spectrum, axis=-1)[..., :n]
-    return 0.5 * (values + 1j * hilbert)
+    spectrum = scipy.fft.fft(values, n=2 * n, axis=-1)
+    spectrum *= _hilbert_kernel_fft(n)
+    out = 0.5 * values
+    out += scipy.fft.ifft(spectrum, axis=-1, overwrite_x=True)[..., :n]
+    return out
 
 
 def _tail_fit(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:

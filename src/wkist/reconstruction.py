@@ -284,7 +284,7 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
             for j, xh in enumerate(block):
                 cells.append({
                     "x_H": float(xh), "t": float(t), "kind": kind,
-                    "iterations": out["iterations"],
+                    "iterations": int(out["cell_iterations"][j]),
                     "residual": float(out["residual"][j]),
                     "solver": str(out["solver"][j]),
                     "abs_dx_m1_12": float(abs(dx12[sl + j])),

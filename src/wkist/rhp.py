@@ -28,6 +28,12 @@ In both kinds the (2,1)-position entry carries e^{+2 i theta} and the
 (1,2)-position entry carries e^{-2 i theta}, theta = x_H/z + 2 t/z^2,
 so the x_H-derivatives of the jump entries are exactly (+-2i/z) times
 the entries themselves.
+
+The equation (I - C_w) X = rhs is solved a batch of cells at a time by
+block Gauss-Seidel sweeps that measure their exact residual at no extra
+cost (``_neumann``: 2 s + 1 Cauchy kernel passes for s sweeps); cells on
+which the sweeps do not converge are solved again by dense collocation
+(``_dense_solve``).
 """
 
 from __future__ import annotations
@@ -122,7 +128,7 @@ class JumpFactorization:
 
     def _factor(self, e21, e12, plus: bool) -> np.ndarray:
         w = np.zeros((e21.shape[-1], 2, 2), dtype=complex)
-        if (self.kind == TRIANGULAR) == plus:
+        if _in_w_plus(self.kind, 21) == plus:
             w[:, 1, 0] = e21
         else:
             w[:, 0, 1] = e12
@@ -216,59 +222,98 @@ def build_factorization(r: GridFunction, x_H: float, t: float, kind: str) -> Jum
 
 # --------------------------------------------------------------------------
 # batched Beals-Coifman solver (rows of the 2x2 system decouple; row 1 and
-# row 2 are stacked so each iteration costs two Cauchy kernel passes)
+# row 2 are stacked on a leading axis of length 2, so each half-step of a
+# Gauss-Seidel sweep is one Cauchy kernel pass)
 # --------------------------------------------------------------------------
+
+def _in_w_plus(kind, entry: int) -> bool:
+    """Whether the ``entry`` (21 or 12) jump entry sits in w_+.
+
+    The Triangular kind puts the (2,1) entry in w_+ and the (1,2) entry
+    in w_-; the DeltaConjugated kind the other way round.  Products with
+    a w_+ entry are projected by C-, those with a w_- entry by C+.
+    """
+    return (kind == TRIANGULAR) == (entry == 21)
+
+
+def _half_step(x, u, entry, kind, zgrid):
+    """C_w on one column: the projection of x * u for both stacked rows.
+
+    ``x`` is (2, B, N): the column the jump entry ``u`` multiplies, i.e.
+    (mu12, mu22) for the (2,1) entry, giving the (1,1)/(2,1) entries of
+    C_w(mu), and (mu11, mu21) for the (1,2) entry, giving (1,2)/(2,2).
+    """
+    p = x * u
+    c = _cauchy_plus_batch(p, zgrid)
+    if _in_w_plus(kind, entry):
+        c -= p
+    return c
+
 
 def _apply_cw(mu11, mu12, mu21, mu22, u21, u12, kind, zgrid):
     """C_w(mu) entries for a (B, N) batch."""
-    p1 = np.concatenate([mu12 * u21, mu22 * u21], axis=0)
-    p2 = np.concatenate([mu11 * u12, mu21 * u12], axis=0)
-    cp1 = _cauchy_plus_batch(p1, zgrid)
-    cp2 = _cauchy_plus_batch(p2, zgrid)
-    if kind == TRIANGULAR:
-        c1 = cp1 - p1   # the (2,1) entry sits in w_+, handled by C-
-        c2 = cp2        # the (1,2) entry sits in w_-, handled by C+
-    else:
-        c1 = cp1        # (2,1) in w_-: C+
-        c2 = cp2 - p2   # (1,2) in w_+: C-
-    b = mu11.shape[0]
-    return c1[:b], c2[:b], c1[b:], c2[b:]
+    c11, c21 = _half_step(np.stack([mu12, mu22]), u21, 21, kind, zgrid)
+    c12, c22 = _half_step(np.stack([mu11, mu21]), u12, 12, kind, zgrid)
+    return c11, c12, c21, c22
 
 
-def _l2_residual(r11, r12, r21, r22, h):
-    return np.sqrt(h * (np.abs(r11) ** 2 + np.abs(r12) ** 2
-                        + np.abs(r21) ** 2 + np.abs(r22) ** 2).sum(axis=1))
+def _l2_residual(entries, h):
+    """Discrete L2 norm per cell of residual entries.
+
+    ``entries`` is a sequence of (B, N) arrays, or one (k, B, N) array.
+    """
+    return np.sqrt(h * sum((e.real ** 2 + e.imag ** 2).sum(axis=-1) for e in entries))
 
 
 def _neumann(u21, u12, rhs11, rhs12, rhs21, rhs22, kind, zgrid,
              tol=NEUMANN_TOL, cap=NEUMANN_CAP):
-    """Solve (I - C_w) X = rhs by successive substitution, batched.
+    """Solve (I - C_w) X = rhs by block Gauss-Seidel sweeps, batched.
 
-    Returns entries, per-row residuals, iteration count, converged mask.
+    The system couples column 1 (X11, X21) only to column 2 (X12, X22)
+    through the (2,1) entry, and column 2 only to column 1 through the
+    (1,2) entry; its diagonal blocks are zero.  A sweep updates column 1
+    from column 2, then column 2 from the new column 1, one Cauchy pass
+    each.  On this 2-cyclic system Gauss-Seidel contracts at the square
+    of the Jacobi rate (Young's theorem; Varga, Matrix Iterative
+    Analysis, 1962), so it needs about half the sweeps Jacobi needs
+    iterations, at the same two passes apiece.
+
+    After a sweep the column-2 equations hold exactly, so the update the
+    next sweep makes to column 1 is the exact residual of the current
+    iterate: convergence is tested on it at no extra kernel pass.  On
+    exit the pending column-1 update is applied, and one more half pass
+    measures the column-2 residual of the returned iterate (its column-1
+    residual is zero).  A solve that stops after s sweeps therefore makes
+    2 s + 1 kernel passes, and the reported residual is exact.
+
+    Returns entries, per-row residuals, sweep count, converged mask, and
+    per row the sweep at which its residual first met ``tol`` (the sweep
+    count for rows that never did).
     """
     h = zgrid.spacing
-    x11, x12 = rhs11.copy(), rhs12.copy()
-    x21, x22 = rhs21.copy(), rhs22.copy()
+    rhs1, rhs2 = np.stack([rhs11, rhs21]), np.stack([rhs12, rhs22])
+    x1 = rhs1
+    x2 = rhs2 + _half_step(x1, u12, 12, kind, zgrid)
+    met = np.zeros(len(u21), dtype=int)
     iterations = 0
     # divergence is detected and handed to the dense fallback, so the
     # intermediate overflow it produces is not an error condition here
     first = None
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, cap + 1):
-            c11, c12, c21, c22 = _apply_cw(x11, x12, x21, x22, u21, u12, kind, zgrid)
-            n11, n12 = rhs11 + c11, rhs12 + c12
-            n21, n22 = rhs21 + c21, rhs22 + c22
-            res = _l2_residual(n11 - x11, n12 - x12, n21 - x21, n22 - x22, h)
-            x11, x12, x21, x22 = n11, n12, n21, n22
+            new1 = rhs1 + _half_step(x2, u21, 21, kind, zgrid)
+            res = _l2_residual(new1 - x1, h)
+            x1 = new1
+            met[(met == 0) & (res < tol)] = iterations
             if first is None:
                 first = res
             hopeless = ~np.isfinite(res) | (res > 1e8 * first + 1e8)
             if np.all((res < tol) | hopeless):
                 break
-        c11, c12, c21, c22 = _apply_cw(x11, x12, x21, x22, u21, u12, kind, zgrid)
-        res = _l2_residual(x11 - rhs11 - c11, x12 - rhs12 - c12,
-                           x21 - rhs21 - c21, x22 - rhs22 - c22, h)
-    return (x11, x12, x21, x22), res, iterations, res < tol
+            x2 = rhs2 + _half_step(x1, u12, 12, kind, zgrid)
+        res = _l2_residual(x2 - rhs2 - _half_step(x1, u12, 12, kind, zgrid), h)
+    met[met == 0] = iterations
+    return (x1[0], x2[0], x1[1], x2[1]), res, iterations, res < tol, met
 
 
 def _dense_matrix(u21_row, u12_row, kind, zgrid):
@@ -279,7 +324,8 @@ def _dense_matrix(u21_row, u12_row, kind, zgrid):
         )
     KP = _cauchy_plus_batch(np.eye(n, dtype=complex), zgrid).T
     KM = KP - np.eye(n, dtype=complex)
-    S1, S2 = (KM, KP) if kind == TRIANGULAR else (KP, KM)
+    S1 = KM if _in_w_plus(kind, 21) else KP
+    S2 = KM if _in_w_plus(kind, 12) else KP
     A = np.zeros((2 * n, 2 * n), dtype=complex)
     A[:n, :n] = np.eye(n)
     A[n:, n:] = np.eye(n)
@@ -304,14 +350,16 @@ def _dense_solve(u21_row, u12_row, rhs_pairs, kind, zgrid):
 def _solve(u21, u12, rhs, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP):
     """Solve (I - C_w) X = rhs for a (B, N) batch of cells.
 
-    ``rhs`` holds the four right-hand-side entries.  Neumann iteration
-    runs first; each cell on which it does not converge is solved again
-    by dense collocation (grids up to N = DENSE_CAP) and its residual is
-    recomputed from the dense solution, which must then meet 100 tol.
+    ``rhs`` holds the four right-hand-side entries.  The Gauss-Seidel
+    sweeps of ``_neumann`` run first; each cell on which they do not
+    converge is solved again by dense collocation (grids up to
+    N = DENSE_CAP) and its residual is recomputed from the dense
+    solution, which must then meet 100 tol.
     Returns the four solution entries, the per-cell residuals, the
-    Neumann iteration count and the mask of cells solved densely.
+    sweep count, the mask of cells solved densely and the per-cell
+    sweep counts.
     """
-    x, res, iterations, ok = _neumann(u21, u12, *rhs, kind, zgrid, tol, cap)
+    x, res, iterations, ok, met = _neumann(u21, u12, *rhs, kind, zgrid, tol, cap)
     dense = ~ok
     for j in np.nonzero(dense)[0]:
         r11, r12, r21, r22 = (a[j] for a in rhs)
@@ -319,13 +367,13 @@ def _solve(u21, u12, rhs, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP):
             u21[j], u12[j], [(r11, r12), (r21, r22)], kind, zgrid)
         xj = [a[j:j + 1] for a in x]
         cj = _apply_cw(*xj, u21[j:j + 1], u12[j:j + 1], kind, zgrid)
-        res[j] = _l2_residual(*(xa - ra[j] - ca for xa, ra, ca in zip(xj, rhs, cj)),
+        res[j] = _l2_residual([xa - ra[j] - ca for xa, ra, ca in zip(xj, rhs, cj)],
                               zgrid.spacing)[0]
         if res[j] > 100 * tol:
             raise RhpUnsolvedError(
                 f"dense fallback residual {res[j]:.3e} still above tolerance"
             )
-    return x, res, iterations, dense
+    return x, res, iterations, dense, met
 
 
 def _solve_batch(u21, u12, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP,
@@ -337,17 +385,18 @@ def _solve_batch(u21, u12, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP,
     right-hand side solves the full-line equation rather than the
     truncated one, which otherwise leaves an O(1/Z) bias in the moments.
     A cell is reported as "dense" when either of its solves needed the
-    dense fallback.
+    dense fallback.  "iterations" is the sweep count of the batch's mu
+    solve, "cell_iterations" the sweep at which each cell met ``tol``.
     """
     ones = np.ones(u21.shape, dtype=complex)
     zeros = np.zeros(u21.shape, dtype=complex)
     trhs = tail_rhs or {"T12": zeros, "T21": zeros, "dT12": 0.0, "dT21": 0.0}
-    mu, res_mu, it_mu, dense = _solve(
+    mu, res_mu, it_mu, dense, met_mu = _solve(
         u21, u12, (ones, trhs["T12"], trhs["T21"], ones), kind, zgrid, tol, cap)
     dmu, res_dmu, it_dmu = None, np.full(len(u21), np.nan), 0
     if want_derivative:
         g11, g12, g21, g22 = _apply_cw(*mu, *_jump_derivatives(u21, u12, zgrid), kind, zgrid)
-        dmu, res_dmu, it_dmu, dense_d = _solve(
+        dmu, res_dmu, it_dmu, dense_d, _ = _solve(
             u21, u12, (g11, g12 + trhs["dT12"], g21 + trhs["dT21"], g22), kind, zgrid, tol, cap)
         dense = dense | dense_d
     return {
@@ -356,6 +405,7 @@ def _solve_batch(u21, u12, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP,
         "residual": res_mu,
         "residual_dmu": res_dmu,
         "iterations": it_mu,
+        "cell_iterations": met_mu,
         "iterations_dmu": it_dmu,
         "solver": np.where(dense, "dense", "neumann"),
     }
@@ -375,8 +425,9 @@ def solve_mu(f: JumpFactorization, tol: float = NEUMANN_TOL,
              max_iterations: int = NEUMANN_CAP) -> RHPSolution:
     """Solve mu = I + C+(mu w_-) + C-(mu w_+) for one factorization.
 
-    Neumann iteration from mu = I, with a dense collocation fallback
-    (grids up to N = 1024) when the iteration does not contract.
+    Block Gauss-Seidel sweeps (reported as solver "neumann"), with a
+    dense collocation fallback (grids up to N = 1024) when they do not
+    contract.
     """
     out = _solve_batch(f.u21[None, :], f.u12[None, :], f.kind, f.zgrid,
                        tol, max_iterations, want_derivative=False)
@@ -394,7 +445,7 @@ def solve_dmu(f: JumpFactorization, sol: RHPSolution, tol: float = NEUMANN_TOL,
     u21, u12 = f.u21[None, :], f.u12[None, :]
     g = _apply_cw(*_unpack_mu(sol.mu), *_jump_derivatives(u21, u12, f.zgrid),
                   f.kind, f.zgrid)
-    dmu, res, its, dense = _solve(u21, u12, g, f.kind, f.zgrid, tol, max_iterations)
+    dmu, res, its, dense, _ = _solve(u21, u12, g, f.kind, f.zgrid, tol, max_iterations)
     sol.dmu = _pack_mu(*(a[0] for a in dmu))
     sol.residual_dmu = float(res[0])
     sol.iterations_dmu = its

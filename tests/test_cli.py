@@ -123,6 +123,31 @@ def test_missing_reflection_samples_exit_2(tmp_path, capsys):
     assert json.loads((out / "error.json").read_text())["kind"] == "invalid-argument"
 
 
+BAD_SAMPLE_ROWS = pytest.mark.parametrize(
+    "row", ["1,x,0\n", "1,0\n"], ids=["non-numeric", "short-row"])
+
+
+@BAD_SAMPLE_ROWS
+def test_malformed_reflection_samples_exit_2(tmp_path, capsys, row):
+    # a non-numeric value or a short row in reflection.csv is bad input
+    indir, out = tmp_path / "in", tmp_path / "out"
+    indir.mkdir()
+    write_bad_reflection(indir)
+    with open(indir / "reflection.csv", "a") as fh:
+        fh.write(row)
+    assert run(["inverse", "--input", str(indir), "--outdir", str(out)], capsys) == 2
+    assert json.loads((out / "error.json").read_text())["kind"] == "invalid-argument"
+
+
+@BAD_SAMPLE_ROWS
+def test_malformed_potential_samples_exit_2(tmp_path, capsys, row):
+    samples, out = tmp_path / "q.csv", tmp_path / "out"
+    samples.write_text("coordinate,re,im\n-20,0,0\n" + row)
+    assert run(["forward", "--family", "file", "--input", str(samples),
+                "--outdir", str(out)] + SMALL, capsys) == 2
+    assert json.loads((out / "error.json").read_text())["kind"] == "invalid-argument"
+
+
 def test_bound_state_guard_exits_3(tmp_path, capsys):
     out = tmp_path / "out"
     code = run(["forward", "--a-floor", "0.9999", "--outdir", str(out)]

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import wkist.rhp
 from wkist.direct_scattering import reflection_coefficient
 from wkist.errors import InvalidArgumentError, RhpUnsolvedError
 from wkist.lattice import GridFunction, make_spatial_grid, make_spectral_grid
@@ -10,8 +13,12 @@ from wkist.rhp import (
     NEUMANN_TOL,
     TRIANGULAR,
     TailModel,
+    _apply_cw,
     _dense_solve,
+    _jump_derivatives,
     _jump_entries,
+    _l2_residual,
+    _neumann,
     _solve_batch,
     build_factorization,
     delta_function,
@@ -354,3 +361,104 @@ def test_tail_rhs_pulls_band_solution_toward_wide_grid():
     assert gap_no > 1e-3          # the cut alone costs this much
     assert gap_yes < 6e-5         # measured 3.7e-5
     assert gap_yes < gap_no / 20.0
+
+
+def jump_batch(r, zgrid, kind, x_H):
+    """u21, u12 of a batch of cells, with Delta built for the DeltaConjugated kind."""
+    Delta = delta_function(GridFunction(zgrid, r))[2].values if kind == DELTA_CONJUGATED else None
+    u21, u12, _ = _jump_entries(kind, r, zgrid, np.asarray(x_H, float)[:, None], 0.0, Delta)
+    return u21, u12
+
+
+def mu_rhs(u21):
+    ones, zeros = np.ones(u21.shape, complex), np.zeros(u21.shape, complex)
+    return ones, zeros, zeros, ones
+
+
+@pytest.mark.parametrize("kind, x_H", [(TRIANGULAR, [-2.0, -0.4]),
+                                       (DELTA_CONJUGATED, [0.4, 2.0])])
+def test_neumann_residual_is_the_exact_residual(kind, x_H):
+    # the residual the sweeps report must be that of the iterate they
+    # return, recomputed independently; tol 1e-6 keeps it far above the
+    # round-off of the recomputation
+    sd = small_reflection(N=512, N_z=512, z_min=0.9)
+    r = 0.6 * sd.r / np.max(np.abs(sd.r))
+    u21, u12 = jump_batch(r, sd.zgrid, kind, x_H)
+    h = sd.zgrid.spacing
+
+    def check(rhs):
+        x, res, _, ok, _ = _neumann(u21, u12, *rhs, kind, sd.zgrid, tol=1e-6)
+        assert ok.all()
+        c = _apply_cw(*x, u21, u12, kind, sd.zgrid)
+        exact = _l2_residual([xa - ra - ca for xa, ra, ca in zip(x, rhs, c)], h)
+        assert np.all(exact > 0)
+        assert np.max(np.abs(res - exact) / exact) < 1e-3
+        return x
+
+    mu = check(mu_rhs(u21))
+    check(_apply_cw(*mu, *_jump_derivatives(u21, u12, sd.zgrid), kind, sd.zgrid))
+
+
+def test_converged_solve_makes_two_passes_per_sweep_plus_one(monkeypatch):
+    sd = small_reflection(N=512, N_z=512, z_min=0.9)
+    r = 0.6 * sd.r / np.max(np.abs(sd.r))
+    calls = []
+    kernel = wkist.rhp._cauchy_plus_batch
+
+    def counted(values, grid):
+        calls.append(np.shape(values))
+        return kernel(values, grid)
+
+    monkeypatch.setattr(wkist.rhp, "_cauchy_plus_batch", counted)
+    for kind, x_H in ((TRIANGULAR, [-1.0, -0.2]), (DELTA_CONJUGATED, [0.2, 1.0])):
+        u21, u12 = jump_batch(r, sd.zgrid, kind, x_H)
+        calls.clear()
+        _, res, sweeps, ok, _ = _neumann(u21, u12, *mu_rhs(u21), kind, sd.zgrid)
+        assert ok.all() and np.all(res < NEUMANN_TOL)
+        assert sweeps > 5
+        assert len(calls) == 2 * sweeps + 1
+        # each pass projects both matrix rows of every cell at once
+        assert all(shape == (2,) + u21.shape for shape in calls)
+
+
+def test_cell_iterations_match_single_cell_solves():
+    sd = small_reflection(N=512, N_z=512, z_min=0.9)
+    r = 0.6 * sd.r / np.max(np.abs(sd.r))
+    for kind, x_H in ((TRIANGULAR, np.linspace(-4.0, 0.0, 5)),
+                      (DELTA_CONJUGATED, np.linspace(0.1, 4.0, 5))):
+        u21, u12 = jump_batch(r, sd.zgrid, kind, x_H)
+        out = _solve_batch(u21, u12, kind, sd.zgrid)
+        alone = [_solve_batch(u21[j:j + 1], u12[j:j + 1], kind, sd.zgrid)["iterations"]
+                 for j in range(len(x_H))]
+        assert list(out["cell_iterations"]) == alone
+        assert max(alone) == out["iterations"]
+        assert min(alone) < max(alone)       # the cells do differ
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), amplitude=st.floats(0.01, 0.3),
+       x_H=st.floats(-1.0, 1.0), kind=st.sampled_from([TRIANGULAR, DELTA_CONJUGATED]))
+def test_neumann_agrees_with_dense_on_random_small_data(seed, amplitude, x_H, kind):
+    # random smooth data with max |r| <= 0.3: the sweeps and the dense
+    # collocation solve the same discrete system, for mu and for dmu
+    zgrid = make_spectral_grid(20.0, 256, z_min=0.5)
+    z = zgrid.points
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(3, 2)) @ [1.0, 1j]
+    centers, widths = rng.uniform(-8.0, 8.0, 3), rng.uniform(0.5, 4.0, 3)
+    r = (c * np.exp(-((z[:, None] - centers) / widths) ** 2)).sum(axis=1)
+    r = np.where(np.abs(z) >= zgrid.z_min, r, 0.0)
+    r *= amplitude / np.max(np.abs(r))
+    u21, u12 = jump_batch(r, zgrid, kind, [x_H])
+    out = _solve_batch(u21, u12, kind, zgrid)
+    assert out["solver"][0] == "neumann"
+
+    def dense(rhs):
+        rows = _dense_solve(u21[0], u12[0], [(rhs[0][0], rhs[1][0]), (rhs[2][0], rhs[3][0])],
+                            kind, zgrid)
+        return [a[None, :] for row in rows for a in row]
+
+    mu = dense(mu_rhs(u21))
+    dmu = dense(_apply_cw(*mu, *_jump_derivatives(u21, u12, zgrid), kind, zgrid))
+    for got, want in ((out["mu"], mu), (out["dmu"], dmu)):
+        assert max(np.max(np.abs(g - w)) for g, w in zip(got, want)) < 1e-9
