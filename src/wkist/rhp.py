@@ -281,10 +281,11 @@ def _neumann(u21, u12, rhs11, rhs12, rhs21, rhs22, kind, zgrid,
     After a sweep the column-2 equations hold exactly, so the update the
     next sweep makes to column 1 is the exact residual of the current
     iterate: convergence is tested on it at no extra kernel pass.  On
-    exit the pending column-1 update is applied, and one more half pass
-    measures the column-2 residual of the returned iterate (its column-1
-    residual is zero).  A solve that stops after s sweeps therefore makes
-    2 s + 1 kernel passes, and the reported residual is exact.
+    exit, whether on convergence or at ``cap``, the pending column-1
+    update is applied, and one more half pass measures the column-2
+    residual of the returned iterate (its column-1 residual is zero).  A
+    solve that stops after s >= 1 sweeps therefore makes 2 s + 1 kernel
+    passes, and the reported residual is exact.
 
     Returns entries, per-row residuals, sweep count, converged mask, and
     per row the sweep at which its residual first met ``tol`` (the sweep
@@ -308,10 +309,15 @@ def _neumann(u21, u12, rhs11, rhs12, rhs21, rhs22, kind, zgrid,
             if first is None:
                 first = res
             hopeless = ~np.isfinite(res) | (res > 1e8 * first + 1e8)
-            if np.all((res < tol) | hopeless):
+            if iterations == cap or np.all((res < tol) | hopeless):
                 break
             x2 = rhs2 + _half_step(x1, u12, 12, kind, zgrid)
-        res = _l2_residual(x2 - rhs2 - _half_step(x1, u12, 12, kind, zgrid), h)
+        if iterations == 0:
+            # no sweep ran: column 2 holds exactly and column 1 carries
+            # the whole residual
+            res = _l2_residual(_half_step(x2, u21, 21, kind, zgrid), h)
+        else:
+            res = _l2_residual(x2 - rhs2 - _half_step(x1, u12, 12, kind, zgrid), h)
     met[met == 0] = iterations
     return (x1[0], x2[0], x1[1], x2[1]), res, iterations, res < tol, met
 
