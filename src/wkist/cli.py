@@ -112,6 +112,12 @@ def _read_samples_csv(path) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidArgumentError(f"{path}: expected numeric coordinate,re,im rows ({err})") from err
 
 
+def _check_coordinates(coords: np.ndarray, grid, message: str):
+    """Refuse samples whose coordinates are not the points of ``grid``."""
+    if len(coords) != grid.point_count or np.max(np.abs(coords - grid.points)) > 1e-9:
+        raise InvalidArgumentError(message)
+
+
 def _make_grids(cfg: RunConfig):
     xgrid = make_spatial_grid(cfg.L, cfg.N)
     z_min = cfg.z_min
@@ -126,11 +132,7 @@ def _make_input_potential(cfg: RunConfig, xgrid):
         if not cfg.input:
             raise InvalidArgumentError("family=file needs --input samples.csv")
         coords, values = _read_samples_csv(cfg.input)
-        if len(coords) != xgrid.point_count or np.max(
-                np.abs(coords - xgrid.points)) > 1e-9:
-            raise InvalidArgumentError(
-                "sample coordinates do not match the configured grid"
-            )
+        _check_coordinates(coords, xgrid, "sample coordinates do not match the configured grid")
         return make_potential(xgrid, values)
     return make_potential(xgrid, _build_profile(cfg))
 
@@ -214,8 +216,7 @@ def _load_reflection(indir: Path) -> ScatteringData:
         raise InvalidArgumentError(f"{path}: not a readable forward manifest ({err!r})") from err
     zgrid = make_spectral_grid(Z, N_z, z_min=z_min)
     coords, values = _read_samples_csv(indir / "reflection.csv")
-    if len(coords) != zgrid.point_count:
-        raise InvalidArgumentError("reflection.csv does not match its manifest grid")
+    _check_coordinates(coords, zgrid, "reflection.csv does not match its manifest grid")
     active = (np.abs(zgrid.points) >= zgrid.z_min) & (zgrid.points != 0.0)
     empty = np.zeros(0, dtype=complex)
     return ScatteringData(zgrid, values, active, empty.real, empty, empty, time=time)

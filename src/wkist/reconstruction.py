@@ -264,11 +264,11 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
                 continue
             u21, u12, _ = _jump_entries(kind, rv, zgrid, block[:, None], 0.0, Delta)
             trhs = tail_band_rhs(tail, zgrid, block, 0.0) if tail is not None else None
+            # row 1 of mu and dmu: the only row the moments below read
             out = _solve_batch(u21, u12, kind, zgrid, tol=tol, tail_rhs=trhs)
             mu = out["mu"]
-            dmu = out["dmu"]
-            e11, e12, _, _ = _moment_rows(*mu, u21, u12, zgrid.spacing)
-            a = _moment_rows(*dmu, u21, u12, zgrid.spacing)
+            e11, e12 = _moment_rows(*mu, u21, u12, zgrid.spacing)
+            a = _moment_rows(*out["dmu"], u21, u12, zgrid.spacing)
             b = _moment_rows(*mu, *_jump_derivatives(u21, u12, zgrid), zgrid.spacing)
             sl = offset
             m11_raw[sl:sl + block.size] = e11

@@ -33,7 +33,12 @@ The equation (I - C_w) X = rhs is solved a batch of cells at a time by
 block Gauss-Seidel sweeps that measure their exact residual at no extra
 cost (``_neumann``: 2 s + 1 Cauchy kernel passes for s sweeps); cells on
 which the sweeps do not converge are solved again by dense collocation
-(``_dense_solve``).
+(``_dense_solve``).  The two rows of X solve the same operator with their
+own right-hand sides, so a solve takes only the rows it is given and its
+cost scales with their count.  ``solve_mu``/``solve_dmu`` solve both
+rows; the inverse transform (``_solve_batch``) solves row 1 alone, since
+m^(1)_11, m^(1)_12 and their x_H-derivatives are integrals of row 1, and
+the residuals it reports are row 1's.
 """
 
 from __future__ import annotations
@@ -221,9 +226,11 @@ def build_factorization(r: GridFunction, x_H: float, t: float, kind: str) -> Jum
 
 
 # --------------------------------------------------------------------------
-# batched Beals-Coifman solver (rows of the 2x2 system decouple; row 1 and
-# row 2 are stacked on a leading axis of length 2, so each half-step of a
-# Gauss-Seidel sweep is one Cauchy kernel pass)
+# batched Beals-Coifman solver.  The rows of the 2x2 system decouple: row i,
+# (X_i1, X_i2), solves the same equation with its own right-hand side.  A
+# solve takes the rows it is given stacked on a leading axis, as the column
+# pair (x1, x2) of (R, B, N) arrays, so each half-step of a Gauss-Seidel
+# sweep is one Cauchy kernel pass over R * B rows.
 # --------------------------------------------------------------------------
 
 def _in_w_plus(kind, entry: int) -> bool:
@@ -237,11 +244,11 @@ def _in_w_plus(kind, entry: int) -> bool:
 
 
 def _half_step(x, u, entry, kind, zgrid):
-    """C_w on one column: the projection of x * u for both stacked rows.
+    """C_w on one column: the projection of x * u for every stacked row.
 
-    ``x`` is (2, B, N): the column the jump entry ``u`` multiplies, i.e.
-    (mu12, mu22) for the (2,1) entry, giving the (1,1)/(2,1) entries of
-    C_w(mu), and (mu11, mu21) for the (1,2) entry, giving (1,2)/(2,2).
+    ``x`` is (R, B, N): the column the jump entry ``u`` multiplies, i.e.
+    column 2 (X_i2) for the (2,1) entry, giving column 1 of C_w(X), and
+    column 1 (X_i1) for the (1,2) entry, giving column 2.
     """
     p = x * u
     c = _cauchy_plus_batch(p, zgrid)
@@ -250,33 +257,38 @@ def _half_step(x, u, entry, kind, zgrid):
     return c
 
 
-def _apply_cw(mu11, mu12, mu21, mu22, u21, u12, kind, zgrid):
-    """C_w(mu) entries for a (B, N) batch."""
-    c11, c21 = _half_step(np.stack([mu12, mu22]), u21, 21, kind, zgrid)
-    c12, c22 = _half_step(np.stack([mu11, mu21]), u12, 12, kind, zgrid)
-    return c11, c12, c21, c22
+def _apply_cw(x1, x2, u21, u12, kind, zgrid):
+    """C_w(X) as its column pair, for the columns x1, x2 of stacked rows."""
+    return _half_step(x2, u21, 21, kind, zgrid), _half_step(x1, u12, 12, kind, zgrid)
 
 
 def _l2_residual(entries, h):
     """Discrete L2 norm per cell of residual entries.
 
-    ``entries`` is a sequence of (B, N) arrays, or one (k, B, N) array.
+    ``entries`` is a sequence of (..., B, N) arrays (one (R, B, N) array
+    is the sequence of its rows); the norm of a cell sums over all of
+    them.
     """
-    return np.sqrt(h * sum((e.real ** 2 + e.imag ** 2).sum(axis=-1) for e in entries))
+    return np.sqrt(h * sum((e.real ** 2 + e.imag ** 2).sum(axis=-1)
+                           .reshape(-1, e.shape[-2]).sum(axis=0) for e in entries))
 
 
-def _neumann(u21, u12, rhs11, rhs12, rhs21, rhs22, kind, zgrid,
+def _neumann(u21, u12, rhs1, rhs2, kind, zgrid,
              tol=NEUMANN_TOL, cap=NEUMANN_CAP):
     """Solve (I - C_w) X = rhs by block Gauss-Seidel sweeps, batched.
 
-    The system couples column 1 (X11, X21) only to column 2 (X12, X22)
-    through the (2,1) entry, and column 2 only to column 1 through the
-    (1,2) entry; its diagonal blocks are zero.  A sweep updates column 1
-    from column 2, then column 2 from the new column 1, one Cauchy pass
-    each.  On this 2-cyclic system Gauss-Seidel contracts at the square
-    of the Jacobi rate (Young's theorem; Varga, Matrix Iterative
-    Analysis, 1962), so it needs about half the sweeps Jacobi needs
-    iterations, at the same two passes apiece.
+    ``rhs1`` and ``rhs2`` are the right-hand-side columns of the rows to
+    solve, (R, B, N) with the rows on the leading axis: R = 1 solves row
+    1 alone, R = 2 both rows.  Every kernel pass transforms R * B rows.
+
+    The system couples column 1 (X_i1) only to column 2 (X_i2) through
+    the (2,1) entry, and column 2 only to column 1 through the (1,2)
+    entry; its diagonal blocks are zero.  A sweep updates column 1 from
+    column 2, then column 2 from the new column 1, one Cauchy pass each.
+    On this 2-cyclic system Gauss-Seidel contracts at the square of the
+    Jacobi rate (Young's theorem; Varga, Matrix Iterative Analysis,
+    1962), so it needs about half the sweeps Jacobi needs iterations, at
+    the same two passes apiece.
 
     After a sweep the column-2 equations hold exactly, so the update the
     next sweep makes to column 1 is the exact residual of the current
@@ -285,15 +297,16 @@ def _neumann(u21, u12, rhs11, rhs12, rhs21, rhs22, kind, zgrid,
     update is applied, and one more half pass measures the column-2
     residual of the returned iterate (its column-1 residual is zero).  A
     solve that stops after s >= 1 sweeps therefore makes 2 s + 1 kernel
-    passes, and the reported residual is exact.
+    passes, and the reported residual is exact for the rows solved.
 
-    Returns entries, per-row residuals, sweep count, converged mask, and
-    per row the sweep at which its residual first met ``tol`` (the sweep
-    count for rows that never did).
+    Returns the solution columns (x1, x2), per-cell residuals over the
+    given rows, sweep count, converged mask, and per cell the sweep at
+    which its residual first met ``tol`` (the sweep count for cells that
+    never did).
     """
     h = zgrid.spacing
-    rhs1, rhs2 = np.stack([rhs11, rhs21]), np.stack([rhs12, rhs22])
-    x1 = rhs1
+    # a copy: the dense fallback writes into the returned columns
+    x1 = np.array(rhs1, dtype=complex)
     x2 = rhs2 + _half_step(x1, u12, 12, kind, zgrid)
     met = np.zeros(len(u21), dtype=int)
     iterations = 0
@@ -319,7 +332,7 @@ def _neumann(u21, u12, rhs11, rhs12, rhs21, rhs22, kind, zgrid,
         else:
             res = _l2_residual(x2 - rhs2 - _half_step(x1, u12, 12, kind, zgrid), h)
     met[met == 0] = iterations
-    return (x1[0], x2[0], x1[1], x2[1]), res, iterations, res < tol, met
+    return (x1, x2), res, iterations, res < tol, met
 
 
 def _dense_matrix(u21_row, u12_row, kind, zgrid):
@@ -356,35 +369,42 @@ def _dense_solve(u21_row, u12_row, rhs_pairs, kind, zgrid):
 def _solve(u21, u12, rhs, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP):
     """Solve (I - C_w) X = rhs for a (B, N) batch of cells.
 
-    ``rhs`` holds the four right-hand-side entries.  The Gauss-Seidel
-    sweeps of ``_neumann`` run first; each cell on which they do not
-    converge is solved again by dense collocation (grids up to
-    N = DENSE_CAP) and its residual is recomputed from the dense
-    solution, which must then meet 100 tol.
-    Returns the four solution entries, the per-cell residuals, the
-    sweep count, the mask of cells solved densely and the per-cell
-    sweep counts.
+    ``rhs`` is the right-hand-side column pair (rhs1, rhs2) of the rows
+    to solve, each (R, B, N).  The Gauss-Seidel sweeps of ``_neumann``
+    run first; each cell on which they do not converge is solved again
+    by dense collocation (grids up to N = DENSE_CAP) and its residual is
+    recomputed from the dense solution, which must then meet 100 tol.
+    Returns the solution columns, the per-cell residuals, the sweep
+    count, the mask of cells solved densely and the per-cell sweep
+    counts.
     """
-    x, res, iterations, ok, met = _neumann(u21, u12, *rhs, kind, zgrid, tol, cap)
+    (x1, x2), res, iterations, ok, met = _neumann(u21, u12, *rhs, kind, zgrid, tol, cap)
+    rhs1, rhs2 = rhs
     dense = ~ok
     for j in np.nonzero(dense)[0]:
-        r11, r12, r21, r22 = (a[j] for a in rhs)
-        (x[0][j], x[1][j]), (x[2][j], x[3][j]) = _dense_solve(
-            u21[j], u12[j], [(r11, r12), (r21, r22)], kind, zgrid)
-        xj = [a[j:j + 1] for a in x]
-        cj = _apply_cw(*xj, u21[j:j + 1], u12[j:j + 1], kind, zgrid)
-        res[j] = _l2_residual([xa - ra[j] - ca for xa, ra, ca in zip(xj, rhs, cj)],
+        rows = _dense_solve(u21[j], u12[j], list(zip(rhs1[:, j], rhs2[:, j])), kind, zgrid)
+        for i, (a1, a2) in enumerate(rows):
+            x1[i, j], x2[i, j] = a1, a2
+        cell = np.s_[:, j:j + 1]
+        c1, c2 = _apply_cw(x1[cell], x2[cell], u21[j:j + 1], u12[j:j + 1], kind, zgrid)
+        res[j] = _l2_residual([x1[cell] - rhs1[cell] - c1, x2[cell] - rhs2[cell] - c2],
                               zgrid.spacing)[0]
         if res[j] > 100 * tol:
             raise RhpUnsolvedError(
                 f"dense fallback residual {res[j]:.3e} still above tolerance"
             )
-    return x, res, iterations, dense, met
+    return (x1, x2), res, iterations, dense, met
 
 
 def _solve_batch(u21, u12, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP,
-                 want_derivative=True, tail_rhs=None):
-    """Full per-cell solve: mu, d mu/d x_H, residuals. Arrays are (B, N).
+                 tail_rhs=None):
+    """Row 1 of mu and of d mu/d x_H, with residuals, for (B, N) cells.
+
+    The inverse map reads m^(1)_11, m^(1)_12 and their x_H-derivatives,
+    which are integrals of row 1 only, and row 1's equations do not
+    involve row 2; so only row 1 is solved, and every kernel pass
+    transforms a (1, B, N) stack.  "mu" and "dmu" are the pairs
+    (X11, X12) of (B, N) arrays; the residuals are row 1's.
 
     ``tail_rhs`` (from :func:`tail_band_rhs`) carries the Cauchy
     transform of the jump beyond the grid edge; adding it to the
@@ -394,54 +414,57 @@ def _solve_batch(u21, u12, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP,
     dense fallback.  "iterations" is the sweep count of the batch's mu
     solve, "cell_iterations" the sweep at which each cell met ``tol``.
     """
-    ones = np.ones(u21.shape, dtype=complex)
-    zeros = np.zeros(u21.shape, dtype=complex)
-    trhs = tail_rhs or {"T12": zeros, "T21": zeros, "dT12": 0.0, "dT21": 0.0}
+    zeros = np.zeros((1,) + u21.shape, dtype=complex)
+    trhs = tail_rhs or {"T12": 0.0, "dT12": 0.0}
     mu, res_mu, it_mu, dense, met_mu = _solve(
-        u21, u12, (ones, trhs["T12"], trhs["T21"], ones), kind, zgrid, tol, cap)
-    dmu, res_dmu, it_dmu = None, np.full(len(u21), np.nan), 0
-    if want_derivative:
-        g11, g12, g21, g22 = _apply_cw(*mu, *_jump_derivatives(u21, u12, zgrid), kind, zgrid)
-        dmu, res_dmu, it_dmu, dense_d, _ = _solve(
-            u21, u12, (g11, g12 + trhs["dT12"], g21 + trhs["dT21"], g22), kind, zgrid, tol, cap)
-        dense = dense | dense_d
+        u21, u12, (zeros + 1.0, zeros + trhs["T12"]), kind, zgrid, tol, cap)
+    g1, g2 = _apply_cw(*mu, *_jump_derivatives(u21, u12, zgrid), kind, zgrid)
+    dmu, res_dmu, it_dmu, dense_d, _ = _solve(
+        u21, u12, (g1, g2 + trhs["dT12"]), kind, zgrid, tol, cap)
     return {
-        "mu": mu,
-        "dmu": dmu,
+        "mu": (mu[0][0], mu[1][0]),
+        "dmu": (dmu[0][0], dmu[1][0]),
         "residual": res_mu,
         "residual_dmu": res_dmu,
         "iterations": it_mu,
         "cell_iterations": met_mu,
         "iterations_dmu": it_dmu,
-        "solver": np.where(dense, "dense", "neumann"),
+        "solver": np.where(dense | dense_d, "dense", "neumann"),
     }
 
 
-def _pack_mu(m11, m12, m21, m22):
-    """The four (N,) entries as one (N, 2, 2) solution."""
-    return np.stack([m11, m12, m21, m22], axis=-1).reshape(-1, 2, 2)
+def _pack_mu(x1, x2):
+    """The (2, 1, N) solution columns of both rows as one (N, 2, 2) matrix."""
+    return np.stack([x1[:, 0].T, x2[:, 0].T], axis=-1)
 
 
 def _unpack_mu(mu):
-    """The four entries of an (N, 2, 2) solution as (1, N) batch rows."""
-    return tuple(mu[None, :, i, j] for i in (0, 1) for j in (0, 1))
+    """The columns of an (N, 2, 2) solution as (2, 1, N) stacked rows."""
+    return mu[:, :, 0].T[:, None, :], mu[:, :, 1].T[:, None, :]
+
+
+def _moment_matrix(e):
+    """The 2x2 moment of one cell from the column pair of both rows."""
+    return np.stack([e[0][:, 0], e[1][:, 0]], axis=-1)
 
 
 def solve_mu(f: JumpFactorization, tol: float = NEUMANN_TOL,
              max_iterations: int = NEUMANN_CAP) -> RHPSolution:
     """Solve mu = I + C+(mu w_-) + C-(mu w_+) for one factorization.
 
-    Block Gauss-Seidel sweeps (reported as solver "neumann"), with a
-    dense collocation fallback (grids up to N = 1024) when they do not
-    contract.
+    Both rows, by block Gauss-Seidel sweeps (reported as solver
+    "neumann"), with a dense collocation fallback (grids up to
+    N = 1024) when they do not contract.
     """
-    out = _solve_batch(f.u21[None, :], f.u12[None, :], f.kind, f.zgrid,
-                       tol, max_iterations, want_derivative=False)
+    u21, u12 = f.u21[None, :], f.u12[None, :]
+    one, zero = np.ones_like(u21), np.zeros_like(u21)
+    x, res, its, dense, _ = _solve(u21, u12, (np.stack([one, zero]), np.stack([zero, one])),
+                                   f.kind, f.zgrid, tol, max_iterations)
     return RHPSolution(
-        mu=_pack_mu(*(a[0] for a in out["mu"])),
-        residual=float(out["residual"][0]),
-        iterations=out["iterations"],
-        solver=str(out["solver"][0]),
+        mu=_pack_mu(*x),
+        residual=float(res[0]),
+        iterations=its,
+        solver="dense" if dense[0] else "neumann",
     )
 
 
@@ -452,21 +475,23 @@ def solve_dmu(f: JumpFactorization, sol: RHPSolution, tol: float = NEUMANN_TOL,
     g = _apply_cw(*_unpack_mu(sol.mu), *_jump_derivatives(u21, u12, f.zgrid),
                   f.kind, f.zgrid)
     dmu, res, its, dense, _ = _solve(u21, u12, g, f.kind, f.zgrid, tol, max_iterations)
-    sol.dmu = _pack_mu(*(a[0] for a in dmu))
+    sol.dmu = _pack_mu(*dmu)
     sol.residual_dmu = float(res[0])
     sol.iterations_dmu = its
     sol.solver_dmu = "dense" if dense[0] else "neumann"
     return sol
 
 
-def _moment_rows(m11, m12, m21, m22, u21, u12, h):
-    """-(1/2 pi i) int mu (w_+ + w_-) ds entries for (B, N) batches."""
+def _moment_rows(x1, x2, u21, u12, h):
+    """-(1/2 pi i) int X (w_+ + w_-) ds for the rows given, as a column pair.
+
+    ``x1``, ``x2`` are the columns of the rows, (R, B, N) or, for one
+    row, (B, N); the (i,1) entry integrates X_i2 u21 and the (i,2) entry
+    X_i1 u12.
+    """
     pref = -1.0 / (2j * np.pi)
-    e11 = pref * np.trapezoid(m12 * u21, dx=h, axis=-1)
-    e12 = pref * np.trapezoid(m11 * u12, dx=h, axis=-1)
-    e21 = pref * np.trapezoid(m22 * u21, dx=h, axis=-1)
-    e22 = pref * np.trapezoid(m21 * u12, dx=h, axis=-1)
-    return e11, e12, e21, e22
+    return (pref * np.trapezoid(x2 * u21, dx=h, axis=-1),
+            pref * np.trapezoid(x1 * u12, dx=h, axis=-1))
 
 
 def m1_moment(f: JumpFactorization, sol: RHPSolution) -> np.ndarray:
@@ -476,8 +501,8 @@ def m1_moment(f: JumpFactorization, sol: RHPSolution) -> np.ndarray:
     delta-conjugated problem; the diagonal shift d1 * sigma3 is removed
     so both kinds report the same matrix.
     """
-    e = _moment_rows(*_unpack_mu(sol.mu), f.u21[None, :], f.u12[None, :], f.zgrid.spacing)
-    m1 = np.array(e, dtype=complex).reshape(2, 2)
+    m1 = _moment_matrix(_moment_rows(*_unpack_mu(sol.mu), f.u21[None, :], f.u12[None, :],
+                                     f.zgrid.spacing))
     if f.kind == DELTA_CONJUGATED:
         m1[0, 0] -= f.d1
         m1[1, 1] += f.d1
@@ -497,7 +522,7 @@ def dx_m1(f: JumpFactorization, sol: RHPSolution) -> np.ndarray:
     h = f.zgrid.spacing
     a = _moment_rows(*_unpack_mu(sol.dmu), u21, u12, h)
     b = _moment_rows(*_unpack_mu(sol.mu), *_jump_derivatives(u21, u12, f.zgrid), h)
-    return (np.array(a) + np.array(b)).reshape(2, 2)
+    return _moment_matrix(a) + _moment_matrix(b)
 
 
 def suggest_z_min(zgrid_or_Z, N_z=None, window: float = 6.0, t_max: float = 0.0,
@@ -658,21 +683,23 @@ def tail_band_rhs(tail: TailModel, zgrid: SpectralGrid, x_H, t: float) -> dict:
     x_H = np.atleast_1d(np.asarray(x_H, dtype=float))
     th = -np.outer(x_H, lam) + 2.0 * t * lam**2
     g12 = np.conj(P) * np.exp(-2j * th)
-    g21 = P * np.exp(2j * th)
+    dg12 = g12 * (2j * lam)
 
     z = zgrid.points.copy()
     # the grid spans [-Z, Z): the single point at -Z sits on the junction,
     # where T is log-singular; represent its cell by the half-cell midpoint
     edge = np.abs(z) >= Z
     z[edge] = np.sign(z[edge]) * (Z - 0.5 * zgrid.spacing)
-    K = w / (1.0 + np.outer(lam, z).T)      # (N_z, nodes), real
+    K = w[:, None] / (1.0 + np.outer(lam, z))      # (nodes, N_z), real
+    # one real product for both complex rows; the (2,1) rows follow from
+    # the Schwarz identity g21 = conj(g12), exact because K is real and
+    # conj(1/(2 pi i)) = -1/(2 pi i)
+    n = len(x_H)
+    S = np.concatenate([g12.real, g12.imag, dg12.real, dg12.imag]) @ K
     pref = 1.0 / (2j * np.pi)
-    return {
-        "T12": pref * (g12 @ K.T),
-        "T21": pref * (g21 @ K.T),
-        "dT12": pref * ((g12 * (2j * lam)) @ K.T),
-        "dT21": pref * ((g21 * (-2j * lam)) @ K.T),
-    }
+    T12 = pref * (S[:n] + 1j * S[n:2 * n])
+    dT12 = pref * (S[2 * n:3 * n] + 1j * S[3 * n:])
+    return {"T12": T12, "T21": -np.conj(T12), "dT12": dT12, "dT21": -np.conj(dT12)}
 
 
 def outer_band_moments(tail, Z: float, x_H, t: float, nodes: int = 96,

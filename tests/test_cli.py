@@ -123,6 +123,19 @@ def test_missing_reflection_samples_exit_2(tmp_path, capsys):
     assert json.loads((out / "error.json").read_text())["kind"] == "invalid-argument"
 
 
+def test_reflection_off_its_manifest_grid_exits_2(tmp_path, capsys):
+    # samples spanning [-40, 40) must not be read as a [-30, 30) grid just
+    # because their count matches
+    fwd, out = tmp_path / "fwd", tmp_path / "out"
+    assert run(["forward", "--outdir", str(fwd)] + SMALL, capsys) == 0
+    manifest = json.loads((fwd / "manifest.json").read_text())
+    manifest["config"]["Z"] = 30.0
+    (fwd / "manifest.json").write_text(json.dumps(manifest))
+    assert run(["inverse", "--input", str(fwd), "--outdir", str(out),
+                "--decay-floor", "1e-3"], capsys) == 2
+    assert json.loads((out / "error.json").read_text())["kind"] == "invalid-argument"
+
+
 BAD_SAMPLE_ROWS = pytest.mark.parametrize(
     "row", ["1,x,0\n", "1,0\n"], ids=["non-numeric", "short-row"])
 

@@ -344,8 +344,7 @@ def test_tail_rhs_pulls_band_solution_toward_wide_grid():
         u21, u12, _ = _jump_entries(TRIANGULAR, rv, zg,
                                     np.array([[-0.4]]), 0.0, None)
         trhs = tail_band_rhs(tm, zg, np.array([-0.4]), 0.0) if with_T else None
-        out = _solve_batch(u21, u12, TRIANGULAR, zg, tail_rhs=trhs,
-                           want_derivative=False)
+        out = _solve_batch(u21, u12, TRIANGULAR, zg, tail_rhs=trhs)
         return zg, out["mu"]
 
     zg_w, mu_w = band_mu(160.0, 16384, True)
@@ -369,8 +368,9 @@ def jump_batch(r, zgrid, kind, x_H):
 
 
 def mu_rhs(u21):
+    """Right-hand-side columns (rhs1, rhs2) of both rows of the mu equation."""
     ones, zeros = np.ones(u21.shape, complex), np.zeros(u21.shape, complex)
-    return ones, zeros, zeros, ones
+    return np.stack([ones, zeros]), np.stack([zeros, ones])
 
 
 @pytest.mark.parametrize("kind, x_H", [(TRIANGULAR, [-2.0, -0.4]),
@@ -411,12 +411,13 @@ def test_converged_solve_makes_two_passes_per_sweep_plus_one(monkeypatch):
     for kind, x_H in ((TRIANGULAR, [-1.0, -0.2]), (DELTA_CONJUGATED, [0.2, 1.0])):
         u21, u12 = jump_batch(r, sd.zgrid, kind, x_H)
         calls.clear()
-        _, res, sweeps, ok, _ = _neumann(u21, u12, *mu_rhs(u21), kind, sd.zgrid)
+        rhs = mu_rhs(u21)
+        _, res, sweeps, ok, _ = _neumann(u21, u12, *rhs, kind, sd.zgrid)
         assert ok.all() and np.all(res < NEUMANN_TOL)
         assert sweeps > 5
         assert len(calls) == 2 * sweeps + 1
-        # each pass projects both matrix rows of every cell at once
-        assert all(shape == (2,) + u21.shape for shape in calls)
+        # each pass projects the rows passed in for every cell at once
+        assert all(shape == (len(rhs[0]),) + u21.shape for shape in calls)
 
 
 def test_cell_iterations_match_single_cell_solves():
@@ -454,3 +455,43 @@ def test_sweeps_stopped_at_cap_report_their_true_residual(kind, x_H, cap):
     out = _solve_batch(u21, u12, kind, sd.zgrid, cap=cap)
     assert list(out["solver"]) == ["dense", "dense"]
     assert np.all(out["residual"] < NEUMANN_TOL)
+
+
+@pytest.mark.parametrize("kind, x_H", [(TRIANGULAR, [-1.0, -0.2]),
+                                       (DELTA_CONJUGATED, [0.2, 1.0])])
+def test_inverse_solve_transforms_row_1_only(kind, x_H, monkeypatch):
+    # the inverse reads only row 1 of mu and dmu: _solve_batch must solve
+    # that row alone, every kernel pass a (1, B, N) stack, and still
+    # agree with row 1 of the dense solve of the same equations
+    sd = small_reflection(N=512, N_z=512, z_min=0.9)
+    zg = sd.zgrid
+    r = 0.6 * sd.r / np.max(np.abs(sd.r))
+    u21, u12 = jump_batch(r, zg, kind, x_H)
+    tm = TailModel(Z=zg.half_width, pos=np.array([0.05 - 0.02j, 0.01j]),
+                   neg=np.array([0.05 - 0.02j, -0.01]))
+    trhs = tail_band_rhs(tm, zg, np.asarray(x_H), 0.0)
+    calls = []
+    kernel = wkist.rhp._cauchy_plus_batch
+
+    def counted(values, grid):
+        calls.append(np.shape(values))
+        return kernel(values, grid)
+
+    monkeypatch.setattr(wkist.rhp, "_cauchy_plus_batch", counted)
+    out = _solve_batch(u21, u12, kind, zg, tail_rhs=trhs)
+    monkeypatch.undo()
+    assert list(out["solver"]) == ["neumann", "neumann"]
+    assert all(shape == (1,) + u21.shape for shape in calls)
+    # 2 s + 1 passes per solve, and two for the dmu right-hand side
+    assert len(calls) == 2 * out["iterations"] + 1 + 2 + 2 * out["iterations_dmu"] + 1
+
+    du21, du12 = _jump_derivatives(u21, u12, zg)
+    for j in range(len(x_H)):
+        [(mu11, mu12)] = _dense_solve(u21[j], u12[j], [(np.ones(zg.point_count), trhs["T12"][j])],
+                                      kind, zg)
+        g1, g2 = _apply_cw(mu11[None], mu12[None], du21[j:j + 1], du12[j:j + 1], kind, zg)
+        [(dmu11, dmu12)] = _dense_solve(u21[j], u12[j], [(g1[0], g2[0] + trhs["dT12"][j])],
+                                        kind, zg)
+        for got, want in ((out["mu"][0][j], mu11), (out["mu"][1][j], mu12),
+                          (out["dmu"][0][j], dmu11), (out["dmu"][1][j], dmu12)):
+            assert np.max(np.abs(got - want)) < 1e-9

@@ -10,42 +10,85 @@ from wkist.lattice import GridFunction, make_spectral_grid  # noqa: E402
 from wkist.rhp import (  # noqa: E402
     DELTA_CONJUGATED,
     TRIANGULAR,
+    TailModel,
     _apply_cw,
     _dense_solve,
     _jump_derivatives,
     _jump_entries,
     _solve_batch,
+    build_factorization,
     delta_function,
+    solve_dmu,
+    solve_mu,
+    tail_band_rhs,
 )
 
+ZGRID = make_spectral_grid(20.0, 256, z_min=0.5)
 
-@hypothesis.settings(max_examples=20, deadline=None)
-@hypothesis.given(seed=st.integers(0, 2**32 - 1), amplitude=st.floats(0.01, 0.3),
+small_data = dict(seed=st.integers(0, 2**32 - 1), amplitude=st.floats(0.01, 0.3),
                   x_H=st.floats(-1.0, 1.0),
                   kind=st.sampled_from([TRIANGULAR, DELTA_CONJUGATED]))
-def test_neumann_agrees_with_dense_on_random_small_data(seed, amplitude, x_H, kind):
-    # random smooth data with max |r| <= 0.3: the sweeps and the dense
-    # collocation solve the same discrete system, for mu and for dmu
-    zgrid = make_spectral_grid(20.0, 256, z_min=0.5)
-    z = zgrid.points
+
+
+def random_reflection(seed, amplitude):
+    """Random smooth reflection data on ZGRID with max |r| = amplitude."""
+    z = ZGRID.points
     rng = np.random.default_rng(seed)
     c = rng.normal(size=(3, 2)) @ [1.0, 1j]
     centers, widths = rng.uniform(-8.0, 8.0, 3), rng.uniform(0.5, 4.0, 3)
     r = (c * np.exp(-((z[:, None] - centers) / widths) ** 2)).sum(axis=1)
-    r = np.where(np.abs(z) >= zgrid.z_min, r, 0.0)
-    r *= amplitude / np.max(np.abs(r))
+    r = np.where(np.abs(z) >= ZGRID.z_min, r, 0.0)
+    return r * (amplitude / np.max(np.abs(r)))
+
+
+@hypothesis.settings(max_examples=20, deadline=None)
+@hypothesis.given(**small_data)
+def test_neumann_agrees_with_dense_on_random_small_data(seed, amplitude, x_H, kind):
+    # random smooth data with max |r| <= 0.3: the sweeps and the dense
+    # collocation solve the same discrete system, for row 1 of mu and of
+    # dmu (the rows the inverse solves)
+    zgrid = ZGRID
+    r = random_reflection(seed, amplitude)
     Delta = delta_function(GridFunction(zgrid, r))[2].values if kind == DELTA_CONJUGATED else None
     u21, u12, _ = _jump_entries(kind, r, zgrid, np.array([[x_H]]), 0.0, Delta)
     out = _solve_batch(u21, u12, kind, zgrid)
     assert out["solver"][0] == "neumann"
 
-    def dense(rhs):
-        rows = _dense_solve(u21[0], u12[0], [(rhs[0][0], rhs[1][0]), (rhs[2][0], rhs[3][0])],
-                            kind, zgrid)
-        return [a[None, :] for row in rows for a in row]
+    def dense_row_1(rhs1, rhs2):
+        return _dense_solve(u21[0], u12[0], [(rhs1, rhs2)], kind, zgrid)[0]
 
     one, zero = np.ones(zgrid.point_count, complex), np.zeros(zgrid.point_count, complex)
-    mu = dense([one[None], zero[None], zero[None], one[None]])
-    dmu = dense(_apply_cw(*mu, *_jump_derivatives(u21, u12, zgrid), kind, zgrid))
-    for got, want in ((out["mu"], mu), (out["dmu"], dmu)):
-        assert max(np.max(np.abs(g - w)) for g, w in zip(got, want)) < 1e-9
+    mu11, mu12 = dense_row_1(one, zero)
+    g1, g2 = _apply_cw(mu11[None], mu12[None], *_jump_derivatives(u21, u12, zgrid), kind, zgrid)
+    dmu11, dmu12 = dense_row_1(g1[0], g2[0])
+    assert np.max(np.abs(out["mu"][0][0] - mu11)) < 1e-9
+    assert np.max(np.abs(out["mu"][1][0] - mu12)) < 1e-9
+    assert np.max(np.abs(out["dmu"][0][0] - dmu11)) < 1e-9
+    assert np.max(np.abs(out["dmu"][1][0] - dmu12)) < 1e-9
+
+
+@hypothesis.settings(max_examples=20, deadline=None)
+@hypothesis.given(**small_data)
+def test_row_2_is_the_schwarz_reflection_of_row_1(seed, amplitude, x_H, kind):
+    # u12 = conj(u21) in both kinds and C-(conj v) = -conj(C+ v), so row 2
+    # of mu and dmu is fixed by row 1: this is why the inverse solves
+    # row 1 alone
+    f = build_factorization(GridFunction(ZGRID, random_reflection(seed, amplitude)),
+                            x_H, 0.0, kind)
+    sol = solve_dmu(f, solve_mu(f))
+    assert sol.solver == sol.solver_dmu == "neumann"
+    for m in (sol.mu, sol.dmu):
+        assert np.max(np.abs(m[:, 1, 0] + np.conj(m[:, 0, 1]))) < 1e-9
+        assert np.max(np.abs(m[:, 1, 1] - np.conj(m[:, 0, 0]))) < 1e-9
+
+
+@hypothesis.settings(max_examples=20, deadline=None)
+@hypothesis.given(seed=st.integers(0, 2**32 - 1), x_H=st.floats(-6.0, 6.0),
+                  t=st.floats(0.0, 0.5))
+def test_tail_band_rhs_has_the_schwarz_symmetry(seed, x_H, t):
+    rng = np.random.default_rng(seed)
+    pos, neg = 0.1 * (rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4)))
+    out = tail_band_rhs(TailModel(Z=ZGRID.half_width, pos=pos, neg=neg), ZGRID,
+                        np.array([x_H, -x_H]), t)
+    assert np.max(np.abs(out["T21"] + np.conj(out["T12"]))) < 1e-15
+    assert np.max(np.abs(out["dT21"] + np.conj(out["dT12"]))) < 1e-15
