@@ -350,15 +350,46 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+_CONFIG_TYPES = {"bool": "a JSON bool", "int": "an integral number",
+                 "float": "a finite number", "str": "a string"}
+
+
+def _config_value(name: str, kind: str, value):
+    """A config-file value checked against its ``RunConfig`` field type.
+
+    JSON bools are not numbers here, an integral number such as 512.0 is
+    accepted for an int field, and a float field takes any number a float
+    holds finitely; anything else is bad input.
+    """
+    if isinstance(value, bool):
+        if kind == "bool":
+            return value
+    elif kind == "int" and (isinstance(value, int)
+                            or (isinstance(value, float) and value.is_integer())):
+        return int(value)
+    elif (kind == "float" and isinstance(value, (int, float))
+          and abs(value) <= sys.float_info.max):
+        return float(value)
+    elif kind == "str" and isinstance(value, str):
+        return value
+    raise InvalidArgumentError(
+        f"config field {name!r} must be {_CONFIG_TYPES[kind]}, got {value!r}")
+
+
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig(pipeline=args.pipeline)
     if args.config:
         raw = json.loads(Path(args.config).read_text())
-        known = {f.name for f in fields(RunConfig)}
-        bad = set(raw) - known
+        if not isinstance(raw, dict):
+            raise InvalidArgumentError(
+                f"config must be a JSON object, got {type(raw).__name__}")
+        kinds = {f.name: f.type for f in fields(RunConfig)}
+        bad = set(raw) - set(kinds)
         if bad:
             raise InvalidArgumentError(f"unknown config fields: {sorted(bad)}")
-        cfg = replace(cfg, **{k: v for k, v in raw.items() if k != "pipeline"})
+        values = {k: _config_value(k, kinds[k], v) for k, v in raw.items()}
+        values.pop("pipeline", None)
+        cfg = replace(cfg, **values)
     overrides = {
         f.name: getattr(args, f.name)
         for f in fields(RunConfig)
@@ -374,7 +405,8 @@ def main(argv=None) -> int:
         outdir = Path(cfg.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
     except (WkiError, OSError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        kind = f" [{err.kind}]" if isinstance(err, WkiError) else ""
+        print(f"error{kind}: {err}", file=sys.stderr)
         return 2
 
     try:

@@ -21,6 +21,16 @@ solutions are propagated only halfway, which also halves the cost):
 
 and r(z) = b(-1/z)/a(-1/z) on the spectral grid of the inverse problem,
 so no interpolation across the z <-> lam map is ever needed.
+
+One loop, `_march`, steps psi for a whole batch of lam.  psi is kept
+component-major, shape (2, 2, len(lam)), so every entry is a contiguous
+row and each cell product writes into preallocated buffers.  The cell
+propagator's diagonal and sin(h u)/u depend on the cell only through
+(h, w = sqrt(1 + |q|^2)) and are reused while consecutive (sub)steps
+repeat them; only the two off-diagonal entries, proportional to q, are
+formed per cell.  The rework is bit-identical: each element sees the
+same floating-point operations in the same order as a fresh exponential
+and a full 2x2 product, so a, b, c, d and det_defect do not depend on it.
 """
 
 from __future__ import annotations
@@ -72,27 +82,43 @@ class ScatteringData:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _cell_exponential(h, lam_col, qm):
-    """exp(h * (i lam sigma3 - lam M(q))), vectorized over (lam, cell) axes."""
+class _CellPropagator:
+    """The cell propagator of one batch of lam, reused from step to step.
+
+    ``E`` is component-major, (2, 2, len(lam)).  ``hw`` and ``sc`` are the
+    (h, w) it was last built for and its sin(h u)/u.  -lam and i*lam are
+    formed once, as the expressions below would form them on every call.
+    """
+
+    def __init__(self, lam):
+        self.lam, self.neg_lam, self.ilam = lam, -lam, 1j * lam
+        self.E = np.empty((2, 2, lam.size), dtype=complex)
+        self.hw = self.sc = None
+
+
+def _cell_exponential(h, qm, cell: _CellPropagator):
+    """exp(h * (i lam sigma3 - lam M(qm))) for the batch of ``cell``, into cell.E.
+
+    The diagonal entries and sin(h u)/u, u = lam w, depend on the cell
+    only through (h, w = sqrt(1 + |qm|^2)).  When (h, w) repeats the last
+    call they are kept, and only the two off-diagonal entries, which are
+    proportional to qm, are written.  Every entry is computed by the same
+    floating-point operations as in a freshly built exponential, so the
+    reuse changes no bit of the result.
+    """
+    E = cell.E
     w = np.sqrt(1.0 + np.abs(qm) ** 2)
-    u = lam_col * w
-    c = np.cos(h * u)
-    sc = h * np.sinc(h * u / np.pi)  # sin(h u)/u, exact at u = 0
-    E = np.empty(np.broadcast(lam_col, qm).shape + (2, 2), dtype=complex)
-    E[..., 0, 0] = c + 1j * lam_col * sc
-    E[..., 0, 1] = -lam_col * qm * sc
-    E[..., 1, 0] = lam_col * np.conj(qm) * sc
-    E[..., 1, 1] = c - 1j * lam_col * sc
+    if cell.hw != (h, w):
+        hu = h * (cell.lam * w)
+        c = np.cos(hu)
+        cell.sc = h * np.sinc(hu / np.pi)  # sin(h u)/u, exact at u = 0
+        ilam_sc = cell.ilam * cell.sc
+        np.add(c, ilam_sc, out=E[0, 0])
+        np.subtract(c, ilam_sc, out=E[1, 1])
+        cell.hw = (h, w)
+    np.multiply(cell.neg_lam * qm, cell.sc, out=E[0, 1])
+    np.multiply(cell.lam * np.conj(qm), cell.sc, out=E[1, 0])
     return E
-
-
-def _matmul2(E, P):
-    out = np.empty(np.broadcast(E, P).shape, dtype=complex)
-    out[..., 0, 0] = E[..., 0, 0] * P[..., 0, 0] + E[..., 0, 1] * P[..., 1, 0]
-    out[..., 0, 1] = E[..., 0, 0] * P[..., 0, 1] + E[..., 0, 1] * P[..., 1, 1]
-    out[..., 1, 0] = E[..., 1, 0] * P[..., 0, 0] + E[..., 1, 1] * P[..., 1, 0]
-    out[..., 1, 1] = E[..., 1, 0] * P[..., 0, 1] + E[..., 1, 1] * P[..., 1, 1]
-    return out
 
 
 def _midpoint_values(p: Potential, k0, k1):
@@ -115,16 +141,27 @@ def _sub_values(p: Potential, k, m):
 
 
 def _det_defect(psi) -> float:
-    det = psi[..., 0, 0] * psi[..., 1, 1] - psi[..., 0, 1] * psi[..., 1, 0]
-    return float(np.max(np.abs(det - 1.0)))
+    """max |det psi - 1| over psi of shape (2, 2, ...)."""
+    det = psi[0, 0] * psi[1, 1]
+    det -= psi[0, 1] * psi[1, 0]
+    det -= 1.0
+    return float(np.abs(det).max())
 
 
 def _march(p: Potential, lams, side, stop, bound):
     """Step psi cell by cell from the `side` infinity to grid index `stop`.
 
     A generator: yields (grid index, psi) at the start point and after
-    each cell, psi of shape (len(lams), 2, 2).  The substep budget of the
-    traversed cells is checked before the first step.
+    each cell.  psi is component-major, (2, 2, len(lams)), so each entry
+    is a contiguous row over lam.  It is one of two buffers the loop
+    alternates between and stays valid only until the generator resumes,
+    so a consumer copies what it keeps.  `_cell_exponential` rebuilds the
+    cell propagator in one buffer per (sub)step and redoes its
+    trigonometry only when (h, w) changes; w repeats across the plateaus
+    of piecewise-constant potentials and wherever 1 + |q|^2 rounds to 1.
+    The results are bit-identical to a fresh exponential and a full 2x2
+    product per step.  The substep budget of the traversed cells
+    is checked before the first step.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     grid = p.grid
@@ -148,24 +185,29 @@ def _march(p: Potential, lams, side, stop, bound):
             "lam is too large for this grid"
         )
 
-    psi = np.zeros((lams.size, 2, 2), dtype=complex)
-    psi[:, 0, 0] = np.exp(1j * lams * grid.points[start])
-    psi[:, 1, 1] = np.exp(-1j * lams * grid.points[start])
+    psi = np.zeros((2, 2, lams.size), dtype=complex)
+    psi[0, 0] = np.exp(1j * lams * grid.points[start])
+    psi[1, 1] = np.exp(-1j * lams * grid.points[start])
     yield start, psi
+    cell = _CellPropagator(lams)
+    nxt, term = np.empty_like(psi), np.empty_like(psi)
     for k in cells:
         m = msub[k]
-        if m == 1:
-            psi = _matmul2(_cell_exponential(step, lams, qm_all[k]), psi)
-        else:
-            for qs in _sub_values(p, k, m):
-                psi = _matmul2(_cell_exponential(step / m, lams, qs), psi)
+        hs, qs = (step, (qm_all[k],)) if m == 1 else (step / m, _sub_values(p, k, m))
+        for q in qs:
+            E = _cell_exponential(hs, q, cell)
+            # nxt[i, j] = E[i, 0] psi[0, j] + E[i, 1] psi[1, j]
+            np.multiply(E[:, 0, None], psi[0], out=nxt)
+            np.multiply(E[:, 1, None], psi[1], out=term)
+            np.add(nxt, term, out=nxt)
+            psi, nxt = nxt, psi
         yield (k + 1 if side == "-" else k), psi
 
 
 def _propagate_to_mid(p: Potential, lams, side, bound=LOCAL_ERROR_BOUND):
     """Propagate psi from the `side` infinity to x = 0 for a batch of lam.
 
-    Returns (psi at x = 0 with shape (len(lams), 2, 2), max det defect).
+    Returns (psi at x = 0 with shape (2, 2, len(lams)), max det defect).
     """
     steps = _march(p, lams, side, p.grid.point_count // 2, bound)  # x = 0 (N even)
     _, psi = next(steps)
@@ -188,18 +230,19 @@ def propagate_jost(p: Potential, lam: float, side: str,
     N = p.grid.point_count
     psi_samples = np.empty((N, 2, 2), dtype=complex)
     for k, psi in _march(p, [float(lam)], side, 0 if side == "+" else N - 1, bound):
-        psi_samples[k] = psi[0]
-    return JostSolution(float(lam), side, p.grid, psi_samples, _det_defect(psi_samples))
+        psi_samples[k] = psi[..., 0]
+    det_defect = _det_defect(np.moveaxis(psi_samples, 0, -1))
+    return JostSolution(float(lam), side, p.grid, psi_samples, det_defect)
 
 
 def _wronskians(p: Potential, lams, bound=LOCAL_ERROR_BOUND):
     """a, b, c, d for a batch of lam, and the det defect of both halves."""
     psim, ddm = _propagate_to_mid(p, lams, "-", bound)
     psip, ddp = _propagate_to_mid(p, lams, "+", bound)
-    a = psip[..., 0, 0] * psim[..., 1, 1] - psim[..., 0, 1] * psip[..., 1, 0]
-    b = psim[..., 0, 0] * psip[..., 1, 0] - psip[..., 0, 0] * psim[..., 1, 0]
-    c = psim[..., 0, 0] * psip[..., 1, 1] - psip[..., 0, 1] * psim[..., 1, 0]
-    d = psip[..., 0, 1] * psim[..., 1, 1] - psim[..., 0, 1] * psip[..., 1, 1]
+    a = psip[0, 0] * psim[1, 1] - psim[0, 1] * psip[1, 0]
+    b = psim[0, 0] * psip[1, 0] - psip[0, 0] * psim[1, 0]
+    c = psim[0, 0] * psip[1, 1] - psip[0, 1] * psim[1, 0]
+    d = psip[0, 1] * psim[1, 1] - psim[0, 1] * psip[1, 1]
     return a, b, c, d, max(ddm, ddp)
 
 

@@ -37,7 +37,6 @@ from .lax import conserved_E1, make_potential
 from .rhp import (
     DELTA_CONJUGATED,
     TRIANGULAR,
-    _jump_derivatives,
     _jump_entries,
     _moment_rows,
     _solve_batch,
@@ -269,7 +268,7 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
             mu = out["mu"]
             e11, e12 = _moment_rows(*mu, u21, u12, zgrid.spacing)
             a = _moment_rows(*out["dmu"], u21, u12, zgrid.spacing)
-            b = _moment_rows(*mu, *_jump_derivatives(u21, u12, zgrid), zgrid.spacing)
+            b = _moment_rows(*mu, *out.pop("jump_derivatives"), zgrid.spacing)
             sl = offset
             m11_raw[sl:sl + block.size] = e11
             dm11[sl:sl + block.size] = a[0] + b[0]

@@ -413,14 +413,20 @@ def _solve_batch(u21, u12, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP,
     A cell is reported as "dense" when either of its solves needed the
     dense fallback.  "iterations" is the sweep count of the batch's mu
     solve, "cell_iterations" the sweep at which each cell met ``tol``.
+    "jump_derivatives" is the pair from :func:`_jump_derivatives` that
+    the dmu right-hand side was built from, for the caller's moments.
     """
-    zeros = np.zeros((1,) + u21.shape, dtype=complex)
+    shape = (1,) + u21.shape
     trhs = tail_rhs or {"T12": 0.0, "dT12": 0.0}
     mu, res_mu, it_mu, dense, met_mu = _solve(
-        u21, u12, (zeros + 1.0, zeros + trhs["T12"]), kind, zgrid, tol, cap)
-    g1, g2 = _apply_cw(*mu, *_jump_derivatives(u21, u12, zgrid), kind, zgrid)
-    dmu, res_dmu, it_dmu, dense_d, _ = _solve(
-        u21, u12, (g1, g2 + trhs["dT12"]), kind, zgrid, tol, cap)
+        u21, u12, (np.zeros(shape, dtype=complex) + 1.0,
+                   np.zeros(shape, dtype=complex) + trhs["T12"]), kind, zgrid, tol, cap)
+    # du is kept for the caller's moments; the right-hand side is formed
+    # in place so that the dmu solve holds no more arrays than without it
+    du = _jump_derivatives(u21, u12, zgrid)
+    g1, g2 = _apply_cw(*mu, *du, kind, zgrid)
+    g2 += trhs["dT12"]
+    dmu, res_dmu, it_dmu, dense_d, _ = _solve(u21, u12, (g1, g2), kind, zgrid, tol, cap)
     return {
         "mu": (mu[0][0], mu[1][0]),
         "dmu": (dmu[0][0], dmu[1][0]),
@@ -430,6 +436,7 @@ def _solve_batch(u21, u12, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP,
         "cell_iterations": met_mu,
         "iterations_dmu": it_dmu,
         "solver": np.where(dense | dense_d, "dense", "neumann"),
+        "jump_derivatives": du,
     }
 
 

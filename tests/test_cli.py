@@ -87,6 +87,33 @@ def test_unknown_config_field_is_refused(tmp_path, capsys):
                 "--outdir", str(tmp_path / "o")], capsys) == 2
 
 
+@pytest.mark.parametrize("config", [
+    {"N": "abc"}, {"N": 512.5}, {"N": True}, {"tail": "no"}, {"tail": 0},
+    {"amplitude": "0.04"}, {"width": 10**400}, {"outdir": 5}, {"pipeline": 3}, [1, 2], "N",
+], ids=["str-int", "fraction-int", "bool-int", "str-bool", "int-bool", "str-float",
+        "huge-float", "int-str", "int-pipeline", "array", "string"])
+def test_wrongly_typed_config_exits_2(tmp_path, capsys, config):
+    # each field takes only its own JSON type, and the file holds an object
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["forward", "--config", str(cfg), "--outdir", str(tmp_path / "o")] + SMALL)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "invalid-argument" in err
+
+
+def test_config_takes_integral_numbers_for_int_fields(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 512.0, "amplitude": 1, "tail": False}))
+    out = tmp_path / "out"
+    assert run(["forward", "--config", str(cfg), "--outdir", str(out)]
+               + SMALL[2:], capsys) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["N"] == 512 and isinstance(config["N"], int)
+    assert config["amplitude"] == 1.0 and isinstance(config["amplitude"], float)
+    assert config["tail"] is False
+
+
 def test_missing_input_file_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["forward", "--family", "file", "--outdir", str(out)]

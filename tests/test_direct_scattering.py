@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from wkist.direct_scattering import (
+    LOCAL_ERROR_BOUND,
+    _midpoint_values,
+    _sub_values,
+    _wronskians,
     b_from_integral,
     check_a_asymptotics,
     evolve_reflection,
@@ -161,3 +165,137 @@ def test_b_integral_form_agrees_with_wronskian():
     T = transition_matrix(p, lam)
     b_int = b_from_integral(p, lam)
     assert abs(b_int - T[1, 0]) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# Bitwise oracle: the interleaved (L, 2, 2) cell loop the component-major
+# propagator replaced, with a fresh cell exponential and a fresh 2x2
+# product on every (sub)step.  The propagator promises the same
+# floating-point operations per element, so results must match bit for bit.
+
+def _oracle_cell_exponential(h, lam_col, qm):
+    w = np.sqrt(1.0 + np.abs(qm) ** 2)
+    u = lam_col * w
+    c = np.cos(h * u)
+    sc = h * np.sinc(h * u / np.pi)
+    E = np.empty(np.broadcast(lam_col, qm).shape + (2, 2), dtype=complex)
+    E[..., 0, 0] = c + 1j * lam_col * sc
+    E[..., 0, 1] = -lam_col * qm * sc
+    E[..., 1, 0] = lam_col * np.conj(qm) * sc
+    E[..., 1, 1] = c - 1j * lam_col * sc
+    return E
+
+
+def _oracle_matmul2(E, P):
+    out = np.empty(np.broadcast(E, P).shape, dtype=complex)
+    out[..., 0, 0] = E[..., 0, 0] * P[..., 0, 0] + E[..., 0, 1] * P[..., 1, 0]
+    out[..., 0, 1] = E[..., 0, 0] * P[..., 0, 1] + E[..., 0, 1] * P[..., 1, 1]
+    out[..., 1, 0] = E[..., 1, 0] * P[..., 0, 0] + E[..., 1, 1] * P[..., 1, 0]
+    out[..., 1, 1] = E[..., 1, 0] * P[..., 0, 1] + E[..., 1, 1] * P[..., 1, 1]
+    return out
+
+
+def _oracle_det_defect(psi):
+    det = psi[..., 0, 0] * psi[..., 1, 1] - psi[..., 0, 1] * psi[..., 1, 0]
+    return float(np.max(np.abs(det - 1.0)))
+
+
+def _oracle_march(p, lams, side, stop):
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    N, h = p.grid.point_count, p.grid.spacing
+    if side == "-":
+        start, cells, step = 0, range(0, stop), h
+    else:
+        start, cells, step = N - 1, range(N - 2, stop - 1, -1), -h
+    qm_all = _midpoint_values(p, 0, N - 1)
+    err = float(np.max(np.abs(lams))) ** 2 * np.abs(qm_all) * h**3
+    msub = np.maximum(1, np.ceil(np.sqrt(err / LOCAL_ERROR_BOUND)).astype(int))
+    psi = np.zeros((lams.size, 2, 2), dtype=complex)
+    psi[:, 0, 0] = np.exp(1j * lams * p.grid.points[start])
+    psi[:, 1, 1] = np.exp(-1j * lams * p.grid.points[start])
+    yield start, psi
+    for k in cells:
+        m = msub[k]
+        if m == 1:
+            psi = _oracle_matmul2(_oracle_cell_exponential(step, lams, qm_all[k]), psi)
+        else:
+            for qs in _sub_values(p, k, m):
+                psi = _oracle_matmul2(_oracle_cell_exponential(step / m, lams, qs), psi)
+        yield (k + 1 if side == "-" else k), psi
+
+
+def _oracle_wronskians(p, lams):
+    halves = []
+    for side in "-+":
+        steps = _oracle_march(p, lams, side, p.grid.point_count // 2)
+        _, psi = next(steps)
+        defect = 0.0
+        for _, psi in steps:
+            defect = max(defect, _oracle_det_defect(psi))
+        halves.append((psi, defect))
+    (psim, ddm), (psip, ddp) = halves
+    a = psip[..., 0, 0] * psim[..., 1, 1] - psim[..., 0, 1] * psip[..., 1, 0]
+    b = psim[..., 0, 0] * psip[..., 1, 0] - psip[..., 0, 0] * psim[..., 1, 0]
+    c = psim[..., 0, 0] * psip[..., 1, 1] - psip[..., 0, 1] * psim[..., 1, 0]
+    d = psip[..., 0, 1] * psim[..., 1, 1] - psim[..., 0, 1] * psip[..., 1, 1]
+    return a, b, c, d, max(ddm, ddp)
+
+
+def _oracle_jost(p, lam, side):
+    N = p.grid.point_count
+    samples = np.empty((N, 2, 2), dtype=complex)
+    for k, psi in _oracle_march(p, [lam], side, 0 if side == "+" else N - 1):
+        samples[k] = psi[0]
+    return samples, _oracle_det_defect(samples)
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()   # also tells -0.0 from 0.0
+
+
+def _cell_w(p):
+    return np.sqrt(1.0 + np.abs(_midpoint_values(p, 0, p.grid.point_count - 1)) ** 2)
+
+
+ORACLE_GRID = make_spatial_grid(10.0, 512)
+ORACLE_LAMS = np.concatenate([np.linspace(-2.0, 2.0, 41), [-0.013, 0.37]])
+ORACLE_INPUTS = {
+    "box": make_potential(ORACLE_GRID, lambda x: 0.5 * (np.abs(x) <= 1.0) * np.exp(0.25j * x)),
+    "gaussian": make_potential(ORACLE_GRID, lambda x: 0.05 * np.exp(-(x**2))),
+    "sech": make_potential(ORACLE_GRID, lambda x: 1.0 / np.cosh((x - 0.1) / 1.1) * np.exp(0.2j * x)),
+    "substepped": make_potential(ORACLE_GRID, lambda x: np.exp(-(x**2))),
+    "samples-only": make_potential(ORACLE_GRID, 0.7 / np.cosh(ORACLE_GRID.points / 0.9)),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_INPUTS))
+def test_propagator_matches_the_interleaved_loop_bitwise(name):
+    p = ORACLE_INPUTS[name]
+    lams = ORACLE_LAMS * (4.0 if name == "substepped" else 1.0)
+    w = _cell_w(p)
+    repeats = int(np.sum(w[1:] == w[:-1]))
+    h = p.grid.spacing
+    substeps = np.max(lams) ** 2 * np.max(np.abs(p.q)) * h**3 > LOCAL_ERROR_BOUND
+    # the inputs cover each path of the (h, w) reuse
+    if name == "box":
+        assert repeats > 0.9 * w.size and np.any(w > 1.0)
+    elif name == "gaussian":
+        assert np.mean(w == 1.0) > 0.5
+    elif name == "sech":
+        assert repeats == 0
+    elif name == "substepped":
+        assert substeps
+    else:
+        assert p.profile is None and substeps
+    got = _wronskians(p, lams)
+    want = _oracle_wronskians(p, lams)
+    for g, o in zip(got[:4], want[:4]):
+        assert_bitwise(g, o)
+    assert got[4] == want[4]
+    for lam, side in ((1.3, "-"), (-0.7, "+"), (0.0, "-")):
+        sol = propagate_jost(p, lam, side)
+        samples, defect = _oracle_jost(p, lam, side)
+        assert_bitwise(sol.psi, samples)
+        assert sol.det_defect == defect

@@ -144,3 +144,34 @@ def test_inverse_transform_rejects_oversized_window():
     from wkist.errors import InvalidArgumentError
     with pytest.raises(InvalidArgumentError):
         inverse_transform(sd, 0.0, grid, window=10.0)
+
+
+def test_inverse_builds_jump_derivatives_once_per_chunk(monkeypatch):
+    # the dmu right-hand side and the moment step read the same x_H
+    # derivatives of the jump; _solve_batch builds them and hands them back
+    import wkist.rhp
+    import wkist.reconstruction
+
+    grid = make_spatial_grid(20.0, 512)
+    p = make_potential(grid, lambda x: 0.05 * np.exp(-(x**2)))
+    sd = reflection_coefficient(p, make_spectral_grid(40.0, 512, z_min=0.9))
+    calls = {"derivatives": 0, "batches": 0}
+    derivatives, solve_batch = wkist.rhp._jump_derivatives, wkist.reconstruction._solve_batch
+
+    def counted_derivatives(*args):
+        calls["derivatives"] += 1
+        return derivatives(*args)
+
+    def counted_batch(*args, **kwargs):
+        calls["batches"] += 1
+        return solve_batch(*args, **kwargs)
+
+    monkeypatch.setattr(wkist.rhp, "_jump_derivatives", counted_derivatives)
+    # also count calls through a name imported into the reconstruction module
+    monkeypatch.setattr(wkist.reconstruction, "_jump_derivatives", counted_derivatives,
+                        raising=False)
+    monkeypatch.setattr(wkist.reconstruction, "_solve_batch", counted_batch)
+    rec = inverse_transform(sd, 0.0, grid, window=3.0, chunk=16, decay_floor=1e-2)
+    assert calls["batches"] > 1
+    assert calls["derivatives"] == calls["batches"]
+    assert rec.diagnostics["worst_residual"] < 1e-10
