@@ -120,11 +120,14 @@ def _check_coordinates(coords: np.ndarray, grid, message: str):
 
 def _make_grids(cfg: RunConfig):
     xgrid = make_spatial_grid(cfg.L, cfg.N)
-    z_min = cfg.z_min
-    if z_min < 0:
-        z_min = suggest_z_min(cfg.Z, cfg.N_z, window=cfg.window, t_max=abs(cfg.t))
-    zgrid = make_spectral_grid(cfg.Z, cfg.N_z, z_min=z_min)
-    return xgrid, zgrid
+    # Z and N_z are checked before z_min is chosen from them; a NaN
+    # z_min is not negative and is refused by the grid
+    zgrid = make_spectral_grid(cfg.Z, cfg.N_z)
+    if cfg.z_min < 0:
+        z_min = suggest_z_min(zgrid, window=cfg.window, t_max=abs(cfg.t))
+    else:
+        z_min = cfg.z_min
+    return xgrid, make_spectral_grid(cfg.Z, cfg.N_z, z_min=z_min)
 
 
 def _make_input_potential(cfg: RunConfig, xgrid):
@@ -376,6 +379,19 @@ def _config_value(name: str, kind: str, value):
         f"config field {name!r} must be {_CONFIG_TYPES[kind]}, got {value!r}")
 
 
+# Guard thresholds: a NaN would compare false and switch the guard off,
+# a negative one would trip it on every run.
+_THRESHOLDS = ("decay_floor", "a_floor")
+
+
+def _check_thresholds(cfg: RunConfig) -> RunConfig:
+    for name in _THRESHOLDS:
+        value = getattr(cfg, name)
+        if not 0.0 <= value < np.inf:
+            raise InvalidArgumentError(f"{name} must be a finite number >= 0, got {value}")
+    return cfg
+
+
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig(pipeline=args.pipeline)
     if args.config:
@@ -395,7 +411,7 @@ def _config_from_args(args) -> RunConfig:
         for f in fields(RunConfig)
         if f.name != "pipeline" and getattr(args, f.name, None) is not None
     }
-    return replace(cfg, **overrides)
+    return _check_thresholds(replace(cfg, **overrides))
 
 
 def main(argv=None) -> int:

@@ -28,9 +28,12 @@ row and each cell product writes into preallocated buffers.  The cell
 propagator's diagonal and sin(h u)/u depend on the cell only through
 (h, w = sqrt(1 + |q|^2)) and are reused while consecutive (sub)steps
 repeat them; only the two off-diagonal entries, proportional to q, are
-formed per cell.  The rework is bit-identical: each element sees the
-same floating-point operations in the same order as a fresh exponential
-and a full 2x2 product, so a, b, c, d and det_defect do not depend on it.
+formed per cell.  For real lam each cell propagator is in SU(2),
+[[a, -conj b], [b, conj a]], bit for bit, and so is psi: the loop steps
+only its first column and writes the second as (-conj psi21, conj psi11),
+half the products of a full 2x2 step.  The rework is bit-identical: each
+element equals what a fresh exponential and a full 2x2 product give, so
+a, b, c, d and det_defect do not depend on it.
 """
 
 from __future__ import annotations
@@ -159,9 +162,14 @@ def _march(p: Potential, lams, side, stop, bound):
     cell propagator in one buffer per (sub)step and redoes its
     trigonometry only when (h, w) changes; w repeats across the plateaus
     of piecewise-constant potentials and wherever 1 + |q|^2 rounds to 1.
-    The results are bit-identical to a fresh exponential and a full 2x2
-    product per step.  The substep budget of the traversed cells
-    is checked before the first step.
+    psi and every cell propagator have the SU(2) form
+    [[alpha, -conj beta], [beta, conj alpha]] for real lam, so each
+    (sub)step multiplies only the first column (alpha, beta), and the
+    second column is written from it once per cell.  Its negated parts
+    are formed as 0 - x, which gives +0.0 where a full product's sum of
+    zeros does.  The results are bit-identical to a fresh exponential and
+    a full 2x2 product per step.  The substep budget of the traversed
+    cells is checked before the first step.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     grid = p.grid
@@ -190,17 +198,23 @@ def _march(p: Potential, lams, side, stop, bound):
     psi[1, 1] = np.exp(-1j * lams * grid.points[start])
     yield start, psi
     cell = _CellPropagator(lams)
-    nxt, term = np.empty_like(psi), np.empty_like(psi)
+    nxt, term = np.empty_like(psi), np.empty_like(psi[:, 0])
     for k in cells:
         m = msub[k]
         hs, qs = (step, (qm_all[k],)) if m == 1 else (step / m, _sub_values(p, k, m))
         for q in qs:
             E = _cell_exponential(hs, q, cell)
-            # nxt[i, j] = E[i, 0] psi[0, j] + E[i, 1] psi[1, j]
-            np.multiply(E[:, 0, None], psi[0], out=nxt)
-            np.multiply(E[:, 1, None], psi[1], out=term)
-            np.add(nxt, term, out=nxt)
+            # column 1 only: nxt[i, 0] = E[i, 0] psi[0, 0] + E[i, 1] psi[1, 0]
+            np.multiply(E[:, 0], psi[0, 0], out=nxt[:, 0])
+            np.multiply(E[:, 1], psi[1, 0], out=term)
+            np.add(nxt[:, 0], term, out=nxt[:, 0])
             psi, nxt = nxt, psi
+        # column 2 is (-conj psi21, conj psi11); 0 - x rather than -x
+        # gives the +0.0 a full product gives where a part is zero
+        np.subtract(0.0, psi[1, 0].real, out=psi[0, 1].real)
+        np.copyto(psi[0, 1].imag, psi[1, 0].imag)
+        np.copyto(psi[1, 1].real, psi[0, 0].real)
+        np.subtract(0.0, psi[0, 0].imag, out=psi[1, 1].imag)
         yield (k + 1 if side == "-" else k), psi
 
 

@@ -2,20 +2,22 @@
 
 The Cauchy boundary operators C+ and C- are built on one kernel, the
 sinc discrete Hilbert transform on the real line (Stenger 1993;
-Weideman, Math. Comp. 64, 1995): C+ v = (v + i H v)/2, where H is the
-Toeplitz kernel 2/(pi m) on odd offsets m and 0 on even ones, applied by
-circulant embedding.  The Plemelj identity ``C+ - C- = id`` holds
-exactly at the grid points, and on samples that decay inside [-Z, Z) the
-kernel converges spectrally (2.8e-16 against the Dawson-function
-transform of exp(-s^2) at Z = 40, N = 4096).  Samples outside the window
-count as zero, so on its own the kernel misses a 1/s tail by O(1/Z):
-8.7e-3 on the inner half of the grid for ``1/(s + i)`` at Z = 40,
-halving each time Z doubles.  The public ``cauchy_plus`` and
-``cauchy_minus`` therefore first subtract a least-squares fit of the
-edge samples in (a/(s + i a))^k, whose C+ is the fit itself and whose
-C- is zero (the closed-form-basis idea of Olver, Numer. Math. 2012), and
-project only the remainder with the kernel; on ``1/(s +- i)`` they meet
-6e-9 at Z = 40.
+Weideman, Math. Comp. 64, 1995): C+- v = (+-v + i H v)/2, where H is
+the Toeplitz kernel 2/(pi m) on odd offsets m and 0 on even ones,
+applied by circulant embedding; the +-1/2 identity part is folded into
+the kernel's spectrum, so one pass returns either projection.  The
+public projectors form C- as C+ - id, so the Plemelj identity
+``C+ - C- = id`` holds exactly at the grid points.  On samples that
+decay inside [-Z, Z) the kernel converges spectrally (2.8e-16 against
+the Dawson-function transform of exp(-s^2) at Z = 40, N = 4096).
+Samples outside the window count as zero, so on its own the kernel
+misses a 1/s tail by O(1/Z): 8.7e-3 on the inner half of the grid for
+``1/(s + i)`` at Z = 40, halving each time Z doubles.  The public
+``cauchy_plus`` and ``cauchy_minus`` therefore first subtract a
+least-squares fit of the edge samples in (a/(s + i a))^k, whose C+ is
+the fit itself and whose C- is zero (the closed-form-basis idea of
+Olver, Numer. Math. 2012), and project only the remainder with the
+kernel; on ``1/(s +- i)`` they meet 6e-9 at Z = 40.
 """
 
 from __future__ import annotations
@@ -83,8 +85,9 @@ class SpectralGrid:
         n = self.point_count
         if n < 4 or (n & (n - 1)) != 0:
             raise InvalidArgumentError(f"point_count must be a power of two >= 4, got {n}")
-        if self.z_min >= self.half_width:
-            raise InvalidArgumentError("z_min must be below the grid half-width")
+        if not self.z_min < self.half_width:
+            raise InvalidArgumentError(
+                f"z_min must be a number below the grid half-width, got {self.z_min}")
         m = n * self.padding
         if self.padding < 2 or (m & (m - 1)) != 0:
             raise InvalidArgumentError(
@@ -117,18 +120,22 @@ class GridFunction:
             raise InvalidArgumentError("samples must be finite")
 
 
+def _check_half_width(width: float):
+    """A half-width must be positive, and the full width 2 * width finite."""
+    if not (width > 0 and np.isfinite(2.0 * width)):
+        raise InvalidArgumentError(f"half-width must be positive and finite, got {width}")
+
+
 def make_spatial_grid(L: float, N: int) -> SpatialGrid:
     """Uniform spatial grid of N (even, >= 4) points on [-L, L)."""
-    if not L > 0:
-        raise InvalidArgumentError(f"half-width must be positive, got {L}")
+    _check_half_width(L)
     if N < 4 or N % 2 != 0:
         raise InvalidArgumentError(f"point count must be even and >= 4, got {N}")
     return SpatialGrid(float(L), int(N))
 
 
 def make_spectral_grid(Z: float, N_z: int, z_min: float = 0.0, padding: int = 4) -> SpectralGrid:
-    if not Z > 0:
-        raise InvalidArgumentError(f"half-width must be positive, got {Z}")
+    _check_half_width(Z)
     return SpectralGrid(float(Z), int(N_z), float(z_min), int(padding))
 
 
@@ -162,45 +169,46 @@ _TAIL_REGION = 7.0 / 8.0
 
 
 @functools.lru_cache(maxsize=16)
-def _hilbert_kernel_fft(n: int) -> np.ndarray:
-    """i/2 times the FFT of the length-2n circulant embedding of the sinc kernel.
+def _projector_fft(n: int, minus: bool) -> np.ndarray:
+    """The spectrum of C+ (``minus`` false) or C- on the 2n circulant embedding.
 
-    The kernel 2/(pi m) on odd offsets m and 0 on even ones does not
-    depend on the spacing, so one array serves every grid of n points.
-    The factor i/2 of C+ = (v + i H v)/2 is folded in here; scaling by
-    i/2 is exact in floating point.
+    C+- v = +-v/2 + (i/2) H v.  The kernel of H, 2/(pi m) on odd offsets
+    m and 0 on even ones, does not depend on the spacing, so one array
+    serves every grid of n points.  Its FFT is scaled by i/2 (exact in
+    floating point), and +-1/2 is added: the identity is the multiplier
+    1 on every frequency of the embedding, so one pass returns the
+    projection itself.
     """
     m = np.arange(1, n)
     half = np.where(m % 2 == 1, 2.0 / (np.pi * m), 0.0)
     col = np.concatenate([[0.0], half, [0.0], -half[::-1]])
     # transformed as complex data, like the samples: the real-input path
     # of scipy.fft rounds differently
-    out = 0.5j * scipy.fft.fft(col.astype(complex))
+    out = 0.5j * scipy.fft.fft(col.astype(complex)) + (-0.5 if minus else 0.5)
     out.setflags(write=False)
     return out
 
 
-def _cauchy_plus_batch(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """C+ on the trailing axis of a (..., N) array: the windowed kernel.
+def _cauchy_plus_batch(values: np.ndarray, grid: SpectralGrid, minus: bool = False) -> np.ndarray:
+    """C+ (or C- with ``minus``) on the trailing axis of a (..., N) array.
 
-    C+ v = (v + i H v) / 2, with H the sinc discrete Hilbert transform
+    C+- v = (+-v + i H v) / 2, with H the sinc discrete Hilbert transform
     (Hv)_k = sum over odd k - j of 2 v_j / (pi (k - j)), applied as a
     Toeplitz product by circulant embedding of length 2N: a forward FFT,
-    the cached kernel spectrum multiplied in place, and an inverse FFT
-    that overwrites its input.  On samples that decay inside the window
-    it converges spectrally; samples it is not given count as zero, so a
-    1/s tail outside [-Z, Z) costs O(1/Z).  The public ``cauchy_plus``
-    completes such tails; the solver calls this kernel directly, once per
-    half-step of a Beals-Coifman sweep, and supplies its outer band
-    itself.  ``grid.padding`` is not read.
+    the cached spectrum of the whole projection (``_projector_fft``)
+    multiplied in place, and an inverse FFT that overwrites its input.
+    On samples that decay inside the window it converges spectrally;
+    samples it is not given count as zero, so a 1/s tail outside [-Z, Z)
+    costs O(1/Z).  The public ``cauchy_plus`` completes such tails; the
+    solver calls this kernel directly, once per half-step of a
+    Beals-Coifman sweep, and supplies its outer band itself.
+    ``grid.padding`` is not read.
     """
     n = grid.point_count
-    values = np.asarray(values, dtype=complex)
-    spectrum = scipy.fft.fft(values, n=2 * n, axis=-1)
-    spectrum *= _hilbert_kernel_fft(n)
-    out = 0.5 * values
-    out += scipy.fft.ifft(spectrum, axis=-1, overwrite_x=True)[..., :n]
-    return out
+    spectrum = scipy.fft.fft(np.asarray(values, dtype=complex), n=2 * n, axis=-1)
+    spectrum *= _projector_fft(n, minus)
+    # a copy, so the caller does not hold the 2N buffer
+    return scipy.fft.ifft(spectrum, axis=-1, overwrite_x=True)[..., :n].copy()
 
 
 def _tail_fit(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:

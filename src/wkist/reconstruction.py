@@ -40,6 +40,7 @@ from .rhp import (
     _jump_entries,
     _moment_rows,
     _solve_batch,
+    _tail_band_kernel,
     delta_function,
     fit_tail_model,
     outer_band_moments,
@@ -245,6 +246,8 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
         d1 = np.trapezoid(np.log1p(np.abs(rv) ** 2), dx=zgrid.spacing) / (2j * np.pi)
 
     tail = fit_tail_model(sd_t) if tail_completion else None
+    # the x_H-independent part of every chunk's band right-hand side
+    band = _tail_band_kernel(tail, zgrid) if tail is not None else None
 
     n_cells = sweep.size
     m12 = np.zeros(n_cells, dtype=complex)
@@ -262,13 +265,12 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
             if block.size == 0:
                 continue
             u21, u12, _ = _jump_entries(kind, rv, zgrid, block[:, None], 0.0, Delta)
-            trhs = tail_band_rhs(tail, zgrid, block, 0.0) if tail is not None else None
+            trhs = tail_band_rhs(tail, zgrid, block, 0.0, band) if tail is not None else None
             # row 1 of mu and dmu: the only row the moments below read
             out = _solve_batch(u21, u12, kind, zgrid, tol=tol, tail_rhs=trhs)
-            mu = out["mu"]
-            e11, e12 = _moment_rows(*mu, u21, u12, zgrid.spacing)
+            e11, e12 = _moment_rows(*out["mu"], u21, u12, zgrid.spacing)
             a = _moment_rows(*out["dmu"], u21, u12, zgrid.spacing)
-            b = _moment_rows(*mu, *out.pop("jump_derivatives"), zgrid.spacing)
+            b = out["moment_du"]
             sl = offset
             m11_raw[sl:sl + block.size] = e11
             dm11[sl:sl + block.size] = a[0] + b[0]

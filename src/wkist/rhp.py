@@ -31,14 +31,28 @@ the entries themselves.
 
 The equation (I - C_w) X = rhs is solved a batch of cells at a time by
 block Gauss-Seidel sweeps that measure their exact residual at no extra
-cost (``_neumann``: 2 s + 1 Cauchy kernel passes for s sweeps); cells on
-which the sweeps do not converge are solved again by dense collocation
-(``_dense_solve``).  The two rows of X solve the same operator with their
-own right-hand sides, so a solve takes only the rows it is given and its
-cost scales with their count.  ``solve_mu``/``solve_dmu`` solve both
-rows; the inverse transform (``_solve_batch``) solves row 1 alone, since
-m^(1)_11, m^(1)_12 and their x_H-derivatives are integrals of row 1, and
-the residuals it reports are row 1's.
+cost (``_neumann``: 2 s + 1 Cauchy kernel passes for s sweeps, each pass
+C+ or C- directly); cells on which the sweeps do not converge are solved
+again by dense collocation (``_dense_solve``).  The two rows of X solve
+the same operator with their own right-hand sides, so a solve takes only
+the rows it is given and its cost scales with their count.
+``solve_mu``/``solve_dmu`` solve both rows; the inverse transform
+(``_solve_batch``) solves row 1 alone, since m^(1)_11, m^(1)_12 and
+their x_H-derivatives are integrals of row 1, and the residuals it
+reports are row 1's.
+
+The dmu right-hand side C_dw(mu) costs no kernel pass in the inverse.
+On the grid z_k = h (k - k0), with z_k0 = 0, the sinc kernel satisfies
+the exact discrete identity
+
+    C[f/z]_k = (1/z_k) (C[f]_k + (ih/pi) sum_{k-j odd} f_j/z_j),  k != k0,
+
+for f_k0 = 0 (``_derivative_pass`` gives the node k0 and the term for
+f_k0 != 0), and dw = (+-2i/z) w.  The last column-1 update and the
+residual pass of the mu solve are C(mu_12 u21) and C(mu_11 u12), so two
+per-parity sums per cell turn them into C_dw(mu); the same sums give
+the moment part int mu dw.  A batch of cells makes 2 s + 1 + 2 s' + 1
+kernel passes for s mu sweeps and s' dmu sweeps.
 """
 
 from __future__ import annotations
@@ -185,14 +199,12 @@ def _jump_entries(kind, r_values, zgrid, x_H_col, t, Delta=None):
     e2 = np.exp(2j * theta)
     if kind == TRIANGULAR:
         u21 = r_values * e2
-        u12 = np.conj(r_values) / e2
     elif kind == DELTA_CONJUGATED:
-        rho = r_values * Delta
-        u21 = rho * e2
-        u12 = np.conj(rho) / e2
+        u21 = (r_values * Delta) * e2
     else:
         raise InvalidArgumentError(f"unknown factorization kind {kind!r}")
-    return u21, u12, theta
+    # conj(r) / e2 up to an ulp, since |e2| = 1
+    return u21, np.conj(u21), theta
 
 
 def _jump_derivatives(u21, u12, zgrid):
@@ -248,13 +260,10 @@ def _half_step(x, u, entry, kind, zgrid):
 
     ``x`` is (R, B, N): the column the jump entry ``u`` multiplies, i.e.
     column 2 (X_i2) for the (2,1) entry, giving column 1 of C_w(X), and
-    column 1 (X_i1) for the (1,2) entry, giving column 2.
+    column 1 (X_i1) for the (1,2) entry, giving column 2.  One kernel
+    pass, C- for a w_+ entry and C+ for a w_- entry.
     """
-    p = x * u
-    c = _cauchy_plus_batch(p, zgrid)
-    if _in_w_plus(kind, entry):
-        c -= p
-    return c
+    return _cauchy_plus_batch(x * u, zgrid, minus=_in_w_plus(kind, entry))
 
 
 def _apply_cw(x1, x2, u21, u12, kind, zgrid):
@@ -267,10 +276,14 @@ def _l2_residual(entries, h):
 
     ``entries`` is a sequence of (..., B, N) arrays (one (R, B, N) array
     is the sequence of its rows); the norm of a cell sums over all of
-    them.
+    them.  Each entry's squares are summed through a float view, so no
+    temporaries are formed.
     """
-    return np.sqrt(h * sum((e.real ** 2 + e.imag ** 2).sum(axis=-1)
-                           .reshape(-1, e.shape[-2]).sum(axis=0) for e in entries))
+    total = 0.0
+    for e in entries:
+        v = np.ascontiguousarray(e).view(float)
+        total = total + np.einsum("...i,...i->...", v, v).reshape(-1, e.shape[-2]).sum(axis=0)
+    return np.sqrt(h * total)
 
 
 def _neumann(u21, u12, rhs1, rhs2, kind, zgrid,
@@ -299,15 +312,21 @@ def _neumann(u21, u12, rhs1, rhs2, kind, zgrid,
     solve that stops after s >= 1 sweeps therefore makes 2 s + 1 kernel
     passes, and the reported residual is exact for the rows solved.
 
+    The last column-1 update and the residual pass are C_w of the
+    returned iterate, C(x2 u21) and C(x1 u12); they are handed back, so
+    the caller can build the d mu/d x_H right-hand side from them
+    (:func:`_derivative_pass`) instead of projecting again.
+
     Returns the solution columns (x1, x2), per-cell residuals over the
-    given rows, sweep count, converged mask, and per cell the sweep at
-    which its residual first met ``tol`` (the sweep count for cells that
-    never did).
+    given rows, sweep count, converged mask, per cell the sweep at which
+    its residual first met ``tol`` (the sweep count for cells that never
+    did), and the pass pair (C(x2 u21), C(x1 u12)).
     """
     h = zgrid.spacing
     # a copy: the dense fallback writes into the returned columns
     x1 = np.array(rhs1, dtype=complex)
-    x2 = rhs2 + _half_step(x1, u12, 12, kind, zgrid)
+    c12 = _half_step(x1, u12, 12, kind, zgrid)
+    x2 = c12 + rhs2
     met = np.zeros(len(u21), dtype=int)
     iterations = 0
     # divergence is detected and handed to the dense fallback, so the
@@ -315,7 +334,11 @@ def _neumann(u21, u12, rhs1, rhs2, kind, zgrid,
     first = None
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, cap + 1):
-            new1 = rhs1 + _half_step(x2, u21, 21, kind, zgrid)
+            # a pass is held only while it belongs to the iterate, so the
+            # sweeps hold no more arrays than they need
+            c12 = None
+            c21 = _half_step(x2, u21, 21, kind, zgrid)
+            new1 = rhs1 + c21
             res = _l2_residual(new1 - x1, h)
             x1 = new1
             met[(met == 0) & (res < tol)] = iterations
@@ -324,15 +347,19 @@ def _neumann(u21, u12, rhs1, rhs2, kind, zgrid,
             hopeless = ~np.isfinite(res) | (res > 1e8 * first + 1e8)
             if iterations == cap or np.all((res < tol) | hopeless):
                 break
-            x2 = rhs2 + _half_step(x1, u12, 12, kind, zgrid)
+            c21 = None
+            x2 = _half_step(x1, u12, 12, kind, zgrid)
+            x2 += rhs2
         if iterations == 0:
             # no sweep ran: column 2 holds exactly and column 1 carries
             # the whole residual
-            res = _l2_residual(_half_step(x2, u21, 21, kind, zgrid), h)
+            c21 = _half_step(x2, u21, 21, kind, zgrid)
+            res = _l2_residual(c21, h)
         else:
-            res = _l2_residual(x2 - rhs2 - _half_step(x1, u12, 12, kind, zgrid), h)
+            c12 = _half_step(x1, u12, 12, kind, zgrid)
+            res = _l2_residual(x2 - rhs2 - c12, h)
     met[met == 0] = iterations
-    return (x1, x2), res, iterations, res < tol, met
+    return (x1, x2), res, iterations, res < tol, met, (c21, c12)
 
 
 def _dense_matrix(u21_row, u12_row, kind, zgrid):
@@ -375,10 +402,12 @@ def _solve(u21, u12, rhs, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP):
     by dense collocation (grids up to N = DENSE_CAP) and its residual is
     recomputed from the dense solution, which must then meet 100 tol.
     Returns the solution columns, the per-cell residuals, the sweep
-    count, the mask of cells solved densely and the per-cell sweep
-    counts.
+    count, the mask of cells solved densely, the per-cell sweep counts
+    and the pass pair (C(x2 u21), C(x1 u12)) of the returned solution
+    (for a dense cell, the pair its residual was recomputed from).
     """
-    (x1, x2), res, iterations, ok, met = _neumann(u21, u12, *rhs, kind, zgrid, tol, cap)
+    (x1, x2), res, iterations, ok, met, (c21, c12) = _neumann(
+        u21, u12, *rhs, kind, zgrid, tol, cap)
     rhs1, rhs2 = rhs
     dense = ~ok
     for j in np.nonzero(dense)[0]:
@@ -386,14 +415,56 @@ def _solve(u21, u12, rhs, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP):
         for i, (a1, a2) in enumerate(rows):
             x1[i, j], x2[i, j] = a1, a2
         cell = np.s_[:, j:j + 1]
-        c1, c2 = _apply_cw(x1[cell], x2[cell], u21[j:j + 1], u12[j:j + 1], kind, zgrid)
-        res[j] = _l2_residual([x1[cell] - rhs1[cell] - c1, x2[cell] - rhs2[cell] - c2],
-                              zgrid.spacing)[0]
+        c21[cell], c12[cell] = _apply_cw(x1[cell], x2[cell], u21[j:j + 1], u12[j:j + 1],
+                                         kind, zgrid)
+        res[j] = _l2_residual([x1[cell] - rhs1[cell] - c21[cell],
+                               x2[cell] - rhs2[cell] - c12[cell]], zgrid.spacing)[0]
         if res[j] > 100 * tol:
             raise RhpUnsolvedError(
                 f"dense fallback residual {res[j]:.3e} still above tolerance"
             )
-    return (x1, x2), res, iterations, dense, met
+    return (x1, x2), res, iterations, dense, met, (c21, c12)
+
+
+def _derivative_pass(c, x, u, sign, zgrid):
+    """C[x du] and the trapezoid integral of x du, du = sign 2i u/z, from c = C[x u].
+
+    ``c`` is the projection (C+ or C-) of x u that a mu solve already
+    made; it is overwritten with that of x du.  The sinc kernel obeys an
+    exact discrete identity.  With z_k = h (k - k0) and the node k0 at
+    z = 0, z_k / ((k - j) z_j) = 1/(k - j) + h/z_j, so for any samples f
+
+        C[f/z]_k = (1/z_k) (C[f]_k + (ih/pi) sum_{k-j odd} f_j/z_j
+                            - (ih/pi) f_k0/z_k [k - k0 odd]),
+        C[f/z]_k0 = -(ih/pi) sum_{j-k0 odd} f_j/z_j^2,
+
+    where f/z is read as 0 at k0 (``_inv_z``).  The last term removes
+    the node k0's own kernel entry and vanishes when f_k0 = 0, as it
+    does whenever r(0) = 0.  With f = x u, two per-parity sums per cell
+    finish the pass, and a third gives the node k0; the same weights
+    give the moment integral.  k0 = N/2 is even, so index parity is the
+    parity of k - k0.
+    """
+    n, h = zgrid.point_count, zgrid.spacing
+    k0 = n // 2
+    iz = _inv_z(zgrid)
+    odd = np.arange(n) % 2 == 1
+    trapezoid = np.ones(n)
+    trapezoid[[0, -1]] = 0.5
+    weights = np.stack([np.where(odd, 0.0, iz), np.where(odd, iz, 0.0),
+                        np.where(odd, iz * iz, 0.0), trapezoid * iz], axis=-1)
+    p = x * u
+    sums = p @ weights.astype(complex)         # (..., 4)
+    k = 1j * h / np.pi
+    c[..., 0::2] += k * sums[..., 1, None]
+    c[..., 1::2] += k * sums[..., 0, None]
+    f0 = p[..., k0]
+    if np.any(f0):
+        c[..., 1::2] -= (k * f0)[..., None] * iz[1::2]
+    d = sign * 2j
+    c *= d * iz
+    c[..., k0] = -d * k * sums[..., 2]
+    return c, d * h * sums[..., 3]
 
 
 def _solve_batch(u21, u12, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP,
@@ -413,20 +484,28 @@ def _solve_batch(u21, u12, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP,
     A cell is reported as "dense" when either of its solves needed the
     dense fallback.  "iterations" is the sweep count of the batch's mu
     solve, "cell_iterations" the sweep at which each cell met ``tol``.
-    "jump_derivatives" is the pair from :func:`_jump_derivatives` that
-    the dmu right-hand side was built from, for the caller's moments.
+
+    The dmu right-hand side C_dw(mu) is not projected again: the jump
+    derivatives are (+-2i/z) times the entries, and
+    :func:`_derivative_pass` turns the two passes the mu solve hands
+    back into C_dw(mu), in their own buffers.  So a batch makes
+    2 s + 1 + 2 s' + 1 kernel passes for s mu and s' dmu sweeps.  The
+    same sums give "moment_du", the part -(1/2 pi i) int mu dw ds of the
+    x_H-derivative of the row-1 moment, as the pair of (B,) entries
+    (1,1) and (1,2).
     """
     shape = (1,) + u21.shape
     trhs = tail_rhs or {"T12": 0.0, "dT12": 0.0}
-    mu, res_mu, it_mu, dense, met_mu = _solve(
-        u21, u12, (np.zeros(shape, dtype=complex) + 1.0,
-                   np.zeros(shape, dtype=complex) + trhs["T12"]), kind, zgrid, tol, cap)
-    # du is kept for the caller's moments; the right-hand side is formed
-    # in place so that the dmu solve holds no more arrays than without it
-    du = _jump_derivatives(u21, u12, zgrid)
-    g1, g2 = _apply_cw(*mu, *du, kind, zgrid)
+    # read-only broadcasts: the sweeps only read the right-hand side
+    mu, res_mu, it_mu, dense, met_mu, (c21, c12) = _solve(
+        u21, u12, (np.broadcast_to(np.complex128(1.0), shape),
+                   np.broadcast_to(np.asarray(trhs["T12"], dtype=complex), shape)),
+        kind, zgrid, tol, cap)
+    g1, i21 = _derivative_pass(c21, mu[1], u21, 1, zgrid)
+    g2, i12 = _derivative_pass(c12, mu[0], u12, -1, zgrid)
     g2 += trhs["dT12"]
-    dmu, res_dmu, it_dmu, dense_d, _ = _solve(u21, u12, (g1, g2), kind, zgrid, tol, cap)
+    dmu, res_dmu, it_dmu, dense_d, _, _ = _solve(u21, u12, (g1, g2), kind, zgrid, tol, cap)
+    pref = -1.0 / (2j * np.pi)
     return {
         "mu": (mu[0][0], mu[1][0]),
         "dmu": (dmu[0][0], dmu[1][0]),
@@ -436,7 +515,7 @@ def _solve_batch(u21, u12, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP,
         "cell_iterations": met_mu,
         "iterations_dmu": it_dmu,
         "solver": np.where(dense | dense_d, "dense", "neumann"),
-        "jump_derivatives": du,
+        "moment_du": (pref * i21[0], pref * i12[0]),
     }
 
 
@@ -465,8 +544,8 @@ def solve_mu(f: JumpFactorization, tol: float = NEUMANN_TOL,
     """
     u21, u12 = f.u21[None, :], f.u12[None, :]
     one, zero = np.ones_like(u21), np.zeros_like(u21)
-    x, res, its, dense, _ = _solve(u21, u12, (np.stack([one, zero]), np.stack([zero, one])),
-                                   f.kind, f.zgrid, tol, max_iterations)
+    x, res, its, dense, _, _ = _solve(u21, u12, (np.stack([one, zero]), np.stack([zero, one])),
+                                      f.kind, f.zgrid, tol, max_iterations)
     return RHPSolution(
         mu=_pack_mu(*x),
         residual=float(res[0]),
@@ -481,12 +560,19 @@ def solve_dmu(f: JumpFactorization, sol: RHPSolution, tol: float = NEUMANN_TOL,
     u21, u12 = f.u21[None, :], f.u12[None, :]
     g = _apply_cw(*_unpack_mu(sol.mu), *_jump_derivatives(u21, u12, f.zgrid),
                   f.kind, f.zgrid)
-    dmu, res, its, dense, _ = _solve(u21, u12, g, f.kind, f.zgrid, tol, max_iterations)
+    dmu, res, its, dense, _, _ = _solve(u21, u12, g, f.kind, f.zgrid, tol, max_iterations)
     sol.dmu = _pack_mu(*dmu)
     sol.residual_dmu = float(res[0])
     sol.iterations_dmu = its
     sol.solver_dmu = "dense" if dense[0] else "neumann"
     return sol
+
+
+def _trapezoid_dot(x, u):
+    """Trapezoid sum of x u over the trailing axis (unit spacing), without forming x u."""
+    s = np.einsum("...n,...n->...", x, u)
+    s -= 0.5 * (x[..., 0] * u[..., 0] + x[..., -1] * u[..., -1])
+    return s
 
 
 def _moment_rows(x1, x2, u21, u12, h):
@@ -496,9 +582,8 @@ def _moment_rows(x1, x2, u21, u12, h):
     row, (B, N); the (i,1) entry integrates X_i2 u21 and the (i,2) entry
     X_i1 u12.
     """
-    pref = -1.0 / (2j * np.pi)
-    return (pref * np.trapezoid(x2 * u21, dx=h, axis=-1),
-            pref * np.trapezoid(x1 * u12, dx=h, axis=-1))
+    pref = -h / (2j * np.pi)
+    return pref * _trapezoid_dot(x2, u21), pref * _trapezoid_dot(x1, u12)
 
 
 def m1_moment(f: JumpFactorization, sol: RHPSolution) -> np.ndarray:
@@ -548,7 +633,10 @@ def suggest_z_min(zgrid_or_Z, N_z=None, window: float = 6.0, t_max: float = 0.0,
     target = 2.0 * np.pi / points_per_period
 
     def excess(zz):
-        return (window / zz**2 + 4.0 * abs(t_max) / zz**3) * hz - target
+        # numpy powers round like Python's but overflow to inf on huge grids
+        with np.errstate(over="ignore"):
+            zz = np.float64(zz)
+            return (window / zz**2 + 4.0 * abs(t_max) / zz**3) * hz - target
 
     lo, hi = 1e-9, Z
     if excess(hi) > 0:
@@ -647,7 +735,28 @@ def _panel_nodes(length: float, per_panel: int = 16,
     return lam, w
 
 
-def tail_band_rhs(tail: TailModel, zgrid: SpectralGrid, x_H, t: float) -> dict:
+def _tail_band_kernel(tail: TailModel, zgrid: SpectralGrid):
+    """The x_H-independent part of :func:`tail_band_rhs`.
+
+    The quadrature nodes lam, conj of the tail series P at them, and the
+    real kernel K = w / (1 + lam z) of shape (nodes, N_z).  An inverse
+    builds it once and passes it to every chunk's band right-hand side.
+    """
+    Z = float(zgrid.half_width)
+    lam_half, w_half = _panel_nodes(1.0 / Z)
+    # lam < 0 is the s > Z side (positive-z tail coefficients)
+    lam = np.concatenate([-lam_half, lam_half])
+    w = np.concatenate([w_half, w_half])
+    z = zgrid.points.copy()
+    # the grid spans [-Z, Z): the single point at -Z sits on the junction,
+    # where T is log-singular; represent its cell by the half-cell midpoint
+    edge = np.abs(z) >= Z
+    z[edge] = np.sign(z[edge]) * (Z - 0.5 * zgrid.spacing)
+    return lam, np.conj(tail.series(lam)), w[:, None] / (1.0 + np.outer(lam, z))
+
+
+def tail_band_rhs(tail: TailModel, zgrid: SpectralGrid, x_H, t: float,
+                  kernel=None) -> dict:
     """Cauchy transform of the outer-band jump, evaluated on the band.
 
     The discrete solve restricts the jump equation to |s| <= Z, so the
@@ -679,25 +788,15 @@ def tail_band_rhs(tail: TailModel, zgrid: SpectralGrid, x_H, t: float) -> dict:
     the quadrature uses panels geometrically refined toward both
     endpoints.  Returns T12, T21 and their x_H-derivatives as (B, N_z)
     arrays; the derivative rows feed the d mu / d x_H right-hand side.
+    ``kernel`` is the x_H-independent part from :func:`_tail_band_kernel`
+    for this ``tail`` and ``zgrid``; it is built here when not given.
     """
-    Z = float(zgrid.half_width)
-    lam_half, w_half = _panel_nodes(1.0 / Z)
-    # lam < 0 is the s > Z side (positive-z tail coefficients)
-    lam = np.concatenate([-lam_half, lam_half])
-    w = np.concatenate([w_half, w_half])
-    P = tail.series(lam)
-
+    lam, conj_P, K = kernel if kernel is not None else _tail_band_kernel(tail, zgrid)
     x_H = np.atleast_1d(np.asarray(x_H, dtype=float))
     th = -np.outer(x_H, lam) + 2.0 * t * lam**2
-    g12 = np.conj(P) * np.exp(-2j * th)
+    g12 = conj_P * np.exp(-2j * th)
     dg12 = g12 * (2j * lam)
 
-    z = zgrid.points.copy()
-    # the grid spans [-Z, Z): the single point at -Z sits on the junction,
-    # where T is log-singular; represent its cell by the half-cell midpoint
-    edge = np.abs(z) >= Z
-    z[edge] = np.sign(z[edge]) * (Z - 0.5 * zgrid.spacing)
-    K = w[:, None] / (1.0 + np.outer(lam, z))      # (nodes, N_z), real
     # one real product for both complex rows; the (2,1) rows follow from
     # the Schwarz identity g21 = conj(g12), exact because K is real and
     # conj(1/(2 pi i)) = -1/(2 pi i)

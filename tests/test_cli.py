@@ -102,6 +102,19 @@ def test_wrongly_typed_config_exits_2(tmp_path, capsys, config):
     assert "invalid-argument" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--decay-floor", "nan"], ["--a-floor", "nan"], ["--decay-floor", "-1"],
+    ["--z-min", "nan"], ["--Z", "1e308"],
+], ids=["nan-decay-floor", "nan-a-floor", "negative-decay-floor", "nan-z-min", "overflowing-Z"])
+def test_bad_guard_threshold_or_grid_value_exits_2(tmp_path, capsys, flags):
+    # a NaN threshold would switch its guard off, a negative one trip it
+    # on every run; a NaN z_min or a grid width that overflows is no grid
+    code = main(["roundtrip", "--outdir", str(tmp_path / "o")] + SMALL + flags)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "invalid-argument" in err
+
+
 def test_config_takes_integral_numbers_for_int_fields(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"N": 512.0, "amplitude": 1, "tail": False}))

@@ -8,6 +8,7 @@ from wkist.lattice import GridFunction, make_spatial_grid, make_spectral_grid
 from wkist.lax import make_potential
 from wkist.rhp import (
     DELTA_CONJUGATED,
+    NEUMANN_CAP,
     NEUMANN_TOL,
     TRIANGULAR,
     TailModel,
@@ -16,6 +17,7 @@ from wkist.rhp import (
     _jump_derivatives,
     _jump_entries,
     _l2_residual,
+    _moment_rows,
     _neumann,
     _solve_batch,
     build_factorization,
@@ -385,7 +387,7 @@ def test_neumann_residual_is_the_exact_residual(kind, x_H):
     h = sd.zgrid.spacing
 
     def check(rhs):
-        x, res, _, ok, _ = _neumann(u21, u12, *rhs, kind, sd.zgrid, tol=1e-6)
+        x, res, _, ok, _, _ = _neumann(u21, u12, *rhs, kind, sd.zgrid, tol=1e-6)
         assert ok.all()
         c = _apply_cw(*x, u21, u12, kind, sd.zgrid)
         exact = _l2_residual([xa - ra - ca for xa, ra, ca in zip(x, rhs, c)], h)
@@ -403,16 +405,16 @@ def test_converged_solve_makes_two_passes_per_sweep_plus_one(monkeypatch):
     calls = []
     kernel = wkist.rhp._cauchy_plus_batch
 
-    def counted(values, grid):
+    def counted(values, grid, minus=False):
         calls.append(np.shape(values))
-        return kernel(values, grid)
+        return kernel(values, grid, minus)
 
     monkeypatch.setattr(wkist.rhp, "_cauchy_plus_batch", counted)
     for kind, x_H in ((TRIANGULAR, [-1.0, -0.2]), (DELTA_CONJUGATED, [0.2, 1.0])):
         u21, u12 = jump_batch(r, sd.zgrid, kind, x_H)
         calls.clear()
         rhs = mu_rhs(u21)
-        _, res, sweeps, ok, _ = _neumann(u21, u12, *rhs, kind, sd.zgrid)
+        _, res, sweeps, ok, _, _ = _neumann(u21, u12, *rhs, kind, sd.zgrid)
         assert ok.all() and np.all(res < NEUMANN_TOL)
         assert sweeps > 5
         assert len(calls) == 2 * sweeps + 1
@@ -446,7 +448,7 @@ def test_sweeps_stopped_at_cap_report_their_true_residual(kind, x_H, cap):
     r = 0.6 * sd.r / np.max(np.abs(sd.r))
     u21, u12 = jump_batch(r, sd.zgrid, kind, x_H)
     rhs = mu_rhs(u21)
-    x, res, sweeps, ok, _ = _neumann(u21, u12, *rhs, kind, sd.zgrid, cap=cap)
+    x, res, sweeps, ok, _, _ = _neumann(u21, u12, *rhs, kind, sd.zgrid, cap=cap)
     assert sweeps == cap
     assert not ok.any() and np.all(res >= NEUMANN_TOL)
     c = _apply_cw(*x, u21, u12, kind, sd.zgrid)
@@ -473,17 +475,18 @@ def test_inverse_solve_transforms_row_1_only(kind, x_H, monkeypatch):
     calls = []
     kernel = wkist.rhp._cauchy_plus_batch
 
-    def counted(values, grid):
+    def counted(values, grid, minus=False):
         calls.append(np.shape(values))
-        return kernel(values, grid)
+        return kernel(values, grid, minus)
 
     monkeypatch.setattr(wkist.rhp, "_cauchy_plus_batch", counted)
     out = _solve_batch(u21, u12, kind, zg, tail_rhs=trhs)
     monkeypatch.undo()
     assert list(out["solver"]) == ["neumann", "neumann"]
     assert all(shape == (1,) + u21.shape for shape in calls)
-    # 2 s + 1 passes per solve, and two for the dmu right-hand side
-    assert len(calls) == 2 * out["iterations"] + 1 + 2 + 2 * out["iterations_dmu"] + 1
+    # 2 s + 1 passes per solve; the dmu right-hand side comes from the
+    # passes the mu solve made
+    assert len(calls) == 2 * out["iterations"] + 1 + 2 * out["iterations_dmu"] + 1
 
     du21, du12 = _jump_derivatives(u21, u12, zg)
     for j in range(len(x_H)):
@@ -495,3 +498,43 @@ def test_inverse_solve_transforms_row_1_only(kind, x_H, monkeypatch):
         for got, want in ((out["mu"][0][j], mu11), (out["mu"][1][j], mu12),
                           (out["dmu"][0][j], dmu11), (out["dmu"][1][j], dmu12)):
             assert np.max(np.abs(got - want)) < 1e-9
+
+
+@pytest.mark.parametrize("cap", [0, 2, NEUMANN_CAP])
+def test_neumann_hands_back_the_passes_of_its_iterate(cap):
+    # the dmu right-hand side is built from these passes, so they must be
+    # C_w of the returned iterate, also when the sweeps stop at the cap
+    sd = small_reflection(N=512, N_z=512, z_min=0.9)
+    r = 0.6 * sd.r / np.max(np.abs(sd.r))
+    u21, u12 = jump_batch(r, sd.zgrid, TRIANGULAR, [-1.0, -0.2])
+    x, _, _, _, _, passes = _neumann(u21, u12, *mu_rhs(u21), TRIANGULAR, sd.zgrid, cap=cap)
+    for got, want in zip(passes, _apply_cw(*x, u21, u12, TRIANGULAR, sd.zgrid)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind, x_H", [(TRIANGULAR, [-0.6, -0.1]),
+                                       (DELTA_CONJUGATED, [0.1, 0.6])])
+def test_inverse_solve_with_reflection_at_z_0_matches_dense(kind, x_H):
+    # a reflection.csv may carry r(0) != 0; the dmu right-hand side taken
+    # from the mu solve's passes must then drop the node z = 0's own
+    # kernel entry, and row 1 of mu and dmu must still match dense solves
+    zg = make_spectral_grid(40.0, 512)
+    z = zg.points
+    r = 0.3 * np.exp(-((z / 4.0) ** 2)) * np.exp(0.3j * z)
+    u21, u12 = jump_batch(r, zg, kind, x_H)
+    assert np.all(u21[:, zg.point_count // 2] != 0)
+    out = _solve_batch(u21, u12, kind, zg)
+    assert list(out["solver"]) == ["neumann", "neumann"]
+    du21, du12 = _jump_derivatives(u21, u12, zg)
+    one, zero = np.ones(zg.point_count, complex), np.zeros(zg.point_count, complex)
+    for j in range(len(x_H)):
+        [(mu11, mu12)] = _dense_solve(u21[j], u12[j], [(one, zero)], kind, zg)
+        g1, g2 = _apply_cw(mu11[None], mu12[None], du21[j:j + 1], du12[j:j + 1], kind, zg)
+        [(dmu11, dmu12)] = _dense_solve(u21[j], u12[j], [(g1[0], g2[0])], kind, zg)
+        for got, want in ((out["mu"][0][j], mu11), (out["mu"][1][j], mu12),
+                          (out["dmu"][0][j], dmu11), (out["dmu"][1][j], dmu12)):
+            assert np.max(np.abs(got - want)) < 1e-9
+        # the moment part int mu dw, from the same sums
+        want = _moment_rows(mu11, mu12, du21[j], du12[j], zg.spacing)
+        for got, w in zip(out["moment_du"], want):
+            assert abs(got[j] - w) < 1e-9 * (1.0 + abs(w))

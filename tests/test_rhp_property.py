@@ -6,13 +6,15 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from wkist.lattice import GridFunction, make_spectral_grid  # noqa: E402
+from wkist.lattice import GridFunction, _cauchy_plus_batch, make_spectral_grid  # noqa: E402
 from wkist.rhp import (  # noqa: E402
     DELTA_CONJUGATED,
     TRIANGULAR,
     TailModel,
     _apply_cw,
     _dense_solve,
+    _derivative_pass,
+    _inv_z,
     _jump_derivatives,
     _jump_entries,
     _solve_batch,
@@ -92,3 +94,25 @@ def test_tail_band_rhs_has_the_schwarz_symmetry(seed, x_H, t):
                         np.array([x_H, -x_H]), t)
     assert np.max(np.abs(out["T21"] + np.conj(out["T12"]))) < 1e-15
     assert np.max(np.abs(out["dT21"] + np.conj(out["dT12"]))) < 1e-15
+
+
+@hypothesis.settings(max_examples=30, deadline=None)
+@hypothesis.given(seed=st.integers(0, 2**32 - 1), log2_n=st.integers(6, 10),
+                  minus=st.booleans(), sign=st.sampled_from([1, -1]),
+                  at_zero=st.sampled_from([0.0, 0.3 - 0.4j]))
+def test_derivative_pass_is_the_projection_of_x_du(seed, log2_n, minus, sign, at_zero):
+    # the sinc kernel's 1/z identity turns C(x u) into C(x du), du = +-2i u/z,
+    # with and without a sample at the node z = 0 (r(0) != 0 in a file)
+    zgrid = make_spectral_grid(20.0, 2**log2_n)
+    z = zgrid.points
+    rng = np.random.default_rng(seed)
+    x = (rng.normal(size=(2, 3, z.size)) + 1j * rng.normal(size=(2, 3, z.size))) * 0.3 + 1.0
+    u = (rng.normal(size=(3, z.size)) + 1j * rng.normal(size=(3, z.size))) * np.exp(-(z / 6.0) ** 2)
+    u[:, z.size // 2] = at_zero
+    du = sign * 2j * _inv_z(zgrid) * u
+    c = _cauchy_plus_batch(x * u, zgrid, minus=minus)
+    got, integral = _derivative_pass(c, x, u, sign, zgrid)
+    want = _cauchy_plus_batch(x * du, zgrid, minus=minus)
+    assert np.max(np.abs(got - want)) < 1e-13 * (1.0 + np.max(np.abs(want)))
+    trapezoid = np.trapezoid(x * du, dx=zgrid.spacing, axis=-1)
+    assert np.max(np.abs(integral - trapezoid)) < 1e-13 * (1.0 + np.max(np.abs(trapezoid)))
