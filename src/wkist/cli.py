@@ -35,7 +35,7 @@ import scipy
 
 from . import __version__
 from .direct_scattering import ScatteringData, evolve_reflection, reflection_coefficient
-from .errors import InvalidArgumentError, NumericalError, RegimeError, WkiError
+from .errors import InvalidArgumentError, NumericalError, RegimeError, WkiError, check_threshold
 from .lattice import (
     GridFunction,
     gridfunction_to_csv,
@@ -68,11 +68,9 @@ class RunConfig:
     N: int = 2048
     Z: float = 40.0
     N_z: int = 4096
-    z_min: float = -1.0           # negative requests the resolution-based choice
     # time and comparison
     t: float = 0.0
     window: float = 6.0
-    tail: bool = True
     decay_floor: float = 1e-6     # see reconstruction.inverse_transform
     cfl: float = 0.2
     a_floor: float = 0.5
@@ -119,14 +117,11 @@ def _check_coordinates(coords: np.ndarray, grid, message: str):
 
 
 def _make_grids(cfg: RunConfig):
+    """The spatial grid, and the spectral grid cut at the z_min it resolves."""
     xgrid = make_spatial_grid(cfg.L, cfg.N)
-    # Z and N_z are checked before z_min is chosen from them; a NaN
-    # z_min is not negative and is refused by the grid
-    zgrid = make_spectral_grid(cfg.Z, cfg.N_z)
-    if cfg.z_min < 0:
-        z_min = suggest_z_min(zgrid, window=cfg.window, t_max=abs(cfg.t))
-    else:
-        z_min = cfg.z_min
+    # Z and N_z are checked before z_min is chosen from them
+    make_spectral_grid(cfg.Z, cfg.N_z)
+    z_min = suggest_z_min(cfg.Z, cfg.N_z, window=cfg.window, t_max=abs(cfg.t))
     return xgrid, make_spectral_grid(cfg.Z, cfg.N_z, z_min=z_min)
 
 
@@ -251,16 +246,14 @@ def run_inverse(cfg: RunConfig, outdir: Path) -> dict:
         xgrid = make_spatial_grid(cfg.L, cfg.N)
     else:
         xgrid, _, sd = _forward_data(cfg, outdir)
-    rec = inverse_transform(sd, cfg.t, xgrid, window=cfg.window,
-                            tail_completion=cfg.tail, decay_floor=cfg.decay_floor)
+    rec = inverse_transform(sd, cfg.t, xgrid, window=cfg.window, decay_floor=cfg.decay_floor)
     _write_reconstruction(rec, outdir)
     return {"time": cfg.t, "z_min": sd.zgrid.z_min, **_jsonable(rec.diagnostics)}
 
 
 def run_roundtrip(cfg: RunConfig, outdir: Path) -> dict:
     xgrid, p, sd = _forward_data(cfg, outdir)
-    rec = inverse_transform(sd, 0.0, xgrid, window=cfg.window,
-                            tail_completion=cfg.tail, decay_floor=cfg.decay_floor)
+    rec = inverse_transform(sd, 0.0, xgrid, window=cfg.window, decay_floor=cfg.decay_floor)
     _write_reconstruction(rec, outdir)
     sup_error = float(np.max(np.abs(rec.q.values - p.q)))
     return {
@@ -274,8 +267,7 @@ def run_roundtrip(cfg: RunConfig, outdir: Path) -> dict:
 
 def run_compare_pde(cfg: RunConfig, outdir: Path) -> dict:
     xgrid, p, sd = _forward_data(cfg, outdir)
-    rec = inverse_transform(sd, cfg.t, xgrid, window=cfg.window,
-                            tail_completion=cfg.tail, decay_floor=cfg.decay_floor)
+    rec = inverse_transform(sd, cfg.t, xgrid, window=cfg.window, decay_floor=cfg.decay_floor)
     run = evolve(GridFunction(xgrid, p.q), cfg.t, cfl=cfg.cfl)
     q_pde = run.final.values
     gridfunction_to_csv(rec.q, outdir / "scattering_route.csv")
@@ -343,18 +335,12 @@ def _parser() -> argparse.ArgumentParser:
     for f in fields(RunConfig):
         if f.name == "pipeline":
             continue
-        flag = "--" + f.name.replace("_", "-")
-        if f.type == "bool" or isinstance(f.default, bool):
-            parser.add_argument(flag, dest=f.name, default=None,
-                                action=argparse.BooleanOptionalAction)
-        else:
-            parser.add_argument(flag, dest=f.name, default=None,
-                                type=type(f.default))
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None,
+                            type=type(f.default))
     return parser
 
 
-_CONFIG_TYPES = {"bool": "a JSON bool", "int": "an integral number",
-                 "float": "a finite number", "str": "a string"}
+_CONFIG_TYPES = {"int": "an integral number", "float": "a finite number", "str": "a string"}
 
 
 def _config_value(name: str, kind: str, value):
@@ -364,32 +350,15 @@ def _config_value(name: str, kind: str, value):
     accepted for an int field, and a float field takes any number a float
     holds finitely; anything else is bad input.
     """
-    if isinstance(value, bool):
-        if kind == "bool":
-            return value
-    elif kind == "int" and (isinstance(value, int)
-                            or (isinstance(value, float) and value.is_integer())):
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind == "int" and number and (isinstance(value, int) or value.is_integer()):
         return int(value)
-    elif (kind == "float" and isinstance(value, (int, float))
-          and abs(value) <= sys.float_info.max):
+    if kind == "float" and number and abs(value) <= sys.float_info.max:
         return float(value)
-    elif kind == "str" and isinstance(value, str):
+    if kind == "str" and isinstance(value, str):
         return value
     raise InvalidArgumentError(
         f"config field {name!r} must be {_CONFIG_TYPES[kind]}, got {value!r}")
-
-
-# Guard thresholds: a NaN would compare false and switch the guard off,
-# a negative one would trip it on every run.
-_THRESHOLDS = ("decay_floor", "a_floor")
-
-
-def _check_thresholds(cfg: RunConfig) -> RunConfig:
-    for name in _THRESHOLDS:
-        value = getattr(cfg, name)
-        if not 0.0 <= value < np.inf:
-            raise InvalidArgumentError(f"{name} must be a finite number >= 0, got {value}")
-    return cfg
 
 
 def _config_from_args(args) -> RunConfig:
@@ -411,7 +380,12 @@ def _config_from_args(args) -> RunConfig:
         for f in fields(RunConfig)
         if f.name != "pipeline" and getattr(args, f.name, None) is not None
     }
-    return _check_thresholds(replace(cfg, **overrides))
+    cfg = replace(cfg, **overrides)
+    # checked before any pipeline runs: ``inverse --input`` never reaches
+    # the forward guard that reads a_floor
+    for name in ("decay_floor", "a_floor"):
+        check_threshold(name, getattr(cfg, name))
+    return cfg
 
 
 def main(argv=None) -> int:

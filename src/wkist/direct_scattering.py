@@ -42,7 +42,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidArgumentError, PossibleBoundStateError, ResolutionExceededError
+from .errors import (
+    InvalidArgumentError,
+    PossibleBoundStateError,
+    ResolutionExceededError,
+    check_threshold,
+)
 from .lattice import SpectralGrid
 from .lax import Potential, akns_potentials
 
@@ -280,6 +285,7 @@ def reflection_coefficient(p: Potential, zgrid: SpectralGrid, a_floor: float = 0
     signals discrete spectrum the radiation-only inverse problem cannot
     represent.
     """
+    check_threshold("a_floor", a_floor)
     z = zgrid.points
     active = (np.abs(z) >= max(zgrid.z_min, 1e-300)) & (z != 0.0)
     lam = -1.0 / z[active]

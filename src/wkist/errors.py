@@ -23,6 +23,17 @@ class InvalidArgumentError(WkiError, ValueError):
     kind = "invalid-argument"
 
 
+def check_threshold(name: str, value: float) -> float:
+    """A guard threshold, which must be a finite number >= 0.
+
+    A NaN compares false and would switch its guard off; a negative one
+    would trip it on every run.
+    """
+    if not 0.0 <= value < float("inf"):
+        raise InvalidArgumentError(f"{name} must be a finite number >= 0, got {value}")
+    return value
+
+
 class RegimeError(WkiError):
     """The potential/data violates the small-data assumptions."""
 

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import csv
 import functools
-import json
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.fft
@@ -43,7 +43,6 @@ __all__ = [
     "cauchy_plus",
     "cauchy_minus",
     "gridfunction_to_csv",
-    "gridfunction_to_json",
 ]
 
 
@@ -69,17 +68,15 @@ class SpectralGrid:
 
     ``z_min`` is the truncation floor: jump data is forced to zero for
     |z| < z_min because the phase x_H/z + 2t/z^2 oscillates faster than
-    the grid can resolve there.  ``padding`` was the zero-padding factor
-    of an earlier, periodized Cauchy transform; the sinc kernel does not
-    read it.  It is still validated (``test_spectral_grid_rejects_bad_sizes``
-    pins that) and kept because ``gridfunction_to_json`` writes it and
-    the benchmark trace reads it; retiring it changes both.
+    the grid can resolve there.  ``padding`` is a class constant, not a
+    setting: the Cauchy kernel transforms the 2N-point circulant
+    embedding of every grid.
     """
 
     half_width: float
     point_count: int
     z_min: float = 0.0
-    padding: int = 4
+    padding: ClassVar[int] = 2
 
     def __post_init__(self):
         n = self.point_count
@@ -88,11 +85,6 @@ class SpectralGrid:
         if not self.z_min < self.half_width:
             raise InvalidArgumentError(
                 f"z_min must be a number below the grid half-width, got {self.z_min}")
-        m = n * self.padding
-        if self.padding < 2 or (m & (m - 1)) != 0:
-            raise InvalidArgumentError(
-                f"padding must be >= 2 and keep the padded length a power of two, got {self.padding}"
-            )
 
     @property
     def spacing(self) -> float:
@@ -134,9 +126,9 @@ def make_spatial_grid(L: float, N: int) -> SpatialGrid:
     return SpatialGrid(float(L), int(N))
 
 
-def make_spectral_grid(Z: float, N_z: int, z_min: float = 0.0, padding: int = 4) -> SpectralGrid:
+def make_spectral_grid(Z: float, N_z: int, z_min: float = 0.0) -> SpectralGrid:
     _check_half_width(Z)
-    return SpectralGrid(float(Z), int(N_z), float(z_min), int(padding))
+    return SpectralGrid(float(Z), int(N_z), float(z_min))
 
 
 def cumulative_integral(f: GridFunction) -> GridFunction:
@@ -170,18 +162,19 @@ _TAIL_REGION = 7.0 / 8.0
 
 @functools.lru_cache(maxsize=16)
 def _projector_fft(n: int, minus: bool) -> np.ndarray:
-    """The spectrum of C+ (``minus`` false) or C- on the 2n circulant embedding.
+    """The spectrum of C+ (``minus`` false) or C- on the circulant embedding.
 
-    C+- v = +-v/2 + (i/2) H v.  The kernel of H, 2/(pi m) on odd offsets
-    m and 0 on even ones, does not depend on the spacing, so one array
-    serves every grid of n points.  Its FFT is scaled by i/2 (exact in
-    floating point), and +-1/2 is added: the identity is the multiplier
-    1 on every frequency of the embedding, so one pass returns the
-    projection itself.
+    The embedding has ``SpectralGrid.padding`` * n = 2n points.  C+- v =
+    +-v/2 + (i/2) H v.  The kernel of H, 2/(pi m) on odd offsets m and 0
+    on even ones, does not depend on the spacing, so one array serves
+    every grid of n points.  Its FFT is scaled by i/2 (exact in floating
+    point), and +-1/2 is added: the identity is the multiplier 1 on every
+    frequency of the embedding, so one pass returns the projection itself.
     """
     m = np.arange(1, n)
     half = np.where(m % 2 == 1, 2.0 / (np.pi * m), 0.0)
-    col = np.concatenate([[0.0], half, [0.0], -half[::-1]])
+    gap = np.zeros((SpectralGrid.padding - 2) * n + 1)
+    col = np.concatenate([[0.0], half, gap, -half[::-1]])
     # transformed as complex data, like the samples: the real-input path
     # of scipy.fft rounds differently
     out = 0.5j * scipy.fft.fft(col.astype(complex)) + (-0.5 if minus else 0.5)
@@ -194,18 +187,18 @@ def _cauchy_plus_batch(values: np.ndarray, grid: SpectralGrid, minus: bool = Fal
 
     C+- v = (+-v + i H v) / 2, with H the sinc discrete Hilbert transform
     (Hv)_k = sum over odd k - j of 2 v_j / (pi (k - j)), applied as a
-    Toeplitz product by circulant embedding of length 2N: a forward FFT,
-    the cached spectrum of the whole projection (``_projector_fft``)
-    multiplied in place, and an inverse FFT that overwrites its input.
+    Toeplitz product by circulant embedding of length ``grid.padding`` N
+    = 2N: a forward FFT, the cached spectrum of the whole projection
+    (``_projector_fft``) multiplied in place, and an inverse FFT that
+    overwrites its input.
     On samples that decay inside the window it converges spectrally;
     samples it is not given count as zero, so a 1/s tail outside [-Z, Z)
     costs O(1/Z).  The public ``cauchy_plus`` completes such tails; the
     solver calls this kernel directly, once per half-step of a
     Beals-Coifman sweep, and supplies its outer band itself.
-    ``grid.padding`` is not read.
     """
     n = grid.point_count
-    spectrum = scipy.fft.fft(np.asarray(values, dtype=complex), n=2 * n, axis=-1)
+    spectrum = scipy.fft.fft(np.asarray(values, dtype=complex), n=grid.padding * n, axis=-1)
     spectrum *= _projector_fft(n, minus)
     # a copy, so the caller does not hold the 2N buffer
     return scipy.fft.ifft(spectrum, axis=-1, overwrite_x=True)[..., :n].copy()
@@ -269,21 +262,3 @@ def gridfunction_to_csv(f: GridFunction, path):
         for x, v in zip(f.grid.points, f.values):
             writer.writerow([f"{x:.17g}", f"{v.real:.17g}", f"{np.imag(v):.17g}"])
 
-
-def gridfunction_to_json(f: GridFunction) -> str:
-    grid = f.grid
-    meta = {
-        "kind": type(grid).__name__,
-        "half_width": grid.half_width,
-        "point_count": grid.point_count,
-    }
-    if isinstance(grid, SpectralGrid):
-        meta["z_min"] = grid.z_min
-        meta["padding"] = grid.padding
-    return json.dumps(
-        {
-            "grid": meta,
-            "re": [float(v) for v in np.real(f.values)],
-            "im": [float(v) for v in np.imag(f.values)],
-        }
-    )

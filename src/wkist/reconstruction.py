@@ -31,6 +31,7 @@ from .errors import (
     InvalidArgumentError,
     RangeError,
     SlopeConditionError,
+    check_threshold,
 )
 from .lattice import GridFunction, SpatialGrid
 from .lax import conserved_E1, make_potential
@@ -209,8 +210,6 @@ def _window_mask(points: np.ndarray, window: float) -> np.ndarray:
 
 def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
                       window: float = DEFAULT_WINDOW, chunk: int = CHUNK,
-                      tail_completion: bool = True, tol: float = 1e-10,
-                      slope_margin: float = SLOPE_MARGIN,
                       decay_floor: float = 1e-6) -> ReconstructionResult:
     """Recover q(., t) on xgrid from reflection data.
 
@@ -224,12 +223,15 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
 
     Hodograph cells x_H <= 0 use the Triangular factorization; cells
     x_H > 0 use the DeltaConjugated one (each keeps its oscillatory
-    entries decaying in the half-plane its projection sees).
+    entries decaying in the half-plane its projection sees).  Every solve
+    adds the fitted tail's band terms and stops at ``NEUMANN_TOL``; the
+    slope must stay below 1 - ``SLOPE_MARGIN``.
 
     ``decay_floor`` bounds how large the recovered q_H may be at the
     sweep-window ends; the reconstruction noise there scales with the
     spectral quadrature error, so coarse z-grids need a looser floor.
     """
+    check_threshold("decay_floor", decay_floor)
     if window > xgrid.half_width:
         raise InvalidArgumentError("window exceeds the spatial grid half-width")
     sd_t = evolve_reflection(sd, t - sd.time) if t != sd.time else sd
@@ -245,9 +247,9 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
         Delta = delta_function(GridFunction(zgrid, rv))[2].values
         d1 = np.trapezoid(np.log1p(np.abs(rv) ** 2), dx=zgrid.spacing) / (2j * np.pi)
 
-    tail = fit_tail_model(sd_t) if tail_completion else None
+    tail = fit_tail_model(sd_t)
     # the x_H-independent part of every chunk's band right-hand side
-    band = _tail_band_kernel(tail, zgrid) if tail is not None else None
+    band = _tail_band_kernel(tail, zgrid)
 
     n_cells = sweep.size
     m12 = np.zeros(n_cells, dtype=complex)
@@ -265,9 +267,9 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
             if block.size == 0:
                 continue
             u21, u12, _ = _jump_entries(kind, rv, zgrid, block[:, None], 0.0, Delta)
-            trhs = tail_band_rhs(tail, zgrid, block, 0.0, band) if tail is not None else None
+            trhs = tail_band_rhs(tail, zgrid, block, 0.0, band)
             # row 1 of mu and dmu: the only row the moments below read
-            out = _solve_batch(u21, u12, kind, zgrid, tol=tol, tail_rhs=trhs)
+            out = _solve_batch(u21, u12, kind, zgrid, tail_rhs=trhs)
             e11, e12 = _moment_rows(*out["mu"], u21, u12, zgrid.spacing)
             a = _moment_rows(*out["dmu"], u21, u12, zgrid.spacing)
             b = out["moment_du"]
@@ -292,15 +294,11 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
                 })
             offset += block.size
 
-    c1 = 0.0 + 0.0j
-    if tail is not None:
-        c1 = tail.c1
-        tails = outer_band_moments(tail, zgrid.half_width, sweep, 0.0,
-                                   m11=m11_raw, dm11=dm11)
-        m12 = m12 + tails["m1_12"]
-        dx12 = dx12 + tails["dx_m1_12"]
+    tails = outer_band_moments(tail, zgrid.half_width, sweep, 0.0, m11=m11_raw, dm11=dm11)
+    m12 = m12 + tails["m1_12"]
+    dx12 = dx12 + tails["dx_m1_12"]
 
-    q_H = qh_from_slope(dx12, margin=slope_margin)
+    q_H = qh_from_slope(dx12)
 
     # primary route: hodograph fixed point on the sweep
     sweep_grid = _SweepGrid(sweep)
@@ -324,7 +322,7 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
         "max_slope": float(np.max(np.abs(dx12))) if dx12.size else 0.0,
         "worst_residual": worst_residual,
         "dense_cells": dense_count,
-        "tail_coefficient": c1,
+        "tail_coefficient": tail.c1,
         "route_gap_epsilon": route_gap_eps,
         "route_gap_q": route_gap_q,
         "epsilon_infinity": float(eps.values[-1]),

@@ -41,9 +41,9 @@ the rows it is given and its cost scales with their count.
 their x_H-derivatives are integrals of row 1, and the residuals it
 reports are row 1's.
 
-The dmu right-hand side C_dw(mu) costs no kernel pass in the inverse.
-On the grid z_k = h (k - k0), with z_k0 = 0, the sinc kernel satisfies
-the exact discrete identity
+The dmu right-hand side C_dw(mu) costs no kernel pass.  On the grid
+z_k = h (k - k0), with z_k0 = 0, the sinc kernel satisfies the exact
+discrete identity
 
     C[f/z]_k = (1/z_k) (C[f]_k + (ih/pi) sum_{k-j odd} f_j/z_j),  k != k0,
 
@@ -52,7 +52,8 @@ f_k0 != 0), and dw = (+-2i/z) w.  The last column-1 update and the
 residual pass of the mu solve are C(mu_12 u21) and C(mu_11 u12), so two
 per-parity sums per cell turn them into C_dw(mu); the same sums give
 the moment part int mu dw.  A batch of cells makes 2 s + 1 + 2 s' + 1
-kernel passes for s mu sweeps and s' dmu sweeps.
+kernel passes for s mu sweeps and s' dmu sweeps.  ``solve_dmu`` and
+``dx_m1`` take this one derivative path too, for both rows.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from .lattice import GridFunction, SpectralGrid, _cauchy_plus_batch
 __all__ = [
     "JumpFactorization",
     "RHPSolution",
-    "phase",
     "delta_function",
     "build_factorization",
     "solve_mu",
@@ -76,7 +76,6 @@ __all__ = [
     "m1_moment",
     "dx_m1",
     "suggest_z_min",
-    "fit_tail_coefficient",
     "fit_tail_model",
     "TailModel",
     "outer_band_moments",
@@ -89,13 +88,6 @@ DENSE_CAP = 1024
 
 TRIANGULAR = "Triangular"
 DELTA_CONJUGATED = "DeltaConjugated"
-
-
-def phase(z: float, x_H: float, t: float) -> float:
-    """theta(z) = x_H / z + 2 t / z^2."""
-    if z == 0:
-        raise InvalidArgumentError("phase is undefined at z = 0")
-    return x_H / z + 2.0 * t / z**2
 
 
 def delta_function(r: GridFunction):
@@ -126,11 +118,10 @@ class JumpFactorization:
 
     In both kinds exactly one of (w_+, w_-) holds the (1,2) entry and the
     other the (2,1) entry: the Triangular kind puts ``u21`` in w_+ and
-    ``u12`` in w_-, the DeltaConjugated kind the other way round.  The
-    solver needs only the entry pair and the kind; the (N, 2, 2) matrices
-    ``w_plus``, ``w_minus`` and their x_H-derivatives ``dw_plus``,
-    ``dw_minus`` are built from them on demand.  ``d1`` is the moment
-    correction of the delta conjugation (0 for the Triangular kind).
+    ``u12`` in w_-, the DeltaConjugated kind the other way round
+    (``_in_w_plus``).  The solver needs only the entry pair and the kind.
+    ``d1`` is the moment correction of the delta conjugation (0 for the
+    Triangular kind).
     """
 
     kind: str
@@ -145,33 +136,17 @@ class JumpFactorization:
     Delta: Optional[np.ndarray] = None
     rho: Optional[np.ndarray] = None
 
-    def _factor(self, e21, e12, plus: bool) -> np.ndarray:
-        w = np.zeros((e21.shape[-1], 2, 2), dtype=complex)
-        if _in_w_plus(self.kind, 21) == plus:
-            w[:, 1, 0] = e21
-        else:
-            w[:, 0, 1] = e12
-        return w
-
-    @property
-    def w_plus(self) -> np.ndarray:
-        return self._factor(self.u21, self.u12, plus=True)
-
-    @property
-    def w_minus(self) -> np.ndarray:
-        return self._factor(self.u21, self.u12, plus=False)
-
-    @property
-    def dw_plus(self) -> np.ndarray:
-        return self._factor(*_jump_derivatives(self.u21, self.u12, self.zgrid), plus=True)
-
-    @property
-    def dw_minus(self) -> np.ndarray:
-        return self._factor(*_jump_derivatives(self.u21, self.u12, self.zgrid), plus=False)
-
 
 @dataclass
 class RHPSolution:
+    """A solve of one factorization, both rows.
+
+    ``passes`` is the pair (C(X_12 u21), C(X_11 u12)) of the solved mu,
+    each (2, 1, N), from which :func:`solve_dmu` builds its right-hand
+    side; ``moment_du`` is the part -(1/2 pi i) int mu dw ds of the
+    x_H-derivative of the moment, as the column pair :func:`dx_m1` adds.
+    """
+
     mu: np.ndarray                 # (N, 2, 2)
     residual: float
     iterations: int
@@ -180,6 +155,8 @@ class RHPSolution:
     residual_dmu: float = np.nan
     iterations_dmu: int = 0
     solver_dmu: str = ""
+    passes: tuple = ()
+    moment_du: tuple = ()
 
 
 def _inv_z(zgrid: SpectralGrid) -> np.ndarray:
@@ -208,7 +185,11 @@ def _jump_entries(kind, r_values, zgrid, x_H_col, t, Delta=None):
 
 
 def _jump_derivatives(u21, u12, zgrid):
-    """x_H-derivatives of the jump entries: (2i/z) u21 and (-2i/z) u12."""
+    """x_H-derivatives of the jump entries: (2i/z) u21 and (-2i/z) u12.
+
+    The solves never form them (:func:`_derivative_pass`); this is the
+    plain definition the tests check that path against.
+    """
     iz = _inv_z(zgrid)
     return 2j * iz * u21, -2j * iz * u12
 
@@ -544,27 +525,37 @@ def solve_mu(f: JumpFactorization, tol: float = NEUMANN_TOL,
     """
     u21, u12 = f.u21[None, :], f.u12[None, :]
     one, zero = np.ones_like(u21), np.zeros_like(u21)
-    x, res, its, dense, _, _ = _solve(u21, u12, (np.stack([one, zero]), np.stack([zero, one])),
-                                      f.kind, f.zgrid, tol, max_iterations)
+    x, res, its, dense, _, passes = _solve(
+        u21, u12, (np.stack([one, zero]), np.stack([zero, one])),
+        f.kind, f.zgrid, tol, max_iterations)
     return RHPSolution(
         mu=_pack_mu(*x),
         residual=float(res[0]),
         iterations=its,
         solver="dense" if dense[0] else "neumann",
+        passes=passes,
     )
 
 
 def solve_dmu(f: JumpFactorization, sol: RHPSolution, tol: float = NEUMANN_TOL,
               max_iterations: int = NEUMANN_CAP) -> RHPSolution:
-    """Solve (I - C_w) dmu = C_{dw}(mu); fills the derivative part of sol."""
+    """Solve (I - C_w) dmu = C_{dw}(mu); fills the derivative part of sol.
+
+    The right-hand side and the moment part int mu dw come from the
+    passes of the mu solve (:func:`_derivative_pass`), as in the inverse.
+    """
     u21, u12 = f.u21[None, :], f.u12[None, :]
-    g = _apply_cw(*_unpack_mu(sol.mu), *_jump_derivatives(u21, u12, f.zgrid),
-                  f.kind, f.zgrid)
-    dmu, res, its, dense, _, _ = _solve(u21, u12, g, f.kind, f.zgrid, tol, max_iterations)
+    x1, x2 = _unpack_mu(sol.mu)
+    c21, c12 = sol.passes
+    g1, i21 = _derivative_pass(c21.copy(), x2, u21, 1, f.zgrid)
+    g2, i12 = _derivative_pass(c12.copy(), x1, u12, -1, f.zgrid)
+    dmu, res, its, dense, _, _ = _solve(u21, u12, (g1, g2), f.kind, f.zgrid, tol, max_iterations)
     sol.dmu = _pack_mu(*dmu)
     sol.residual_dmu = float(res[0])
     sol.iterations_dmu = its
     sol.solver_dmu = "dense" if dense[0] else "neumann"
+    pref = -1.0 / (2j * np.pi)
+    sol.moment_du = (pref * i21, pref * i12)
     return sol
 
 
@@ -604,32 +595,26 @@ def m1_moment(f: JumpFactorization, sol: RHPSolution) -> np.ndarray:
 def dx_m1(f: JumpFactorization, sol: RHPSolution) -> np.ndarray:
     """x_H-derivative of the first moment.
 
-    Uses the analytic derivative of the jump entries, (+-2i/z) times the
-    entries; the delta correction is x_H-independent so no adjustment is
-    needed here.
+    The integral of dmu against the jump plus the part int mu dw that
+    :func:`solve_dmu` took from the mu passes; the delta correction is
+    x_H-independent so no adjustment is needed here.
     """
     if sol.dmu is None:
         raise InvalidArgumentError("solve_dmu must run before dx_m1")
-    u21, u12 = f.u21[None, :], f.u12[None, :]
-    h = f.zgrid.spacing
-    a = _moment_rows(*_unpack_mu(sol.dmu), u21, u12, h)
-    b = _moment_rows(*_unpack_mu(sol.mu), *_jump_derivatives(u21, u12, f.zgrid), h)
-    return _moment_matrix(a) + _moment_matrix(b)
+    a = _moment_rows(*_unpack_mu(sol.dmu), f.u21[None, :], f.u12[None, :], f.zgrid.spacing)
+    return _moment_matrix(a) + _moment_matrix(sol.moment_du)
 
 
-def suggest_z_min(zgrid_or_Z, N_z=None, window: float = 6.0, t_max: float = 0.0,
+def suggest_z_min(Z: float, N_z: int, window: float = 6.0, t_max: float = 0.0,
                   points_per_period: float = 5.0) -> float:
-    """Smallest |z| at which the grid still resolves the jump phase.
+    """Smallest |z| at which N_z points on [-Z, Z) still resolve the jump phase.
 
     The local wavelength of e^{2 i theta} in z is 2 pi / |theta'(z)| with
     |theta'| <= window/z^2 + 4 t/z^3; the floor is where that wavelength
     falls to ``points_per_period`` grid spacings.
     """
-    if N_z is None:
-        Z, n = zgrid_or_Z.half_width, zgrid_or_Z.point_count
-    else:
-        Z, n = float(zgrid_or_Z), int(N_z)
-    hz = 2.0 * Z / n
+    Z = float(Z)
+    hz = 2.0 * Z / int(N_z)
     target = 2.0 * np.pi / points_per_period
 
     def excess(zz):
@@ -652,16 +637,6 @@ def suggest_z_min(zgrid_or_Z, N_z=None, window: float = 6.0, t_max: float = 0.0,
         else:
             hi = mid
     return hi
-
-
-def fit_tail_coefficient(sd) -> complex:
-    """Estimate c1 in r(z) ~ c1/z from the outermost active samples."""
-    z = sd.zgrid.points[sd.active]
-    r = sd.r[sd.active]
-    order = np.argsort(z)
-    z, r = z[order], r[order]
-    k = min(4, len(z) // 2)
-    return complex(0.5 * (np.mean(z[:k] * r[:k]) + np.mean(z[-k:] * r[-k:])))
 
 
 @dataclass(frozen=True)
@@ -779,15 +754,14 @@ def tail_band_rhs(tail: TailModel, zgrid: SpectralGrid, x_H, t: float,
     and cancels the 1/s of the tail model exactly:
 
         T12(z) = (1/2 pi i) int conj(P)(-Z lam) e^{-2 i theta} / (1 + z lam) dlam,
-        T21(z) = (1/2 pi i) int      P (-Z lam) e^{+2 i theta} / (1 + z lam) dlam,
 
     theta = -x_H lam + 2 t lam^2, with the positive-z coefficients used
     for lam < 0 and vice versa.  The integrand's pole at lam = -1/z
     sits beyond the endpoint nearest the same-sign grid edge, at a
     distance that shrinks to h/Z^2 for the outermost grid points, so
     the quadrature uses panels geometrically refined toward both
-    endpoints.  Returns T12, T21 and their x_H-derivatives as (B, N_z)
-    arrays; the derivative rows feed the d mu / d x_H right-hand side.
+    endpoints.  Returns T12 and its x_H-derivative dT12 as (B, N_z)
+    arrays, the band terms of row 1, the only row the inverse solves.
     ``kernel`` is the x_H-independent part from :func:`_tail_band_kernel`
     for this ``tail`` and ``zgrid``; it is built here when not given.
     """
@@ -797,18 +771,15 @@ def tail_band_rhs(tail: TailModel, zgrid: SpectralGrid, x_H, t: float,
     g12 = conj_P * np.exp(-2j * th)
     dg12 = g12 * (2j * lam)
 
-    # one real product for both complex rows; the (2,1) rows follow from
-    # the Schwarz identity g21 = conj(g12), exact because K is real and
-    # conj(1/(2 pi i)) = -1/(2 pi i)
+    # one real product for both complex rows
     n = len(x_H)
     S = np.concatenate([g12.real, g12.imag, dg12.real, dg12.imag]) @ K
     pref = 1.0 / (2j * np.pi)
-    T12 = pref * (S[:n] + 1j * S[n:2 * n])
-    dT12 = pref * (S[2 * n:3 * n] + 1j * S[3 * n:])
-    return {"T12": T12, "T21": -np.conj(T12), "dT12": dT12, "dT21": -np.conj(dT12)}
+    return {"T12": pref * (S[:n] + 1j * S[n:2 * n]),
+            "dT12": pref * (S[2 * n:3 * n] + 1j * S[3 * n:])}
 
 
-def outer_band_moments(tail, Z: float, x_H, t: float, nodes: int = 96,
+def outer_band_moments(tail: TailModel, Z: float, x_H, t: float, nodes: int = 96,
                        m11=None, dm11=None) -> dict:
     """Analytic completion of the moment integrals over |z| > Z.
 
@@ -818,10 +789,7 @@ def outer_band_moments(tail, Z: float, x_H, t: float, nodes: int = 96,
     carry the same entries (Delta -> 1), so the missing contribution is
     an explicit oscillatory integral; substituting lam = -1/s maps it
     to lam in (-1/Z, 1/Z), where it is evaluated by Gauss-Legendre
-    quadrature with r(s) replaced by its tail model.
-
-    ``tail`` is a ``TailModel`` carrying the per-side fit, or a plain
-    complex c1 (r ~ c1/s), which is read as the one-term model.
+    quadrature with r(s) replaced by its tail model ``tail``.
 
     ``m11``/``dm11`` (per-x_H arrays) are the 1/s coefficients of
     mu_11 - 1 and of its x_H-derivative, i.e. the raw first moments of
@@ -836,9 +804,6 @@ def outer_band_moments(tail, Z: float, x_H, t: float, nodes: int = 96,
     xg, wg = np.polynomial.legendre.leggauss(nodes)
     lam = xg / Z            # lam = -1/s over the outer band
     w = wg / Z
-    if not isinstance(tail, TailModel):
-        c1 = np.array([complex(tail)])
-        tail = TailModel(Z=float(Z), pos=c1, neg=c1)
     rvals = (-lam) * tail.series(lam)
     x_H = np.atleast_1d(np.asarray(x_H, dtype=float))
     th = -np.outer(x_H, lam) + 2.0 * t * lam**2

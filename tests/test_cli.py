@@ -88,10 +88,10 @@ def test_unknown_config_field_is_refused(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("config", [
-    {"N": "abc"}, {"N": 512.5}, {"N": True}, {"tail": "no"}, {"tail": 0},
-    {"amplitude": "0.04"}, {"width": 10**400}, {"outdir": 5}, {"pipeline": 3}, [1, 2], "N",
-], ids=["str-int", "fraction-int", "bool-int", "str-bool", "int-bool", "str-float",
-        "huge-float", "int-str", "int-pipeline", "array", "string"])
+    {"N": "abc"}, {"N": 512.5}, {"N": True}, {"amplitude": "0.04"}, {"width": 10**400},
+    {"outdir": 5}, {"pipeline": 3}, [1, 2], "N",
+], ids=["str-int", "fraction-int", "bool-int", "str-float", "huge-float", "int-str",
+        "int-pipeline", "array", "string"])
 def test_wrongly_typed_config_exits_2(tmp_path, capsys, config):
     # each field takes only its own JSON type, and the file holds an object
     cfg = tmp_path / "cfg.json"
@@ -104,11 +104,11 @@ def test_wrongly_typed_config_exits_2(tmp_path, capsys, config):
 
 @pytest.mark.parametrize("flags", [
     ["--decay-floor", "nan"], ["--a-floor", "nan"], ["--decay-floor", "-1"],
-    ["--z-min", "nan"], ["--Z", "1e308"],
-], ids=["nan-decay-floor", "nan-a-floor", "negative-decay-floor", "nan-z-min", "overflowing-Z"])
+    ["--Z", "1e308"],
+], ids=["nan-decay-floor", "nan-a-floor", "negative-decay-floor", "overflowing-Z"])
 def test_bad_guard_threshold_or_grid_value_exits_2(tmp_path, capsys, flags):
     # a NaN threshold would switch its guard off, a negative one trip it
-    # on every run; a NaN z_min or a grid width that overflows is no grid
+    # on every run; a grid width that overflows is no grid
     code = main(["roundtrip", "--outdir", str(tmp_path / "o")] + SMALL + flags)
     err = capsys.readouterr().err
     assert code == 2
@@ -117,14 +117,32 @@ def test_bad_guard_threshold_or_grid_value_exits_2(tmp_path, capsys, flags):
 
 def test_config_takes_integral_numbers_for_int_fields(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"N": 512.0, "amplitude": 1, "tail": False}))
+    cfg.write_text(json.dumps({"N": 512.0, "amplitude": 1}))
     out = tmp_path / "out"
     assert run(["forward", "--config", str(cfg), "--outdir", str(out)]
                + SMALL[2:], capsys) == 0
     config = json.loads((out / "manifest.json").read_text())["config"]
     assert config["N"] == 512 and isinstance(config["N"], int)
     assert config["amplitude"] == 1.0 and isinstance(config["amplitude"], float)
-    assert config["tail"] is False
+
+
+@pytest.mark.parametrize("flags", [["--no-tail"], ["--tail"], ["--z-min", "0.5"]],
+                         ids=["no-tail", "tail", "z-min"])
+def test_retired_flags_exit_2(tmp_path, capsys, flags):
+    # tail completion is always on and z_min is always the resolved one
+    with pytest.raises(SystemExit) as exit_:
+        main(["roundtrip", "--outdir", str(tmp_path / "o")] + SMALL + flags)
+    capsys.readouterr()
+    assert exit_.value.code == 2
+
+
+@pytest.mark.parametrize("config", [{"tail": False}, {"z_min": 0.5}], ids=["tail", "z-min"])
+def test_retired_config_fields_exit_2(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["roundtrip", "--config", str(cfg), "--outdir", str(tmp_path / "o")] + SMALL)
+    assert code == 2
+    assert "unknown config fields" in capsys.readouterr().err
 
 
 def test_missing_input_file_exits_2(tmp_path, capsys):

@@ -127,6 +127,16 @@ def test_bound_state_floor_triggers():
     assert err.value.min_abs_a < 0.9999
 
 
+@pytest.mark.parametrize("a_floor", [float("nan"), -0.5, float("inf")])
+def test_bad_a_floor_is_refused(a_floor):
+    # a NaN floor would switch the bound-state guard off, a negative or
+    # infinite one is no floor at all
+    p = gaussian_potential(N=256)
+    zgrid = make_spectral_grid(40.0, 256, z_min=0.9)
+    with pytest.raises(InvalidArgumentError, match="a_floor"):
+        reflection_coefficient(p, zgrid, a_floor=a_floor)
+
+
 def test_substep_cap_rejects_unresolvable_lam():
     p = gaussian_potential(N=512)
     with pytest.raises(ResolutionExceededError):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from scipy.special import dawsn, erf
@@ -12,7 +10,6 @@ from wkist.lattice import (
     cauchy_plus,
     cumulative_integral,
     gridfunction_to_csv,
-    gridfunction_to_json,
     make_spatial_grid,
     make_spectral_grid,
 )
@@ -46,8 +43,6 @@ def test_spectral_grid_rejects_bad_sizes():
         make_spectral_grid(40.0, 100)  # not a power of two
     with pytest.raises(InvalidArgumentError):
         make_spectral_grid(40.0, 4096, z_min=50.0)
-    with pytest.raises(InvalidArgumentError):
-        make_spectral_grid(40.0, 4096, padding=3)
 
 
 def test_gridfunction_validates_length_and_finiteness():
@@ -226,11 +221,3 @@ def test_csv_round_trips_at_full_precision(tmp_path):
     assert rows[0] == "coordinate,re,im"
     parsed = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
     assert np.array_equal(parsed[:, 1] + 1j * parsed[:, 2], values)
-
-
-def test_json_serialization_carries_grid_metadata():
-    grid = make_spectral_grid(40.0, 64, z_min=0.25)
-    payload = json.loads(gridfunction_to_json(GridFunction(grid, np.ones(64))))
-    assert payload["grid"]["kind"] == "SpectralGrid"
-    assert payload["grid"]["z_min"] == 0.25
-    assert payload["re"] == [1.0] * 64

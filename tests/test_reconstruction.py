@@ -5,6 +5,7 @@ from wkist.direct_scattering import reflection_coefficient
 from wkist.errors import (
     HodographInconsistentError,
     HodographUnsolvedError,
+    InvalidArgumentError,
     RangeError,
     SlopeConditionError,
 )
@@ -141,9 +142,18 @@ def test_inverse_transform_rejects_oversized_window():
     grid = make_spatial_grid(4.0, 256)
     p = make_potential(grid, lambda x: 0.01 * np.exp(-(x**2)))
     sd = reflection_coefficient(p, make_spectral_grid(40.0, 512, z_min=0.9))
-    from wkist.errors import InvalidArgumentError
     with pytest.raises(InvalidArgumentError):
         inverse_transform(sd, 0.0, grid, window=10.0)
+
+
+@pytest.mark.parametrize("decay_floor", [float("nan"), -1e-6, float("inf")])
+def test_inverse_transform_refuses_a_bad_decay_floor(decay_floor):
+    # a NaN floor would switch the range guard off
+    grid = make_spatial_grid(4.0, 256)
+    p = make_potential(grid, lambda x: 0.01 * np.exp(-(x**2)))
+    sd = reflection_coefficient(p, make_spectral_grid(40.0, 512, z_min=0.9))
+    with pytest.raises(InvalidArgumentError, match="decay_floor"):
+        inverse_transform(sd, 0.0, grid, window=3.0, decay_floor=decay_floor)
 
 
 def test_inverse_builds_jump_derivatives_once_per_chunk(monkeypatch):

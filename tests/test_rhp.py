@@ -14,20 +14,20 @@ from wkist.rhp import (
     TailModel,
     _apply_cw,
     _dense_solve,
+    _in_w_plus,
     _jump_derivatives,
     _jump_entries,
     _l2_residual,
     _moment_rows,
     _neumann,
     _solve_batch,
+    _unpack_mu,
     build_factorization,
     delta_function,
     dx_m1,
-    fit_tail_coefficient,
     fit_tail_model,
     m1_moment,
     outer_band_moments,
-    phase,
     solve_dmu,
     solve_mu,
     suggest_z_min,
@@ -41,13 +41,6 @@ def small_reflection(N=1024, N_z=1024, z_min=0.5, amp=0.05):
     p = make_potential(grid, lambda x: amp * np.exp(-(x**2)))
     zgrid = make_spectral_grid(40.0, N_z, z_min=z_min)
     return reflection_coefficient(p, zgrid)
-
-
-def test_phase_values_and_pole():
-    assert phase(2.0, 3.0, 0.25) == pytest.approx(3.0 / 2.0 + 2 * 0.25 / 4.0)
-    assert phase(-1.0, 1.0, 0.0) == pytest.approx(-1.0)
-    with pytest.raises(InvalidArgumentError):
-        phase(0.0, 1.0, 1.0)
 
 
 def test_delta_boundary_relation_is_exact():
@@ -73,14 +66,14 @@ def test_factorization_entries_triangular():
     theta[nz] = -1.3 / z[nz] + 2 * 0.2 / z[nz] ** 2
     assert np.max(np.abs(f.theta - theta)) < 1e-13
     expect = sd.r * np.exp(2j * theta)
-    assert np.max(np.abs(f.w_plus[:, 1, 0] - expect)) < 1e-13
-    assert np.max(np.abs(f.w_minus[:, 0, 1] - np.conj(sd.r) * np.exp(-2j * theta))) < 1e-13
-    # only one entry per triangle
-    assert not f.w_plus[:, 0, 1].any()
-    assert not f.w_minus[:, 1, 0].any()
+    assert np.max(np.abs(f.u21 - expect)) < 1e-13
+    assert np.max(np.abs(f.u12 - np.conj(sd.r) * np.exp(-2j * theta))) < 1e-13
+    # one entry per triangle: (2,1) in w_+, (1,2) in w_-
+    assert _in_w_plus(TRIANGULAR, 21) and not _in_w_plus(TRIANGULAR, 12)
     assert f.d1 == 0.0
     # derivative entries are (+-2i/z) times the entries
-    ratio = f.dw_plus[nz, 1, 0] - (2j / z[nz]) * f.w_plus[nz, 1, 0]
+    du21, _ = _jump_derivatives(f.u21, f.u12, f.zgrid)
+    ratio = du21[nz] - (2j / z[nz]) * f.u21[nz]
     assert np.max(np.abs(ratio)) < 1e-14
 
 
@@ -90,8 +83,9 @@ def test_factorization_entries_delta_conjugated():
     f = build_factorization(r, 0.8, 0.0, DELTA_CONJUGATED)
     assert f.rho is not None
     assert np.max(np.abs(f.rho - sd.r * f.Delta)) < 1e-15
-    assert np.max(np.abs(f.w_minus[:, 1, 0] - f.rho * np.exp(2j * f.theta))) < 1e-13
-    assert not f.w_plus[:, 1, 0].any()
+    assert np.max(np.abs(f.u21 - f.rho * np.exp(2j * f.theta))) < 1e-13
+    # the (2,1) entry sits in w_-, the (1,2) entry in w_+
+    assert not _in_w_plus(DELTA_CONJUGATED, 21) and _in_w_plus(DELTA_CONJUGATED, 12)
     # d1 = (1/2 pi i) int log(1+|r|^2) ds is purely imaginary
     assert abs(f.d1.real) < 1e-18
     assert f.d1.imag != 0.0
@@ -168,6 +162,43 @@ def test_derivative_solve_matches_finite_differences():
         assert np.max(np.abs(sol.dmu - fd)) < 1e-5
 
 
+def test_solve_dmu_takes_its_right_hand_side_from_the_mu_passes(monkeypatch):
+    # solve_dmu and dx_m1 follow the inverse's derivative path: C_dw(mu)
+    # and int mu dw come from the passes solve_mu kept, so the derivative
+    # solve makes only its own 2 s' + 1 kernel passes, and it matches the
+    # plain definition through _apply_cw and _jump_derivatives
+    sd = small_reflection(N=512, N_z=512, z_min=0.9)
+    zg = sd.zgrid
+    r = GridFunction(zg, sd.r)
+    kernel = wkist.rhp._cauchy_plus_batch
+    for x_H, kind in ((-0.5, TRIANGULAR), (0.5, DELTA_CONJUGATED)):
+        f = build_factorization(r, x_H, 0.0, kind)
+        sol = solve_mu(f)
+        calls = []
+
+        def counted(values, grid, minus=False):
+            calls.append(np.shape(values))
+            return kernel(values, grid, minus)
+
+        monkeypatch.setattr(wkist.rhp, "_cauchy_plus_batch", counted)
+        solve_dmu(f, sol)
+        monkeypatch.undo()
+        assert sol.solver_dmu == "neumann"
+        assert len(calls) == 2 * sol.iterations_dmu + 1
+
+        x1, x2 = _unpack_mu(sol.mu)
+        du21, du12 = _jump_derivatives(f.u21[None], f.u12[None], zg)
+        g1, g2 = _apply_cw(x1, x2, du21, du12, kind, zg)
+        rows = _dense_solve(f.u21, f.u12, [(g1[i, 0], g2[i, 0]) for i in range(2)], kind, zg)
+        for i, (d1, d2) in enumerate(rows):
+            assert np.max(np.abs(sol.dmu[:, i, 0] - d1)) < 1e-9
+            assert np.max(np.abs(sol.dmu[:, i, 1] - d2)) < 1e-9
+        reference = (_moment_rows(*_unpack_mu(sol.dmu), f.u21[None], f.u12[None], zg.spacing),
+                     _moment_rows(x1, x2, du21, du12, zg.spacing))
+        want = sum(np.stack([e[0][:, 0], e[1][:, 0]], axis=-1) for e in reference)
+        assert np.max(np.abs(dx_m1(f, sol) - want)) < 1e-9 * (1.0 + np.max(np.abs(want)))
+
+
 def test_moment_derivative_matches_finite_differences():
     sd = small_reflection()
     r = GridFunction(sd.zgrid, sd.r)
@@ -226,16 +257,6 @@ def test_suggest_z_min_scales_with_demand():
         suggest_z_min(0.5, 8, window=1e6, t_max=0.0)
 
 
-def test_tail_fit_recovers_large_z_coefficient():
-    sd = small_reflection(N=2048, N_z=2048)
-    c1 = fit_tail_coefficient(sd)
-    # r ~ c1/z at the band edge: check against the outermost samples
-    z_edge = sd.zgrid.points[sd.active][-1]
-    r_edge = sd.r[sd.active][-1]
-    assert abs(c1 / z_edge - r_edge) < 1e-7
-    assert abs(c1.imag) < 1e-9
-
-
 def test_tail_model_recovers_polynomial_coefficients():
     # manufacture reflection data whose tail is exactly a cubic in 1/z
     zg = make_spectral_grid(40.0, 4096, z_min=0.5)
@@ -276,18 +297,23 @@ def test_tail_model_recovers_polynomial_coefficients():
     assert abs(total - tails["m1_12"][0]) < 1e-7
 
 
+def one_term_tail(c1, Z):
+    """The tail model r ~ c1/s on both sides."""
+    c = np.array([complex(c1)])
+    return TailModel(Z=float(Z), pos=c, neg=c)
+
+
 def test_outer_band_moments_quadrature_is_converged():
-    lo = outer_band_moments(0.09 + 0.002j, 40.0, np.array([-3.0, 0.0, 2.5]),
-                            0.4, nodes=96)
-    hi = outer_band_moments(0.09 + 0.002j, 40.0, np.array([-3.0, 0.0, 2.5]),
-                            0.4, nodes=480)
+    tail = one_term_tail(0.09 + 0.002j, 40.0)
+    lo = outer_band_moments(tail, 40.0, np.array([-3.0, 0.0, 2.5]), 0.4, nodes=96)
+    hi = outer_band_moments(tail, 40.0, np.array([-3.0, 0.0, 2.5]), 0.4, nodes=480)
     for key in ("m1_12", "m1_21", "dx_m1_12", "dx_m1_21"):
         assert np.max(np.abs(lo[key] - hi[key])) < 1e-12
 
 
 def test_outer_band_moments_shrink_with_z():
-    near = outer_band_moments(0.09, 40.0, np.array([1.0]), 0.0)
-    far = outer_band_moments(0.09, 80.0, np.array([1.0]), 0.0)
+    near = outer_band_moments(one_term_tail(0.09, 40.0), 40.0, np.array([1.0]), 0.0)
+    far = outer_band_moments(one_term_tail(0.09, 80.0), 80.0, np.array([1.0]), 0.0)
     assert np.abs(far["dx_m1_12"][0]) < np.abs(near["dx_m1_12"][0])
 
 
@@ -308,7 +334,6 @@ def test_tail_band_rhs_matches_log_kernel():
     with np.errstate(divide="ignore", invalid="ignore"):
         L = np.where(np.abs(z) < 1e-12, 2.0 / Z, np.log((Z + z) / (Z - z)) / z)
     assert np.abs(out["T12"][0] - np.conj(c1) / (2j * np.pi) * L).max() < 1e-10
-    assert np.abs(out["T21"][0] - c1 / (2j * np.pi) * L).max() < 1e-10
 
 
 def test_tail_band_rhs_derivative_matches_finite_difference():
@@ -320,9 +345,8 @@ def test_tail_band_rhs_derivative_matches_finite_difference():
     lo = tail_band_rhs(tm, zg, np.array([xh - d]), 0.0)
     hi = tail_band_rhs(tm, zg, np.array([xh + d]), 0.0)
     mid = tail_band_rhs(tm, zg, np.array([xh]), 0.0)
-    for key in ("T12", "T21"):
-        fd = (hi[key][0] - lo[key][0]) / (2 * d)
-        assert np.abs(mid["d" + key][0] - fd).max() < 1e-10
+    fd = (hi["T12"][0] - lo["T12"][0]) / (2 * d)
+    assert np.abs(mid["dT12"][0] - fd).max() < 1e-10
 
 
 def test_tail_rhs_pulls_band_solution_toward_wide_grid():

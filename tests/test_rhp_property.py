@@ -10,7 +10,6 @@ from wkist.lattice import GridFunction, _cauchy_plus_batch, make_spectral_grid  
 from wkist.rhp import (  # noqa: E402
     DELTA_CONJUGATED,
     TRIANGULAR,
-    TailModel,
     _apply_cw,
     _dense_solve,
     _derivative_pass,
@@ -22,7 +21,6 @@ from wkist.rhp import (  # noqa: E402
     delta_function,
     solve_dmu,
     solve_mu,
-    tail_band_rhs,
 )
 
 ZGRID = make_spectral_grid(20.0, 256, z_min=0.5)
@@ -82,18 +80,6 @@ def test_row_2_is_the_schwarz_reflection_of_row_1(seed, amplitude, x_H, kind):
     for m in (sol.mu, sol.dmu):
         assert np.max(np.abs(m[:, 1, 0] + np.conj(m[:, 0, 1]))) < 1e-9
         assert np.max(np.abs(m[:, 1, 1] - np.conj(m[:, 0, 0]))) < 1e-9
-
-
-@hypothesis.settings(max_examples=20, deadline=None)
-@hypothesis.given(seed=st.integers(0, 2**32 - 1), x_H=st.floats(-6.0, 6.0),
-                  t=st.floats(0.0, 0.5))
-def test_tail_band_rhs_has_the_schwarz_symmetry(seed, x_H, t):
-    rng = np.random.default_rng(seed)
-    pos, neg = 0.1 * (rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4)))
-    out = tail_band_rhs(TailModel(Z=ZGRID.half_width, pos=pos, neg=neg), ZGRID,
-                        np.array([x_H, -x_H]), t)
-    assert np.max(np.abs(out["T21"] + np.conj(out["T12"]))) < 1e-15
-    assert np.max(np.abs(out["dT21"] + np.conj(out["dT12"]))) < 1e-15
 
 
 @hypothesis.settings(max_examples=30, deadline=None)
