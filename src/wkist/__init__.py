@@ -67,7 +67,6 @@ from .rhp import (
     delta_function,
     dx_m1,
     m1_moment,
-    solve_dmu,
     solve_mu,
     suggest_z_min,
 )

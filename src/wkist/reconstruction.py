@@ -2,7 +2,8 @@
 
 The chain per hodograph cell x_H:
 
-1. solve the jump RHP and read off s(x_H) = d/dx_H m^(1)_{12},
+1. solve the jump RHP and read off s(x_H) = d/dx_H m^(1)_{12}
+   = 2i M11(0) M12(0),
 2. undo the stereographic slope:  |q_H|^2 = |s|^2 / (1 - |s|^2),
    q_H = sqrt(1 + |q_H|^2) s,
 3. undo the hodograph map.  The physical coordinate satisfies
@@ -224,14 +225,20 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
     Hodograph cells x_H <= 0 use the Triangular factorization; cells
     x_H > 0 use the DeltaConjugated one (each keeps its oscillatory
     entries decaying in the half-plane its projection sees).  Every solve
-    adds the fitted tail's band terms and stops at ``NEUMANN_TOL``; the
+    adds the fitted tail's band term and stops at ``NEUMANN_TOL``; the
     slope must stay below 1 - ``SLOPE_MARGIN``.
 
     ``decay_floor`` bounds how large the recovered q_H may be at the
     sweep-window ends; the reconstruction noise there scales with the
     spectral quadrature error, so coarse z-grids need a looser floor.
+
+    The reflection data must vanish off ``sd.active`` (|z| < z_min and
+    z = 0), as the forward map leaves it: the slope is read off M(0),
+    which needs a jump that is the identity around z = 0.
     """
     check_threshold("decay_floor", decay_floor)
+    if np.any(sd.r[~sd.active] != 0):
+        raise InvalidArgumentError("reflection data is nonzero for |z| < z_min or at z = 0")
     if window > xgrid.half_width:
         raise InvalidArgumentError("window exceeds the spatial grid half-width")
     sd_t = evolve_reflection(sd, t - sd.time) if t != sd.time else sd
@@ -254,8 +261,7 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
     n_cells = sweep.size
     m12 = np.zeros(n_cells, dtype=complex)
     m11 = np.zeros(n_cells, dtype=complex)
-    m11_raw = np.zeros(n_cells, dtype=complex)   # before the d1 shift: 1/s
-    dm11 = np.zeros(n_cells, dtype=complex)      # coefficients of mu_11
+    m11_raw = np.zeros(n_cells, dtype=complex)   # before the d1 shift
     dx12 = np.zeros(n_cells, dtype=complex)
     cells = []
     dense_count = 0
@@ -267,23 +273,19 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
             if block.size == 0:
                 continue
             u21, u12, _ = _jump_entries(kind, rv, zgrid, block[:, None], 0.0, Delta)
-            trhs = tail_band_rhs(tail, zgrid, block, 0.0, band)
-            # row 1 of mu and dmu: the only row the moments below read
-            out = _solve_batch(u21, u12, kind, zgrid, tail_rhs=trhs)
+            # row 1 of mu: the only row the moments and the slope read
+            out = _solve_batch(u21, u12, kind, zgrid,
+                               tail_rhs=tail_band_rhs(tail, zgrid, block, 0.0, band))
             e11, e12 = _moment_rows(*out["mu"], u21, u12, zgrid.spacing)
-            a = _moment_rows(*out["dmu"], u21, u12, zgrid.spacing)
-            b = out["moment_du"]
             sl = offset
             m11_raw[sl:sl + block.size] = e11
-            dm11[sl:sl + block.size] = a[0] + b[0]
             if kind == DELTA_CONJUGATED:
                 e11 = e11 - d1
             m12[sl:sl + block.size] = e12
             m11[sl:sl + block.size] = e11
-            dx12[sl:sl + block.size] = a[1] + b[1]
+            dx12[sl:sl + block.size] = out["slope"]
             dense_count += int(np.sum(out["solver"] == "dense"))
-            worst_residual = max(worst_residual, float(out["residual"].max()),
-                                 float(np.nanmax(out["residual_dmu"])))
+            worst_residual = max(worst_residual, float(out["residual"].max()))
             for j, xh in enumerate(block):
                 cells.append({
                     "x_H": float(xh), "t": float(t), "kind": kind,
@@ -294,9 +296,7 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
                 })
             offset += block.size
 
-    tails = outer_band_moments(tail, zgrid.half_width, sweep, 0.0, m11=m11_raw, dm11=dm11)
-    m12 = m12 + tails["m1_12"]
-    dx12 = dx12 + tails["dx_m1_12"]
+    m12 = m12 + outer_band_moments(tail, zgrid.half_width, sweep, 0.0, m11=m11_raw)["m1_12"]
 
     q_H = qh_from_slope(dx12)
 

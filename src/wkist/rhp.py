@@ -25,9 +25,7 @@ coefficient of log delta).  ``m1_moment`` undoes this, making the two
 factorization kinds report the moment of the same underlying problem.
 
 In both kinds the (2,1)-position entry carries e^{+2 i theta} and the
-(1,2)-position entry carries e^{-2 i theta}, theta = x_H/z + 2 t/z^2,
-so the x_H-derivatives of the jump entries are exactly (+-2i/z) times
-the entries themselves.
+(1,2)-position entry carries e^{-2 i theta}, theta = x_H/z + 2 t/z^2.
 
 The equation (I - C_w) X = rhs is solved a batch of cells at a time by
 block Gauss-Seidel sweeps that measure their exact residual at no extra
@@ -36,24 +34,23 @@ C+ or C- directly); cells on which the sweeps do not converge are solved
 again by dense collocation (``_dense_solve``).  The two rows of X solve
 the same operator with their own right-hand sides, so a solve takes only
 the rows it is given and its cost scales with their count.
-``solve_mu``/``solve_dmu`` solve both rows; the inverse transform
-(``_solve_batch``) solves row 1 alone, since m^(1)_11, m^(1)_12 and
-their x_H-derivatives are integrals of row 1, and the residuals it
-reports are row 1's.
+``solve_mu`` solves both rows; the inverse transform (``_solve_batch``)
+solves row 1 alone, since m^(1)_11, m^(1)_12 and the slope are
+integrals of row 1, and the residuals it reports are row 1's.
 
-The dmu right-hand side C_dw(mu) costs no kernel pass.  On the grid
-z_k = h (k - k0), with z_k0 = 0, the sinc kernel satisfies the exact
-discrete identity
+The x_H-derivative of the moment needs no second solve.  The jump
+depends on x_H only through e^{i (x_H/z) sigma3} and is the identity
+for |z| < z_min, so M(z) is analytic at z = 0 and M(z) e^{-i (x_H/z)
+sigma3} has an x_H-independent jump; by Liouville (the Lax pair of the
+RHP, Beals & Coifman, CPAM 37, 1984)
 
-    C[f/z]_k = (1/z_k) (C[f]_k + (ih/pi) sum_{k-j odd} f_j/z_j),  k != k0,
+    d m^(1)/d x_H = -i (M(0) sigma3 M(0)^{-1} - sigma3),
 
-for f_k0 = 0 (``_derivative_pass`` gives the node k0 and the term for
-f_k0 != 0), and dw = (+-2i/z) w.  The last column-1 update and the
-residual pass of the mu solve are C(mu_12 u21) and C(mu_11 u12), so two
-per-parity sums per cell turn them into C_dw(mu); the same sums give
-the moment part int mu dw.  A batch of cells makes 2 s + 1 + 2 s' + 1
-kernel passes for s mu sweeps and s' dmu sweeps.  ``solve_dmu`` and
-``dx_m1`` take this one derivative path too, for both rows.
+whose (1,2) entry is the slope 2i M11(0) M12(0).  M(0) - I =
+(1/2 pi i) int mu (w_+ + w_-) ds/s is a sum over every node but z = 0
+(``_m0_rows``); the DeltaConjugated kind solves for M(z) delta(z)^{sigma3},
+which leaves both the product and the derivative unchanged.  A batch of
+cells makes 2 s + 1 kernel passes for s sweeps.
 """
 
 from __future__ import annotations
@@ -72,7 +69,6 @@ __all__ = [
     "delta_function",
     "build_factorization",
     "solve_mu",
-    "solve_dmu",
     "m1_moment",
     "dx_m1",
     "suggest_z_min",
@@ -88,6 +84,7 @@ DENSE_CAP = 1024
 
 TRIANGULAR = "Triangular"
 DELTA_CONJUGATED = "DeltaConjugated"
+SIGMA3 = np.diag([1.0, -1.0])
 
 
 def delta_function(r: GridFunction):
@@ -139,24 +136,12 @@ class JumpFactorization:
 
 @dataclass
 class RHPSolution:
-    """A solve of one factorization, both rows.
-
-    ``passes`` is the pair (C(X_12 u21), C(X_11 u12)) of the solved mu,
-    each (2, 1, N), from which :func:`solve_dmu` builds its right-hand
-    side; ``moment_du`` is the part -(1/2 pi i) int mu dw ds of the
-    x_H-derivative of the moment, as the column pair :func:`dx_m1` adds.
-    """
+    """A solve of one factorization, both rows."""
 
     mu: np.ndarray                 # (N, 2, 2)
     residual: float
     iterations: int
     solver: str
-    dmu: Optional[np.ndarray] = None
-    residual_dmu: float = np.nan
-    iterations_dmu: int = 0
-    solver_dmu: str = ""
-    passes: tuple = ()
-    moment_du: tuple = ()
 
 
 def _inv_z(zgrid: SpectralGrid) -> np.ndarray:
@@ -182,16 +167,6 @@ def _jump_entries(kind, r_values, zgrid, x_H_col, t, Delta=None):
         raise InvalidArgumentError(f"unknown factorization kind {kind!r}")
     # conj(r) / e2 up to an ulp, since |e2| = 1
     return u21, np.conj(u21), theta
-
-
-def _jump_derivatives(u21, u12, zgrid):
-    """x_H-derivatives of the jump entries: (2i/z) u21 and (-2i/z) u12.
-
-    The solves never form them (:func:`_derivative_pass`); this is the
-    plain definition the tests check that path against.
-    """
-    iz = _inv_z(zgrid)
-    return 2j * iz * u21, -2j * iz * u12
 
 
 def build_factorization(r: GridFunction, x_H: float, t: float, kind: str) -> JumpFactorization:
@@ -293,21 +268,16 @@ def _neumann(u21, u12, rhs1, rhs2, kind, zgrid,
     solve that stops after s >= 1 sweeps therefore makes 2 s + 1 kernel
     passes, and the reported residual is exact for the rows solved.
 
-    The last column-1 update and the residual pass are C_w of the
-    returned iterate, C(x2 u21) and C(x1 u12); they are handed back, so
-    the caller can build the d mu/d x_H right-hand side from them
-    (:func:`_derivative_pass`) instead of projecting again.
-
     Returns the solution columns (x1, x2), per-cell residuals over the
-    given rows, sweep count, converged mask, per cell the sweep at which
-    its residual first met ``tol`` (the sweep count for cells that never
-    did), and the pass pair (C(x2 u21), C(x1 u12)).
+    given rows, sweep count, converged mask, and per cell the sweep at
+    which its residual first met ``tol`` (the sweep count for cells that
+    never did).
     """
     h = zgrid.spacing
     # a copy: the dense fallback writes into the returned columns
     x1 = np.array(rhs1, dtype=complex)
-    c12 = _half_step(x1, u12, 12, kind, zgrid)
-    x2 = c12 + rhs2
+    x2 = _half_step(x1, u12, 12, kind, zgrid)
+    x2 += rhs2
     met = np.zeros(len(u21), dtype=int)
     iterations = 0
     # divergence is detected and handed to the dense fallback, so the
@@ -315,11 +285,8 @@ def _neumann(u21, u12, rhs1, rhs2, kind, zgrid,
     first = None
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, cap + 1):
-            # a pass is held only while it belongs to the iterate, so the
-            # sweeps hold no more arrays than they need
-            c12 = None
-            c21 = _half_step(x2, u21, 21, kind, zgrid)
-            new1 = rhs1 + c21
+            new1 = _half_step(x2, u21, 21, kind, zgrid)
+            new1 += rhs1
             res = _l2_residual(new1 - x1, h)
             x1 = new1
             met[(met == 0) & (res < tol)] = iterations
@@ -328,19 +295,16 @@ def _neumann(u21, u12, rhs1, rhs2, kind, zgrid,
             hopeless = ~np.isfinite(res) | (res > 1e8 * first + 1e8)
             if iterations == cap or np.all((res < tol) | hopeless):
                 break
-            c21 = None
             x2 = _half_step(x1, u12, 12, kind, zgrid)
             x2 += rhs2
         if iterations == 0:
             # no sweep ran: column 2 holds exactly and column 1 carries
             # the whole residual
-            c21 = _half_step(x2, u21, 21, kind, zgrid)
-            res = _l2_residual(c21, h)
+            res = _l2_residual(_half_step(x2, u21, 21, kind, zgrid), h)
         else:
-            c12 = _half_step(x1, u12, 12, kind, zgrid)
-            res = _l2_residual(x2 - rhs2 - c12, h)
+            res = _l2_residual(x2 - rhs2 - _half_step(x1, u12, 12, kind, zgrid), h)
     met[met == 0] = iterations
-    return (x1, x2), res, iterations, res < tol, met, (c21, c12)
+    return (x1, x2), res, iterations, res < tol, met
 
 
 def _dense_matrix(u21_row, u12_row, kind, zgrid):
@@ -383,12 +347,10 @@ def _solve(u21, u12, rhs, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP):
     by dense collocation (grids up to N = DENSE_CAP) and its residual is
     recomputed from the dense solution, which must then meet 100 tol.
     Returns the solution columns, the per-cell residuals, the sweep
-    count, the mask of cells solved densely, the per-cell sweep counts
-    and the pass pair (C(x2 u21), C(x1 u12)) of the returned solution
-    (for a dense cell, the pair its residual was recomputed from).
+    count, the mask of cells solved densely and the per-cell sweep
+    counts.
     """
-    (x1, x2), res, iterations, ok, met, (c21, c12) = _neumann(
-        u21, u12, *rhs, kind, zgrid, tol, cap)
+    (x1, x2), res, iterations, ok, met = _neumann(u21, u12, *rhs, kind, zgrid, tol, cap)
     rhs1, rhs2 = rhs
     dense = ~ok
     for j in np.nonzero(dense)[0]:
@@ -396,107 +358,55 @@ def _solve(u21, u12, rhs, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP):
         for i, (a1, a2) in enumerate(rows):
             x1[i, j], x2[i, j] = a1, a2
         cell = np.s_[:, j:j + 1]
-        c21[cell], c12[cell] = _apply_cw(x1[cell], x2[cell], u21[j:j + 1], u12[j:j + 1],
-                                         kind, zgrid)
-        res[j] = _l2_residual([x1[cell] - rhs1[cell] - c21[cell],
-                               x2[cell] - rhs2[cell] - c12[cell]], zgrid.spacing)[0]
+        c21, c12 = _apply_cw(x1[cell], x2[cell], u21[j:j + 1], u12[j:j + 1], kind, zgrid)
+        res[j] = _l2_residual([x1[cell] - rhs1[cell] - c21,
+                               x2[cell] - rhs2[cell] - c12], zgrid.spacing)[0]
         if res[j] > 100 * tol:
             raise RhpUnsolvedError(
                 f"dense fallback residual {res[j]:.3e} still above tolerance"
             )
-    return (x1, x2), res, iterations, dense, met, (c21, c12)
-
-
-def _derivative_pass(c, x, u, sign, zgrid):
-    """C[x du] and the trapezoid integral of x du, du = sign 2i u/z, from c = C[x u].
-
-    ``c`` is the projection (C+ or C-) of x u that a mu solve already
-    made; it is overwritten with that of x du.  The sinc kernel obeys an
-    exact discrete identity.  With z_k = h (k - k0) and the node k0 at
-    z = 0, z_k / ((k - j) z_j) = 1/(k - j) + h/z_j, so for any samples f
-
-        C[f/z]_k = (1/z_k) (C[f]_k + (ih/pi) sum_{k-j odd} f_j/z_j
-                            - (ih/pi) f_k0/z_k [k - k0 odd]),
-        C[f/z]_k0 = -(ih/pi) sum_{j-k0 odd} f_j/z_j^2,
-
-    where f/z is read as 0 at k0 (``_inv_z``).  The last term removes
-    the node k0's own kernel entry and vanishes when f_k0 = 0, as it
-    does whenever r(0) = 0.  With f = x u, two per-parity sums per cell
-    finish the pass, and a third gives the node k0; the same weights
-    give the moment integral.  k0 = N/2 is even, so index parity is the
-    parity of k - k0.
-    """
-    n, h = zgrid.point_count, zgrid.spacing
-    k0 = n // 2
-    iz = _inv_z(zgrid)
-    odd = np.arange(n) % 2 == 1
-    trapezoid = np.ones(n)
-    trapezoid[[0, -1]] = 0.5
-    weights = np.stack([np.where(odd, 0.0, iz), np.where(odd, iz, 0.0),
-                        np.where(odd, iz * iz, 0.0), trapezoid * iz], axis=-1)
-    p = x * u
-    sums = p @ weights.astype(complex)         # (..., 4)
-    k = 1j * h / np.pi
-    c[..., 0::2] += k * sums[..., 1, None]
-    c[..., 1::2] += k * sums[..., 0, None]
-    f0 = p[..., k0]
-    if np.any(f0):
-        c[..., 1::2] -= (k * f0)[..., None] * iz[1::2]
-    d = sign * 2j
-    c *= d * iz
-    c[..., k0] = -d * k * sums[..., 2]
-    return c, d * h * sums[..., 3]
+    return (x1, x2), res, iterations, dense, met
 
 
 def _solve_batch(u21, u12, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP,
                  tail_rhs=None):
-    """Row 1 of mu and of d mu/d x_H, with residuals, for (B, N) cells.
+    """Row 1 of mu and the slope d m^(1)_12/d x_H, with residuals, for (B, N) cells.
 
-    The inverse map reads m^(1)_11, m^(1)_12 and their x_H-derivatives,
-    which are integrals of row 1 only, and row 1's equations do not
-    involve row 2; so only row 1 is solved, and every kernel pass
-    transforms a (1, B, N) stack.  "mu" and "dmu" are the pairs
-    (X11, X12) of (B, N) arrays; the residuals are row 1's.
+    The inverse map reads m^(1)_11, m^(1)_12 and the slope, which are
+    integrals of row 1 only, and row 1's equations do not involve row 2;
+    so only row 1 is solved, and every kernel pass transforms a
+    (1, B, N) stack.  "mu" is the pair (X11, X12) of (B, N) arrays; the
+    residuals are row 1's.
 
-    ``tail_rhs`` (from :func:`tail_band_rhs`) carries the Cauchy
+    ``tail_rhs`` (the T12 of :func:`tail_band_rhs`) carries the Cauchy
     transform of the jump beyond the grid edge; adding it to the
     right-hand side solves the full-line equation rather than the
     truncated one, which otherwise leaves an O(1/Z) bias in the moments.
-    A cell is reported as "dense" when either of its solves needed the
-    dense fallback.  "iterations" is the sweep count of the batch's mu
-    solve, "cell_iterations" the sweep at which each cell met ``tol``.
+    "iterations" is the sweep count of the batch's solve,
+    "cell_iterations" the sweep at which each cell met ``tol``.
 
-    The dmu right-hand side C_dw(mu) is not projected again: the jump
-    derivatives are (+-2i/z) times the entries, and
-    :func:`_derivative_pass` turns the two passes the mu solve hands
-    back into C_dw(mu), in their own buffers.  So a batch makes
-    2 s + 1 + 2 s' + 1 kernel passes for s mu and s' dmu sweeps.  The
-    same sums give "moment_du", the part -(1/2 pi i) int mu dw ds of the
-    x_H-derivative of the row-1 moment, as the pair of (B,) entries
-    (1,1) and (1,2).
+    The slope is 2i M11(0) M12(0) (module docstring), from the solved
+    row 1 and, in M12(0), the band term's value at z = 0, which is the
+    outer band's part of the integral.  So a batch makes 2 s + 1 kernel
+    passes for s sweeps.
     """
     shape = (1,) + u21.shape
-    trhs = tail_rhs or {"T12": 0.0, "dT12": 0.0}
+    band = np.broadcast_to(np.asarray(0.0 if tail_rhs is None else tail_rhs, dtype=complex),
+                           u21.shape)
     # read-only broadcasts: the sweeps only read the right-hand side
-    mu, res_mu, it_mu, dense, met_mu, (c21, c12) = _solve(
-        u21, u12, (np.broadcast_to(np.complex128(1.0), shape),
-                   np.broadcast_to(np.asarray(trhs["T12"], dtype=complex), shape)),
+    (x1, x2), res, its, dense, met = _solve(
+        u21, u12, (np.broadcast_to(np.complex128(1.0), shape), band[None]),
         kind, zgrid, tol, cap)
-    g1, i21 = _derivative_pass(c21, mu[1], u21, 1, zgrid)
-    g2, i12 = _derivative_pass(c12, mu[0], u12, -1, zgrid)
-    g2 += trhs["dT12"]
-    dmu, res_dmu, it_dmu, dense_d, _, _ = _solve(u21, u12, (g1, g2), kind, zgrid, tol, cap)
-    pref = -1.0 / (2j * np.pi)
+    mu = (x1[0], x2[0])
+    m11, m12 = _m0_rows(*mu, u21, u12, zgrid)
+    m12 += band[:, zgrid.point_count // 2]
     return {
-        "mu": (mu[0][0], mu[1][0]),
-        "dmu": (dmu[0][0], dmu[1][0]),
-        "residual": res_mu,
-        "residual_dmu": res_dmu,
-        "iterations": it_mu,
-        "cell_iterations": met_mu,
-        "iterations_dmu": it_dmu,
-        "solver": np.where(dense | dense_d, "dense", "neumann"),
-        "moment_du": (pref * i21[0], pref * i12[0]),
+        "mu": mu,
+        "slope": 2j * (1.0 + m11) * m12,
+        "residual": res,
+        "iterations": its,
+        "cell_iterations": met,
+        "solver": np.where(dense, "dense", "neumann"),
     }
 
 
@@ -525,7 +435,7 @@ def solve_mu(f: JumpFactorization, tol: float = NEUMANN_TOL,
     """
     u21, u12 = f.u21[None, :], f.u12[None, :]
     one, zero = np.ones_like(u21), np.zeros_like(u21)
-    x, res, its, dense, _, passes = _solve(
+    x, res, its, dense, _ = _solve(
         u21, u12, (np.stack([one, zero]), np.stack([zero, one])),
         f.kind, f.zgrid, tol, max_iterations)
     return RHPSolution(
@@ -533,30 +443,7 @@ def solve_mu(f: JumpFactorization, tol: float = NEUMANN_TOL,
         residual=float(res[0]),
         iterations=its,
         solver="dense" if dense[0] else "neumann",
-        passes=passes,
     )
-
-
-def solve_dmu(f: JumpFactorization, sol: RHPSolution, tol: float = NEUMANN_TOL,
-              max_iterations: int = NEUMANN_CAP) -> RHPSolution:
-    """Solve (I - C_w) dmu = C_{dw}(mu); fills the derivative part of sol.
-
-    The right-hand side and the moment part int mu dw come from the
-    passes of the mu solve (:func:`_derivative_pass`), as in the inverse.
-    """
-    u21, u12 = f.u21[None, :], f.u12[None, :]
-    x1, x2 = _unpack_mu(sol.mu)
-    c21, c12 = sol.passes
-    g1, i21 = _derivative_pass(c21.copy(), x2, u21, 1, f.zgrid)
-    g2, i12 = _derivative_pass(c12.copy(), x1, u12, -1, f.zgrid)
-    dmu, res, its, dense, _, _ = _solve(u21, u12, (g1, g2), f.kind, f.zgrid, tol, max_iterations)
-    sol.dmu = _pack_mu(*dmu)
-    sol.residual_dmu = float(res[0])
-    sol.iterations_dmu = its
-    sol.solver_dmu = "dense" if dense[0] else "neumann"
-    pref = -1.0 / (2j * np.pi)
-    sol.moment_du = (pref * i21, pref * i12)
-    return sol
 
 
 def _trapezoid_dot(x, u):
@@ -577,6 +464,25 @@ def _moment_rows(x1, x2, u21, u12, h):
     return pref * _trapezoid_dot(x2, u21), pref * _trapezoid_dot(x1, u12)
 
 
+def _m0_rows(x1, x2, u21, u12, zgrid):
+    """M(0) - I = (1/2 pi i) int X (w_+ + w_-) ds/s for the rows given, as a column pair.
+
+    Shapes as in :func:`_moment_rows`.  The grid [-Z, Z) holds one end
+    node, and the integrand, ~ conj(c1)/s^2 out there, takes nearly the
+    same value at +-Z; so the trapezoid rule on [-Z, Z] weights every
+    node fully, the -Z node standing in for both ends, and the band term
+    covers |s| > Z.  (Half weights at both ends, right for the odd 1/s
+    integrand of :func:`_moment_rows`, would drop the cell [Z - h, Z].)
+    The node z = 0, where the jump vanishes, drops out; it is not read
+    off a kernel pass, whose value there sees only the nodes at odd
+    offsets.
+    """
+    iz = _inv_z(zgrid)
+    pref = zgrid.spacing / (2j * np.pi)
+    dot = lambda x, u: np.einsum("...n,...n->...", x * iz, u)
+    return pref * dot(x2, u21), pref * dot(x1, u12)
+
+
 def m1_moment(f: JumpFactorization, sol: RHPSolution) -> np.ndarray:
     """First moment m^(1) of the RHP solution, in the original normalization.
 
@@ -593,16 +499,18 @@ def m1_moment(f: JumpFactorization, sol: RHPSolution) -> np.ndarray:
 
 
 def dx_m1(f: JumpFactorization, sol: RHPSolution) -> np.ndarray:
-    """x_H-derivative of the first moment.
+    """x_H-derivative of the first moment, -i (M(0) sigma3 M(0)^{-1} - sigma3).
 
-    The integral of dmu against the jump plus the part int mu dw that
-    :func:`solve_dmu` took from the mu passes; the delta correction is
-    x_H-independent so no adjustment is needed here.
+    From the solved mu alone (module docstring).  det M = 1, so M(0)^{-1}
+    is the adjugate and the (1,2) entry is the slope 2i M11(0) M12(0)
+    the inverse uses.  The delta conjugation's d1 shift is
+    x_H-independent and its delta(0)^{sigma3} factor commutes with
+    sigma3, so both kinds report the same matrix.
     """
-    if sol.dmu is None:
-        raise InvalidArgumentError("solve_dmu must run before dx_m1")
-    a = _moment_rows(*_unpack_mu(sol.dmu), f.u21[None, :], f.u12[None, :], f.zgrid.spacing)
-    return _moment_matrix(a) + _moment_matrix(sol.moment_du)
+    m = np.eye(2) + _moment_matrix(_m0_rows(*_unpack_mu(sol.mu), f.u21[None, :],
+                                            f.u12[None, :], f.zgrid))
+    adj = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+    return -1j * (m @ SIGMA3 @ adj - SIGMA3)
 
 
 def suggest_z_min(Z: float, N_z: int, window: float = 6.0, t_max: float = 0.0,
@@ -760,8 +668,8 @@ def tail_band_rhs(tail: TailModel, zgrid: SpectralGrid, x_H, t: float,
     sits beyond the endpoint nearest the same-sign grid edge, at a
     distance that shrinks to h/Z^2 for the outermost grid points, so
     the quadrature uses panels geometrically refined toward both
-    endpoints.  Returns T12 and its x_H-derivative dT12 as (B, N_z)
-    arrays, the band terms of row 1, the only row the inverse solves.
+    endpoints.  Returns T12 as a (B, N_z) array, the band term of row
+    1, the only row the inverse solves.
     ``kernel`` is the x_H-independent part from :func:`_tail_band_kernel`
     for this ``tail`` and ``zgrid``; it is built here when not given.
     """
@@ -769,18 +677,15 @@ def tail_band_rhs(tail: TailModel, zgrid: SpectralGrid, x_H, t: float,
     x_H = np.atleast_1d(np.asarray(x_H, dtype=float))
     th = -np.outer(x_H, lam) + 2.0 * t * lam**2
     g12 = conj_P * np.exp(-2j * th)
-    dg12 = g12 * (2j * lam)
 
-    # one real product for both complex rows
+    # one real product for the complex row
     n = len(x_H)
-    S = np.concatenate([g12.real, g12.imag, dg12.real, dg12.imag]) @ K
-    pref = 1.0 / (2j * np.pi)
-    return {"T12": pref * (S[:n] + 1j * S[n:2 * n]),
-            "dT12": pref * (S[2 * n:3 * n] + 1j * S[3 * n:])}
+    S = np.concatenate([g12.real, g12.imag]) @ K
+    return (S[:n] + 1j * S[n:]) / (2j * np.pi)
 
 
 def outer_band_moments(tail: TailModel, Z: float, x_H, t: float, nodes: int = 96,
-                       m11=None, dm11=None) -> dict:
+                       m11=None) -> dict:
     """Analytic completion of the moment integrals over |z| > Z.
 
     The grid truncates the jump contour at +-Z, but r only decays like
@@ -791,15 +696,12 @@ def outer_band_moments(tail: TailModel, Z: float, x_H, t: float, nodes: int = 96
     to lam in (-1/Z, 1/Z), where it is evaluated by Gauss-Legendre
     quadrature with r(s) replaced by its tail model ``tail``.
 
-    ``m11``/``dm11`` (per-x_H arrays) are the 1/s coefficients of
-    mu_11 - 1 and of its x_H-derivative, i.e. the raw first moments of
-    the problem actually solved.  With them the completion keeps the
-    first mu-coupled term of the (1,2) integrand, mu_11 u_12 ~
-    (1 + m11/s) u_12, whose derivative part does not vanish by parity
-    and otherwise leaves a potential-cubic O(dm11 c1 / Z) bias in the
-    recovered slope.  Returns increments for m1_12, m1_21 and their
-    x_H-derivatives (diagonal moments are quadratic in r out there and
-    need none; the (2,1) entries are returned at mu ~ I).
+    ``m11`` (a per-x_H array) is the 1/s coefficient of mu_11 - 1, i.e.
+    the raw first moment of the problem actually solved.  With it the
+    completion keeps the first mu-coupled term of the (1,2) integrand,
+    mu_11 u_12 ~ (1 + m11/s) u_12.  Returns increments for m1_12 and
+    m1_21 (diagonal moments are quadratic in r out there and need none;
+    the (2,1) entry is returned at mu ~ I).
     """
     xg, wg = np.polynomial.legendre.leggauss(nodes)
     lam = xg / Z            # lam = -1/s over the outer band
@@ -813,11 +715,4 @@ def outer_band_moments(tail: TailModel, Z: float, x_H, t: float, nodes: int = 96
     quad = lambda g: pref * (g / lam**2 * w).sum(axis=1)
     # mu11 ~ 1 + m11/s = 1 - m11 lam on the outer band
     mu_c = 0.0 if m11 is None else np.asarray(m11, dtype=complex).reshape(-1, 1)
-    dmu_c = 0.0 if dm11 is None else np.asarray(dm11, dtype=complex).reshape(-1, 1)
-    return {
-        "m1_12": quad(f12 * (1.0 - mu_c * lam)),
-        "m1_21": quad(f21),
-        # d/dx_H [mu11 u12]: dmu11 u12 + mu11 (2 i lam) u12
-        "dx_m1_12": quad(f12 * (-dmu_c * lam) + f12 * (1.0 - mu_c * lam) * (2j * lam)),
-        "dx_m1_21": quad(f21 * (-2j * lam)),
-    }
+    return {"m1_12": quad(f12 * (1.0 - mu_c * lam)), "m1_21": quad(f21)}

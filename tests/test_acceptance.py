@@ -34,7 +34,6 @@ from wkist.rhp import (
     build_factorization,
     dx_m1,
     m1_moment,
-    solve_dmu,
     solve_mu,
     suggest_z_min,
 )
@@ -142,7 +141,7 @@ def test_criterion_5_slope_bound_and_kind_independence(base, capfd):
     vals = {}
     for kind in (TRIANGULAR, DELTA_CONJUGATED):
         f = build_factorization(r, 0.0, 0.0, kind)
-        sol = solve_dmu(f, solve_mu(f))
+        sol = solve_mu(f)
         vals[kind] = (m1_moment(f, sol)[0, 1], dx_m1(f, sol)[0, 1])
     gap = max(abs(vals[TRIANGULAR][j] - vals[DELTA_CONJUGATED][j])
               for j in range(2))
@@ -244,7 +243,7 @@ def test_criterion_10_rhp_solver_agreement(base, capfd):
 
     delta = 1e-3
     f = build_factorization(r, -0.8, 0.0, TRIANGULAR)
-    analytic = dx_m1(f, solve_dmu(f, solve_mu(f)))
+    analytic = dx_m1(f, solve_mu(f))
     up = build_factorization(r, -0.8 + delta, 0.0, TRIANGULAR)
     dn = build_factorization(r, -0.8 - delta, 0.0, TRIANGULAR)
     fd = (m1_moment(up, solve_mu(up)) - m1_moment(dn, solve_mu(dn))) / (2 * delta)

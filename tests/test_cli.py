@@ -194,6 +194,24 @@ def test_reflection_off_its_manifest_grid_exits_2(tmp_path, capsys):
     assert json.loads((out / "error.json").read_text())["kind"] == "invalid-argument"
 
 
+@pytest.mark.parametrize("value", [1e-5, 0.3])
+def test_reflection_inside_the_floor_exits_2(tmp_path, capsys, value):
+    # the forward writes r = 0 for |z| < z_min; samples set there are bad
+    # input, whether small enough to pass unnoticed or large enough to
+    # break the solve
+    fwd, out = tmp_path / "fwd", tmp_path / "out"
+    assert run(["forward", "--outdir", str(fwd)] + SMALL, capsys) == 0
+    z_min = json.loads((fwd / "manifest.json").read_text())["results"]["z_min"]
+    rows = np.loadtxt(fwd / "reflection.csv", delimiter=",", skiprows=1)
+    inside = np.abs(rows[:, 0]) < z_min
+    assert inside.sum() == 13 and not rows[inside, 1:].any()
+    rows[inside, 1] = value
+    np.savetxt(fwd / "reflection.csv", rows, fmt="%.17g", delimiter=",",
+               header="coordinate,re,im", comments="")
+    assert run(["inverse", "--input", str(fwd), "--outdir", str(out)] + SMALL, capsys) == 2
+    assert json.loads((out / "error.json").read_text())["kind"] == "invalid-argument"
+
+
 BAD_SAMPLE_ROWS = pytest.mark.parametrize(
     "row", ["1,x,0\n", "1,0\n"], ids=["non-numeric", "short-row"])
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -156,32 +158,16 @@ def test_inverse_transform_refuses_a_bad_decay_floor(decay_floor):
         inverse_transform(sd, 0.0, grid, window=3.0, decay_floor=decay_floor)
 
 
-def test_inverse_builds_jump_derivatives_once_per_chunk(monkeypatch):
-    # the dmu right-hand side and the moment step take the x_H derivatives
-    # of the jump from the passes of the mu solve: no chunk builds them
-    import wkist.rhp
-    import wkist.reconstruction
-
+@pytest.mark.parametrize("value", [1e-5, 0.3])
+@pytest.mark.parametrize("where", ["floor", "z=0"])
+def test_inverse_transform_refuses_reflection_inside_the_floor(where, value):
+    # the slope is read off M(0), which needs a jump that is the identity
+    # around z = 0: data the forward map never writes there is bad input
     grid = make_spatial_grid(20.0, 512)
     p = make_potential(grid, lambda x: 0.05 * np.exp(-(x**2)))
     sd = reflection_coefficient(p, make_spectral_grid(40.0, 512, z_min=0.9))
-    calls = {"derivatives": 0, "batches": 0}
-    derivatives, solve_batch = wkist.rhp._jump_derivatives, wkist.reconstruction._solve_batch
-
-    def counted_derivatives(*args):
-        calls["derivatives"] += 1
-        return derivatives(*args)
-
-    def counted_batch(*args, **kwargs):
-        calls["batches"] += 1
-        return solve_batch(*args, **kwargs)
-
-    monkeypatch.setattr(wkist.rhp, "_jump_derivatives", counted_derivatives)
-    # also count calls through a name imported into the reconstruction module
-    monkeypatch.setattr(wkist.reconstruction, "_jump_derivatives", counted_derivatives,
-                        raising=False)
-    monkeypatch.setattr(wkist.reconstruction, "_solve_batch", counted_batch)
-    rec = inverse_transform(sd, 0.0, grid, window=3.0, chunk=16, decay_floor=1e-2)
-    assert calls["batches"] > 1
-    assert calls["derivatives"] == 0
-    assert rec.diagnostics["worst_residual"] < 1e-10
+    assert sd.active.any() and not np.any(sd.r[~sd.active])
+    r = sd.r.copy()
+    r[(sd.zgrid.points == 0.0) if where == "z=0" else ~sd.active] = value
+    with pytest.raises(InvalidArgumentError, match="z_min"):
+        inverse_transform(replace(sd, r=r), 0.0, grid, window=3.0, decay_floor=1e-2)

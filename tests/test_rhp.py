@@ -15,20 +15,17 @@ from wkist.rhp import (
     _apply_cw,
     _dense_solve,
     _in_w_plus,
-    _jump_derivatives,
     _jump_entries,
     _l2_residual,
-    _moment_rows,
+    _m0_rows,
     _neumann,
     _solve_batch,
-    _unpack_mu,
     build_factorization,
     delta_function,
     dx_m1,
     fit_tail_model,
     m1_moment,
     outer_band_moments,
-    solve_dmu,
     solve_mu,
     suggest_z_min,
     tail_band_rhs,
@@ -71,10 +68,6 @@ def test_factorization_entries_triangular():
     # one entry per triangle: (2,1) in w_+, (1,2) in w_-
     assert _in_w_plus(TRIANGULAR, 21) and not _in_w_plus(TRIANGULAR, 12)
     assert f.d1 == 0.0
-    # derivative entries are (+-2i/z) times the entries
-    du21, _ = _jump_derivatives(f.u21, f.u12, f.zgrid)
-    ratio = du21[nz] - (2j / z[nz]) * f.u21[nz]
-    assert np.max(np.abs(ratio)) < 1e-14
 
 
 def test_factorization_entries_delta_conjugated():
@@ -136,67 +129,42 @@ def test_dense_fallback_size_cap():
         solve_mu(f)
 
 
+def slope_of(mu11, mu12, u21, u12, zgrid, band=0.0):
+    """2i M11(0) M12(0) from row 1 of a solution and the band term at z = 0."""
+    m11, m12 = _m0_rows(mu11, mu12, u21, u12, zgrid)
+    return 2j * (1.0 + m11) * (m12 + band)
+
+
 def test_dense_fallback_reports_the_dense_derivative_residual():
-    # |r| = 3 is outside the contraction regime: both Neumann solves
-    # diverge, and the residuals reported must be those of the dense
-    # solutions that replace them, not of the diverged iterates
+    # |r| = 3 is outside the contraction regime: the Neumann solve
+    # diverges, and the residual and slope reported must be those of the
+    # dense solution that replaces it, not of the diverged iterate
     sd = small_reflection(N=512, N_z=512, z_min=0.9)
+    zg = sd.zgrid
     r = 3.0 * sd.r / np.max(np.abs(sd.r))
-    u21, u12, _ = _jump_entries(TRIANGULAR, r, sd.zgrid, np.array([[-0.4]]), 0.0)
-    out = _solve_batch(u21, u12, TRIANGULAR, sd.zgrid)
+    u21, u12, _ = _jump_entries(TRIANGULAR, r, zg, np.array([[-0.4]]), 0.0)
+    out = _solve_batch(u21, u12, TRIANGULAR, zg)
     assert out["solver"][0] == "dense"
     assert out["residual"][0] < 100 * NEUMANN_TOL
-    assert out["residual_dmu"][0] < 100 * NEUMANN_TOL
+    one, zero = np.ones(zg.point_count, complex), np.zeros(zg.point_count, complex)
+    [(mu11, mu12)] = _dense_solve(u21[0], u12[0], [(one, zero)], TRIANGULAR, zg)
+    want = slope_of(mu11, mu12, u21[0], u12[0], zg)
+    assert abs(out["slope"][0] - want) < 1e-9 * (1.0 + abs(want))
 
 
 def test_derivative_solve_matches_finite_differences():
+    # dx_m1, read off M(0) of the mu solve, against central differences
+    # of the moment, for both kinds
     sd = small_reflection()
     r = GridFunction(sd.zgrid, sd.r)
     delta = 1e-3
     for x_H, kind in ((-0.9, TRIANGULAR), (0.6, DELTA_CONJUGATED)):
         f = build_factorization(r, x_H, 0.0, kind)
-        sol = solve_dmu(f, solve_mu(f))
-        up = solve_mu(build_factorization(r, x_H + delta, 0.0, kind))
-        dn = solve_mu(build_factorization(r, x_H - delta, 0.0, kind))
-        fd = (up.mu - dn.mu) / (2 * delta)
-        assert np.max(np.abs(sol.dmu - fd)) < 1e-5
-
-
-def test_solve_dmu_takes_its_right_hand_side_from_the_mu_passes(monkeypatch):
-    # solve_dmu and dx_m1 follow the inverse's derivative path: C_dw(mu)
-    # and int mu dw come from the passes solve_mu kept, so the derivative
-    # solve makes only its own 2 s' + 1 kernel passes, and it matches the
-    # plain definition through _apply_cw and _jump_derivatives
-    sd = small_reflection(N=512, N_z=512, z_min=0.9)
-    zg = sd.zgrid
-    r = GridFunction(zg, sd.r)
-    kernel = wkist.rhp._cauchy_plus_batch
-    for x_H, kind in ((-0.5, TRIANGULAR), (0.5, DELTA_CONJUGATED)):
-        f = build_factorization(r, x_H, 0.0, kind)
-        sol = solve_mu(f)
-        calls = []
-
-        def counted(values, grid, minus=False):
-            calls.append(np.shape(values))
-            return kernel(values, grid, minus)
-
-        monkeypatch.setattr(wkist.rhp, "_cauchy_plus_batch", counted)
-        solve_dmu(f, sol)
-        monkeypatch.undo()
-        assert sol.solver_dmu == "neumann"
-        assert len(calls) == 2 * sol.iterations_dmu + 1
-
-        x1, x2 = _unpack_mu(sol.mu)
-        du21, du12 = _jump_derivatives(f.u21[None], f.u12[None], zg)
-        g1, g2 = _apply_cw(x1, x2, du21, du12, kind, zg)
-        rows = _dense_solve(f.u21, f.u12, [(g1[i, 0], g2[i, 0]) for i in range(2)], kind, zg)
-        for i, (d1, d2) in enumerate(rows):
-            assert np.max(np.abs(sol.dmu[:, i, 0] - d1)) < 1e-9
-            assert np.max(np.abs(sol.dmu[:, i, 1] - d2)) < 1e-9
-        reference = (_moment_rows(*_unpack_mu(sol.dmu), f.u21[None], f.u12[None], zg.spacing),
-                     _moment_rows(x1, x2, du21, du12, zg.spacing))
-        want = sum(np.stack([e[0][:, 0], e[1][:, 0]], axis=-1) for e in reference)
-        assert np.max(np.abs(dx_m1(f, sol) - want)) < 1e-9 * (1.0 + np.max(np.abs(want)))
+        analytic = dx_m1(f, solve_mu(f))
+        up = build_factorization(r, x_H + delta, 0.0, kind)
+        dn = build_factorization(r, x_H - delta, 0.0, kind)
+        fd = (m1_moment(up, solve_mu(up)) - m1_moment(dn, solve_mu(dn))) / (2 * delta)
+        assert np.max(np.abs(analytic - fd)) < 1e-5
 
 
 def test_moment_derivative_matches_finite_differences():
@@ -204,19 +172,11 @@ def test_moment_derivative_matches_finite_differences():
     r = GridFunction(sd.zgrid, sd.r)
     delta = 1e-3
     f = build_factorization(r, -0.8, 0.0, TRIANGULAR)
-    sol = solve_dmu(f, solve_mu(f))
-    analytic = dx_m1(f, sol)
+    analytic = dx_m1(f, solve_mu(f))
     up = build_factorization(r, -0.8 + delta, 0.0, TRIANGULAR)
     dn = build_factorization(r, -0.8 - delta, 0.0, TRIANGULAR)
     fd = (m1_moment(up, solve_mu(up)) - m1_moment(dn, solve_mu(dn))) / (2 * delta)
     assert np.max(np.abs(analytic - fd)) < 1e-5
-
-
-def test_dx_m1_requires_derivative_solve():
-    sd = small_reflection(N=512, N_z=512, z_min=0.9)
-    f = build_factorization(GridFunction(sd.zgrid, sd.r), -0.5, 0.0, TRIANGULAR)
-    with pytest.raises(InvalidArgumentError):
-        dx_m1(f, solve_mu(f))
 
 
 def test_factorization_kinds_agree_where_both_apply():
@@ -226,8 +186,7 @@ def test_factorization_kinds_agree_where_both_apply():
     r = GridFunction(sd.zgrid, sd.r)
     ft = build_factorization(r, 0.0, 0.0, TRIANGULAR)
     fd = build_factorization(r, 0.0, 0.0, DELTA_CONJUGATED)
-    st = solve_dmu(ft, solve_mu(ft))
-    sd_ = solve_dmu(fd, solve_mu(fd))
+    st, sd_ = solve_mu(ft), solve_mu(fd)
     m_t, m_d = m1_moment(ft, st), m1_moment(fd, sd_)
     assert np.max(np.abs(m_t - m_d)) < 1e-6
     dx_t, dx_d = dx_m1(ft, st), dx_m1(fd, sd_)
@@ -307,14 +266,14 @@ def test_outer_band_moments_quadrature_is_converged():
     tail = one_term_tail(0.09 + 0.002j, 40.0)
     lo = outer_band_moments(tail, 40.0, np.array([-3.0, 0.0, 2.5]), 0.4, nodes=96)
     hi = outer_band_moments(tail, 40.0, np.array([-3.0, 0.0, 2.5]), 0.4, nodes=480)
-    for key in ("m1_12", "m1_21", "dx_m1_12", "dx_m1_21"):
+    for key in ("m1_12", "m1_21"):
         assert np.max(np.abs(lo[key] - hi[key])) < 1e-12
 
 
 def test_outer_band_moments_shrink_with_z():
     near = outer_band_moments(one_term_tail(0.09, 40.0), 40.0, np.array([1.0]), 0.0)
     far = outer_band_moments(one_term_tail(0.09, 80.0), 80.0, np.array([1.0]), 0.0)
-    assert np.abs(far["dx_m1_12"][0]) < np.abs(near["dx_m1_12"][0])
+    assert np.abs(far["m1_12"][0]) < np.abs(near["m1_12"][0])
 
 
 def test_tail_band_rhs_matches_log_kernel():
@@ -333,20 +292,7 @@ def test_tail_band_rhs_matches_log_kernel():
     z[edge] = np.sign(z[edge]) * (Z - 0.5 * h)
     with np.errstate(divide="ignore", invalid="ignore"):
         L = np.where(np.abs(z) < 1e-12, 2.0 / Z, np.log((Z + z) / (Z - z)) / z)
-    assert np.abs(out["T12"][0] - np.conj(c1) / (2j * np.pi) * L).max() < 1e-10
-
-
-def test_tail_band_rhs_derivative_matches_finite_difference():
-    zg = make_spectral_grid(40.0, 2048, z_min=0.3)
-    tm = TailModel(Z=zg.half_width,
-                   pos=np.array([0.07 - 0.03j, 0.01j, 0, 0], dtype=complex),
-                   neg=np.array([0.07 - 0.03j, -0.02, 0, 0], dtype=complex))
-    xh, d = 0.8, 1e-4
-    lo = tail_band_rhs(tm, zg, np.array([xh - d]), 0.0)
-    hi = tail_band_rhs(tm, zg, np.array([xh + d]), 0.0)
-    mid = tail_band_rhs(tm, zg, np.array([xh]), 0.0)
-    fd = (hi["T12"][0] - lo["T12"][0]) / (2 * d)
-    assert np.abs(mid["dT12"][0] - fd).max() < 1e-10
+    assert np.abs(out[0] - np.conj(c1) / (2j * np.pi) * L).max() < 1e-10
 
 
 def test_tail_rhs_pulls_band_solution_toward_wide_grid():
@@ -411,7 +357,7 @@ def test_neumann_residual_is_the_exact_residual(kind, x_H):
     h = sd.zgrid.spacing
 
     def check(rhs):
-        x, res, _, ok, _, _ = _neumann(u21, u12, *rhs, kind, sd.zgrid, tol=1e-6)
+        x, res, _, ok, _ = _neumann(u21, u12, *rhs, kind, sd.zgrid, tol=1e-6)
         assert ok.all()
         c = _apply_cw(*x, u21, u12, kind, sd.zgrid)
         exact = _l2_residual([xa - ra - ca for xa, ra, ca in zip(x, rhs, c)], h)
@@ -420,7 +366,8 @@ def test_neumann_residual_is_the_exact_residual(kind, x_H):
         return x
 
     mu = check(mu_rhs(u21))
-    check(_apply_cw(*mu, *_jump_derivatives(u21, u12, sd.zgrid), kind, sd.zgrid))
+    # and a right-hand side that is not constant
+    check(_apply_cw(*mu, u21, u12, kind, sd.zgrid))
 
 
 def test_converged_solve_makes_two_passes_per_sweep_plus_one(monkeypatch):
@@ -438,7 +385,7 @@ def test_converged_solve_makes_two_passes_per_sweep_plus_one(monkeypatch):
         u21, u12 = jump_batch(r, sd.zgrid, kind, x_H)
         calls.clear()
         rhs = mu_rhs(u21)
-        _, res, sweeps, ok, _, _ = _neumann(u21, u12, *rhs, kind, sd.zgrid)
+        _, res, sweeps, ok, _ = _neumann(u21, u12, *rhs, kind, sd.zgrid)
         assert ok.all() and np.all(res < NEUMANN_TOL)
         assert sweeps > 5
         assert len(calls) == 2 * sweeps + 1
@@ -472,7 +419,7 @@ def test_sweeps_stopped_at_cap_report_their_true_residual(kind, x_H, cap):
     r = 0.6 * sd.r / np.max(np.abs(sd.r))
     u21, u12 = jump_batch(r, sd.zgrid, kind, x_H)
     rhs = mu_rhs(u21)
-    x, res, sweeps, ok, _, _ = _neumann(u21, u12, *rhs, kind, sd.zgrid, cap=cap)
+    x, res, sweeps, ok, _ = _neumann(u21, u12, *rhs, kind, sd.zgrid, cap=cap)
     assert sweeps == cap
     assert not ok.any() and np.all(res >= NEUMANN_TOL)
     c = _apply_cw(*x, u21, u12, kind, sd.zgrid)
@@ -486,16 +433,17 @@ def test_sweeps_stopped_at_cap_report_their_true_residual(kind, x_H, cap):
 @pytest.mark.parametrize("kind, x_H", [(TRIANGULAR, [-1.0, -0.2]),
                                        (DELTA_CONJUGATED, [0.2, 1.0])])
 def test_inverse_solve_transforms_row_1_only(kind, x_H, monkeypatch):
-    # the inverse reads only row 1 of mu and dmu: _solve_batch must solve
-    # that row alone, every kernel pass a (1, B, N) stack, and still
-    # agree with row 1 of the dense solve of the same equations
+    # the inverse reads only row 1 of mu: _solve_batch must solve that
+    # row alone, every kernel pass a (1, B, N) stack, take the slope from
+    # it with no further pass, and still agree with row 1 of the dense
+    # solve of the same equations
     sd = small_reflection(N=512, N_z=512, z_min=0.9)
     zg = sd.zgrid
     r = 0.6 * sd.r / np.max(np.abs(sd.r))
     u21, u12 = jump_batch(r, zg, kind, x_H)
     tm = TailModel(Z=zg.half_width, pos=np.array([0.05 - 0.02j, 0.01j]),
                    neg=np.array([0.05 - 0.02j, -0.01]))
-    trhs = tail_band_rhs(tm, zg, np.asarray(x_H), 0.0)
+    T12 = tail_band_rhs(tm, zg, np.asarray(x_H), 0.0)
     calls = []
     kernel = wkist.rhp._cauchy_plus_batch
 
@@ -504,61 +452,17 @@ def test_inverse_solve_transforms_row_1_only(kind, x_H, monkeypatch):
         return kernel(values, grid, minus)
 
     monkeypatch.setattr(wkist.rhp, "_cauchy_plus_batch", counted)
-    out = _solve_batch(u21, u12, kind, zg, tail_rhs=trhs)
+    out = _solve_batch(u21, u12, kind, zg, tail_rhs=T12)
     monkeypatch.undo()
     assert list(out["solver"]) == ["neumann", "neumann"]
     assert all(shape == (1,) + u21.shape for shape in calls)
-    # 2 s + 1 passes per solve; the dmu right-hand side comes from the
-    # passes the mu solve made
-    assert len(calls) == 2 * out["iterations"] + 1 + 2 * out["iterations_dmu"] + 1
+    # 2 s + 1 passes for the one solve; the slope costs none
+    assert len(calls) == 2 * out["iterations"] + 1
 
-    du21, du12 = _jump_derivatives(u21, u12, zg)
     for j in range(len(x_H)):
-        [(mu11, mu12)] = _dense_solve(u21[j], u12[j], [(np.ones(zg.point_count), trhs["T12"][j])],
+        [(mu11, mu12)] = _dense_solve(u21[j], u12[j], [(np.ones(zg.point_count), T12[j])],
                                       kind, zg)
-        g1, g2 = _apply_cw(mu11[None], mu12[None], du21[j:j + 1], du12[j:j + 1], kind, zg)
-        [(dmu11, dmu12)] = _dense_solve(u21[j], u12[j], [(g1[0], g2[0] + trhs["dT12"][j])],
-                                        kind, zg)
-        for got, want in ((out["mu"][0][j], mu11), (out["mu"][1][j], mu12),
-                          (out["dmu"][0][j], dmu11), (out["dmu"][1][j], dmu12)):
+        for got, want in ((out["mu"][0][j], mu11), (out["mu"][1][j], mu12)):
             assert np.max(np.abs(got - want)) < 1e-9
-
-
-@pytest.mark.parametrize("cap", [0, 2, NEUMANN_CAP])
-def test_neumann_hands_back_the_passes_of_its_iterate(cap):
-    # the dmu right-hand side is built from these passes, so they must be
-    # C_w of the returned iterate, also when the sweeps stop at the cap
-    sd = small_reflection(N=512, N_z=512, z_min=0.9)
-    r = 0.6 * sd.r / np.max(np.abs(sd.r))
-    u21, u12 = jump_batch(r, sd.zgrid, TRIANGULAR, [-1.0, -0.2])
-    x, _, _, _, _, passes = _neumann(u21, u12, *mu_rhs(u21), TRIANGULAR, sd.zgrid, cap=cap)
-    for got, want in zip(passes, _apply_cw(*x, u21, u12, TRIANGULAR, sd.zgrid)):
-        assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("kind, x_H", [(TRIANGULAR, [-0.6, -0.1]),
-                                       (DELTA_CONJUGATED, [0.1, 0.6])])
-def test_inverse_solve_with_reflection_at_z_0_matches_dense(kind, x_H):
-    # a reflection.csv may carry r(0) != 0; the dmu right-hand side taken
-    # from the mu solve's passes must then drop the node z = 0's own
-    # kernel entry, and row 1 of mu and dmu must still match dense solves
-    zg = make_spectral_grid(40.0, 512)
-    z = zg.points
-    r = 0.3 * np.exp(-((z / 4.0) ** 2)) * np.exp(0.3j * z)
-    u21, u12 = jump_batch(r, zg, kind, x_H)
-    assert np.all(u21[:, zg.point_count // 2] != 0)
-    out = _solve_batch(u21, u12, kind, zg)
-    assert list(out["solver"]) == ["neumann", "neumann"]
-    du21, du12 = _jump_derivatives(u21, u12, zg)
-    one, zero = np.ones(zg.point_count, complex), np.zeros(zg.point_count, complex)
-    for j in range(len(x_H)):
-        [(mu11, mu12)] = _dense_solve(u21[j], u12[j], [(one, zero)], kind, zg)
-        g1, g2 = _apply_cw(mu11[None], mu12[None], du21[j:j + 1], du12[j:j + 1], kind, zg)
-        [(dmu11, dmu12)] = _dense_solve(u21[j], u12[j], [(g1[0], g2[0])], kind, zg)
-        for got, want in ((out["mu"][0][j], mu11), (out["mu"][1][j], mu12),
-                          (out["dmu"][0][j], dmu11), (out["dmu"][1][j], dmu12)):
-            assert np.max(np.abs(got - want)) < 1e-9
-        # the moment part int mu dw, from the same sums
-        want = _moment_rows(mu11, mu12, du21[j], du12[j], zg.spacing)
-        for got, w in zip(out["moment_du"], want):
-            assert abs(got[j] - w) < 1e-9 * (1.0 + abs(w))
+        want = slope_of(mu11, mu12, u21[j], u12[j], zg, T12[j, zg.point_count // 2])
+        assert abs(out["slope"][j] - want) < 1e-9
