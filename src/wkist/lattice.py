@@ -12,12 +12,14 @@ decay inside [-Z, Z) the kernel converges spectrally (2.8e-16 against
 the Dawson-function transform of exp(-s^2) at Z = 40, N = 4096).
 Samples outside the window count as zero, so on its own the kernel
 misses a 1/s tail by O(1/Z): 8.7e-3 on the inner half of the grid for
-``1/(s + i)`` at Z = 40, halving each time Z doubles.  The public
-``cauchy_plus`` and ``cauchy_minus`` therefore first subtract a
-least-squares fit of the edge samples in (a/(s + i a))^k, whose C+ is
-the fit itself and whose C- is zero (the closed-form-basis idea of
-Olver, Numer. Math. 2012), and project only the remainder with the
-kernel; on ``1/(s +- i)`` they meet 6e-9 at Z = 40.
+``1/(s + i)`` at Z = 40, halving each time Z doubles.  One closed-form
+tail completion supplies what it misses (``_tail_outside``): the edge
+samples are fitted in (a/(s + i a))^k, whose C+ is the fit itself and
+whose C- is zero (the closed-form-basis idea of Olver, Numer. Math.
+2012), so the windowed kernel misses exactly (B - K+ B) c of the fitted
+tail B c.  The public ``cauchy_plus`` and ``cauchy_minus`` add that
+term to the kernel and meet 6e-9 on ``1/(s +- i)`` at Z = 40; the RHP
+solver adds it to its right-hand side as the outer band of the jump.
 """
 
 from __future__ import annotations
@@ -147,7 +149,7 @@ def cumulative_integral(f: GridFunction) -> GridFunction:
 
 _DECAY_TOL = 1e-6
 
-# Tail completion of the public projectors: the samples on the outermost
+# The tail completion (``_tail_outside``): the samples on the outermost
 # eighth of each half-window are fitted in (a/(s + i a))^k, k = 1..K.
 # One family, five terms, fitted only there keeps the least-squares
 # problem well conditioned, so the projectors stay linear to round-off
@@ -193,9 +195,8 @@ def _cauchy_plus_batch(values: np.ndarray, grid: SpectralGrid, minus: bool = Fal
     overwrites its input.
     On samples that decay inside the window it converges spectrally;
     samples it is not given count as zero, so a 1/s tail outside [-Z, Z)
-    costs O(1/Z).  The public ``cauchy_plus`` completes such tails; the
-    solver calls this kernel directly, once per half-step of a
-    Beals-Coifman sweep, and supplies its outer band itself.
+    costs O(1/Z), which ``_tail_outside`` supplies.  The solver calls
+    this kernel directly, once per half-step of a Beals-Coifman sweep.
     """
     n = grid.point_count
     spectrum = scipy.fft.fft(np.asarray(values, dtype=complex), n=grid.padding * n, axis=-1)
@@ -204,17 +205,39 @@ def _cauchy_plus_batch(values: np.ndarray, grid: SpectralGrid, minus: bool = Fal
     return scipy.fft.ifft(spectrum, axis=-1, overwrite_x=True)[..., :n].copy()
 
 
-def _tail_fit(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Least-squares fit of (a/(s + i a))^k, k = 1..K, to the edge samples.
+@functools.lru_cache(maxsize=16)
+def _tail_completion(n: int, half_width: float):
+    """The tail fit of an n-point grid on [-Z, Z), built once per grid.
 
-    Each basis function is analytic above the line and decays, so C+ of
-    the fit is the fit itself and C- of it is zero.
+    The basis B = (a/(s + i a))^k, k = 1..K, is analytic above the line
+    and decays, so C+ of each column is the column itself and C- of it
+    is zero.  Returns the edge indices (the outermost eighth of each
+    half-window), the transposed pseudo-inverse of B on them, and the
+    (K, N) matrix (B - K+ B)^T: what the windowed kernel K+ misses of
+    each basis column, the same for C+ and C- since they differ by the
+    identity.
     """
+    grid = SpectralGrid(half_width, n)
     s = grid.points
     basis = (_TAIL_SCALE / (s + 1j * _TAIL_SCALE))[:, None] ** np.arange(1, _TAIL_TERMS + 1)
-    edge = np.abs(s) >= _TAIL_REGION * grid.half_width
-    coef = np.linalg.lstsq(basis[edge], values[edge], rcond=None)[0]
-    return basis @ coef
+    edge = np.flatnonzero(np.abs(s) >= _TAIL_REGION * half_width)
+    fit = np.linalg.pinv(basis[edge]).T
+    outside = basis.T - _cauchy_plus_batch(basis.T, grid)
+    for a in (edge, fit, outside):
+        a.setflags(write=False)
+    return edge, fit, outside
+
+
+def _tail_outside(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """What the windowed kernel misses of the fitted tail, on a (..., N) array.
+
+    The least-squares fit of (a/(s + i a))^k to the edge samples of
+    ``values`` extends them beyond [-Z, Z); the result is the Cauchy
+    transform of that extension outside the window, the same for C+ and
+    C-.  On samples that vanish on the edges it is exactly zero.
+    """
+    edge, fit, outside = _tail_completion(grid.point_count, grid.half_width)
+    return (values[..., edge] @ fit) @ outside
 
 
 def _check_decay(f: GridFunction):
@@ -230,19 +253,17 @@ def _check_decay(f: GridFunction):
 
 
 def _completed_cauchy_plus(f: GridFunction) -> np.ndarray:
-    """C+ of the fitted tail (the tail itself) plus the kernel on the rest.
+    """The kernel plus the tail completion, along the sample axis (axis 0).
 
-    Works along the sample axis (axis 0); matrix-valued samples are
-    fitted and projected entry by entry.
+    Matrix-valued samples are fitted and projected entry by entry.
     """
     if not isinstance(f.grid, SpectralGrid):
         raise InvalidArgumentError("the Cauchy projections expect a function on a SpectralGrid")
     _check_decay(f)
     values = np.asarray(f.values, complex)
-    columns = values.reshape(len(values), -1)
-    tail = _tail_fit(columns, f.grid)
-    out = tail + _cauchy_plus_batch((columns - tail).T, f.grid).T
-    return out.reshape(values.shape)
+    rows = values.reshape(len(values), -1).T
+    out = _cauchy_plus_batch(rows, f.grid) + _tail_outside(rows, f.grid)
+    return out.T.reshape(values.shape)
 
 
 def cauchy_plus(f: GridFunction) -> GridFunction:

@@ -2,8 +2,9 @@
 
 The chain per hodograph cell x_H:
 
-1. solve the jump RHP and read off s(x_H) = d/dx_H m^(1)_{12}
-   = 2i M11(0) M12(0),
+1. solve the jump RHP, with the outer band beyond the grid edge taken
+   from the lattice's closed-form tail completion, and read off
+   s(x_H) = d/dx_H m^(1)_{12} = 2i M11(0) M12(0),
 2. undo the stereographic slope:  |q_H|^2 = |s|^2 / (1 - |s|^2),
    q_H = sqrt(1 + |q_H|^2) s,
 3. undo the hodograph map.  The physical coordinate satisfies
@@ -14,8 +15,9 @@ The chain per hodograph cell x_H:
    (cross-check route).
 
 The sweep of x_H cells is taken directly from the physical grid inside
-a finite window; outside the window the potential is below the decay
-floor and is extended by zero.
+a finite window, which must hold at least two of its points; outside
+the window the potential is below the decay floor and is extended by
+zero.
 """
 
 from __future__ import annotations
@@ -39,14 +41,11 @@ from .lax import conserved_E1, make_potential
 from .rhp import (
     DELTA_CONJUGATED,
     TRIANGULAR,
+    _delta_shift,
     _jump_entries,
     _moment_rows,
     _solve_batch,
-    _tail_band_kernel,
     delta_function,
-    fit_tail_model,
-    outer_band_moments,
-    tail_band_rhs,
 )
 
 __all__ = [
@@ -102,19 +101,20 @@ def _interp_decaying(nodes: np.ndarray, values: np.ndarray) -> PchipInterpolator
     return evaluate
 
 
-def epsilon_fixed_point(q_H: GridFunction, tol: float = EPSILON_TOL,
+def epsilon_fixed_point(x: np.ndarray, q_H: np.ndarray, tol: float = EPSILON_TOL,
                         max_iterations: int = EPSILON_CAP) -> EpsilonResult:
-    """Picard iteration for the hodograph shift eps on the grid of q_H.
+    """Picard iteration for the hodograph shift eps at the points ``x``.
 
-    The integrand sqrt(1+|q_H|^2) - 1 is interpolated shape-preservingly
-    and treated as zero outside the sampled range (the potential must
-    have decayed there).  Converges geometrically because the integrand
-    is small and Lipschitz; hitting the iteration cap raises
-    HodographUnsolvedError.
+    ``x`` is a uniform grid of at least two points and ``q_H`` the
+    potential there.  The integrand sqrt(1+|q_H|^2) - 1 is interpolated
+    shape-preservingly and treated as zero outside the sampled range
+    (the potential must have decayed there).  Converges geometrically
+    because the integrand is small and Lipschitz; hitting the iteration
+    cap raises HodographUnsolvedError.
     """
-    x = q_H.grid.points
-    h = q_H.grid.spacing
-    w = np.sqrt(1.0 + np.abs(q_H.values) ** 2) - 1.0
+    x = np.asarray(x, dtype=float)
+    h = float(x[1] - x[0])
+    w = np.sqrt(1.0 + np.abs(q_H) ** 2) - 1.0
     w_at = _interp_decaying(x, w)
     eps = np.zeros_like(x)
     for iteration in range(1, max_iterations + 1):
@@ -196,7 +196,6 @@ class ReconstructionResult:
     x_H: np.ndarray                      # hodograph sweep cells
     slope: np.ndarray                    # s(x_H)
     q_H: np.ndarray                      # potential over the sweep
-    m1_12: np.ndarray
     m1_11: np.ndarray
     epsilon: EpsilonResult
     x_explicit: np.ndarray
@@ -210,23 +209,23 @@ def _window_mask(points: np.ndarray, window: float) -> np.ndarray:
 
 
 def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
-                      window: float = DEFAULT_WINDOW, chunk: int = CHUNK,
+                      window: float = DEFAULT_WINDOW,
                       decay_floor: float = 1e-6) -> ReconstructionResult:
     """Recover q(., t) on xgrid from reflection data.
 
     The reflection data is evolved to time t first and the jump is then
     built at time zero -- the evolution factor e^{4 i t / z^2} and the
     t-part of the phase are the same thing, and composing them twice
-    would double it.  The same holds beyond the grid edge: the tail
-    model is fitted to the evolved data, so its coefficients already
-    carry the (analytic in 1/z) evolution factor and the outer-band
-    completion is evaluated at time zero as well.
+    would double it.  The outer band beyond the grid edge is completed
+    from the edge samples of the jump itself, so it carries the evolution
+    factor too.
 
     Hodograph cells x_H <= 0 use the Triangular factorization; cells
     x_H > 0 use the DeltaConjugated one (each keeps its oscillatory
     entries decaying in the half-plane its projection sees).  Every solve
-    adds the fitted tail's band term and stops at ``NEUMANN_TOL``; the
-    slope must stay below 1 - ``SLOPE_MARGIN``.
+    adds the outer band of the jump (``_solve_batch``) and stops at
+    ``NEUMANN_TOL``; the slope must stay below 1 - ``SLOPE_MARGIN``.
+    Cells are solved ``CHUNK`` at a time.
 
     ``decay_floor`` bounds how large the recovered q_H may be at the
     sweep-window ends; the reconstruction noise there scales with the
@@ -234,34 +233,31 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
 
     The reflection data must vanish off ``sd.active`` (|z| < z_min and
     z = 0), as the forward map leaves it: the slope is read off M(0),
-    which needs a jump that is the identity around z = 0.
+    which needs a jump that is the identity around z = 0.  The window
+    must hold at least two points of ``xgrid``.
     """
     check_threshold("decay_floor", decay_floor)
     if np.any(sd.r[~sd.active] != 0):
         raise InvalidArgumentError("reflection data is nonzero for |z| < z_min or at z = 0")
     if window > xgrid.half_width:
         raise InvalidArgumentError("window exceeds the spatial grid half-width")
+    sweep = xgrid.points[_window_mask(xgrid.points, window)]
+    if sweep.size < 2:
+        raise InvalidArgumentError("sweep needs at least two cells")
     sd_t = evolve_reflection(sd, t - sd.time) if t != sd.time else sd
     zgrid = sd_t.zgrid
     rv = np.asarray(sd_t.r, dtype=complex)
 
-    sweep = xgrid.points[_window_mask(xgrid.points, window)]
     neg = sweep[sweep <= 0.0]
     pos = sweep[sweep > 0.0]
 
     Delta = d1 = None
     if pos.size:
         Delta = delta_function(GridFunction(zgrid, rv))[2].values
-        d1 = np.trapezoid(np.log1p(np.abs(rv) ** 2), dx=zgrid.spacing) / (2j * np.pi)
-
-    tail = fit_tail_model(sd_t)
-    # the x_H-independent part of every chunk's band right-hand side
-    band = _tail_band_kernel(tail, zgrid)
+        d1 = _delta_shift(rv, zgrid)
 
     n_cells = sweep.size
-    m12 = np.zeros(n_cells, dtype=complex)
     m11 = np.zeros(n_cells, dtype=complex)
-    m11_raw = np.zeros(n_cells, dtype=complex)   # before the d1 shift
     dx12 = np.zeros(n_cells, dtype=complex)
     cells = []
     dense_count = 0
@@ -269,19 +265,16 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
 
     offset = 0
     for kind, part in ((TRIANGULAR, neg), (DELTA_CONJUGATED, pos)):
-        for block in np.array_split(part, max(1, int(np.ceil(part.size / chunk)))):
+        for block in np.array_split(part, max(1, int(np.ceil(part.size / CHUNK)))):
             if block.size == 0:
                 continue
             u21, u12, _ = _jump_entries(kind, rv, zgrid, block[:, None], 0.0, Delta)
-            # row 1 of mu: the only row the moments and the slope read
-            out = _solve_batch(u21, u12, kind, zgrid,
-                               tail_rhs=tail_band_rhs(tail, zgrid, block, 0.0, band))
-            e11, e12 = _moment_rows(*out["mu"], u21, u12, zgrid.spacing)
-            sl = offset
-            m11_raw[sl:sl + block.size] = e11
+            # row 1 of mu: the only row the moment and the slope read
+            out = _solve_batch(u21, u12, kind, zgrid)
+            e11, _ = _moment_rows(*out["mu"], u21, u12, zgrid.spacing)
             if kind == DELTA_CONJUGATED:
                 e11 = e11 - d1
-            m12[sl:sl + block.size] = e12
+            sl = offset
             m11[sl:sl + block.size] = e11
             dx12[sl:sl + block.size] = out["slope"]
             dense_count += int(np.sum(out["solver"] == "dense"))
@@ -296,13 +289,10 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
                 })
             offset += block.size
 
-    m12 = m12 + outer_band_moments(tail, zgrid.half_width, sweep, 0.0, m11=m11_raw)["m1_12"]
-
     q_H = qh_from_slope(dx12)
 
     # primary route: hodograph fixed point on the sweep
-    sweep_grid = _SweepGrid(sweep)
-    eps = epsilon_fixed_point(GridFunction(sweep_grid, q_H), tol=1e-10)
+    eps = epsilon_fixed_point(sweep, q_H, tol=1e-10)
     qh_re = _interp_decaying(sweep, q_H.real)
     qh_im = _interp_decaying(sweep, q_H.imag)
     q_values = qh_re(sweep + eps.values) + 1j * qh_im(sweep + eps.values)
@@ -319,10 +309,9 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
     route_gap_q = float(np.max(np.abs(q.values - q_explicit.values)))
     e1 = conserved_E1(make_potential(xgrid, q_full))
     diagnostics = {
-        "max_slope": float(np.max(np.abs(dx12))) if dx12.size else 0.0,
+        "max_slope": float(np.max(np.abs(dx12))),
         "worst_residual": worst_residual,
         "dense_cells": dense_count,
-        "tail_coefficient": tail.c1,
         "route_gap_epsilon": route_gap_eps,
         "route_gap_q": route_gap_q,
         "epsilon_infinity": float(eps.values[-1]),
@@ -332,23 +321,7 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
         "picard_iterations": eps.iterations,
     }
     return ReconstructionResult(
-        xgrid=xgrid, q=q, x_H=sweep, slope=dx12, q_H=q_H, m1_12=m12,
+        xgrid=xgrid, q=q, x_H=sweep, slope=dx12, q_H=q_H,
         m1_11=m11, epsilon=eps, x_explicit=x_exp, q_explicit=q_explicit,
         cells=cells, diagnostics=diagnostics,
     )
-
-
-class _SweepGrid:
-    """Minimal grid facade for a uniform slice of a spatial grid."""
-
-    def __init__(self, points: np.ndarray):
-        if points.size < 2:
-            raise InvalidArgumentError("sweep needs at least two cells")
-        self._points = points
-        self.spacing = float(points[1] - points[0])
-        self.point_count = points.size
-        self.half_width = float(max(abs(points[0]), abs(points[-1])))
-
-    @property
-    def points(self) -> np.ndarray:
-        return self._points

@@ -35,8 +35,15 @@ again by dense collocation (``_dense_solve``).  The two rows of X solve
 the same operator with their own right-hand sides, so a solve takes only
 the rows it is given and its cost scales with their count.
 ``solve_mu`` solves both rows; the inverse transform (``_solve_batch``)
-solves row 1 alone, since m^(1)_11, m^(1)_12 and the slope are
-integrals of row 1, and the residuals it reports are row 1's.
+solves row 1 alone, since m^(1)_11 and the slope are integrals of
+row 1, and the residuals it reports are row 1's.
+
+The grid cuts the contour at |z| = Z, where r still decays only like
+c1/z.  ``_solve_batch`` adds the jump's outer band to its right-hand
+side, taken from the lattice's closed-form tail completion
+(``_tail_outside``, the one tail mechanism of the package), so the
+inverse solves the full-line equation; ``solve_mu`` solves the windowed
+equation as it stands.
 
 The x_H-derivative of the moment needs no second solve.  The jump
 depends on x_H only through e^{i (x_H/z) sigma3} and is the identity
@@ -61,7 +68,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidArgumentError, RhpUnsolvedError
-from .lattice import GridFunction, SpectralGrid, _cauchy_plus_batch
+from .lattice import GridFunction, SpectralGrid, _cauchy_plus_batch, _tail_outside
 
 __all__ = [
     "JumpFactorization",
@@ -72,15 +79,12 @@ __all__ = [
     "m1_moment",
     "dx_m1",
     "suggest_z_min",
-    "fit_tail_model",
-    "TailModel",
-    "outer_band_moments",
-    "tail_band_rhs",
 ]
 
 NEUMANN_TOL = 1e-10
 NEUMANN_CAP = 200
 DENSE_CAP = 1024
+POINTS_PER_PERIOD = 5.0
 
 TRIANGULAR = "Triangular"
 DELTA_CONJUGATED = "DeltaConjugated"
@@ -169,6 +173,15 @@ def _jump_entries(kind, r_values, zgrid, x_H_col, t, Delta=None):
     return u21, np.conj(u21), theta
 
 
+def _delta_shift(r_values: np.ndarray, zgrid: SpectralGrid) -> complex:
+    """d1 = (1/2 pi i) int log(1 + |r|^2) ds by the trapezoid rule.
+
+    The 1/z coefficient of log delta, by which the DeltaConjugated kind's
+    raw moment is shifted (module docstring).
+    """
+    return np.trapezoid(np.log1p(np.abs(r_values) ** 2), dx=zgrid.spacing) / (2j * np.pi)
+
+
 def build_factorization(r: GridFunction, x_H: float, t: float, kind: str) -> JumpFactorization:
     """The jump entries and the phase for one (x_H, t).
 
@@ -184,7 +197,7 @@ def build_factorization(r: GridFunction, x_H: float, t: float, kind: str) -> Jum
     if kind == DELTA_CONJUGATED:
         Delta = delta_function(r)[2].values
         rho = rv * Delta
-        d1 = np.trapezoid(np.log1p(np.abs(rv) ** 2), dx=zgrid.spacing) / (2j * np.pi)
+        d1 = _delta_shift(rv, zgrid)
 
     u21, u12, theta = _jump_entries(kind, rv, zgrid, np.array([[x_H]]), t, Delta)
     return JumpFactorization(
@@ -368,22 +381,23 @@ def _solve(u21, u12, rhs, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP):
     return (x1, x2), res, iterations, dense, met
 
 
-def _solve_batch(u21, u12, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP,
-                 tail_rhs=None):
+def _solve_batch(u21, u12, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP):
     """Row 1 of mu and the slope d m^(1)_12/d x_H, with residuals, for (B, N) cells.
 
-    The inverse map reads m^(1)_11, m^(1)_12 and the slope, which are
-    integrals of row 1 only, and row 1's equations do not involve row 2;
-    so only row 1 is solved, and every kernel pass transforms a
-    (1, B, N) stack.  "mu" is the pair (X11, X12) of (B, N) arrays; the
-    residuals are row 1's.
-
-    ``tail_rhs`` (the T12 of :func:`tail_band_rhs`) carries the Cauchy
-    transform of the jump beyond the grid edge; adding it to the
-    right-hand side solves the full-line equation rather than the
-    truncated one, which otherwise leaves an O(1/Z) bias in the moments.
-    "iterations" is the sweep count of the batch's solve,
+    The inverse map reads m^(1)_11 and the slope, which are integrals of
+    row 1 only, and row 1's equations do not involve row 2; so only row
+    1 is solved, and every kernel pass transforms a (1, B, N) stack.
+    "mu" is the pair (X11, X12) of (B, N) arrays; the residuals are row
+    1's.  "iterations" is the sweep count of the batch's solve,
     "cell_iterations" the sweep at which each cell met ``tol``.
+
+    The grid cuts the jump off at |z| = Z, where r still decays only like
+    c1/z.  The band term ``_tail_outside(u12)``, the Cauchy transform of
+    the fitted tail of u12 beyond the window, is added to the right-hand
+    side, so the solve is of the full-line equation: out there mu ~ I
+    and Delta -> 1, and inside the window the outer part of C+ and C- is
+    the same, so one term serves both kinds.  Only column 2 takes it:
+    column 1's outer term, C(X12 u21), is quadratic in r, since X12 is.
 
     The slope is 2i M11(0) M12(0) (module docstring), from the solved
     row 1 and, in M12(0), the band term's value at z = 0, which is the
@@ -391,9 +405,8 @@ def _solve_batch(u21, u12, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP,
     passes for s sweeps.
     """
     shape = (1,) + u21.shape
-    band = np.broadcast_to(np.asarray(0.0 if tail_rhs is None else tail_rhs, dtype=complex),
-                           u21.shape)
-    # read-only broadcasts: the sweeps only read the right-hand side
+    band = _tail_outside(u12, zgrid)
+    # a read-only broadcast: the sweeps only read the right-hand side
     (x1, x2), res, its, dense, met = _solve(
         u21, u12, (np.broadcast_to(np.complex128(1.0), shape), band[None]),
         kind, zgrid, tol, cap)
@@ -513,17 +526,16 @@ def dx_m1(f: JumpFactorization, sol: RHPSolution) -> np.ndarray:
     return -1j * (m @ SIGMA3 @ adj - SIGMA3)
 
 
-def suggest_z_min(Z: float, N_z: int, window: float = 6.0, t_max: float = 0.0,
-                  points_per_period: float = 5.0) -> float:
+def suggest_z_min(Z: float, N_z: int, window: float = 6.0, t_max: float = 0.0) -> float:
     """Smallest |z| at which N_z points on [-Z, Z) still resolve the jump phase.
 
     The local wavelength of e^{2 i theta} in z is 2 pi / |theta'(z)| with
     |theta'| <= window/z^2 + 4 t/z^3; the floor is where that wavelength
-    falls to ``points_per_period`` grid spacings.
+    falls to ``POINTS_PER_PERIOD`` grid spacings.
     """
     Z = float(Z)
     hz = 2.0 * Z / int(N_z)
-    target = 2.0 * np.pi / points_per_period
+    target = 2.0 * np.pi / POINTS_PER_PERIOD
 
     def excess(zz):
         # numpy powers round like Python's but overflow to inf on huge grids
@@ -545,174 +557,3 @@ def suggest_z_min(Z: float, N_z: int, window: float = 6.0, t_max: float = 0.0,
         else:
             hi = mid
     return hi
-
-
-@dataclass(frozen=True)
-class TailModel:
-    """Per-side asymptotic model z r(z) ~ sum_k coeff[k] (Z/z)^k.
-
-    ``pos`` covers z > 0 (hence the band s > Z), ``neg`` covers z < 0.
-    The leading coefficients are the two one-sided estimates of c1.
-    """
-
-    Z: float
-    pos: np.ndarray
-    neg: np.ndarray
-
-    @property
-    def c1(self) -> complex:
-        return complex(0.5 * (self.pos[0] + self.neg[0]))
-
-    def series(self, lam: np.ndarray) -> np.ndarray:
-        """The fitted z r(z) at z = -1/lam; lam < 0 is the z > 0 side."""
-        pv = np.polynomial.polynomial.polyval
-        v = -self.Z * lam
-        return np.where(lam < 0, pv(v, self.pos), pv(v, self.neg))
-
-
-def fit_tail_model(sd, terms: int = 4, band: float = 0.5) -> TailModel:
-    """Least-squares fit of the large-z behaviour of r, one fit per sign.
-
-    ``z r(z)`` is regressed on powers of v = Z/z over the outer part of
-    the active band (|z| >= band * Z).  Extrapolating the fit beyond the
-    grid edge models not just the leading c1/z decay but the next few
-    corrections, which otherwise leave a completion error that no grid
-    refinement at fixed Z can remove.  The variable v stays O(1) on the
-    fit band, so the Vandermonde system is well conditioned.
-    """
-    Z = sd.zgrid.half_width
-    z = sd.zgrid.points[sd.active]
-    r = sd.r[sd.active]
-
-    def one_side(mask):
-        zs, rs = z[mask], r[mask]
-        n = min(terms, max(1, zs.size))
-        v = Z / zs
-        basis = np.vander(v, n, increasing=True)
-        coeff, *_ = np.linalg.lstsq(basis, zs * rs, rcond=None)
-        return np.concatenate([coeff, np.zeros(terms - n, dtype=complex)])
-
-    return TailModel(
-        Z=float(Z),
-        pos=one_side((z > 0) & (np.abs(z) >= band * Z)),
-        neg=one_side((z < 0) & (np.abs(z) >= band * Z)),
-    )
-
-
-def _panel_nodes(length: float, per_panel: int = 16,
-                 levels=(0.9, 0.99, 0.999, 0.9999, 0.99999)):
-    """Gauss-Legendre nodes/weights on [0, length], refined toward length.
-
-    Panels shrink geometrically toward the far endpoint so that an
-    integrand with a pole just beyond it (at distance >= a grid spacing)
-    always sees the pole several panel-lengths away from the panel
-    nearest to it; plain Gauss-Legendre then converges geometrically on
-    every panel and no singularity subtraction is needed.
-    """
-    fr = np.concatenate([[0.0], np.asarray(levels), [1.0]]) * length
-    xg, wg = np.polynomial.legendre.leggauss(per_panel)
-    lam = np.concatenate([0.5 * (hi - lo) * xg + 0.5 * (hi + lo)
-                          for lo, hi in zip(fr[:-1], fr[1:])])
-    w = np.concatenate([0.5 * (hi - lo) * wg
-                        for lo, hi in zip(fr[:-1], fr[1:])])
-    return lam, w
-
-
-def _tail_band_kernel(tail: TailModel, zgrid: SpectralGrid):
-    """The x_H-independent part of :func:`tail_band_rhs`.
-
-    The quadrature nodes lam, conj of the tail series P at them, and the
-    real kernel K = w / (1 + lam z) of shape (nodes, N_z).  An inverse
-    builds it once and passes it to every chunk's band right-hand side.
-    """
-    Z = float(zgrid.half_width)
-    lam_half, w_half = _panel_nodes(1.0 / Z)
-    # lam < 0 is the s > Z side (positive-z tail coefficients)
-    lam = np.concatenate([-lam_half, lam_half])
-    w = np.concatenate([w_half, w_half])
-    z = zgrid.points.copy()
-    # the grid spans [-Z, Z): the single point at -Z sits on the junction,
-    # where T is log-singular; represent its cell by the half-cell midpoint
-    edge = np.abs(z) >= Z
-    z[edge] = np.sign(z[edge]) * (Z - 0.5 * zgrid.spacing)
-    return lam, np.conj(tail.series(lam)), w[:, None] / (1.0 + np.outer(lam, z))
-
-
-def tail_band_rhs(tail: TailModel, zgrid: SpectralGrid, x_H, t: float,
-                  kernel=None) -> dict:
-    """Cauchy transform of the outer-band jump, evaluated on the band.
-
-    The discrete solve restricts the jump equation to |s| <= Z, so the
-    computed mu is the solution of a problem whose jump has simply been
-    cut off at the grid edge; the moments it feeds inherit an O(1/Z)
-    bias that no refinement at fixed Z removes.  The missing piece of
-    the equation is explicit: for z on the band,
-
-        T(z) = (1/2 pi i) integral_{|s|>Z} w(s) / (s - z) ds,
-
-    with w carrying the one off-diagonal entry per triangular factor
-    and r(s) replaced by its fitted tail model (mu ~ I out there; the
-    first correction is another order 1/Z down).  The kernel is the
-    plain Cauchy one because the tail piece is analytic across the
-    band, so the C+ / C- distinction disappears.  Adding T to the
-    right-hand side of the discrete equation makes the solve consistent
-    with the full-line jump through O(1/Z).
-
-    Substituting lam = -1/s maps the two tails to lam in (-1/Z, 1/Z)
-    and cancels the 1/s of the tail model exactly:
-
-        T12(z) = (1/2 pi i) int conj(P)(-Z lam) e^{-2 i theta} / (1 + z lam) dlam,
-
-    theta = -x_H lam + 2 t lam^2, with the positive-z coefficients used
-    for lam < 0 and vice versa.  The integrand's pole at lam = -1/z
-    sits beyond the endpoint nearest the same-sign grid edge, at a
-    distance that shrinks to h/Z^2 for the outermost grid points, so
-    the quadrature uses panels geometrically refined toward both
-    endpoints.  Returns T12 as a (B, N_z) array, the band term of row
-    1, the only row the inverse solves.
-    ``kernel`` is the x_H-independent part from :func:`_tail_band_kernel`
-    for this ``tail`` and ``zgrid``; it is built here when not given.
-    """
-    lam, conj_P, K = kernel if kernel is not None else _tail_band_kernel(tail, zgrid)
-    x_H = np.atleast_1d(np.asarray(x_H, dtype=float))
-    th = -np.outer(x_H, lam) + 2.0 * t * lam**2
-    g12 = conj_P * np.exp(-2j * th)
-
-    # one real product for the complex row
-    n = len(x_H)
-    S = np.concatenate([g12.real, g12.imag]) @ K
-    return (S[:n] + 1j * S[n:]) / (2j * np.pi)
-
-
-def outer_band_moments(tail: TailModel, Z: float, x_H, t: float, nodes: int = 96,
-                       m11=None) -> dict:
-    """Analytic completion of the moment integrals over |z| > Z.
-
-    The grid truncates the jump contour at +-Z, but r only decays like
-    c1/z there, leaving an O(1/Z) floor in the moments that does not
-    shrink under grid refinement.  On the outer band both factorizations
-    carry the same entries (Delta -> 1), so the missing contribution is
-    an explicit oscillatory integral; substituting lam = -1/s maps it
-    to lam in (-1/Z, 1/Z), where it is evaluated by Gauss-Legendre
-    quadrature with r(s) replaced by its tail model ``tail``.
-
-    ``m11`` (a per-x_H array) is the 1/s coefficient of mu_11 - 1, i.e.
-    the raw first moment of the problem actually solved.  With it the
-    completion keeps the first mu-coupled term of the (1,2) integrand,
-    mu_11 u_12 ~ (1 + m11/s) u_12.  Returns increments for m1_12 and
-    m1_21 (diagonal moments are quadratic in r out there and need none;
-    the (2,1) entry is returned at mu ~ I).
-    """
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
-    lam = xg / Z            # lam = -1/s over the outer band
-    w = wg / Z
-    rvals = (-lam) * tail.series(lam)
-    x_H = np.atleast_1d(np.asarray(x_H, dtype=float))
-    th = -np.outer(x_H, lam) + 2.0 * t * lam**2
-    pref = -1.0 / (2j * np.pi)
-    f12 = np.conj(rvals) * np.exp(-2j * th)
-    f21 = rvals * np.exp(2j * th)
-    quad = lambda g: pref * (g / lam**2 * w).sum(axis=1)
-    # mu11 ~ 1 + m11/s = 1 - m11 lam on the outer band
-    mu_c = 0.0 if m11 is None else np.asarray(m11, dtype=complex).reshape(-1, 1)
-    return {"m1_12": quad(f12 * (1.0 - mu_c * lam)), "m1_21": quad(f21)}

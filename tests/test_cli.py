@@ -115,6 +115,16 @@ def test_bad_guard_threshold_or_grid_value_exits_2(tmp_path, capsys, flags):
     assert "invalid-argument" in err
 
 
+def test_window_without_two_sweep_cells_exits_2(tmp_path, capsys):
+    # a window holding one grid point leaves no sweep to integrate
+    out = tmp_path / "o"
+    code = main(["roundtrip", "--outdir", str(out)] + SMALL[:4] + ["--window", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "invalid-argument" in err
+    assert json.loads((out / "error.json").read_text())["kind"] == "invalid-argument"
+
+
 def test_config_takes_integral_numbers_for_int_fields(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"N": 512.0, "amplitude": 1}))

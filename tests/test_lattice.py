@@ -6,6 +6,7 @@ from wkist.errors import InvalidArgumentError
 from wkist.lattice import (
     GridFunction,
     _cauchy_plus_batch,
+    _tail_outside,
     cauchy_minus,
     cauchy_plus,
     cumulative_integral,
@@ -77,7 +78,8 @@ def test_cumulative_integral_of_complex_samples():
 #
 # The projections are one windowed kernel (``_cauchy_plus_batch``, the sinc
 # discrete Hilbert transform) plus, in the public ``cauchy_plus`` and
-# ``cauchy_minus``, a closed-form completion of the tails.  On rational test
+# ``cauchy_minus``, a closed-form completion of the tails (``_tail_outside``,
+# which the RHP solve also takes its outer band from).  On rational test
 # data f(s) = 1/(s -+ i) the bare kernel is limited by the contour
 # truncation at |s| = Z, not by N_z: f only decays like 1/s, so the tails it
 # never sees cost O(1/Z) near the edges and ~9e-3 on the inner half at
@@ -210,6 +212,30 @@ def test_cauchy_acts_entrywise_on_matrix_values():
         for k, e in enumerate(entries):
             scalar = op(GridFunction(grid, e)).values
             assert np.max(np.abs(matrix[:, k // 2, k % 2] - scalar)) < 1e-14
+
+
+def test_projector_is_the_kernel_plus_the_tail_completion():
+    # the one tail mechanism: on samples that do not decay, the public
+    # projector is the windowed kernel plus _tail_outside, row by row,
+    # which is what the RHP solve adds to its right-hand side
+    grid = make_spectral_grid(40.0, 1024)
+    s = grid.points
+    rows = np.stack([1.0 / (s + 1j), 1.0 / (s - 1j), s / (s**2 + 9.0)])
+    batch = _cauchy_plus_batch(rows, grid) + _tail_outside(rows, grid)
+    with pytest.warns(UserWarning, match="samples do not decay"):
+        for row, got in zip(rows, batch):
+            assert np.max(np.abs(cauchy_plus(GridFunction(grid, row)).values - got)) < 1e-14
+
+
+def test_tail_completion_vanishes_on_samples_zero_at_the_edges():
+    # samples that are exactly zero on the outer eighth of each half-window
+    # have no tail to complete: the completion is exactly zero
+    grid = make_spectral_grid(40.0, 512)
+    s = grid.points
+    rng = np.random.default_rng(5)
+    v = (rng.standard_normal((3, 512)) + 1j * rng.standard_normal((3, 512)))
+    v = np.where(np.abs(s) < 0.85 * grid.half_width, v, 0.0)
+    assert np.all(_tail_outside(v, grid) == 0.0)
 
 
 def test_csv_round_trips_at_full_precision(tmp_path):

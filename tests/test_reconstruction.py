@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import wkist.reconstruction
 from wkist.direct_scattering import reflection_coefficient
 from wkist.errors import (
     HodographInconsistentError,
@@ -11,7 +12,7 @@ from wkist.errors import (
     RangeError,
     SlopeConditionError,
 )
-from wkist.lattice import GridFunction, make_spatial_grid, make_spectral_grid
+from wkist.lattice import make_spatial_grid, make_spectral_grid
 from wkist.lax import make_potential
 from wkist.reconstruction import (
     epsilon_fixed_point,
@@ -58,8 +59,7 @@ def test_epsilon_fixed_point_matches_closed_form():
     gaps = {}
     for n in (2048, 4096):
         g = make_spatial_grid(20.0, n)
-        qh = GridFunction(g, soliton_qh(g.points, 0.0, SOLITON))
-        res = epsilon_fixed_point(qh)
+        res = epsilon_fixed_point(g.points, soliton_qh(g.points, 0.0, SOLITON))
         assert res.final_update < 1e-10
         exact = soliton_epsilon(g.points, 0.0, SOLITON)
         gaps[n] = np.max(np.abs(res.values - exact))
@@ -74,9 +74,8 @@ def test_epsilon_value_at_origin():
 
 def test_epsilon_fixed_point_iteration_cap():
     g = make_spatial_grid(20.0, 512)
-    qh = GridFunction(g, soliton_qh(g.points, 0.0, SOLITON))
     with pytest.raises(HodographUnsolvedError):
-        epsilon_fixed_point(qh, max_iterations=1)
+        epsilon_fixed_point(g.points, soliton_qh(g.points, 0.0, SOLITON), max_iterations=1)
 
 
 def test_x_from_m11_agrees_with_the_shift():
@@ -146,6 +145,22 @@ def test_inverse_transform_rejects_oversized_window():
     sd = reflection_coefficient(p, make_spectral_grid(40.0, 512, z_min=0.9))
     with pytest.raises(InvalidArgumentError):
         inverse_transform(sd, 0.0, grid, window=10.0)
+
+
+@pytest.mark.parametrize("window", [0.0, -1.0, 0.005])
+def test_inverse_transform_refuses_a_sweep_of_fewer_than_two_cells(window, monkeypatch):
+    # a window holding at most one grid point leaves nothing to integrate;
+    # it must be refused before any RHP solve runs
+    grid = make_spatial_grid(4.0, 256)
+    p = make_potential(grid, lambda x: 0.01 * np.exp(-(x**2)))
+    sd = reflection_coefficient(p, make_spectral_grid(40.0, 512, z_min=0.9))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an RHP solve ran")
+
+    monkeypatch.setattr(wkist.reconstruction, "_solve_batch", no_solve)
+    with pytest.raises(InvalidArgumentError, match="two cells"):
+        inverse_transform(sd, 0.0, grid, window=window)
 
 
 @pytest.mark.parametrize("decay_floor", [float("nan"), -1e-6, float("inf")])

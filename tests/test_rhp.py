@@ -4,14 +4,13 @@ import pytest
 import wkist.rhp
 from wkist.direct_scattering import reflection_coefficient
 from wkist.errors import InvalidArgumentError, RhpUnsolvedError
-from wkist.lattice import GridFunction, make_spatial_grid, make_spectral_grid
+from wkist.lattice import GridFunction, _tail_outside, make_spatial_grid, make_spectral_grid
 from wkist.lax import make_potential
 from wkist.rhp import (
     DELTA_CONJUGATED,
     NEUMANN_CAP,
     NEUMANN_TOL,
     TRIANGULAR,
-    TailModel,
     _apply_cw,
     _dense_solve,
     _in_w_plus,
@@ -19,16 +18,14 @@ from wkist.rhp import (
     _l2_residual,
     _m0_rows,
     _neumann,
+    _solve,
     _solve_batch,
     build_factorization,
     delta_function,
     dx_m1,
-    fit_tail_model,
     m1_moment,
-    outer_band_moments,
     solve_mu,
     suggest_z_min,
-    tail_band_rhs,
 )
 
 
@@ -146,9 +143,11 @@ def test_dense_fallback_reports_the_dense_derivative_residual():
     out = _solve_batch(u21, u12, TRIANGULAR, zg)
     assert out["solver"][0] == "dense"
     assert out["residual"][0] < 100 * NEUMANN_TOL
-    one, zero = np.ones(zg.point_count, complex), np.zeros(zg.point_count, complex)
-    [(mu11, mu12)] = _dense_solve(u21[0], u12[0], [(one, zero)], TRIANGULAR, zg)
-    want = slope_of(mu11, mu12, u21[0], u12[0], zg)
+    # the same equations, the band term included
+    T12 = _tail_outside(u12[0], zg)
+    [(mu11, mu12)] = _dense_solve(u21[0], u12[0], [(np.ones(zg.point_count), T12)],
+                                  TRIANGULAR, zg)
+    want = slope_of(mu11, mu12, u21[0], u12[0], zg, T12[zg.point_count // 2])
     assert abs(out["slope"][0] - want) < 1e-9 * (1.0 + abs(want))
 
 
@@ -216,108 +215,24 @@ def test_suggest_z_min_scales_with_demand():
         suggest_z_min(0.5, 8, window=1e6, t_max=0.0)
 
 
-def test_tail_model_recovers_polynomial_coefficients():
-    # manufacture reflection data whose tail is exactly a cubic in 1/z
-    zg = make_spectral_grid(40.0, 4096, z_min=0.5)
-    z = zg.points
-    active = np.abs(z) >= zg.z_min
-    c = np.array([0.08 - 0.01j, 0.003 + 0.02j, -0.04 + 0.005j, 0.011j])
-    Z = zg.half_width
-    r = np.zeros_like(z, dtype=complex)
-    zs = z[active]
-    r[active] = (c[0] + c[1] * (Z / zs) + c[2] * (Z / zs) ** 2
-                 + c[3] * (Z / zs) ** 3) / zs
-
-    class FakeSD:
-        pass
-
-    sd = FakeSD()
-    sd.zgrid, sd.r, sd.active = zg, r, active
-    model = fit_tail_model(sd)
-    assert np.max(np.abs(model.pos - c)) < 1e-10
-    assert np.max(np.abs(model.neg - c)) < 1e-10
-    assert abs(model.c1 - c[0]) < 1e-10
-
-    # the modeled completion agrees with brute-force quadrature of r itself;
-    # the two sides must share one cutoff S: each log-diverges alone and the
-    # divergence cancels in the symmetric sum (the lam-space integral is a
-    # principal value at lam = 0), leaving an O(x_H/S) remainder.
-    x_h = 0.7
-    tails = outer_band_moments(model, Z, np.array([x_h]), 0.0, nodes=320)
-    y, w = np.polynomial.legendre.leggauss(600)
-    stretch = np.log(1e6)                       # S = 1e6 Z
-    s_pos = Z * np.exp(0.5 * stretch * (y + 1.0))
-    ws = s_pos * 0.5 * stretch * w              # ds = s dy on the log map
-    total = 0.0 + 0.0j
-    for s in (s_pos, -s_pos):
-        rs = (c[0] + c[1] * (Z / s) + c[2] * (Z / s) ** 2 + c[3] * (Z / s) ** 3) / s
-        th = x_h / s
-        total += -(1.0 / (2j * np.pi)) * np.sum(np.conj(rs) * np.exp(-2j * th) * ws)
-    assert abs(total - tails["m1_12"][0]) < 1e-7
-
-
-def one_term_tail(c1, Z):
-    """The tail model r ~ c1/s on both sides."""
-    c = np.array([complex(c1)])
-    return TailModel(Z=float(Z), pos=c, neg=c)
-
-
-def test_outer_band_moments_quadrature_is_converged():
-    tail = one_term_tail(0.09 + 0.002j, 40.0)
-    lo = outer_band_moments(tail, 40.0, np.array([-3.0, 0.0, 2.5]), 0.4, nodes=96)
-    hi = outer_band_moments(tail, 40.0, np.array([-3.0, 0.0, 2.5]), 0.4, nodes=480)
-    for key in ("m1_12", "m1_21"):
-        assert np.max(np.abs(lo[key] - hi[key])) < 1e-12
-
-
-def test_outer_band_moments_shrink_with_z():
-    near = outer_band_moments(one_term_tail(0.09, 40.0), 40.0, np.array([1.0]), 0.0)
-    far = outer_band_moments(one_term_tail(0.09, 80.0), 80.0, np.array([1.0]), 0.0)
-    assert np.abs(far["m1_12"][0]) < np.abs(near["m1_12"][0])
-
-
-def test_tail_band_rhs_matches_log_kernel():
-    # for r = c1/s exactly, the tail Cauchy transform at x_H = t = 0 is
-    # T12(z) = conj(c1)/(2 pi i) (1/z) log((Z+z)/(Z-z)); the panel
-    # quadrature must reproduce it at every grid point, including the
-    # outermost ones where the kernel pole sits a spacing away
-    zg = make_spectral_grid(40.0, 4096, z_min=0.3)
-    Z, h = zg.half_width, zg.spacing
-    c1 = 0.07 - 0.03j
-    tm = TailModel(Z=Z, pos=np.array([c1, 0, 0, 0], dtype=complex),
-                   neg=np.array([c1, 0, 0, 0], dtype=complex))
-    out = tail_band_rhs(tm, zg, np.array([0.0]), 0.0)
-    z = zg.points.copy()
-    edge = np.abs(z) >= Z            # the -Z point is computed at its cell mid
-    z[edge] = np.sign(z[edge]) * (Z - 0.5 * h)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        L = np.where(np.abs(z) < 1e-12, 2.0 / Z, np.log((Z + z) / (Z - z)) / z)
-    assert np.abs(out[0] - np.conj(c1) / (2j * np.pi) * L).max() < 1e-10
-
-
 def test_tail_rhs_pulls_band_solution_toward_wide_grid():
     # same decaying jump on a Z = 40 and a Z = 160 grid with equal
     # spacing: the narrow solve differs from the wide one only by where
-    # the contour is cut, and adding the tail right-hand side must
-    # recover most of that difference (what remains is the mu-coupled
-    # next order in 1/Z)
+    # the contour is cut, and the band term _solve_batch adds to the
+    # right-hand side must recover most of that difference
     c1 = 0.08 - 0.015j
     rfun = lambda z: c1 * z / (z**2 + 1.0)
 
-    class FakeSD:
-        pass
-
     def band_mu(Z, N_z, with_T):
-        zg = make_spectral_grid(Z, N_z, z_min=0.0)
-        rv = rfun(zg.points)
-        sd = FakeSD()
-        sd.zgrid, sd.r, sd.active = zg, rv, np.abs(zg.points) > 0.05
-        tm = fit_tail_model(sd)
-        u21, u12, _ = _jump_entries(TRIANGULAR, rv, zg,
+        zg = make_spectral_grid(Z, N_z)
+        u21, u12, _ = _jump_entries(TRIANGULAR, rfun(zg.points), zg,
                                     np.array([[-0.4]]), 0.0, None)
-        trhs = tail_band_rhs(tm, zg, np.array([-0.4]), 0.0) if with_T else None
-        out = _solve_batch(u21, u12, TRIANGULAR, zg, tail_rhs=trhs)
-        return zg, out["mu"]
+        if with_T:
+            return zg, _solve_batch(u21, u12, TRIANGULAR, zg)["mu"]
+        # the windowed equation alone: row 1 with no band term
+        rhs = (np.ones((1,) + u21.shape, complex), np.zeros((1,) + u21.shape, complex))
+        (x1, x2), *_ = _solve(u21, u12, rhs, TRIANGULAR, zg)
+        return zg, (x1[0], x2[0])
 
     zg_w, mu_w = band_mu(160.0, 16384, True)
     zg_n, mu_no = band_mu(40.0, 4096, False)
@@ -328,7 +243,7 @@ def test_tail_rhs_pulls_band_solution_toward_wide_grid():
     gap_no = np.abs(mu_no[1][0] - mu_w[1][0][iw])[inner].max()
     gap_yes = np.abs(mu_yes[1][0] - mu_w[1][0][iw])[inner].max()
     assert gap_no > 1e-3          # the cut alone costs this much
-    assert gap_yes < 6e-5         # measured 3.7e-5
+    assert gap_yes < 6e-5
     assert gap_yes < gap_no / 20.0
 
 
@@ -441,9 +356,8 @@ def test_inverse_solve_transforms_row_1_only(kind, x_H, monkeypatch):
     zg = sd.zgrid
     r = 0.6 * sd.r / np.max(np.abs(sd.r))
     u21, u12 = jump_batch(r, zg, kind, x_H)
-    tm = TailModel(Z=zg.half_width, pos=np.array([0.05 - 0.02j, 0.01j]),
-                   neg=np.array([0.05 - 0.02j, -0.01]))
-    T12 = tail_band_rhs(tm, zg, np.asarray(x_H), 0.0)
+    # the band term _solve_batch adds to column 2 of the right-hand side
+    T12 = _tail_outside(u12, zg)
     calls = []
     kernel = wkist.rhp._cauchy_plus_batch
 
@@ -452,7 +366,7 @@ def test_inverse_solve_transforms_row_1_only(kind, x_H, monkeypatch):
         return kernel(values, grid, minus)
 
     monkeypatch.setattr(wkist.rhp, "_cauchy_plus_batch", counted)
-    out = _solve_batch(u21, u12, kind, zg, tail_rhs=T12)
+    out = _solve_batch(u21, u12, kind, zg)
     monkeypatch.undo()
     assert list(out["solver"]) == ["neumann", "neumann"]
     assert all(shape == (1,) + u21.shape for shape in calls)

@@ -6,7 +6,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from wkist.lattice import GridFunction, make_spectral_grid  # noqa: E402
+from wkist.lattice import GridFunction, _tail_outside, make_spectral_grid  # noqa: E402
 from wkist.rhp import (  # noqa: E402
     DELTA_CONJUGATED,
     TRIANGULAR,
@@ -54,11 +54,17 @@ def random_reflection(seed, amplitude, zgrid=ZGRID, smooth=False):
 
 
 def dense_row_1(r, x_H, kind, zgrid=ZGRID):
-    """u21, u12 of one cell and row 1 of its mu from the dense solve."""
+    """u21, u12 of one cell, row 1 of its mu from the dense solve, and the band term.
+
+    The dense solve takes the right-hand side ``_solve_batch`` solves
+    with: column 2 carries the outer band ``_tail_outside(u12)``, whose
+    value at z = 0 is the band's part of M12(0).
+    """
     Delta = delta_function(GridFunction(zgrid, r))[2].values if kind == DELTA_CONJUGATED else None
     u21, u12, _ = _jump_entries(kind, r, zgrid, np.array([[x_H]]), 0.0, Delta)
-    one, zero = np.ones(zgrid.point_count, complex), np.zeros(zgrid.point_count, complex)
-    return u21, u12, _dense_solve(u21[0], u12[0], [(one, zero)], kind, zgrid)[0]
+    band = _tail_outside(u12[0], zgrid)
+    mu = _dense_solve(u21[0], u12[0], [(np.ones(zgrid.point_count), band)], kind, zgrid)[0]
+    return u21, u12, mu, band[zgrid.point_count // 2]
 
 
 @hypothesis.settings(max_examples=20, deadline=None)
@@ -67,13 +73,13 @@ def test_neumann_agrees_with_dense_on_random_small_data(seed, amplitude, x_H, ki
     # random smooth data with max |r| <= 0.3: the sweeps and the dense
     # collocation solve the same discrete system, for row 1 of mu (the
     # row the inverse solves) and the slope read off it
-    u21, u12, (mu11, mu12) = dense_row_1(random_reflection(seed, amplitude), x_H, kind)
+    u21, u12, (mu11, mu12), band0 = dense_row_1(random_reflection(seed, amplitude), x_H, kind)
     out = _solve_batch(u21, u12, kind, ZGRID)
     assert out["solver"][0] == "neumann"
     assert np.max(np.abs(out["mu"][0][0] - mu11)) < 1e-9
     assert np.max(np.abs(out["mu"][1][0] - mu12)) < 1e-9
     m11, m12 = _m0_rows(mu11, mu12, u21[0], u12[0], ZGRID)
-    assert abs(out["slope"][0] - 2j * (1.0 + m11) * m12) < 1e-9
+    assert abs(out["slope"][0] - 2j * (1.0 + m11) * (m12 + band0)) < 1e-9
 
 
 @hypothesis.settings(max_examples=20, deadline=None)
@@ -113,7 +119,7 @@ def test_slope_identity_on_random_data(seed, amplitude, x_H, kind):
     assert abs(m1_moment(ft, st)[0, 1] - m1_moment(fd, sd)[0, 1]) < 1e-6
     assert abs(dx_m1(ft, st)[0, 1] - dx_m1(fd, sd)[0, 1]) < 1e-6
 
-    u21, u12, (mu11, mu12) = dense_row_1(r.values, x_H, kind, FINE_ZGRID)
+    u21, u12, (mu11, mu12), band0 = dense_row_1(r.values, x_H, kind, FINE_ZGRID)
     m11, m12 = _m0_rows(mu11, mu12, u21[0], u12[0], FINE_ZGRID)
     out = _solve_batch(u21, u12, kind, FINE_ZGRID)
-    assert abs(out["slope"][0] - 2j * (1.0 + m11) * m12) < 1e-9
+    assert abs(out["slope"][0] - 2j * (1.0 + m11) * (m12 + band0)) < 1e-9
