@@ -38,6 +38,7 @@ from .direct_scattering import ScatteringData, evolve_reflection, reflection_coe
 from .errors import InvalidArgumentError, NumericalError, RegimeError, WkiError, check_threshold
 from .lattice import (
     GridFunction,
+    columns_to_csv,
     gridfunction_to_csv,
     make_spatial_grid,
     make_spectral_grid,
@@ -172,12 +173,8 @@ def _forward_data(cfg: RunConfig, outdir: Path):
 
 def _write_reflection(sd: ScatteringData, outdir: Path):
     gridfunction_to_csv(GridFunction(sd.zgrid, sd.r), outdir / "reflection.csv")
-    with open(outdir / "coefficients.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lam", "a_re", "a_im", "b_re", "b_im"])
-        for lam, a, b in zip(sd.lam, sd.a, sd.b):
-            writer.writerow([f"{lam:.17g}", f"{a.real:.17g}", f"{a.imag:.17g}",
-                             f"{b.real:.17g}", f"{b.imag:.17g}"])
+    columns_to_csv(outdir / "coefficients.csv", ["lam", "a_re", "a_im", "b_re", "b_im"],
+                   [sd.lam, sd.a.real, sd.a.imag, sd.b.real, sd.b.imag])
 
 
 def run_forward(cfg: RunConfig, outdir: Path) -> dict:
@@ -222,22 +219,12 @@ def _load_reflection(indir: Path) -> ScatteringData:
 
 def _write_reconstruction(rec, outdir: Path):
     gridfunction_to_csv(rec.q, outdir / "reconstructed.csv")
-    with open(outdir / "hodograph.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_H", "qh_re", "qh_im", "epsilon", "x_explicit"])
-        for xh, qh, eps, xe in zip(rec.x_H, rec.q_H, rec.epsilon.values,
-                                   rec.x_explicit):
-            writer.writerow([f"{xh:.17g}", f"{qh.real:.17g}", f"{qh.imag:.17g}",
-                             f"{eps:.17g}", f"{xe:.17g}"])
-    with open(outdir / "cells.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_H", "t", "kind", "iterations", "residual",
-                         "solver", "abs_dx_m1_12"])
-        for cell in rec.cells:
-            writer.writerow([f"{cell['x_H']:.17g}", f"{cell['t']:.17g}",
-                             cell["kind"], cell["iterations"],
-                             f"{cell['residual']:.17g}", cell["solver"],
-                             f"{cell['abs_dx_m1_12']:.17g}"])
+    columns_to_csv(outdir / "hodograph.csv", ["x_H", "qh_re", "qh_im", "epsilon", "x_explicit"],
+                   [rec.x_H, rec.q_H.real, rec.q_H.imag, rec.epsilon.values, rec.x_explicit])
+    header = ["x_H", "t", "kind", "iterations", "residual", "solver", "abs_dx_m1_12"]
+    columns_to_csv(outdir / "cells.csv", header,
+                   [[cell[name] for cell in rec.cells] for name in header],
+                   text=("kind", "iterations", "solver"))
 
 
 def run_inverse(cfg: RunConfig, outdir: Path) -> dict:
@@ -296,11 +283,7 @@ def run_soliton(cfg: RunConfig, outdir: Path) -> dict:
     q = soliton_q(xgrid.points, cfg.t, params)
     eps = soliton_epsilon(xgrid.points, cfg.t, params)
     gridfunction_to_csv(GridFunction(xgrid, q), outdir / "soliton.csv")
-    with open(outdir / "epsilon.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["coordinate", "epsilon"])
-        for x, e in zip(xgrid.points, eps):
-            writer.writerow([f"{x:.17g}", f"{e:.17g}"])
+    columns_to_csv(outdir / "epsilon.csv", ["coordinate", "epsilon"], [xgrid.points, eps])
     peak = soliton_peak(params)
     results = {
         "bursting": params.bursting,

@@ -24,7 +24,6 @@ solver adds it to its right-hand side as the outer band of the jump.
 
 from __future__ import annotations
 
-import csv
 import functools
 import warnings
 from dataclasses import dataclass
@@ -44,6 +43,7 @@ __all__ = [
     "cumulative_integral",
     "cauchy_plus",
     "cauchy_minus",
+    "columns_to_csv",
     "gridfunction_to_csv",
 ]
 
@@ -276,10 +276,22 @@ def cauchy_minus(f: GridFunction) -> GridFunction:
     return GridFunction(f.grid, _completed_cauchy_plus(f) - f.values)
 
 
-def gridfunction_to_csv(f: GridFunction, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["coordinate", "re", "im"])
-        for x, v in zip(f.grid.points, f.values):
-            writer.writerow([f"{x:.17g}", f"{v.real:.17g}", f"{np.imag(v):.17g}"])
+def columns_to_csv(path, header, columns, text=()):
+    """Write equal-length ``columns`` under ``header`` as one CSV file.
 
+    Columns named in ``text`` are written with %s, the others with %.17g,
+    and lines end in CRLF: the bytes ``csv.writer`` writes for these fields.
+    Rows are formatted 256 at a time: as fast as the whole file at once,
+    without holding a Python float per sample of it.
+    """
+    fmt = ",".join("%s" if name in text else "%.17g" for name in header) + "\r\n"
+    columns = [np.asarray(c) for c in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), 256):
+            rows = zip(*(c[start:start + 256].tolist() for c in columns))
+            fh.write("".join(map(fmt.__mod__, rows)))
+
+
+def gridfunction_to_csv(f: GridFunction, path):
+    columns_to_csv(path, ["coordinate", "re", "im"], [f.grid.points, f.values.real, f.values.imag])

@@ -62,7 +62,10 @@ SLOPE_MARGIN = 1e-6
 EPSILON_TOL = 1e-10
 EPSILON_CAP = 500
 DEFAULT_WINDOW = 6.0
-CHUNK = 64
+# Spectral samples per batch of cells: a batch's (B, N_z) arrays are 512 KiB
+# and the kernel's padded buffer 1 MiB, inside a per-core L2 cache.  Fastest
+# of 2^13..2^17 on both N_z = 2048 and 4096.
+BATCH_SAMPLES = 2**15
 
 
 def qh_from_slope(s: np.ndarray, margin: float = SLOPE_MARGIN) -> np.ndarray:
@@ -225,7 +228,7 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
     entries decaying in the half-plane its projection sees).  Every solve
     adds the outer band of the jump (``_solve_batch``) and stops at
     ``NEUMANN_TOL``; the slope must stay below 1 - ``SLOPE_MARGIN``.
-    Cells are solved ``CHUNK`` at a time.
+    Cells are solved in even batches of at most max(1, ``BATCH_SAMPLES // N_z``).
 
     ``decay_floor`` bounds how large the recovered q_H may be at the
     sweep-window ends; the reconstruction noise there scales with the
@@ -263,9 +266,10 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
     dense_count = 0
     worst_residual = 0.0
 
+    batch = max(1, BATCH_SAMPLES // zgrid.point_count)
     offset = 0
     for kind, part in ((TRIANGULAR, neg), (DELTA_CONJUGATED, pos)):
-        for block in np.array_split(part, max(1, int(np.ceil(part.size / CHUNK)))):
+        for block in np.array_split(part, max(1, int(np.ceil(part.size / batch)))):
             if block.size == 0:
                 continue
             u21, u12, _ = _jump_entries(kind, rv, zgrid, block[:, None], 0.0, Delta)

@@ -1,9 +1,11 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from wkist.cli import RunConfig, main
+from wkist.lattice import columns_to_csv
 
 SMALL = ["--N", "512", "--N-z", "1024", "--window", "4.5",
          "--decay-floor", "1e-3"]
@@ -324,3 +326,40 @@ def test_config_defaults_match_parser():
     for f in fields(RunConfig):
         if f.name != "pipeline":
             assert f.name in flags
+
+
+# -0.0, the smallest subnormal, a huge value, integral floats, ordinary ones
+AWKWARD = np.array([-0.0, 5e-324, 1e300, 3.0, -2.0, 0.1, -1.2345678901234567e-7, 0.0])
+
+
+def reference_csv(path, header, rows):
+    """The per-row csv.writer output the column writer must reproduce."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+
+
+@pytest.mark.parametrize("width", [3, 5])
+def test_column_writer_matches_csv_writer_bytes(tmp_path, width):
+    # 600 rows: more than one block of the writer's rows
+    header = [f"c{k}" for k in range(width)]
+    columns = [np.resize(np.roll(AWKWARD, k) * (-1) ** k, 600) for k in range(width)]
+    reference_csv(tmp_path / "ref.csv", header, zip(*(c.tolist() for c in columns)))
+    columns_to_csv(tmp_path / "new.csv", header, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_column_writer_matches_csv_writer_on_cell_records(tmp_path):
+    header = ["x_H", "t", "kind", "iterations", "residual", "solver", "abs_dx_m1_12"]
+    cells = [
+        {"x_H": x, "t": 0.25, "kind": ("Triangular", "DeltaConjugated")[j % 2],
+         "iterations": 7 * j, "residual": r, "solver": ("neumann", "dense")[j % 2],
+         "abs_dx_m1_12": abs(x)}
+        for j, (x, r) in enumerate(zip(AWKWARD.tolist(), AWKWARD[::-1].tolist()))
+    ]
+    reference_csv(tmp_path / "ref.csv", header, ([c[k] for k in header] for c in cells))
+    columns_to_csv(tmp_path / "new.csv", header, [[c[k] for c in cells] for k in header],
+                   text=("kind", "iterations", "solver"))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

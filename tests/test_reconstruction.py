@@ -139,6 +139,35 @@ def test_inverse_transform_roundtrip_small():
     assert not rec.q.values[outside].any()
 
 
+def test_inverse_transform_sizes_cell_batches_to_the_grid(monkeypatch):
+    # every batch holds at most BATCH_SAMPLES spectral samples, so its
+    # arrays stay cache-sized; 1-cell batches give the same results
+    grid = make_spatial_grid(20.0, 512)
+    p = make_potential(grid, lambda x: 0.05 * np.exp(-(x**2)))
+    z_min = suggest_z_min(40.0, 1024, window=4.5)
+    sd = reflection_coefficient(p, make_spectral_grid(40.0, 1024, z_min=z_min))
+    solve = wkist.reconstruction._solve_batch
+    shapes = []
+
+    def recording(u21, *args, **kwargs):
+        shapes.append(u21.shape)
+        return solve(u21, *args, **kwargs)
+
+    monkeypatch.setattr(wkist.reconstruction, "_solve_batch", recording)
+    rec = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
+    assert {n for _, n in shapes} == {1024}
+    assert all(1 < b and b * 1024 <= 2**15 for b, _ in shapes)
+    assert sum(b for b, _ in shapes) == rec.x_H.size
+
+    shapes.clear()
+    monkeypatch.setattr(wkist.reconstruction, "BATCH_SAMPLES", 1)
+    single = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
+    assert {b for b, _ in shapes} == {1}
+    for name in ("slope", "m1_11"):
+        assert np.max(np.abs(getattr(rec, name) - getattr(single, name))) < 1e-12
+    assert np.max(np.abs(rec.q.values - single.q.values)) < 1e-12
+
+
 def test_inverse_transform_rejects_oversized_window():
     grid = make_spatial_grid(4.0, 256)
     p = make_potential(grid, lambda x: 0.01 * np.exp(-(x**2)))
