@@ -31,7 +31,6 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .direct_scattering import ScatteringData, evolve_reflection, reflection_coefficient
@@ -142,7 +141,6 @@ def _write_manifest(outdir: Path, cfg: RunConfig, results: dict):
         "versions": {
             "package": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "results": results,
     }

@@ -4,10 +4,10 @@ The Cauchy boundary operators C+ and C- are built on one kernel, the
 sinc discrete Hilbert transform on the real line (Stenger 1993;
 Weideman, Math. Comp. 64, 1995): C+- v = (+-v + i H v)/2, where H is
 the Toeplitz kernel 2/(pi m) on odd offsets m and 0 on even ones,
-applied by circulant embedding; the +-1/2 identity part is folded into
-the kernel's spectrum, so one pass returns either projection.  The
-public projectors form C- as C+ - id, so the Plemelj identity
-``C+ - C- = id`` holds exactly at the grid points.  On samples that
+applied by circulant embedding with ``numpy.fft``; the +-1/2 identity
+part is folded into the kernel's spectrum, so one pass returns either
+projection.  The public projectors form C- as C+ - id, so the Plemelj
+identity ``C+ - C- = id`` holds exactly at the grid points.  On samples that
 decay inside [-Z, Z) the kernel converges spectrally (2.8e-16 against
 the Dawson-function transform of exp(-s^2) at Z = 40, N = 4096).
 Samples outside the window count as zero, so on its own the kernel
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-import scipy.fft
 
 from .errors import InvalidArgumentError
 
@@ -177,9 +176,9 @@ def _projector_fft(n: int, minus: bool) -> np.ndarray:
     half = np.where(m % 2 == 1, 2.0 / (np.pi * m), 0.0)
     gap = np.zeros((SpectralGrid.padding - 2) * n + 1)
     col = np.concatenate([[0.0], half, gap, -half[::-1]])
-    # transformed as complex data, like the samples: the real-input path
-    # of scipy.fft rounds differently
-    out = 0.5j * scipy.fft.fft(col.astype(complex)) + (-0.5 if minus else 0.5)
+    # transformed as complex data, like the samples: a real-input
+    # transform rounds differently
+    out = 0.5j * np.fft.fft(col.astype(complex)) + (-0.5 if minus else 0.5)
     out.setflags(write=False)
     return out
 
@@ -190,19 +189,23 @@ def _cauchy_plus_batch(values: np.ndarray, grid: SpectralGrid, minus: bool = Fal
     C+- v = (+-v + i H v) / 2, with H the sinc discrete Hilbert transform
     (Hv)_k = sum over odd k - j of 2 v_j / (pi (k - j)), applied as a
     Toeplitz product by circulant embedding of length ``grid.padding`` N
-    = 2N: a forward FFT, the cached spectrum of the whole projection
-    (``_projector_fft``) multiplied in place, and an inverse FFT that
-    overwrites its input.
+    = 2N, all in one zero-filled buffer: a forward FFT in place, the
+    cached spectrum of the whole projection (``_projector_fft``)
+    multiplied in place, and an inverse FFT in place.
     On samples that decay inside the window it converges spectrally;
     samples it is not given count as zero, so a 1/s tail outside [-Z, Z)
     costs O(1/Z), which ``_tail_outside`` supplies.  The solver calls
     this kernel directly, once per half-step of a Beals-Coifman sweep.
     """
     n = grid.point_count
-    spectrum = scipy.fft.fft(np.asarray(values, dtype=complex), n=grid.padding * n, axis=-1)
-    spectrum *= _projector_fft(n, minus)
+    values = np.asarray(values)
+    buf = np.zeros(values.shape[:-1] + (grid.padding * n,), dtype=complex)
+    buf[..., :n] = values
+    np.fft.fft(buf, axis=-1, out=buf)
+    buf *= _projector_fft(n, minus)
+    np.fft.ifft(buf, axis=-1, out=buf)
     # a copy, so the caller does not hold the 2N buffer
-    return scipy.fft.ifft(spectrum, axis=-1, overwrite_x=True)[..., :n].copy()
+    return buf[..., :n].copy()
 
 
 @functools.lru_cache(maxsize=16)

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .direct_scattering import ScatteringData, evolve_reflection
 from .errors import (
@@ -93,13 +92,64 @@ class EpsilonResult:
     final_update: float
 
 
-def _interp_decaying(nodes: np.ndarray, values: np.ndarray) -> PchipInterpolator:
-    """Shape-preserving interpolant, identically zero outside the nodes."""
-    f = PchipInterpolator(nodes, values, extrapolate=False)
+def _pchip_end_slope(h0, h1, m0, m1):
+    """Moler's one-sided three-point end slope, kept shape-preserving."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
-    def evaluate(x):
-        out = f(x)
-        return np.nan_to_num(out, nan=0.0)
+
+def _interp_decaying(nodes: np.ndarray, values: np.ndarray):
+    """Shape-preserving interpolant, identically zero outside the nodes.
+
+    PCHIP: a piecewise cubic Hermite interpolant whose node slopes are
+    the weighted harmonic mean of the neighbouring secants, or zero where
+    they change sign or vanish (Fritsch & Carlson, SIAM J. Numer. Anal.
+    17, 1980), with one-sided three-point end slopes (Moler, *Numerical
+    Computing with MATLAB*, 2004, sec. 3.6).  Every operation is taken
+    in the order of ``scipy.interpolate.PchipInterpolator`` with
+    ``extrapolate=False``, so the two agree bit for bit.  ``nodes`` must
+    be strictly increasing and ``values`` real and finite: the callers
+    interpolate on a uniform grid, and ``resample_q`` checks its map first.
+    Returns a function of the evaluation points.
+    """
+    x = np.asarray(nodes, dtype=float)
+    y = np.asarray(values, dtype=float)
+    h = x[1:] - x[:-1]
+    m = (y[1:] - y[:-1]) / h
+    if y.size == 2:
+        d = np.array([m[0], m[0]])
+    else:
+        sm = np.sign(m)
+        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d = np.zeros_like(y)
+        d[1:-1][~flat] = 1.0 / whmean[~flat]
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    # power-form coefficients, highest degree first, as CubicHermiteSpline
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    coeffs = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
+
+    def evaluate(points):
+        points = np.asarray(points, dtype=float)
+        # cell k holds [x_k, x_{k+1}); the last one is closed on the right
+        k = np.clip(np.searchsorted(x, points, side="right") - 1, 0, x.size - 2)
+        s = points - x[k]
+        out = np.zeros_like(s)
+        z = np.ones_like(s)
+        for degree, c in enumerate(coeffs[::-1]):
+            out += c[k] * z
+            if degree < 3:
+                z *= s
+        out[~((points >= x[0]) & (points <= x[-1]))] = 0.0
+        return out
 
     return evaluate
 
@@ -113,8 +163,10 @@ def epsilon_fixed_point(x: np.ndarray, q_H: np.ndarray, tol: float = EPSILON_TOL
     shape-preservingly and treated as zero outside the sampled range
     (the potential must have decayed there).  Converges geometrically
     because the integrand is small and Lipschitz; hitting the iteration
-    cap raises HodographUnsolvedError.
+    cap raises HodographUnsolvedError.  ``max_iterations`` must be >= 1.
     """
+    if max_iterations < 1:
+        raise InvalidArgumentError(f"max_iterations must be >= 1, got {max_iterations}")
     x = np.asarray(x, dtype=float)
     h = float(x[1] - x[0])
     w = np.sqrt(1.0 + np.abs(q_H) ** 2) - 1.0

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wkist
 from wkist.cli import RunConfig, main
 from wkist.lattice import columns_to_csv
 
@@ -54,6 +59,17 @@ def test_forward_is_deterministic(tmp_path, capsys):
     mb = json.loads((b / "manifest.json").read_text())
     assert ma["results"] == mb["results"]
     assert ma["versions"] == mb["versions"]
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency: a CLI run must not pay for importing it
+    src = str(Path(wkist.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = "import sys, wkist.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_inverse_consumes_forward_output(tmp_path, capsys):

@@ -247,3 +247,31 @@ def test_csv_round_trips_at_full_precision(tmp_path):
     assert rows[0] == "coordinate,re,im"
     parsed = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
     assert np.array_equal(parsed[:, 1] + 1j * parsed[:, 2], values)
+
+
+def _scipy_cauchy_plus_batch(values, grid, minus=False):
+    """The kernel as it was on scipy.fft: a zero-padded forward transform,
+    the projection's spectrum built the same way, and an inverse transform."""
+    scipy_fft = pytest.importorskip("scipy.fft")
+    n = grid.point_count
+    m = np.arange(1, n)
+    half = np.where(m % 2 == 1, 2.0 / (np.pi * m), 0.0)
+    col = np.concatenate([[0.0], half, np.zeros((grid.padding - 2) * n + 1), -half[::-1]])
+    projector = 0.5j * scipy_fft.fft(col.astype(complex)) + (-0.5 if minus else 0.5)
+    spectrum = scipy_fft.fft(np.asarray(values, dtype=complex), n=grid.padding * n, axis=-1)
+    spectrum *= projector
+    return scipy_fft.ifft(spectrum, axis=-1, overwrite_x=True)[..., :n].copy()
+
+
+@pytest.mark.parametrize("n", [1024, 2048, 4096])
+@pytest.mark.parametrize("shape", [(), (3,), (1, 3)], ids=["N", "B,N", "1,B,N"])
+@pytest.mark.parametrize("minus", [False, True], ids=["C+", "C-"])
+def test_cauchy_kernel_matches_the_scipy_fft_kernel_bit_for_bit(n, shape, minus):
+    grid = make_spectral_grid(40.0, n)
+    rng = np.random.default_rng(n + len(shape))
+    envelope = np.exp(-0.01 * grid.points**2)
+    values = envelope * (rng.standard_normal(shape + (n,)) + 1j * rng.standard_normal(shape + (n,)))
+    want = _scipy_cauchy_plus_batch(values, grid, minus)
+    got = _cauchy_plus_batch(values, grid, minus)
+    assert got.shape == values.shape
+    assert got.tobytes() == want.tobytes()

@@ -15,6 +15,7 @@ from wkist.errors import (
 from wkist.lattice import make_spatial_grid, make_spectral_grid
 from wkist.lax import make_potential
 from wkist.reconstruction import (
+    _interp_decaying,
     epsilon_fixed_point,
     inverse_transform,
     qh_from_slope,
@@ -76,6 +77,48 @@ def test_epsilon_fixed_point_iteration_cap():
     g = make_spatial_grid(20.0, 512)
     with pytest.raises(HodographUnsolvedError):
         epsilon_fixed_point(g.points, soliton_qh(g.points, 0.0, SOLITON), max_iterations=1)
+
+
+@pytest.mark.parametrize("max_iterations", [0, -1])
+def test_epsilon_fixed_point_refuses_an_empty_iteration_budget(max_iterations):
+    g = make_spatial_grid(20.0, 512)
+    with pytest.raises(InvalidArgumentError, match="max_iterations"):
+        epsilon_fixed_point(g.points, soliton_qh(g.points, 0.0, SOLITON),
+                            max_iterations=max_iterations)
+
+
+_UNEVEN = np.cumsum(np.random.default_rng(12).uniform(0.05, 1.0, 40)) - 10.0
+PCHIP_CASES = {
+    "uniform": (np.linspace(-4.0, 4.0, 33), np.exp(-np.linspace(-4.0, 4.0, 33) ** 2)),
+    "non-uniform": (_UNEVEN, np.random.default_rng(13).standard_normal(40)),
+    "two nodes": (np.array([-1.0, 2.5]), np.array([0.3, -1.2])),
+    "three nodes": (np.array([-1.0, 0.25, 2.0]), np.array([0.5, 2.0, -0.75])),
+    "three nodes, one flat": (np.array([0.0, 1.0, 3.0]), np.array([1.0, 1.0, -2.0])),
+    # flat runs, exact zeros (of both signs) and sign changes
+    "flat and sign changes": (np.arange(12.0) ** 1.5, np.array(
+        [0.0, 0.0, 1.0, 1.0, 1.0, -2.0, 3.0, 3.0, 0.0, -0.0, 5.0, -4.0])),
+    # Moler's end slopes: capped at three end secants, and cut to zero
+    "capped end slopes": (np.arange(5.0), np.array([0.0, 1.0, -4.0, 1.0, 0.0])),
+    "zero end slopes": (np.arange(4.0), np.array([0.0, 1.0, 6.0, 7.0])),
+}
+
+
+@pytest.mark.parametrize("nodes, values", list(PCHIP_CASES.values()), ids=list(PCHIP_CASES))
+def test_interp_decaying_is_pchip_bit_for_bit(nodes, values):
+    # the in-house PCHIP repeats scipy's operation order: the same bits at
+    # the nodes, at both ends, between nodes, and zero outside
+    interpolate = pytest.importorskip("scipy.interpolate")
+    rng = np.random.default_rng(len(nodes))
+    a, b = nodes[0], nodes[-1]
+    points = np.concatenate([
+        nodes, rng.uniform(a, b, 300), rng.uniform(a - 2.0, b + 2.0, 50),
+        [a, b, np.nextafter(a, -np.inf), np.nextafter(b, np.inf), a - 1.0, b + 1.0],
+    ])
+    want = np.nan_to_num(interpolate.PchipInterpolator(nodes, values, extrapolate=False)(points),
+                         nan=0.0)
+    got = _interp_decaying(nodes, values)(points)
+    assert got.tobytes() == want.tobytes()
+    assert np.all(got[(points < a) | (points > b)] == 0.0)
 
 
 def test_x_from_m11_agrees_with_the_shift():
