@@ -183,24 +183,34 @@ def _projector_fft(n: int, minus: bool) -> np.ndarray:
     return out
 
 
-def _cauchy_plus_batch(values: np.ndarray, grid: SpectralGrid, minus: bool = False) -> np.ndarray:
-    """C+ (or C- with ``minus``) on the trailing axis of a (..., N) array.
+def _cauchy_plus_batch(values: np.ndarray, grid: SpectralGrid, minus: bool = False,
+                       weight: np.ndarray | None = None) -> np.ndarray:
+    """C+ (or C- with ``minus``) of ``values * weight`` on the trailing axis of a (..., N) array.
 
     C+- v = (+-v + i H v) / 2, with H the sinc discrete Hilbert transform
     (Hv)_k = sum over odd k - j of 2 v_j / (pi (k - j)), applied as a
     Toeplitz product by circulant embedding of length ``grid.padding`` N
-    = 2N, all in one zero-filled buffer: a forward FFT in place, the
-    cached spectrum of the whole projection (``_projector_fft``)
-    multiplied in place, and an inverse FFT in place.
+    = 2N, all in one buffer whose tail half is zeroed: a forward FFT in
+    place, the cached spectrum of the whole projection
+    (``_projector_fft``) multiplied in place, and an inverse FFT in place.
+    ``weight``, broadcast against ``values``, is multiplied straight into
+    the buffer, so the product is never formed on its own; the result has
+    the bytes of the kernel applied to ``values * weight``.
     On samples that decay inside the window it converges spectrally;
     samples it is not given count as zero, so a 1/s tail outside [-Z, Z)
     costs O(1/Z), which ``_tail_outside`` supplies.  The solver calls
-    this kernel directly, once per half-step of a Beals-Coifman sweep.
+    this kernel directly, once per half-step of a Beals-Coifman sweep,
+    with the jump entry as the weight.
     """
     n = grid.point_count
     values = np.asarray(values)
-    buf = np.zeros(values.shape[:-1] + (grid.padding * n,), dtype=complex)
-    buf[..., :n] = values
+    shape = values.shape if weight is None else np.broadcast_shapes(values.shape, np.shape(weight))
+    buf = np.empty(shape[:-1] + (grid.padding * n,), dtype=complex)
+    if weight is None:
+        buf[..., :n] = values
+    else:
+        np.multiply(values, weight, out=buf[..., :n])
+    buf[..., n:] = 0.0
     np.fft.fft(buf, axis=-1, out=buf)
     buf *= _projector_fft(n, minus)
     np.fft.ifft(buf, axis=-1, out=buf)

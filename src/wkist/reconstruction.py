@@ -32,6 +32,7 @@ from .errors import (
     HodographUnsolvedError,
     InvalidArgumentError,
     RangeError,
+    RhpUnsolvedError,
     SlopeConditionError,
     check_threshold,
 )
@@ -72,9 +73,13 @@ def qh_from_slope(s: np.ndarray, margin: float = SLOPE_MARGIN) -> np.ndarray:
 
     Requires max |s| < 1 - margin; the relation degenerates at |s| = 1
     (vertical tangent of the hodograph), which is the regime boundary,
-    so violation raises SlopeConditionError rather than clipping.
+    so violation raises SlopeConditionError rather than clipping.  A
+    non-finite slope is a failed solve, not a regime outcome, and raises
+    RhpUnsolvedError.
     """
     s = np.asarray(s, dtype=complex)
+    if not np.all(np.isfinite(s)):
+        raise RhpUnsolvedError("the RHP solves returned a non-finite slope")
     mags = np.abs(s)
     worst = float(mags.max()) if mags.size else 0.0
     if worst >= 1.0 - margin:
@@ -190,13 +195,15 @@ def x_from_m11(x_H: np.ndarray, m1_11: np.ndarray,
                tolerance: float = 1e-3) -> np.ndarray:
     """Explicit hodograph inversion x = x_H - Im m^(1)_{11}.
 
-    The diagonal moment must be (numerically) purely imaginary with
-    nonnegative imaginary part, and the resulting x must be increasing
-    in x_H; violations mean the moment does not describe a decaying
-    potential and raise HodographInconsistentError.
+    The diagonal moment must be finite and (numerically) purely
+    imaginary with nonnegative imaginary part, and the resulting x must
+    be increasing in x_H; violations mean the moment does not describe a
+    decaying potential and raise HodographInconsistentError.
     """
     x_H = np.asarray(x_H, dtype=float)
     m1_11 = np.asarray(m1_11, dtype=complex)
+    if not np.all(np.isfinite(m1_11)):
+        raise HodographInconsistentError("diagonal moment is not finite")
     if m1_11.size:
         worst_re = float(np.max(np.abs(m1_11.real)))
         worst_im = float(np.min(m1_11.imag))

@@ -28,12 +28,14 @@ In both kinds the (2,1)-position entry carries e^{+2 i theta} and the
 (1,2)-position entry carries e^{-2 i theta}, theta = x_H/z + 2 t/z^2.
 
 The equation (I - C_w) X = rhs is solved a batch of cells at a time by
-block Gauss-Seidel sweeps that measure their exact residual at no extra
-cost (``_neumann``: 2 s + 1 Cauchy kernel passes for s sweeps, each pass
-C+ or C- directly); cells on which the sweeps do not converge are solved
-again by dense collocation (``_dense_solve``).  The two rows of X solve
-the same operator with their own right-hand sides, so a solve takes only
-the rows it is given and its cost scales with their count.
+block Gauss-Seidel sweeps that measure their exact residual after every
+half-step at no extra cost and stop at the first iterate that meets tol
+(``_neumann``: 2 s + 1 or 2 s + 2 Cauchy kernel passes for s column-1
+updates, each pass C+ or C- directly); cells on which the sweeps do not
+converge are solved again by dense collocation (``_dense_solve``).  The
+two rows of X solve the same operator with their own right-hand sides,
+so a solve takes only the rows it is given and its cost scales with
+their count.
 ``solve_mu`` solves both rows; the inverse transform (``_solve_batch``)
 solves row 1 alone, since m^(1)_11 and the slope are integrals of
 row 1, and the residuals it reports are row 1's.
@@ -56,8 +58,8 @@ RHP, Beals & Coifman, CPAM 37, 1984)
 whose (1,2) entry is the slope 2i M11(0) M12(0).  M(0) - I =
 (1/2 pi i) int mu (w_+ + w_-) ds/s is a sum over every node but z = 0
 (``_m0_rows``); the DeltaConjugated kind solves for M(z) delta(z)^{sigma3},
-which leaves both the product and the derivative unchanged.  A batch of
-cells makes 2 s + 1 kernel passes for s sweeps.
+which leaves both the product and the derivative unchanged, and costs no
+kernel pass beyond the solve's.
 """
 
 from __future__ import annotations
@@ -153,16 +155,40 @@ def _inv_z(zgrid: SpectralGrid) -> np.ndarray:
     return np.where(z != 0.0, 1.0 / np.where(z == 0.0, 1.0, z), 0.0)
 
 
+def _phases(x_H, iz, theta):
+    """e^{2 i theta} as a (B, N) array, rows in the order of ``x_H``.
+
+    When the x_H are equally spaced to a few ulps, as the sweep cells of
+    the inverse are, only the first row takes ``np.exp``: each later row
+    is the previous one times e^{2 i dx / z}, one complex product per
+    sample instead of a cosine and a sine.  The rows then match
+    ``np.exp(2j * theta)`` to the rounding of theta itself.
+    """
+    b = len(x_H)
+    step = (x_H[-1] - x_H[0]) / max(b - 1, 1)
+    spread = np.max(np.abs(x_H - (x_H[0] + step * np.arange(b))))
+    if b == 1 or spread > 4 * np.finfo(float).eps * np.max(np.abs(x_H)):
+        return np.exp(2j * theta)
+    e2 = np.empty(theta.shape, dtype=complex)
+    e2[0] = np.exp(2j * theta[0])
+    factor = np.exp((2j * step) * iz)
+    for k in range(1, b):
+        np.multiply(e2[k - 1], factor, out=e2[k])
+    return e2
+
+
 def _jump_entries(kind, r_values, zgrid, x_H_col, t, Delta=None):
     """u21, u12, theta as (B, N) arrays for a batch of x_H values.
 
     The DeltaConjugated kind needs ``Delta`` from :func:`delta_function`.
     theta is reported as 0 at z = 0; the jump entries vanish there
     because r does (truncation floor), so the value is never used.
+    The phases of an equally spaced batch are built by recurrence
+    (:func:`_phases`).
     """
     iz = _inv_z(zgrid)
     theta = x_H_col * iz + (2.0 * t) * iz**2
-    e2 = np.exp(2j * theta)
+    e2 = _phases(np.asarray(x_H_col, dtype=float)[:, 0], iz, theta)
     if kind == TRIANGULAR:
         u21 = r_values * e2
     elif kind == DELTA_CONJUGATED:
@@ -232,7 +258,7 @@ def _half_step(x, u, entry, kind, zgrid):
     column 1 (X_i1) for the (1,2) entry, giving column 2.  One kernel
     pass, C- for a w_+ entry and C+ for a w_- entry.
     """
-    return _cauchy_plus_batch(x * u, zgrid, minus=_in_w_plus(kind, entry))
+    return _cauchy_plus_batch(x, zgrid, minus=_in_w_plus(kind, entry), weight=u)
 
 
 def _apply_cw(x1, x2, u21, u12, kind, zgrid):
@@ -272,52 +298,56 @@ def _neumann(u21, u12, rhs1, rhs2, kind, zgrid,
     1962), so it needs about half the sweeps Jacobi needs iterations, at
     the same two passes apiece.
 
-    After a sweep the column-2 equations hold exactly, so the update the
-    next sweep makes to column 1 is the exact residual of the current
-    iterate: convergence is tested on it at no extra kernel pass.  On
-    exit, whether on convergence or at ``cap``, the pending column-1
-    update is applied, and one more half pass measures the column-2
-    residual of the returned iterate (its column-1 residual is zero).  A
-    solve that stops after s >= 1 sweeps therefore makes 2 s + 1 kernel
-    passes, and the reported residual is exact for the rows solved.
+    Convergence is tested after every half-step, at no extra kernel
+    pass.  Once column 2 has been updated from column 1, the column-2
+    equations of the pair (x1, x2) hold exactly, so the next column-1
+    update, new1 - x1, is the exact residual of that pair; once column 1
+    has been updated, the next column-2 update, new2 - x2, is.  The solve
+    stops at the first check at which every cell is below ``tol`` (or
+    hopeless, or the pair has had ``cap`` column-1 updates) and returns
+    the pair that check measured, so the reported residual is exact for
+    the rows solved.  The sweep count s is the number of column-1
+    updates in the returned pair: a solve makes 2 s + 2 kernel passes
+    when it stops on a column-1 check and 2 s + 1 when it stops on a
+    column-2 check.  ``cap`` = 0 returns x1 = rhs1 after two passes.
 
     Returns the solution columns (x1, x2), per-cell residuals over the
-    given rows, sweep count, converged mask, and per cell the sweep at
-    which its residual first met ``tol`` (the sweep count for cells that
-    never did).
+    given rows, sweep count, converged mask, and per cell the sweep
+    count of the first check its residual met ``tol`` at (the sweep
+    count for cells that never did).
     """
     h = zgrid.spacing
     # a copy: the dense fallback writes into the returned columns
     x1 = np.array(rhs1, dtype=complex)
     x2 = _half_step(x1, u12, 12, kind, zgrid)
     x2 += rhs2
-    met = np.zeros(len(u21), dtype=int)
-    iterations = 0
+    x = [x1, x2]
+    # half-step k updates column c = k % 2 (0: column 1, 1: column 2)
+    # from the other one; its update is the residual of the current pair
+    steps = ((u21, 21, rhs1), (u12, 12, rhs2))
+    met = np.full(len(u21), -1)
+    first = None
+    k = 0
     # divergence is detected and handed to the dense fallback, so the
     # intermediate overflow it produces is not an error condition here
-    first = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for iterations in range(1, cap + 1):
-            new1 = _half_step(x2, u21, 21, kind, zgrid)
-            new1 += rhs1
-            res = _l2_residual(new1 - x1, h)
-            x1 = new1
-            met[(met == 0) & (res < tol)] = iterations
+        while True:
+            c = k % 2
+            u, entry, rhs = steps[c]
+            new = _half_step(x[1 - c], u, entry, kind, zgrid)
+            new += rhs
+            res = _l2_residual(new - x[c], h)
+            sweeps = (k + 1) // 2
+            met[(met < 0) & (res < tol)] = sweeps
             if first is None:
                 first = res
             hopeless = ~np.isfinite(res) | (res > 1e8 * first + 1e8)
-            if iterations == cap or np.all((res < tol) | hopeless):
+            if sweeps == cap or np.all((res < tol) | hopeless):
                 break
-            x2 = _half_step(x1, u12, 12, kind, zgrid)
-            x2 += rhs2
-        if iterations == 0:
-            # no sweep ran: column 2 holds exactly and column 1 carries
-            # the whole residual
-            res = _l2_residual(_half_step(x2, u21, 21, kind, zgrid), h)
-        else:
-            res = _l2_residual(x2 - rhs2 - _half_step(x1, u12, 12, kind, zgrid), h)
-    met[met == 0] = iterations
-    return (x1, x2), res, iterations, res < tol, met
+            x[c] = new
+            k += 1
+    met[met < 0] = sweeps
+    return (x[0], x[1]), res, sweeps, res < tol, met
 
 
 def _dense_matrix(u21_row, u12_row, kind, zgrid):
@@ -356,12 +386,13 @@ def _solve(u21, u12, rhs, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP):
 
     ``rhs`` is the right-hand-side column pair (rhs1, rhs2) of the rows
     to solve, each (R, B, N).  The Gauss-Seidel sweeps of ``_neumann``
-    run first; each cell on which they do not converge is solved again
-    by dense collocation (grids up to N = DENSE_CAP) and its residual is
+    run first and report the exact residual of the iterate they return;
+    each cell on which they do not converge is solved again by dense
+    collocation (grids up to N = DENSE_CAP) and its residual is
     recomputed from the dense solution, which must then meet 100 tol.
-    Returns the solution columns, the per-cell residuals, the sweep
-    count, the mask of cells solved densely and the per-cell sweep
-    counts.
+    Returns the solution columns, the per-cell residuals, the sweep count
+    (column-1 updates in the returned iterate), the mask of cells solved
+    densely and the per-cell sweep counts.
     """
     (x1, x2), res, iterations, ok, met = _neumann(u21, u12, *rhs, kind, zgrid, tol, cap)
     rhs1, rhs2 = rhs
@@ -388,8 +419,10 @@ def _solve_batch(u21, u12, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP):
     row 1 only, and row 1's equations do not involve row 2; so only row
     1 is solved, and every kernel pass transforms a (1, B, N) stack.
     "mu" is the pair (X11, X12) of (B, N) arrays; the residuals are row
-    1's.  "iterations" is the sweep count of the batch's solve,
-    "cell_iterations" the sweep at which each cell met ``tol``.
+    1's, each the exact residual of the returned iterate.  "iterations"
+    is the sweep count of the batch's solve (column-1 updates in the
+    returned iterate), "cell_iterations" the sweep count of the first
+    half-step check at which each cell met ``tol``.
 
     The grid cuts the jump off at |z| = Z, where r still decays only like
     c1/z.  The band term ``_tail_outside(u12)``, the Cauchy transform of
@@ -401,8 +434,8 @@ def _solve_batch(u21, u12, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP):
 
     The slope is 2i M11(0) M12(0) (module docstring), from the solved
     row 1 and, in M12(0), the band term's value at z = 0, which is the
-    outer band's part of the integral.  So a batch makes 2 s + 1 kernel
-    passes for s sweeps.
+    outer band's part of the integral.  So a batch makes only its
+    solve's kernel passes: 2 s + 1 or 2 s + 2 for s sweeps (``_neumann``).
     """
     shape = (1,) + u21.shape
     band = _tail_outside(u12, zgrid)
@@ -444,8 +477,13 @@ def solve_mu(f: JumpFactorization, tol: float = NEUMANN_TOL,
 
     Both rows, by block Gauss-Seidel sweeps (reported as solver
     "neumann"), with a dense collocation fallback (grids up to
-    N = 1024) when they do not contract.
+    N = 1024) when they do not contract.  ``tol`` must be a finite
+    number > 0 and ``max_iterations`` a sweep cap >= 0.
     """
+    if not 0.0 < tol < float("inf"):
+        raise InvalidArgumentError(f"tol must be a finite number > 0, got {tol}")
+    if max_iterations < 0:
+        raise InvalidArgumentError(f"max_iterations must be >= 0, got {max_iterations}")
     u21, u12 = f.u21[None, :], f.u12[None, :]
     one, zero = np.ones_like(u21), np.zeros_like(u21)
     x, res, its, dense, _ = _solve(

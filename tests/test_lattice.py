@@ -275,3 +275,18 @@ def test_cauchy_kernel_matches_the_scipy_fft_kernel_bit_for_bit(n, shape, minus)
     got = _cauchy_plus_batch(values, grid, minus)
     assert got.shape == values.shape
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 3)], ids=["B,N", "1,B,N"])
+@pytest.mark.parametrize("minus", [False, True], ids=["C+", "C-"])
+def test_weighted_kernel_is_the_kernel_of_the_product(shape, minus):
+    # the solver's half-step multiplies its jump entry into the kernel's
+    # buffer: the bytes must be those of the kernel on the product
+    n = 1024
+    grid = make_spectral_grid(40.0, n)
+    rng = np.random.default_rng(len(shape))
+    x = rng.standard_normal(shape + (n,)) + 1j * rng.standard_normal(shape + (n,))
+    u = np.exp(-0.01 * grid.points**2) * np.exp(1j * rng.uniform(0, 6, (3, n)))
+    got = _cauchy_plus_batch(x, grid, minus, weight=u)
+    assert got.shape == x.shape
+    assert got.tobytes() == _cauchy_plus_batch(x * u, grid, minus).tobytes()

@@ -10,6 +10,7 @@ from wkist.errors import (
     HodographUnsolvedError,
     InvalidArgumentError,
     RangeError,
+    RhpUnsolvedError,
     SlopeConditionError,
 )
 from wkist.lattice import make_spatial_grid, make_spectral_grid
@@ -54,6 +55,13 @@ def test_qh_from_slope_rejects_steep_slopes():
     # a touch below the margin is accepted
     out = qh_from_slope(np.array([0.5]), margin=1e-6)
     assert abs(out[0] - 0.5 / np.sqrt(0.75)) < 1e-15
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.1, np.nan)])
+def test_qh_from_slope_refuses_a_non_finite_slope(bad):
+    # NaN compares false against the margin and would pass the slope guard
+    with pytest.raises(RhpUnsolvedError):
+        qh_from_slope(np.array([0.1, bad]))
 
 
 def test_epsilon_fixed_point_matches_closed_form():
@@ -140,6 +148,13 @@ def test_x_from_m11_rejects_bad_moments():
     with pytest.raises(HodographInconsistentError):
         x_from_m11(x_H, 2.0j * x_H + 5.0j)      # non-increasing map
     assert np.max(np.abs(x_from_m11(x_H, good) - (x_H - good.imag))) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, complex(np.nan, 2e-3), complex(0.0, np.inf)])
+def test_x_from_m11_refuses_a_non_finite_moment(bad):
+    # a NaN real part compares false against the tolerance and would pass
+    with pytest.raises(HodographInconsistentError):
+        x_from_m11(np.array([-1.0, 0.0, 1.0]), np.array([1e-3j, bad, 2e-3j]))
 
 
 def test_resample_q_reproduces_the_physical_potential():

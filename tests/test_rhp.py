@@ -126,6 +126,36 @@ def test_dense_fallback_size_cap():
         solve_mu(f)
 
 
+@pytest.mark.parametrize("tol, max_iterations", [(np.nan, NEUMANN_CAP), (np.inf, NEUMANN_CAP),
+                                                  (0.0, NEUMANN_CAP), (-1.0, NEUMANN_CAP),
+                                                  (NEUMANN_TOL, -1)])
+def test_solve_mu_refuses_a_bad_tolerance_or_cap(tol, max_iterations, monkeypatch):
+    # refused before any sweep: a NaN tol would pass the dense fallback's
+    # residual test, a tol <= 0 run every sweep and fail, a cap < 0 act as 0
+    sd = small_reflection(N=512, N_z=512, z_min=0.9)
+    f = build_factorization(GridFunction(sd.zgrid, sd.r), -0.4, 0.0, TRIANGULAR)
+    monkeypatch.setattr(wkist.rhp, "_solve", None)
+    with pytest.raises(InvalidArgumentError):
+        solve_mu(f, tol=tol, max_iterations=max_iterations)
+
+
+def test_recurrence_phases_match_the_exponential():
+    # the inverse's cells are equally spaced: past the first row of a
+    # batch, each row of e^{2 i theta} is the one before it times
+    # e^{2 i dx/z}; 16 rows at the far end of the default sweep
+    zg = make_spectral_grid(40.0, 4096)
+    x = make_spatial_grid(20.0, 2048).points
+    sweep = x[np.abs(x) <= 6.0 + 1e-12]
+    for block in (sweep[:16], sweep[-16:]):
+        u21, _, theta = _jump_entries(TRIANGULAR, np.ones(4096), zg, block[:, None], 0.0)
+        assert theta.shape == (16, 4096)
+        assert np.max(np.abs(u21 - np.exp(2j * theta))) <= 1e-13
+    # cells that are not equally spaced take the exponential row by row
+    block = np.array([-1.0, -0.5, 0.25])
+    u21, _, theta = _jump_entries(TRIANGULAR, np.ones(4096), zg, block[:, None], 0.3)
+    assert u21.tobytes() == np.exp(2j * theta).tobytes()
+
+
 def slope_of(mu11, mu12, u21, u12, zgrid, band=0.0):
     """2i M11(0) M12(0) from row 1 of a solution and the band term at z = 0."""
     m11, m12 = _m0_rows(mu11, mu12, u21, u12, zgrid)
@@ -285,27 +315,48 @@ def test_neumann_residual_is_the_exact_residual(kind, x_H):
     check(_apply_cw(*mu, u21, u12, kind, sd.zgrid))
 
 
-def test_converged_solve_makes_two_passes_per_sweep_plus_one(monkeypatch):
+def test_converged_solve_stops_at_the_first_half_step_check_all_cells_meet(monkeypatch):
     sd = small_reflection(N=512, N_z=512, z_min=0.9)
     r = 0.6 * sd.r / np.max(np.abs(sd.r))
-    calls = []
+    calls, checks = [], []
     kernel = wkist.rhp._cauchy_plus_batch
+    residual = wkist.rhp._l2_residual
 
-    def counted(values, grid, minus=False):
-        calls.append(np.shape(values))
-        return kernel(values, grid, minus)
+    def counted(values, grid, minus=False, weight=None):
+        calls.append(np.broadcast_shapes(np.shape(values), np.shape(weight)))
+        return kernel(values, grid, minus, weight)
+
+    def recorded(entries, h):
+        checks.append(residual(entries, h))
+        return checks[-1]
 
     monkeypatch.setattr(wkist.rhp, "_cauchy_plus_batch", counted)
-    for kind, x_H in ((TRIANGULAR, [-1.0, -0.2]), (DELTA_CONJUGATED, [0.2, 1.0])):
+    monkeypatch.setattr(wkist.rhp, "_l2_residual", recorded)
+    stops = set()
+    # the looser tol stops on a column-2 check, the others on column-1 ones
+    for kind, x_H, tol in ((TRIANGULAR, [-1.0, -0.2], NEUMANN_TOL),
+                           (DELTA_CONJUGATED, [0.2, 1.0], NEUMANN_TOL),
+                           (TRIANGULAR, [-1.0, -0.2], 1e-6)):
         u21, u12 = jump_batch(r, sd.zgrid, kind, x_H)
         calls.clear()
+        checks.clear()
         rhs = mu_rhs(u21)
-        _, res, sweeps, ok, _ = _neumann(u21, u12, *rhs, kind, sd.zgrid)
-        assert ok.all() and np.all(res < NEUMANN_TOL)
+        _, res, sweeps, ok, _ = _neumann(u21, u12, *rhs, kind, sd.zgrid, tol=tol)
+        assert ok.all() and np.all(res < tol)
         assert sweeps > 5
-        assert len(calls) == 2 * sweeps + 1
+        # every pass but the first is followed by one check, and the solve
+        # returns at the first check every cell meets
+        assert len(checks) == len(calls) - 1
+        assert np.array_equal(checks[-1], res)
+        assert not np.all(checks[-2] < tol)
+        # s column-1 updates: 2 s + 2 passes when the last check followed
+        # a column-1 update, 2 s + 1 when it followed a column-2 update
+        column_1_check = len(calls) % 2 == 0
+        assert len(calls) == 2 * sweeps + (2 if column_1_check else 1)
+        stops.add(column_1_check)
         # each pass projects the rows passed in for every cell at once
         assert all(shape == (len(rhs[0]),) + u21.shape for shape in calls)
+    assert stops == {True, False}
 
 
 def test_cell_iterations_match_single_cell_solves():
@@ -361,17 +412,18 @@ def test_inverse_solve_transforms_row_1_only(kind, x_H, monkeypatch):
     calls = []
     kernel = wkist.rhp._cauchy_plus_batch
 
-    def counted(values, grid, minus=False):
-        calls.append(np.shape(values))
-        return kernel(values, grid, minus)
+    def counted(values, grid, minus=False, weight=None):
+        calls.append(np.broadcast_shapes(np.shape(values), np.shape(weight)))
+        return kernel(values, grid, minus, weight)
 
     monkeypatch.setattr(wkist.rhp, "_cauchy_plus_batch", counted)
     out = _solve_batch(u21, u12, kind, zg)
     monkeypatch.undo()
     assert list(out["solver"]) == ["neumann", "neumann"]
     assert all(shape == (1,) + u21.shape for shape in calls)
-    # 2 s + 1 passes for the one solve; the slope costs none
-    assert len(calls) == 2 * out["iterations"] + 1
+    # 2 s + 1 or 2 s + 2 passes for the one solve, as its last check
+    # followed a column-2 or a column-1 update; the slope costs none
+    assert len(calls) - 2 * out["iterations"] in (1, 2)
 
     for j in range(len(x_H)):
         [(mu11, mu12)] = _dense_solve(u21[j], u12[j], [(np.ones(zg.point_count), T12[j])],

@@ -9,9 +9,12 @@ st = hypothesis.strategies
 from wkist.lattice import GridFunction, _tail_outside, make_spectral_grid  # noqa: E402
 from wkist.rhp import (  # noqa: E402
     DELTA_CONJUGATED,
+    NEUMANN_TOL,
     TRIANGULAR,
+    _apply_cw,
     _dense_solve,
     _jump_entries,
+    _l2_residual,
     _m0_rows,
     _solve_batch,
     build_factorization,
@@ -80,6 +83,33 @@ def test_neumann_agrees_with_dense_on_random_small_data(seed, amplitude, x_H, ki
     assert np.max(np.abs(out["mu"][1][0] - mu12)) < 1e-9
     m11, m12 = _m0_rows(mu11, mu12, u21[0], u12[0], ZGRID)
     assert abs(out["slope"][0] - 2j * (1.0 + m11) * (m12 + band0)) < 1e-9
+
+
+@hypothesis.settings(max_examples=20, deadline=None)
+@hypothesis.given(seed=small_data["seed"], amplitude=small_data["amplitude"],
+                  x_H=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4),
+                  kind=small_data["kind"])
+def test_reported_residual_is_the_exact_residual_on_random_small_data(seed, amplitude, x_H,
+                                                                      kind):
+    # the sweeps stop at a half-step check and return the pair it
+    # measured: each converged cell's residual must be that pair's,
+    # recomputed from the full operator, and below tol
+    r = random_reflection(seed, amplitude)
+    Delta = delta_function(GridFunction(ZGRID, r))[2].values if kind == DELTA_CONJUGATED else None
+    u21, u12, _ = _jump_entries(kind, r, ZGRID, np.array(x_H)[:, None], 0.0, Delta)
+    out = _solve_batch(u21, u12, kind, ZGRID)
+    rhs = (np.ones_like(u21), _tail_outside(u12, ZGRID))
+    c = _apply_cw(*(x[None] for x in out["mu"]), u21, u12, kind, ZGRID)
+    exact = _l2_residual([x - b - cw[0] for x, b, cw in zip(out["mu"], rhs, c)], ZGRID.spacing)
+    converged = out["solver"] == "neumann"
+    assert converged.any()
+    assert np.all(out["residual"][converged] < NEUMANN_TOL)
+    # relative 1e-3; a cell that kept contracting while the batch waited
+    # for the others can fall to ~1e-14, where the recomputation's own
+    # round-off (~3e-17) is no longer small beside it, so the gap is
+    # taken relative to at least 1e-13
+    gap = np.abs(out["residual"] - exact) / np.maximum(exact, 1e-13)
+    assert np.all(gap[converged] < 1e-3)
 
 
 @hypothesis.settings(max_examples=20, deadline=None)
