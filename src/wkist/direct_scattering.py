@@ -22,18 +22,20 @@ solutions are propagated only halfway, which also halves the cost):
 and r(z) = b(-1/z)/a(-1/z) on the spectral grid of the inverse problem,
 so no interpolation across the z <-> lam map is ever needed.
 
-One loop, `_march`, steps psi for a whole batch of lam.  psi is kept
-component-major, shape (2, 2, len(lam)), so every entry is a contiguous
-row and each cell product writes into preallocated buffers.  The cell
-propagator's diagonal and sin(h u)/u depend on the cell only through
-(h, w = sqrt(1 + |q|^2)) and are reused while consecutive (sub)steps
-repeat them; only the two off-diagonal entries, proportional to q, are
-formed per cell.  For real lam each cell propagator is in SU(2),
-[[a, -conj b], [b, conj a]], bit for bit, and so is psi: the loop steps
-only its first column and writes the second as (-conj psi21, conj psi11),
-half the products of a full 2x2 step.  The rework is bit-identical: each
-element equals what a fresh exponential and a full 2x2 product give, so
-a, b, c, d and det_defect do not depend on it.
+One loop, `_march`, steps psi for a whole batch of lam.  For real lam
+each cell propagator is in SU(2), [[a, -conj b], [b, conj a]], bit for
+bit, and so is psi: the loop steps only its first column (alpha, beta),
+two contiguous rows over lam, with six products and sums into
+preallocated buffers.  The cell propagator's diagonal and sin(h u)/u
+depend on the cell only through (h, w = sqrt(1 + |q|^2)) and are reused
+while consecutive (sub)steps repeat them; the two off-diagonal entries,
+proportional to q, take one product each per step.  det psi is
+|alpha|^2 + |beta|^2, checked after every cell; the full matrix is
+built once, at x = 0, with its second column (-conj beta, conj alpha).
+A substepped cell applies its substeps in path order on both marches.
+The loop is bitwise equal to an interleaved loop with a fresh
+exponential and a full 2x2 product per step in the same arithmetic
+(`tests/test_direct_scattering.py` keeps it as an oracle).
 """
 
 from __future__ import annotations
@@ -93,39 +95,61 @@ class ScatteringData:
 class _CellPropagator:
     """The cell propagator of one batch of lam, reused from step to step.
 
-    ``E`` is component-major, (2, 2, len(lam)).  ``hw`` and ``sc`` are the
-    (h, w) it was last built for and its sin(h u)/u.  -lam and i*lam are
-    formed once, as the expressions below would form them on every call.
+    ``E`` is component-major, (2, 2, len(lam)).  ``hw`` is the (h, w) it
+    was last built for.  ``lam_sc`` and ``neg_lam_sc`` are lam*sc and
+    -lam*sc, sc = sin(h u)/u, as complex rows, so that each step forms an
+    off-diagonal entry with one product.  The rebuild writes its
+    temporaries into the preallocated rows ``hu``, ``c``, ``sc`` and
+    ``ilam_sc``; i*lam is formed once, and ``lam_abs_min`` tells whether
+    sinc needs its zero guard.
     """
 
     def __init__(self, lam):
-        self.lam, self.neg_lam, self.ilam = lam, -lam, 1j * lam
-        self.E = np.empty((2, 2, lam.size), dtype=complex)
-        self.hw = self.sc = None
+        L = lam.size
+        self.lam, self.ilam = lam, 1j * lam
+        self.lam_abs_min = np.min(np.abs(lam))
+        self.E = np.empty((2, 2, L), dtype=complex)
+        self.hw = None
+        self.hu, self.c, self.sc = np.empty(L), np.empty(L), np.empty(L)
+        self.ilam_sc, self.lam_sc, self.neg_lam_sc = np.empty((3, L), dtype=complex)
 
 
 def _cell_exponential(h, qm, cell: _CellPropagator):
     """exp(h * (i lam sigma3 - lam M(qm))) for the batch of ``cell``, into cell.E.
 
     The diagonal entries and sin(h u)/u, u = lam w, depend on the cell
-    only through (h, w = sqrt(1 + |qm|^2)).  When (h, w) repeats the last
-    call they are kept, and only the two off-diagonal entries, which are
-    proportional to qm, are written.  Every entry is computed by the same
-    floating-point operations as in a freshly built exponential, so the
-    reuse changes no bit of the result.
+    only through (h, w = sqrt(1 + |qm|^2)), and are rebuilt only when
+    (h, w) changes: c = cos(h u), sc = h sinc(h u / pi), c +- i lam sc,
+    and the rows lam sc and -lam sc.  When no h u / pi of the batch is 0,
+    sinc's own operations, sin(pi x) / (pi x), are spelled out without
+    its zero guard, which changes no bit.  Every call writes the
+    off-diagonal entries E01 = qm (-lam sc) and E10 = conj(qm) (lam sc),
+    one product each.
     """
     E = cell.E
     w = np.sqrt(1.0 + np.abs(qm) ** 2)
     if cell.hw != (h, w):
-        hu = h * (cell.lam * w)
-        c = np.cos(hu)
-        cell.sc = h * np.sinc(hu / np.pi)  # sin(h u)/u, exact at u = 0
-        ilam_sc = cell.ilam * cell.sc
-        np.add(c, ilam_sc, out=E[0, 0])
-        np.subtract(c, ilam_sc, out=E[1, 1])
+        hu, c, sc = cell.hu, cell.c, cell.sc
+        np.multiply(cell.lam, w, out=hu)
+        np.multiply(h, hu, out=hu)
+        np.cos(hu, out=c)
+        np.divide(hu, np.pi, out=hu)
+        # the smallest |h u / pi| of the batch, by the same monotone operations
+        if h * (cell.lam_abs_min * w) / np.pi != 0.0:
+            np.multiply(np.pi, hu, out=hu)
+            np.sin(hu, out=sc)
+            np.divide(sc, hu, out=sc)
+        else:
+            np.copyto(sc, np.sinc(hu))
+        np.multiply(h, sc, out=sc)  # sin(h u)/u, exact at u = 0
+        np.multiply(cell.ilam, sc, out=cell.ilam_sc)
+        np.add(c, cell.ilam_sc, out=E[0, 0])
+        np.subtract(c, cell.ilam_sc, out=E[1, 1])
+        np.multiply(cell.lam, sc, out=cell.lam_sc)
+        np.negative(cell.lam_sc, out=cell.neg_lam_sc)
         cell.hw = (h, w)
-    np.multiply(cell.neg_lam * qm, cell.sc, out=E[0, 1])
-    np.multiply(cell.lam * np.conj(qm), cell.sc, out=E[1, 0])
+    np.multiply(qm, cell.neg_lam_sc, out=E[0, 1])
+    np.multiply(np.conj(qm), cell.lam_sc, out=E[1, 0])
     return E
 
 
@@ -138,7 +162,7 @@ def _midpoint_values(p: Potential, k0, k1):
 
 
 def _sub_values(p: Potential, k, m):
-    """m sub-cell midpoint values inside cell k (profile or linear interp)."""
+    """m sub-cell midpoint values inside cell k (profile or linear interp), increasing x."""
     x0 = p.grid.points[k]
     hs = p.grid.spacing / m
     xs = x0 + hs * (np.arange(m) + 0.5)
@@ -148,92 +172,118 @@ def _sub_values(p: Potential, k, m):
     return p.q[k] * (1 - frac) + p.q[k + 1] * frac
 
 
-def _det_defect(psi) -> float:
-    """max |det psi - 1| over psi of shape (2, 2, ...)."""
-    det = psi[0, 0] * psi[1, 1]
-    det -= psi[0, 1] * psi[1, 0]
-    det -= 1.0
-    return float(np.abs(det).max())
+def _det_defect(col, squares, det) -> float:
+    """max |det psi - 1| over the batch, from the first column of SU(2) psi.
+
+    ``col`` is (2, n) complex, (alpha, beta) per column; det psi is
+    |alpha|^2 + |beta|^2.  ``squares`` (2n floats) and ``det`` (n) are
+    scratch rows.  |det - 1| peaks at the largest or the smallest det.
+    """
+    parts = col.view(float)  # (2, 2n): real and imaginary parts interleaved
+    np.einsum("ij,ij->j", parts, parts, out=squares)
+    np.add(squares[0::2], squares[1::2], out=det)
+    return float(max(det.max() - 1.0, 1.0 - det.min()))
+
+
+def _fill_second_column(psi):
+    """Write column 2 of SU(2) psi, (2, 2, ...), as (-conj psi21, conj psi11).
+
+    0 - x rather than -x gives the +0.0 a full product gives where a
+    part is zero.
+    """
+    np.subtract(0.0, psi[1, 0].real, out=psi[0, 1].real)
+    np.copyto(psi[0, 1].imag, psi[1, 0].imag)
+    np.copyto(psi[1, 1].real, psi[0, 0].real)
+    np.subtract(0.0, psi[0, 0].imag, out=psi[1, 1].imag)
+    return psi
 
 
 def _march(p: Potential, lams, side, stop, bound):
-    """Step psi cell by cell from the `side` infinity to grid index `stop`.
+    """Step the first Jost column cell by cell from the `side` infinity to grid index `stop`.
 
-    A generator: yields (grid index, psi) at the start point and after
-    each cell.  psi is component-major, (2, 2, len(lams)), so each entry
-    is a contiguous row over lam.  It is one of two buffers the loop
-    alternates between and stays valid only until the generator resumes,
-    so a consumer copies what it keeps.  `_cell_exponential` rebuilds the
+    A generator: yields (grid index, col) at the start point and after
+    each cell.  col = (alpha, beta), shape (2, len(lams)), is the first
+    column of psi = [[alpha, -conj beta], [beta, conj alpha]]: psi and
+    every cell propagator are in SU(2) for real lam, so the column
+    determines psi.  col is one of two buffers the loop alternates
+    between and stays valid only until the generator resumes, so a
+    consumer copies what it keeps.  `_cell_exponential` rebuilds the
     cell propagator in one buffer per (sub)step and redoes its
     trigonometry only when (h, w) changes; w repeats across the plateaus
     of piecewise-constant potentials and wherever 1 + |q|^2 rounds to 1.
-    psi and every cell propagator have the SU(2) form
-    [[alpha, -conj beta], [beta, conj alpha]] for real lam, so each
-    (sub)step multiplies only the first column (alpha, beta), and the
-    second column is written from it once per cell.  Its negated parts
-    are formed as 0 - x, which gives +0.0 where a full product's sum of
-    zeros does.  The results are bit-identical to a fresh exponential and
-    a full 2x2 product per step.  The substep budget of the traversed
-    cells is checked before the first step.
+    Each (sub)step is six products and sums on contiguous rows.  A
+    substepped cell applies its substeps in path order, so the leftward
+    march takes them by decreasing x.  The batch must be nonempty and
+    finite, and the substep total of the traversed cells is checked, in
+    floating point, before the first step.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    if lams.size == 0 or not np.all(np.isfinite(lams)):
+        raise InvalidArgumentError("lam must be a nonempty batch of finite values")
     grid = p.grid
     N = grid.point_count
     h = grid.spacing
     if side == "-":
-        start, cells, step = 0, range(0, stop), h
+        start, cells, step, first = 0, range(0, stop), h, 0
     elif side == "+":
-        start, cells, step = N - 1, range(N - 2, stop - 1, -1), -h
+        start, cells, step, first = N - 1, range(N - 2, stop - 1, -1), -h, stop
     else:
         raise InvalidArgumentError(f"side must be '+' or '-', got {side!r}")
 
     qm_all = _midpoint_values(p, 0, N - 1)
-    lam_max = float(np.max(np.abs(lams))) if lams.size else 0.0
-    err = lam_max**2 * np.abs(qm_all) * h**3
-    msub = np.maximum(1, np.ceil(np.sqrt(err / bound)).astype(int))
-    total = int(msub[list(cells)].sum()) if N > 1 else 0
-    if total > STEP_CAP_FACTOR * N:
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = np.max(np.abs(lams)) ** 2 * np.abs(qm_all) * h**3
+        msub = np.maximum(1.0, np.ceil(np.sqrt(err / bound)))[first:first + len(cells)]
+    total = float(msub.sum())
+    if not total <= STEP_CAP_FACTOR * N:  # also refuses inf and NaN
         raise ResolutionExceededError(
-            f"propagation needs {total} substeps (> {STEP_CAP_FACTOR * N}); "
+            f"propagation needs {total:.3g} substeps (> {STEP_CAP_FACTOR * N}); "
             "lam is too large for this grid"
         )
+    msub = msub.astype(int)
 
-    psi = np.zeros((2, 2, lams.size), dtype=complex)
-    psi[0, 0] = np.exp(1j * lams * grid.points[start])
-    psi[1, 1] = np.exp(-1j * lams * grid.points[start])
-    yield start, psi
+    col = np.zeros((2, lams.size), dtype=complex)
+    col[0] = np.exp(1j * lams * grid.points[start])
+    yield start, col
     cell = _CellPropagator(lams)
-    nxt, term = np.empty_like(psi), np.empty_like(psi[:, 0])
+    nxt, term = np.empty_like(col), np.empty_like(col[0])
     for k in cells:
-        m = msub[k]
-        hs, qs = (step, (qm_all[k],)) if m == 1 else (step / m, _sub_values(p, k, m))
+        m = msub[k - first]
+        if m == 1:
+            hs, qs = step, (qm_all[k],)
+        else:
+            hs, qs = step / m, _sub_values(p, k, m)
+            if side == "+":
+                qs = qs[::-1]
         for q in qs:
             E = _cell_exponential(hs, q, cell)
-            # column 1 only: nxt[i, 0] = E[i, 0] psi[0, 0] + E[i, 1] psi[1, 0]
-            np.multiply(E[:, 0], psi[0, 0], out=nxt[:, 0])
-            np.multiply(E[:, 1], psi[1, 0], out=term)
-            np.add(nxt[:, 0], term, out=nxt[:, 0])
-            psi, nxt = nxt, psi
-        # column 2 is (-conj psi21, conj psi11); 0 - x rather than -x
-        # gives the +0.0 a full product gives where a part is zero
-        np.subtract(0.0, psi[1, 0].real, out=psi[0, 1].real)
-        np.copyto(psi[0, 1].imag, psi[1, 0].imag)
-        np.copyto(psi[1, 1].real, psi[0, 0].real)
-        np.subtract(0.0, psi[0, 0].imag, out=psi[1, 1].imag)
-        yield (k + 1 if side == "-" else k), psi
+            alpha, beta = col
+            np.multiply(E[0, 0], alpha, out=nxt[0])
+            np.multiply(E[0, 1], beta, out=term)
+            np.add(nxt[0], term, out=nxt[0])
+            np.multiply(E[1, 0], alpha, out=nxt[1])
+            np.multiply(E[1, 1], beta, out=term)
+            np.add(nxt[1], term, out=nxt[1])
+            col, nxt = nxt, col
+        yield (k + 1 if side == "-" else k), col
 
 
 def _propagate_to_mid(p: Potential, lams, side, bound=LOCAL_ERROR_BOUND):
     """Propagate psi from the `side` infinity to x = 0 for a batch of lam.
 
     Returns (psi at x = 0 with shape (2, 2, len(lams)), max det defect).
+    The det defect is checked after every cell on the marched column; the
+    full SU(2) matrix is built once, at x = 0.
     """
     steps = _march(p, lams, side, p.grid.point_count // 2, bound)  # x = 0 (N even)
-    _, psi = next(steps)
+    _, col = next(steps)
+    squares, det = np.empty(2 * col.shape[1]), np.empty(col.shape[1])
     det_defect = 0.0
-    for _, psi in steps:
-        det_defect = max(det_defect, _det_defect(psi))
-    return psi, det_defect
+    for _, col in steps:
+        det_defect = max(det_defect, _det_defect(col, squares, det))
+    psi = np.empty((2, 2, col.shape[1]), dtype=complex)
+    psi[:, 0] = col
+    return _fill_second_column(psi), det_defect
 
 
 def propagate_jost(p: Potential, lam: float, side: str,
@@ -244,13 +294,17 @@ def propagate_jost(p: Potential, lam: float, side: str,
     through x = 0 to the far end so the samples cover the whole grid.
     det psi = 1 holds to roundoff at every point because each cell
     propagator is exactly unimodular; ``det_defect`` is the largest
-    deviation over the grid.
+    deviation over the grid, |alpha|^2 + |beta|^2 - 1 as in the march.
     """
     N = p.grid.point_count
+    cols = np.empty((2, N), dtype=complex)
+    for k, col in _march(p, [float(lam)], side, 0 if side == "+" else N - 1, bound):
+        cols[:, k] = col[:, 0]
+    det_defect = _det_defect(cols, np.empty(2 * N), np.empty(N))
     psi_samples = np.empty((N, 2, 2), dtype=complex)
-    for k, psi in _march(p, [float(lam)], side, 0 if side == "+" else N - 1, bound):
-        psi_samples[k] = psi[..., 0]
-    det_defect = _det_defect(np.moveaxis(psi_samples, 0, -1))
+    psi = np.moveaxis(psi_samples, 0, -1)
+    psi[:, 0] = cols
+    _fill_second_column(psi)
     return JostSolution(float(lam), side, p.grid, psi_samples, det_defect)
 
 

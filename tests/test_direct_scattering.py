@@ -143,6 +143,48 @@ def test_substep_cap_rejects_unresolvable_lam():
         propagate_jost(p, 1e4, "-")
 
 
+@pytest.mark.parametrize("lam", [1e150, 1e160])
+def test_substep_guard_refuses_huge_lam_without_wrapping(lam):
+    # the substep count is checked in floating point: 1e150 needs ~6e151
+    # substeps, which an int cast wrapped to a small count, and 1e160
+    # squares to inf
+    p = gaussian_potential(L=10.0, N=256, amp=0.3)
+    with pytest.raises(ResolutionExceededError):
+        _wronskians(p, [lam])
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("call", [
+    lambda p, lam: propagate_jost(p, lam, "-"),
+    lambda p, lam: transition_matrix(p, lam),
+    lambda p, lam: b_from_integral(p, lam),
+    lambda p, lam: check_a_asymptotics(p, [1.0, lam]),
+], ids=["propagate_jost", "transition_matrix", "b_from_integral", "check_a_asymptotics"])
+def test_non_finite_lam_is_refused(call, lam):
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        call(gaussian_potential(L=10.0, N=256, amp=0.3), lam)
+
+
+def test_empty_lam_batch_is_refused():
+    with pytest.raises(InvalidArgumentError, match="nonempty"):
+        check_a_asymptotics(gaussian_potential(L=10.0, N=256, amp=0.3), [])
+
+
+def test_leftward_substeps_follow_the_path():
+    # N = 1024 takes 10 substeps per cell near the peak; N = 32768 takes
+    # none.  Substeps applied in increasing x on the leftward march put
+    # max |r - r_ref| at 1.2e-3; in path order it is 2.6e-5.
+    lams = np.linspace(-4.0, 4.0, 81)
+
+    def r(N):
+        grid = make_spatial_grid(20.0, N)
+        p = make_potential(grid, lambda x: np.exp(-(((x - 0.3) / 0.7) ** 2) + 0.4j * x))
+        a, b, *_ = _wronskians(p, lams)
+        return b / a
+
+    assert np.max(np.abs(r(1024) - r(32768))) < 1e-4
+
+
 def test_evolution_phase_and_composition():
     p = gaussian_potential(N=1024)
     zgrid = make_spectral_grid(40.0, 1024, z_min=0.5)
@@ -178,10 +220,12 @@ def test_b_integral_form_agrees_with_wronskian():
 
 
 # ---------------------------------------------------------------------------
-# Bitwise oracle: the interleaved (L, 2, 2) cell loop the component-major
-# propagator replaced, with a fresh cell exponential and a fresh 2x2
-# product on every (sub)step.  The propagator promises the same
-# floating-point operations per element, so results must match bit for bit.
+# Bitwise oracle: an interleaved (L, 2, 2) cell loop with a fresh cell
+# exponential and a fresh 2x2 product on every (sub)step, substeps in path
+# order, and det psi taken as |alpha|^2 + |beta|^2.  The propagator
+# promises the same floating-point operations per element of the first
+# column, and the second column by symmetry, so results must match bit
+# for bit.
 
 def _oracle_cell_exponential(h, lam_col, qm):
     w = np.sqrt(1.0 + np.abs(qm) ** 2)
@@ -190,8 +234,9 @@ def _oracle_cell_exponential(h, lam_col, qm):
     sc = h * np.sinc(h * u / np.pi)
     E = np.empty(np.broadcast(lam_col, qm).shape + (2, 2), dtype=complex)
     E[..., 0, 0] = c + 1j * lam_col * sc
-    E[..., 0, 1] = -lam_col * qm * sc
-    E[..., 1, 0] = lam_col * np.conj(qm) * sc
+    lam_sc = (lam_col * sc).astype(complex)
+    E[..., 0, 1] = qm * -lam_sc
+    E[..., 1, 0] = np.conj(qm) * lam_sc
     E[..., 1, 1] = c - 1j * lam_col * sc
     return E
 
@@ -206,7 +251,9 @@ def _oracle_matmul2(E, P):
 
 
 def _oracle_det_defect(psi):
-    det = psi[..., 0, 0] * psi[..., 1, 1] - psi[..., 0, 1] * psi[..., 1, 0]
+    # det psi = |alpha|^2 + |beta|^2 for SU(2) psi, real parts summed first
+    alpha, beta = psi[..., 0, 0], psi[..., 1, 0]
+    det = (alpha.real**2 + beta.real**2) + (alpha.imag**2 + beta.imag**2)
     return float(np.max(np.abs(det - 1.0)))
 
 
@@ -229,7 +276,8 @@ def _oracle_march(p, lams, side, stop):
         if m == 1:
             psi = _oracle_matmul2(_oracle_cell_exponential(step, lams, qm_all[k]), psi)
         else:
-            for qs in _sub_values(p, k, m):
+            # substeps in path order: decreasing x on the leftward march
+            for qs in _sub_values(p, k, m)[::1 if side == "-" else -1]:
                 psi = _oracle_matmul2(_oracle_cell_exponential(step / m, lams, qs), psi)
         yield (k + 1 if side == "-" else k), psi
 

@@ -8,6 +8,7 @@ st = hypothesis.strategies
 
 from wkist.direct_scattering import (  # noqa: E402
     _wronskians,
+    propagate_jost,
     evolve_reflection,
     reflection_coefficient,
 )
@@ -42,6 +43,20 @@ def test_transition_matrix_is_unimodular_and_symmetric(lam_max, family, amplitud
     assert np.max(np.abs(d + np.conj(b))) < 1e-12
     assert np.max(np.abs(c - np.conj(a))) < 1e-12
     assert det_defect < 1e-12
+
+
+@hypothesis.settings(max_examples=20, deadline=None)
+@hypothesis.given(lam=st.floats(-8.0, 8.0), side=st.sampled_from("-+"), **potentials)
+def test_det_defect_matches_the_complex_determinant(lam, side, family, amplitude,
+                                                    width, momentum):
+    # the march reads det psi as |alpha|^2 + |beta|^2 off its first column;
+    # the complex det of the full SU(2) samples gives the same defect
+    p = potential(family, 0.5 * amplitude, width, momentum,
+                  grid=make_spatial_grid(10.0, 256))
+    sol = propagate_jost(p, lam, side)
+    psi = sol.psi
+    det = psi[:, 0, 0] * psi[:, 1, 1] - psi[:, 0, 1] * psi[:, 1, 0]
+    assert abs(sol.det_defect - np.max(np.abs(det - 1.0))) <= 1e-15
 
 
 @hypothesis.settings(max_examples=20, deadline=None)
