@@ -12,7 +12,8 @@ command-line flags overriding individual fields.  Every run writes a
 manifest.json echoing the full configuration, library versions, and the
 scalar results; runs are deterministic -- no timestamps, no RNG -- so
 re-running a configuration reproduces the outputs byte for byte (keep
-BLAS single-threaded, e.g. OMP_NUM_THREADS=1, for the dense fallback).
+BLAS single-threaded, e.g. OMP_NUM_THREADS=1, for the tail completion's
+matrix products).
 
 Exit codes: 0 success; 2 bad arguments or configuration; 3 regime
 violation (bound states, slope condition); 4 numerical failure
@@ -99,7 +100,7 @@ def _read_samples_csv(path) -> tuple[np.ndarray, np.ndarray]:
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-    except OSError as err:
+    except (OSError, UnicodeDecodeError, csv.Error) as err:
         raise InvalidArgumentError(f"{path}: cannot read samples ({err})") from err
     if not rows or rows[0][:3] != ["coordinate", "re", "im"]:
         raise InvalidArgumentError(f"{path}: expected header coordinate,re,im")
@@ -219,10 +220,9 @@ def _write_reconstruction(rec, outdir: Path):
     gridfunction_to_csv(rec.q, outdir / "reconstructed.csv")
     columns_to_csv(outdir / "hodograph.csv", ["x_H", "qh_re", "qh_im", "epsilon", "x_explicit"],
                    [rec.x_H, rec.q_H.real, rec.q_H.imag, rec.epsilon.values, rec.x_explicit])
-    header = ["x_H", "t", "kind", "iterations", "residual", "solver", "abs_dx_m1_12"]
-    columns_to_csv(outdir / "cells.csv", header,
-                   [[cell[name] for cell in rec.cells] for name in header],
-                   text=("kind", "iterations", "solver"))
+    header = ["x_H", "t", "kind", "iterations", "residual", "abs_dx_m1_12"]
+    columns_to_csv(outdir / "cells.csv", header, [rec.cells[name] for name in header],
+                   text=("kind", "iterations"))
 
 
 def run_inverse(cfg: RunConfig, outdir: Path) -> dict:
@@ -345,7 +345,11 @@ def _config_value(name: str, kind: str, value):
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig(pipeline=args.pipeline)
     if args.config:
-        raw = json.loads(Path(args.config).read_text())
+        try:
+            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as err:
+            raise InvalidArgumentError(
+                f"{args.config}: not a readable JSON config ({err})") from err
         if not isinstance(raw, dict):
             raise InvalidArgumentError(
                 f"config must be a JSON object, got {type(raw).__name__}")
@@ -375,7 +379,7 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         outdir = Path(cfg.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-    except (WkiError, OSError, json.JSONDecodeError) as err:
+    except (WkiError, OSError) as err:
         kind = f" [{err.kind}]" if isinstance(err, WkiError) else ""
         print(f"error{kind}: {err}", file=sys.stderr)
         return 2

@@ -198,7 +198,7 @@ def _fill_second_column(psi):
     return psi
 
 
-def _march(p: Potential, lams, side, stop, bound):
+def _march(p: Potential, lams, side, stop):
     """Step the first Jost column cell by cell from the `side` infinity to grid index `stop`.
 
     A generator: yields (grid index, col) at the start point and after
@@ -233,7 +233,8 @@ def _march(p: Potential, lams, side, stop, bound):
     qm_all = _midpoint_values(p, 0, N - 1)
     with np.errstate(over="ignore", invalid="ignore"):
         err = np.max(np.abs(lams)) ** 2 * np.abs(qm_all) * h**3
-        msub = np.maximum(1.0, np.ceil(np.sqrt(err / bound)))[first:first + len(cells)]
+        msub = np.maximum(1.0, np.ceil(np.sqrt(err / LOCAL_ERROR_BOUND)))
+    msub = msub[first:first + len(cells)]
     total = float(msub.sum())
     if not total <= STEP_CAP_FACTOR * N:  # also refuses inf and NaN
         raise ResolutionExceededError(
@@ -268,14 +269,14 @@ def _march(p: Potential, lams, side, stop, bound):
         yield (k + 1 if side == "-" else k), col
 
 
-def _propagate_to_mid(p: Potential, lams, side, bound=LOCAL_ERROR_BOUND):
+def _propagate_to_mid(p: Potential, lams, side):
     """Propagate psi from the `side` infinity to x = 0 for a batch of lam.
 
     Returns (psi at x = 0 with shape (2, 2, len(lams)), max det defect).
     The det defect is checked after every cell on the marched column; the
     full SU(2) matrix is built once, at x = 0.
     """
-    steps = _march(p, lams, side, p.grid.point_count // 2, bound)  # x = 0 (N even)
+    steps = _march(p, lams, side, p.grid.point_count // 2)  # x = 0 (N even)
     _, col = next(steps)
     squares, det = np.empty(2 * col.shape[1]), np.empty(col.shape[1])
     det_defect = 0.0
@@ -286,8 +287,7 @@ def _propagate_to_mid(p: Potential, lams, side, bound=LOCAL_ERROR_BOUND):
     return _fill_second_column(psi), det_defect
 
 
-def propagate_jost(p: Potential, lam: float, side: str,
-                   bound: float = LOCAL_ERROR_BOUND) -> JostSolution:
+def propagate_jost(p: Potential, lam: float, side: str) -> JostSolution:
     """Jost solution normalized at the `side` infinity, sampled on the grid.
 
     The same cell propagation as the scattering coefficients, continued
@@ -298,7 +298,7 @@ def propagate_jost(p: Potential, lam: float, side: str,
     """
     N = p.grid.point_count
     cols = np.empty((2, N), dtype=complex)
-    for k, col in _march(p, [float(lam)], side, 0 if side == "+" else N - 1, bound):
+    for k, col in _march(p, [float(lam)], side, 0 if side == "+" else N - 1):
         cols[:, k] = col[:, 0]
     det_defect = _det_defect(cols, np.empty(2 * N), np.empty(N))
     psi_samples = np.empty((N, 2, 2), dtype=complex)
@@ -308,10 +308,10 @@ def propagate_jost(p: Potential, lam: float, side: str,
     return JostSolution(float(lam), side, p.grid, psi_samples, det_defect)
 
 
-def _wronskians(p: Potential, lams, bound=LOCAL_ERROR_BOUND):
+def _wronskians(p: Potential, lams):
     """a, b, c, d for a batch of lam, and the det defect of both halves."""
-    psim, ddm = _propagate_to_mid(p, lams, "-", bound)
-    psip, ddp = _propagate_to_mid(p, lams, "+", bound)
+    psim, ddm = _propagate_to_mid(p, lams, "-")
+    psip, ddp = _propagate_to_mid(p, lams, "+")
     a = psip[0, 0] * psim[1, 1] - psim[0, 1] * psip[1, 0]
     b = psim[0, 0] * psip[1, 0] - psip[0, 0] * psim[1, 0]
     c = psim[0, 0] * psip[1, 1] - psip[0, 1] * psim[1, 0]
@@ -330,8 +330,8 @@ def symmetry_defect(T: np.ndarray) -> float:
     return float(abs(T[0, 1] + np.conj(T[1, 0])) + abs(T[1, 1] - np.conj(T[0, 0])))
 
 
-def reflection_coefficient(p: Potential, zgrid: SpectralGrid, a_floor: float = 0.5,
-                           bound: float = LOCAL_ERROR_BOUND) -> ScatteringData:
+def reflection_coefficient(p: Potential, zgrid: SpectralGrid,
+                           a_floor: float = 0.5) -> ScatteringData:
     """r(z) = b(-1/z)/a(-1/z) on the active band z_min <= |z| of the grid.
 
     Rejects with possible-bound-state when min |a| < ``a_floor``: the
@@ -344,7 +344,7 @@ def reflection_coefficient(p: Potential, zgrid: SpectralGrid, a_floor: float = 0
     active = (np.abs(z) >= max(zgrid.z_min, 1e-300)) & (z != 0.0)
     lam = -1.0 / z[active]
 
-    a, b, c, d, det_defect = _wronskians(p, lam, bound)
+    a, b, c, d, det_defect = _wronskians(p, lam)
 
     min_abs_a = float(np.min(np.abs(a)))
     if min_abs_a < a_floor:

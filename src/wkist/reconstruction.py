@@ -262,7 +262,7 @@ class ReconstructionResult:
     epsilon: EpsilonResult
     x_explicit: np.ndarray
     q_explicit: GridFunction             # cross-check route potential
-    cells: list = field(default_factory=list)
+    cells: dict = field(default_factory=dict)   # per-cell columns, in sweep order
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -321,9 +321,13 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
     n_cells = sweep.size
     m11 = np.zeros(n_cells, dtype=complex)
     dx12 = np.zeros(n_cells, dtype=complex)
-    cells = []
-    dense_count = 0
-    worst_residual = 0.0
+    cells = {
+        "x_H": sweep,
+        "t": np.full(n_cells, float(t)),
+        "kind": np.empty(n_cells, dtype=object),
+        "iterations": np.zeros(n_cells, dtype=int),
+        "residual": np.zeros(n_cells),
+    }
 
     batch = max(1, BATCH_SAMPLES // zgrid.point_count)
     offset = 0
@@ -337,20 +341,16 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
             e11, _ = _moment_rows(*out["mu"], u21, u12, zgrid.spacing)
             if kind == DELTA_CONJUGATED:
                 e11 = e11 - d1
-            sl = offset
-            m11[sl:sl + block.size] = e11
-            dx12[sl:sl + block.size] = out["slope"]
-            dense_count += int(np.sum(out["solver"] == "dense"))
-            worst_residual = max(worst_residual, float(out["residual"].max()))
-            for j, xh in enumerate(block):
-                cells.append({
-                    "x_H": float(xh), "t": float(t), "kind": kind,
-                    "iterations": int(out["cell_iterations"][j]),
-                    "residual": float(out["residual"][j]),
-                    "solver": str(out["solver"][j]),
-                    "abs_dx_m1_12": float(abs(dx12[sl + j])),
-                })
+            sl = slice(offset, offset + block.size)
+            m11[sl] = e11
+            dx12[sl] = out["slope"]
+            cells["kind"][sl] = kind
+            cells["iterations"][sl] = out["cell_iterations"]
+            cells["residual"][sl] = out["residual"]
             offset += block.size
+    # hypot rounds as abs() of a complex scalar does; np.abs of an array
+    # can differ from it in the last bit
+    cells["abs_dx_m1_12"] = np.hypot(dx12.real, dx12.imag)
 
     q_H = qh_from_slope(dx12)
 
@@ -373,8 +373,7 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
     e1 = conserved_E1(make_potential(xgrid, q_full))
     diagnostics = {
         "max_slope": float(np.max(np.abs(dx12))),
-        "worst_residual": worst_residual,
-        "dense_cells": dense_count,
+        "worst_residual": float(cells["residual"].max()),
         "route_gap_epsilon": route_gap_eps,
         "route_gap_q": route_gap_q,
         "epsilon_infinity": float(eps.values[-1]),

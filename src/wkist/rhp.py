@@ -31,8 +31,12 @@ The equation (I - C_w) X = rhs is solved a batch of cells at a time by
 block Gauss-Seidel sweeps that measure their exact residual after every
 half-step at no extra cost and stop at the first iterate that meets tol
 (``_neumann``: 2 s + 1 or 2 s + 2 Cauchy kernel passes for s column-1
-updates, each pass C+ or C- directly); cells on which the sweeps do not
-converge are solved again by dense collocation (``_dense_solve``).  The
+updates, each pass C+ or C- directly).  They are the only solver: for
+small data the operator is a contraction (Beals & Coifman, CPAM 37,
+1984; Zhou, SIAM J. Math. Anal. 20, 1989), and a batch in which any
+cell fails to converge raises ``RhpUnsolvedError``.  The dense
+collocation solve (``_dense_solve``) is kept as the reference the tests
+compare the sweeps against; nothing in the package calls it.  The
 two rows of X solve the same operator with their own right-hand sides,
 so a solve takes only the rows it is given and its cost scales with
 their count.
@@ -147,7 +151,6 @@ class RHPSolution:
     mu: np.ndarray                 # (N, 2, 2)
     residual: float
     iterations: int
-    solver: str
 
 
 def _inv_z(zgrid: SpectralGrid) -> np.ndarray:
@@ -317,7 +320,7 @@ def _neumann(u21, u12, rhs1, rhs2, kind, zgrid,
     count for cells that never did).
     """
     h = zgrid.spacing
-    # a copy: the dense fallback writes into the returned columns
+    # a copy, so the returned columns never alias the caller's right-hand side
     x1 = np.array(rhs1, dtype=complex)
     x2 = _half_step(x1, u12, 12, kind, zgrid)
     x2 += rhs2
@@ -328,7 +331,7 @@ def _neumann(u21, u12, rhs1, rhs2, kind, zgrid,
     met = np.full(len(u21), -1)
     first = None
     k = 0
-    # divergence is detected and handed to the dense fallback, so the
+    # divergence is detected and reported as an unconverged cell, so the
     # intermediate overflow it produces is not an error condition here
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
@@ -354,7 +357,7 @@ def _dense_matrix(u21_row, u12_row, kind, zgrid):
     n = zgrid.point_count
     if n > DENSE_CAP:
         raise RhpUnsolvedError(
-            f"dense fallback capped at N_z = {DENSE_CAP}, grid has {n}"
+            f"dense reference solve capped at N_z = {DENSE_CAP}, grid has {n}"
         )
     KP = _cauchy_plus_batch(np.eye(n, dtype=complex), zgrid).T
     KM = KP - np.eye(n, dtype=complex)
@@ -382,34 +385,23 @@ def _dense_solve(u21_row, u12_row, rhs_pairs, kind, zgrid):
 
 
 def _solve(u21, u12, rhs, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP):
-    """Solve (I - C_w) X = rhs for a (B, N) batch of cells.
+    """Solve (I - C_w) X = rhs for a (B, N) batch of cells by the sweeps of ``_neumann``.
 
     ``rhs`` is the right-hand-side column pair (rhs1, rhs2) of the rows
-    to solve, each (R, B, N).  The Gauss-Seidel sweeps of ``_neumann``
-    run first and report the exact residual of the iterate they return;
-    each cell on which they do not converge is solved again by dense
-    collocation (grids up to N = DENSE_CAP) and its residual is
-    recomputed from the dense solution, which must then meet 100 tol.
-    Returns the solution columns, the per-cell residuals, the sweep count
-    (column-1 updates in the returned iterate), the mask of cells solved
-    densely and the per-cell sweep counts.
+    to solve, each (R, B, N).  A batch in which any cell misses ``tol``
+    raises ``RhpUnsolvedError``, naming how many cells, the kind, the
+    sweep count and the worst residual.  Returns the solution columns,
+    the per-cell residuals (exact for the returned iterate), the sweep
+    count (column-1 updates in the returned iterate) and the per-cell
+    sweep counts.
     """
-    (x1, x2), res, iterations, ok, met = _neumann(u21, u12, *rhs, kind, zgrid, tol, cap)
-    rhs1, rhs2 = rhs
-    dense = ~ok
-    for j in np.nonzero(dense)[0]:
-        rows = _dense_solve(u21[j], u12[j], list(zip(rhs1[:, j], rhs2[:, j])), kind, zgrid)
-        for i, (a1, a2) in enumerate(rows):
-            x1[i, j], x2[i, j] = a1, a2
-        cell = np.s_[:, j:j + 1]
-        c21, c12 = _apply_cw(x1[cell], x2[cell], u21[j:j + 1], u12[j:j + 1], kind, zgrid)
-        res[j] = _l2_residual([x1[cell] - rhs1[cell] - c21,
-                               x2[cell] - rhs2[cell] - c12], zgrid.spacing)[0]
-        if res[j] > 100 * tol:
-            raise RhpUnsolvedError(
-                f"dense fallback residual {res[j]:.3e} still above tolerance"
-            )
-    return (x1, x2), res, iterations, dense, met
+    x, res, iterations, ok, met = _neumann(u21, u12, *rhs, kind, zgrid, tol, cap)
+    if not ok.all():
+        raise RhpUnsolvedError(
+            f"{np.count_nonzero(~ok)} of {ok.size} {kind} cells unsolved after "
+            f"{iterations} sweeps (worst residual {np.max(res):.3e})"
+        )
+    return x, res, iterations, met
 
 
 def _solve_batch(u21, u12, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP):
@@ -440,7 +432,7 @@ def _solve_batch(u21, u12, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP):
     shape = (1,) + u21.shape
     band = _tail_outside(u12, zgrid)
     # a read-only broadcast: the sweeps only read the right-hand side
-    (x1, x2), res, its, dense, met = _solve(
+    (x1, x2), res, its, met = _solve(
         u21, u12, (np.broadcast_to(np.complex128(1.0), shape), band[None]),
         kind, zgrid, tol, cap)
     mu = (x1[0], x2[0])
@@ -452,7 +444,6 @@ def _solve_batch(u21, u12, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP):
         "residual": res,
         "iterations": its,
         "cell_iterations": met,
-        "solver": np.where(dense, "dense", "neumann"),
     }
 
 
@@ -475,10 +466,9 @@ def solve_mu(f: JumpFactorization, tol: float = NEUMANN_TOL,
              max_iterations: int = NEUMANN_CAP) -> RHPSolution:
     """Solve mu = I + C+(mu w_-) + C-(mu w_+) for one factorization.
 
-    Both rows, by block Gauss-Seidel sweeps (reported as solver
-    "neumann"), with a dense collocation fallback (grids up to
-    N = 1024) when they do not contract.  ``tol`` must be a finite
-    number > 0 and ``max_iterations`` a sweep cap >= 0.
+    Both rows, by block Gauss-Seidel sweeps (``_solve``); raises
+    ``RhpUnsolvedError`` when they do not converge.  ``tol`` must be a
+    finite number > 0 and ``max_iterations`` a sweep cap >= 0.
     """
     if not 0.0 < tol < float("inf"):
         raise InvalidArgumentError(f"tol must be a finite number > 0, got {tol}")
@@ -486,14 +476,13 @@ def solve_mu(f: JumpFactorization, tol: float = NEUMANN_TOL,
         raise InvalidArgumentError(f"max_iterations must be >= 0, got {max_iterations}")
     u21, u12 = f.u21[None, :], f.u12[None, :]
     one, zero = np.ones_like(u21), np.zeros_like(u21)
-    x, res, its, dense, _ = _solve(
+    x, res, its, _ = _solve(
         u21, u12, (np.stack([one, zero]), np.stack([zero, one])),
         f.kind, f.zgrid, tol, max_iterations)
     return RHPSolution(
         mu=_pack_mu(*x),
         residual=float(res[0]),
         iterations=its,
-        solver="dense" if dense[0] else "neumann",
     )
 
 

@@ -22,9 +22,9 @@ def run(args, capsys):
     return code
 
 
-def write_bad_reflection(indir, scale=3.0):
+def write_bad_reflection(indir, scale=3.0, N_z=2048):
     """Reflection data far outside the contraction regime."""
-    Z, N_z, z_min = 40.0, 2048, 0.5
+    Z, z_min = 40.0, 0.5
     pts = -Z + (2 * Z / N_z) * np.arange(N_z)
     r = np.where(np.abs(pts) >= z_min, scale * np.exp(-(pts / 15.0) ** 2), 0.0)
     with open(indir / "reflection.csv", "w") as fh:
@@ -41,7 +41,6 @@ def test_roundtrip_pipeline(tmp_path, capsys):
     assert run(["roundtrip", "--outdir", str(out)] + SMALL, capsys) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["results"]["sup_error"] < 1e-3
-    assert manifest["results"]["dense_cells"] == 0
     assert manifest["config"]["N"] == 512
     for name in ("potential.csv", "reconstructed.csv", "hodograph.csv",
                  "cells.csv", "manifest.json"):
@@ -114,6 +113,17 @@ def test_wrongly_typed_config_exits_2(tmp_path, capsys, config):
     # each field takes only its own JSON type, and the file holds an object
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
+    code = main(["forward", "--config", str(cfg), "--outdir", str(tmp_path / "o")] + SMALL)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "invalid-argument" in err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe\x00garbage", b"{not json"],
+                         ids=["undecodable", "not-json"])
+def test_unreadable_config_exits_2(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
     code = main(["forward", "--config", str(cfg), "--outdir", str(tmp_path / "o")] + SMALL)
     err = capsys.readouterr().err
     assert code == 2
@@ -241,16 +251,18 @@ def test_reflection_inside_the_floor_exits_2(tmp_path, capsys, value):
 
 
 BAD_SAMPLE_ROWS = pytest.mark.parametrize(
-    "row", ["1,x,0\n", "1,0\n"], ids=["non-numeric", "short-row"])
+    "row", [b"1,x,0\n", b"1,0\n", b"1,\xff\xfe,0\n", b"1," + b"9" * 200_000 + b",0\n"],
+    ids=["non-numeric", "short-row", "undecodable", "oversized-field"])
 
 
 @BAD_SAMPLE_ROWS
 def test_malformed_reflection_samples_exit_2(tmp_path, capsys, row):
-    # a non-numeric value or a short row in reflection.csv is bad input
+    # a non-numeric value, a short row, bytes that are no text or a field
+    # past the csv module's limit in reflection.csv is bad input
     indir, out = tmp_path / "in", tmp_path / "out"
     indir.mkdir()
     write_bad_reflection(indir)
-    with open(indir / "reflection.csv", "a") as fh:
+    with open(indir / "reflection.csv", "ab") as fh:
         fh.write(row)
     assert run(["inverse", "--input", str(indir), "--outdir", str(out)], capsys) == 2
     assert json.loads((out / "error.json").read_text())["kind"] == "invalid-argument"
@@ -259,7 +271,7 @@ def test_malformed_reflection_samples_exit_2(tmp_path, capsys, row):
 @BAD_SAMPLE_ROWS
 def test_malformed_potential_samples_exit_2(tmp_path, capsys, row):
     samples, out = tmp_path / "q.csv", tmp_path / "out"
-    samples.write_text("coordinate,re,im\n-20,0,0\n" + row)
+    samples.write_bytes(b"coordinate,re,im\n-20,0,0\n" + row)
     assert run(["forward", "--family", "file", "--input", str(samples),
                 "--outdir", str(out)] + SMALL, capsys) == 2
     assert json.loads((out / "error.json").read_text())["kind"] == "invalid-argument"
@@ -274,10 +286,13 @@ def test_bound_state_guard_exits_3(tmp_path, capsys):
     assert err["kind"] == "possible-bound-state"
 
 
-def test_unsolvable_rhp_exits_4(tmp_path, capsys):
+@pytest.mark.parametrize("N_z", [512, 2048])
+def test_unsolvable_rhp_exits_4(tmp_path, capsys, N_z):
+    # the sweeps are the only cell solver: data they cannot solve exits 4
+    # on every grid, including those small enough for a dense solve
     bad = tmp_path / "bad"
     bad.mkdir()
-    write_bad_reflection(bad)
+    write_bad_reflection(bad, N_z=N_z)
     out = tmp_path / "out"
     code = run(["inverse", "--input", str(bad), "--outdir", str(out),
                 "--N", "256", "--window", "2.0"], capsys)
@@ -368,14 +383,13 @@ def test_column_writer_matches_csv_writer_bytes(tmp_path, width):
 
 
 def test_column_writer_matches_csv_writer_on_cell_records(tmp_path):
-    header = ["x_H", "t", "kind", "iterations", "residual", "solver", "abs_dx_m1_12"]
+    header = ["x_H", "t", "kind", "iterations", "residual", "abs_dx_m1_12"]
     cells = [
         {"x_H": x, "t": 0.25, "kind": ("Triangular", "DeltaConjugated")[j % 2],
-         "iterations": 7 * j, "residual": r, "solver": ("neumann", "dense")[j % 2],
-         "abs_dx_m1_12": abs(x)}
+         "iterations": 7 * j, "residual": r, "abs_dx_m1_12": abs(x)}
         for j, (x, r) in enumerate(zip(AWKWARD.tolist(), AWKWARD[::-1].tolist()))
     ]
     reference_csv(tmp_path / "ref.csv", header, ([c[k] for k in header] for c in cells))
     columns_to_csv(tmp_path / "new.csv", header, [[c[k] for c in cells] for k in header],
-                   text=("kind", "iterations", "solver"))
+                   text=("kind", "iterations"))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

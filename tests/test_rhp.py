@@ -93,7 +93,6 @@ def test_neumann_solution_solves_the_equation():
     for x_H, kind in ((-0.7, TRIANGULAR), (0.7, DELTA_CONJUGATED)):
         f = build_factorization(r, x_H, 0.0, kind)
         sol = solve_mu(f)
-        assert sol.solver == "neumann"
         assert sol.residual < 1e-10
         assert sol.iterations < 40
         # mu - I is small in the small-data regime
@@ -117,21 +116,25 @@ def test_neumann_and_dense_solvers_agree():
         assert np.max(np.abs(sol.mu - dense_mu)) < 1e-9
 
 
-def test_dense_fallback_size_cap():
+def test_dense_reference_size_cap():
+    # the reference collocation solve refuses grids above DENSE_CAP; the
+    # sweeps report data far out of the contraction regime on any grid
     sd = small_reflection(N=512, N_z=2048, z_min=0.5)
-    # blow the data far out of the contraction regime so Neumann fails
     r = GridFunction(sd.zgrid, 40.0 * sd.r / np.max(np.abs(sd.r)))
     f = build_factorization(r, -0.5, 0.0, TRIANGULAR)
-    with pytest.raises(RhpUnsolvedError):
+    with pytest.raises(RhpUnsolvedError, match="1 of 1 Triangular cells unsolved"):
         solve_mu(f)
+    ones = np.ones(sd.zgrid.point_count, dtype=complex)
+    with pytest.raises(RhpUnsolvedError, match="dense reference solve capped"):
+        _dense_solve(f.u21, f.u12, [(ones, 0 * ones)], TRIANGULAR, sd.zgrid)
 
 
 @pytest.mark.parametrize("tol, max_iterations", [(np.nan, NEUMANN_CAP), (np.inf, NEUMANN_CAP),
                                                   (0.0, NEUMANN_CAP), (-1.0, NEUMANN_CAP),
                                                   (NEUMANN_TOL, -1)])
 def test_solve_mu_refuses_a_bad_tolerance_or_cap(tol, max_iterations, monkeypatch):
-    # refused before any sweep: a NaN tol would pass the dense fallback's
-    # residual test, a tol <= 0 run every sweep and fail, a cap < 0 act as 0
+    # refused before any sweep: a NaN tol would fail every convergence
+    # test, a tol <= 0 run every sweep and fail, a cap < 0 act as 0
     sd = small_reflection(N=512, N_z=512, z_min=0.9)
     f = build_factorization(GridFunction(sd.zgrid, sd.r), -0.4, 0.0, TRIANGULAR)
     monkeypatch.setattr(wkist.rhp, "_solve", None)
@@ -162,23 +165,25 @@ def slope_of(mu11, mu12, u21, u12, zgrid, band=0.0):
     return 2j * (1.0 + m11) * (m12 + band)
 
 
-def test_dense_fallback_reports_the_dense_derivative_residual():
-    # |r| = 3 is outside the contraction regime: the Neumann solve
-    # diverges, and the residual and slope reported must be those of the
-    # dense solution that replaces it, not of the diverged iterate
+@pytest.mark.parametrize("kind, x_H", [(TRIANGULAR, [-2.0, -0.4]),
+                                       (DELTA_CONJUGATED, [0.4, 2.0])])
+def test_unconverged_cell_raises_without_the_dense_solve(kind, x_H, monkeypatch):
+    # |r| = 3 is outside the contraction regime and the sweeps diverge:
+    # on a grid the dense reference could take (N_z <= DENSE_CAP) the
+    # batch is still reported unsolved, and no dense solve is attempted
     sd = small_reflection(N=512, N_z=512, z_min=0.9)
-    zg = sd.zgrid
     r = 3.0 * sd.r / np.max(np.abs(sd.r))
-    u21, u12, _ = _jump_entries(TRIANGULAR, r, zg, np.array([[-0.4]]), 0.0)
-    out = _solve_batch(u21, u12, TRIANGULAR, zg)
-    assert out["solver"][0] == "dense"
-    assert out["residual"][0] < 100 * NEUMANN_TOL
-    # the same equations, the band term included
-    T12 = _tail_outside(u12[0], zg)
-    [(mu11, mu12)] = _dense_solve(u21[0], u12[0], [(np.ones(zg.point_count), T12)],
-                                  TRIANGULAR, zg)
-    want = slope_of(mu11, mu12, u21[0], u12[0], zg, T12[zg.point_count // 2])
-    assert abs(out["slope"][0] - want) < 1e-9 * (1.0 + abs(want))
+    u21, u12 = jump_batch(r, sd.zgrid, kind, x_H)
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("the dense reference solve was called")
+
+    monkeypatch.setattr(wkist.rhp, "_dense_solve", no_dense)
+    with pytest.raises(RhpUnsolvedError, match=f"2 of 2 {kind} cells unsolved"):
+        _solve_batch(u21, u12, kind, sd.zgrid)
+    f = build_factorization(GridFunction(sd.zgrid, r), x_H[0], 0.0, kind)
+    with pytest.raises(RhpUnsolvedError, match=f"1 of 1 {kind} cells unsolved"):
+        solve_mu(f)
 
 
 def test_derivative_solve_matches_finite_differences():
@@ -380,7 +385,7 @@ def test_cell_iterations_match_single_cell_solves():
 def test_sweeps_stopped_at_cap_report_their_true_residual(kind, x_H, cap):
     # max|r| = 0.6 needs far more than two sweeps: a solve cut at the cap
     # must report the exact residual of what it returns, fail the
-    # convergence test and be handed to the dense fallback
+    # convergence test and be reported unsolved
     sd = small_reflection(N=512, N_z=512, z_min=0.9)
     r = 0.6 * sd.r / np.max(np.abs(sd.r))
     u21, u12 = jump_batch(r, sd.zgrid, kind, x_H)
@@ -391,9 +396,9 @@ def test_sweeps_stopped_at_cap_report_their_true_residual(kind, x_H, cap):
     c = _apply_cw(*x, u21, u12, kind, sd.zgrid)
     exact = _l2_residual([xa - ra - ca for xa, ra, ca in zip(x, rhs, c)], sd.zgrid.spacing)
     assert np.max(np.abs(res - exact) / exact) < 1e-6
-    out = _solve_batch(u21, u12, kind, sd.zgrid, cap=cap)
-    assert list(out["solver"]) == ["dense", "dense"]
-    assert np.all(out["residual"] < NEUMANN_TOL)
+    unsolved = f"2 of 2 {kind} cells unsolved after {cap} sweeps"
+    with pytest.raises(RhpUnsolvedError, match=unsolved):
+        _solve_batch(u21, u12, kind, sd.zgrid, cap=cap)
 
 
 @pytest.mark.parametrize("kind, x_H", [(TRIANGULAR, [-1.0, -0.2]),
@@ -419,7 +424,6 @@ def test_inverse_solve_transforms_row_1_only(kind, x_H, monkeypatch):
     monkeypatch.setattr(wkist.rhp, "_cauchy_plus_batch", counted)
     out = _solve_batch(u21, u12, kind, zg)
     monkeypatch.undo()
-    assert list(out["solver"]) == ["neumann", "neumann"]
     assert all(shape == (1,) + u21.shape for shape in calls)
     # 2 s + 1 or 2 s + 2 passes for the one solve, as its last check
     # followed a column-2 or a column-1 update; the slope costs none
