@@ -21,7 +21,6 @@ from .errors import (
     DiagnosticUnreliableError,
     EvolutionDivergedError,
     HodographInconsistentError,
-    HodographUnsolvedError,
     InvalidArgumentError,
     NumericalError,
     PossibleBoundStateError,
@@ -72,11 +71,11 @@ from .rhp import (
 )
 from .reconstruction import (
     ReconstructionResult,
-    epsilon_fixed_point,
     inverse_transform,
     qh_from_slope,
     resample_q,
     x_from_m11,
+    x_from_qh,
 )
 from .soliton import (
     SolitonParams,

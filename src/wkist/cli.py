@@ -219,7 +219,7 @@ def _load_reflection(indir: Path) -> ScatteringData:
 def _write_reconstruction(rec, outdir: Path):
     gridfunction_to_csv(rec.q, outdir / "reconstructed.csv")
     columns_to_csv(outdir / "hodograph.csv", ["x_H", "qh_re", "qh_im", "epsilon", "x_explicit"],
-                   [rec.x_H, rec.q_H.real, rec.q_H.imag, rec.epsilon.values, rec.x_explicit])
+                   [rec.x_H, rec.q_H.real, rec.q_H.imag, rec.epsilon, rec.x_explicit])
     header = ["x_H", "t", "kind", "iterations", "residual", "abs_dx_m1_12"]
     columns_to_csv(outdir / "cells.csv", header, [rec.cells[name] for name in header],
                    text=("kind", "iterations"))
@@ -367,9 +367,11 @@ def _config_from_args(args) -> RunConfig:
     }
     cfg = replace(cfg, **overrides)
     # checked before any pipeline runs: ``inverse --input`` never reaches
-    # the forward guard that reads a_floor
+    # the forward guard that reads a_floor, and only compare-pde reads cfl
     for name in ("decay_floor", "a_floor"):
         check_threshold(name, getattr(cfg, name))
+    if not 0.0 < cfg.cfl < float("inf"):
+        raise InvalidArgumentError(f"cfl must be a finite number > 0, got {cfg.cfl}")
     return cfg
 
 

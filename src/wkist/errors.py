@@ -72,10 +72,6 @@ class RhpUnsolvedError(NumericalError):
     kind = "rhp-unsolved"
 
 
-class HodographUnsolvedError(NumericalError):
-    kind = "hodograph-unsolved"
-
-
 class HodographInconsistentError(NumericalError):
     kind = "hodograph-inconsistent"
 

@@ -78,8 +78,9 @@ def evolve(q0: GridFunction, T: float, dt: float = None,
     grid = q0.grid
     if dt is None:
         dt = cfl * grid.spacing**2
-    if dt <= 0:
-        raise InvalidArgumentError("time step must be positive")
+    # a NaN step fails every comparison and an infinite one takes one step
+    if not 0.0 < dt < float("inf"):
+        raise InvalidArgumentError(f"time step must be a finite number > 0, got {dt}")
     k2 = _wavenumbers(grid) ** 2
     if snapshot_times is None:
         snapshot_times = [T]

@@ -9,10 +9,11 @@ The chain per hodograph cell x_H:
    q_H = sqrt(1 + |q_H|^2) s,
 3. undo the hodograph map.  The physical coordinate satisfies
    x_H = x + eps(x) with eps(x) = int_{-inf}^x (sqrt(1+|q|^2) - 1) dy,
-   recovered either by Picard iteration on
-   eps(x) = int (sqrt(1+|q_H(y + eps(y))|^2) - 1) dy   (primary route)
+   so dx_H/dx = <q> = sqrt(1+|q|^2) and x is recovered either by the
+   quadrature x(x_H) = int dx_H / <q_H>   (primary route)
    or explicitly from the diagonal moment, x = x_H - Im m^(1)_{11}
-   (cross-check route).
+   (cross-check route); both routes resample q_H from their map onto
+   the physical grid.
 
 The sweep of x_H cells is taken directly from the physical grid inside
 a finite window, which must hold at least two of its points; outside
@@ -29,7 +30,6 @@ import numpy as np
 from .direct_scattering import ScatteringData, evolve_reflection
 from .errors import (
     HodographInconsistentError,
-    HodographUnsolvedError,
     InvalidArgumentError,
     RangeError,
     RhpUnsolvedError,
@@ -49,18 +49,15 @@ from .rhp import (
 )
 
 __all__ = [
-    "EpsilonResult",
     "ReconstructionResult",
     "qh_from_slope",
-    "epsilon_fixed_point",
+    "x_from_qh",
     "x_from_m11",
     "resample_q",
     "inverse_transform",
 ]
 
 SLOPE_MARGIN = 1e-6
-EPSILON_TOL = 1e-10
-EPSILON_CAP = 500
 DEFAULT_WINDOW = 6.0
 # Spectral samples per batch of cells: a batch's (B, N_z) arrays are 512 KiB
 # and the kernel's padded buffer 1 MiB, inside a per-core L2 cache.  Fastest
@@ -89,14 +86,6 @@ def qh_from_slope(s: np.ndarray, margin: float = SLOPE_MARGIN) -> np.ndarray:
     return s / np.sqrt(1.0 - mags**2)
 
 
-@dataclass
-class EpsilonResult:
-    x: np.ndarray
-    values: np.ndarray
-    iterations: int
-    final_update: float
-
-
 def _pchip_end_slope(h0, h1, m0, m1):
     """Moler's one-sided three-point end slope, kept shape-preserving."""
     d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
@@ -117,8 +106,8 @@ def _interp_decaying(nodes: np.ndarray, values: np.ndarray):
     Computing with MATLAB*, 2004, sec. 3.6).  Every operation is taken
     in the order of ``scipy.interpolate.PchipInterpolator`` with
     ``extrapolate=False``, so the two agree bit for bit.  ``nodes`` must
-    be strictly increasing and ``values`` real and finite: the callers
-    interpolate on a uniform grid, and ``resample_q`` checks its map first.
+    be strictly increasing and ``values`` real and finite: its one
+    caller, ``resample_q``, checks its map first.
     Returns a function of the evaluation points.
     """
     x = np.asarray(nodes, dtype=float)
@@ -132,7 +121,10 @@ def _interp_decaying(nodes: np.ndarray, values: np.ndarray):
         flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
         w1 = 2 * h[1:] + h[:-1]
         w2 = h[1:] + 2 * h[:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a secant near the underflow limit overflows the quotient to inf,
+        # whose reciprocal is the zero slope the harmonic mean tends to;
+        # zero secants are masked by ``flat``
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
         d = np.zeros_like(y)
         d[1:-1][~flat] = 1.0 / whmean[~flat]
@@ -159,36 +151,20 @@ def _interp_decaying(nodes: np.ndarray, values: np.ndarray):
     return evaluate
 
 
-def epsilon_fixed_point(x: np.ndarray, q_H: np.ndarray, tol: float = EPSILON_TOL,
-                        max_iterations: int = EPSILON_CAP) -> EpsilonResult:
-    """Picard iteration for the hodograph shift eps at the points ``x``.
+def x_from_qh(x_H: np.ndarray, q_H: np.ndarray) -> np.ndarray:
+    """Hodograph inversion by quadrature, x(x_H) = x_H[0] + int dx_H / <q_H>.
 
-    ``x`` is a uniform grid of at least two points and ``q_H`` the
-    potential there.  The integrand sqrt(1+|q_H|^2) - 1 is interpolated
-    shape-preservingly and treated as zero outside the sampled range
-    (the potential must have decayed there).  Converges geometrically
-    because the integrand is small and Lipschitz; hitting the iteration
-    cap raises HodographUnsolvedError.  ``max_iterations`` must be >= 1.
+    ``x_H`` is a uniform grid of at least two points and ``q_H`` the
+    potential there; the integral is the trapezoid rule, started at
+    x(x_H[0]) = x_H[0] (the potential must have decayed there).  The
+    shift eps = x_H - x accumulates 1 - 1/<q_H>, which lies in [0, 1),
+    so the map is strictly increasing.
     """
-    if max_iterations < 1:
-        raise InvalidArgumentError(f"max_iterations must be >= 1, got {max_iterations}")
-    x = np.asarray(x, dtype=float)
-    h = float(x[1] - x[0])
-    w = np.sqrt(1.0 + np.abs(q_H) ** 2) - 1.0
-    w_at = _interp_decaying(x, w)
-    eps = np.zeros_like(x)
-    for iteration in range(1, max_iterations + 1):
-        integrand = w_at(x + eps)
-        new = np.concatenate([[0.0], np.cumsum(0.5 * h * (integrand[1:] + integrand[:-1]))])
-        update = float(np.max(np.abs(new - eps)))
-        eps = new
-        if update < tol:
-            return EpsilonResult(x=x, values=eps, iterations=iteration,
-                                 final_update=update)
-    raise HodographUnsolvedError(
-        f"hodograph fixed point did not settle in {max_iterations} iterations "
-        f"(last update {update:.3e})"
-    )
+    x_H = np.asarray(x_H, dtype=float)
+    h = float(x_H[1] - x_H[0])
+    rate = 1.0 - 1.0 / np.sqrt(1.0 + np.abs(q_H) ** 2)
+    eps = np.concatenate([[0.0], np.cumsum(0.5 * h * (rate[1:] + rate[:-1]))])
+    return x_H - eps
 
 
 def x_from_m11(x_H: np.ndarray, m1_11: np.ndarray,
@@ -259,7 +235,7 @@ class ReconstructionResult:
     slope: np.ndarray                    # s(x_H)
     q_H: np.ndarray                      # potential over the sweep
     m1_11: np.ndarray
-    epsilon: EpsilonResult
+    epsilon: np.ndarray                  # eps = x_H - x at the sweep cells
     x_explicit: np.ndarray
     q_explicit: GridFunction             # cross-check route potential
     cells: dict = field(default_factory=dict)   # per-cell columns, in sweep order
@@ -288,6 +264,12 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
     adds the outer band of the jump (``_solve_batch``) and stops at
     ``NEUMANN_TOL``; the slope must stay below 1 - ``SLOPE_MARGIN``.
     Cells are solved in even batches of at most max(1, ``BATCH_SAMPLES // N_z``).
+
+    The hodograph map is then undone twice: by the quadrature of
+    dx = dx_H / <q_H> (``x_from_qh``, the primary route, which gives
+    ``q`` and ``epsilon`` = x_H - x at the cells) and explicitly from the
+    diagonal moment (``x_from_m11``, the cross-check route, which gives
+    ``q_explicit``).  Both resample q_H onto ``xgrid`` with ``resample_q``.
 
     ``decay_floor`` bounds how large the recovered q_H may be at the
     sweep-window ends; the reconstruction noise there scales with the
@@ -354,33 +336,26 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
 
     q_H = qh_from_slope(dx12)
 
-    # primary route: hodograph fixed point on the sweep
-    eps = epsilon_fixed_point(sweep, q_H, tol=1e-10)
-    qh_re = _interp_decaying(sweep, q_H.real)
-    qh_im = _interp_decaying(sweep, q_H.imag)
-    q_values = qh_re(sweep + eps.values) + 1j * qh_im(sweep + eps.values)
-    q_full = np.zeros(xgrid.point_count, dtype=complex)
-    q_full[_window_mask(xgrid.points, window)] = q_values
-    q = GridFunction(xgrid, q_full)
-
-    # cross-check route: explicit map from the diagonal moment
+    # the explicit map is checked first: a moment that does not describe a
+    # decaying potential is reported as such, before the range check
     x_exp = x_from_m11(sweep, m11)
+    # primary route: the quadrature of dx = dx_H / <q_H>
+    x_map = x_from_qh(sweep, q_H)
+    q, _ = resample_q(q_H, x_map, xgrid, decay_floor=decay_floor)
+    eps = sweep - x_map
+    # cross-check route: explicit map from the diagonal moment
     q_explicit, interp_err = resample_q(q_H, x_exp, xgrid, decay_floor=decay_floor)
 
-    eps_at = _interp_decaying(sweep, eps.values)
-    route_gap_eps = float(np.max(np.abs(eps_at(x_exp) - m11.imag)))
-    route_gap_q = float(np.max(np.abs(q.values - q_explicit.values)))
-    e1 = conserved_E1(make_potential(xgrid, q_full))
+    e1 = conserved_E1(make_potential(xgrid, q.values))
     diagnostics = {
         "max_slope": float(np.max(np.abs(dx12))),
         "worst_residual": float(cells["residual"].max()),
-        "route_gap_epsilon": route_gap_eps,
-        "route_gap_q": route_gap_q,
-        "epsilon_infinity": float(eps.values[-1]),
+        "route_gap_epsilon": float(np.max(np.abs(eps - m11.imag))),
+        "route_gap_q": float(np.max(np.abs(q.values - q_explicit.values))),
+        "epsilon_infinity": float(eps[-1]),
         "E1_reconstructed": e1,
-        "epsilon_vs_E1": abs(float(eps.values[-1]) - e1),
+        "epsilon_vs_E1": abs(float(eps[-1]) - e1),
         "resample_error_estimate": interp_err,
-        "picard_iterations": eps.iterations,
     }
     return ReconstructionResult(
         xgrid=xgrid, q=q, x_H=sweep, slope=dx12, q_H=q_H,

@@ -306,10 +306,11 @@ def _neumann(u21, u12, rhs1, rhs2, kind, zgrid,
     equations of the pair (x1, x2) hold exactly, so the next column-1
     update, new1 - x1, is the exact residual of that pair; once column 1
     has been updated, the next column-2 update, new2 - x2, is.  The solve
-    stops at the first check at which every cell is below ``tol`` (or
-    hopeless, or the pair has had ``cap`` column-1 updates) and returns
-    the pair that check measured, so the reported residual is exact for
-    the rows solved.  The sweep count s is the number of column-1
+    stops at the first check at which every cell is below ``tol``, any
+    cell is hopeless (non-finite, or above 1e8 (1 + its first
+    residual)), or the pair has had ``cap`` column-1 updates, and
+    returns the pair that check measured, so the reported residual is
+    exact for the rows solved.  The sweep count s is the number of column-1
     updates in the returned pair: a solve makes 2 s + 2 kernel passes
     when it stops on a column-1 check and 2 s + 1 when it stops on a
     column-2 check.  ``cap`` = 0 returns x1 = rhs1 after two passes.
@@ -345,7 +346,9 @@ def _neumann(u21, u12, rhs1, rhs2, kind, zgrid,
             if first is None:
                 first = res
             hopeless = ~np.isfinite(res) | (res > 1e8 * first + 1e8)
-            if sweeps == cap or np.all((res < tol) | hopeless):
+            # one hopeless cell fails the whole batch (``_solve``), so
+            # sweeping on for the others would be wasted
+            if sweeps == cap or hopeless.any() or np.all(res < tol):
                 break
             x[c] = new
             k += 1

@@ -132,11 +132,13 @@ def test_unreadable_config_exits_2(tmp_path, capsys, content):
 
 @pytest.mark.parametrize("flags", [
     ["--decay-floor", "nan"], ["--a-floor", "nan"], ["--decay-floor", "-1"],
-    ["--Z", "1e308"],
-], ids=["nan-decay-floor", "nan-a-floor", "negative-decay-floor", "overflowing-Z"])
+    ["--Z", "1e308"], ["--cfl", "nan"], ["--cfl", "inf"], ["--cfl", "0"],
+], ids=["nan-decay-floor", "nan-a-floor", "negative-decay-floor", "overflowing-Z",
+        "nan-cfl", "infinite-cfl", "zero-cfl"])
 def test_bad_guard_threshold_or_grid_value_exits_2(tmp_path, capsys, flags):
     # a NaN threshold would switch its guard off, a negative one trip it
-    # on every run; a grid width that overflows is no grid
+    # on every run; a grid width that overflows is no grid, and a cfl that
+    # is not a finite number > 0 no time step
     code = main(["roundtrip", "--outdir", str(tmp_path / "o")] + SMALL + flags)
     err = capsys.readouterr().err
     assert code == 2

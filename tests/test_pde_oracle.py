@@ -86,6 +86,12 @@ def test_argument_validation():
         evolve(q, 0.1, dt=0.0)
     with pytest.raises(InvalidArgumentError):
         evolve(q, 0.1, dt=-1e-3)
+    # a NaN step cannot be counted and an infinite one is a single RK4 step
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidArgumentError):
+            evolve(q, 0.1, dt=bad)
+        with pytest.raises(InvalidArgumentError):
+            evolve(q, 0.1, cfl=bad)
     with pytest.raises(InvalidArgumentError):
         evolve(q, 0.1, snapshot_times=[0.07, 0.03, 0.1])
     with pytest.raises(InvalidArgumentError):

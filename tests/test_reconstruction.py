@@ -7,7 +7,6 @@ import wkist.reconstruction
 from wkist.direct_scattering import reflection_coefficient
 from wkist.errors import (
     HodographInconsistentError,
-    HodographUnsolvedError,
     InvalidArgumentError,
     RangeError,
     RhpUnsolvedError,
@@ -17,11 +16,11 @@ from wkist.lattice import make_spatial_grid, make_spectral_grid
 from wkist.lax import make_potential
 from wkist.reconstruction import (
     _interp_decaying,
-    epsilon_fixed_point,
     inverse_transform,
     qh_from_slope,
     resample_q,
     x_from_m11,
+    x_from_qh,
 )
 from wkist.rhp import suggest_z_min
 from wkist.soliton import (
@@ -64,14 +63,14 @@ def test_qh_from_slope_refuses_a_non_finite_slope(bad):
         qh_from_slope(np.array([0.1, bad]))
 
 
-def test_epsilon_fixed_point_matches_closed_form():
+def test_x_from_qh_matches_closed_form():
     gaps = {}
     for n in (2048, 4096):
         g = make_spatial_grid(20.0, n)
-        res = epsilon_fixed_point(g.points, soliton_qh(g.points, 0.0, SOLITON))
-        assert res.final_update < 1e-10
-        exact = soliton_epsilon(g.points, 0.0, SOLITON)
-        gaps[n] = np.max(np.abs(res.values - exact))
+        x = x_from_qh(g.points, soliton_qh(g.points, 0.0, SOLITON))
+        # the exact shift at x_H is the diagonal moment, eps = Im m11
+        _, m11 = soliton_m1_entries(g.points, 0.0, SOLITON)
+        gaps[n] = np.max(np.abs(g.points - x - m11.imag))
     assert gaps[2048] < 5e-5
     # trapezoid quadrature: quartering under grid doubling
     assert 3.5 < gaps[2048] / gaps[4096] < 4.5
@@ -79,20 +78,6 @@ def test_epsilon_fixed_point_matches_closed_form():
 
 def test_epsilon_value_at_origin():
     assert abs(soliton_epsilon(0.0, 0.0, SOLITON) - EPSILON_AT_ZERO) < 1e-13
-
-
-def test_epsilon_fixed_point_iteration_cap():
-    g = make_spatial_grid(20.0, 512)
-    with pytest.raises(HodographUnsolvedError):
-        epsilon_fixed_point(g.points, soliton_qh(g.points, 0.0, SOLITON), max_iterations=1)
-
-
-@pytest.mark.parametrize("max_iterations", [0, -1])
-def test_epsilon_fixed_point_refuses_an_empty_iteration_budget(max_iterations):
-    g = make_spatial_grid(20.0, 512)
-    with pytest.raises(InvalidArgumentError, match="max_iterations"):
-        epsilon_fixed_point(g.points, soliton_qh(g.points, 0.0, SOLITON),
-                            max_iterations=max_iterations)
 
 
 _UNEVEN = np.cumsum(np.random.default_rng(12).uniform(0.05, 1.0, 40)) - 10.0

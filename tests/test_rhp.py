@@ -401,6 +401,26 @@ def test_sweeps_stopped_at_cap_report_their_true_residual(kind, x_H, cap):
         _solve_batch(u21, u12, kind, sd.zgrid, cap=cap)
 
 
+def test_sweeps_stop_at_the_first_check_a_cell_is_hopeless():
+    # a batch with a diverging cell fails as a whole, so the sweeps must
+    # stop when it goes hopeless, not run on to the cap for a cell that
+    # merely stagnates (max|r| = 2 neither converges nor diverges)
+    sd = small_reflection(N=512, N_z=512, z_min=0.9)
+    unit = sd.r / np.max(np.abs(sd.r))
+    stagnant = jump_batch(2.0 * unit, sd.zgrid, TRIANGULAR, [-0.5])
+    diverging = jump_batch(5.0 * unit, sd.zgrid, TRIANGULAR, [-0.5])
+    sweeps_alone = [_neumann(*cell, *mu_rhs(cell[0]), TRIANGULAR, sd.zgrid)[2]
+                    for cell in (stagnant, diverging)]
+    assert sweeps_alone[0] == NEUMANN_CAP
+    assert sweeps_alone[1] < NEUMANN_CAP // 10
+    u21, u12 = (np.concatenate(pair) for pair in zip(stagnant, diverging))
+    _, res, sweeps, ok, _ = _neumann(u21, u12, *mu_rhs(u21), TRIANGULAR, sd.zgrid)
+    assert sweeps == sweeps_alone[1]
+    assert not ok.any() and res[1] > 1e8
+    with pytest.raises(RhpUnsolvedError, match=f"after {sweeps} sweeps"):
+        _solve(u21, u12, mu_rhs(u21), TRIANGULAR, sd.zgrid)
+
+
 @pytest.mark.parametrize("kind, x_H", [(TRIANGULAR, [-1.0, -0.2]),
                                        (DELTA_CONJUGATED, [0.2, 1.0])])
 def test_inverse_solve_transforms_row_1_only(kind, x_H, monkeypatch):
