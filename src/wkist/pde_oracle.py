@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EvolutionDivergedError, InvalidArgumentError
+from .errors import EvolutionDivergedError, InvalidArgumentError, ResolutionExceededError
 from .lattice import GridFunction
 from .lax import Potential, conserved_E1, make_potential
 
@@ -29,6 +29,8 @@ __all__ = ["EvolutionRun", "wki_rhs", "evolve"]
 
 DEFAULT_CFL = 0.2
 BLOWUP_GUARD = 1e3
+# RK4 steps one run may take; criterion 7 (t = 0.5, N = 2048) takes ~6.6k
+STEP_CAP = 10**6
 
 
 def _wavenumbers(grid) -> np.ndarray:
@@ -73,7 +75,8 @@ def evolve(q0: GridFunction, T: float, dt: float = None,
     Snapshot times are hit exactly (the step is shortened per segment,
     never lengthened).  Amplitudes beyond ``guard``, or non-finite
     values, abort with EvolutionDivergedError carrying the time and
-    location of the blow-up.
+    location of the blow-up.  A step total above ``STEP_CAP``, counted
+    in floating point before the first step, raises ResolutionExceededError.
     """
     grid = q0.grid
     if dt is None:
@@ -90,29 +93,28 @@ def evolve(q0: GridFunction, T: float, dt: float = None,
         raise InvalidArgumentError("snapshot times must be monotone toward T")
     if targets and abs(targets[-1] - T) > 1e-15:
         raise InvalidArgumentError("last snapshot time must equal T")
+    spans = [abs(t2 - t1) for t1, t2 in zip([0.0] + targets, targets)]
+    counts = [max(1.0, np.ceil(span / dt)) if span else 0.0 for span in spans]
+    total = sum(counts)
+    if not total <= STEP_CAP:
+        raise ResolutionExceededError(
+            f"the flow needs {total:.3g} RK4 steps (> {STEP_CAP}); the time step "
+            f"{dt:.3g} is too small for this span"
+        )
     q = np.asarray(q0.values, dtype=complex).copy()
     times = [0.0]
     shots = [q.copy()]
     e1 = [conserved_E1(make_potential(grid, q))]
-    total_steps = 0
     t_now = 0.0
-    for target in targets:
-        span = abs(target - t_now)
-        if span == 0:
-            times.append(target)
-            shots.append(q.copy())
-            e1.append(e1[-1])
-            continue
-        n = max(1, int(np.ceil(span / dt)))
-        h = sign * span / n
-        for _ in range(n):
+    for target, span, n in zip(targets, spans, counts):
+        h = sign * span / max(n, 1.0)
+        for _ in range(int(n)):
             k1 = _rhs(q, k2)
             k2_ = _rhs(q + 0.5 * h * k1, k2)
             k3 = _rhs(q + 0.5 * h * k2_, k2)
             k4 = _rhs(q + h * k3, k2)
             q = q + (h / 6.0) * (k1 + 2.0 * k2_ + 2.0 * k3 + k4)
             t_now += h
-            total_steps += 1
             peak = np.max(np.abs(q))
             if not np.isfinite(peak) or peak > guard:
                 j = int(np.nanargmax(np.abs(q)))
@@ -127,6 +129,6 @@ def evolve(q0: GridFunction, T: float, dt: float = None,
 
     return EvolutionRun(
         grid=grid, times=np.asarray(times), snapshots=np.asarray(shots),
-        dt=dt, steps=total_steps, e1=np.asarray(e1),
+        dt=dt, steps=int(total), e1=np.asarray(e1),
         diagnostics={"cfl": cfl, "guard": guard},
     )

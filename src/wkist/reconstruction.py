@@ -12,8 +12,8 @@ The chain per hodograph cell x_H:
    so dx_H/dx = <q> = sqrt(1+|q|^2) and x is recovered either by the
    quadrature x(x_H) = int dx_H / <q_H>   (primary route)
    or explicitly from the diagonal moment, x = x_H - Im m^(1)_{11}
-   (cross-check route); both routes resample q_H from their map onto
-   the physical grid.
+   (cross-check route); both routes resample the complex q_H from
+   their map onto the physical grid by one cubic Hermite interpolant.
 
 The sweep of x_H cells is taken directly from the physical grid inside
 a finite window, which must hold at least two of its points; outside
@@ -86,66 +86,30 @@ def qh_from_slope(s: np.ndarray, margin: float = SLOPE_MARGIN) -> np.ndarray:
     return s / np.sqrt(1.0 - mags**2)
 
 
-def _pchip_end_slope(h0, h1, m0, m1):
-    """Moler's one-sided three-point end slope, kept shape-preserving."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
 def _interp_decaying(nodes: np.ndarray, values: np.ndarray):
-    """Shape-preserving interpolant, identically zero outside the nodes.
+    """Cubic Hermite interpolant, identically zero outside the nodes.
 
-    PCHIP: a piecewise cubic Hermite interpolant whose node slopes are
-    the weighted harmonic mean of the neighbouring secants, or zero where
-    they change sign or vanish (Fritsch & Carlson, SIAM J. Numer. Anal.
-    17, 1980), with one-sided three-point end slopes (Moler, *Numerical
-    Computing with MATLAB*, 2004, sec. 3.6).  Every operation is taken
-    in the order of ``scipy.interpolate.PchipInterpolator`` with
-    ``extrapolate=False``, so the two agree bit for bit.  ``nodes`` must
-    be strictly increasing and ``values`` real and finite: its one
-    caller, ``resample_q``, checks its map first.
+    Node slopes are ``np.gradient``'s: those of the parabola through each
+    node and its neighbours, one-sided at the ends ("Bessel" slopes, de
+    Boor, *A Practical Guide to Splines*, ch. IV); two nodes give the
+    secant.  Linear in ``values``, which may be complex, and exact on
+    quadratics.  ``nodes`` must be at least two and strictly increasing.
     Returns a function of the evaluation points.
     """
     x = np.asarray(nodes, dtype=float)
-    y = np.asarray(values, dtype=float)
-    h = x[1:] - x[:-1]
-    m = (y[1:] - y[:-1]) / h
-    if y.size == 2:
-        d = np.array([m[0], m[0]])
-    else:
-        sm = np.sign(m)
-        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
-        w1 = 2 * h[1:] + h[:-1]
-        w2 = h[1:] + 2 * h[:-1]
-        # a secant near the underflow limit overflows the quotient to inf,
-        # whose reciprocal is the zero slope the harmonic mean tends to;
-        # zero secants are masked by ``flat``
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-        d = np.zeros_like(y)
-        d[1:-1][~flat] = 1.0 / whmean[~flat]
-        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-    # power-form coefficients, highest degree first, as CubicHermiteSpline
-    t = (d[:-1] + d[1:] - 2 * m) / h
-    coeffs = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
+    y = np.asarray(values)
+    d = np.gradient(y, x, edge_order=2 if x.size > 2 else 1)
 
     def evaluate(points):
         points = np.asarray(points, dtype=float)
         # cell k holds [x_k, x_{k+1}); the last one is closed on the right
         k = np.clip(np.searchsorted(x, points, side="right") - 1, 0, x.size - 2)
-        s = points - x[k]
-        out = np.zeros_like(s)
-        z = np.ones_like(s)
-        for degree, c in enumerate(coeffs[::-1]):
-            out += c[k] * z
-            if degree < 3:
-                z *= s
-        out[~((points >= x[0]) & (points <= x[-1]))] = 0.0
+        h = x[k + 1] - x[k]
+        t = (points - x[k]) / h
+        u = 1.0 - t
+        out = (u * u * ((1.0 + 2.0 * t) * y[k] + t * h * d[k])
+               + t * t * ((3.0 - 2.0 * t) * y[k + 1] - u * h * d[k + 1]))
+        out[(points < x[0]) | (points > x[-1])] = 0.0
         return out
 
     return evaluate
@@ -201,30 +165,29 @@ def resample_q(q_H: np.ndarray, x_map: np.ndarray, xgrid: SpatialGrid,
                decay_floor: float = 1e-6):
     """Interpolate pairs (x_map[i], q_H[i]) onto a uniform grid.
 
-    Outside the mapped range the potential is extended by zero, which is
-    only legitimate if it has decayed below ``decay_floor`` at the ends;
-    otherwise RangeError.  Returns the resampled GridFunction and an
-    interpolation-error estimate obtained by dropping every other node
-    and measuring the miss at the dropped ones.
+    ``x_map`` holds x at the hodograph cells: q(x) = q_H(x_H(x)) is
+    interpolated by ``_interp_decaying`` and extended by zero outside the
+    mapped range, which is only legitimate if it has decayed below
+    ``decay_floor`` at the end nodes; otherwise RangeError.  Returns the
+    resampled GridFunction and an interpolation-error estimate: the worst
+    miss at the dropped nodes of the interpolant through every other
+    node (with two nodes, the value of the dropped one).
     """
     q_H = np.asarray(q_H, dtype=complex)
     x_map = np.asarray(x_map, dtype=float)
-    if np.any(np.diff(x_map) <= 0):
-        raise HodographInconsistentError("resampling map is not increasing")
+    if x_map.size < 2 or np.any(np.diff(x_map) <= 0):
+        raise HodographInconsistentError("resampling map needs two or more increasing nodes")
     edge = max(abs(q_H[0]), abs(q_H[-1]))
     if edge > decay_floor:
         raise RangeError(
             f"potential has not decayed at the mapped range ends (|q| = {edge:.3e})"
         )
-    re = _interp_decaying(x_map, q_H.real)
-    im = _interp_decaying(x_map, q_H.imag)
-    values = re(xgrid.points) + 1j * im(xgrid.points)
-
-    coarse_re = _interp_decaying(x_map[::2], q_H.real[::2])
-    coarse_im = _interp_decaying(x_map[::2], q_H.imag[::2])
-    miss = (coarse_re(x_map[1::2]) + 1j * coarse_im(x_map[1::2])) - q_H[1::2]
-    estimate = float(np.max(np.abs(miss))) if miss.size else 0.0
-    return GridFunction(xgrid, values), estimate
+    values = _interp_decaying(x_map, q_H)(xgrid.points)
+    if x_map.size > 2:
+        miss = _interp_decaying(x_map[::2], q_H[::2])(x_map[1::2]) - q_H[1::2]
+    else:
+        miss = q_H[1:]
+    return GridFunction(xgrid, values), float(np.max(np.abs(miss)))
 
 
 @dataclass
@@ -341,10 +304,10 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
     x_exp = x_from_m11(sweep, m11)
     # primary route: the quadrature of dx = dx_H / <q_H>
     x_map = x_from_qh(sweep, q_H)
-    q, _ = resample_q(q_H, x_map, xgrid, decay_floor=decay_floor)
+    q, interp_err = resample_q(q_H, x_map, xgrid, decay_floor=decay_floor)
     eps = sweep - x_map
     # cross-check route: explicit map from the diagonal moment
-    q_explicit, interp_err = resample_q(q_H, x_exp, xgrid, decay_floor=decay_floor)
+    q_explicit, _ = resample_q(q_H, x_exp, xgrid, decay_floor=decay_floor)
 
     e1 = conserved_E1(make_potential(xgrid, q.values))
     diagnostics = {

@@ -303,6 +303,16 @@ def test_unsolvable_rhp_exits_4(tmp_path, capsys, N_z):
     assert err["kind"] == "rhp-unsolved"
 
 
+def test_compare_pde_step_budget_exits_4(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run(["compare-pde", "--outdir", str(out), "--N", "256", "--N-z", "512",
+                "--L", "8", "--window", "3", "--t", "0.01", "--decay-floor", "1e-2",
+                "--cfl", "1e-300"], capsys)
+    assert code == 4
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "resolution-exceeded"
+
+
 def test_soliton_pipeline(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["soliton", "--outdir", str(out), "--N", "512"], capsys) == 0

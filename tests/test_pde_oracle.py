@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from wkist.errors import EvolutionDivergedError, InvalidArgumentError
+from wkist.errors import EvolutionDivergedError, InvalidArgumentError, ResolutionExceededError
 from wkist.lattice import GridFunction, make_spatial_grid
 from wkist.lax import make_potential
-from wkist.pde_oracle import evolve, wki_rhs
+from wkist.pde_oracle import STEP_CAP, evolve, wki_rhs
 
 
 def gaussian(grid, amp, momentum=0.0):
@@ -96,3 +96,15 @@ def test_argument_validation():
         evolve(q, 0.1, snapshot_times=[0.07, 0.03, 0.1])
     with pytest.raises(InvalidArgumentError):
         evolve(q, 0.1, snapshot_times=[0.03, 0.07])
+
+
+def test_step_budget_is_checked_before_the_first_step():
+    grid = make_spatial_grid(20.0, 256)
+    q = GridFunction(grid, gaussian(grid, 0.01))
+    # 1e299 steps: refused at once instead of never finishing
+    with pytest.raises(ResolutionExceededError):
+        evolve(q, 0.1, dt=1e-300)
+    # the budget counts every snapshot segment, not only the longest
+    span = 0.1 / 3
+    with pytest.raises(ResolutionExceededError):
+        evolve(q, 0.1, dt=span / (0.4 * STEP_CAP), snapshot_times=[span, 2 * span, 0.1])

@@ -81,37 +81,31 @@ def test_epsilon_value_at_origin():
 
 
 _UNEVEN = np.cumsum(np.random.default_rng(12).uniform(0.05, 1.0, 40)) - 10.0
-PCHIP_CASES = {
+HERMITE_CASES = {
     "uniform": (np.linspace(-4.0, 4.0, 33), np.exp(-np.linspace(-4.0, 4.0, 33) ** 2)),
     "non-uniform": (_UNEVEN, np.random.default_rng(13).standard_normal(40)),
-    "two nodes": (np.array([-1.0, 2.5]), np.array([0.3, -1.2])),
+    "complex": (_UNEVEN, np.exp(-((_UNEVEN / 4.0) ** 2) + 2j * _UNEVEN)),
+    "two nodes": (np.array([-1.0, 2.5]), np.array([0.3, -1.2 + 0.5j])),
     "three nodes": (np.array([-1.0, 0.25, 2.0]), np.array([0.5, 2.0, -0.75])),
-    "three nodes, one flat": (np.array([0.0, 1.0, 3.0]), np.array([1.0, 1.0, -2.0])),
-    # flat runs, exact zeros (of both signs) and sign changes
-    "flat and sign changes": (np.arange(12.0) ** 1.5, np.array(
-        [0.0, 0.0, 1.0, 1.0, 1.0, -2.0, 3.0, 3.0, 0.0, -0.0, 5.0, -4.0])),
-    # Moler's end slopes: capped at three end secants, and cut to zero
-    "capped end slopes": (np.arange(5.0), np.array([0.0, 1.0, -4.0, 1.0, 0.0])),
-    "zero end slopes": (np.arange(4.0), np.array([0.0, 1.0, 6.0, 7.0])),
 }
 
 
-@pytest.mark.parametrize("nodes, values", list(PCHIP_CASES.values()), ids=list(PCHIP_CASES))
-def test_interp_decaying_is_pchip_bit_for_bit(nodes, values):
-    # the in-house PCHIP repeats scipy's operation order: the same bits at
-    # the nodes, at both ends, between nodes, and zero outside
+@pytest.mark.parametrize("nodes, values", list(HERMITE_CASES.values()), ids=list(HERMITE_CASES))
+def test_interp_decaying_matches_scipy_cubic_hermite(nodes, values):
+    # the cubic Hermite spline through the np.gradient slopes inside the
+    # nodes, zero outside
     interpolate = pytest.importorskip("scipy.interpolate")
     rng = np.random.default_rng(len(nodes))
     a, b = nodes[0], nodes[-1]
-    points = np.concatenate([
-        nodes, rng.uniform(a, b, 300), rng.uniform(a - 2.0, b + 2.0, 50),
-        [a, b, np.nextafter(a, -np.inf), np.nextafter(b, np.inf), a - 1.0, b + 1.0],
-    ])
-    want = np.nan_to_num(interpolate.PchipInterpolator(nodes, values, extrapolate=False)(points),
-                         nan=0.0)
-    got = _interp_decaying(nodes, values)(points)
-    assert got.tobytes() == want.tobytes()
-    assert np.all(got[(points < a) | (points > b)] == 0.0)
+    inside = np.concatenate([nodes, rng.uniform(a, b, 300)])
+    outside = np.concatenate([np.nextafter(b, np.inf) + rng.uniform(0.0, 2.0, 25),
+                              np.nextafter(a, -np.inf) - rng.uniform(0.0, 2.0, 25)])
+    slopes = np.gradient(values, nodes, edge_order=2 if nodes.size > 2 else 1)
+    want = interpolate.CubicHermiteSpline(nodes, values, slopes)(inside)
+    interpolant = _interp_decaying(nodes, values)
+    got = interpolant(inside)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(values))
+    assert np.all(interpolant(outside) == 0.0)
 
 
 def test_x_from_m11_agrees_with_the_shift():
@@ -152,6 +146,20 @@ def test_resample_q_reproduces_the_physical_potential():
     assert gap < 2e-3
     # the node-dropping estimate is a (conservative) upper bound
     assert estimate > gap
+
+
+def test_resample_q_on_two_nodes_is_linear():
+    g = make_spatial_grid(2.0, 16)
+    q_H = np.array([1e-7, 3e-7 - 2e-7j])
+    q, estimate = resample_q(q_H, np.array([-1.0, 1.0]), g)
+    inside = np.abs(g.points) <= 1.0
+    line = q_H[0] + (q_H[1] - q_H[0]) * (g.points + 1.0) / 2.0
+    assert np.max(np.abs(q.values[inside] - line[inside])) < 1e-22
+    assert np.all(q.values[~inside] == 0.0)
+    # the dropped node lies outside the one node kept: its miss is its value
+    assert estimate == abs(q_H[1])
+    with pytest.raises(HodographInconsistentError):
+        resample_q(q_H[:1], np.array([0.0]), g)
 
 
 def test_resample_q_rejects_undecayed_ranges():
