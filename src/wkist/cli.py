@@ -44,7 +44,7 @@ from .lattice import (
     make_spectral_grid,
 )
 from .lax import conserved_E1, make_potential
-from .pde_oracle import evolve
+from .pde_oracle import evolve, step_count
 from .reconstruction import inverse_transform
 from .rhp import suggest_z_min
 from .soliton import SolitonParams, soliton_epsilon, soliton_peak, soliton_pde_residual, soliton_q
@@ -252,6 +252,8 @@ def run_roundtrip(cfg: RunConfig, outdir: Path) -> dict:
 
 def run_compare_pde(cfg: RunConfig, outdir: Path) -> dict:
     xgrid, p, sd = _forward_data(cfg, outdir)
+    # a step budget the flow would exceed is refused before the inverse runs
+    step_count(xgrid, cfg.t, cfl=cfg.cfl)
     rec = inverse_transform(sd, cfg.t, xgrid, window=cfg.window, decay_floor=cfg.decay_floor)
     run = evolve(GridFunction(xgrid, p.q), cfg.t, cfl=cfg.cfl)
     q_pde = run.final.values

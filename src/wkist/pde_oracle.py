@@ -25,7 +25,7 @@ from .errors import EvolutionDivergedError, InvalidArgumentError, ResolutionExce
 from .lattice import GridFunction
 from .lax import Potential, conserved_E1, make_potential
 
-__all__ = ["EvolutionRun", "wki_rhs", "evolve"]
+__all__ = ["EvolutionRun", "wki_rhs", "step_count", "evolve"]
 
 DEFAULT_CFL = 0.2
 BLOWUP_GUARD = 1e3
@@ -67,24 +67,18 @@ class EvolutionRun:
         return float(np.max(np.abs(self.e1 - self.e1[0])))
 
 
-def evolve(q0: GridFunction, T: float, dt: float = None,
-           cfl: float = DEFAULT_CFL, snapshot_times=None,
-           guard: float = BLOWUP_GUARD) -> EvolutionRun:
-    """Integrate the flow from q0 to time T (T may be negative).
+def _schedule(grid, T, dt, cfl, snapshot_times):
+    """The time step, snapshot targets, and each segment's span and RK4 step count.
 
-    Snapshot times are hit exactly (the step is shortened per segment,
-    never lengthened).  Amplitudes beyond ``guard``, or non-finite
-    values, abort with EvolutionDivergedError carrying the time and
-    location of the blow-up.  A step total above ``STEP_CAP``, counted
-    in floating point before the first step, raises ResolutionExceededError.
+    Refuses a time step that is not a finite number > 0, snapshot times
+    that are not monotone toward T or do not end at T, and a step total
+    above ``STEP_CAP``, counted in floating point (ResolutionExceededError).
     """
-    grid = q0.grid
     if dt is None:
         dt = cfl * grid.spacing**2
     # a NaN step fails every comparison and an infinite one takes one step
     if not 0.0 < dt < float("inf"):
         raise InvalidArgumentError(f"time step must be a finite number > 0, got {dt}")
-    k2 = _wavenumbers(grid) ** 2
     if snapshot_times is None:
         snapshot_times = [T]
     targets = list(snapshot_times)
@@ -101,6 +95,35 @@ def evolve(q0: GridFunction, T: float, dt: float = None,
             f"the flow needs {total:.3g} RK4 steps (> {STEP_CAP}); the time step "
             f"{dt:.3g} is too small for this span"
         )
+    return dt, targets, spans, counts
+
+
+def step_count(grid, T: float, dt: float = None, cfl: float = DEFAULT_CFL,
+               snapshot_times=None) -> int:
+    """The RK4 steps ``evolve`` would take on ``grid`` to time T, without taking them.
+
+    Raises what ``evolve`` raises before its first step, so a caller can
+    refuse a run before paying for anything else.
+    """
+    return int(sum(_schedule(grid, T, dt, cfl, snapshot_times)[3]))
+
+
+def evolve(q0: GridFunction, T: float, dt: float = None,
+           cfl: float = DEFAULT_CFL, snapshot_times=None,
+           guard: float = BLOWUP_GUARD) -> EvolutionRun:
+    """Integrate the flow from q0 to time T (T may be negative).
+
+    Snapshot times are hit exactly (the step is shortened per segment,
+    never lengthened).  Amplitudes beyond ``guard``, or non-finite
+    values, abort with EvolutionDivergedError carrying the time and
+    location of the blow-up.  A step total above ``STEP_CAP``, counted
+    in floating point before the first step, raises ResolutionExceededError
+    (``step_count``).
+    """
+    grid = q0.grid
+    dt, targets, spans, counts = _schedule(grid, T, dt, cfl, snapshot_times)
+    sign = 1.0 if T >= 0 else -1.0
+    k2 = _wavenumbers(grid) ** 2
     q = np.asarray(q0.values, dtype=complex).copy()
     times = [0.0]
     shots = [q.copy()]
@@ -129,6 +152,6 @@ def evolve(q0: GridFunction, T: float, dt: float = None,
 
     return EvolutionRun(
         grid=grid, times=np.asarray(times), snapshots=np.asarray(shots),
-        dt=dt, steps=int(total), e1=np.asarray(e1),
+        dt=dt, steps=int(sum(counts)), e1=np.asarray(e1),
         diagnostics={"cfl": cfl, "guard": guard},
     )

@@ -15,10 +15,16 @@ The chain per hodograph cell x_H:
    (cross-check route); both routes resample the complex q_H from
    their map onto the physical grid by one cubic Hermite interpolant.
 
-The sweep of x_H cells is taken directly from the physical grid inside
-a finite window, which must hold at least two of its points; outside
-the window the potential is below the decay floor and is extended by
-zero.
+The sweep of x_H cells is the physical grid inside a finite window,
+which must hold at least two of its points; outside the window the
+potential is below the decay floor and is extended by zero.  The RHP is
+not solved at every sweep cell: m^(1) and the slope depend on x_H only
+through e^{2 i x_H / z} on the active band |z| >= z_min, so they are
+band-limited to 2 lambda_max = 2 / min |z|, and step 1 runs on a uniform
+hodograph lattice of spacing h_H = stride * h, the largest multiple of
+the grid spacing h with 2 lambda_max h_H <= ``LATTICE_PHASE_STEP``.  A
+not-a-knot cubic spline carries the slope and m^(1)_11 from the lattice
+onto the sweep; steps 2 and 3 run on the sweep.
 """
 
 from __future__ import annotations
@@ -63,6 +69,9 @@ DEFAULT_WINDOW = 6.0
 # and the kernel's padded buffer 1 MiB, inside a per-core L2 cache.  Fastest
 # of 2^13..2^17 on both N_z = 2048 and 4096.
 BATCH_SAMPLES = 2**15
+# Largest phase step 2 lambda_max h_H, in radians, of the fastest jump mode
+# between hodograph lattice nodes (about 16 nodes per shortest period).
+LATTICE_PHASE_STEP = 0.4
 
 
 def qh_from_slope(s: np.ndarray, margin: float = SLOPE_MARGIN) -> np.ndarray:
@@ -113,6 +122,75 @@ def _interp_decaying(nodes: np.ndarray, values: np.ndarray):
         return out
 
     return evaluate
+
+
+def _not_a_knot(nodes: np.ndarray, values: np.ndarray):
+    """Not-a-knot cubic spline through ``values`` at equally spaced ``nodes``.
+
+    ``nodes`` are at least four and increasing; ``values`` may be
+    complex.  With c_i = h^2 M_i, M the node second derivatives, the
+    interior rows are c_{i-1} + 4 c_i + c_{i+1} = 6 (y_{i-1} - 2 y_i +
+    y_{i+1}), and not-a-knot (one cubic across the second and the
+    last-but-one node) makes c_0 - 2 c_1 + c_2 = 0 at each end.  Taking
+    c_0 out of the first interior row leaves c_1 = y_0 - 2 y_1 + y_2, and
+    likewise at the other end, so the rest is one tridiagonal (1, 4, 1)
+    system over nodes 2..n-3, solved by the Thomas algorithm.  Returns a
+    function of the evaluation points; points outside the nodes take the
+    end cubics.
+    """
+    x = np.asarray(nodes, dtype=float)
+    y = np.asarray(values)
+    n = x.size
+    h = (x[-1] - x[0]) / (n - 1)
+    d = y[:-2] - 2.0 * y[1:-1] + y[2:]
+    c = np.empty(n, dtype=np.result_type(y, float))
+    c[1], c[-2] = d[0], d[-1]
+    rhs = 6.0 * d[1:-1]
+    if rhs.size:
+        rhs[0] -= c[1]
+        rhs[-1] -= c[-2]
+        w = np.empty(rhs.size)
+        w[0] = 4.0
+        for k in range(1, rhs.size):
+            w[k] = 4.0 - 1.0 / w[k - 1]
+            rhs[k] -= rhs[k - 1] / w[k - 1]
+        c[-3] = rhs[-1] / w[-1]
+        for k in range(rhs.size - 2, -1, -1):
+            c[k + 2] = (rhs[k] - c[k + 3]) / w[k]
+    c[0] = 2.0 * c[1] - c[2]
+    c[-1] = 2.0 * c[-2] - c[-3]
+
+    def evaluate(points):
+        s = (np.asarray(points, dtype=float) - x[0]) / h
+        k = np.clip(np.floor(s).astype(int), 0, n - 2)
+        t = s - k
+        u = 1.0 - t
+        return (u * y[k] + t * y[k + 1]
+                + ((u * u - 1.0) * u * c[k] + (t * t - 1.0) * t * c[k + 1]) / 6.0)
+
+    return evaluate
+
+
+def _hodograph_lattice(sweep: np.ndarray, h: float, z_near: float) -> np.ndarray:
+    """The x_H nodes the RHP is solved at, for a sweep of spacing ``h``.
+
+    The lattice spacing is h_H = stride * h, stride = floor(
+    ``LATTICE_PHASE_STEP`` * z_near / (2 h)), where 1 / z_near is the
+    largest |lambda| of the active band (z_near = inf when nothing is
+    active).  The nodes are j h_H for every j that covers the sweep, so
+    x_H = 0, where the factorization kind switches, is one, and the end
+    nodes overhang the sweep by less than h_H.  A stride of 1, or a
+    lattice of fewer than four nodes, gives the sweep itself.
+    """
+    stride = np.floor(LATTICE_PHASE_STEP * z_near / (2.0 * h))
+    if stride >= 2:
+        h_H = stride * h
+        # the slack keeps a sweep end that is a node to rounding from
+        # growing one more node
+        j = np.arange(np.floor(sweep[0] / h_H + 1e-9), np.ceil(sweep[-1] / h_H - 1e-9) + 1)
+        if j.size >= 4:
+            return j * h_H
+    return sweep
 
 
 def x_from_qh(x_H: np.ndarray, q_H: np.ndarray) -> np.ndarray:
@@ -195,13 +273,13 @@ class ReconstructionResult:
     xgrid: SpatialGrid
     q: GridFunction                      # recovered potential on xgrid
     x_H: np.ndarray                      # hodograph sweep cells
-    slope: np.ndarray                    # s(x_H)
+    slope: np.ndarray                    # s(x_H) over the sweep
     q_H: np.ndarray                      # potential over the sweep
     m1_11: np.ndarray
     epsilon: np.ndarray                  # eps = x_H - x at the sweep cells
     x_explicit: np.ndarray
     q_explicit: GridFunction             # cross-check route potential
-    cells: dict = field(default_factory=dict)   # per-cell columns, in sweep order
+    cells: dict = field(default_factory=dict)   # per solved lattice cell, in x_H order
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -221,12 +299,20 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
     from the edge samples of the jump itself, so it carries the evolution
     factor too.
 
-    Hodograph cells x_H <= 0 use the Triangular factorization; cells
-    x_H > 0 use the DeltaConjugated one (each keeps its oscillatory
-    entries decaying in the half-plane its projection sees).  Every solve
-    adds the outer band of the jump (``_solve_batch``) and stops at
-    ``NEUMANN_TOL``; the slope must stay below 1 - ``SLOPE_MARGIN``.
-    Cells are solved in even batches of at most max(1, ``BATCH_SAMPLES // N_z``).
+    The RHP is solved at the nodes of the hodograph lattice
+    (``_hodograph_lattice``), whose spacing the active band sets, and the
+    slope and m^(1)_11 are carried onto the sweep by a not-a-knot cubic
+    spline (``_not_a_knot``); a lattice that is the sweep itself is not
+    interpolated.  ``cells`` has one entry per lattice node, and the
+    diagnostic ``lattice_error_estimate`` is the worst miss of the slope
+    spline through every other node at the dropped ones (0 when nothing
+    is interpolated).  Lattice nodes x_H <= 0 use the Triangular
+    factorization; nodes x_H > 0 use the DeltaConjugated one (each keeps
+    its oscillatory entries decaying in the half-plane its projection
+    sees).  Every solve adds the outer band of the jump (``_solve_batch``)
+    and stops at ``NEUMANN_TOL``; the slope must stay below 1 -
+    ``SLOPE_MARGIN``.  Cells are solved in even, equally spaced batches of
+    at most max(1, ``BATCH_SAMPLES // N_z``).
 
     The hodograph map is then undone twice: by the quadrature of
     dx = dx_H / <q_H> (``x_from_qh``, the primary route, which gives
@@ -255,19 +341,21 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
     zgrid = sd_t.zgrid
     rv = np.asarray(sd_t.r, dtype=complex)
 
-    neg = sweep[sweep <= 0.0]
-    pos = sweep[sweep > 0.0]
+    z_near = np.min(np.abs(zgrid.points[sd_t.active]), initial=np.inf)
+    nodes = _hodograph_lattice(sweep, xgrid.spacing, z_near)
+    neg = nodes[nodes <= 0.0]
+    pos = nodes[nodes > 0.0]
 
     Delta = d1 = None
     if pos.size:
         Delta = delta_function(GridFunction(zgrid, rv))[2].values
         d1 = _delta_shift(rv, zgrid)
 
-    n_cells = sweep.size
+    n_cells = nodes.size
     m11 = np.zeros(n_cells, dtype=complex)
     dx12 = np.zeros(n_cells, dtype=complex)
     cells = {
-        "x_H": sweep,
+        "x_H": nodes,
         "t": np.full(n_cells, float(t)),
         "kind": np.empty(n_cells, dtype=object),
         "iterations": np.zeros(n_cells, dtype=int),
@@ -297,11 +385,21 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
     # can differ from it in the last bit
     cells["abs_dx_m1_12"] = np.hypot(dx12.real, dx12.imag)
 
-    q_H = qh_from_slope(dx12)
+    slope, m1_11, lattice_err = dx12, m11, 0.0
+    if nodes is not sweep:
+        slope = _not_a_knot(nodes, dx12)(sweep)
+        m1_11 = _not_a_knot(nodes, m11)(sweep)
+        if nodes[::2].size >= 4:
+            miss = _not_a_knot(nodes[::2], dx12[::2])(nodes[1::2]) - dx12[1::2]
+        else:
+            miss = dx12[1::2]
+        lattice_err = float(np.max(np.abs(miss)))
+
+    q_H = qh_from_slope(slope)
 
     # the explicit map is checked first: a moment that does not describe a
     # decaying potential is reported as such, before the range check
-    x_exp = x_from_m11(sweep, m11)
+    x_exp = x_from_m11(sweep, m1_11)
     # primary route: the quadrature of dx = dx_H / <q_H>
     x_map = x_from_qh(sweep, q_H)
     q, interp_err = resample_q(q_H, x_map, xgrid, decay_floor=decay_floor)
@@ -311,17 +409,18 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
 
     e1 = conserved_E1(make_potential(xgrid, q.values))
     diagnostics = {
-        "max_slope": float(np.max(np.abs(dx12))),
+        "max_slope": float(np.max(np.abs(slope))),
         "worst_residual": float(cells["residual"].max()),
-        "route_gap_epsilon": float(np.max(np.abs(eps - m11.imag))),
+        "route_gap_epsilon": float(np.max(np.abs(eps - m1_11.imag))),
         "route_gap_q": float(np.max(np.abs(q.values - q_explicit.values))),
         "epsilon_infinity": float(eps[-1]),
         "E1_reconstructed": e1,
         "epsilon_vs_E1": abs(float(eps[-1]) - e1),
         "resample_error_estimate": interp_err,
+        "lattice_error_estimate": lattice_err,
     }
     return ReconstructionResult(
-        xgrid=xgrid, q=q, x_H=sweep, slope=dx12, q_H=q_H,
-        m1_11=m11, epsilon=eps, x_explicit=x_exp, q_explicit=q_explicit,
+        xgrid=xgrid, q=q, x_H=sweep, slope=slope, q_H=q_H,
+        m1_11=m1_11, epsilon=eps, x_explicit=x_exp, q_explicit=q_explicit,
         cells=cells, diagnostics=diagnostics,
     )

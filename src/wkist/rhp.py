@@ -161,7 +161,7 @@ def _inv_z(zgrid: SpectralGrid) -> np.ndarray:
 def _phases(x_H, iz, theta):
     """e^{2 i theta} as a (B, N) array, rows in the order of ``x_H``.
 
-    When the x_H are equally spaced to a few ulps, as the sweep cells of
+    When the x_H are equally spaced to a few ulps, as the lattice cells of
     the inverse are, only the first row takes ``np.exp``: each later row
     is the previous one times e^{2 i dx / z}, one complex product per
     sample instead of a cosine and a sine.  The rows then match

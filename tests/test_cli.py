@@ -313,6 +313,21 @@ def test_compare_pde_step_budget_exits_4(tmp_path, capsys):
     assert err["kind"] == "resolution-exceeded"
 
 
+def test_compare_pde_refuses_the_step_budget_before_the_inverse(tmp_path, capsys, monkeypatch):
+    # the refusal must not wait for the inverse transform to finish
+    def no_inverse(*args, **kwargs):
+        raise AssertionError("inverse_transform ran before the step budget was checked")
+
+    monkeypatch.setattr(wkist.cli, "inverse_transform", no_inverse)
+    out = tmp_path / "out"
+    code = run(["compare-pde", "--outdir", str(out), "--N", "256", "--N-z", "512",
+                "--L", "8", "--window", "3", "--t", "0.01", "--decay-floor", "1e-2",
+                "--cfl", "1e-300"], capsys)
+    assert code == 4
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "resolution-exceeded"
+
+
 def test_soliton_pipeline(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["soliton", "--outdir", str(out), "--N", "512"], capsys) == 0

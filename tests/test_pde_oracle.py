@@ -4,7 +4,7 @@ import pytest
 from wkist.errors import EvolutionDivergedError, InvalidArgumentError, ResolutionExceededError
 from wkist.lattice import GridFunction, make_spatial_grid
 from wkist.lax import make_potential
-from wkist.pde_oracle import STEP_CAP, evolve, wki_rhs
+from wkist.pde_oracle import STEP_CAP, evolve, step_count, wki_rhs
 
 
 def gaussian(grid, amp, momentum=0.0):
@@ -108,3 +108,12 @@ def test_step_budget_is_checked_before_the_first_step():
     span = 0.1 / 3
     with pytest.raises(ResolutionExceededError):
         evolve(q, 0.1, dt=span / (0.4 * STEP_CAP), snapshot_times=[span, 2 * span, 0.1])
+    with pytest.raises(ResolutionExceededError):
+        step_count(grid, 0.1, dt=1e-300)
+
+
+def test_step_count_is_the_steps_evolve_takes():
+    grid = make_spatial_grid(20.0, 256)
+    q = GridFunction(grid, gaussian(grid, 0.01))
+    for kwargs in ({}, {"cfl": 0.1}, {"snapshot_times": [0.004, 0.01]}):
+        assert step_count(grid, 0.01, **kwargs) == evolve(q, 0.01, **kwargs).steps

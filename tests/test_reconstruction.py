@@ -15,14 +15,16 @@ from wkist.errors import (
 from wkist.lattice import make_spatial_grid, make_spectral_grid
 from wkist.lax import make_potential
 from wkist.reconstruction import (
+    _hodograph_lattice,
     _interp_decaying,
+    _not_a_knot,
     inverse_transform,
     qh_from_slope,
     resample_q,
     x_from_m11,
     x_from_qh,
 )
-from wkist.rhp import suggest_z_min
+from wkist.rhp import DELTA_CONJUGATED, TRIANGULAR, suggest_z_min
 from wkist.soliton import (
     SolitonParams,
     soliton_epsilon,
@@ -108,6 +110,41 @@ def test_interp_decaying_matches_scipy_cubic_hermite(nodes, values):
     assert np.all(interpolant(outside) == 0.0)
 
 
+_WAVE = np.linspace(-6.0, 6.0, 61)
+SPLINE_CASES = {
+    "four nodes": (np.linspace(-1.0, 2.0, 4), np.array([0.3, -1.2 + 0.5j, 2.0 - 1.0j, 0.25j])),
+    "five nodes": (np.linspace(0.0, 1.0, 5), np.array([1.0, -0.5, 0.25, 2.0, -1.0])),
+    "six nodes": (np.linspace(-3.0, 2.0, 6),
+                  np.array([1.0, 1.0j]) @ np.random.default_rng(14).standard_normal((2, 6))),
+    "gaussian": (np.linspace(-4.0, 4.0, 33), np.exp(-np.linspace(-4.0, 4.0, 33) ** 2)),
+    "complex wave": (_WAVE, np.exp(-((_WAVE / 3.0) ** 2) + 2.5j * _WAVE)),
+}
+
+
+@pytest.mark.parametrize("nodes, values", list(SPLINE_CASES.values()), ids=list(SPLINE_CASES))
+def test_not_a_knot_matches_scipy_cubic_spline(nodes, values):
+    # inside the nodes, and half a spacing beyond them on the end cubics
+    interpolate = pytest.importorskip("scipy.interpolate")
+    h = nodes[1] - nodes[0]
+    points = np.concatenate([nodes, np.random.default_rng(nodes.size).uniform(
+        nodes[0] - 0.5 * h, nodes[-1] + 0.5 * h, 300)])
+    want = interpolate.CubicSpline(nodes, values, bc_type="not-a-knot")(points)
+    got = _not_a_knot(nodes, values)(points)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(values))
+
+
+def test_hodograph_lattice_falls_back_to_the_sweep():
+    sweep = np.linspace(-4.5, 4.5, 289)
+    h = sweep[1] - sweep[0]
+    # stride floor(0.4 z / (2 h)): 3 at z = 0.5
+    nodes = _hodograph_lattice(sweep, h, 0.5)
+    assert np.allclose(np.diff(nodes), 3 * h) and nodes[48] == 0.0
+    assert nodes[0] == -4.5 and nodes[-1] == 4.5
+    # stride 1, a lattice of three nodes, and an empty band
+    for z_near in (0.3, 24.0, np.inf):
+        assert _hodograph_lattice(sweep, h, z_near) is sweep
+
+
 def test_x_from_m11_agrees_with_the_shift():
     g = make_spatial_grid(20.0, 2048)
     _, m11 = soliton_m1_entries(g.points, 0.0, SOLITON)
@@ -189,33 +226,87 @@ def test_inverse_transform_roundtrip_small():
     assert not rec.q.values[outside].any()
 
 
-def test_inverse_transform_sizes_cell_batches_to_the_grid(monkeypatch):
-    # every batch holds at most BATCH_SAMPLES spectral samples, so its
-    # arrays stay cache-sized; 1-cell batches give the same results
-    grid = make_spatial_grid(20.0, 512)
+def _stride3():
+    # h = 1/32 and 0.4 z_near / (2 h) = 3.4 on the N_z = 1024 band of
+    # window 4.5, so the RHP lattice takes every third sweep cell
+    grid = make_spatial_grid(16.0, 1024)
     p = make_potential(grid, lambda x: 0.05 * np.exp(-(x**2)))
     z_min = suggest_z_min(40.0, 1024, window=4.5)
-    sd = reflection_coefficient(p, make_spectral_grid(40.0, 1024, z_min=z_min))
-    solve = wkist.reconstruction._solve_batch
-    shapes = []
+    return grid, reflection_coefficient(p, make_spectral_grid(40.0, 1024, z_min=z_min))
 
-    def recording(u21, *args, **kwargs):
-        shapes.append(u21.shape)
-        return solve(u21, *args, **kwargs)
 
-    monkeypatch.setattr(wkist.reconstruction, "_solve_batch", recording)
+def test_inverse_transform_sizes_cell_batches_to_the_grid(monkeypatch):
+    # every batch holds at most BATCH_SAMPLES spectral samples, so its
+    # arrays stay cache-sized, and equally spaced lattice nodes, so its
+    # phases take the recurrence; 1-cell batches give the same results
+    grid, sd = _stride3()
+    jump = wkist.reconstruction._jump_entries
+    blocks = []
+
+    def recording(kind, r, zgrid, x_H_col, *args):
+        out = jump(kind, r, zgrid, x_H_col, *args)
+        blocks.append((x_H_col[:, 0], out[0].shape))
+        return out
+
+    monkeypatch.setattr(wkist.reconstruction, "_jump_entries", recording)
     rec = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
-    assert {n for _, n in shapes} == {1024}
-    assert all(1 < b and b * 1024 <= 2**15 for b, _ in shapes)
-    assert sum(b for b, _ in shapes) == rec.x_H.size
+    nodes = rec.cells["x_H"]
+    assert all(shape == (x.size, 1024) for x, shape in blocks)
+    assert all(1 < x.size and x.size * 1024 <= 2**15 for x, _ in blocks)
+    assert sum(x.size for x, _ in blocks) == nodes.size < rec.x_H.size
+    assert np.array_equal(np.concatenate([x for x, _ in blocks]), nodes)
+    for x, _ in blocks:
+        assert np.max(np.abs(np.diff(x) - 3 * grid.spacing)) < 1e-12
 
-    shapes.clear()
+    blocks.clear()
     monkeypatch.setattr(wkist.reconstruction, "BATCH_SAMPLES", 1)
     single = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
-    assert {b for b, _ in shapes} == {1}
+    assert {x.size for x, _ in blocks} == {1}
     for name in ("slope", "m1_11"):
         assert np.max(np.abs(getattr(rec, name) - getattr(single, name))) < 1e-12
     assert np.max(np.abs(rec.q.values - single.q.values)) < 1e-12
+
+
+def test_lattice_matches_the_full_sweep(monkeypatch):
+    # the spline from every third cell against a solve at every sweep cell
+    grid, sd = _stride3()
+    rec = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
+    monkeypatch.setattr(wkist.reconstruction, "LATTICE_PHASE_STEP", 0.0)
+    full = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
+    assert np.array_equal(full.cells["x_H"], full.x_H)
+    assert full.diagnostics["lattice_error_estimate"] == 0.0
+    slope_gap = np.max(np.abs(rec.slope - full.slope))
+    assert slope_gap < 5e-7
+    assert np.max(np.abs(rec.m1_11 - full.m1_11)) < 1e-8
+    assert np.max(np.abs(rec.q.values - full.q.values)) < 5e-7
+    # the every-other-node miss bounds the miss of the lattice itself
+    assert slope_gap < rec.diagnostics["lattice_error_estimate"] < 1e-5
+
+
+def test_lattice_keeps_x_H_zero_a_node_between_the_kinds():
+    grid, sd = _stride3()
+    rec = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
+    nodes, kinds = rec.cells["x_H"], rec.cells["kind"]
+    h_H = 3 * grid.spacing
+    assert 0.0 in nodes
+    assert np.max(np.abs(np.diff(nodes) - h_H)) < 1e-12
+    # the nodes cover the sweep, overhanging it by less than one spacing
+    assert 0.0 <= rec.x_H[0] - nodes[0] < h_H and 0.0 <= nodes[-1] - rec.x_H[-1] < h_H
+    assert np.all(kinds[nodes <= 0.0] == TRIANGULAR)
+    assert np.all(kinds[nodes > 0.0] == DELTA_CONJUGATED)
+
+
+def test_lattice_of_five_nodes_estimates_by_the_dropped_values():
+    # nodes -2..2 h_H: every other node is three, too few for a spline, so
+    # the estimate is the dropped nodes' own slope (the floor admits the
+    # undecayed ends of so small a window)
+    grid, sd = _stride3()
+    rec = inverse_transform(sd, 0.0, grid, window=0.2, decay_floor=1.0)
+    nodes = rec.cells["x_H"]
+    assert nodes.size == 5 and nodes[2] == 0.0
+    dropped = np.max(rec.cells["abs_dx_m1_12"][1::2])
+    assert dropped > 0.0
+    assert rec.diagnostics["lattice_error_estimate"] == pytest.approx(dropped, rel=1e-15)
 
 
 def test_inverse_transform_rejects_oversized_window():

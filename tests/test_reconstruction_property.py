@@ -8,7 +8,12 @@ st = hypothesis.strategies
 
 from wkist.lattice import make_spatial_grid  # noqa: E402
 from wkist.lax import conserved_E1, make_potential  # noqa: E402
-from wkist.reconstruction import _interp_decaying, resample_q, x_from_qh  # noqa: E402
+from wkist.reconstruction import (  # noqa: E402
+    _interp_decaying,
+    _not_a_knot,
+    resample_q,
+    x_from_qh,
+)
 
 
 @hypothesis.settings(max_examples=40, deadline=None)
@@ -51,3 +56,21 @@ def test_interp_decaying_reproduces_quadratics_and_vanishes_outside(gaps, start,
     assert np.max(np.abs(interpolant(inside) - quadratic(inside))) <= 1e-12 * scale
     outside = np.array([np.nextafter(a, -np.inf), a - 1.0, np.nextafter(b, np.inf), b + 1.0])
     assert np.all(interpolant(outside) == 0.0)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(n=st.integers(4, 60), start=st.floats(-5.0, 5.0),
+                  spacing=st.floats(0.01, 1.0),
+                  coeffs=st.lists(st.complex_numbers(max_magnitude=2.0), min_size=4,
+                                  max_size=4),
+                  fractions=st.lists(st.floats(-0.02, 1.02), min_size=1, max_size=50))
+def test_not_a_knot_reproduces_cubics(n, start, spacing, coeffs, fractions):
+    nodes = start + spacing * np.arange(n)
+    span = nodes[-1] - nodes[0]
+
+    def cubic(x):
+        return np.polyval(coeffs, (x - nodes[0]) / span)
+
+    points = nodes[0] + span * np.asarray(fractions)
+    scale = 1.0 + np.max(np.abs(cubic(nodes)))
+    assert np.max(np.abs(_not_a_knot(nodes, cubic(nodes))(points) - cubic(points))) <= 1e-12 * scale
