@@ -211,9 +211,8 @@ def _load_reflection(indir: Path) -> ScatteringData:
     zgrid = make_spectral_grid(Z, N_z, z_min=z_min)
     coords, values = _read_samples_csv(indir / "reflection.csv")
     _check_coordinates(coords, zgrid, "reflection.csv does not match its manifest grid")
-    active = (np.abs(zgrid.points) >= zgrid.z_min) & (zgrid.points != 0.0)
     empty = np.zeros(0, dtype=complex)
-    return ScatteringData(zgrid, values, active, empty.real, empty, empty, time=time)
+    return ScatteringData(zgrid, values, zgrid.active, empty.real, empty, empty, time=time)
 
 
 def _write_reconstruction(rec, outdir: Path):

@@ -341,7 +341,7 @@ def reflection_coefficient(p: Potential, zgrid: SpectralGrid,
     """
     check_threshold("a_floor", a_floor)
     z = zgrid.points
-    active = (np.abs(z) >= max(zgrid.z_min, 1e-300)) & (z != 0.0)
+    active = zgrid.active
     lam = -1.0 / z[active]
 
     a, b, c, d, det_defect = _wronskians(p, lam)

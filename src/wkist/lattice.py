@@ -95,6 +95,12 @@ class SpectralGrid:
     def points(self) -> np.ndarray:
         return -self.half_width + self.spacing * np.arange(self.point_count)
 
+    @property
+    def active(self) -> np.ndarray:
+        """Mask of the active band z_min <= |z|, z != 0, off which jump data is zero."""
+        z = self.points
+        return (np.abs(z) >= self.z_min) & (z != 0.0)
+
 
 @dataclass
 class GridFunction:

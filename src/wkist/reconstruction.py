@@ -13,7 +13,8 @@ The chain per hodograph cell x_H:
    quadrature x(x_H) = int dx_H / <q_H>   (primary route)
    or explicitly from the diagonal moment, x = x_H - Im m^(1)_{11}
    (cross-check route); both routes resample the complex q_H from
-   their map onto the physical grid by one cubic Hermite interpolant.
+   their map onto the physical grid by the one interpolant of this
+   module, a not-a-knot cubic spline (``_cubic_spline``).
 
 The sweep of x_H cells is the physical grid inside a finite window,
 which must hold at least two of its points; outside the window the
@@ -22,9 +23,10 @@ not solved at every sweep cell: m^(1) and the slope depend on x_H only
 through e^{2 i x_H / z} on the active band |z| >= z_min, so they are
 band-limited to 2 lambda_max = 2 / min |z|, and step 1 runs on a uniform
 hodograph lattice of spacing h_H = stride * h, the largest multiple of
-the grid spacing h with 2 lambda_max h_H <= ``LATTICE_PHASE_STEP``.  A
-not-a-knot cubic spline carries the slope and m^(1)_11 from the lattice
-onto the sweep; steps 2 and 3 run on the sweep.
+the grid spacing h with 2 lambda_max h_H <= ``LATTICE_PHASE_STEP``.  The
+same spline carries the slope and m^(1)_11 from the lattice onto the
+sweep; steps 2 and 3 run on the sweep.  Both interpolations estimate
+their error as the spline's miss at every other node (``_halving_miss``).
 """
 
 from __future__ import annotations
@@ -64,6 +66,8 @@ __all__ = [
 ]
 
 SLOPE_MARGIN = 1e-6
+# Largest |Re| and -Im the explicit map admits in the diagonal moment
+MOMENT_TOLERANCE = 1e-3
 DEFAULT_WINDOW = 6.0
 # Spectral samples per batch of cells: a batch's (B, N_z) arrays are 512 KiB
 # and the kernel's padded buffer 1 MiB, inside a per-core L2 cache.  Fastest
@@ -95,19 +99,41 @@ def qh_from_slope(s: np.ndarray, margin: float = SLOPE_MARGIN) -> np.ndarray:
     return s / np.sqrt(1.0 - mags**2)
 
 
-def _interp_decaying(nodes: np.ndarray, values: np.ndarray):
-    """Cubic Hermite interpolant, identically zero outside the nodes.
+def _cubic_spline(nodes: np.ndarray, values: np.ndarray):
+    """Not-a-knot cubic spline through ``values``, zero outside the ``nodes``.
 
-    Node slopes are ``np.gradient``'s: those of the parabola through each
-    node and its neighbours, one-sided at the ends ("Bessel" slopes, de
-    Boor, *A Practical Guide to Splines*, ch. IV); two nodes give the
-    secant.  Linear in ``values``, which may be complex, and exact on
-    quadratics.  ``nodes`` must be at least two and strictly increasing.
-    Returns a function of the evaluation points.
+    ``nodes`` are at least two and strictly increasing; ``values`` may be
+    complex.  The node slopes solve scipy's ``CubicSpline`` system, whose
+    not-a-knot end rows are taken out of the first and last interior rows
+    so that one Thomas pass solves the rest; three nodes give the
+    parabola, two the secant.  Returns a function of the evaluation
+    points, which takes the cubic Hermite form on each cell.
     """
     x = np.asarray(nodes, dtype=float)
     y = np.asarray(values)
-    d = np.gradient(y, x, edge_order=2 if x.size > 2 else 1)
+    n = x.size
+    if n < 4:
+        d = np.gradient(y, x, edge_order=n - 1)
+    else:
+        dx = np.diff(x)
+        m = np.diff(y) / dx
+        # end rows dx_1 s_0 + w0 s_1 = b0 and w1 s_{n-2} + dx_{n-2} s_{n-1} = b1
+        w0, w1 = x[2] - x[0], x[-1] - x[-3]
+        b0 = ((dx[0] + 2.0 * w0) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / w0
+        b1 = (dx[-1] ** 2 * m[-2] + (2.0 * w1 + dx[-1]) * dx[-2] * m[-1]) / w1
+        # rows i = 1..n-2: dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1};
+        # less the end rows, the first and the last lose s_0 and s_{n-1}
+        diag = 2.0 * (dx[:-1] + dx[1:]) - np.r_[w0, np.zeros(n - 4), w1]
+        rhs = 3.0 * (dx[1:] * m[:-1] + dx[:-1] * m[1:]) - np.r_[b0, np.zeros(n - 4), b1]
+        diag, s, off = diag.tolist(), rhs.tolist(), dx.tolist()
+        for k in range(1, n - 2):
+            f = off[k + 1] / diag[k - 1]
+            diag[k] -= f * off[k - 1]
+            s[k] -= f * s[k - 1]
+        s[-1] /= diag[-1]
+        for k in range(n - 4, -1, -1):
+            s[k] = (s[k] - off[k] * s[k + 1]) / diag[k]
+        d = np.array([(b0 - w0 * s[0]) / dx[1], *s, (b1 - w1 * s[-1]) / dx[-2]])
 
     def evaluate(points):
         points = np.asarray(points, dtype=float)
@@ -124,51 +150,15 @@ def _interp_decaying(nodes: np.ndarray, values: np.ndarray):
     return evaluate
 
 
-def _not_a_knot(nodes: np.ndarray, values: np.ndarray):
-    """Not-a-knot cubic spline through ``values`` at equally spaced ``nodes``.
-
-    ``nodes`` are at least four and increasing; ``values`` may be
-    complex.  With c_i = h^2 M_i, M the node second derivatives, the
-    interior rows are c_{i-1} + 4 c_i + c_{i+1} = 6 (y_{i-1} - 2 y_i +
-    y_{i+1}), and not-a-knot (one cubic across the second and the
-    last-but-one node) makes c_0 - 2 c_1 + c_2 = 0 at each end.  Taking
-    c_0 out of the first interior row leaves c_1 = y_0 - 2 y_1 + y_2, and
-    likewise at the other end, so the rest is one tridiagonal (1, 4, 1)
-    system over nodes 2..n-3, solved by the Thomas algorithm.  Returns a
-    function of the evaluation points; points outside the nodes take the
-    end cubics.
+def _halving_miss(nodes: np.ndarray, values: np.ndarray) -> float:
+    """Worst miss of ``_cubic_spline`` through every other node at the
+    dropped nodes inside the kept range; below three nodes, the dropped value.
     """
-    x = np.asarray(nodes, dtype=float)
-    y = np.asarray(values)
-    n = x.size
-    h = (x[-1] - x[0]) / (n - 1)
-    d = y[:-2] - 2.0 * y[1:-1] + y[2:]
-    c = np.empty(n, dtype=np.result_type(y, float))
-    c[1], c[-2] = d[0], d[-1]
-    rhs = 6.0 * d[1:-1]
-    if rhs.size:
-        rhs[0] -= c[1]
-        rhs[-1] -= c[-2]
-        w = np.empty(rhs.size)
-        w[0] = 4.0
-        for k in range(1, rhs.size):
-            w[k] = 4.0 - 1.0 / w[k - 1]
-            rhs[k] -= rhs[k - 1] / w[k - 1]
-        c[-3] = rhs[-1] / w[-1]
-        for k in range(rhs.size - 2, -1, -1):
-            c[k + 2] = (rhs[k] - c[k + 3]) / w[k]
-    c[0] = 2.0 * c[1] - c[2]
-    c[-1] = 2.0 * c[-2] - c[-3]
-
-    def evaluate(points):
-        s = (np.asarray(points, dtype=float) - x[0]) / h
-        k = np.clip(np.floor(s).astype(int), 0, n - 2)
-        t = s - k
-        u = 1.0 - t
-        return (u * y[k] + t * y[k + 1]
-                + ((u * u - 1.0) * u * c[k] + (t * t - 1.0) * t * c[k + 1]) / 6.0)
-
-    return evaluate
+    if nodes.size < 3:
+        return float(np.max(np.abs(values[1::2])))
+    dropped = slice(1, nodes.size - 1, 2)
+    miss = _cubic_spline(nodes[::2], values[::2])(nodes[dropped]) - values[dropped]
+    return float(np.max(np.abs(miss)))
 
 
 def _hodograph_lattice(sweep: np.ndarray, h: float, z_near: float) -> np.ndarray:
@@ -203,38 +193,37 @@ def x_from_qh(x_H: np.ndarray, q_H: np.ndarray) -> np.ndarray:
     so the map is strictly increasing.
     """
     x_H = np.asarray(x_H, dtype=float)
+    if x_H.ndim != 1 or x_H.size < 2 or np.shape(q_H) != x_H.shape:
+        raise InvalidArgumentError("x_from_qh needs two or more nodes and one q_H per node")
     h = float(x_H[1] - x_H[0])
     rate = 1.0 - 1.0 / np.sqrt(1.0 + np.abs(q_H) ** 2)
     eps = np.concatenate([[0.0], np.cumsum(0.5 * h * (rate[1:] + rate[:-1]))])
     return x_H - eps
 
 
-def x_from_m11(x_H: np.ndarray, m1_11: np.ndarray,
-               tolerance: float = 1e-3) -> np.ndarray:
+def x_from_m11(x_H: np.ndarray, m1_11: np.ndarray) -> np.ndarray:
     """Explicit hodograph inversion x = x_H - Im m^(1)_{11}.
 
-    The diagonal moment must be finite and (numerically) purely
-    imaginary with nonnegative imaginary part, and the resulting x must
-    be increasing in x_H; violations mean the moment does not describe a
-    decaying potential and raise HodographInconsistentError.
+    ``m1_11`` has one value per ``x_H``.  The diagonal moment must be
+    finite and purely imaginary with nonnegative imaginary part, both up
+    to ``MOMENT_TOLERANCE``, and the resulting x must be increasing in
+    x_H; violations mean the moment does not describe a decaying
+    potential and raise HodographInconsistentError.
     """
     x_H = np.asarray(x_H, dtype=float)
     m1_11 = np.asarray(m1_11, dtype=complex)
+    if m1_11.shape != x_H.shape:
+        raise InvalidArgumentError("x_from_m11 needs one m1_11 per node")
     if not np.all(np.isfinite(m1_11)):
         raise HodographInconsistentError("diagonal moment is not finite")
-    if m1_11.size:
-        worst_re = float(np.max(np.abs(m1_11.real)))
-        worst_im = float(np.min(m1_11.imag))
-        if worst_re > tolerance:
-            raise HodographInconsistentError(
-                f"diagonal moment has real part {worst_re:.3e}"
-            )
-        if worst_im < -tolerance:
-            raise HodographInconsistentError(
-                f"diagonal moment has imaginary part {worst_im:.3e} < 0"
-            )
+    worst_re = float(np.max(np.abs(m1_11.real), initial=0.0))
+    if worst_re > MOMENT_TOLERANCE:
+        raise HodographInconsistentError(f"diagonal moment has real part {worst_re:.3e}")
+    worst_im = float(np.min(m1_11.imag, initial=0.0))
+    if worst_im < -MOMENT_TOLERANCE:
+        raise HodographInconsistentError(f"diagonal moment has imaginary part {worst_im:.3e} < 0")
     x = x_H - m1_11.imag
-    if x.size > 1 and np.any(np.diff(x) <= 0):
+    if np.any(np.diff(x) <= 0):
         raise HodographInconsistentError("explicit hodograph map is not increasing")
     return x
 
@@ -244,12 +233,11 @@ def resample_q(q_H: np.ndarray, x_map: np.ndarray, xgrid: SpatialGrid,
     """Interpolate pairs (x_map[i], q_H[i]) onto a uniform grid.
 
     ``x_map`` holds x at the hodograph cells: q(x) = q_H(x_H(x)) is
-    interpolated by ``_interp_decaying`` and extended by zero outside the
+    interpolated by ``_cubic_spline`` and extended by zero outside the
     mapped range, which is only legitimate if it has decayed below
     ``decay_floor`` at the end nodes; otherwise RangeError.  Returns the
-    resampled GridFunction and an interpolation-error estimate: the worst
-    miss at the dropped nodes of the interpolant through every other
-    node (with two nodes, the value of the dropped one).
+    resampled GridFunction and the interpolation-error estimate
+    ``_halving_miss`` of (x_map, q_H).
     """
     q_H = np.asarray(q_H, dtype=complex)
     x_map = np.asarray(x_map, dtype=float)
@@ -257,15 +245,9 @@ def resample_q(q_H: np.ndarray, x_map: np.ndarray, xgrid: SpatialGrid,
         raise HodographInconsistentError("resampling map needs two or more increasing nodes")
     edge = max(abs(q_H[0]), abs(q_H[-1]))
     if edge > decay_floor:
-        raise RangeError(
-            f"potential has not decayed at the mapped range ends (|q| = {edge:.3e})"
-        )
-    values = _interp_decaying(x_map, q_H)(xgrid.points)
-    if x_map.size > 2:
-        miss = _interp_decaying(x_map[::2], q_H[::2])(x_map[1::2]) - q_H[1::2]
-    else:
-        miss = q_H[1:]
-    return GridFunction(xgrid, values), float(np.max(np.abs(miss)))
+        raise RangeError(f"potential has not decayed at the mapped range ends (|q| = {edge:.3e})")
+    values = _cubic_spline(x_map, q_H)(xgrid.points)
+    return GridFunction(xgrid, values), _halving_miss(x_map, q_H)
 
 
 @dataclass
@@ -301,24 +283,24 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
 
     The RHP is solved at the nodes of the hodograph lattice
     (``_hodograph_lattice``), whose spacing the active band sets, and the
-    slope and m^(1)_11 are carried onto the sweep by a not-a-knot cubic
-    spline (``_not_a_knot``); a lattice that is the sweep itself is not
-    interpolated.  ``cells`` has one entry per lattice node, and the
-    diagnostic ``lattice_error_estimate`` is the worst miss of the slope
-    spline through every other node at the dropped ones (0 when nothing
-    is interpolated).  Lattice nodes x_H <= 0 use the Triangular
-    factorization; nodes x_H > 0 use the DeltaConjugated one (each keeps
-    its oscillatory entries decaying in the half-plane its projection
-    sees).  Every solve adds the outer band of the jump (``_solve_batch``)
-    and stops at ``NEUMANN_TOL``; the slope must stay below 1 -
-    ``SLOPE_MARGIN``.  Cells are solved in even, equally spaced batches of
-    at most max(1, ``BATCH_SAMPLES // N_z``).
+    slope and m^(1)_11 are carried onto the sweep by ``_cubic_spline``; a
+    lattice that is the sweep itself is not interpolated.  ``cells`` has
+    one entry per lattice node, and the diagnostic
+    ``lattice_error_estimate`` is the slope's ``_halving_miss`` over the
+    lattice (0 when nothing is interpolated).  Lattice nodes x_H <= 0 use
+    the Triangular factorization; nodes x_H > 0 use the DeltaConjugated
+    one (each keeps its oscillatory entries decaying in the half-plane its
+    projection sees).  Every solve adds the outer band of the jump
+    (``_solve_batch``) and stops at ``NEUMANN_TOL``; the slope must stay
+    below 1 - ``SLOPE_MARGIN``.  Cells are solved in even, equally spaced
+    batches of at most max(1, ``BATCH_SAMPLES // N_z``).
 
     The hodograph map is then undone twice: by the quadrature of
     dx = dx_H / <q_H> (``x_from_qh``, the primary route, which gives
     ``q`` and ``epsilon`` = x_H - x at the cells) and explicitly from the
     diagonal moment (``x_from_m11``, the cross-check route, which gives
-    ``q_explicit``).  Both resample q_H onto ``xgrid`` with ``resample_q``.
+    ``q_explicit``).  Both resample q_H onto ``xgrid`` with ``resample_q``;
+    the diagnostic ``resample_error_estimate`` is the primary route's.
 
     ``decay_floor`` bounds how large the recovered q_H may be at the
     sweep-window ends; the reconstruction noise there scales with the
@@ -387,13 +369,11 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
 
     slope, m1_11, lattice_err = dx12, m11, 0.0
     if nodes is not sweep:
-        slope = _not_a_knot(nodes, dx12)(sweep)
-        m1_11 = _not_a_knot(nodes, m11)(sweep)
-        if nodes[::2].size >= 4:
-            miss = _not_a_knot(nodes[::2], dx12[::2])(nodes[1::2]) - dx12[1::2]
-        else:
-            miss = dx12[1::2]
-        lattice_err = float(np.max(np.abs(miss)))
+        # the end nodes cover the sweep only to rounding; the spline is 0 beyond
+        inside = np.clip(sweep, nodes[0], nodes[-1])
+        slope = _cubic_spline(nodes, dx12)(inside)
+        m1_11 = _cubic_spline(nodes, m11)(inside)
+        lattice_err = _halving_miss(nodes, dx12)
 
     q_H = qh_from_slope(slope)
 

@@ -46,6 +46,15 @@ def test_spectral_grid_rejects_bad_sizes():
         make_spectral_grid(40.0, 4096, z_min=50.0)
 
 
+def test_active_band_is_the_floor_without_z_zero():
+    # points -4, -3.5, ..., 3.5: the floor 1 drops -0.5, 0 and 0.5
+    g = make_spectral_grid(4.0, 16, z_min=1.0)
+    assert np.array_equal(g.points[g.active], np.r_[-4.0:-0.75:0.5, 1.0:3.75:0.5])
+    # no floor: only z = 0 is off the band
+    g = make_spectral_grid(4.0, 16)
+    assert np.array_equal(g.points[~g.active], [0.0])
+
+
 def test_gridfunction_validates_length_and_finiteness():
     g = make_spatial_grid(2.0, 8)
     with pytest.raises(InvalidArgumentError):

@@ -15,9 +15,9 @@ from wkist.errors import (
 from wkist.lattice import make_spatial_grid, make_spectral_grid
 from wkist.lax import make_potential
 from wkist.reconstruction import (
+    _cubic_spline,
+    _halving_miss,
     _hodograph_lattice,
-    _interp_decaying,
-    _not_a_knot,
     inverse_transform,
     qh_from_slope,
     resample_q,
@@ -83,54 +83,60 @@ def test_epsilon_value_at_origin():
 
 
 _UNEVEN = np.cumsum(np.random.default_rng(12).uniform(0.05, 1.0, 40)) - 10.0
-HERMITE_CASES = {
-    "uniform": (np.linspace(-4.0, 4.0, 33), np.exp(-np.linspace(-4.0, 4.0, 33) ** 2)),
-    "non-uniform": (_UNEVEN, np.random.default_rng(13).standard_normal(40)),
-    "complex": (_UNEVEN, np.exp(-((_UNEVEN / 4.0) ** 2) + 2j * _UNEVEN)),
-    "two nodes": (np.array([-1.0, 2.5]), np.array([0.3, -1.2 + 0.5j])),
-    "three nodes": (np.array([-1.0, 0.25, 2.0]), np.array([0.5, 2.0, -0.75])),
-}
-
-
-@pytest.mark.parametrize("nodes, values", list(HERMITE_CASES.values()), ids=list(HERMITE_CASES))
-def test_interp_decaying_matches_scipy_cubic_hermite(nodes, values):
-    # the cubic Hermite spline through the np.gradient slopes inside the
-    # nodes, zero outside
-    interpolate = pytest.importorskip("scipy.interpolate")
-    rng = np.random.default_rng(len(nodes))
-    a, b = nodes[0], nodes[-1]
-    inside = np.concatenate([nodes, rng.uniform(a, b, 300)])
-    outside = np.concatenate([np.nextafter(b, np.inf) + rng.uniform(0.0, 2.0, 25),
-                              np.nextafter(a, -np.inf) - rng.uniform(0.0, 2.0, 25)])
-    slopes = np.gradient(values, nodes, edge_order=2 if nodes.size > 2 else 1)
-    want = interpolate.CubicHermiteSpline(nodes, values, slopes)(inside)
-    interpolant = _interp_decaying(nodes, values)
-    got = interpolant(inside)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(values))
-    assert np.all(interpolant(outside) == 0.0)
-
-
 _WAVE = np.linspace(-6.0, 6.0, 61)
 SPLINE_CASES = {
+    "two nodes": (np.array([-1.0, 2.5]), np.array([0.3, -1.2 + 0.5j])),
+    "three nodes": (np.array([-1.0, 0.25, 2.0]), np.array([0.5, 2.0, -0.75])),
     "four nodes": (np.linspace(-1.0, 2.0, 4), np.array([0.3, -1.2 + 0.5j, 2.0 - 1.0j, 0.25j])),
     "five nodes": (np.linspace(0.0, 1.0, 5), np.array([1.0, -0.5, 0.25, 2.0, -1.0])),
     "six nodes": (np.linspace(-3.0, 2.0, 6),
                   np.array([1.0, 1.0j]) @ np.random.default_rng(14).standard_normal((2, 6))),
     "gaussian": (np.linspace(-4.0, 4.0, 33), np.exp(-np.linspace(-4.0, 4.0, 33) ** 2)),
     "complex wave": (_WAVE, np.exp(-((_WAVE / 3.0) ** 2) + 2.5j * _WAVE)),
+    "non-uniform": (_UNEVEN, np.random.default_rng(13).standard_normal(40)),
+    "complex": (_UNEVEN, np.exp(-((_UNEVEN / 4.0) ** 2) + 2j * _UNEVEN)),
 }
 
 
 @pytest.mark.parametrize("nodes, values", list(SPLINE_CASES.values()), ids=list(SPLINE_CASES))
 def test_not_a_knot_matches_scipy_cubic_spline(nodes, values):
-    # inside the nodes, and half a spacing beyond them on the end cubics
+    # scipy's not-a-knot spline inside the nodes (the parabola on three,
+    # the secant on two), exact zeros outside them
     interpolate = pytest.importorskip("scipy.interpolate")
-    h = nodes[1] - nodes[0]
-    points = np.concatenate([nodes, np.random.default_rng(nodes.size).uniform(
-        nodes[0] - 0.5 * h, nodes[-1] + 0.5 * h, 300)])
-    want = interpolate.CubicSpline(nodes, values, bc_type="not-a-knot")(points)
-    got = _not_a_knot(nodes, values)(points)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(values))
+    rng = np.random.default_rng(nodes.size)
+    a, b = nodes[0], nodes[-1]
+    inside = np.concatenate([nodes, rng.uniform(a, b, 300)])
+    outside = np.concatenate([[np.nextafter(a, -np.inf), np.nextafter(b, np.inf)],
+                              np.nextafter(b, np.inf) + rng.uniform(0.0, 2.0, 25),
+                              np.nextafter(a, -np.inf) - rng.uniform(0.0, 2.0, 25)])
+    want = interpolate.CubicSpline(nodes, values, bc_type="not-a-knot")(inside)
+    spline = _cubic_spline(nodes, values)
+    assert np.max(np.abs(spline(inside) - want)) <= 1e-13 * np.max(np.abs(values))
+    assert np.all(spline(outside) == 0.0)
+
+
+def _polynomial_through(x, y, points):
+    # the polynomial of degree x.size - 1 through (x, y), at points
+    deg = x.size - 1
+    return (np.polyval(np.polyfit(x, y.real, deg), points)
+            + 1j * np.polyval(np.polyfit(x, y.imag, deg), points))
+
+
+def test_halving_miss_on_two_odd_and_even_node_counts():
+    rng = np.random.default_rng(15)
+    values = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    nodes = np.cumsum(rng.uniform(0.2, 1.0, 8))
+    # two nodes: the kept one spans nothing, so the miss is the dropped value
+    assert _halving_miss(nodes[:2], values[:2]) == pytest.approx(abs(values[1]), rel=1e-15)
+    # seven: four kept nodes carry one cubic, missed at nodes 1, 3 and 5
+    miss = _polynomial_through(nodes[:7:2], values[:7:2], nodes[1:7:2]) - values[1:7:2]
+    assert _halving_miss(nodes[:7], values[:7]) == pytest.approx(np.max(np.abs(miss)), rel=1e-12)
+    # six: three kept nodes carry the parabola; node 5 lies beyond the last
+    # kept node and does not count
+    miss = _polynomial_through(nodes[:6:2], values[:6:2], nodes[1:5:2]) - values[1:5:2]
+    spiked = values[:6].copy()
+    spiked[5] = 1e3
+    assert _halving_miss(nodes[:6], spiked) == pytest.approx(np.max(np.abs(miss)), rel=1e-12)
 
 
 def test_hodograph_lattice_falls_back_to_the_sweep():
@@ -143,6 +149,18 @@ def test_hodograph_lattice_falls_back_to_the_sweep():
     # stride 1, a lattice of three nodes, and an empty band
     for z_near in (0.3, 24.0, np.inf):
         assert _hodograph_lattice(sweep, h, z_near) is sweep
+
+
+def test_x_from_qh_refuses_a_single_node():
+    with pytest.raises(InvalidArgumentError, match="two or more nodes"):
+        x_from_qh(np.array([0.0]), np.array([1e-3 + 0j]))
+
+
+@pytest.mark.parametrize("hodograph_map", [x_from_qh, x_from_m11])
+def test_hodograph_maps_refuse_a_value_count_off_the_nodes(hodograph_map):
+    # one value per node; numpy would otherwise fail in a broadcast
+    with pytest.raises(InvalidArgumentError, match="per node"):
+        hodograph_map(np.linspace(-1.0, 1.0, 5), 1e-3j * np.ones(4))
 
 
 def test_x_from_m11_agrees_with_the_shift():
@@ -296,17 +314,37 @@ def test_lattice_keeps_x_H_zero_a_node_between_the_kinds():
     assert np.all(kinds[nodes > 0.0] == DELTA_CONJUGATED)
 
 
-def test_lattice_of_five_nodes_estimates_by_the_dropped_values():
-    # nodes -2..2 h_H: every other node is three, too few for a spline, so
-    # the estimate is the dropped nodes' own slope (the floor admits the
-    # undecayed ends of so small a window)
+def test_lattice_of_five_nodes_estimates_by_the_parabola_miss():
+    # nodes -2..2 h_H: every other node is three, so the estimate is the
+    # parabola's miss at the dropped two (the floor admits the undecayed
+    # ends of so small a window)
     grid, sd = _stride3()
     rec = inverse_transform(sd, 0.0, grid, window=0.2, decay_floor=1.0)
     nodes = rec.cells["x_H"]
     assert nodes.size == 5 and nodes[2] == 0.0
-    dropped = np.max(rec.cells["abs_dx_m1_12"][1::2])
-    assert dropped > 0.0
-    assert rec.diagnostics["lattice_error_estimate"] == pytest.approx(dropped, rel=1e-15)
+    # every node is a sweep cell, where the spline takes the node's slope
+    assert np.array_equal(rec.x_H[::3], nodes)
+    slope = rec.slope[::3]
+    assert np.array_equal(np.hypot(slope.real, slope.imag), rec.cells["abs_dx_m1_12"])
+    miss = _polynomial_through(nodes[::2], slope[::2], nodes[1::2]) - slope[1::2]
+    assert 0.0 < np.max(np.abs(miss)) < np.max(np.abs(slope[1::2]))
+    assert rec.diagnostics["lattice_error_estimate"] == pytest.approx(np.max(np.abs(miss)),
+                                                                       rel=1e-12)
+
+
+def test_lattice_spline_reaches_a_sweep_end_past_the_last_node_by_rounding():
+    # on this grid the last sweep cell lies one rounding beyond the last
+    # lattice node, where the spline itself is zero; the slope and the
+    # diagonal moment there must still come from the end cubic
+    grid = make_spatial_grid(8.0, 1000)
+    p = make_potential(grid, lambda x: 0.05 * np.exp(-(x**2)))
+    sd = reflection_coefficient(p, make_spectral_grid(40.0, 512, z_min=0.9))
+    rec = inverse_transform(sd, 0.0, grid, window=3.0, decay_floor=1e-2)
+    nodes = rec.cells["x_H"]
+    assert nodes.size < rec.x_H.size and rec.x_H[-1] > nodes[-1]
+    assert abs(rec.slope[-1]) == pytest.approx(rec.cells["abs_dx_m1_12"][-1], rel=1e-12)
+    assert abs(rec.m1_11[-1] - rec.m1_11[-2]) < 1e-7
+    assert rec.diagnostics["route_gap_epsilon"] < 1e-4
 
 
 def test_inverse_transform_rejects_oversized_window():
