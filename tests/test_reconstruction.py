@@ -115,6 +115,27 @@ def test_not_a_knot_matches_scipy_cubic_spline(nodes, values):
     assert np.all(spline(outside) == 0.0)
 
 
+HERMITE_CASES = {
+    "uniform": (np.linspace(-4.0, 4.0, 33), np.exp(-np.linspace(-4.0, 4.0, 33) ** 2)),
+}
+
+
+@pytest.mark.parametrize("nodes, values", list(HERMITE_CASES.values()), ids=list(HERMITE_CASES))
+def test_interp_decaying_matches_scipy_cubic_hermite(nodes, values):
+    # the cubic Hermite form through the not-a-knot node slopes, also one
+    # rounding either side of every node, where the cell changes; zero
+    # one rounding outside the end nodes
+    interpolate = pytest.importorskip("scipy.interpolate")
+    slopes = interpolate.CubicSpline(nodes, values, bc_type="not-a-knot")(nodes, 1)
+    want = interpolate.CubicHermiteSpline(nodes, values, slopes)
+    a, b = nodes[0], nodes[-1]
+    near = np.concatenate([np.nextafter(nodes[1:], -np.inf), nodes,
+                           np.nextafter(nodes[:-1], np.inf)])
+    spline = _cubic_spline(nodes, values)
+    assert np.max(np.abs(spline(near) - want(near))) <= 1e-13 * np.max(np.abs(values))
+    assert np.all(spline(np.array([np.nextafter(a, -np.inf), np.nextafter(b, np.inf)])) == 0.0)
+
+
 def _polynomial_through(x, y, points):
     # the polynomial of degree x.size - 1 through (x, y), at points
     deg = x.size - 1

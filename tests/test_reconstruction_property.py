@@ -35,6 +35,31 @@ def test_x_from_qh_is_increasing_and_its_total_shift_is_E1(amplitude, width, cen
 
 
 @hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(gaps=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=40),
+                  start=st.floats(-5.0, 5.0),
+                  coeffs=st.lists(st.complex_numbers(max_magnitude=2.0), min_size=3,
+                                  max_size=3),
+                  fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50))
+def test_interp_decaying_reproduces_quadratics_and_vanishes_outside(gaps, start, coeffs,
+                                                                    fractions):
+    # on three or more non-uniform nodes (the parabola's branch on three):
+    # the quadratic inside them, 0 outside
+    nodes = start + np.concatenate([[0.0], np.cumsum(gaps)])
+    c0, c1, c2 = coeffs
+
+    def quadratic(x):
+        return c0 + c1 * x + c2 * x**2
+
+    spline = _cubic_spline(nodes, quadratic(nodes))
+    a, b = nodes[0], nodes[-1]
+    inside = np.clip(a + (b - a) * np.asarray(fractions), a, b)
+    scale = 1.0 + np.max(np.abs(quadratic(nodes)))
+    assert np.max(np.abs(spline(inside) - quadratic(inside))) <= 1e-12 * scale
+    outside = np.array([np.nextafter(a, -np.inf), a - 1.0, np.nextafter(b, np.inf), b + 1.0])
+    assert np.all(spline(outside) == 0.0)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
 @hypothesis.given(gaps=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=40),
                   start=st.floats(-5.0, 5.0),
                   coeffs=st.lists(st.complex_numbers(max_magnitude=2.0), min_size=4,
