@@ -59,16 +59,7 @@ from .direct_scattering import (
     reflection_coefficient,
     transition_matrix,
 )
-from .rhp import (
-    JumpFactorization,
-    RHPSolution,
-    build_factorization,
-    delta_function,
-    dx_m1,
-    m1_moment,
-    solve_mu,
-    suggest_z_min,
-)
+from .rhp import delta_function, suggest_z_min
 from .reconstruction import (
     ReconstructionResult,
     inverse_transform,

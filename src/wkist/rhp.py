@@ -21,8 +21,9 @@ in the half-plane where each Cauchy projection lives:
 The delta conjugation rescales the RHP solution columns, so the raw
 moment of the conjugated problem differs from the original one by the
 diagonal d1 * sigma3, d1 = (1/2 pi i) int log(1 + |r|^2) ds (the 1/z
-coefficient of log delta).  ``m1_moment`` undoes this, making the two
-factorization kinds report the moment of the same underlying problem.
+coefficient of log delta).  The inverse transform removes d1 from
+m^(1)_11 of its DeltaConjugated cells, so the two factorization kinds
+report the moment of the same underlying problem.
 
 In both kinds the (2,1)-position entry carries e^{+2 i theta} and the
 (1,2)-position entry carries e^{-2 i theta}, theta = x_H/z + 2 t/z^2.
@@ -39,17 +40,16 @@ collocation solve (``_dense_solve``) is kept as the reference the tests
 compare the sweeps against; nothing in the package calls it.  The
 two rows of X solve the same operator with their own right-hand sides,
 so a solve takes only the rows it is given and its cost scales with
-their count.
-``solve_mu`` solves both rows; the inverse transform (``_solve_batch``)
-solves row 1 alone, since m^(1)_11 and the slope are integrals of
-row 1, and the residuals it reports are row 1's.
+their count.  The inverse transform (``_solve_batch``) solves row 1
+alone, since m^(1)_11 and the slope are integrals of row 1, and the
+residuals it reports are row 1's; row 2 is its Schwarz reflection.
 
 The grid cuts the contour at |z| = Z, where r still decays only like
 c1/z.  ``_solve_batch`` adds the jump's outer band to its right-hand
 side, taken from the lattice's closed-form tail completion
 (``_tail_outside``, the one tail mechanism of the package), so the
-inverse solves the full-line equation; ``solve_mu`` solves the windowed
-equation as it stands.
+inverse solves the full-line equation, the one RHP equation of the
+package.
 
 The x_H-derivative of the moment needs no second solve.  The jump
 depends on x_H only through e^{i (x_H/z) sigma3} and is the identity
@@ -68,24 +68,12 @@ kernel pass beyond the solve's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .errors import InvalidArgumentError, RhpUnsolvedError
 from .lattice import GridFunction, SpectralGrid, _cauchy_plus_batch, _tail_outside
 
-__all__ = [
-    "JumpFactorization",
-    "RHPSolution",
-    "delta_function",
-    "build_factorization",
-    "solve_mu",
-    "m1_moment",
-    "dx_m1",
-    "suggest_z_min",
-]
+__all__ = ["delta_function", "suggest_z_min"]
 
 NEUMANN_TOL = 1e-10
 NEUMANN_CAP = 200
@@ -94,7 +82,6 @@ POINTS_PER_PERIOD = 5.0
 
 TRIANGULAR = "Triangular"
 DELTA_CONJUGATED = "DeltaConjugated"
-SIGMA3 = np.diag([1.0, -1.0])
 
 
 def delta_function(r: GridFunction):
@@ -117,40 +104,6 @@ def delta_function(r: GridFunction):
         GridFunction(grid, delta_minus),
         GridFunction(grid, Delta),
     )
-
-
-@dataclass
-class JumpFactorization:
-    """Jump data of one (x_H, t): its two nonzero entries and the phase.
-
-    In both kinds exactly one of (w_+, w_-) holds the (1,2) entry and the
-    other the (2,1) entry: the Triangular kind puts ``u21`` in w_+ and
-    ``u12`` in w_-, the DeltaConjugated kind the other way round
-    (``_in_w_plus``).  The solver needs only the entry pair and the kind.
-    ``d1`` is the moment correction of the delta conjugation (0 for the
-    Triangular kind).
-    """
-
-    kind: str
-    zgrid: SpectralGrid
-    x_H: float
-    t: float
-    theta: np.ndarray
-    u21: np.ndarray       # (2,1)-position entry, carries e^{+2 i theta}
-    u12: np.ndarray       # (1,2)-position entry, carries e^{-2 i theta}
-    r: np.ndarray
-    d1: complex = 0.0
-    Delta: Optional[np.ndarray] = None
-    rho: Optional[np.ndarray] = None
-
-
-@dataclass
-class RHPSolution:
-    """A solve of one factorization, both rows."""
-
-    mu: np.ndarray                 # (N, 2, 2)
-    residual: float
-    iterations: int
 
 
 def _inv_z(zgrid: SpectralGrid) -> np.ndarray:
@@ -209,30 +162,6 @@ def _delta_shift(r_values: np.ndarray, zgrid: SpectralGrid) -> complex:
     raw moment is shifted (module docstring).
     """
     return np.trapezoid(np.log1p(np.abs(r_values) ** 2), dx=zgrid.spacing) / (2j * np.pi)
-
-
-def build_factorization(r: GridFunction, x_H: float, t: float, kind: str) -> JumpFactorization:
-    """The jump entries and the phase for one (x_H, t).
-
-    The reflection data may be given either at time zero together with
-    the physical t here, or already evolved to time t with t = 0 here;
-    the two produce identical jump entries because the evolution factor
-    e^{4 i t / z^2} is exactly the t-part of e^{2 i theta}.
-    """
-    zgrid = r.grid
-    rv = np.asarray(r.values, dtype=complex)
-    d1 = 0.0 + 0.0j
-    Delta = rho = None
-    if kind == DELTA_CONJUGATED:
-        Delta = delta_function(r)[2].values
-        rho = rv * Delta
-        d1 = _delta_shift(rv, zgrid)
-
-    u21, u12, theta = _jump_entries(kind, rv, zgrid, np.array([[x_H]]), t, Delta)
-    return JumpFactorization(
-        kind=kind, zgrid=zgrid, x_H=float(x_H), t=float(t), theta=theta[0],
-        u21=u21[0], u12=u12[0], r=rv, d1=d1, Delta=Delta, rho=rho,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -450,45 +379,6 @@ def _solve_batch(u21, u12, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP):
     }
 
 
-def _pack_mu(x1, x2):
-    """The (2, 1, N) solution columns of both rows as one (N, 2, 2) matrix."""
-    return np.stack([x1[:, 0].T, x2[:, 0].T], axis=-1)
-
-
-def _unpack_mu(mu):
-    """The columns of an (N, 2, 2) solution as (2, 1, N) stacked rows."""
-    return mu[:, :, 0].T[:, None, :], mu[:, :, 1].T[:, None, :]
-
-
-def _moment_matrix(e):
-    """The 2x2 moment of one cell from the column pair of both rows."""
-    return np.stack([e[0][:, 0], e[1][:, 0]], axis=-1)
-
-
-def solve_mu(f: JumpFactorization, tol: float = NEUMANN_TOL,
-             max_iterations: int = NEUMANN_CAP) -> RHPSolution:
-    """Solve mu = I + C+(mu w_-) + C-(mu w_+) for one factorization.
-
-    Both rows, by block Gauss-Seidel sweeps (``_solve``); raises
-    ``RhpUnsolvedError`` when they do not converge.  ``tol`` must be a
-    finite number > 0 and ``max_iterations`` a sweep cap >= 0.
-    """
-    if not 0.0 < tol < float("inf"):
-        raise InvalidArgumentError(f"tol must be a finite number > 0, got {tol}")
-    if max_iterations < 0:
-        raise InvalidArgumentError(f"max_iterations must be >= 0, got {max_iterations}")
-    u21, u12 = f.u21[None, :], f.u12[None, :]
-    one, zero = np.ones_like(u21), np.zeros_like(u21)
-    x, res, its, _ = _solve(
-        u21, u12, (np.stack([one, zero]), np.stack([zero, one])),
-        f.kind, f.zgrid, tol, max_iterations)
-    return RHPSolution(
-        mu=_pack_mu(*x),
-        residual=float(res[0]),
-        iterations=its,
-    )
-
-
 def _trapezoid_dot(x, u):
     """Trapezoid sum of x u over the trailing axis (unit spacing), without forming x u."""
     s = np.einsum("...n,...n->...", x, u)
@@ -524,36 +414,6 @@ def _m0_rows(x1, x2, u21, u12, zgrid):
     pref = zgrid.spacing / (2j * np.pi)
     dot = lambda x, u: np.einsum("...n,...n->...", x * iz, u)
     return pref * dot(x2, u21), pref * dot(x1, u12)
-
-
-def m1_moment(f: JumpFactorization, sol: RHPSolution) -> np.ndarray:
-    """First moment m^(1) of the RHP solution, in the original normalization.
-
-    For the DeltaConjugated kind the raw moment belongs to the
-    delta-conjugated problem; the diagonal shift d1 * sigma3 is removed
-    so both kinds report the same matrix.
-    """
-    m1 = _moment_matrix(_moment_rows(*_unpack_mu(sol.mu), f.u21[None, :], f.u12[None, :],
-                                     f.zgrid.spacing))
-    if f.kind == DELTA_CONJUGATED:
-        m1[0, 0] -= f.d1
-        m1[1, 1] += f.d1
-    return m1
-
-
-def dx_m1(f: JumpFactorization, sol: RHPSolution) -> np.ndarray:
-    """x_H-derivative of the first moment, -i (M(0) sigma3 M(0)^{-1} - sigma3).
-
-    From the solved mu alone (module docstring).  det M = 1, so M(0)^{-1}
-    is the adjugate and the (1,2) entry is the slope 2i M11(0) M12(0)
-    the inverse uses.  The delta conjugation's d1 shift is
-    x_H-independent and its delta(0)^{sigma3} factor commutes with
-    sigma3, so both kinds report the same matrix.
-    """
-    m = np.eye(2) + _moment_matrix(_m0_rows(*_unpack_mu(sol.mu), f.u21[None, :],
-                                            f.u12[None, :], f.zgrid))
-    adj = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
-    return -1j * (m @ SIGMA3 @ adj - SIGMA3)
 
 
 def suggest_z_min(Z: float, N_z: int, window: float = 6.0, t_max: float = 0.0) -> float:

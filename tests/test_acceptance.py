@@ -21,6 +21,7 @@ from wkist.cli import RunConfig, run_compare_pde
 from wkist.direct_scattering import reflection_coefficient
 from wkist.lattice import (
     GridFunction,
+    _tail_outside,
     cauchy_minus,
     cauchy_plus,
     make_spatial_grid,
@@ -28,15 +29,7 @@ from wkist.lattice import (
 )
 from wkist.lax import make_potential
 from wkist.reconstruction import inverse_transform
-from wkist.rhp import (
-    DELTA_CONJUGATED,
-    TRIANGULAR,
-    build_factorization,
-    dx_m1,
-    m1_moment,
-    solve_mu,
-    suggest_z_min,
-)
+from wkist.rhp import DELTA_CONJUGATED, TRIANGULAR, _dense_solve, suggest_z_min
 from wkist.soliton import (
     SolitonParams,
     soliton_peak,
@@ -45,6 +38,7 @@ from wkist.soliton import (
     soliton_qh,
 )
 from wkist.pde_oracle import evolve
+from rhp_cells import cell_solve
 
 
 GAUSSIAN = lambda x: 0.05 * np.exp(-(x**2))
@@ -135,21 +129,20 @@ def test_criterion_4_roundtrip_and_refinement(base, doubled_sup, capfd):
 
 
 def test_criterion_5_slope_bound_and_kind_independence(base, capfd):
+    # both kinds solve x_H = 0 as the inverse solves its cells; the gaps
+    # are on the two numbers it reads, the slope and m^(1)_11
     _, sd, rec, _ = base
     max_slope = rec.diagnostics["max_slope"]
-    r = GridFunction(sd.zgrid, sd.r)
-    vals = {}
-    for kind in (TRIANGULAR, DELTA_CONJUGATED):
-        f = build_factorization(r, 0.0, 0.0, kind)
-        sol = solve_mu(f)
-        vals[kind] = (m1_moment(f, sol)[0, 1], dx_m1(f, sol)[0, 1])
-    gap = max(abs(vals[TRIANGULAR][j] - vals[DELTA_CONJUGATED][j])
-              for j in range(2))
-    ok = max_slope < 1.0 and gap < 1e-6
+    tri, dc = (cell_solve(sd.r, sd.zgrid, kind, [0.0]) for kind in (TRIANGULAR, DELTA_CONJUGATED))
+    slope_gap = abs(tri["slope"][0] - dc["slope"][0])
+    m11_gap = abs(tri["m11"][0] - dc["m11"][0])
+    ok = max_slope < 1.0 and slope_gap < 1e-6 and m11_gap < 1e-6
     _report(capfd, 5, "slope/factorization", ok,
-            f"max slope {max_slope:.3e} < 1, kind gap at x_H=0 {gap:.2e} < 1e-6")
+            f"max slope {max_slope:.3e} < 1, kind gap at x_H=0 on the slope "
+            f"{slope_gap:.2e} and on m1_11 {m11_gap:.2e} < 1e-6")
     assert max_slope < 1.0
-    assert gap < 1e-6
+    assert slope_gap < 1e-6
+    assert m11_gap < 1e-6
 
 
 def test_criterion_6_hodograph_consistency(base, capfd):
@@ -220,34 +213,24 @@ def test_criterion_10_rhp_solver_agreement(base, capfd):
     p = make_potential(xgrid, GAUSSIAN)
     zgrid = make_spectral_grid(40.0, 512, z_min=0.9)
     sd = reflection_coefficient(p, zgrid)
-    r = GridFunction(zgrid, sd.r)
 
-    from wkist.rhp import _dense_solve
-
+    # row 1 of the inverse's solve against the dense solve of the same
+    # full-line equation: column 2 of its right-hand side is the band
     solver_gap = 0.0
-    worst_res = 0.0
+    worst_res = base[2].diagnostics["worst_residual"]
     for x_H, kind in ((-0.4, TRIANGULAR), (0.4, DELTA_CONJUGATED)):
-        f = build_factorization(r, x_H, 0.0, kind)
-        sol = solve_mu(f)
-        worst_res = max(worst_res, sol.residual)
-        n = zgrid.point_count
-        ones, zeros = np.ones(n, complex), np.zeros(n, complex)
-        rows = _dense_solve(f.u21, f.u12, [(ones, zeros), (zeros, ones)],
-                            kind, zgrid)
-        dense_mu = np.empty_like(sol.mu)
-        dense_mu[:, 0, 0], dense_mu[:, 0, 1] = rows[0]
-        dense_mu[:, 1, 0], dense_mu[:, 1, 1] = rows[1]
-        solver_gap = max(solver_gap, float(np.max(np.abs(sol.mu - dense_mu))))
+        out = cell_solve(sd.r, zgrid, kind, [x_H])
+        worst_res = max(worst_res, out["residual"][0])
+        band = _tail_outside(out["u12"][0], zgrid)
+        [dense] = _dense_solve(out["u21"][0], out["u12"][0],
+                               [(np.ones(zgrid.point_count), band)], kind, zgrid)
+        for x, d in zip(out["mu"], dense):
+            solver_gap = max(solver_gap, float(np.max(np.abs(x[0] - d))))
 
-    worst_res = max(worst_res, base[2].diagnostics["worst_residual"])
-
+    # the slope against central differences of the full-line m^(1)_12
     delta = 1e-3
-    f = build_factorization(r, -0.8, 0.0, TRIANGULAR)
-    analytic = dx_m1(f, solve_mu(f))
-    up = build_factorization(r, -0.8 + delta, 0.0, TRIANGULAR)
-    dn = build_factorization(r, -0.8 - delta, 0.0, TRIANGULAR)
-    fd = (m1_moment(up, solve_mu(up)) - m1_moment(dn, solve_mu(dn))) / (2 * delta)
-    fd_gap = float(np.max(np.abs(analytic - fd)))
+    out = cell_solve(sd.r, zgrid, TRIANGULAR, [-0.8, -0.8 + delta, -0.8 - delta])
+    fd_gap = abs(out["slope"][0] - (out["m12"][1] - out["m12"][2]) / (2 * delta))
 
     ok = solver_gap < 1e-8 and worst_res < 1e-10 and fd_gap < 1e-5
     _report(capfd, 10, "rhp solver", ok,

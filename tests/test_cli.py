@@ -145,6 +145,23 @@ def test_bad_guard_threshold_or_grid_value_exits_2(tmp_path, capsys, flags):
     assert "invalid-argument" in err
 
 
+@pytest.mark.parametrize("pipeline, flags", [
+    ("forward", ["--t", "nan"]), ("forward", ["--t", "inf"]), ("forward", ["--window", "nan"]),
+    ("forward", ["--window", "inf"]), ("forward", ["--window", "-1"]),
+    ("roundtrip", ["--t", "nan"]),
+], ids=["forward-nan-t", "forward-infinite-t", "forward-nan-window", "forward-infinite-window",
+        "forward-negative-window", "roundtrip-nan-t"])
+def test_non_finite_t_or_bad_window_exits_2(tmp_path, capsys, pipeline, flags):
+    # the z_min bisection would take them and resolve a grid floor of
+    # 1e-9 or 0; roundtrip would fail later as a numerical range error
+    out = tmp_path / "o"
+    code = main([pipeline, "--outdir", str(out)] + SMALL + flags)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "invalid-argument" in err
+    assert not (out / "manifest.json").exists()
+
+
 def test_window_without_two_sweep_cells_exits_2(tmp_path, capsys):
     # a window holding one grid point leaves no sweep to integrate
     out = tmp_path / "o"

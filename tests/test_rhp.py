@@ -12,21 +12,20 @@ from wkist.rhp import (
     NEUMANN_TOL,
     TRIANGULAR,
     _apply_cw,
+    _delta_shift,
     _dense_solve,
     _in_w_plus,
     _jump_entries,
     _l2_residual,
     _m0_rows,
+    _moment_rows,
     _neumann,
     _solve,
     _solve_batch,
-    build_factorization,
     delta_function,
-    dx_m1,
-    m1_moment,
-    solve_mu,
     suggest_z_min,
 )
+from rhp_cells import band_moment, cell_solve, jump_batch
 
 
 def small_reflection(N=1024, N_z=1024, z_min=0.5, amp=0.05):
@@ -52,94 +51,77 @@ def test_delta_boundary_relation_is_exact():
 
 def test_factorization_entries_triangular():
     sd = small_reflection()
-    r = GridFunction(sd.zgrid, sd.r)
-    f = build_factorization(r, -1.3, 0.2, TRIANGULAR)
+    u21, u12, theta = _jump_entries(TRIANGULAR, sd.r, sd.zgrid, np.array([[-1.3]]), 0.2)
     z = sd.zgrid.points
     nz = z != 0
-    theta = np.zeros_like(z)
-    theta[nz] = -1.3 / z[nz] + 2 * 0.2 / z[nz] ** 2
-    assert np.max(np.abs(f.theta - theta)) < 1e-13
-    expect = sd.r * np.exp(2j * theta)
-    assert np.max(np.abs(f.u21 - expect)) < 1e-13
-    assert np.max(np.abs(f.u12 - np.conj(sd.r) * np.exp(-2j * theta))) < 1e-13
+    expect = np.zeros_like(z)
+    expect[nz] = -1.3 / z[nz] + 2 * 0.2 / z[nz] ** 2
+    assert np.max(np.abs(theta[0] - expect)) < 1e-13
+    assert np.max(np.abs(u21[0] - sd.r * np.exp(2j * expect))) < 1e-13
+    assert np.max(np.abs(u12[0] - np.conj(sd.r) * np.exp(-2j * expect))) < 1e-13
     # one entry per triangle: (2,1) in w_+, (1,2) in w_-
     assert _in_w_plus(TRIANGULAR, 21) and not _in_w_plus(TRIANGULAR, 12)
-    assert f.d1 == 0.0
 
 
 def test_factorization_entries_delta_conjugated():
     sd = small_reflection()
-    r = GridFunction(sd.zgrid, sd.r)
-    f = build_factorization(r, 0.8, 0.0, DELTA_CONJUGATED)
-    assert f.rho is not None
-    assert np.max(np.abs(f.rho - sd.r * f.Delta)) < 1e-15
-    assert np.max(np.abs(f.u21 - f.rho * np.exp(2j * f.theta))) < 1e-13
+    Delta = delta_function(GridFunction(sd.zgrid, sd.r))[2].values
+    u21, u12, theta = _jump_entries(DELTA_CONJUGATED, sd.r, sd.zgrid, np.array([[0.8]]), 0.0,
+                                    Delta)
+    # the (2,1) entry is rho e^{2 i theta}, rho = r Delta
+    assert np.max(np.abs(u21[0] - sd.r * Delta * np.exp(2j * theta[0]))) < 1e-13
+    assert np.array_equal(u12, np.conj(u21))
     # the (2,1) entry sits in w_-, the (1,2) entry in w_+
     assert not _in_w_plus(DELTA_CONJUGATED, 21) and _in_w_plus(DELTA_CONJUGATED, 12)
     # d1 = (1/2 pi i) int log(1+|r|^2) ds is purely imaginary
-    assert abs(f.d1.real) < 1e-18
-    assert f.d1.imag != 0.0
+    d1 = _delta_shift(sd.r, sd.zgrid)
+    assert abs(d1.real) < 1e-18
+    assert d1.imag != 0.0
 
 
 def test_build_factorization_rejects_unknown_kind():
+    # the jump entries are the factorization: _jump_entries refuses a kind
+    # it does not know
     sd = small_reflection()
-    with pytest.raises(InvalidArgumentError):
-        build_factorization(GridFunction(sd.zgrid, sd.r), 0.0, 0.0, "Sideways")
+    with pytest.raises(InvalidArgumentError, match="unknown factorization kind"):
+        _jump_entries("Sideways", sd.r, sd.zgrid, np.array([[0.0]]), 0.0)
 
 
 def test_neumann_solution_solves_the_equation():
     sd = small_reflection()
-    r = GridFunction(sd.zgrid, sd.r)
     for x_H, kind in ((-0.7, TRIANGULAR), (0.7, DELTA_CONJUGATED)):
-        f = build_factorization(r, x_H, 0.0, kind)
-        sol = solve_mu(f)
-        assert sol.residual < 1e-10
-        assert sol.iterations < 40
+        out = cell_solve(sd.r, sd.zgrid, kind, [x_H])
+        assert out["residual"][0] < 1e-10
+        assert out["iterations"] < 40
         # mu - I is small in the small-data regime
-        assert np.max(np.abs(sol.mu[:, 0, 0] - 1.0)) < 0.1
+        assert np.max(np.abs(out["mu"][0] - 1.0)) < 0.1
 
 
 def test_neumann_and_dense_solvers_agree():
+    # both rows of the solver's operator, with the mu right-hand sides
     sd = small_reflection(N=512, N_z=512, z_min=0.9)
-    r = GridFunction(sd.zgrid, sd.r)
     for x_H, kind in ((-0.4, TRIANGULAR), (0.4, DELTA_CONJUGATED)):
-        f = build_factorization(r, x_H, 0.0, kind)
-        sol = solve_mu(f)
-        n = sd.zgrid.point_count
-        ones = np.ones(n, dtype=complex)
-        zeros = np.zeros(n, dtype=complex)
-        rows = _dense_solve(f.u21, f.u12, [(ones, zeros), (zeros, ones)],
+        u21, u12 = jump_batch(sd.r, sd.zgrid, kind, [x_H])
+        rhs = mu_rhs(u21)
+        x, *_ = _solve(u21, u12, rhs, kind, sd.zgrid)
+        rows = _dense_solve(u21[0], u12[0], [(rhs[0][i, 0], rhs[1][i, 0]) for i in range(2)],
                             kind, sd.zgrid)
-        dense_mu = np.empty_like(sol.mu)
-        dense_mu[:, 0, 0], dense_mu[:, 0, 1] = rows[0]
-        dense_mu[:, 1, 0], dense_mu[:, 1, 1] = rows[1]
-        assert np.max(np.abs(sol.mu - dense_mu)) < 1e-9
+        for i, (dense1, dense2) in enumerate(rows):
+            assert np.max(np.abs(x[0][i, 0] - dense1)) < 1e-9
+            assert np.max(np.abs(x[1][i, 0] - dense2)) < 1e-9
 
 
 def test_dense_reference_size_cap():
     # the reference collocation solve refuses grids above DENSE_CAP; the
     # sweeps report data far out of the contraction regime on any grid
     sd = small_reflection(N=512, N_z=2048, z_min=0.5)
-    r = GridFunction(sd.zgrid, 40.0 * sd.r / np.max(np.abs(sd.r)))
-    f = build_factorization(r, -0.5, 0.0, TRIANGULAR)
+    r = 40.0 * sd.r / np.max(np.abs(sd.r))
+    u21, u12 = jump_batch(r, sd.zgrid, TRIANGULAR, [-0.5])
     with pytest.raises(RhpUnsolvedError, match="1 of 1 Triangular cells unsolved"):
-        solve_mu(f)
+        _solve_batch(u21, u12, TRIANGULAR, sd.zgrid)
     ones = np.ones(sd.zgrid.point_count, dtype=complex)
     with pytest.raises(RhpUnsolvedError, match="dense reference solve capped"):
-        _dense_solve(f.u21, f.u12, [(ones, 0 * ones)], TRIANGULAR, sd.zgrid)
-
-
-@pytest.mark.parametrize("tol, max_iterations", [(np.nan, NEUMANN_CAP), (np.inf, NEUMANN_CAP),
-                                                  (0.0, NEUMANN_CAP), (-1.0, NEUMANN_CAP),
-                                                  (NEUMANN_TOL, -1)])
-def test_solve_mu_refuses_a_bad_tolerance_or_cap(tol, max_iterations, monkeypatch):
-    # refused before any sweep: a NaN tol would fail every convergence
-    # test, a tol <= 0 run every sweep and fail, a cap < 0 act as 0
-    sd = small_reflection(N=512, N_z=512, z_min=0.9)
-    f = build_factorization(GridFunction(sd.zgrid, sd.r), -0.4, 0.0, TRIANGULAR)
-    monkeypatch.setattr(wkist.rhp, "_solve", None)
-    with pytest.raises(InvalidArgumentError):
-        solve_mu(f, tol=tol, max_iterations=max_iterations)
+        _dense_solve(u21[0], u12[0], [(ones, 0 * ones)], TRIANGULAR, sd.zgrid)
 
 
 def test_recurrence_phases_match_the_exponential():
@@ -181,61 +163,67 @@ def test_unconverged_cell_raises_without_the_dense_solve(kind, x_H, monkeypatch)
     monkeypatch.setattr(wkist.rhp, "_dense_solve", no_dense)
     with pytest.raises(RhpUnsolvedError, match=f"2 of 2 {kind} cells unsolved"):
         _solve_batch(u21, u12, kind, sd.zgrid)
-    f = build_factorization(GridFunction(sd.zgrid, r), x_H[0], 0.0, kind)
     with pytest.raises(RhpUnsolvedError, match=f"1 of 1 {kind} cells unsolved"):
-        solve_mu(f)
+        _solve_batch(u21[:1], u12[:1], kind, sd.zgrid)
 
 
 def test_derivative_solve_matches_finite_differences():
-    # dx_m1, read off M(0) of the mu solve, against central differences
-    # of the moment, for both kinds
+    # the slope the inverse ships, read off M(0) of its solve, against
+    # central differences of the full-line moment m^(1)_12, for both kinds
     sd = small_reflection()
-    r = GridFunction(sd.zgrid, sd.r)
     delta = 1e-3
-    for x_H, kind in ((-0.9, TRIANGULAR), (0.6, DELTA_CONJUGATED)):
-        f = build_factorization(r, x_H, 0.0, kind)
-        analytic = dx_m1(f, solve_mu(f))
-        up = build_factorization(r, x_H + delta, 0.0, kind)
-        dn = build_factorization(r, x_H - delta, 0.0, kind)
-        fd = (m1_moment(up, solve_mu(up)) - m1_moment(dn, solve_mu(dn))) / (2 * delta)
-        assert np.max(np.abs(analytic - fd)) < 1e-5
-
-
-def test_moment_derivative_matches_finite_differences():
-    sd = small_reflection()
-    r = GridFunction(sd.zgrid, sd.r)
-    delta = 1e-3
-    f = build_factorization(r, -0.8, 0.0, TRIANGULAR)
-    analytic = dx_m1(f, solve_mu(f))
-    up = build_factorization(r, -0.8 + delta, 0.0, TRIANGULAR)
-    dn = build_factorization(r, -0.8 - delta, 0.0, TRIANGULAR)
-    fd = (m1_moment(up, solve_mu(up)) - m1_moment(dn, solve_mu(dn))) / (2 * delta)
-    assert np.max(np.abs(analytic - fd)) < 1e-5
+    for x_H, kind in ((-0.9, TRIANGULAR), (-0.8, TRIANGULAR), (0.6, DELTA_CONJUGATED)):
+        out = cell_solve(sd.r, sd.zgrid, kind, [x_H, x_H + delta, x_H - delta])
+        fd = (out["m12"][1] - out["m12"][2]) / (2 * delta)
+        assert abs(out["slope"][0] - fd) < 1e-5
 
 
 def test_factorization_kinds_agree_where_both_apply():
     # at x_H = 0 both factorizations are admissible and, after removing
-    # the delta conjugation's diagonal shift, must give the same moment
+    # the delta conjugation's diagonal shift, must give the same m^(1)_11
+    # and slope, the two numbers the inverse reads
     sd = small_reflection()
-    r = GridFunction(sd.zgrid, sd.r)
-    ft = build_factorization(r, 0.0, 0.0, TRIANGULAR)
-    fd = build_factorization(r, 0.0, 0.0, DELTA_CONJUGATED)
-    st, sd_ = solve_mu(ft), solve_mu(fd)
-    m_t, m_d = m1_moment(ft, st), m1_moment(fd, sd_)
-    assert np.max(np.abs(m_t - m_d)) < 1e-6
-    dx_t, dx_d = dx_m1(ft, st), dx_m1(fd, sd_)
-    assert abs(dx_t[0, 1] - dx_d[0, 1]) < 1e-6
+    tri, dc = (cell_solve(sd.r, sd.zgrid, kind, [0.0]) for kind in (TRIANGULAR, DELTA_CONJUGATED))
+    assert abs(tri["m11"][0] - dc["m11"][0]) < 1e-6
+    assert abs(tri["slope"][0] - dc["slope"][0]) < 1e-6
 
 
 def test_moments_inherit_the_schwarz_symmetry():
-    # for our data r comes from a real potential; m1_12 and -conj(m1_21)
-    # agree and m1_11 is purely imaginary, up to solver tolerance
+    # for our data r comes from a real potential: m1_11 of the inverse's
+    # solve is purely imaginary, and with both rows of the operator
+    # solved, m1_12 and -conj(m1_21) agree, up to solver tolerance
     sd = small_reflection()
-    r = GridFunction(sd.zgrid, sd.r)
-    f = build_factorization(r, -1.0, 0.0, TRIANGULAR)
-    m1 = m1_moment(f, solve_mu(f))
-    assert abs(m1[0, 1] + np.conj(m1[1, 0])) < 1e-8
-    assert abs(m1[0, 0].real) < 1e-8
+    assert abs(cell_solve(sd.r, sd.zgrid, TRIANGULAR, [-1.0])["m11"][0].real) < 1e-8
+    u21, u12 = jump_batch(sd.r, sd.zgrid, TRIANGULAR, [-1.0])
+    x, *_ = _solve(u21, u12, mu_rhs(u21), TRIANGULAR, sd.zgrid)
+    col1, col2 = _moment_rows(*x, u21, u12, sd.zgrid.spacing)
+    assert abs(col2[0, 0] + np.conj(col1[1, 0])) < 1e-8
+
+
+def test_band_moment_is_zero_on_vanishing_edges():
+    # the fit sees only the edge samples: where they vanish there is no band
+    zg = make_spectral_grid(40.0, 1024)
+    u = np.where(np.abs(zg.points) < 30.0, 1.0 + 0.5j, 0.0)[None, :]
+    assert np.array_equal(band_moment(u, zg), np.zeros(1, complex))
+    sd = small_reflection()
+    u21, u12 = jump_batch(sd.r, sd.zgrid, TRIANGULAR, [-0.8])
+    assert band_moment(u12, sd.zgrid)[0] != 0.0
+
+
+def test_band_moment_pulls_the_moment_toward_wide_grid():
+    # the jump c1 z/(z^2 + 1) decays only like c1/z: on a Z = 40 grid the
+    # windowed moment misses the band |s| > 40, which the band moment
+    # supplies; a Z = 160 grid of equal spacing is the reference
+    c1 = 0.08 - 0.015j
+    rfun = lambda z: c1 * z / (z**2 + 1.0)
+    narrow, wide = make_spectral_grid(40.0, 4096), make_spectral_grid(160.0, 16384)
+    assert narrow.spacing == wide.spacing
+    x_H = [-0.8, -0.3]
+    ref = cell_solve(rfun(wide.points), wide, TRIANGULAR, x_H)["m12"]
+    out = cell_solve(rfun(narrow.points), narrow, TRIANGULAR, x_H)
+    windowed = out["m12"] - band_moment(out["u12"], narrow)
+    assert np.all(np.abs(out["m12"] - ref) < 6e-6)
+    assert np.all(np.abs(windowed - ref) > 2e-4)
 
 
 def test_suggest_z_min_scales_with_demand():
@@ -280,13 +268,6 @@ def test_tail_rhs_pulls_band_solution_toward_wide_grid():
     assert gap_no > 1e-3          # the cut alone costs this much
     assert gap_yes < 6e-5
     assert gap_yes < gap_no / 20.0
-
-
-def jump_batch(r, zgrid, kind, x_H):
-    """u21, u12 of a batch of cells, with Delta built for the DeltaConjugated kind."""
-    Delta = delta_function(GridFunction(zgrid, r))[2].values if kind == DELTA_CONJUGATED else None
-    u21, u12, _ = _jump_entries(kind, r, zgrid, np.asarray(x_H, float)[:, None], 0.0, Delta)
-    return u21, u12
 
 
 def mu_rhs(u21):

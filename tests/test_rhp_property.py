@@ -6,23 +6,19 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from wkist.lattice import GridFunction, _tail_outside, make_spectral_grid  # noqa: E402
+from wkist.lattice import _TAIL_REGION, _tail_outside, make_spectral_grid  # noqa: E402
 from wkist.rhp import (  # noqa: E402
     DELTA_CONJUGATED,
     NEUMANN_TOL,
     TRIANGULAR,
     _apply_cw,
     _dense_solve,
-    _jump_entries,
     _l2_residual,
     _m0_rows,
+    _solve,
     _solve_batch,
-    build_factorization,
-    delta_function,
-    dx_m1,
-    m1_moment,
-    solve_mu,
 )
+from rhp_cells import cell_solve, jump_batch  # noqa: E402
 
 ZGRID = make_spectral_grid(20.0, 256, z_min=0.5)
 FINE_ZGRID = make_spectral_grid(20.0, 512, z_min=0.5)
@@ -42,7 +38,9 @@ def random_reflection(seed, amplitude, zgrid=ZGRID, smooth=False):
     """Random reflection data on ``zgrid`` with max |r| = amplitude.
 
     Zero for |z| < z_min: cut there, or with ``smooth`` switched on by a
-    C-infinity step over z_min <= |z| <= 2 z_min.
+    C-infinity step over z_min <= |z| <= 2 z_min and switched off by
+    another before the edge samples the tail completion fits, so that
+    the grid holds all of the jump.
     """
     z = zgrid.points
     rng = np.random.default_rng(seed)
@@ -50,7 +48,9 @@ def random_reflection(seed, amplitude, zgrid=ZGRID, smooth=False):
     centers, widths = rng.uniform(-8.0, 8.0, 3), rng.uniform(0.5, 4.0, 3)
     r = (c * np.exp(-((z[:, None] - centers) / widths) ** 2)).sum(axis=1)
     if smooth:
-        r = r * smooth_step(np.abs(z) / zgrid.z_min - 1.0)
+        edge = _TAIL_REGION * zgrid.half_width
+        r = (r * smooth_step(np.abs(z) / zgrid.z_min - 1.0)
+             * smooth_step(8.0 * (1.0 - np.abs(z) / edge)))
     else:
         r = np.where(np.abs(z) >= zgrid.z_min, r, 0.0)
     return r * (amplitude / np.max(np.abs(r)))
@@ -63,8 +63,7 @@ def dense_row_1(r, x_H, kind, zgrid=ZGRID):
     with: column 2 carries the outer band ``_tail_outside(u12)``, whose
     value at z = 0 is the band's part of M12(0).
     """
-    Delta = delta_function(GridFunction(zgrid, r))[2].values if kind == DELTA_CONJUGATED else None
-    u21, u12, _ = _jump_entries(kind, r, zgrid, np.array([[x_H]]), 0.0, Delta)
+    u21, u12 = jump_batch(r, zgrid, kind, [x_H])
     band = _tail_outside(u12[0], zgrid)
     mu = _dense_solve(u21[0], u12[0], [(np.ones(zgrid.point_count), band)], kind, zgrid)[0]
     return u21, u12, mu, band[zgrid.point_count // 2]
@@ -93,9 +92,7 @@ def test_reported_residual_is_the_exact_residual_on_random_small_data(seed, ampl
     # the sweeps stop at a half-step check and return the pair it
     # measured: every cell's residual must be that pair's, recomputed
     # from the full operator, and below tol
-    r = random_reflection(seed, amplitude)
-    Delta = delta_function(GridFunction(ZGRID, r))[2].values if kind == DELTA_CONJUGATED else None
-    u21, u12, _ = _jump_entries(kind, r, ZGRID, np.array(x_H)[:, None], 0.0, Delta)
+    u21, u12 = jump_batch(random_reflection(seed, amplitude), ZGRID, kind, x_H)
     out = _solve_batch(u21, u12, kind, ZGRID)
     rhs = (np.ones_like(u21), _tail_outside(u12, ZGRID))
     c = _apply_cw(*(x[None] for x in out["mu"]), u21, u12, kind, ZGRID)
@@ -113,38 +110,36 @@ def test_reported_residual_is_the_exact_residual_on_random_small_data(seed, ampl
 @hypothesis.given(**small_data)
 def test_row_2_is_the_schwarz_reflection_of_row_1(seed, amplitude, x_H, kind):
     # u12 = conj(u21) in both kinds and C-(conj v) = -conj(C+ v), so row 2
-    # of mu is fixed by row 1: this is why the inverse solves row 1 alone
-    f = build_factorization(GridFunction(ZGRID, random_reflection(seed, amplitude)),
-                            x_H, 0.0, kind)
-    m = solve_mu(f).mu
-    assert np.max(np.abs(m[:, 1, 0] + np.conj(m[:, 0, 1]))) < 1e-9
-    assert np.max(np.abs(m[:, 1, 1] - np.conj(m[:, 0, 0]))) < 1e-9
+    # of mu is fixed by row 1: this is why the inverse solves row 1 alone.
+    # Both rows of the operator, with the mu right-hand sides
+    u21, u12 = jump_batch(random_reflection(seed, amplitude), ZGRID, kind, [x_H])
+    one, zero = np.ones_like(u21), np.zeros_like(u21)
+    (x1, x2), *_ = _solve(u21, u12, (np.stack([one, zero]), np.stack([zero, one])), kind, ZGRID)
+    assert np.max(np.abs(x1[1] + np.conj(x2[0]))) < 1e-9
+    assert np.max(np.abs(x2[1] - np.conj(x1[0]))) < 1e-9
 
 
 @hypothesis.settings(max_examples=20, deadline=None)
 @hypothesis.given(**small_data)
 def test_slope_identity_on_random_data(seed, amplitude, x_H, kind):
-    # d m1/d x_H = -i (M(0) sigma3 M(0)^{-1} - sigma3) for random smooth r
-    # that vanishes for |z| < z_min: against central differences of the
-    # moment (criterion 10's 1e-5), between the kinds at x_H = 0
-    # (criterion 5's 1e-6), and the batched slope against the same
-    # formula on the dense solution.  The identity holds for the
-    # continuous problem, so the grid must resolve the data and the phase
-    # e^{2 i x_H/z} down to z_min: FINE_ZGRID has twice ZGRID's points
-    r = GridFunction(FINE_ZGRID, random_reflection(seed, amplitude, FINE_ZGRID, smooth=True))
+    # slope = d m^(1)_12/d x_H = 2i M11(0) M12(0) on the inverse's own
+    # solve, for random smooth r that vanishes for |z| < z_min and at the
+    # grid edges: against central differences of m^(1)_12 (criterion
+    # 10's 1e-5), the kinds' m^(1)_11 and slopes at x_H = 0 (criterion
+    # 5's 1e-6), and the batched slope against the same formula on the
+    # dense solution.  The identity holds for the continuous problem, so
+    # the grid must resolve the data and the phase e^{2 i x_H/z} down to
+    # z_min: FINE_ZGRID has twice ZGRID's points
+    r = random_reflection(seed, amplitude, FINE_ZGRID, smooth=True)
     delta = 1e-3
-    f = build_factorization(r, x_H, 0.0, kind)
-    up = build_factorization(r, x_H + delta, 0.0, kind)
-    dn = build_factorization(r, x_H - delta, 0.0, kind)
-    diff = (m1_moment(up, solve_mu(up)) - m1_moment(dn, solve_mu(dn))) / (2 * delta)
-    assert np.max(np.abs(dx_m1(f, solve_mu(f)) - diff)) < 1e-5
+    out = cell_solve(r, FINE_ZGRID, kind, [x_H, x_H + delta, x_H - delta])
+    assert abs(out["slope"][0] - (out["m12"][1] - out["m12"][2]) / (2 * delta)) < 1e-5
 
-    ft, fd = (build_factorization(r, 0.0, 0.0, k) for k in (TRIANGULAR, DELTA_CONJUGATED))
-    st, sd = solve_mu(ft), solve_mu(fd)
-    assert abs(m1_moment(ft, st)[0, 1] - m1_moment(fd, sd)[0, 1]) < 1e-6
-    assert abs(dx_m1(ft, st)[0, 1] - dx_m1(fd, sd)[0, 1]) < 1e-6
+    tri, dc = (cell_solve(r, FINE_ZGRID, k, [0.0]) for k in (TRIANGULAR, DELTA_CONJUGATED))
+    assert abs(tri["m11"][0] - dc["m11"][0]) < 1e-6
+    assert abs(tri["slope"][0] - dc["slope"][0]) < 1e-6
 
-    u21, u12, (mu11, mu12), band0 = dense_row_1(r.values, x_H, kind, FINE_ZGRID)
+    u21, u12, (mu11, mu12), band0 = dense_row_1(r, x_H, kind, FINE_ZGRID)
     m11, m12 = _m0_rows(mu11, mu12, u21[0], u12[0], FINE_ZGRID)
     out = _solve_batch(u21, u12, kind, FINE_ZGRID)
     assert abs(out["slope"][0] - 2j * (1.0 + m11) * (m12 + band0)) < 1e-9
