@@ -369,12 +369,12 @@ def _config_from_args(args) -> RunConfig:
     cfg = replace(cfg, **overrides)
     # checked before any pipeline runs: ``inverse --input`` never reaches
     # the forward guard that reads a_floor, and only compare-pde reads cfl;
-    # suggest_z_min's bisection would take a NaN or negative t or window
+    # suggest_z_min's bisection would take a NaN t, or a NaN or negative window
     for name in ("decay_floor", "a_floor"):
         check_threshold(name, getattr(cfg, name))
     if not 0.0 < cfg.cfl < float("inf"):
         raise InvalidArgumentError(f"cfl must be a finite number > 0, got {cfg.cfl}")
-    if not np.isfinite(cfg.t):
+    if not abs(cfg.t) < float("inf"):
         raise InvalidArgumentError(f"t must be a finite number, got {cfg.t}")
     if not 0.0 <= cfg.window < float("inf"):
         raise InvalidArgumentError(f"window must be a finite number >= 0, got {cfg.window}")

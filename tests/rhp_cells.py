@@ -7,7 +7,8 @@ delta conjugation's shift d1 from m^(1)_11 of the DeltaConjugated kind.
 check on the equation the inverse solves.  It also gives m^(1)_12, which
 the inverse never reads but whose x_H-derivative the slope is: the
 windowed ``_moment_rows`` entry plus the outer band's part of the
-integral (``band_moment``).
+integral (``band_moment``); ``fd_slope_gap`` checks the slope against
+its central differences.
 """
 
 import numpy as np
@@ -62,3 +63,9 @@ def cell_solve(r, zgrid, kind, x_H):
     if kind == DELTA_CONJUGATED:
         m11 = m11 - _delta_shift(r, zgrid)
     return dict(out, u21=u21, u12=u12, m11=m11, m12=m12 + band_moment(u12, zgrid))
+
+
+def fd_slope_gap(r, zgrid, kind, x_H, delta=1e-3):
+    """|slope - central difference of the full-line m^(1)_12| at cell ``x_H``."""
+    out = cell_solve(r, zgrid, kind, [x_H, x_H + delta, x_H - delta])
+    return abs(out["slope"][0] - (out["m12"][1] - out["m12"][2]) / (2 * delta))

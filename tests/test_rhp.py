@@ -25,7 +25,7 @@ from wkist.rhp import (
     delta_function,
     suggest_z_min,
 )
-from rhp_cells import band_moment, cell_solve, jump_batch
+from rhp_cells import band_moment, cell_solve, fd_slope_gap, jump_batch
 
 
 def small_reflection(N=1024, N_z=1024, z_min=0.5, amp=0.05):
@@ -171,19 +171,14 @@ def test_derivative_solve_matches_finite_differences():
     # the slope the inverse ships, read off M(0) of its solve, against
     # central differences of the full-line moment m^(1)_12, for both kinds
     sd = small_reflection()
-    delta = 1e-3
     for x_H, kind in ((-0.9, TRIANGULAR), (0.6, DELTA_CONJUGATED)):
-        out = cell_solve(sd.r, sd.zgrid, kind, [x_H, x_H + delta, x_H - delta])
-        fd = (out["m12"][1] - out["m12"][2]) / (2 * delta)
-        assert abs(out["slope"][0] - fd) < 1e-5
+        assert fd_slope_gap(sd.r, sd.zgrid, kind, x_H) < 1e-5
 
 
 def test_moment_derivative_matches_finite_differences():
+    # the same check at criterion 10's cell
     sd = small_reflection()
-    delta = 1e-3
-    out = cell_solve(sd.r, sd.zgrid, TRIANGULAR, [-0.8, -0.8 + delta, -0.8 - delta])
-    fd = (out["m12"][1] - out["m12"][2]) / (2 * delta)
-    assert abs(out["slope"][0] - fd) < 1e-5
+    assert fd_slope_gap(sd.r, sd.zgrid, TRIANGULAR, -0.8) < 1e-5
 
 
 def test_factorization_kinds_agree_where_both_apply():
@@ -194,6 +189,17 @@ def test_factorization_kinds_agree_where_both_apply():
     tri, dc = (cell_solve(sd.r, sd.zgrid, kind, [0.0]) for kind in (TRIANGULAR, DELTA_CONJUGATED))
     assert abs(tri["m11"][0] - dc["m11"][0]) < 1e-6
     assert abs(tri["slope"][0] - dc["slope"][0]) < 1e-6
+
+
+@pytest.mark.xfail(strict=True, reason="the kinds' full-line m^(1)_12 differ by 1.6e-6 at "
+                   "x_H = 0: the DeltaConjugated kind's Delta and d1 miss their outer band "
+                   "(ROADMAP item 2)")
+def test_factorization_kinds_agree_on_m1_12():
+    # conjugation by Delta shifts only the diagonal of m^(1), so the
+    # kinds' full-line m^(1)_12 must agree at x_H = 0 too
+    sd = small_reflection()
+    tri, dc = (cell_solve(sd.r, sd.zgrid, kind, [0.0]) for kind in (TRIANGULAR, DELTA_CONJUGATED))
+    assert abs(tri["m12"][0] - dc["m12"][0]) < 1e-6
 
 
 def test_moments_inherit_the_schwarz_symmetry():

@@ -18,7 +18,7 @@ from wkist.rhp import (  # noqa: E402
     _solve,
     _solve_batch,
 )
-from rhp_cells import cell_solve, jump_batch  # noqa: E402
+from rhp_cells import cell_solve, fd_slope_gap, jump_batch  # noqa: E402
 
 ZGRID = make_spectral_grid(20.0, 256, z_min=0.5)
 FINE_ZGRID = make_spectral_grid(20.0, 512, z_min=0.5)
@@ -38,9 +38,7 @@ def random_reflection(seed, amplitude, zgrid=ZGRID, smooth=False):
     """Random reflection data on ``zgrid`` with max |r| = amplitude.
 
     Zero for |z| < z_min: cut there, or with ``smooth`` switched on by a
-    C-infinity step over z_min <= |z| <= 2 z_min and switched off by
-    another before the edge samples the tail completion fits, so that
-    the grid holds all of the jump.
+    C-infinity step over z_min <= |z| <= 2 z_min.
     """
     z = zgrid.points
     rng = np.random.default_rng(seed)
@@ -48,12 +46,17 @@ def random_reflection(seed, amplitude, zgrid=ZGRID, smooth=False):
     centers, widths = rng.uniform(-8.0, 8.0, 3), rng.uniform(0.5, 4.0, 3)
     r = (c * np.exp(-((z[:, None] - centers) / widths) ** 2)).sum(axis=1)
     if smooth:
-        edge = _TAIL_REGION * zgrid.half_width
-        r = (r * smooth_step(np.abs(z) / zgrid.z_min - 1.0)
-             * smooth_step(8.0 * (1.0 - np.abs(z) / edge)))
+        r = r * smooth_step(np.abs(z) / zgrid.z_min - 1.0)
     else:
         r = np.where(np.abs(z) >= zgrid.z_min, r, 0.0)
     return r * (amplitude / np.max(np.abs(r)))
+
+
+def edges_off(r, zgrid):
+    """``r`` switched off by a C-infinity step before the edge samples
+    that ``_tail_completion`` fits, so that the grid holds all of the jump."""
+    edge = _TAIL_REGION * zgrid.half_width
+    return r * smooth_step(8.0 * (1.0 - np.abs(zgrid.points) / edge))
 
 
 def dense_row_1(r, x_H, kind, zgrid=ZGRID):
@@ -123,23 +126,38 @@ def test_row_2_is_the_schwarz_reflection_of_row_1(seed, amplitude, x_H, kind):
 @hypothesis.given(**small_data)
 def test_slope_identity_on_random_data(seed, amplitude, x_H, kind):
     # slope = d m^(1)_12/d x_H = 2i M11(0) M12(0) on the inverse's own
-    # solve, for random smooth r that vanishes for |z| < z_min and at the
-    # grid edges: against central differences of m^(1)_12 (criterion
-    # 10's 1e-5), the kinds' m^(1)_11 and slopes at x_H = 0 (criterion
-    # 5's 1e-6), and the batched slope against the same formula on the
-    # dense solution.  The identity holds for the continuous problem, so
-    # the grid must resolve the data and the phase e^{2 i x_H/z} down to
-    # z_min: FINE_ZGRID has twice ZGRID's points
+    # solve, for random smooth r that vanishes for |z| < z_min.  The
+    # identity holds for the continuous problem, so the grid must
+    # resolve the data and the phase e^{2 i x_H/z} down to z_min:
+    # FINE_ZGRID has twice ZGRID's points
     r = random_reflection(seed, amplitude, FINE_ZGRID, smooth=True)
-    delta = 1e-3
-    out = cell_solve(r, FINE_ZGRID, kind, [x_H, x_H + delta, x_H - delta])
-    assert abs(out["slope"][0] - (out["m12"][1] - out["m12"][2]) / (2 * delta)) < 1e-5
-
     tri, dc = (cell_solve(r, FINE_ZGRID, k, [0.0]) for k in (TRIANGULAR, DELTA_CONJUGATED))
     assert abs(tri["m11"][0] - dc["m11"][0]) < 1e-6
-    assert abs(tri["slope"][0] - dc["slope"][0]) < 1e-6
 
+    # the batched slope against the same formula on the dense solution
     u21, u12, (mu11, mu12), band0 = dense_row_1(r, x_H, kind, FINE_ZGRID)
     m11, m12 = _m0_rows(mu11, mu12, u21[0], u12[0], FINE_ZGRID)
     out = _solve_batch(u21, u12, kind, FINE_ZGRID)
     assert abs(out["slope"][0] - 2j * (1.0 + m11) * (m12 + band0)) < 1e-9
+
+    # the slope against central differences of the full-line m^(1)_12
+    # (criterion 10's 1e-5) and the kinds' slopes at x_H = 0 (criterion
+    # 5's 1e-6) hold only where the tail completion is exact, so these
+    # take the draw with its edges off; on a Gaussian edge they fail
+    # (test_slope_identity_on_a_gaussian_edge)
+    r = edges_off(r, FINE_ZGRID)
+    assert fd_slope_gap(r, FINE_ZGRID, kind, x_H) < 1e-5
+    tri, dc = (cell_solve(r, FINE_ZGRID, k, [0.0]) for k in (TRIANGULAR, DELTA_CONJUGATED))
+    assert abs(tri["slope"][0] - dc["slope"][0]) < 1e-6
+
+
+@pytest.mark.xfail(strict=True, reason="_tail_completion extrapolates a Gaussian edge of "
+                   "1.5e-4 into a band that moves the slope off the full-line equation by "
+                   "5.1e-4 (ROADMAP item 2)")
+def test_slope_identity_on_a_gaussian_edge():
+    # a draw of random_reflection whose Gaussians reach the edge samples
+    # that the tail fit reads
+    r = random_reflection(6, 0.2, FINE_ZGRID, smooth=True)
+    tri, dc = (cell_solve(r, FINE_ZGRID, k, [0.0]) for k in (TRIANGULAR, DELTA_CONJUGATED))
+    assert fd_slope_gap(r, FINE_ZGRID, TRIANGULAR, -0.5) < 1e-5
+    assert abs(tri["slope"][0] - dc["slope"][0]) < 1e-6
