@@ -19,8 +19,17 @@ solutions are propagated only halfway, which also halves the cost):
     a = det((psi+)_1, (psi-)_2)      b = det((psi-)_1, (psi+)_1)
     c = det((psi-)_1, (psi+)_2)      d = det((psi+)_2, (psi-)_2)
 
-and r(z) = b(-1/z)/a(-1/z) on the spectral grid of the inverse problem,
-so no interpolation across the z <-> lam map is ever needed.
+and r(z) = b(-1/z)/a(-1/z) on the spectral grid of the inverse problem.
+The grid's active band crowds its lam = -1/z near 0, spaced down to
+h_z / Z^2, while r is smooth in lam: it oscillates no faster than
+e^{2 i lam x}, |x| <= L.  So the Wronskians are taken once, on a
+uniform lam lattice of spacing ``LAM_STEP_FACTOR`` / L (16 nodes per
+period of e^{2 i lam L}) that is symmetric about, and avoids, lam = 0
+and covers the band's largest |lam|, and a and b are carried onto the
+band by the package's one interpolant, ``_cubic_spline``.  The
+diagnostic ``spectral_lattice_error_estimate`` is the spline's
+``_halving_miss`` of r over the lattice.  A band of no more lam than
+the lattice is marched itself, and nothing is interpolated.
 
 One loop, `_march`, steps psi for a whole batch of lam.  For real lam
 each cell propagator is in SU(2), [[a, -conj b], [b, conj a]], bit for
@@ -50,7 +59,7 @@ from .errors import (
     ResolutionExceededError,
     check_threshold,
 )
-from .lattice import SpectralGrid
+from .lattice import SpectralGrid, _cubic_spline, _halving_miss
 from .lax import Potential, akns_potentials
 
 __all__ = [
@@ -69,6 +78,9 @@ __all__ = [
 # by substepping; at desk resolutions one step per cell suffices.
 LOCAL_ERROR_BOUND = 1e-5
 STEP_CAP_FACTOR = 64  # max total substeps per lam, in units of the cell count
+# The lam lattice's spacing, in units of 1/L: pi/16 is 16 nodes per period
+# of e^{2 i lam x} at the grid edge |x| = L.
+LAM_STEP_FACTOR = np.pi / 16
 
 
 @dataclass
@@ -86,9 +98,11 @@ class ScatteringData:
     r: np.ndarray            # reflection coefficient on the full z grid (0 outside the active band)
     active: np.ndarray       # bool mask of grid z with z_min <= |z| (and z != 0)
     lam: np.ndarray          # -1/z over the active band
-    a: np.ndarray            # a(lam) over the active band
-    b: np.ndarray            # b(lam) over the active band
+    a: np.ndarray            # a(lam) over the active band, splined from the lam lattice
+    b: np.ndarray            # b(lam) over the active band, splined from the lam lattice
     time: float = 0.0
+    # the Wronskian defects and min |a| are the lam lattice's, the
+    # truncation edges the band's
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -330,9 +344,35 @@ def symmetry_defect(T: np.ndarray) -> float:
     return float(abs(T[0, 1] + np.conj(T[1, 0])) + abs(T[1, 1] - np.conj(T[0, 0])))
 
 
+def _lam_lattice(p: Potential, lam: np.ndarray) -> np.ndarray:
+    """The lam the Jost pair is marched at, for the band's ``lam``.
+
+    The nodes are +-(j + 1/2) dlam, j = 0..J, dlam = ``LAM_STEP_FACTOR`` /
+    L, with (J + 1/2) dlam >= max |lam|: symmetric, free of lam = 0, and
+    covering the band, off which the spline is zero.  A lattice of at
+    least as many nodes as the band gives the band itself.
+    """
+    step = LAM_STEP_FACTOR / p.grid.half_width
+    reach = np.max(np.abs(lam))
+    count = int(np.ceil(reach / step - 0.5)) + 1
+    if (count - 0.5) * step < reach:  # rounding
+        count += 1
+    if 2 * count >= lam.size:
+        return lam
+    half = (np.arange(count) + 0.5) * step
+    return np.concatenate([-half[::-1], half])
+
+
 def reflection_coefficient(p: Potential, zgrid: SpectralGrid,
                            a_floor: float = 0.5) -> ScatteringData:
     """r(z) = b(-1/z)/a(-1/z) on the active band z_min <= |z| of the grid.
+
+    a, b, c, d are the Wronskians on the lam lattice (``_lam_lattice``);
+    a and b are splined onto the band's lam, and r = b/a there.  The
+    unitarity, det and symmetry defects and min |a| are read on the
+    lattice, where the Wronskians are exact to the scheme;
+    ``outer_truncation`` and ``inner_truncation``, the largest |r| at
+    the band's outer and inner edges, on the band.
 
     Rejects with possible-bound-state when min |a| < ``a_floor``: the
     small-data theory keeps a bounded away from zero, so a deep dip
@@ -344,7 +384,8 @@ def reflection_coefficient(p: Potential, zgrid: SpectralGrid,
     active = zgrid.active
     lam = -1.0 / z[active]
 
-    a, b, c, d, det_defect = _wronskians(p, lam)
+    nodes = _lam_lattice(p, lam)
+    a, b, c, d, det_defect = _wronskians(p, nodes)
 
     min_abs_a = float(np.min(np.abs(a)))
     if min_abs_a < a_floor:
@@ -353,6 +394,16 @@ def reflection_coefficient(p: Potential, zgrid: SpectralGrid,
             "the potential likely carries bound states",
             min_abs_a=min_abs_a,
         )
+    diagnostics = {
+        "unitarity_defect": float(np.max(np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0))),
+        "min_abs_a": min_abs_a,
+        "det_defect": det_defect,
+        "symmetry_defect": float(np.max(np.abs(d + np.conj(b)) + np.abs(c - np.conj(a)))),
+        "spectral_lattice_error_estimate": 0.0,
+    }
+    if nodes is not lam:
+        diagnostics["spectral_lattice_error_estimate"] = _halving_miss(nodes, b / a)
+        a, b = _cubic_spline(nodes, a)(lam), _cubic_spline(nodes, b)(lam)
 
     r = np.zeros(len(z), dtype=complex)
     r[active] = b / a
@@ -360,14 +411,8 @@ def reflection_coefficient(p: Potential, zgrid: SpectralGrid,
     absz = np.abs(z[active])
     outer = absz >= absz.max() - zgrid.spacing / 2
     inner = absz <= absz.min() + zgrid.spacing / 2
-    diagnostics = {
-        "unitarity_defect": float(np.max(np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0))),
-        "min_abs_a": min_abs_a,
-        "det_defect": det_defect,
-        "symmetry_defect": float(np.max(np.abs(d + np.conj(b)) + np.abs(c - np.conj(a)))),
-        "outer_truncation": float(np.max(np.abs(r[active][outer]))),
-        "inner_truncation": float(np.max(np.abs(r[active][inner]))),
-    }
+    diagnostics["outer_truncation"] = float(np.max(np.abs(r[active][outer])))
+    diagnostics["inner_truncation"] = float(np.max(np.abs(r[active][inner])))
     return ScatteringData(zgrid, r, active, lam, a, b, 0.0, diagnostics)
 
 

@@ -1,4 +1,4 @@
-"""Grids, quadrature, and discrete Cauchy projections on the real line.
+"""Grids, quadrature, discrete Cauchy projections, and the one interpolant.
 
 The Cauchy boundary operators C+ and C- are built on one kernel, the
 sinc discrete Hilbert transform on the real line (Stenger 1993;
@@ -20,6 +20,12 @@ whose C- is zero (the closed-form-basis idea of Olver, Numer. Math.
 tail B c.  The public ``cauchy_plus`` and ``cauchy_minus`` add that
 term to the kernel and meet 6e-9 on ``1/(s +- i)`` at Z = 40; the RHP
 solver adds it to its right-hand side as the outer band of the jump.
+
+The package's one interpolant, a not-a-knot cubic spline
+(``_cubic_spline``), and its error estimate, the spline's miss at every
+other node (``_halving_miss``), live here: the forward carries a and b
+from its lam lattice onto the spectral band with them, and the inverse
+its hodograph lattice onto the sweep and q_H onto the physical grid.
 """
 
 from __future__ import annotations
@@ -293,6 +299,68 @@ def cauchy_plus(f: GridFunction) -> GridFunction:
 def cauchy_minus(f: GridFunction) -> GridFunction:
     """Boundary value from below; C- = C+ - id exactly at grid points."""
     return GridFunction(f.grid, _completed_cauchy_plus(f) - f.values)
+
+
+def _cubic_spline(nodes: np.ndarray, values: np.ndarray):
+    """Not-a-knot cubic spline through ``values``, zero outside the ``nodes``.
+
+    ``nodes`` are at least two and strictly increasing; ``values`` may be
+    complex.  The node slopes solve scipy's ``CubicSpline`` system, whose
+    not-a-knot end rows are taken out of the first and last interior rows
+    so that one Thomas pass solves the rest; three nodes give the
+    parabola, two the secant.  Returns a function of the evaluation
+    points, which takes the cubic Hermite form on each cell.
+    """
+    x = np.asarray(nodes, dtype=float)
+    y = np.asarray(values)
+    n = x.size
+    if n < 4:
+        d = np.gradient(y, x, edge_order=n - 1)
+    else:
+        dx = np.diff(x)
+        m = np.diff(y) / dx
+        # end rows dx_1 s_0 + w0 s_1 = b0 and w1 s_{n-2} + dx_{n-2} s_{n-1} = b1
+        w0, w1 = x[2] - x[0], x[-1] - x[-3]
+        b0 = ((dx[0] + 2.0 * w0) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / w0
+        b1 = (dx[-1] ** 2 * m[-2] + (2.0 * w1 + dx[-1]) * dx[-2] * m[-1]) / w1
+        # rows i = 1..n-2: dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1};
+        # less the end rows, the first and the last lose s_0 and s_{n-1}
+        diag = 2.0 * (dx[:-1] + dx[1:]) - np.r_[w0, np.zeros(n - 4), w1]
+        rhs = 3.0 * (dx[1:] * m[:-1] + dx[:-1] * m[1:]) - np.r_[b0, np.zeros(n - 4), b1]
+        diag, s, off = diag.tolist(), rhs.tolist(), dx.tolist()
+        for k in range(1, n - 2):
+            f = off[k + 1] / diag[k - 1]
+            diag[k] -= f * off[k - 1]
+            s[k] -= f * s[k - 1]
+        s[-1] /= diag[-1]
+        for k in range(n - 4, -1, -1):
+            s[k] = (s[k] - off[k] * s[k + 1]) / diag[k]
+        d = np.array([(b0 - w0 * s[0]) / dx[1], *s, (b1 - w1 * s[-1]) / dx[-2]])
+
+    def evaluate(points):
+        points = np.asarray(points, dtype=float)
+        # cell k holds [x_k, x_{k+1}); the last one is closed on the right
+        k = np.clip(np.searchsorted(x, points, side="right") - 1, 0, x.size - 2)
+        h = x[k + 1] - x[k]
+        t = (points - x[k]) / h
+        u = 1.0 - t
+        out = (u * u * ((1.0 + 2.0 * t) * y[k] + t * h * d[k])
+               + t * t * ((3.0 - 2.0 * t) * y[k + 1] - u * h * d[k + 1]))
+        out[(points < x[0]) | (points > x[-1])] = 0.0
+        return out
+
+    return evaluate
+
+
+def _halving_miss(nodes: np.ndarray, values: np.ndarray) -> float:
+    """Worst miss of ``_cubic_spline`` through every other node at the
+    dropped nodes inside the kept range; below three nodes, the dropped value.
+    """
+    if nodes.size < 3:
+        return float(np.max(np.abs(values[1::2])))
+    dropped = slice(1, nodes.size - 1, 2)
+    miss = _cubic_spline(nodes[::2], values[::2])(nodes[dropped]) - values[dropped]
+    return float(np.max(np.abs(miss)))
 
 
 def columns_to_csv(path, header, columns, text=()):

@@ -13,8 +13,8 @@ The chain per hodograph cell x_H:
    quadrature x(x_H) = int dx_H / <q_H>   (primary route)
    or explicitly from the diagonal moment, x = x_H - Im m^(1)_{11}
    (cross-check route); both routes resample the complex q_H from
-   their map onto the physical grid by the one interpolant of this
-   module, a not-a-knot cubic spline (``_cubic_spline``).
+   their map onto the physical grid by the package's one interpolant,
+   a not-a-knot cubic spline (``lattice._cubic_spline``).
 
 The sweep of x_H cells is the physical grid inside a finite window,
 which must hold at least two of its points; outside the window the
@@ -44,7 +44,7 @@ from .errors import (
     SlopeConditionError,
     check_threshold,
 )
-from .lattice import GridFunction, SpatialGrid
+from .lattice import GridFunction, SpatialGrid, _cubic_spline, _halving_miss
 from .lax import conserved_E1, make_potential
 from .rhp import (
     DELTA_CONJUGATED,
@@ -97,68 +97,6 @@ def qh_from_slope(s: np.ndarray, margin: float = SLOPE_MARGIN) -> np.ndarray:
             f"max |s| = {worst:.6g} is not below 1 - {margin:g}", max_slope=worst
         )
     return s / np.sqrt(1.0 - mags**2)
-
-
-def _cubic_spline(nodes: np.ndarray, values: np.ndarray):
-    """Not-a-knot cubic spline through ``values``, zero outside the ``nodes``.
-
-    ``nodes`` are at least two and strictly increasing; ``values`` may be
-    complex.  The node slopes solve scipy's ``CubicSpline`` system, whose
-    not-a-knot end rows are taken out of the first and last interior rows
-    so that one Thomas pass solves the rest; three nodes give the
-    parabola, two the secant.  Returns a function of the evaluation
-    points, which takes the cubic Hermite form on each cell.
-    """
-    x = np.asarray(nodes, dtype=float)
-    y = np.asarray(values)
-    n = x.size
-    if n < 4:
-        d = np.gradient(y, x, edge_order=n - 1)
-    else:
-        dx = np.diff(x)
-        m = np.diff(y) / dx
-        # end rows dx_1 s_0 + w0 s_1 = b0 and w1 s_{n-2} + dx_{n-2} s_{n-1} = b1
-        w0, w1 = x[2] - x[0], x[-1] - x[-3]
-        b0 = ((dx[0] + 2.0 * w0) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / w0
-        b1 = (dx[-1] ** 2 * m[-2] + (2.0 * w1 + dx[-1]) * dx[-2] * m[-1]) / w1
-        # rows i = 1..n-2: dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1};
-        # less the end rows, the first and the last lose s_0 and s_{n-1}
-        diag = 2.0 * (dx[:-1] + dx[1:]) - np.r_[w0, np.zeros(n - 4), w1]
-        rhs = 3.0 * (dx[1:] * m[:-1] + dx[:-1] * m[1:]) - np.r_[b0, np.zeros(n - 4), b1]
-        diag, s, off = diag.tolist(), rhs.tolist(), dx.tolist()
-        for k in range(1, n - 2):
-            f = off[k + 1] / diag[k - 1]
-            diag[k] -= f * off[k - 1]
-            s[k] -= f * s[k - 1]
-        s[-1] /= diag[-1]
-        for k in range(n - 4, -1, -1):
-            s[k] = (s[k] - off[k] * s[k + 1]) / diag[k]
-        d = np.array([(b0 - w0 * s[0]) / dx[1], *s, (b1 - w1 * s[-1]) / dx[-2]])
-
-    def evaluate(points):
-        points = np.asarray(points, dtype=float)
-        # cell k holds [x_k, x_{k+1}); the last one is closed on the right
-        k = np.clip(np.searchsorted(x, points, side="right") - 1, 0, x.size - 2)
-        h = x[k + 1] - x[k]
-        t = (points - x[k]) / h
-        u = 1.0 - t
-        out = (u * u * ((1.0 + 2.0 * t) * y[k] + t * h * d[k])
-               + t * t * ((3.0 - 2.0 * t) * y[k + 1] - u * h * d[k + 1]))
-        out[(points < x[0]) | (points > x[-1])] = 0.0
-        return out
-
-    return evaluate
-
-
-def _halving_miss(nodes: np.ndarray, values: np.ndarray) -> float:
-    """Worst miss of ``_cubic_spline`` through every other node at the
-    dropped nodes inside the kept range; below three nodes, the dropped value.
-    """
-    if nodes.size < 3:
-        return float(np.max(np.abs(values[1::2])))
-    dropped = slice(1, nodes.size - 1, 2)
-    miss = _cubic_spline(nodes[::2], values[::2])(nodes[dropped]) - values[dropped]
-    return float(np.max(np.abs(miss)))
 
 
 def _hodograph_lattice(sweep: np.ndarray, h: float, z_near: float) -> np.ndarray:

@@ -60,6 +60,28 @@ def test_forward_is_deterministic(tmp_path, capsys):
     assert ma["versions"] == mb["versions"]
 
 
+@pytest.mark.parametrize("pipeline", ["forward", "evolve"])
+def test_coefficients_have_one_row_per_active_reflection_sample(tmp_path, capsys, pipeline):
+    # the forward marches a lam lattice but writes a and b at the band's
+    # lam: one coefficients.csv row per active z of reflection.csv, with
+    # |r| = |b/a| there (evolution is a unimodular phase)
+    out = tmp_path / pipeline
+    flags = ["--family", "box", "--amplitude", "0.5", "--momentum", "0.25", "--t", "0.25"]
+    assert run([pipeline, "--outdir", str(out)] + SMALL + flags, capsys) == 0
+    results = json.loads((out / "manifest.json").read_text())["results"]
+    refl = np.loadtxt(out / "reflection.csv", delimiter=",", skiprows=1)
+    coeff = np.loadtxt(out / "coefficients.csv", delimiter=",", skiprows=1)
+    z = refl[:, 0]
+    active = (np.abs(z) >= results["z_min"]) & (z != 0.0)
+    assert coeff.shape == (np.count_nonzero(active), 5)
+    np.testing.assert_array_equal(coeff[:, 0], -1.0 / z[active])
+    r = refl[active, 1] + 1j * refl[active, 2]
+    a = coeff[:, 1] + 1j * coeff[:, 2]
+    b = coeff[:, 3] + 1j * coeff[:, 4]
+    assert np.max(np.abs(np.abs(r) - np.abs(b / a))) < 1e-12
+    assert np.all(refl[~active, 1:] == 0.0)
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is a test-only dependency: a CLI run must not pay for importing it
     src = str(Path(wkist.__file__).resolve().parent.parent)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from wkist.direct_scattering import (
+    LAM_STEP_FACTOR,
     LOCAL_ERROR_BOUND,
+    _lam_lattice,
     _midpoint_values,
     _sub_values,
     _wronskians,
@@ -21,6 +23,7 @@ from wkist.errors import (
 )
 from wkist.lattice import make_spatial_grid, make_spectral_grid
 from wkist.lax import make_potential
+from wkist.rhp import suggest_z_min
 
 # Reference values for the box potential q = 0.1 on [-1, 1], lam = 2,
 # from the exact piecewise-constant propagator in 40-digit arithmetic
@@ -108,6 +111,62 @@ def test_reflection_coefficient_diagnostics_and_band():
     assert sd.diagnostics["min_abs_a"] > 0.99
     # lam = -1/z: the active band maps to |lam| <= 1/z_min
     assert np.max(np.abs(sd.lam)) <= 1.0 / 0.4 + 1e-12
+
+
+def test_lam_lattice_is_symmetric_covers_the_band_and_skips_zero():
+    p = gaussian_potential()
+    zgrid = make_spectral_grid(40.0, 4096, z_min=0.31)
+    lam = -1.0 / zgrid.points[zgrid.active]
+    nodes = _lam_lattice(p, lam)
+    assert nodes.size < lam.size
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert not np.any(nodes == 0.0)
+    assert np.all(np.diff(nodes) > 0)
+    # the end nodes cover the band's largest |lam|, and no node beyond them would
+    step = LAM_STEP_FACTOR / p.grid.half_width
+    assert nodes[-1] >= np.max(np.abs(lam)) > nodes[-1] - step
+    assert step == pytest.approx(np.pi / (16 * 20.0), rel=1e-15)
+    assert np.allclose(np.diff(nodes), step, rtol=0, atol=1e-12)
+    assert nodes[nodes.size // 2] == pytest.approx(step / 2, rel=1e-15)
+
+
+# The default roundtrip anchor, and the box anchor of the benchmark's
+# forward scan, both on the default grids with the CLI's z_min.
+FORWARD_ANCHORS = {
+    "gaussian": (lambda x: 0.05 * np.exp(-(x**2)), 0.0),
+    "box": (lambda x: 0.5 * (np.abs(x) <= 1.0) * np.exp(0.25j * x), 0.25),
+}
+
+
+@pytest.mark.parametrize("name", list(FORWARD_ANCHORS))
+def test_lattice_reflection_matches_the_direct_march(name):
+    profile, t = FORWARD_ANCHORS[name]
+    p = make_potential(make_spatial_grid(20.0, 2048), profile)
+    zgrid = make_spectral_grid(40.0, 4096, z_min=suggest_z_min(40.0, 4096, window=6.0, t_max=t))
+    sd = reflection_coefficient(p, zgrid)
+    a, b, *_ = _wronskians(p, sd.lam)
+    miss = np.max(np.abs(sd.r[sd.active] - b / a))
+    estimate = sd.diagnostics["spectral_lattice_error_estimate"]
+    assert 0.0 < estimate < 1e-6
+    assert miss <= estimate
+    assert miss < 1e-8
+    # a and b themselves, which coefficients.csv carries
+    assert np.max(np.abs(sd.a - a)) < 1e-8
+    assert np.max(np.abs(sd.b - b)) < 1e-8
+
+
+def test_band_no_larger_than_the_lattice_is_marched_itself():
+    p = gaussian_potential()
+    zgrid = make_spectral_grid(40.0, 128, z_min=1.0)
+    lam = -1.0 / zgrid.points[zgrid.active]
+    assert _lam_lattice(p, lam) is lam
+    sd = reflection_coefficient(p, zgrid)
+    a, b, _, _, det_defect = _wronskians(p, lam)
+    assert_bitwise(sd.a, a)
+    assert_bitwise(sd.b, b)
+    assert_bitwise(sd.r[sd.active], b / a)
+    assert sd.diagnostics["det_defect"] == det_defect
+    assert sd.diagnostics["spectral_lattice_error_estimate"] == 0.0
 
 
 def test_reflection_scales_linearly_at_small_amplitude():

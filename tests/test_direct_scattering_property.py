@@ -7,6 +7,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from wkist.direct_scattering import (  # noqa: E402
+    _lam_lattice,
     _wronskians,
     propagate_jost,
     evolve_reflection,
@@ -14,6 +15,7 @@ from wkist.direct_scattering import (  # noqa: E402
 )
 from wkist.lattice import make_spatial_grid, make_spectral_grid  # noqa: E402
 from wkist.lax import make_potential  # noqa: E402
+from wkist.rhp import suggest_z_min  # noqa: E402
 
 XGRID = make_spatial_grid(10.0, 512)
 
@@ -71,3 +73,28 @@ def test_evolution_is_a_group(t1, t2, family, amplitude, width, momentum):
     assert np.max(np.abs(twice.r - once.r)) < 1e-14
     assert np.max(np.abs(twice.b - once.b)) < 1e-14
     assert twice.time == pytest.approx(once.time, abs=1e-15)
+
+
+# The console script's small grid: 374 lattice lam for a band of 1,011.
+SMALL_XGRID = make_spatial_grid(20.0, 512)
+SMALL_ZGRID = make_spectral_grid(40.0, 1024, z_min=suggest_z_min(40.0, 1024, window=4.5))
+
+
+@hypothesis.settings(max_examples=20, deadline=None)
+@hypothesis.given(family=st.sampled_from(["gaussian", "sech", "box"]),
+                  amplitude=st.floats(0.05, 1.0), width=st.floats(0.8, 1.2),
+                  momentum=st.floats(0.0, 0.25))
+def test_lattice_reflection_is_within_its_estimate(family, amplitude, width, momentum):
+    # the spline from the lam lattice misses the band's own march by less
+    # than its halving estimate, and the lattice's Wronskians are exact.
+    # A batch's substep schedule follows its largest |lam|, and moving it
+    # moves r by the scheme's O(h^2) error (1e-5 on this grid), so the
+    # band is marched with the lattice's end node in its batch.
+    p = potential(family, amplitude, width, momentum, grid=SMALL_XGRID)
+    sd = reflection_coefficient(p, SMALL_ZGRID, a_floor=0.0)
+    end = _lam_lattice(p, sd.lam)[-1]
+    a, b = (v[:-1] for v in _wronskians(p, np.append(sd.lam, end))[:2])
+    miss = np.max(np.abs(sd.r[sd.active] - b / a))
+    assert miss <= sd.diagnostics["spectral_lattice_error_estimate"]
+    for key in ("unitarity_defect", "det_defect", "symmetry_defect"):
+        assert sd.diagnostics[key] < 1e-10
