@@ -26,7 +26,7 @@ e^{2 i lam x}, |x| <= L.  So the Wronskians are taken once, on a
 uniform lam lattice of spacing ``LAM_STEP_FACTOR`` / L (16 nodes per
 period of e^{2 i lam L}) that is symmetric about, and avoids, lam = 0
 and covers the band's largest |lam|, and a and b are carried onto the
-band by the package's one interpolant, ``_cubic_spline``.  The
+band by the not-a-knot cubic spline ``_cubic_spline``.  The
 diagnostic ``spectral_lattice_error_estimate`` is the spline's
 ``_halving_miss`` of r over the lattice.  A band of no more lam than
 the lattice is marched itself, and nothing is interpolated.

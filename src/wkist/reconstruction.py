@@ -13,8 +13,8 @@ The chain per hodograph cell x_H:
    quadrature x(x_H) = int dx_H / <q_H>   (primary route)
    or explicitly from the diagonal moment, x = x_H - Im m^(1)_{11}
    (cross-check route); both routes resample the complex q_H from
-   their map onto the physical grid by the package's one interpolant,
-   a not-a-knot cubic spline (``lattice._cubic_spline``).
+   their map, whose nodes are not uniform, onto the physical grid by a
+   not-a-knot cubic spline (``lattice._cubic_spline``).
 
 The sweep of x_H cells is the physical grid inside a finite window,
 which must hold at least two of its points; outside the window the
@@ -23,10 +23,12 @@ not solved at every sweep cell: m^(1) and the slope depend on x_H only
 through e^{2 i x_H / z} on the active band |z| >= z_min, so they are
 band-limited to 2 lambda_max = 2 / min |z|, and step 1 runs on a uniform
 hodograph lattice of spacing h_H = stride * h, the largest multiple of
-the grid spacing h with 2 lambda_max h_H <= ``LATTICE_PHASE_STEP``.  The
-same spline carries the slope and m^(1)_11 from the lattice onto the
-sweep; steps 2 and 3 run on the sweep.  Both interpolations estimate
-their error as the spline's miss at every other node (``_halving_miss``).
+the grid spacing h with 2 lambda_max h_H <= ``LATTICE_PHASE_STEP``, ten
+nodes per shortest period.  Lagrange interpolation through ten of its
+uniform nodes (``lattice._lagrange_interpolant``) carries the slope and
+m^(1)_11 from the lattice onto the sweep; steps 2 and 3 run on the
+sweep.  Both interpolations estimate their error as their own miss at
+every other node (``_halving_miss``).
 """
 
 from __future__ import annotations
@@ -44,7 +46,13 @@ from .errors import (
     SlopeConditionError,
     check_threshold,
 )
-from .lattice import GridFunction, SpatialGrid, _cubic_spline, _halving_miss
+from .lattice import (
+    GridFunction,
+    SpatialGrid,
+    _cubic_spline,
+    _halving_miss,
+    _lagrange_interpolant,
+)
 from .lax import conserved_E1, make_potential
 from .rhp import (
     DELTA_CONJUGATED,
@@ -74,8 +82,10 @@ DEFAULT_WINDOW = 6.0
 # of 2^13..2^17 on both N_z = 2048 and 4096.
 BATCH_SAMPLES = 2**15
 # Largest phase step 2 lambda_max h_H, in radians, of the fastest jump mode
-# between hodograph lattice nodes (about 16 nodes per shortest period).
-LATTICE_PHASE_STEP = 0.4
+# between hodograph lattice nodes: ten nodes per shortest period, one per
+# point of the ``LAGRANGE_POINTS`` stencil that carries the lattice onto
+# the sweep.
+LATTICE_PHASE_STEP = 2.0 * np.pi / 10
 
 
 def qh_from_slope(s: np.ndarray, margin: float = SLOPE_MARGIN) -> np.ndarray:
@@ -221,14 +231,15 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
 
     The RHP is solved at the nodes of the hodograph lattice
     (``_hodograph_lattice``), whose spacing the active band sets, and the
-    slope and m^(1)_11 are carried onto the sweep by ``_cubic_spline``; a
-    lattice that is the sweep itself is not interpolated.  ``cells`` has
-    one entry per lattice node, and the diagnostic
-    ``lattice_error_estimate`` is the slope's ``_halving_miss`` over the
-    lattice (0 when nothing is interpolated).  Lattice nodes x_H <= 0 use
-    the Triangular factorization; nodes x_H > 0 use the DeltaConjugated
-    one (each keeps its oscillatory entries decaying in the half-plane its
-    projection sees).  Every solve adds the outer band of the jump
+    slope and m^(1)_11 are carried onto the sweep by
+    ``_lagrange_interpolant``; a lattice that is the sweep itself is not
+    interpolated.  ``cells`` has one entry per lattice node, and the
+    diagnostic ``lattice_error_estimate`` is the slope's ``_halving_miss``
+    over the lattice, taken with the same interpolant (0 when nothing is
+    interpolated).  Lattice nodes x_H <= 0 use the Triangular
+    factorization; nodes x_H > 0 use the DeltaConjugated one (each keeps
+    its oscillatory entries decaying in the half-plane its projection
+    sees).  Every solve adds the outer band of the jump
     (``_solve_batch``) and stops at ``NEUMANN_TOL``; the slope must stay
     below 1 - ``SLOPE_MARGIN``.  Cells are solved in even, equally spaced
     batches of at most max(1, ``BATCH_SAMPLES // N_z``).
@@ -307,11 +318,12 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
 
     slope, m1_11, lattice_err = dx12, m11, 0.0
     if nodes is not sweep:
-        # the end nodes cover the sweep only to rounding; the spline is 0 beyond
+        # the end nodes cover the sweep only to rounding; the interpolant
+        # is 0 beyond
         inside = np.clip(sweep, nodes[0], nodes[-1])
-        slope = _cubic_spline(nodes, dx12)(inside)
-        m1_11 = _cubic_spline(nodes, m11)(inside)
-        lattice_err = _halving_miss(nodes, dx12)
+        slope = _lagrange_interpolant(nodes, dx12)(inside)
+        m1_11 = _lagrange_interpolant(nodes, m11)(inside)
+        lattice_err = _halving_miss(nodes, dx12, _lagrange_interpolant)
 
     q_H = qh_from_slope(slope)
 

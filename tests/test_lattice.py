@@ -4,8 +4,10 @@ from scipy.special import dawsn, erf
 
 from wkist.errors import InvalidArgumentError
 from wkist.lattice import (
+    LAGRANGE_POINTS,
     GridFunction,
     _cauchy_plus_batch,
+    _lagrange_interpolant,
     _tail_outside,
     cauchy_minus,
     cauchy_plus,
@@ -299,3 +301,49 @@ def test_weighted_kernel_is_the_kernel_of_the_product(shape, minus):
     got = _cauchy_plus_batch(x, grid, minus, weight=u)
     assert got.shape == x.shape
     assert got.tobytes() == _cauchy_plus_batch(x * u, grid, minus).tobytes()
+
+
+# --- the Lagrange interpolant of uniform lattices --------------------------
+
+
+@pytest.mark.parametrize("n", [LAGRANGE_POINTS, 11, 37])
+def test_lagrange_interpolant_is_exact_on_polynomials_of_degree_nine(n):
+    # every stencil holds ten nodes, so every polynomial of degree <= 9 is
+    # its own interpolant at any point between the end nodes
+    rng = np.random.default_rng(n)
+    nodes = np.arange(-7, n - 7) * 0.3
+    a, b = nodes[0], nodes[-1]
+    points = np.concatenate([rng.uniform(a, b, 500), (nodes[1:] + nodes[:-1]) / 2, [a, b]])
+    for degree in range(LAGRANGE_POINTS):
+        coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+
+        def poly(x):
+            return np.polyval(coeffs, (x - a) / (b - a))
+
+        got = _lagrange_interpolant(nodes, poly(nodes))(points)
+        assert np.max(np.abs(got - poly(points))) <= 1e-13 * np.max(np.abs(poly(nodes)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, LAGRANGE_POINTS, 40])
+def test_lagrange_interpolant_returns_the_node_values_and_is_zero_outside(n):
+    # the nodes as the hodograph lattice builds them, j h_H
+    rng = np.random.default_rng(n)
+    nodes = np.arange(-(n // 3), n - n // 3) * 0.15625 * 1.1
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    interpolant = _lagrange_interpolant(nodes, values)
+    assert interpolant(nodes).tobytes() == values.tobytes()
+    a, b = nodes[0], nodes[-1]
+    outside = np.array([np.nextafter(a, -np.inf), a - 1.0, np.nextafter(b, np.inf), b + 1.0])
+    assert np.all(interpolant(outside) == 0.0)
+
+
+def test_lagrange_interpolant_on_three_nodes_is_the_parabola_and_on_two_the_secant():
+    points = np.linspace(-1.0, 3.0, 41)
+    parabola = _lagrange_interpolant(np.array([-1.0, 1.0, 3.0]), np.array([2.0, 1j, -1.0]))
+    # p(x) = 2 (x - 1)(x - 3)/8 - 1j (x + 1)(x - 3)/4 - (x + 1)(x - 1)/8
+    want = ((points - 1) * (points - 3) / 4 - 1j * (points + 1) * (points - 3) / 4
+            - (points + 1) * (points - 1) / 8)
+    assert np.max(np.abs(parabola(points) - want)) < 1e-15
+    secant = _lagrange_interpolant(np.array([-1.0, 3.0]), np.array([2.0, -1.0 + 4j]))
+    want = 2.0 + (-3.0 + 4j) * (points + 1) / 4
+    assert np.max(np.abs(secant(points) - want)) < 1e-15

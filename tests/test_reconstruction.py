@@ -18,6 +18,7 @@ from wkist.reconstruction import (
     _cubic_spline,
     _halving_miss,
     _hodograph_lattice,
+    _lagrange_interpolant,
     inverse_transform,
     qh_from_slope,
     resample_q,
@@ -146,29 +147,38 @@ def _polynomial_through(x, y, points):
 def test_halving_miss_on_two_odd_and_even_node_counts():
     rng = np.random.default_rng(15)
     values = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    nodes = np.cumsum(rng.uniform(0.2, 1.0, 8))
-    # two nodes: the kept one spans nothing, so the miss is the dropped value
-    assert _halving_miss(nodes[:2], values[:2]) == pytest.approx(abs(values[1]), rel=1e-15)
-    # seven: four kept nodes carry one cubic, missed at nodes 1, 3 and 5
-    miss = _polynomial_through(nodes[:7:2], values[:7:2], nodes[1:7:2]) - values[1:7:2]
-    assert _halving_miss(nodes[:7], values[:7]) == pytest.approx(np.max(np.abs(miss)), rel=1e-12)
-    # six: three kept nodes carry the parabola; node 5 lies beyond the last
-    # kept node and does not count
-    miss = _polynomial_through(nodes[:6:2], values[:6:2], nodes[1:5:2]) - values[1:5:2]
-    spiked = values[:6].copy()
-    spiked[5] = 1e3
-    assert _halving_miss(nodes[:6], spiked) == pytest.approx(np.max(np.abs(miss)), rel=1e-12)
+    uneven = np.cumsum(rng.uniform(0.2, 1.0, 8))
+    # the spline on any increasing nodes, the Lagrange interpolant on
+    # uniform ones: through four kept nodes both are the one cubic, through
+    # three the parabola
+    for interpolant, nodes in ((_cubic_spline, uneven),
+                               (_lagrange_interpolant, 0.4 * np.arange(8) - 1.0)):
+        def estimate(count, v):
+            return _halving_miss(nodes[:count], v, interpolant)
+
+        # two nodes: the kept one spans nothing, so the miss is the dropped value
+        assert estimate(2, values[:2]) == pytest.approx(abs(values[1]), rel=1e-15)
+        # seven: four kept nodes carry one cubic, missed at nodes 1, 3 and 5
+        miss = _polynomial_through(nodes[:7:2], values[:7:2], nodes[1:7:2]) - values[1:7:2]
+        assert estimate(7, values[:7]) == pytest.approx(np.max(np.abs(miss)), rel=1e-12)
+        # six: three kept nodes carry the parabola; node 5 lies beyond the last
+        # kept node and does not count
+        miss = _polynomial_through(nodes[:6:2], values[:6:2], nodes[1:5:2]) - values[1:5:2]
+        spiked = values[:6].copy()
+        spiked[5] = 1e3
+        assert estimate(6, spiked) == pytest.approx(np.max(np.abs(miss)), rel=1e-12)
 
 
 def test_hodograph_lattice_falls_back_to_the_sweep():
     sweep = np.linspace(-4.5, 4.5, 289)
     h = sweep[1] - sweep[0]
-    # stride floor(0.4 z / (2 h)): 3 at z = 0.5
+    # stride floor(rho z / (2 h)), rho = 2 pi / 10: 5 at z = 0.5, whose
+    # end nodes overhang the sweep ends -144 h and 144 h by one cell
     nodes = _hodograph_lattice(sweep, h, 0.5)
-    assert np.allclose(np.diff(nodes), 3 * h) and nodes[48] == 0.0
-    assert nodes[0] == -4.5 and nodes[-1] == 4.5
+    assert np.allclose(np.diff(nodes), 5 * h) and nodes[29] == 0.0
+    assert nodes[0] == -145 * h and nodes[-1] == 145 * h
     # stride 1, a lattice of three nodes, and an empty band
-    for z_near in (0.3, 24.0, np.inf):
+    for z_near in (0.15, 24.0, np.inf):
         assert _hodograph_lattice(sweep, h, z_near) is sweep
 
 
@@ -265,9 +275,9 @@ def test_inverse_transform_roundtrip_small():
     assert not rec.q.values[outside].any()
 
 
-def _stride3():
-    # h = 1/32 and 0.4 z_near / (2 h) = 3.4 on the N_z = 1024 band of
-    # window 4.5, so the RHP lattice takes every third sweep cell
+def _stride5():
+    # h = 1/32 and rho z_near / (2 h) = 5.5 on the N_z = 1024 band of
+    # window 4.5, so the RHP lattice takes every fifth sweep cell
     grid = make_spatial_grid(16.0, 1024)
     p = make_potential(grid, lambda x: 0.05 * np.exp(-(x**2)))
     z_min = suggest_z_min(40.0, 1024, window=4.5)
@@ -278,7 +288,7 @@ def test_inverse_transform_sizes_cell_batches_to_the_grid(monkeypatch):
     # every batch holds at most BATCH_SAMPLES spectral samples, so its
     # arrays stay cache-sized, and equally spaced lattice nodes, so its
     # phases take the recurrence; 1-cell batches give the same results
-    grid, sd = _stride3()
+    grid, sd = _stride5()
     jump = wkist.reconstruction._jump_entries
     blocks = []
 
@@ -295,7 +305,7 @@ def test_inverse_transform_sizes_cell_batches_to_the_grid(monkeypatch):
     assert sum(x.size for x, _ in blocks) == nodes.size < rec.x_H.size
     assert np.array_equal(np.concatenate([x for x, _ in blocks]), nodes)
     for x, _ in blocks:
-        assert np.max(np.abs(np.diff(x) - 3 * grid.spacing)) < 1e-12
+        assert np.max(np.abs(np.diff(x) - 5 * grid.spacing)) < 1e-12
 
     blocks.clear()
     monkeypatch.setattr(wkist.reconstruction, "BATCH_SAMPLES", 1)
@@ -307,8 +317,8 @@ def test_inverse_transform_sizes_cell_batches_to_the_grid(monkeypatch):
 
 
 def test_lattice_matches_the_full_sweep(monkeypatch):
-    # the spline from every third cell against a solve at every sweep cell
-    grid, sd = _stride3()
+    # the interpolant from every fifth cell against a solve at every sweep cell
+    grid, sd = _stride5()
     rec = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
     monkeypatch.setattr(wkist.reconstruction, "LATTICE_PHASE_STEP", 0.0)
     full = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
@@ -323,10 +333,10 @@ def test_lattice_matches_the_full_sweep(monkeypatch):
 
 
 def test_lattice_keeps_x_H_zero_a_node_between_the_kinds():
-    grid, sd = _stride3()
+    grid, sd = _stride5()
     rec = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
     nodes, kinds = rec.cells["x_H"], rec.cells["kind"]
-    h_H = 3 * grid.spacing
+    h_H = 5 * grid.spacing
     assert 0.0 in nodes
     assert np.max(np.abs(np.diff(nodes) - h_H)) < 1e-12
     # the nodes cover the sweep, overhanging it by less than one spacing
@@ -336,16 +346,16 @@ def test_lattice_keeps_x_H_zero_a_node_between_the_kinds():
 
 
 def test_lattice_of_five_nodes_estimates_by_the_parabola_miss():
-    # nodes -2..2 h_H: every other node is three, so the estimate is the
-    # parabola's miss at the dropped two (the floor admits the undecayed
-    # ends of so small a window)
-    grid, sd = _stride3()
-    rec = inverse_transform(sd, 0.0, grid, window=0.2, decay_floor=1.0)
+    # nodes -2..2 h_H, the sweep ends -10 h and 10 h: every other node is
+    # three, so the estimate is the parabola's miss at the dropped two (the
+    # floor admits the undecayed ends of so small a window)
+    grid, sd = _stride5()
+    rec = inverse_transform(sd, 0.0, grid, window=0.32, decay_floor=1.0)
     nodes = rec.cells["x_H"]
     assert nodes.size == 5 and nodes[2] == 0.0
-    # every node is a sweep cell, where the spline takes the node's slope
-    assert np.array_equal(rec.x_H[::3], nodes)
-    slope = rec.slope[::3]
+    # every node is a sweep cell, where the interpolant takes the node's slope
+    assert np.array_equal(rec.x_H[::5], nodes)
+    slope = rec.slope[::5]
     assert np.array_equal(np.hypot(slope.real, slope.imag), rec.cells["abs_dx_m1_12"])
     miss = _polynomial_through(nodes[::2], slope[::2], nodes[1::2]) - slope[1::2]
     assert 0.0 < np.max(np.abs(miss)) < np.max(np.abs(slope[1::2]))
@@ -354,13 +364,14 @@ def test_lattice_of_five_nodes_estimates_by_the_parabola_miss():
 
 
 def test_lattice_spline_reaches_a_sweep_end_past_the_last_node_by_rounding():
-    # on this grid the last sweep cell lies one rounding beyond the last
-    # lattice node, where the spline itself is zero; the slope and the
-    # diagonal moment there must still come from the end cubic
+    # on this grid (stride 18) the last sweep cell, 180 h, lies one rounding
+    # beyond the last lattice node, 10 h_H, where the interpolant itself is
+    # zero; the slope and the diagonal moment there must still come from
+    # the end stencil
     grid = make_spatial_grid(8.0, 1000)
     p = make_potential(grid, lambda x: 0.05 * np.exp(-(x**2)))
     sd = reflection_coefficient(p, make_spectral_grid(40.0, 512, z_min=0.9))
-    rec = inverse_transform(sd, 0.0, grid, window=3.0, decay_floor=1e-2)
+    rec = inverse_transform(sd, 0.0, grid, window=2.89, decay_floor=1e-2)
     nodes = rec.cells["x_H"]
     assert nodes.size < rec.x_H.size and rec.x_H[-1] > nodes[-1]
     assert abs(rec.slope[-1]) == pytest.approx(rec.cells["abs_dx_m1_12"][-1], rel=1e-12)
