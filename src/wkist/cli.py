@@ -212,7 +212,7 @@ def _load_reflection(indir: Path) -> ScatteringData:
     coords, values = _read_samples_csv(indir / "reflection.csv")
     _check_coordinates(coords, zgrid, "reflection.csv does not match its manifest grid")
     empty = np.zeros(0, dtype=complex)
-    return ScatteringData(zgrid, values, zgrid.active, empty.real, empty, empty, time=time)
+    return ScatteringData(zgrid, values, empty.real, empty, empty, time=time)
 
 
 def _write_reconstruction(rec, outdir: Path):

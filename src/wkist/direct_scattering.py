@@ -26,10 +26,10 @@ e^{2 i lam x}, |x| <= L.  So the Wronskians are taken once, on a
 uniform lam lattice of spacing ``LAM_STEP_FACTOR`` / L (16 nodes per
 period of e^{2 i lam L}) that is symmetric about, and avoids, lam = 0
 and covers the band's largest |lam|, and a and b are carried onto the
-band by the not-a-knot cubic spline ``_cubic_spline``.  The
-diagnostic ``spectral_lattice_error_estimate`` is the spline's
-``_halving_miss`` of r over the lattice.  A band of no more lam than
-the lattice is marched itself, and nothing is interpolated.
+band together by the ten-point Lagrange stencil ``_lagrange_interpolant``.
+The diagnostic ``spectral_lattice_error_estimate`` is its ``_halving_miss``
+of r over the lattice.  A band of no more lam than the lattice is
+marched itself, and nothing is interpolated.
 
 One loop, `_march`, steps psi for a whole batch of lam.  For real lam
 each cell propagator is in SU(2), [[a, -conj b], [b, conj a]], bit for
@@ -59,7 +59,7 @@ from .errors import (
     ResolutionExceededError,
     check_threshold,
 )
-from .lattice import SpectralGrid, _cubic_spline, _halving_miss
+from .lattice import SpectralGrid, _halving_miss, _lagrange_interpolant
 from .lax import Potential, akns_potentials
 
 __all__ = [
@@ -96,14 +96,18 @@ class JostSolution:
 class ScatteringData:
     zgrid: SpectralGrid
     r: np.ndarray            # reflection coefficient on the full z grid (0 outside the active band)
-    active: np.ndarray       # bool mask of grid z with z_min <= |z| (and z != 0)
     lam: np.ndarray          # -1/z over the active band
-    a: np.ndarray            # a(lam) over the active band, splined from the lam lattice
-    b: np.ndarray            # b(lam) over the active band, splined from the lam lattice
+    a: np.ndarray            # a(lam) over the active band, interpolated from the lam lattice
+    b: np.ndarray            # b(lam) over the active band, interpolated from the lam lattice
     time: float = 0.0
     # the Wronskian defects and min |a| are the lam lattice's, the
     # truncation edges the band's
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def active(self) -> np.ndarray:
+        """Bool mask of grid z with z_min <= |z| (and z != 0): ``zgrid.active``."""
+        return self.zgrid.active
 
 
 class _CellPropagator:
@@ -349,7 +353,7 @@ def _lam_lattice(p: Potential, lam: np.ndarray) -> np.ndarray:
 
     The nodes are +-(j + 1/2) dlam, j = 0..J, dlam = ``LAM_STEP_FACTOR`` /
     L, with (J + 1/2) dlam >= max |lam|: symmetric, free of lam = 0, and
-    covering the band, off which the spline is zero.  A lattice of at
+    covering the band, off which the interpolant is zero.  A lattice of at
     least as many nodes as the band gives the band itself.
     """
     step = LAM_STEP_FACTOR / p.grid.half_width
@@ -368,9 +372,9 @@ def reflection_coefficient(p: Potential, zgrid: SpectralGrid,
     """r(z) = b(-1/z)/a(-1/z) on the active band z_min <= |z| of the grid.
 
     a, b, c, d are the Wronskians on the lam lattice (``_lam_lattice``);
-    a and b are splined onto the band's lam, and r = b/a there.  The
-    unitarity, det and symmetry defects and min |a| are read on the
-    lattice, where the Wronskians are exact to the scheme;
+    a and b are interpolated onto the band's lam through one basis, and
+    r = b/a there.  The unitarity, det and symmetry defects and min |a|
+    are read on the lattice, where the Wronskians are exact to the scheme;
     ``outer_truncation`` and ``inner_truncation``, the largest |r| at
     the band's outer and inner edges, on the band.
 
@@ -403,7 +407,7 @@ def reflection_coefficient(p: Potential, zgrid: SpectralGrid,
     }
     if nodes is not lam:
         diagnostics["spectral_lattice_error_estimate"] = _halving_miss(nodes, b / a)
-        a, b = _cubic_spline(nodes, a)(lam), _cubic_spline(nodes, b)(lam)
+        a, b = _lagrange_interpolant(nodes, np.stack([a, b], axis=1))(lam).T
 
     r = np.zeros(len(z), dtype=complex)
     r[active] = b / a
@@ -413,7 +417,7 @@ def reflection_coefficient(p: Potential, zgrid: SpectralGrid,
     inner = absz <= absz.min() + zgrid.spacing / 2
     diagnostics["outer_truncation"] = float(np.max(np.abs(r[active][outer])))
     diagnostics["inner_truncation"] = float(np.max(np.abs(r[active][inner])))
-    return ScatteringData(zgrid, r, active, lam, a, b, 0.0, diagnostics)
+    return ScatteringData(zgrid, r, lam, a, b, 0.0, diagnostics)
 
 
 def evolve_reflection(sd: ScatteringData, t: float) -> ScatteringData:

@@ -21,16 +21,14 @@ tail B c.  The public ``cauchy_plus`` and ``cauchy_minus`` add that
 term to the kernel and meet 6e-9 on ``1/(s +- i)`` at Z = 40; the RHP
 solver adds it to its right-hand side as the outer band of the jump.
 
-The package's two interpolants and their one error estimate, the miss
-at every other node (``_halving_miss``), live here.  A not-a-knot cubic
-spline (``_cubic_spline``) takes any increasing nodes: the inverse
-resamples q_H from the mapped nodes x(x_H), which are not uniform, onto
-the physical grid with it, and the forward carries a and b from its lam
-lattice onto the spectral band.  Lagrange interpolation through ten
-uniform nodes (``_lagrange_interpolant``) carries the inverse's
-hodograph lattice onto the sweep: the slope is band-limited, and at ten
-nodes per shortest period the tenth-order stencil misses it by less than
-the spline does at sixteen, so the RHP is solved at fewer cells.
+The package's one interpolant and its one error estimate live here.
+Lagrange interpolation through a stencil of ten nodes
+(``_lagrange_interpolant``) takes any increasing nodes, with barycentric
+weights computed once per stencil.  It carries the forward's lam lattice
+onto the spectral band, the inverse's hodograph lattice onto the sweep,
+and the inverse's q_H from the mapped nodes x(x_H), which are close to
+uniform since dx/dx_H = 1/<q_H>, onto the physical grid.  Its error
+estimate is its miss at every other node (``_halving_miss``).
 """
 
 from __future__ import annotations
@@ -306,113 +304,81 @@ def cauchy_minus(f: GridFunction) -> GridFunction:
     return GridFunction(f.grid, _completed_cauchy_plus(f) - f.values)
 
 
-def _cubic_spline(nodes: np.ndarray, values: np.ndarray):
-    """Not-a-knot cubic spline through ``values``, zero outside the ``nodes``.
-
-    ``nodes`` are at least two and strictly increasing; ``values`` may be
-    complex.  The node slopes solve scipy's ``CubicSpline`` system, whose
-    not-a-knot end rows are taken out of the first and last interior rows
-    so that one Thomas pass solves the rest; three nodes give the
-    parabola, two the secant.  Returns a function of the evaluation
-    points, which takes the cubic Hermite form on each cell.
-    """
-    x = np.asarray(nodes, dtype=float)
-    y = np.asarray(values)
-    n = x.size
-    if n < 4:
-        d = np.gradient(y, x, edge_order=n - 1)
-    else:
-        dx = np.diff(x)
-        m = np.diff(y) / dx
-        # end rows dx_1 s_0 + w0 s_1 = b0 and w1 s_{n-2} + dx_{n-2} s_{n-1} = b1
-        w0, w1 = x[2] - x[0], x[-1] - x[-3]
-        b0 = ((dx[0] + 2.0 * w0) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / w0
-        b1 = (dx[-1] ** 2 * m[-2] + (2.0 * w1 + dx[-1]) * dx[-2] * m[-1]) / w1
-        # rows i = 1..n-2: dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1};
-        # less the end rows, the first and the last lose s_0 and s_{n-1}
-        diag = 2.0 * (dx[:-1] + dx[1:]) - np.r_[w0, np.zeros(n - 4), w1]
-        rhs = 3.0 * (dx[1:] * m[:-1] + dx[:-1] * m[1:]) - np.r_[b0, np.zeros(n - 4), b1]
-        diag, s, off = diag.tolist(), rhs.tolist(), dx.tolist()
-        for k in range(1, n - 2):
-            f = off[k + 1] / diag[k - 1]
-            diag[k] -= f * off[k - 1]
-            s[k] -= f * s[k - 1]
-        s[-1] /= diag[-1]
-        for k in range(n - 4, -1, -1):
-            s[k] = (s[k] - off[k] * s[k + 1]) / diag[k]
-        d = np.array([(b0 - w0 * s[0]) / dx[1], *s, (b1 - w1 * s[-1]) / dx[-2]])
-
-    def evaluate(points):
-        points = np.asarray(points, dtype=float)
-        # cell k holds [x_k, x_{k+1}); the last one is closed on the right
-        k = np.clip(np.searchsorted(x, points, side="right") - 1, 0, x.size - 2)
-        h = x[k + 1] - x[k]
-        t = (points - x[k]) / h
-        u = 1.0 - t
-        out = (u * u * ((1.0 + 2.0 * t) * y[k] + t * h * d[k])
-               + t * t * ((3.0 - 2.0 * t) * y[k + 1] - u * h * d[k + 1]))
-        out[(points < x[0]) | (points > x[-1])] = 0.0
-        return out
-
-    return evaluate
-
-
 # Nodes per stencil of ``_lagrange_interpolant``: degree 9, exact on
-# polynomials of degree <= 9 and, on a lattice of ten nodes per shortest
-# period, below the cubic spline's miss at sixteen.
+# polynomials of degree <= 9; at ten nodes per shortest period it misses
+# a band-limited function by less than a cubic spline does at sixteen.
 LAGRANGE_POINTS = 10
 
 
 def _lagrange_interpolant(nodes: np.ndarray, values: np.ndarray):
-    """Lagrange interpolation through ``LAGRANGE_POINTS`` uniform nodes, zero outside them.
+    """Lagrange interpolation through ``LAGRANGE_POINTS`` nodes, zero outside them.
 
-    ``nodes`` are at least two, strictly increasing and equally spaced;
-    ``values`` may be complex.  A point in cell [x_k, x_{k+1}] takes the
-    polynomial through the ``LAGRANGE_POINTS`` nodes centred on that cell,
-    shifted inward at the lattice ends; fewer nodes than that are all
-    taken, so three give the parabola and two the secant.  A point's
-    offset is measured in its own cell's width, so at a node it is an
-    integer and the node value is returned exactly.  Returns a function of
-    the evaluation points, as ``_cubic_spline`` does.
+    ``nodes`` are at least two and strictly increasing, equally spaced or
+    not; ``values`` may be complex, (n,) or stacked (n, k), whose columns
+    share one basis.  A point in cell [x_k, x_{k+1}] takes the polynomial
+    through the ``LAGRANGE_POINTS`` nodes centred on that cell, shifted
+    inward at the ends; fewer nodes than that are all taken, so three give
+    the parabola and two the secant.  The barycentric weights of every
+    stencil are computed once, in the stencil's own coordinate (x - its
+    first node) / its mean spacing, and a point's basis is its weights
+    times the products of its distances to the other nodes (the modified
+    Lagrange formula; Berrut & Trefethen, SIAM Rev. 46, 2004).  A point
+    that is a node returns that node's value exactly.  Returns a function
+    of the evaluation points.
     """
     x = np.asarray(nodes, dtype=float)
-    y = np.asarray(values)
+    # the stacked columns as contiguous rows, the node axis last
+    y = np.ascontiguousarray(np.moveaxis(np.asarray(values), 0, -1))
     n = x.size
     p = min(LAGRANGE_POINTS, n)
     j = np.arange(p)
-    # prod over i != j of (j - i) = (-1)^(p-1-j) j! (p-1-j)!
-    factorial = np.cumprod(np.r_[1.0, np.arange(1.0, p)])
-    denominator = (-1.0) ** (p - 1 - j) * factorial * factorial[::-1]
+    # stencil s holds the nodes s .. s + p - 1; node-major (p, n - p + 1) arrays
+    stencil = x[np.arange(n - p + 1) + j[:, None]]
+    origin = stencil[0]
+    scale = (stencil[-1] - origin) / (p - 1)
+    u = (stencil - origin) / scale
+    gaps = u[:, None] - u
+    gaps[j, j] = 1.0
+    weights = 1.0 / np.prod(gaps, axis=1)
 
     def evaluate(points):
         points = np.asarray(points, dtype=float)
         # cell k holds [x_k, x_{k+1}); the last one is closed on the right
         k = np.clip(np.searchsorted(x, points, side="right") - 1, 0, n - 2)
-        start = np.clip(k - (p // 2 - 1), 0, n - p)
-        t = (k - start) + (points - x[k]) / (x[k + 1] - x[k])
-        d = t[:, None] - j
-        # prod over i != j of (t - i), from the products left and right of j
-        left = np.ones_like(d)
-        right = np.ones_like(d)
-        left[:, 1:] = np.cumprod(d[:, :-1], axis=1)
-        right[:, :-1] = np.cumprod(d[:, :0:-1], axis=1)[:, ::-1]
-        basis = left * right / denominator
-        out = np.sum(basis * y[start[:, None] + j], axis=1)
-        out[(points < x[0]) | (points > x[-1])] = 0.0
-        return out
+        s = np.clip(k - (p // 2 - 1), 0, n - p)
+        d = (points - origin[s]) / scale[s] - np.take(u, s, axis=1)
+        # weight j times the product over i != j of d_i: d_i multiplies
+        # the bases right of i and left of it
+        basis = np.take(weights, s, axis=1)
+        for i in range(1, p):
+            basis[i:] *= d[i - 1]
+            basis[:p - i] *= d[p - i]
+        # summed node by node, so a stacked column has the bytes of its own
+        # call; np.take gathers along an axis faster than fancy indexing does
+        out = basis[0] * np.take(y, s, axis=-1)
+        for i in range(1, p):
+            out += basis[i] * np.take(y, s + i, axis=-1)
+        node = np.where(points == x[k + 1], k + 1, k)
+        at_node = points == x[node]
+        out[..., at_node] = y[..., node[at_node]]
+        out[..., (points < x[0]) | (points > x[-1])] = 0.0
+        return np.moveaxis(out, -1, 0)
 
     return evaluate
 
 
-def _halving_miss(nodes: np.ndarray, values: np.ndarray, interpolant=_cubic_spline) -> float:
-    """Worst miss of ``interpolant`` through every other node at the
-    dropped nodes inside the kept range; below three nodes, the dropped value.
+def _halving_miss(nodes: np.ndarray, values: np.ndarray) -> float:
+    """Worst miss of ``_lagrange_interpolant`` through every other node at
+    the dropped nodes inside the kept range; below three nodes, the dropped
+    value.  It is at least 1e-13 of the largest |value|, the interpolant's
+    own rounding, which a smaller miss cannot resolve.
     """
+    floor = 1e-13 * float(np.max(np.abs(values)))
     if nodes.size < 3:
-        return float(np.max(np.abs(values[1::2])))
+        return max(float(np.max(np.abs(values[1::2]))), floor)
     dropped = slice(1, nodes.size - 1, 2)
-    miss = interpolant(nodes[::2], values[::2])(nodes[dropped]) - values[dropped]
-    return float(np.max(np.abs(miss)))
+    miss = _lagrange_interpolant(nodes[::2], values[::2])(nodes[dropped]) - values[dropped]
+    return max(float(np.max(np.abs(miss))), floor)
 
 
 def columns_to_csv(path, header, columns, text=()):

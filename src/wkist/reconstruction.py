@@ -13,8 +13,8 @@ The chain per hodograph cell x_H:
    quadrature x(x_H) = int dx_H / <q_H>   (primary route)
    or explicitly from the diagonal moment, x = x_H - Im m^(1)_{11}
    (cross-check route); both routes resample the complex q_H from
-   their map, whose nodes are not uniform, onto the physical grid by a
-   not-a-knot cubic spline (``lattice._cubic_spline``).
+   their map, whose nodes are close to uniform but not equally spaced,
+   onto the physical grid.
 
 The sweep of x_H cells is the physical grid inside a finite window,
 which must hold at least two of its points; outside the window the
@@ -24,11 +24,11 @@ through e^{2 i x_H / z} on the active band |z| >= z_min, so they are
 band-limited to 2 lambda_max = 2 / min |z|, and step 1 runs on a uniform
 hodograph lattice of spacing h_H = stride * h, the largest multiple of
 the grid spacing h with 2 lambda_max h_H <= ``LATTICE_PHASE_STEP``, ten
-nodes per shortest period.  Lagrange interpolation through ten of its
-uniform nodes (``lattice._lagrange_interpolant``) carries the slope and
-m^(1)_11 from the lattice onto the sweep; steps 2 and 3 run on the
-sweep.  Both interpolations estimate their error as their own miss at
-every other node (``_halving_miss``).
+nodes per shortest period, and the slope and m^(1)_11 are carried onto
+the sweep; steps 2 and 3 run on the sweep.  Both the lattice and the
+resampling are interpolated by the ten-point Lagrange stencil
+(``lattice._lagrange_interpolant``), and both estimate their error as
+its miss at every other node (``_halving_miss``).
 """
 
 from __future__ import annotations
@@ -46,13 +46,7 @@ from .errors import (
     SlopeConditionError,
     check_threshold,
 )
-from .lattice import (
-    GridFunction,
-    SpatialGrid,
-    _cubic_spline,
-    _halving_miss,
-    _lagrange_interpolant,
-)
+from .lattice import GridFunction, SpatialGrid, _halving_miss, _lagrange_interpolant
 from .lax import conserved_E1, make_potential
 from .rhp import (
     DELTA_CONJUGATED,
@@ -181,7 +175,7 @@ def resample_q(q_H: np.ndarray, x_map: np.ndarray, xgrid: SpatialGrid,
     """Interpolate pairs (x_map[i], q_H[i]) onto a uniform grid.
 
     ``x_map`` holds x at the hodograph cells: q(x) = q_H(x_H(x)) is
-    interpolated by ``_cubic_spline`` and extended by zero outside the
+    interpolated by ``_lagrange_interpolant`` and extended by zero outside the
     mapped range, which is only legitimate if it has decayed below
     ``decay_floor`` at the end nodes; otherwise RangeError.  Returns the
     resampled GridFunction and the interpolation-error estimate
@@ -194,7 +188,7 @@ def resample_q(q_H: np.ndarray, x_map: np.ndarray, xgrid: SpatialGrid,
     edge = max(abs(q_H[0]), abs(q_H[-1]))
     if edge > decay_floor:
         raise RangeError(f"potential has not decayed at the mapped range ends (|q| = {edge:.3e})")
-    values = _cubic_spline(x_map, q_H)(xgrid.points)
+    values = _lagrange_interpolant(x_map, q_H)(xgrid.points)
     return GridFunction(xgrid, values), _halving_miss(x_map, q_H)
 
 
@@ -235,8 +229,7 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
     ``_lagrange_interpolant``; a lattice that is the sweep itself is not
     interpolated.  ``cells`` has one entry per lattice node, and the
     diagnostic ``lattice_error_estimate`` is the slope's ``_halving_miss``
-    over the lattice, taken with the same interpolant (0 when nothing is
-    interpolated).  Lattice nodes x_H <= 0 use the Triangular
+    over the lattice (0 when nothing is interpolated).  Lattice nodes x_H <= 0 use the Triangular
     factorization; nodes x_H > 0 use the DeltaConjugated one (each keeps
     its oscillatory entries decaying in the half-plane its projection
     sees).  Every solve adds the outer band of the jump
@@ -299,7 +292,7 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
         for block in np.array_split(part, max(1, int(np.ceil(part.size / batch)))):
             if block.size == 0:
                 continue
-            u21, u12, _ = _jump_entries(kind, rv, zgrid, block[:, None], 0.0, Delta)
+            u21, u12 = _jump_entries(kind, rv, zgrid, block[:, None], Delta)
             # row 1 of mu: the only row the moment and the slope read
             out = _solve_batch(u21, u12, kind, zgrid)
             e11, _ = _moment_rows(*out["mu"], u21, u12, zgrid.spacing)
@@ -321,9 +314,8 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
         # the end nodes cover the sweep only to rounding; the interpolant
         # is 0 beyond
         inside = np.clip(sweep, nodes[0], nodes[-1])
-        slope = _lagrange_interpolant(nodes, dx12)(inside)
-        m1_11 = _lagrange_interpolant(nodes, m11)(inside)
-        lattice_err = _halving_miss(nodes, dx12, _lagrange_interpolant)
+        slope, m1_11 = _lagrange_interpolant(nodes, np.stack([dx12, m11], axis=1))(inside).T
+        lattice_err = _halving_miss(nodes, dx12)
 
     q_H = qh_from_slope(slope)
 

@@ -26,7 +26,8 @@ m^(1)_11 of its DeltaConjugated cells, so the two factorization kinds
 report the moment of the same underlying problem.
 
 In both kinds the (2,1)-position entry carries e^{+2 i theta} and the
-(1,2)-position entry carries e^{-2 i theta}, theta = x_H/z + 2 t/z^2.
+(1,2)-position entry carries e^{-2 i theta}, theta = x_H/z; the time
+factor e^{4 i t/z^2} is carried by r itself (``evolve_reflection``).
 
 The equation (I - C_w) X = rhs is solved a batch of cells at a time by
 block Gauss-Seidel sweeps that measure their exact residual after every
@@ -111,40 +112,39 @@ def _inv_z(zgrid: SpectralGrid) -> np.ndarray:
     return np.where(z != 0.0, 1.0 / np.where(z == 0.0, 1.0, z), 0.0)
 
 
-def _phases(x_H, iz, theta):
-    """e^{2 i theta} as a (B, N) array, rows in the order of ``x_H``.
+def _phases(x_H, iz):
+    """e^{2 i theta}, theta = x_H / z, as a (B, N) array, rows in the order of ``x_H``.
 
-    When the x_H are equally spaced to a few ulps, as the lattice cells of
-    the inverse are, only the first row takes ``np.exp``: each later row
-    is the previous one times e^{2 i dx / z}, one complex product per
-    sample instead of a cosine and a sine.  The rows then match
-    ``np.exp(2j * theta)`` to the rounding of theta itself.
+    ``iz`` is 1/z, 0 at z = 0.  When the x_H are equally spaced to a few
+    ulps, as the lattice cells of the inverse are, only the first row
+    takes ``np.exp``: each later row is the previous one times
+    e^{2 i dx / z}, one complex product per sample instead of a cosine
+    and a sine.  The rows then match ``np.exp(2j * theta)`` to the
+    rounding of theta.
     """
     b = len(x_H)
     step = (x_H[-1] - x_H[0]) / max(b - 1, 1)
     spread = np.max(np.abs(x_H - (x_H[0] + step * np.arange(b))))
     if b == 1 or spread > 4 * np.finfo(float).eps * np.max(np.abs(x_H)):
-        return np.exp(2j * theta)
-    e2 = np.empty(theta.shape, dtype=complex)
-    e2[0] = np.exp(2j * theta[0])
+        return np.exp(2j * (x_H[:, None] * iz))
+    e2 = np.empty((b, iz.size), dtype=complex)
+    e2[0] = np.exp(2j * (x_H[0] * iz))
     factor = np.exp((2j * step) * iz)
     for k in range(1, b):
         np.multiply(e2[k - 1], factor, out=e2[k])
     return e2
 
 
-def _jump_entries(kind, r_values, zgrid, x_H_col, t, Delta=None):
-    """u21, u12, theta as (B, N) arrays for a batch of x_H values.
+def _jump_entries(kind, r_values, zgrid, x_H_col, Delta=None):
+    """u21, u12 as (B, N) arrays for a batch of x_H values.
 
     The DeltaConjugated kind needs ``Delta`` from :func:`delta_function`.
-    theta is reported as 0 at z = 0; the jump entries vanish there
-    because r does (truncation floor), so the value is never used.
-    The phases of an equally spaced batch are built by recurrence
-    (:func:`_phases`).
+    The phase is theta = x_H / z, taken as 0 at z = 0; the jump entries
+    vanish there because r does (truncation floor).  Time enters only
+    through r itself (``evolve_reflection``).  The phases of an equally
+    spaced batch are built by recurrence (:func:`_phases`).
     """
-    iz = _inv_z(zgrid)
-    theta = x_H_col * iz + (2.0 * t) * iz**2
-    e2 = _phases(np.asarray(x_H_col, dtype=float)[:, 0], iz, theta)
+    e2 = _phases(np.asarray(x_H_col, dtype=float)[:, 0], _inv_z(zgrid))
     if kind == TRIANGULAR:
         u21 = r_values * e2
     elif kind == DELTA_CONJUGATED:
@@ -152,7 +152,7 @@ def _jump_entries(kind, r_values, zgrid, x_H_col, t, Delta=None):
     else:
         raise InvalidArgumentError(f"unknown factorization kind {kind!r}")
     # conj(r) / e2 up to an ulp, since |e2| = 1
-    return u21, np.conj(u21), theta
+    return u21, np.conj(u21)
 
 
 def _delta_shift(r_values: np.ndarray, zgrid: SpectralGrid) -> complex:
@@ -419,8 +419,9 @@ def _m0_rows(x1, x2, u21, u12, zgrid):
 def suggest_z_min(Z: float, N_z: int, window: float = 6.0, t_max: float = 0.0) -> float:
     """Smallest |z| at which N_z points on [-Z, Z) still resolve the jump phase.
 
-    The local wavelength of e^{2 i theta} in z is 2 pi / |theta'(z)| with
-    |theta'| <= window/z^2 + 4 t/z^3; the floor is where that wavelength
+    The local wavelength in z of the evolved jump's phase, e^{2 i phi} with
+    phi = x_H/z + 2 t/z^2, is 2 pi / |phi'(z)| with |phi'| <= window/z^2 +
+    4 t/z^3; the floor is where that wavelength
     falls to ``POINTS_PER_PERIOD`` grid spacings.
     """
     Z = float(Z)

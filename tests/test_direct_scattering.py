@@ -155,6 +155,19 @@ def test_lattice_reflection_matches_the_direct_march(name):
     assert np.max(np.abs(sd.b - b)) < 1e-8
 
 
+@pytest.mark.parametrize("name", list(FORWARD_ANCHORS))
+def test_band_rows_of_the_forward_anchors_are_unitary(name):
+    # the band's a and b, the rows coefficients.csv carries, stay on the
+    # sphere |a|^2 + |b|^2 = 1 that the lattice's Wronskians keep to
+    # rounding; the interpolant from the lattice moves them by less than 1e-11
+    profile, t = FORWARD_ANCHORS[name]
+    p = make_potential(make_spatial_grid(20.0, 2048), profile)
+    zgrid = make_spectral_grid(40.0, 4096, z_min=suggest_z_min(40.0, 4096, window=6.0, t_max=t))
+    sd = reflection_coefficient(p, zgrid)
+    assert sd.lam.size == np.count_nonzero(sd.active)
+    assert np.max(np.abs(np.abs(sd.a) ** 2 + np.abs(sd.b) ** 2 - 1.0)) < 1e-11
+
+
 def test_band_no_larger_than_the_lattice_is_marched_itself():
     p = gaussian_potential()
     zgrid = make_spectral_grid(40.0, 128, z_min=1.0)

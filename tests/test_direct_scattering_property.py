@@ -85,7 +85,7 @@ SMALL_ZGRID = make_spectral_grid(40.0, 1024, z_min=suggest_z_min(40.0, 1024, win
                   amplitude=st.floats(0.05, 1.0), width=st.floats(0.8, 1.2),
                   momentum=st.floats(0.0, 0.25))
 def test_lattice_reflection_is_within_its_estimate(family, amplitude, width, momentum):
-    # the spline from the lam lattice misses the band's own march by less
+    # the interpolant from the lam lattice misses the band's own march by less
     # than its halving estimate, and the lattice's Wronskians are exact.
     # A batch's substep schedule follows its largest |lam|, and moving it
     # moves r by the scheme's O(h^2) error (1e-5 on this grid), so the

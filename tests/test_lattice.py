@@ -303,7 +303,7 @@ def test_weighted_kernel_is_the_kernel_of_the_product(shape, minus):
     assert got.tobytes() == _cauchy_plus_batch(x * u, grid, minus).tobytes()
 
 
-# --- the Lagrange interpolant of uniform lattices --------------------------
+# --- the Lagrange interpolant ----------------------------------------------
 
 
 @pytest.mark.parametrize("n", [LAGRANGE_POINTS, 11, 37])
@@ -347,3 +347,81 @@ def test_lagrange_interpolant_on_three_nodes_is_the_parabola_and_on_two_the_seca
     secant = _lagrange_interpolant(np.array([-1.0, 3.0]), np.array([2.0, -1.0 + 4j]))
     want = 2.0 + (-3.0 + 4j) * (points + 1) / 4
     assert np.max(np.abs(secant(points) - want)) < 1e-15
+
+
+_UNEVEN = np.cumsum(np.random.default_rng(12).uniform(0.05, 1.0, 40)) - 10.0
+_WAVE = np.linspace(-6.0, 6.0, 61)
+LAGRANGE_CASES = {
+    "two nodes": (np.array([-1.0, 2.5]), np.array([0.3, -1.2 + 0.5j])),
+    "three nodes": (np.array([-1.0, 0.25, 2.0]), np.array([0.5, 2.0, -0.75])),
+    "four nodes": (np.linspace(-1.0, 2.0, 4), np.array([0.3, -1.2 + 0.5j, 2.0 - 1.0j, 0.25j])),
+    "five nodes": (np.linspace(0.0, 1.0, 5), np.array([1.0, -0.5, 0.25, 2.0, -1.0])),
+    "six nodes": (np.linspace(-3.0, 2.0, 6),
+                  np.array([1.0, 1.0j]) @ np.random.default_rng(14).standard_normal((2, 6))),
+    "gaussian": (np.linspace(-4.0, 4.0, 33), np.exp(-np.linspace(-4.0, 4.0, 33) ** 2)),
+    "complex wave": (_WAVE, np.exp(-((_WAVE / 3.0) ** 2) + 2.5j * _WAVE)),
+    "non-uniform": (_UNEVEN, np.random.default_rng(13).standard_normal(40)),
+    "complex": (_UNEVEN, np.exp(-((_UNEVEN / 4.0) ** 2) + 2j * _UNEVEN)),
+}
+
+
+@pytest.mark.parametrize("nodes, values", list(LAGRANGE_CASES.values()), ids=list(LAGRANGE_CASES))
+def test_lagrange_interpolant_matches_scipy_barycentric(nodes, values):
+    # scipy's barycentric polynomial through the ten nodes centred on each
+    # point's cell, shifted inward at the ends (all nodes, below ten);
+    # exact zeros outside the nodes
+    interpolate = pytest.importorskip("scipy.interpolate")
+    rng = np.random.default_rng(nodes.size)
+    a, b = nodes[0], nodes[-1]
+    inside = np.concatenate([nodes, rng.uniform(a, b, 300)])
+    outside = np.concatenate([[np.nextafter(a, -np.inf), np.nextafter(b, np.inf)],
+                              np.nextafter(b, np.inf) + rng.uniform(0.0, 2.0, 25),
+                              np.nextafter(a, -np.inf) - rng.uniform(0.0, 2.0, 25)])
+    n = nodes.size
+    p = min(LAGRANGE_POINTS, n)
+    cell = np.clip(np.searchsorted(nodes, inside, side="right") - 1, 0, n - 2)
+    starts = np.clip(cell - (p // 2 - 1), 0, n - p)
+    want = np.empty(inside.size, dtype=complex)
+    for s in np.unique(starts):
+        at = starts == s
+        want[at] = interpolate.BarycentricInterpolator(nodes[s:s + p], values[s:s + p])(inside[at])
+    interpolant = _lagrange_interpolant(nodes, values)
+    # random values on uneven nodes swing the polynomial to 200 times their
+    # size, so the rounding is measured against the polynomial's
+    assert np.max(np.abs(interpolant(inside) - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.all(interpolant(outside) == 0.0)
+
+
+NEAR_NODE_CASES = {
+    "uniform": (np.linspace(-4.0, 4.0, 33), np.exp(-np.linspace(-4.0, 4.0, 33) ** 2)),
+    "non-uniform": (_UNEVEN, np.exp(-((_UNEVEN / 4.0) ** 2) + 2j * _UNEVEN)),
+}
+
+
+@pytest.mark.parametrize("nodes, values", list(NEAR_NODE_CASES.values()),
+                         ids=list(NEAR_NODE_CASES))
+def test_lagrange_interpolant_is_continuous_where_the_stencil_changes(nodes, values):
+    # one rounding either side of a node the point's cell, and with it the
+    # stencil, changes; both stencils pass through the node's value
+    interpolant = _lagrange_interpolant(nodes, values)
+    below = interpolant(np.nextafter(nodes[1:], -np.inf))
+    above = interpolant(np.nextafter(nodes[:-1], np.inf))
+    scale = np.max(np.abs(values))
+    assert np.max(np.abs(below - values[1:])) <= 1e-13 * scale
+    assert np.max(np.abs(above - values[:-1])) <= 1e-13 * scale
+
+
+def test_lagrange_interpolant_stacked_columns_have_the_bytes_of_separate_calls():
+    # a and b as the forward carries them: from a lam lattice +-(j + 1/2) dlam
+    # onto the band's lam = -1/z, through one basis
+    rng = np.random.default_rng(21)
+    step = np.pi / (16 * 20.0)
+    half = (np.arange(60) + 0.5) * step
+    nodes = np.concatenate([-half[::-1], half])
+    z = make_spectral_grid(40.0, 1024, z_min=2.0).points
+    lam = np.concatenate([-1.0 / z[np.abs(z) >= 2.0], nodes[::7]])
+    a, b = rng.standard_normal((2, nodes.size)) + 1j * rng.standard_normal((2, nodes.size))
+    stacked = _lagrange_interpolant(nodes, np.stack([a, b], axis=1))(lam)
+    assert stacked.shape == (lam.size, 2)
+    for column, values in enumerate((a, b)):
+        assert stacked[:, column].tobytes() == _lagrange_interpolant(nodes, values)(lam).tobytes()

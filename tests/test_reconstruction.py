@@ -15,10 +15,8 @@ from wkist.errors import (
 from wkist.lattice import make_spatial_grid, make_spectral_grid
 from wkist.lax import make_potential
 from wkist.reconstruction import (
-    _cubic_spline,
     _halving_miss,
     _hodograph_lattice,
-    _lagrange_interpolant,
     inverse_transform,
     qh_from_slope,
     resample_q,
@@ -83,60 +81,6 @@ def test_epsilon_value_at_origin():
     assert abs(soliton_epsilon(0.0, 0.0, SOLITON) - EPSILON_AT_ZERO) < 1e-13
 
 
-_UNEVEN = np.cumsum(np.random.default_rng(12).uniform(0.05, 1.0, 40)) - 10.0
-_WAVE = np.linspace(-6.0, 6.0, 61)
-SPLINE_CASES = {
-    "two nodes": (np.array([-1.0, 2.5]), np.array([0.3, -1.2 + 0.5j])),
-    "three nodes": (np.array([-1.0, 0.25, 2.0]), np.array([0.5, 2.0, -0.75])),
-    "four nodes": (np.linspace(-1.0, 2.0, 4), np.array([0.3, -1.2 + 0.5j, 2.0 - 1.0j, 0.25j])),
-    "five nodes": (np.linspace(0.0, 1.0, 5), np.array([1.0, -0.5, 0.25, 2.0, -1.0])),
-    "six nodes": (np.linspace(-3.0, 2.0, 6),
-                  np.array([1.0, 1.0j]) @ np.random.default_rng(14).standard_normal((2, 6))),
-    "gaussian": (np.linspace(-4.0, 4.0, 33), np.exp(-np.linspace(-4.0, 4.0, 33) ** 2)),
-    "complex wave": (_WAVE, np.exp(-((_WAVE / 3.0) ** 2) + 2.5j * _WAVE)),
-    "non-uniform": (_UNEVEN, np.random.default_rng(13).standard_normal(40)),
-    "complex": (_UNEVEN, np.exp(-((_UNEVEN / 4.0) ** 2) + 2j * _UNEVEN)),
-}
-
-
-@pytest.mark.parametrize("nodes, values", list(SPLINE_CASES.values()), ids=list(SPLINE_CASES))
-def test_not_a_knot_matches_scipy_cubic_spline(nodes, values):
-    # scipy's not-a-knot spline inside the nodes (the parabola on three,
-    # the secant on two), exact zeros outside them
-    interpolate = pytest.importorskip("scipy.interpolate")
-    rng = np.random.default_rng(nodes.size)
-    a, b = nodes[0], nodes[-1]
-    inside = np.concatenate([nodes, rng.uniform(a, b, 300)])
-    outside = np.concatenate([[np.nextafter(a, -np.inf), np.nextafter(b, np.inf)],
-                              np.nextafter(b, np.inf) + rng.uniform(0.0, 2.0, 25),
-                              np.nextafter(a, -np.inf) - rng.uniform(0.0, 2.0, 25)])
-    want = interpolate.CubicSpline(nodes, values, bc_type="not-a-knot")(inside)
-    spline = _cubic_spline(nodes, values)
-    assert np.max(np.abs(spline(inside) - want)) <= 1e-13 * np.max(np.abs(values))
-    assert np.all(spline(outside) == 0.0)
-
-
-HERMITE_CASES = {
-    "uniform": (np.linspace(-4.0, 4.0, 33), np.exp(-np.linspace(-4.0, 4.0, 33) ** 2)),
-}
-
-
-@pytest.mark.parametrize("nodes, values", list(HERMITE_CASES.values()), ids=list(HERMITE_CASES))
-def test_interp_decaying_matches_scipy_cubic_hermite(nodes, values):
-    # the cubic Hermite form through the not-a-knot node slopes, also one
-    # rounding either side of every node, where the cell changes; zero
-    # one rounding outside the end nodes
-    interpolate = pytest.importorskip("scipy.interpolate")
-    slopes = interpolate.CubicSpline(nodes, values, bc_type="not-a-knot")(nodes, 1)
-    want = interpolate.CubicHermiteSpline(nodes, values, slopes)
-    a, b = nodes[0], nodes[-1]
-    near = np.concatenate([np.nextafter(nodes[1:], -np.inf), nodes,
-                           np.nextafter(nodes[:-1], np.inf)])
-    spline = _cubic_spline(nodes, values)
-    assert np.max(np.abs(spline(near) - want(near))) <= 1e-13 * np.max(np.abs(values))
-    assert np.all(spline(np.array([np.nextafter(a, -np.inf), np.nextafter(b, np.inf)])) == 0.0)
-
-
 def _polynomial_through(x, y, points):
     # the polynomial of degree x.size - 1 through (x, y), at points
     deg = x.size - 1
@@ -148,13 +92,11 @@ def test_halving_miss_on_two_odd_and_even_node_counts():
     rng = np.random.default_rng(15)
     values = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     uneven = np.cumsum(rng.uniform(0.2, 1.0, 8))
-    # the spline on any increasing nodes, the Lagrange interpolant on
-    # uniform ones: through four kept nodes both are the one cubic, through
-    # three the parabola
-    for interpolant, nodes in ((_cubic_spline, uneven),
-                               (_lagrange_interpolant, 0.4 * np.arange(8) - 1.0)):
+    # the one interpolant, on uneven and on uniform nodes: through four kept
+    # nodes it is the one cubic, through three the parabola
+    for nodes in (uneven, 0.4 * np.arange(8) - 1.0):
         def estimate(count, v):
-            return _halving_miss(nodes[:count], v, interpolant)
+            return _halving_miss(nodes[:count], v)
 
         # two nodes: the kept one spans nothing, so the miss is the dropped value
         assert estimate(2, values[:2]) == pytest.approx(abs(values[1]), rel=1e-15)
@@ -167,6 +109,8 @@ def test_halving_miss_on_two_odd_and_even_node_counts():
         spiked = values[:6].copy()
         spiked[5] = 1e3
         assert estimate(6, spiked) == pytest.approx(np.max(np.abs(miss)), rel=1e-12)
+        # a miss below rounding reads as the floor, 1e-13 of the largest value
+        assert estimate(7, np.full(7, -2.0)) == 2e-13
 
 
 def test_hodograph_lattice_falls_back_to_the_sweep():

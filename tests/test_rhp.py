@@ -51,12 +51,12 @@ def test_delta_boundary_relation_is_exact():
 
 def test_factorization_entries_triangular():
     sd = small_reflection()
-    u21, u12, theta = _jump_entries(TRIANGULAR, sd.r, sd.zgrid, np.array([[-1.3]]), 0.2)
+    u21, u12 = _jump_entries(TRIANGULAR, sd.r, sd.zgrid, np.array([[-1.3]]))
     z = sd.zgrid.points
     nz = z != 0
+    # theta = x_H / z: time enters only through r (evolve_reflection)
     expect = np.zeros_like(z)
-    expect[nz] = -1.3 / z[nz] + 2 * 0.2 / z[nz] ** 2
-    assert np.max(np.abs(theta[0] - expect)) < 1e-13
+    expect[nz] = -1.3 / z[nz]
     assert np.max(np.abs(u21[0] - sd.r * np.exp(2j * expect))) < 1e-13
     assert np.max(np.abs(u12[0] - np.conj(sd.r) * np.exp(-2j * expect))) < 1e-13
     # one entry per triangle: (2,1) in w_+, (1,2) in w_-
@@ -66,10 +66,11 @@ def test_factorization_entries_triangular():
 def test_factorization_entries_delta_conjugated():
     sd = small_reflection()
     Delta = delta_function(GridFunction(sd.zgrid, sd.r))[2].values
-    u21, u12, theta = _jump_entries(DELTA_CONJUGATED, sd.r, sd.zgrid, np.array([[0.8]]), 0.0,
-                                    Delta)
+    u21, u12 = _jump_entries(DELTA_CONJUGATED, sd.r, sd.zgrid, np.array([[0.8]]), Delta)
+    z = sd.zgrid.points
+    theta = np.divide(0.8, z, out=np.zeros_like(z), where=z != 0)
     # the (2,1) entry is rho e^{2 i theta}, rho = r Delta
-    assert np.max(np.abs(u21[0] - sd.r * Delta * np.exp(2j * theta[0]))) < 1e-13
+    assert np.max(np.abs(u21[0] - sd.r * Delta * np.exp(2j * theta))) < 1e-13
     assert np.array_equal(u12, np.conj(u21))
     # the (2,1) entry sits in w_-, the (1,2) entry in w_+
     assert not _in_w_plus(DELTA_CONJUGATED, 21) and _in_w_plus(DELTA_CONJUGATED, 12)
@@ -84,7 +85,7 @@ def test_build_factorization_rejects_unknown_kind():
     # it does not know
     sd = small_reflection()
     with pytest.raises(InvalidArgumentError, match="unknown factorization kind"):
-        _jump_entries("Sideways", sd.r, sd.zgrid, np.array([[0.0]]), 0.0)
+        _jump_entries("Sideways", sd.r, sd.zgrid, np.array([[0.0]]))
 
 
 def test_neumann_solution_solves_the_equation():
@@ -131,14 +132,15 @@ def test_recurrence_phases_match_the_exponential():
     zg = make_spectral_grid(40.0, 4096)
     x = make_spatial_grid(20.0, 2048).points
     sweep = x[np.abs(x) <= 6.0 + 1e-12]
+    iz = np.divide(1.0, zg.points, out=np.zeros(4096), where=zg.points != 0)
     for block in (sweep[:16], sweep[-16:]):
-        u21, _, theta = _jump_entries(TRIANGULAR, np.ones(4096), zg, block[:, None], 0.0)
-        assert theta.shape == (16, 4096)
-        assert np.max(np.abs(u21 - np.exp(2j * theta))) <= 1e-13
+        u21, _ = _jump_entries(TRIANGULAR, np.ones(4096), zg, block[:, None])
+        assert u21.shape == (16, 4096)
+        assert np.max(np.abs(u21 - np.exp(2j * block[:, None] * iz))) <= 1e-13
     # cells that are not equally spaced take the exponential row by row
     block = np.array([-1.0, -0.5, 0.25])
-    u21, _, theta = _jump_entries(TRIANGULAR, np.ones(4096), zg, block[:, None], 0.3)
-    assert u21.tobytes() == np.exp(2j * theta).tobytes()
+    u21, _ = _jump_entries(TRIANGULAR, np.ones(4096), zg, block[:, None])
+    assert u21.tobytes() == np.exp(2j * (block[:, None] * iz)).tobytes()
 
 
 def slope_of(mu11, mu12, u21, u12, zgrid, band=0.0):
@@ -262,8 +264,7 @@ def test_tail_rhs_pulls_band_solution_toward_wide_grid():
 
     def band_mu(Z, N_z, with_T):
         zg = make_spectral_grid(Z, N_z)
-        u21, u12, _ = _jump_entries(TRIANGULAR, rfun(zg.points), zg,
-                                    np.array([[-0.4]]), 0.0, None)
+        u21, u12 = _jump_entries(TRIANGULAR, rfun(zg.points), zg, np.array([[-0.4]]))
         if with_T:
             return zg, _solve_batch(u21, u12, TRIANGULAR, zg)["mu"]
         # the windowed equation alone: row 1 with no band term
