@@ -82,8 +82,8 @@ class RunConfig:
 
 def _build_profile(cfg: RunConfig):
     a, w, c, m = cfg.amplitude, cfg.width, cfg.center, cfg.momentum
-    if w <= 0:
-        raise InvalidArgumentError("width must be positive")
+    if not 0.0 < w < float("inf"):
+        raise InvalidArgumentError(f"width must be a finite number > 0, got {w}")
     mod = (lambda x: np.exp(1j * m * x)) if m else (lambda x: 1.0 + 0j)
     if cfg.family == "gaussian":
         return lambda x: a * np.exp(-(((x - c) / w) ** 2)) * mod(x)

@@ -207,6 +207,22 @@ class ReconstructionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _solve_cells(kind, r, zgrid, x_H, Delta=None, d1=None) -> dict:
+    """``_solve_batch`` at cells ``x_H`` of one kind, with their jump entries and moments.
+
+    Adds "u21", "u12", "m11" (less the delta shift ``d1`` for the
+    DeltaConjugated kind, which also needs ``Delta``) and "m12", the
+    windowed (1,2) moment.
+    """
+    u21, u12 = _jump_entries(kind, r, zgrid, x_H[:, None], Delta)
+    # row 1 of mu: the only row the moment and the slope read
+    out = _solve_batch(u21, u12, kind, zgrid)
+    m11, m12 = _moment_rows(*out["mu"], u21, u12, zgrid.spacing)
+    if kind == DELTA_CONJUGATED:
+        m11 = m11 - d1
+    return dict(out, u21=u21, u12=u12, m11=m11, m12=m12)
+
+
 def _window_mask(points: np.ndarray, window: float) -> np.ndarray:
     return np.abs(points) <= window + 1e-12
 
@@ -292,19 +308,16 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
         for block in np.array_split(part, max(1, int(np.ceil(part.size / batch)))):
             if block.size == 0:
                 continue
-            u21, u12 = _jump_entries(kind, rv, zgrid, block[:, None], Delta)
-            # row 1 of mu: the only row the moment and the slope read
-            out = _solve_batch(u21, u12, kind, zgrid)
-            e11, _ = _moment_rows(*out["mu"], u21, u12, zgrid.spacing)
-            if kind == DELTA_CONJUGATED:
-                e11 = e11 - d1
+            out = _solve_cells(kind, rv, zgrid, block, Delta, d1)
             sl = slice(offset, offset + block.size)
-            m11[sl] = e11
+            m11[sl] = out["m11"]
             dx12[sl] = out["slope"]
             cells["kind"][sl] = kind
             cells["iterations"][sl] = out["cell_iterations"]
             cells["residual"][sl] = out["residual"]
             offset += block.size
+            # free this batch's (B, N) arrays before the next batch builds its own
+            del out
     # hypot rounds as abs() of a complex scalar does; np.abs of an array
     # can differ from it in the last bit
     cells["abs_dx_m1_12"] = np.hypot(dx12.real, dx12.imag)

@@ -38,12 +38,12 @@ small data the operator is a contraction (Beals & Coifman, CPAM 37,
 1984; Zhou, SIAM J. Math. Anal. 20, 1989), and a batch in which any
 cell fails to converge raises ``RhpUnsolvedError``.  The dense
 collocation solve (``_dense_solve``) is kept as the reference the tests
-compare the sweeps against; nothing in the package calls it.  The
-two rows of X solve the same operator with their own right-hand sides,
-so a solve takes only the rows it is given and its cost scales with
-their count.  The inverse transform (``_solve_batch``) solves row 1
-alone, since m^(1)_11 and the slope are integrals of row 1, and the
-residuals it reports are row 1's; row 2 is its Schwarz reflection.
+compare the sweeps against; nothing in the package calls it.  A cell is
+one row of X: the two rows solve the same operator with their own
+right-hand sides, so both rows of a jump are two cells of one batch.
+The inverse transform (``_solve_batch``) solves row 1 alone, since
+m^(1)_11 and the slope are integrals of row 1; row 2 is its Schwarz
+reflection.
 
 The grid cuts the contour at |z| = Z, where r still decays only like
 c1/z.  ``_solve_batch`` adds the jump's outer band to its right-hand
@@ -166,10 +166,10 @@ def _delta_shift(r_values: np.ndarray, zgrid: SpectralGrid) -> complex:
 
 # --------------------------------------------------------------------------
 # batched Beals-Coifman solver.  The rows of the 2x2 system decouple: row i,
-# (X_i1, X_i2), solves the same equation with its own right-hand side.  A
-# solve takes the rows it is given stacked on a leading axis, as the column
-# pair (x1, x2) of (R, B, N) arrays, so each half-step of a Gauss-Seidel
-# sweep is one Cauchy kernel pass over R * B rows.
+# (X_i1, X_i2), solves the same equation with its own right-hand side, so a
+# cell is one row at one x_H.  A solve takes the column pair (x1, x2) of a
+# batch as (B, N) arrays, and each half-step of a Gauss-Seidel sweep is one
+# Cauchy kernel pass over its B cells.
 # --------------------------------------------------------------------------
 
 def _in_w_plus(kind, entry: int) -> bool:
@@ -183,9 +183,9 @@ def _in_w_plus(kind, entry: int) -> bool:
 
 
 def _half_step(x, u, entry, kind, zgrid):
-    """C_w on one column: the projection of x * u for every stacked row.
+    """C_w on one column: the projection of x * u for every cell.
 
-    ``x`` is (R, B, N): the column the jump entry ``u`` multiplies, i.e.
+    ``x`` is (B, N): the column the jump entry ``u`` multiplies, i.e.
     column 2 (X_i2) for the (2,1) entry, giving column 1 of C_w(X), and
     column 1 (X_i1) for the (1,2) entry, giving column 2.  One kernel
     pass, C- for a w_+ entry and C+ for a w_- entry.
@@ -194,32 +194,22 @@ def _half_step(x, u, entry, kind, zgrid):
 
 
 def _apply_cw(x1, x2, u21, u12, kind, zgrid):
-    """C_w(X) as its column pair, for the columns x1, x2 of stacked rows."""
+    """C_w(X) as its column pair, for the columns x1, x2 of a batch."""
     return _half_step(x2, u21, 21, kind, zgrid), _half_step(x1, u12, 12, kind, zgrid)
 
 
-def _l2_residual(entries, h):
-    """Discrete L2 norm per cell of residual entries.
-
-    ``entries`` is a sequence of (..., B, N) arrays (one (R, B, N) array
-    is the sequence of its rows); the norm of a cell sums over all of
-    them.  Each entry's squares are summed through a float view, so no
-    temporaries are formed.
-    """
-    total = 0.0
-    for e in entries:
-        v = np.ascontiguousarray(e).view(float)
-        total = total + np.einsum("...i,...i->...", v, v).reshape(-1, e.shape[-2]).sum(axis=0)
-    return np.sqrt(h * total)
+def _l2_residual(e, h):
+    """Discrete L2 norm of each cell of a (B, N) residual, without temporaries (a float view)."""
+    v = np.ascontiguousarray(e).view(float)
+    return np.sqrt(h * np.einsum("...i,...i->...", v, v))
 
 
 def _neumann(u21, u12, rhs1, rhs2, kind, zgrid,
              tol=NEUMANN_TOL, cap=NEUMANN_CAP):
     """Solve (I - C_w) X = rhs by block Gauss-Seidel sweeps, batched.
 
-    ``rhs1`` and ``rhs2`` are the right-hand-side columns of the rows to
-    solve, (R, B, N) with the rows on the leading axis: R = 1 solves row
-    1 alone, R = 2 both rows.  Every kernel pass transforms R * B rows.
+    ``rhs1`` and ``rhs2`` are the right-hand-side columns, (B, N), one row
+    per cell.  Every kernel pass transforms the B cells.
 
     The system couples column 1 (X_i1) only to column 2 (X_i2) through
     the (2,1) entry, and column 2 only to column 1 through the (1,2)
@@ -239,15 +229,15 @@ def _neumann(u21, u12, rhs1, rhs2, kind, zgrid,
     cell is hopeless (non-finite, or above 1e8 (1 + its first
     residual)), or the pair has had ``cap`` column-1 updates, and
     returns the pair that check measured, so the reported residual is
-    exact for the rows solved.  The sweep count s is the number of column-1
-    updates in the returned pair: a solve makes 2 s + 2 kernel passes
-    when it stops on a column-1 check and 2 s + 1 when it stops on a
-    column-2 check.  ``cap`` = 0 returns x1 = rhs1 after two passes.
+    exact.  The sweep count s is the number of column-1 updates in the
+    returned pair: a solve makes 2 s + 2 kernel passes when it stops on
+    a column-1 check and 2 s + 1 when it stops on a column-2 check.
+    ``cap`` = 0 returns x1 = rhs1 after two passes.
 
-    Returns the solution columns (x1, x2), per-cell residuals over the
-    given rows, sweep count, converged mask, and per cell the sweep
-    count of the first check its residual met ``tol`` at (the sweep
-    count for cells that never did).
+    Returns the solution columns (x1, x2), per-cell residuals, sweep
+    count, converged mask, and per cell the sweep count of the first
+    check its residual met ``tol`` at (the sweep count for cells that
+    never did).
     """
     h = zgrid.spacing
     # a copy, so the returned columns never alias the caller's right-hand side
@@ -275,7 +265,7 @@ def _neumann(u21, u12, rhs1, rhs2, kind, zgrid,
             if first is None:
                 first = res
             hopeless = ~np.isfinite(res) | (res > 1e8 * first + 1e8)
-            # one hopeless cell fails the whole batch (``_solve``), so
+            # one hopeless cell fails the whole batch (``_solve_batch``), so
             # sweeping on for the others would be wasted
             if sweeps == cap or hopeless.any() or np.all(res < tol):
                 break
@@ -316,37 +306,19 @@ def _dense_solve(u21_row, u12_row, rhs_pairs, kind, zgrid):
     return [(X[:n, j], X[n:, j]) for j in range(X.shape[1])]
 
 
-def _solve(u21, u12, rhs, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP):
-    """Solve (I - C_w) X = rhs for a (B, N) batch of cells by the sweeps of ``_neumann``.
-
-    ``rhs`` is the right-hand-side column pair (rhs1, rhs2) of the rows
-    to solve, each (R, B, N).  A batch in which any cell misses ``tol``
-    raises ``RhpUnsolvedError``, naming how many cells, the kind, the
-    sweep count and the worst residual.  Returns the solution columns,
-    the per-cell residuals (exact for the returned iterate), the sweep
-    count (column-1 updates in the returned iterate) and the per-cell
-    sweep counts.
-    """
-    x, res, iterations, ok, met = _neumann(u21, u12, *rhs, kind, zgrid, tol, cap)
-    if not ok.all():
-        raise RhpUnsolvedError(
-            f"{np.count_nonzero(~ok)} of {ok.size} {kind} cells unsolved after "
-            f"{iterations} sweeps (worst residual {np.max(res):.3e})"
-        )
-    return x, res, iterations, met
-
-
 def _solve_batch(u21, u12, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP):
     """Row 1 of mu and the slope d m^(1)_12/d x_H, with residuals, for (B, N) cells.
 
     The inverse map reads m^(1)_11 and the slope, which are integrals of
     row 1 only, and row 1's equations do not involve row 2; so only row
-    1 is solved, and every kernel pass transforms a (1, B, N) stack.
-    "mu" is the pair (X11, X12) of (B, N) arrays; the residuals are row
-    1's, each the exact residual of the returned iterate.  "iterations"
-    is the sweep count of the batch's solve (column-1 updates in the
-    returned iterate), "cell_iterations" the sweep count of the first
-    half-step check at which each cell met ``tol``.
+    1 is solved, and every kernel pass transforms the B cells.  "mu" is
+    the pair (X11, X12) of (B, N) arrays; "residual" is each cell's exact
+    residual of the returned iterate.  "iterations" is the sweep count of
+    the batch's solve (column-1 updates in the returned iterate),
+    "cell_iterations" the sweep count of the first half-step check at
+    which each cell met ``tol``.  A batch in which any cell misses
+    ``tol`` raises ``RhpUnsolvedError``, naming how many cells, the kind,
+    the sweep count and the worst residual.
 
     The grid cuts the jump off at |z| = Z, where r still decays only like
     c1/z.  The band term ``_tail_outside(u12)``, the Cauchy transform of
@@ -361,13 +333,15 @@ def _solve_batch(u21, u12, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP):
     outer band's part of the integral.  So a batch makes only its
     solve's kernel passes: 2 s + 1 or 2 s + 2 for s sweeps (``_neumann``).
     """
-    shape = (1,) + u21.shape
     band = _tail_outside(u12, zgrid)
     # a read-only broadcast: the sweeps only read the right-hand side
-    (x1, x2), res, its, met = _solve(
-        u21, u12, (np.broadcast_to(np.complex128(1.0), shape), band[None]),
-        kind, zgrid, tol, cap)
-    mu = (x1[0], x2[0])
+    mu, res, its, ok, met = _neumann(
+        u21, u12, np.broadcast_to(np.complex128(1.0), u21.shape), band, kind, zgrid, tol, cap)
+    if not ok.all():
+        raise RhpUnsolvedError(
+            f"{np.count_nonzero(~ok)} of {ok.size} {kind} cells unsolved after "
+            f"{its} sweeps (worst residual {np.max(res):.3e})"
+        )
     m11, m12 = _m0_rows(*mu, u21, u12, zgrid)
     m12 += band[:, zgrid.point_count // 2]
     return {
@@ -387,18 +361,17 @@ def _trapezoid_dot(x, u):
 
 
 def _moment_rows(x1, x2, u21, u12, h):
-    """-(1/2 pi i) int X (w_+ + w_-) ds for the rows given, as a column pair.
+    """-(1/2 pi i) int X (w_+ + w_-) ds per cell, as a column pair.
 
-    ``x1``, ``x2`` are the columns of the rows, (R, B, N) or, for one
-    row, (B, N); the (i,1) entry integrates X_i2 u21 and the (i,2) entry
-    X_i1 u12.
+    ``x1``, ``x2`` are the (B, N) columns of the cells' rows; for row i
+    the (i,1) entry integrates X_i2 u21 and the (i,2) entry X_i1 u12.
     """
     pref = -h / (2j * np.pi)
     return pref * _trapezoid_dot(x2, u21), pref * _trapezoid_dot(x1, u12)
 
 
 def _m0_rows(x1, x2, u21, u12, zgrid):
-    """M(0) - I = (1/2 pi i) int X (w_+ + w_-) ds/s for the rows given, as a column pair.
+    """M(0) - I = (1/2 pi i) int X (w_+ + w_-) ds/s per cell, as a column pair.
 
     Shapes as in :func:`_moment_rows`.  The grid [-Z, Z) holds one end
     node, and the integrand, ~ conj(c1)/s^2 out there, takes nearly the

@@ -65,6 +65,8 @@ class SolitonParams:
     eta: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.xi) and np.isfinite(self.eta)):
+            raise InvalidArgumentError(f"xi and eta must be finite, got {self.xi}, {self.eta}")
         if self.eta <= 0:
             raise InvalidArgumentError("eta must be positive")
 

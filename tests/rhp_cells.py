@@ -1,25 +1,24 @@
 """The inverse's own RHP cell solve, for the tests that read its moments.
 
-``inverse_transform`` solves each batch of lattice cells as
-``_jump_entries`` -> ``_solve_batch`` -> ``_moment_rows`` and removes the
-delta conjugation's shift d1 from m^(1)_11 of the DeltaConjugated kind.
-``cell_solve`` makes the same calls, so a check on what it returns is a
-check on the equation the inverse solves.  It also gives m^(1)_12, which
-the inverse never reads but whose x_H-derivative the slope is: the
-windowed ``_moment_rows`` entry plus the outer band's part of the
-integral (``band_moment``); ``fd_slope_gap`` checks the slope against
-its central differences.
+``inverse_transform`` solves each batch of lattice cells with
+``_solve_cells``, and ``cell_solve`` calls it too, so a check on what it
+returns is a check on the equation the inverse solves.  It completes
+m^(1)_12, which the inverse never reads but whose x_H-derivative the
+slope is, with the outer band's part of the integral (``band_moment``);
+``fd_slope_gap`` checks the slope against its central differences.
+``both_rows`` poses both rows of the mu equation as cells of one batch.
 """
 
 import numpy as np
 
 from wkist.lattice import _TAIL_SCALE, _TAIL_TERMS, GridFunction, _tail_completion
+from wkist.reconstruction import _solve_cells
 from wkist.rhp import (
     DELTA_CONJUGATED,
+    _apply_cw,
     _delta_shift,
     _jump_entries,
-    _moment_rows,
-    _solve_batch,
+    _l2_residual,
     delta_function,
 )
 
@@ -28,6 +27,25 @@ def jump_batch(r, zgrid, kind, x_H):
     """u21, u12 of a batch of cells, with Delta built for the DeltaConjugated kind."""
     Delta = delta_function(GridFunction(zgrid, r))[2].values if kind == DELTA_CONJUGATED else None
     return _jump_entries(kind, r, zgrid, np.asarray(x_H, float)[:, None], Delta)
+
+
+def both_rows(u21, u12):
+    """Both rows of the mu equation of B cells as a batch of 2B cells.
+
+    The jump entries are stacked twice, with the right-hand-side columns
+    (1 || 0, 0 || 1): cell j of row i is cell i B + j of the batch.
+    Returns (u21, u12, rhs1, rhs2), the leading arguments of ``_neumann``.
+    """
+    ones, zeros = np.ones_like(u21), np.zeros_like(u21)
+    return (np.concatenate([u21, u21]), np.concatenate([u12, u12]),
+            np.concatenate([ones, zeros]), np.concatenate([zeros, ones]))
+
+
+def exact_residual(x, rhs, u21, u12, kind, zgrid):
+    """Each cell's L2 residual of the column pair ``x``, recomputed over both columns."""
+    c = _apply_cw(*x, u21, u12, kind, zgrid)
+    return _l2_residual(np.concatenate([xa - ra - ca for xa, ra, ca in zip(x, rhs, c)], axis=-1),
+                        zgrid.spacing)
 
 
 def band_moment(u12, zgrid):
@@ -50,18 +68,12 @@ def band_moment(u12, zgrid):
 
 
 def cell_solve(r, zgrid, kind, x_H):
-    """``_solve_batch``'s output for cells ``x_H`` of one kind, with their moments.
-
-    Adds the jump entries "u21", "u12" and the moment entries "m11"
-    (d1 removed for the DeltaConjugated kind, as the inverse does) and
-    "m12" (the full-line (1,2) moment, band included).
-    """
-    u21, u12 = jump_batch(r, zgrid, kind, x_H)
-    out = _solve_batch(u21, u12, kind, zgrid)
-    m11, m12 = _moment_rows(*out["mu"], u21, u12, zgrid.spacing)
+    """``_solve_cells`` at cells ``x_H`` of one kind, with "m12" the full-line moment."""
+    Delta = d1 = None
     if kind == DELTA_CONJUGATED:
-        m11 = m11 - _delta_shift(r, zgrid)
-    return dict(out, u21=u21, u12=u12, m11=m11, m12=m12 + band_moment(u12, zgrid))
+        Delta, d1 = delta_function(GridFunction(zgrid, r))[2].values, _delta_shift(r, zgrid)
+    out = _solve_cells(kind, r, zgrid, np.asarray(x_H, float), Delta, d1)
+    return dict(out, m12=out["m12"] + band_moment(out["u12"], zgrid))
 
 
 def fd_slope_gap(r, zgrid, kind, x_H, delta=1e-3):

@@ -16,16 +16,14 @@ from wkist.rhp import (
     _dense_solve,
     _in_w_plus,
     _jump_entries,
-    _l2_residual,
     _m0_rows,
     _moment_rows,
     _neumann,
-    _solve,
     _solve_batch,
     delta_function,
     suggest_z_min,
 )
-from rhp_cells import band_moment, cell_solve, fd_slope_gap, jump_batch
+from rhp_cells import band_moment, both_rows, cell_solve, exact_residual, fd_slope_gap, jump_batch
 
 
 def small_reflection(N=1024, N_z=1024, z_min=0.5, amp=0.05):
@@ -99,17 +97,18 @@ def test_neumann_solution_solves_the_equation():
 
 
 def test_neumann_and_dense_solvers_agree():
-    # both rows of the solver's operator, with the mu right-hand sides
+    # both rows of the solver's operator, with the mu right-hand sides,
+    # as the two cells of one batch
     sd = small_reflection(N=512, N_z=512, z_min=0.9)
     for x_H, kind in ((-0.4, TRIANGULAR), (0.4, DELTA_CONJUGATED)):
-        u21, u12 = jump_batch(sd.r, sd.zgrid, kind, [x_H])
-        rhs = mu_rhs(u21)
-        x, *_ = _solve(u21, u12, rhs, kind, sd.zgrid)
-        rows = _dense_solve(u21[0], u12[0], [(rhs[0][i, 0], rhs[1][i, 0]) for i in range(2)],
+        u21, u12, *rhs = both_rows(*jump_batch(sd.r, sd.zgrid, kind, [x_H]))
+        x, _, _, ok, _ = _neumann(u21, u12, *rhs, kind, sd.zgrid)
+        assert ok.all()
+        rows = _dense_solve(u21[0], u12[0], [(rhs[0][i], rhs[1][i]) for i in range(2)],
                             kind, sd.zgrid)
         for i, (dense1, dense2) in enumerate(rows):
-            assert np.max(np.abs(x[0][i, 0] - dense1)) < 1e-9
-            assert np.max(np.abs(x[1][i, 0] - dense2)) < 1e-9
+            assert np.max(np.abs(x[0][i] - dense1)) < 1e-9
+            assert np.max(np.abs(x[1][i] - dense2)) < 1e-9
 
 
 def test_dense_reference_size_cap():
@@ -207,13 +206,15 @@ def test_factorization_kinds_agree_on_m1_12():
 def test_moments_inherit_the_schwarz_symmetry():
     # for our data r comes from a real potential: m1_11 of the inverse's
     # solve is purely imaginary, and with both rows of the operator
-    # solved, m1_12 and -conj(m1_21) agree, up to solver tolerance
+    # solved (the two cells of one batch), m1_12 and -conj(m1_21) agree,
+    # up to solver tolerance
     sd = small_reflection()
     assert abs(cell_solve(sd.r, sd.zgrid, TRIANGULAR, [-1.0])["m11"][0].real) < 1e-8
-    u21, u12 = jump_batch(sd.r, sd.zgrid, TRIANGULAR, [-1.0])
-    x, *_ = _solve(u21, u12, mu_rhs(u21), TRIANGULAR, sd.zgrid)
+    u21, u12, *rhs = both_rows(*jump_batch(sd.r, sd.zgrid, TRIANGULAR, [-1.0]))
+    x, _, _, ok, _ = _neumann(u21, u12, *rhs, TRIANGULAR, sd.zgrid)
+    assert ok.all()
     col1, col2 = _moment_rows(*x, u21, u12, sd.zgrid.spacing)
-    assert abs(col2[0, 0] + np.conj(col1[1, 0])) < 1e-8
+    assert abs(col2[0] + np.conj(col1[1])) < 1e-8
 
 
 def test_band_moment_is_zero_on_vanishing_edges():
@@ -268,9 +269,10 @@ def test_tail_rhs_pulls_band_solution_toward_wide_grid():
         if with_T:
             return zg, _solve_batch(u21, u12, TRIANGULAR, zg)["mu"]
         # the windowed equation alone: row 1 with no band term
-        rhs = (np.ones((1,) + u21.shape, complex), np.zeros((1,) + u21.shape, complex))
-        (x1, x2), *_ = _solve(u21, u12, rhs, TRIANGULAR, zg)
-        return zg, (x1[0], x2[0])
+        x, _, _, ok, _ = _neumann(u21, u12, np.ones_like(u21), np.zeros_like(u21),
+                                  TRIANGULAR, zg)
+        assert ok.all()
+        return zg, x
 
     zg_w, mu_w = band_mu(160.0, 16384, True)
     zg_n, mu_no = band_mu(40.0, 4096, False)
@@ -285,12 +287,6 @@ def test_tail_rhs_pulls_band_solution_toward_wide_grid():
     assert gap_yes < gap_no / 20.0
 
 
-def mu_rhs(u21):
-    """Right-hand-side columns (rhs1, rhs2) of both rows of the mu equation."""
-    ones, zeros = np.ones(u21.shape, complex), np.zeros(u21.shape, complex)
-    return np.stack([ones, zeros]), np.stack([zeros, ones])
-
-
 @pytest.mark.parametrize("kind, x_H", [(TRIANGULAR, [-2.0, -0.4]),
                                        (DELTA_CONJUGATED, [0.4, 2.0])])
 def test_neumann_residual_is_the_exact_residual(kind, x_H):
@@ -299,19 +295,17 @@ def test_neumann_residual_is_the_exact_residual(kind, x_H):
     # round-off of the recomputation
     sd = small_reflection(N=512, N_z=512, z_min=0.9)
     r = 0.6 * sd.r / np.max(np.abs(sd.r))
-    u21, u12 = jump_batch(r, sd.zgrid, kind, x_H)
-    h = sd.zgrid.spacing
+    u21, u12, *mu_rhs = both_rows(*jump_batch(r, sd.zgrid, kind, x_H))
 
     def check(rhs):
         x, res, _, ok, _ = _neumann(u21, u12, *rhs, kind, sd.zgrid, tol=1e-6)
         assert ok.all()
-        c = _apply_cw(*x, u21, u12, kind, sd.zgrid)
-        exact = _l2_residual([xa - ra - ca for xa, ra, ca in zip(x, rhs, c)], h)
+        exact = exact_residual(x, rhs, u21, u12, kind, sd.zgrid)
         assert np.all(exact > 0)
         assert np.max(np.abs(res - exact) / exact) < 1e-3
         return x
 
-    mu = check(mu_rhs(u21))
+    mu = check(mu_rhs)
     # and a right-hand side that is not constant
     check(_apply_cw(*mu, u21, u12, kind, sd.zgrid))
 
@@ -327,8 +321,8 @@ def test_converged_solve_stops_at_the_first_half_step_check_all_cells_meet(monke
         calls.append(np.broadcast_shapes(np.shape(values), np.shape(weight)))
         return kernel(values, grid, minus, weight)
 
-    def recorded(entries, h):
-        checks.append(residual(entries, h))
+    def recorded(e, h):
+        checks.append(residual(e, h))
         return checks[-1]
 
     monkeypatch.setattr(wkist.rhp, "_cauchy_plus_batch", counted)
@@ -338,10 +332,9 @@ def test_converged_solve_stops_at_the_first_half_step_check_all_cells_meet(monke
     for kind, x_H, tol in ((TRIANGULAR, [-1.0, -0.2], NEUMANN_TOL),
                            (DELTA_CONJUGATED, [0.2, 1.0], NEUMANN_TOL),
                            (TRIANGULAR, [-1.0, -0.2], 1e-6)):
-        u21, u12 = jump_batch(r, sd.zgrid, kind, x_H)
+        u21, u12, *rhs = both_rows(*jump_batch(r, sd.zgrid, kind, x_H))
         calls.clear()
         checks.clear()
-        rhs = mu_rhs(u21)
         _, res, sweeps, ok, _ = _neumann(u21, u12, *rhs, kind, sd.zgrid, tol=tol)
         assert ok.all() and np.all(res < tol)
         assert sweeps > 5
@@ -355,8 +348,8 @@ def test_converged_solve_stops_at_the_first_half_step_check_all_cells_meet(monke
         column_1_check = len(calls) % 2 == 0
         assert len(calls) == 2 * sweeps + (2 if column_1_check else 1)
         stops.add(column_1_check)
-        # each pass projects the rows passed in for every cell at once
-        assert all(shape == (len(rhs[0]),) + u21.shape for shape in calls)
+        # each pass projects every cell of the stacked batch at once
+        assert all(shape == u21.shape for shape in calls)
     assert stops == {True, False}
 
 
@@ -385,12 +378,11 @@ def test_sweeps_stopped_at_cap_report_their_true_residual(kind, x_H, cap):
     sd = small_reflection(N=512, N_z=512, z_min=0.9)
     r = 0.6 * sd.r / np.max(np.abs(sd.r))
     u21, u12 = jump_batch(r, sd.zgrid, kind, x_H)
-    rhs = mu_rhs(u21)
-    x, res, sweeps, ok, _ = _neumann(u21, u12, *rhs, kind, sd.zgrid, cap=cap)
+    *jump, rhs1, rhs2 = both_rows(u21, u12)
+    x, res, sweeps, ok, _ = _neumann(*jump, rhs1, rhs2, kind, sd.zgrid, cap=cap)
     assert sweeps == cap
     assert not ok.any() and np.all(res >= NEUMANN_TOL)
-    c = _apply_cw(*x, u21, u12, kind, sd.zgrid)
-    exact = _l2_residual([xa - ra - ca for xa, ra, ca in zip(x, rhs, c)], sd.zgrid.spacing)
+    exact = exact_residual(x, (rhs1, rhs2), *jump, kind, sd.zgrid)
     assert np.max(np.abs(res - exact) / exact) < 1e-6
     unsolved = f"2 of 2 {kind} cells unsolved after {cap} sweeps"
     with pytest.raises(RhpUnsolvedError, match=unsolved):
@@ -405,23 +397,23 @@ def test_sweeps_stop_at_the_first_check_a_cell_is_hopeless():
     unit = sd.r / np.max(np.abs(sd.r))
     stagnant = jump_batch(2.0 * unit, sd.zgrid, TRIANGULAR, [-0.5])
     diverging = jump_batch(5.0 * unit, sd.zgrid, TRIANGULAR, [-0.5])
-    sweeps_alone = [_neumann(*cell, *mu_rhs(cell[0]), TRIANGULAR, sd.zgrid)[2]
+    sweeps_alone = [_neumann(*both_rows(*cell), TRIANGULAR, sd.zgrid)[2]
                     for cell in (stagnant, diverging)]
     assert sweeps_alone[0] == NEUMANN_CAP
     assert sweeps_alone[1] < NEUMANN_CAP // 10
     u21, u12 = (np.concatenate(pair) for pair in zip(stagnant, diverging))
-    _, res, sweeps, ok, _ = _neumann(u21, u12, *mu_rhs(u21), TRIANGULAR, sd.zgrid)
+    _, res, sweeps, ok, _ = _neumann(*both_rows(u21, u12), TRIANGULAR, sd.zgrid)
     assert sweeps == sweeps_alone[1]
     assert not ok.any() and res[1] > 1e8
     with pytest.raises(RhpUnsolvedError, match=f"after {sweeps} sweeps"):
-        _solve(u21, u12, mu_rhs(u21), TRIANGULAR, sd.zgrid)
+        _solve_batch(u21, u12, TRIANGULAR, sd.zgrid)
 
 
 @pytest.mark.parametrize("kind, x_H", [(TRIANGULAR, [-1.0, -0.2]),
                                        (DELTA_CONJUGATED, [0.2, 1.0])])
 def test_inverse_solve_transforms_row_1_only(kind, x_H, monkeypatch):
     # the inverse reads only row 1 of mu: _solve_batch must solve that
-    # row alone, every kernel pass a (1, B, N) stack, take the slope from
+    # row alone, every kernel pass its B cells, take the slope from
     # it with no further pass, and still agree with row 1 of the dense
     # solve of the same equations
     sd = small_reflection(N=512, N_z=512, z_min=0.9)
@@ -440,7 +432,7 @@ def test_inverse_solve_transforms_row_1_only(kind, x_H, monkeypatch):
     monkeypatch.setattr(wkist.rhp, "_cauchy_plus_batch", counted)
     out = _solve_batch(u21, u12, kind, zg)
     monkeypatch.undo()
-    assert all(shape == (1,) + u21.shape for shape in calls)
+    assert all(shape == u21.shape for shape in calls)
     # 2 s + 1 or 2 s + 2 passes for the one solve, as its last check
     # followed a column-2 or a column-1 update; the slope costs none
     assert len(calls) - 2 * out["iterations"] in (1, 2)

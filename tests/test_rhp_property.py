@@ -11,14 +11,12 @@ from wkist.rhp import (  # noqa: E402
     DELTA_CONJUGATED,
     NEUMANN_TOL,
     TRIANGULAR,
-    _apply_cw,
     _dense_solve,
-    _l2_residual,
     _m0_rows,
-    _solve,
+    _neumann,
     _solve_batch,
 )
-from rhp_cells import cell_solve, fd_slope_gap, jump_batch  # noqa: E402
+from rhp_cells import both_rows, cell_solve, exact_residual, fd_slope_gap, jump_batch  # noqa: E402
 
 ZGRID = make_spectral_grid(20.0, 256, z_min=0.5)
 FINE_ZGRID = make_spectral_grid(20.0, 512, z_min=0.5)
@@ -98,8 +96,7 @@ def test_reported_residual_is_the_exact_residual_on_random_small_data(seed, ampl
     u21, u12 = jump_batch(random_reflection(seed, amplitude), ZGRID, kind, x_H)
     out = _solve_batch(u21, u12, kind, ZGRID)
     rhs = (np.ones_like(u21), _tail_outside(u12, ZGRID))
-    c = _apply_cw(*(x[None] for x in out["mu"]), u21, u12, kind, ZGRID)
-    exact = _l2_residual([x - b - cw[0] for x, b, cw in zip(out["mu"], rhs, c)], ZGRID.spacing)
+    exact = exact_residual(out["mu"], rhs, u21, u12, kind, ZGRID)
     assert np.all(out["residual"] < NEUMANN_TOL)
     # relative 1e-3; a cell that kept contracting while the batch waited
     # for the others can fall to ~1e-14, where the recomputation's own
@@ -114,10 +111,11 @@ def test_reported_residual_is_the_exact_residual_on_random_small_data(seed, ampl
 def test_row_2_is_the_schwarz_reflection_of_row_1(seed, amplitude, x_H, kind):
     # u12 = conj(u21) in both kinds and C-(conj v) = -conj(C+ v), so row 2
     # of mu is fixed by row 1: this is why the inverse solves row 1 alone.
-    # Both rows of the operator, with the mu right-hand sides
-    u21, u12 = jump_batch(random_reflection(seed, amplitude), ZGRID, kind, [x_H])
-    one, zero = np.ones_like(u21), np.zeros_like(u21)
-    (x1, x2), *_ = _solve(u21, u12, (np.stack([one, zero]), np.stack([zero, one])), kind, ZGRID)
+    # Both rows of the operator, with the mu right-hand sides, as the two
+    # cells of one batch
+    jump = jump_batch(random_reflection(seed, amplitude), ZGRID, kind, [x_H])
+    (x1, x2), _, _, ok, _ = _neumann(*both_rows(*jump), kind, ZGRID)
+    assert ok.all()
     assert np.max(np.abs(x1[1] + np.conj(x2[0]))) < 1e-9
     assert np.max(np.abs(x2[1] - np.conj(x1[0]))) < 1e-9
 

@@ -32,6 +32,17 @@ def test_params_classify_regimes():
         SolitonParams(1.0, -2.0)
 
 
+@pytest.mark.parametrize("xi, eta", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0),
+                                     (1.0, np.inf), (-np.inf, 1.0)],
+                         ids=["nan-xi", "nan-eta", "infinite-xi", "infinite-eta",
+                              "negative-infinite-xi"])
+def test_params_refuse_non_finite_xi_or_eta(xi, eta):
+    # a NaN compares false with everything, so eta = NaN passed eta > 0,
+    # and an infinite eta was classified as a looped soliton
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        SolitonParams(xi, eta)
+
+
 def test_peak_closed_form():
     # A = 1/10: sqrt(4 A (1-A)) / (1 - 2A) = 0.6/0.8 = 3/4 exactly
     assert abs(soliton_peak(SMOOTH) - 0.75) < 1e-15
