@@ -34,13 +34,17 @@ marched itself, and nothing is interpolated.
 One loop, `_march`, steps psi for a whole batch of lam.  For real lam
 each cell propagator is in SU(2), [[a, -conj b], [b, conj a]], bit for
 bit, and so is psi: the loop steps only its first column (alpha, beta),
-two contiguous rows over lam, with six products and sums into
-preallocated buffers.  The cell propagator's diagonal and sin(h u)/u
-depend on the cell only through (h, w = sqrt(1 + |q|^2)) and are reused
-while consecutive (sub)steps repeat them; the two off-diagonal entries,
-proportional to q, take one product each per step.  det psi is
-|alpha|^2 + |beta|^2, checked after every cell; the full matrix is
-built once, at x = 0, with its second column (-conj beta, conj alpha).
+two contiguous rows over lam.  The propagator is kept as the row pairs
+D = (E00, E11) and O = (E01, E10), so a (sub)step is three calls into
+preallocated buffers: D col + O col[::-1].  The cell propagator's
+diagonal and sin(h u)/u depend on the cell only through (h, w =
+sqrt(1 + |q|^2)) and are reused while consecutive (sub)steps repeat
+them; the two off-diagonal entries, proportional to q, take one product
+each per step, and h, w, q and conj q of every step are laid out before
+the first.  det psi is |alpha|^2 + |beta|^2 at every cell end: the
+march writes the cell-end columns into a block of ``BLOCK_SAMPLES``
+samples and checks the whole block at once.  The full matrix is built
+once, at x = 0, with its second column (-conj beta, conj alpha).
 A substepped cell applies its substeps in path order on both marches.
 The loop is bitwise equal to an interleaved loop with a fresh
 exponential and a full 2x2 product per step in the same arithmetic
@@ -67,11 +71,9 @@ __all__ = [
     "ScatteringData",
     "propagate_jost",
     "transition_matrix",
-    "symmetry_defect",
     "reflection_coefficient",
     "evolve_reflection",
     "check_a_asymptotics",
-    "b_from_integral",
 ]
 
 # Per-step commutator-error surrogate lam^2 |q| h^3 is kept below this
@@ -81,6 +83,9 @@ STEP_CAP_FACTOR = 64  # max total substeps per lam, in units of the cell count
 # The lam lattice's spacing, in units of 1/L: pi/16 is 16 nodes per period
 # of e^{2 i lam x} at the grid edge |x| = L.
 LAM_STEP_FACTOR = np.pi / 16
+# The march keeps its cell-end columns in blocks of at most this many
+# (cell, lam) samples, 32 bytes each, and checks det psi once per block.
+BLOCK_SAMPLES = 8192
 
 
 @dataclass
@@ -113,8 +118,11 @@ class ScatteringData:
 class _CellPropagator:
     """The cell propagator of one batch of lam, reused from step to step.
 
-    ``E`` is component-major, (2, 2, len(lam)).  ``hw`` is the (h, w) it
-    was last built for.  ``lam_sc`` and ``neg_lam_sc`` are lam*sc and
+    ``E`` is (2, 2, len(lam)) by row pairs: ``D`` = E[0] holds the
+    diagonal (E00, E11) and ``O`` = E[1] the off-diagonal (E01, E10), so
+    that a step takes (alpha, beta) to D (alpha, beta) + O (beta, alpha);
+    the four rows are also kept as views.  ``hw`` is the (h, w) it was
+    last built for.  ``lam_sc`` and ``neg_lam_sc`` are lam*sc and
     -lam*sc, sc = sin(h u)/u, as complex rows, so that each step forms an
     off-diagonal entry with one product.  The rebuild writes its
     temporaries into the preallocated rows ``hu``, ``c``, ``sc`` and
@@ -127,25 +135,25 @@ class _CellPropagator:
         self.lam, self.ilam = lam, 1j * lam
         self.lam_abs_min = np.min(np.abs(lam))
         self.E = np.empty((2, 2, L), dtype=complex)
+        self.D, self.O = self.E
+        (self.E00, self.E11), (self.E01, self.E10) = self.E
         self.hw = None
         self.hu, self.c, self.sc = np.empty(L), np.empty(L), np.empty(L)
         self.ilam_sc, self.lam_sc, self.neg_lam_sc = np.empty((3, L), dtype=complex)
 
 
-def _cell_exponential(h, qm, cell: _CellPropagator):
-    """exp(h * (i lam sigma3 - lam M(qm))) for the batch of ``cell``, into cell.E.
+def _cell_exponential(h, w, q, q_conj, cell: _CellPropagator):
+    """exp(h * (i lam sigma3 - lam M(q))) for the batch of ``cell``, into cell.E.
 
-    The diagonal entries and sin(h u)/u, u = lam w, depend on the cell
-    only through (h, w = sqrt(1 + |qm|^2)), and are rebuilt only when
-    (h, w) changes: c = cos(h u), sc = h sinc(h u / pi), c +- i lam sc,
-    and the rows lam sc and -lam sc.  When no h u / pi of the batch is 0,
-    sinc's own operations, sin(pi x) / (pi x), are spelled out without
-    its zero guard, which changes no bit.  Every call writes the
-    off-diagonal entries E01 = qm (-lam sc) and E10 = conj(qm) (lam sc),
-    one product each.
+    ``w`` is sqrt(1 + |q|^2) and ``q_conj`` is conj(q).  The diagonal
+    entries and sin(h u)/u, u = lam w, depend on the cell only through
+    (h, w), and are rebuilt only when (h, w) changes: c = cos(h u),
+    sc = h sinc(h u / pi), c +- i lam sc, and the rows lam sc and
+    -lam sc.  When no h u / pi of the batch is 0, sinc's own operations,
+    sin(pi x) / (pi x), are spelled out without its zero guard, which
+    changes no bit.  Every call writes the off-diagonal entries
+    E01 = q (-lam sc) and E10 = conj(q) (lam sc), one product each.
     """
-    E = cell.E
-    w = np.sqrt(1.0 + np.abs(qm) ** 2)
     if cell.hw != (h, w):
         hu, c, sc = cell.hu, cell.c, cell.sc
         np.multiply(cell.lam, w, out=hu)
@@ -161,14 +169,14 @@ def _cell_exponential(h, qm, cell: _CellPropagator):
             np.copyto(sc, np.sinc(hu))
         np.multiply(h, sc, out=sc)  # sin(h u)/u, exact at u = 0
         np.multiply(cell.ilam, sc, out=cell.ilam_sc)
-        np.add(c, cell.ilam_sc, out=E[0, 0])
-        np.subtract(c, cell.ilam_sc, out=E[1, 1])
+        np.add(c, cell.ilam_sc, out=cell.E00)
+        np.subtract(c, cell.ilam_sc, out=cell.E11)
         np.multiply(cell.lam, sc, out=cell.lam_sc)
         np.negative(cell.lam_sc, out=cell.neg_lam_sc)
         cell.hw = (h, w)
-    np.multiply(qm, cell.neg_lam_sc, out=E[0, 1])
-    np.multiply(np.conj(qm), cell.lam_sc, out=E[1, 0])
-    return E
+    np.multiply(q, cell.neg_lam_sc, out=cell.E01)
+    np.multiply(q_conj, cell.lam_sc, out=cell.E10)
+    return cell.E
 
 
 def _midpoint_values(p: Potential, k0, k1):
@@ -190,16 +198,31 @@ def _sub_values(p: Potential, k, m):
     return p.q[k] * (1 - frac) + p.q[k + 1] * frac
 
 
-def _det_defect(col, squares, det) -> float:
-    """max |det psi - 1| over the batch, from the first column of SU(2) psi.
+def _step_scalars(q):
+    """w = sqrt(1 + |q|^2), q and conj(q) as lists of scalars, per value of q.
 
-    ``col`` is (2, n) complex, (alpha, beta) per column; det psi is
-    |alpha|^2 + |beta|^2.  ``squares`` (2n floats) and ``det`` (n) are
-    scratch rows.  |det - 1| peaks at the largest or the smallest det.
+    |q|^2 is taken as a Python float's ** 2, which is C pow like a numpy
+    scalar's: an array's ** 2 is np.square, and the two can differ in the
+    last bit.
     """
-    parts = col.view(float)  # (2, 2n): real and imaginary parts interleaved
-    np.einsum("ij,ij->j", parts, parts, out=squares)
-    np.add(squares[0::2], squares[1::2], out=det)
+    w = np.sqrt(1.0 + np.array([a ** 2 for a in np.abs(q).tolist()]))
+    return w.tolist(), list(q), list(np.conj(q))
+
+
+def _det_defect(cols, scratch) -> float:
+    """max |det psi - 1| over a block of first columns of SU(2) psi.
+
+    ``cols`` is (n, 2, L) complex, (alpha, beta) per column; det psi is
+    (alpha_r^2 + beta_r^2) + (alpha_i^2 + beta_i^2), in plain products
+    and sums.  ``scratch`` holds float arrays of shapes (B, 2, 2L),
+    (B, 2L) and (B, L), B >= n.  |det - 1| peaks at the largest or the
+    smallest det.
+    """
+    parts = cols.view(float)  # (n, 2, 2L): real and imaginary parts interleaved
+    squares, sums, det = (a[:len(parts)] for a in scratch)
+    np.multiply(parts, parts, out=squares)
+    np.add(squares[:, 0], squares[:, 1], out=sums)
+    np.add(sums[:, 0::2], sums[:, 1::2], out=det)
     return float(max(det.max() - 1.0, 1.0 - det.min()))
 
 
@@ -219,21 +242,28 @@ def _fill_second_column(psi):
 def _march(p: Potential, lams, side, stop):
     """Step the first Jost column cell by cell from the `side` infinity to grid index `stop`.
 
-    A generator: yields (grid index, col) at the start point and after
-    each cell.  col = (alpha, beta), shape (2, len(lams)), is the first
-    column of psi = [[alpha, -conj beta], [beta, conj alpha]]: psi and
-    every cell propagator are in SU(2) for real lam, so the column
-    determines psi.  col is one of two buffers the loop alternates
-    between and stays valid only until the generator resumes, so a
-    consumer copies what it keeps.  `_cell_exponential` rebuilds the
-    cell propagator in one buffer per (sub)step and redoes its
-    trigonometry only when (h, w) changes; w repeats across the plateaus
-    of piecewise-constant potentials and wherever 1 + |q|^2 rounds to 1.
-    Each (sub)step is six products and sums on contiguous rows.  A
-    substepped cell applies its substeps in path order, so the leftward
-    march takes them by decreasing x.  The batch must be nonempty and
-    finite, and the substep total of the traversed cells is checked, in
-    floating point, before the first step.
+    A generator of (block, det defect) in march order, a block of
+    columns being (n, 2, len(lams)): first the start column alone, then
+    the columns at the ends of the next cells, up to ``BLOCK_SAMPLES`` //
+    len(lams) cells per block.  The det defect is the block's largest
+    |det psi - 1|, taken over the whole block with one set of calls.  A
+    column (alpha, beta) is the first column of psi = [[alpha, -conj
+    beta], [beta, conj alpha]]: psi and every cell propagator are in
+    SU(2) for real lam, so the column determines psi.  A block is a view
+    of one buffer, valid only until the generator resumes, so a consumer
+    copies what it keeps.
+
+    The (sub)step schedule -- h, w, q, conj(q) and whether the step ends
+    a cell -- is laid out before the first step.  A substepped cell
+    applies its substeps in path order, so the leftward march takes them
+    by decreasing x, and its inner substeps go through a spare column.
+    `_cell_exponential` rebuilds the cell propagator in one buffer per
+    (sub)step and redoes its trigonometry only when (h, w) changes; w
+    repeats across the plateaus of piecewise-constant potentials and
+    wherever 1 + |q|^2 rounds to 1.  Each (sub)step is then three calls
+    on row pairs: D col, O col[::-1] and their sum.  The batch must be
+    nonempty and finite, and the substep total of the traversed cells is
+    checked, in floating point, before the first step.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if lams.size == 0 or not np.all(np.isfinite(lams)):
@@ -259,49 +289,64 @@ def _march(p: Potential, lams, side, stop):
             f"propagation needs {total:.3g} substeps (> {STEP_CAP_FACTOR * N}); "
             "lam is too large for this grid"
         )
-    msub = msub.astype(int)
 
-    col = np.zeros((2, lams.size), dtype=complex)
-    col[0] = np.exp(1j * lams * grid.points[start])
-    yield start, col
+    # the (sub)step schedule, in march order
+    order = slice(None) if side == "-" else slice(None, None, -1)
+    msub = msub.astype(int)[order]
+    q = np.repeat(qm_all[first:first + len(cells)][order], msub)
+    ends = np.cumsum(msub)
+    split = msub > 1
+    for k, m, end in zip(np.asarray(cells)[split], msub[split], ends[split]):
+        q[end - m:end] = _sub_values(p, k, m)[order]
+    ends_cell = np.zeros(q.size, dtype=bool)
+    ends_cell[ends - 1] = True
+    schedule = zip(np.repeat(step / msub, msub).tolist(), *_step_scalars(q),
+                   ends_cell.tolist())
+
+    L = lams.size
+    B = max(1, min(len(cells), BLOCK_SAMPLES // L))
+    block = np.zeros((B + 1, 2, L), dtype=complex)
+    block[0, 0] = np.exp(1j * lams * grid.points[start])
+    scratch = np.empty((B, 2, 2 * L)), np.empty((B, 2 * L)), np.empty((B, L))
+    yield block[:1], _det_defect(block[:1], scratch)
+    cols = list(block)
+    flips = [col[::-1] for col in cols]
     cell = _CellPropagator(lams)
-    nxt, term = np.empty_like(col), np.empty_like(col[0])
-    for k in cells:
-        m = msub[k - first]
-        if m == 1:
-            hs, qs = step, (qm_all[k],)
+    D, O = cell.D, cell.O
+    spare, t1, t2 = np.empty((3, 2, L), dtype=complex)
+    j, col, flip = 0, cols[0], flips[0]
+    for hk, w, qk, qk_conj, last in schedule:
+        _cell_exponential(hk, w, qk, qk_conj, cell)
+        np.multiply(D, col, out=t1)
+        np.multiply(O, flip, out=t2)
+        if last:
+            j += 1
+            col, flip = cols[j], flips[j]
         else:
-            hs, qs = step / m, _sub_values(p, k, m)
-            if side == "+":
-                qs = qs[::-1]
-        for q in qs:
-            E = _cell_exponential(hs, q, cell)
-            alpha, beta = col
-            np.multiply(E[0, 0], alpha, out=nxt[0])
-            np.multiply(E[0, 1], beta, out=term)
-            np.add(nxt[0], term, out=nxt[0])
-            np.multiply(E[1, 0], alpha, out=nxt[1])
-            np.multiply(E[1, 1], beta, out=term)
-            np.add(nxt[1], term, out=nxt[1])
-            col, nxt = nxt, col
-        yield (k + 1 if side == "-" else k), col
+            col, flip = spare, spare[::-1]
+        np.add(t1, t2, out=col)
+        if j == B:
+            yield block[1:], _det_defect(block[1:], scratch)
+            block[0] = block[B]
+            j, col, flip = 0, cols[0], flips[0]
+    if j:
+        yield block[1:j + 1], _det_defect(block[1:j + 1], scratch)
 
 
 def _propagate_to_mid(p: Potential, lams, side):
     """Propagate psi from the `side` infinity to x = 0 for a batch of lam.
 
     Returns (psi at x = 0 with shape (2, 2, len(lams)), max det defect).
-    The det defect is checked after every cell on the marched column; the
-    full SU(2) matrix is built once, at x = 0.
+    The det defect is taken over every cell end, one block of the march
+    at a time; the full SU(2) matrix is built once, at x = 0.
     """
-    steps = _march(p, lams, side, p.grid.point_count // 2)  # x = 0 (N even)
-    _, col = next(steps)
-    squares, det = np.empty(2 * col.shape[1]), np.empty(col.shape[1])
+    blocks = _march(p, lams, side, p.grid.point_count // 2)  # x = 0 (N even)
+    cols, _ = next(blocks)  # the start column
     det_defect = 0.0
-    for _, col in steps:
-        det_defect = max(det_defect, _det_defect(col, squares, det))
-    psi = np.empty((2, 2, col.shape[1]), dtype=complex)
-    psi[:, 0] = col
+    for cols, defect in blocks:
+        det_defect = max(det_defect, defect)
+    psi = np.empty((2, 2, cols.shape[-1]), dtype=complex)
+    psi[:, 0] = cols[-1]
     return _fill_second_column(psi), det_defect
 
 
@@ -315,13 +360,15 @@ def propagate_jost(p: Potential, lam: float, side: str) -> JostSolution:
     deviation over the grid, |alpha|^2 + |beta|^2 - 1 as in the march.
     """
     N = p.grid.point_count
-    cols = np.empty((2, N), dtype=complex)
-    for k, col in _march(p, [float(lam)], side, 0 if side == "+" else N - 1):
-        cols[:, k] = col[:, 0]
-    det_defect = _det_defect(cols, np.empty(2 * N), np.empty(N))
+    cols = np.empty((N, 2), dtype=complex)  # in march order
+    det_defect, n = 0.0, 0
+    for block, defect in _march(p, [float(lam)], side, 0 if side == "+" else N - 1):
+        det_defect = max(det_defect, defect)
+        cols[n:n + len(block)] = block[:, :, 0]
+        n += len(block)
     psi_samples = np.empty((N, 2, 2), dtype=complex)
     psi = np.moveaxis(psi_samples, 0, -1)
-    psi[:, 0] = cols
+    psi[:, 0] = (cols if side == "-" else cols[::-1]).T
     _fill_second_column(psi)
     return JostSolution(float(lam), side, p.grid, psi_samples, det_defect)
 
@@ -341,11 +388,6 @@ def transition_matrix(p: Potential, lam: float) -> np.ndarray:
     """Transition matrix T = [[a, d], [b, c]] with psi_+ = psi_- T."""
     a, b, c, d, _ = _wronskians(p, [lam])
     return np.array([[a[0], d[0]], [b[0], c[0]]], dtype=complex)
-
-
-def symmetry_defect(T: np.ndarray) -> float:
-    """|d + conj(b)| + |c - conj(a)|; zero for the exact real-lam symmetry."""
-    return float(abs(T[0, 1] + np.conj(T[1, 0])) + abs(T[1, 1] - np.conj(T[0, 0])))
 
 
 def _lam_lattice(p: Potential, lam: np.ndarray) -> np.ndarray:
@@ -457,19 +499,3 @@ def check_a_asymptotics(p: Potential, lam_list) -> dict:
         "int_H": int_H,
         "int_B": int_B,
     }
-
-
-def b_from_integral(p: Potential, lam: float) -> complex:
-    """b via its integral representation, as a cross-check of the Wronskians.
-
-    Writing the left Jost column as (e^{i lam x} m11, ...), its second
-    component obeys v(x) = int_{-inf}^x e^{-i lam (x-y)} lam conj(q) u dy,
-    and matching the x -> +inf behavior against psi_+ = psi_- T gives
-
-        b = -lam * int e^{2 i lam y} conj(q(y)) m11(y) dy.
-    """
-    sol = propagate_jost(p, lam, "-")
-    x = p.grid.points
-    m11 = sol.psi[:, 0, 0] * np.exp(-1j * lam * x)
-    integrand = np.exp(2j * lam * x) * np.conj(p.q) * m11
-    return complex(-lam * np.trapezoid(integrand, dx=p.grid.spacing))

@@ -189,8 +189,8 @@ def _projector_fft(n: int, minus: bool) -> np.ndarray:
     """
     m = np.arange(1, n)
     half = np.where(m % 2 == 1, 2.0 / (np.pi * m), 0.0)
-    gap = np.zeros((SpectralGrid.padding - 2) * n + 1)
-    col = np.concatenate([[0.0], half, gap, -half[::-1]])
+    # offsets 0, 1..n-1, n (the one gap entry) and -(n-1)..-1
+    col = np.concatenate([[0.0], half, [0.0], -half[::-1]])
     # transformed as complex data, like the samples: a real-input
     # transform rounds differently
     out = 0.5j * np.fft.fft(col.astype(complex)) + (-0.5 if minus else 0.5)

@@ -214,7 +214,7 @@ def _solve_cells(kind, r, zgrid, x_H, Delta=None, d1=None) -> dict:
     DeltaConjugated kind, which also needs ``Delta``) and "m12", the
     windowed (1,2) moment.
     """
-    u21, u12 = _jump_entries(kind, r, zgrid, x_H[:, None], Delta)
+    u21, u12 = _jump_entries(kind, r, zgrid, x_H, Delta)
     # row 1 of mu: the only row the moment and the slope read
     out = _solve_batch(u21, u12, kind, zgrid)
     m11, m12 = _moment_rows(*out["mu"], u21, u12, zgrid.spacing)

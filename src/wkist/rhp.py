@@ -135,8 +135,8 @@ def _phases(x_H, iz):
     return e2
 
 
-def _jump_entries(kind, r_values, zgrid, x_H_col, Delta=None):
-    """u21, u12 as (B, N) arrays for a batch of x_H values.
+def _jump_entries(kind, r_values, zgrid, x_H, Delta=None):
+    """u21, u12 as (B, N) arrays for a batch of B x_H values, a (B,) array.
 
     The DeltaConjugated kind needs ``Delta`` from :func:`delta_function`.
     The phase is theta = x_H / z, taken as 0 at z = 0; the jump entries
@@ -144,7 +144,7 @@ def _jump_entries(kind, r_values, zgrid, x_H_col, Delta=None):
     through r itself (``evolve_reflection``).  The phases of an equally
     spaced batch are built by recurrence (:func:`_phases`).
     """
-    e2 = _phases(np.asarray(x_H_col, dtype=float)[:, 0], _inv_z(zgrid))
+    e2 = _phases(np.asarray(x_H, dtype=float), _inv_z(zgrid))
     if kind == TRIANGULAR:
         u21 = r_values * e2
     elif kind == DELTA_CONJUGATED:

@@ -26,7 +26,7 @@ from wkist.rhp import (
 def jump_batch(r, zgrid, kind, x_H):
     """u21, u12 of a batch of cells, with Delta built for the DeltaConjugated kind."""
     Delta = delta_function(GridFunction(zgrid, r))[2].values if kind == DELTA_CONJUGATED else None
-    return _jump_entries(kind, r, zgrid, np.asarray(x_H, float)[:, None], Delta)
+    return _jump_entries(kind, r, zgrid, np.asarray(x_H, float), Delta)
 
 
 def both_rows(u21, u12):

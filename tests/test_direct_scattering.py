@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wkist import direct_scattering
 from wkist.direct_scattering import (
     LAM_STEP_FACTOR,
     LOCAL_ERROR_BOUND,
@@ -8,12 +9,10 @@ from wkist.direct_scattering import (
     _midpoint_values,
     _sub_values,
     _wronskians,
-    b_from_integral,
     check_a_asymptotics,
     evolve_reflection,
     propagate_jost,
     reflection_coefficient,
-    symmetry_defect,
     transition_matrix,
 )
 from wkist.errors import (
@@ -24,6 +23,8 @@ from wkist.errors import (
 from wkist.lattice import make_spatial_grid, make_spectral_grid
 from wkist.lax import make_potential
 from wkist.rhp import suggest_z_min
+
+from jost_checks import b_from_integral, symmetry_defect
 
 # Reference values for the box potential q = 0.1 on [-1, 1], lam = 2,
 # from the exact piecewise-constant propagator in 40-digit arithmetic
@@ -429,3 +430,104 @@ def test_propagator_matches_the_interleaved_loop_bitwise(name):
         samples, defect = _oracle_jost(p, lam, side)
         assert_bitwise(sol.psi, samples)
         assert sol.det_defect == defect
+
+
+# ---------------------------------------------------------------------------
+# Blocks of the march: the columns and the det check are taken one block of
+# cells at a time, BLOCK_SAMPLES // len(lams) cells to a block.  A
+# substepped cell on a block boundary, a last block shorter than the rest
+# and one-cell blocks must all keep the oracle's bytes.
+
+def _spiked(nodes):
+    """Samples-only input, 0.01 e^{0.3 i x} but 2 at ``nodes``: at the
+    oracle's lams only the cells beside a spike are substepped."""
+    q = 0.01 * np.exp(0.3j * ORACLE_GRID.points)
+    q[nodes] = 2.0
+    return make_potential(ORACLE_GRID, q)
+
+
+def _substeps(p, lams):
+    qm = _midpoint_values(p, 0, p.grid.point_count - 1)
+    err = float(np.max(np.abs(lams))) ** 2 * np.abs(qm) * p.grid.spacing**3
+    return np.ceil(np.sqrt(err / LOCAL_ERROR_BOUND)) > 1
+
+
+def _oracle_cell_defects(p, lams, side):
+    """det defect after each cell of the oracle's half march, in march order."""
+    steps = _oracle_march(p, lams, side, p.grid.point_count // 2)
+    next(steps)
+    return np.array([_oracle_det_defect(psi) for _, psi in steps])
+
+
+@pytest.mark.parametrize("per_block", [1, 60, 64, None], ids=["1", "60", "64", "default"])
+def test_blocks_with_substeps_on_their_boundaries_match_the_oracle(per_block, monkeypatch):
+    # the half marches take 256 cells rightward and 255 leftward: 60 cells
+    # a block leaves last blocks of 16 and 15, 64 divides the 256, and the
+    # default 8192 // 43 = 190 leaves 66 and 65
+    lams = ORACLE_LAMS
+    if per_block is not None:
+        monkeypatch.setattr(direct_scattering, "BLOCK_SAMPLES", per_block * lams.size)
+    B = direct_scattering.BLOCK_SAMPLES // lams.size
+    N = ORACLE_GRID.point_count
+    # node B ends the first block of the rightward march and node N - 1 - B
+    # the first block of the leftward one; the cells on both sides of each
+    # are substepped
+    p = _spiked([B, N - 1 - B])
+    assert np.array_equal(np.flatnonzero(_substeps(p, lams)), [B - 1, B, N - 2 - B, N - 1 - B])
+    got = _wronskians(p, lams)
+    want = _oracle_wronskians(p, lams)
+    for g, o in zip(got[:4], want[:4]):
+        assert_bitwise(g, o)
+    assert got[4] == want[4]
+
+
+@pytest.mark.parametrize("per_block", [1, 73, 100], ids=["1", "73", "100"])
+@pytest.mark.parametrize("side", "-+")
+def test_jost_samples_span_many_blocks(per_block, side, monkeypatch):
+    # a single-lam march of 511 cells: 73 cells a block divides them, 100
+    # leaves a last block of 11
+    monkeypatch.setattr(direct_scattering, "BLOCK_SAMPLES", per_block)
+    p = _spiked([100, 300])
+    assert np.any(_substeps(p, np.array([1.9])))
+    sol = propagate_jost(p, 1.9, side)
+    samples, defect = _oracle_jost(p, 1.9, side)
+    assert_bitwise(sol.psi, samples)
+    assert sol.det_defect == defect
+
+
+@pytest.mark.parametrize("name, per_block", [("substepped", None), ("samples-only", None),
+                                             ("substepped", 120)])
+def test_det_check_reaches_cells_inside_the_blocks(name, per_block, monkeypatch):
+    # the largest det defect of these inputs falls inside a block and
+    # exceeds every block end's, x = 0 included, so the oracle test's
+    # got[4] == want[4] fails for a check taken only there; at 120 cells a
+    # block it also falls before the last block of its half march
+    p = ORACLE_INPUTS[name]
+    lams = ORACLE_LAMS * (4.0 if name == "substepped" else 1.0)
+    if per_block is not None:
+        monkeypatch.setattr(direct_scattering, "BLOCK_SAMPLES", per_block * lams.size)
+    B = direct_scattering.BLOCK_SAMPLES // lams.size
+    worst = at_ends = at_zero = in_last = 0.0
+    for side in "-+":
+        defects = _oracle_cell_defects(p, lams, side)
+        cells = defects.size
+        assert cells % B != 0
+        ends = np.zeros(cells, dtype=bool)
+        ends[B - 1::B] = ends[-1] = True
+        worst = max(worst, defects.max())
+        at_ends = max(at_ends, defects[ends].max())
+        at_zero = max(at_zero, defects[-1])
+        in_last = max(in_last, defects[-(cells % B):].max())
+        # each block reports the largest defect of its own cells
+        blocks = direct_scattering._march(p, lams, side, p.grid.point_count // 2)
+        next(blocks)
+        sizes = []
+        for cols, defect in blocks:
+            start = sum(sizes)
+            sizes.append(len(cols))
+            assert defect == defects[start:start + len(cols)].max()
+        assert sizes == [B] * (cells // B) + [cells % B]
+    assert worst > at_ends >= at_zero
+    if per_block is not None:
+        assert worst > in_last
+    assert _wronskians(p, lams)[4] == worst

@@ -6,8 +6,10 @@ from wkist.errors import InvalidArgumentError
 from wkist.lattice import (
     LAGRANGE_POINTS,
     GridFunction,
+    SpectralGrid,
     _cauchy_plus_batch,
     _lagrange_interpolant,
+    _projector_fft,
     _tail_outside,
     cauchy_minus,
     cauchy_plus,
@@ -272,6 +274,22 @@ def _scipy_cauchy_plus_batch(values, grid, minus=False):
     spectrum = scipy_fft.fft(np.asarray(values, dtype=complex), n=grid.padding * n, axis=-1)
     spectrum *= projector
     return scipy_fft.ifft(spectrum, axis=-1, overwrite_x=True)[..., :n].copy()
+
+
+@pytest.mark.parametrize("n", [2, 1024, 4096])
+@pytest.mark.parametrize("minus", [False, True], ids=["C+", "C-"])
+def test_projector_spectrum_matches_the_padded_construction(n, minus):
+    # at the fixed padding of 2 the embedding's gap is one zero; the
+    # spectrum keeps the bytes of the construction written for any padding
+    assert SpectralGrid.padding == 2
+    m = np.arange(1, n)
+    half = np.where(m % 2 == 1, 2.0 / (np.pi * m), 0.0)
+    gap = np.zeros((SpectralGrid.padding - 2) * n + 1)
+    col = np.concatenate([[0.0], half, gap, -half[::-1]])
+    want = 0.5j * np.fft.fft(col.astype(complex)) + (-0.5 if minus else 0.5)
+    got = _projector_fft(n, minus)
+    assert got.size == SpectralGrid.padding * n
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [1024, 2048, 4096])

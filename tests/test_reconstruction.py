@@ -236,9 +236,9 @@ def test_inverse_transform_sizes_cell_batches_to_the_grid(monkeypatch):
     jump = wkist.reconstruction._jump_entries
     blocks = []
 
-    def recording(kind, r, zgrid, x_H_col, *args):
-        out = jump(kind, r, zgrid, x_H_col, *args)
-        blocks.append((x_H_col[:, 0], out[0].shape))
+    def recording(kind, r, zgrid, x_H, *args):
+        out = jump(kind, r, zgrid, x_H, *args)
+        blocks.append((x_H, out[0].shape))
         return out
 
     monkeypatch.setattr(wkist.reconstruction, "_jump_entries", recording)

@@ -49,7 +49,7 @@ def test_delta_boundary_relation_is_exact():
 
 def test_factorization_entries_triangular():
     sd = small_reflection()
-    u21, u12 = _jump_entries(TRIANGULAR, sd.r, sd.zgrid, np.array([[-1.3]]))
+    u21, u12 = _jump_entries(TRIANGULAR, sd.r, sd.zgrid, np.array([-1.3]))
     z = sd.zgrid.points
     nz = z != 0
     # theta = x_H / z: time enters only through r (evolve_reflection)
@@ -64,7 +64,7 @@ def test_factorization_entries_triangular():
 def test_factorization_entries_delta_conjugated():
     sd = small_reflection()
     Delta = delta_function(GridFunction(sd.zgrid, sd.r))[2].values
-    u21, u12 = _jump_entries(DELTA_CONJUGATED, sd.r, sd.zgrid, np.array([[0.8]]), Delta)
+    u21, u12 = _jump_entries(DELTA_CONJUGATED, sd.r, sd.zgrid, np.array([0.8]), Delta)
     z = sd.zgrid.points
     theta = np.divide(0.8, z, out=np.zeros_like(z), where=z != 0)
     # the (2,1) entry is rho e^{2 i theta}, rho = r Delta
@@ -83,7 +83,7 @@ def test_build_factorization_rejects_unknown_kind():
     # it does not know
     sd = small_reflection()
     with pytest.raises(InvalidArgumentError, match="unknown factorization kind"):
-        _jump_entries("Sideways", sd.r, sd.zgrid, np.array([[0.0]]))
+        _jump_entries("Sideways", sd.r, sd.zgrid, np.array([0.0]))
 
 
 def test_neumann_solution_solves_the_equation():
@@ -133,12 +133,12 @@ def test_recurrence_phases_match_the_exponential():
     sweep = x[np.abs(x) <= 6.0 + 1e-12]
     iz = np.divide(1.0, zg.points, out=np.zeros(4096), where=zg.points != 0)
     for block in (sweep[:16], sweep[-16:]):
-        u21, _ = _jump_entries(TRIANGULAR, np.ones(4096), zg, block[:, None])
+        u21, _ = _jump_entries(TRIANGULAR, np.ones(4096), zg, block)
         assert u21.shape == (16, 4096)
         assert np.max(np.abs(u21 - np.exp(2j * block[:, None] * iz))) <= 1e-13
     # cells that are not equally spaced take the exponential row by row
     block = np.array([-1.0, -0.5, 0.25])
-    u21, _ = _jump_entries(TRIANGULAR, np.ones(4096), zg, block[:, None])
+    u21, _ = _jump_entries(TRIANGULAR, np.ones(4096), zg, block)
     assert u21.tobytes() == np.exp(2j * (block[:, None] * iz)).tobytes()
 
 
@@ -265,7 +265,7 @@ def test_tail_rhs_pulls_band_solution_toward_wide_grid():
 
     def band_mu(Z, N_z, with_T):
         zg = make_spectral_grid(Z, N_z)
-        u21, u12 = _jump_entries(TRIANGULAR, rfun(zg.points), zg, np.array([[-0.4]]))
+        u21, u12 = _jump_entries(TRIANGULAR, rfun(zg.points), zg, np.array([-0.4]))
         if with_T:
             return zg, _solve_batch(u21, u12, TRIANGULAR, zg)["mu"]
         # the windowed equation alone: row 1 with no band term
