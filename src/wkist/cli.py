@@ -34,7 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .direct_scattering import ScatteringData, evolve_reflection, reflection_coefficient
+from .direct_scattering import (DEFAULT_A_FLOOR, ScatteringData, evolve_reflection,
+                                reflection_coefficient)
 from .errors import InvalidArgumentError, NumericalError, RegimeError, WkiError, check_threshold
 from .lattice import (
     GridFunction,
@@ -44,9 +45,9 @@ from .lattice import (
     make_spectral_grid,
 )
 from .lax import conserved_E1, make_potential
-from .pde_oracle import evolve, step_count
-from .reconstruction import inverse_transform
-from .rhp import suggest_z_min
+from .pde_oracle import DEFAULT_CFL, evolve, step_count
+from .reconstruction import DEFAULT_DECAY_FLOOR, inverse_transform
+from .rhp import DEFAULT_WINDOW, suggest_z_min
 from .soliton import SolitonParams, soliton_epsilon, soliton_peak, soliton_pde_residual, soliton_q
 
 __all__ = ["RunConfig", "run_forward", "run_evolve", "run_inverse",
@@ -71,10 +72,10 @@ class RunConfig:
     N_z: int = 4096
     # time and comparison
     t: float = 0.0
-    window: float = 6.0
-    decay_floor: float = 1e-6     # see reconstruction.inverse_transform
-    cfl: float = 0.2
-    a_floor: float = 0.5
+    window: float = DEFAULT_WINDOW
+    decay_floor: float = DEFAULT_DECAY_FLOOR  # see reconstruction.inverse_transform
+    cfl: float = DEFAULT_CFL
+    a_floor: float = DEFAULT_A_FLOOR
     # soliton
     xi: float = 3.0
     eta: float = 1.0

@@ -28,8 +28,7 @@ period of e^{2 i lam L}) that is symmetric about, and avoids, lam = 0
 and covers the band's largest |lam|, and a and b are carried onto the
 band together by the ten-point Lagrange stencil ``_lagrange_interpolant``.
 The diagnostic ``spectral_lattice_error_estimate`` is its ``_halving_miss``
-of r over the lattice.  A band of no more lam than the lattice is
-marched itself, and nothing is interpolated.
+of r over the lattice.
 
 One loop, `_march`, steps psi for a whole batch of lam.  For real lam
 each cell propagator is in SU(2), [[a, -conj b], [b, conj a]], bit for
@@ -86,6 +85,8 @@ LAM_STEP_FACTOR = np.pi / 16
 # The march keeps its cell-end columns in blocks of at most this many
 # (cell, lam) samples, 32 bytes each, and checks det psi once per block.
 BLOCK_SAMPLES = 8192
+# Smallest min |a| the forward map accepts, unless a run sets its own floor
+DEFAULT_A_FLOOR = 0.5
 
 
 @dataclass
@@ -395,22 +396,19 @@ def _lam_lattice(p: Potential, lam: np.ndarray) -> np.ndarray:
 
     The nodes are +-(j + 1/2) dlam, j = 0..J, dlam = ``LAM_STEP_FACTOR`` /
     L, with (J + 1/2) dlam >= max |lam|: symmetric, free of lam = 0, and
-    covering the band, off which the interpolant is zero.  A lattice of at
-    least as many nodes as the band gives the band itself.
+    covering the band, off which the interpolant is zero.
     """
     step = LAM_STEP_FACTOR / p.grid.half_width
     reach = np.max(np.abs(lam))
     count = int(np.ceil(reach / step - 0.5)) + 1
     if (count - 0.5) * step < reach:  # rounding
         count += 1
-    if 2 * count >= lam.size:
-        return lam
     half = (np.arange(count) + 0.5) * step
     return np.concatenate([-half[::-1], half])
 
 
 def reflection_coefficient(p: Potential, zgrid: SpectralGrid,
-                           a_floor: float = 0.5) -> ScatteringData:
+                           a_floor: float = DEFAULT_A_FLOOR) -> ScatteringData:
     """r(z) = b(-1/z)/a(-1/z) on the active band z_min <= |z| of the grid.
 
     a, b, c, d are the Wronskians on the lam lattice (``_lam_lattice``);
@@ -445,11 +443,9 @@ def reflection_coefficient(p: Potential, zgrid: SpectralGrid,
         "min_abs_a": min_abs_a,
         "det_defect": det_defect,
         "symmetry_defect": float(np.max(np.abs(d + np.conj(b)) + np.abs(c - np.conj(a)))),
-        "spectral_lattice_error_estimate": 0.0,
+        "spectral_lattice_error_estimate": _halving_miss(nodes, b / a),
     }
-    if nodes is not lam:
-        diagnostics["spectral_lattice_error_estimate"] = _halving_miss(nodes, b / a)
-        a, b = _lagrange_interpolant(nodes, np.stack([a, b], axis=1))(lam).T
+    a, b = _lagrange_interpolant(nodes, np.stack([a, b], axis=1))(lam).T
 
     r = np.zeros(len(z), dtype=complex)
     r[active] = b / a

@@ -30,33 +30,29 @@ __all__ = [
     "conserved_E2",
 ]
 
+E2_GUARD = 1e-8
+E2_MAX_EXCLUDED = 0.95
+
 
 @dataclass
 class Potential:
     """Complex potential samples on a spatial grid.
 
-    ``q_x`` is recorded together with how it was obtained ("spectral" on
-    the periodic truncation, or "centered" differences).  ``profile``,
-    when present, is the analytic function the samples came from; the
-    Jost propagator uses it to evaluate true mid-cell values, which is
-    what keeps discontinuous profiles (box potentials) exactly resolved
-    when their jumps sit on grid points.
+    ``q_x`` is the spectral derivative on the periodic truncation.
+    ``profile``, when present, is the analytic function the samples came
+    from; the Jost propagator uses it to evaluate true mid-cell values,
+    which is what keeps discontinuous profiles (box potentials) exactly
+    resolved when their jumps sit on grid points.
     """
 
     grid: SpatialGrid
     q: np.ndarray
     q_x: np.ndarray
-    derivative_kind: str
     profile: Optional[Callable] = None
     diagnostics: dict = field(default_factory=dict)
 
 
-def _spectral_derivative(q: np.ndarray, h: float) -> np.ndarray:
-    k = 2.0 * np.pi * np.fft.fftfreq(len(q), d=h)
-    return np.fft.ifft(1j * k * np.fft.fft(q))
-
-
-def make_potential(grid: SpatialGrid, q, derivative: str = "spectral") -> Potential:
+def make_potential(grid: SpatialGrid, q) -> Potential:
     """Build a Potential from samples or from a callable profile."""
     profile = None
     if callable(q):
@@ -69,22 +65,17 @@ def make_potential(grid: SpatialGrid, q, derivative: str = "spectral") -> Potent
     if not np.all(np.isfinite(samples)):
         raise InvalidArgumentError("potential samples must be finite")
 
-    if derivative == "spectral":
-        q_x = _spectral_derivative(samples, grid.spacing)
-    elif derivative == "centered":
-        q_x = np.gradient(samples, grid.spacing)
-    else:
-        raise InvalidArgumentError(f"unknown derivative kind {derivative!r}")
-
+    h = grid.spacing
+    k = 2.0 * np.pi * np.fft.fftfreq(len(samples), d=h)
+    q_x = np.fft.ifft(1j * k * np.fft.fft(samples))
     x = grid.points
     wx = np.sqrt(1.0 + x * x)
-    h = grid.spacing
     diagnostics = {
         "sup_norm": float(np.max(np.abs(samples))),
         "weighted_l2": float(np.sqrt(h * np.sum((wx * np.abs(samples)) ** 2))),
         "weighted_l2_dx": float(np.sqrt(h * np.sum((wx * np.abs(q_x)) ** 2))),
     }
-    return Potential(grid, samples, q_x, derivative, profile, diagnostics)
+    return Potential(grid, samples, q_x, profile, diagnostics)
 
 
 @dataclass
@@ -146,20 +137,20 @@ def conserved_E1(p: Potential) -> float:
     return float(np.trapezoid(H, dx=p.grid.spacing))
 
 
-def conserved_E2(p: Potential, guard: float = 1e-8, max_excluded_fraction: float = 0.95) -> complex:
+def conserved_E2(p: Potential) -> complex:
     """Second conserved functional, as a guarded diagnostic.
 
     The integrand contains q_x / q, which has no meaning where q
-    vanishes, so points with |q| <= ``guard`` are excluded and the
-    excluded mass fraction is reported via the error when it exceeds
-    ``max_excluded_fraction``.
+    vanishes, so points with |q| <= ``E2_GUARD`` are excluded, and an
+    excluded fraction of the line above ``E2_MAX_EXCLUDED`` raises
+    DiagnosticUnreliableError.
     """
     q, q_x = p.q, p.q_x
-    keep = np.abs(q) > guard
+    keep = np.abs(q) > E2_GUARD
     frac = 1.0 - keep.sum() / len(q)
-    if frac > max_excluded_fraction:
+    if frac > E2_MAX_EXCLUDED:
         raise DiagnosticUnreliableError(
-            f"E2 guard excluded {frac:.1%} of the line (limit {max_excluded_fraction:.1%})",
+            f"E2 guard excluded {frac:.1%} of the line (limit {E2_MAX_EXCLUDED:.1%})",
             excluded_fraction=frac,
         )
     w = np.sqrt(1.0 + np.abs(q) ** 2)

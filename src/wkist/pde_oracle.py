@@ -9,7 +9,8 @@ integrated as q_t = i d_xx(q/<q>) with spectral x-derivatives on the
 periodic extension of the grid (legitimate for decaying potentials on a
 wide enough box) and classical fourth-order Runge-Kutta in time.  The
 stiffness is that of a free Schroedinger equation, so the stable step
-scales with the grid spacing squared; ``cfl`` times h^2 is the default.
+scales with the grid spacing squared: the step is at most ``cfl``
+times h^2.
 
 This module deliberately shares nothing with the scattering transform
 beyond the grid types -- it is the cross-validation oracle.
@@ -51,11 +52,11 @@ def wki_rhs(p: Potential) -> GridFunction:
 @dataclass
 class EvolutionRun:
     grid: object
-    times: np.ndarray            # snapshot times, starting at 0
-    snapshots: np.ndarray        # (len(times), N) complex
+    times: np.ndarray            # (0, T)
+    snapshots: np.ndarray        # (2, N) complex: q at 0 and at T
     dt: float
     steps: int
-    e1: np.ndarray               # E1 at each snapshot
+    e1: np.ndarray               # E1 at 0 and at T
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -67,91 +68,68 @@ class EvolutionRun:
         return float(np.max(np.abs(self.e1 - self.e1[0])))
 
 
-def _schedule(grid, T, dt, cfl, snapshot_times):
-    """The time step, snapshot targets, and each segment's span and RK4 step count.
+def _schedule(grid, T, cfl):
+    """The RK4 time step cfl * h^2 and the number of steps to T.
 
-    Refuses a time step that is not a finite number > 0, snapshot times
-    that are not monotone toward T or do not end at T, and a step total
-    above ``STEP_CAP``, counted in floating point (ResolutionExceededError).
+    Refuses a time step that is not a finite number > 0, and a step
+    count above ``STEP_CAP``, counted in floating point
+    (ResolutionExceededError).
     """
-    if dt is None:
-        dt = cfl * grid.spacing**2
+    dt = cfl * grid.spacing**2
     # a NaN step fails every comparison and an infinite one takes one step
     if not 0.0 < dt < float("inf"):
         raise InvalidArgumentError(f"time step must be a finite number > 0, got {dt}")
-    if snapshot_times is None:
-        snapshot_times = [T]
-    targets = list(snapshot_times)
-    sign = 1.0 if T >= 0 else -1.0
-    if any(sign * (t2 - t1) <= 0 for t1, t2 in zip(targets, targets[1:])):
-        raise InvalidArgumentError("snapshot times must be monotone toward T")
-    if targets and abs(targets[-1] - T) > 1e-15:
-        raise InvalidArgumentError("last snapshot time must equal T")
-    spans = [abs(t2 - t1) for t1, t2 in zip([0.0] + targets, targets)]
-    counts = [max(1.0, np.ceil(span / dt)) if span else 0.0 for span in spans]
-    total = sum(counts)
-    if not total <= STEP_CAP:
+    count = max(1.0, np.ceil(abs(T) / dt)) if T else 0.0
+    if not count <= STEP_CAP:
         raise ResolutionExceededError(
-            f"the flow needs {total:.3g} RK4 steps (> {STEP_CAP}); the time step "
+            f"the flow needs {count:.3g} RK4 steps (> {STEP_CAP}); the time step "
             f"{dt:.3g} is too small for this span"
         )
-    return dt, targets, spans, counts
+    return dt, count
 
 
-def step_count(grid, T: float, dt: float = None, cfl: float = DEFAULT_CFL,
-               snapshot_times=None) -> int:
+def step_count(grid, T: float, cfl: float = DEFAULT_CFL) -> int:
     """The RK4 steps ``evolve`` would take on ``grid`` to time T, without taking them.
 
     Raises what ``evolve`` raises before its first step, so a caller can
     refuse a run before paying for anything else.
     """
-    return int(sum(_schedule(grid, T, dt, cfl, snapshot_times)[3]))
+    return int(_schedule(grid, T, cfl)[1])
 
 
-def evolve(q0: GridFunction, T: float, dt: float = None,
-           cfl: float = DEFAULT_CFL, snapshot_times=None,
-           guard: float = BLOWUP_GUARD) -> EvolutionRun:
+def evolve(q0: GridFunction, T: float, cfl: float = DEFAULT_CFL) -> EvolutionRun:
     """Integrate the flow from q0 to time T (T may be negative).
 
-    Snapshot times are hit exactly (the step is shortened per segment,
-    never lengthened).  Amplitudes beyond ``guard``, or non-finite
-    values, abort with EvolutionDivergedError carrying the time and
-    location of the blow-up.  A step total above ``STEP_CAP``, counted
-    in floating point before the first step, raises ResolutionExceededError
-    (``step_count``).
+    The step is T / n for the fewest n steps no longer than cfl * h^2,
+    so T is hit exactly.  Amplitudes beyond ``BLOWUP_GUARD``, or
+    non-finite values, abort with EvolutionDivergedError carrying the
+    time and location of the blow-up.  A step count above ``STEP_CAP``,
+    counted in floating point before the first step, raises
+    ResolutionExceededError (``step_count``).
     """
     grid = q0.grid
-    dt, targets, spans, counts = _schedule(grid, T, dt, cfl, snapshot_times)
-    sign = 1.0 if T >= 0 else -1.0
+    dt, count = _schedule(grid, T, cfl)
     k2 = _wavenumbers(grid) ** 2
-    q = np.asarray(q0.values, dtype=complex).copy()
-    times = [0.0]
-    shots = [q.copy()]
-    e1 = [conserved_E1(make_potential(grid, q))]
+    q = start = np.asarray(q0.values, dtype=complex)
+    e1_start = conserved_E1(make_potential(grid, start))
+    h = T / max(count, 1.0)
     t_now = 0.0
-    for target, span, n in zip(targets, spans, counts):
-        h = sign * span / max(n, 1.0)
-        for _ in range(int(n)):
-            k1 = _rhs(q, k2)
-            k2_ = _rhs(q + 0.5 * h * k1, k2)
-            k3 = _rhs(q + 0.5 * h * k2_, k2)
-            k4 = _rhs(q + h * k3, k2)
-            q = q + (h / 6.0) * (k1 + 2.0 * k2_ + 2.0 * k3 + k4)
-            t_now += h
-            peak = np.max(np.abs(q))
-            if not np.isfinite(peak) or peak > guard:
-                j = int(np.nanargmax(np.abs(q)))
-                raise EvolutionDivergedError(
-                    f"amplitude {peak:.3g} at t = {t_now:.6g}, x = {grid.points[j]:.6g}",
-                    time=t_now, location=float(grid.points[j]), value=float(peak),
-                )
-        t_now = target
-        times.append(target)
-        shots.append(q.copy())
-        e1.append(conserved_E1(make_potential(grid, q)))
-
+    for _ in range(int(count)):
+        k1 = _rhs(q, k2)
+        k2_ = _rhs(q + 0.5 * h * k1, k2)
+        k3 = _rhs(q + 0.5 * h * k2_, k2)
+        k4 = _rhs(q + h * k3, k2)
+        q = q + (h / 6.0) * (k1 + 2.0 * k2_ + 2.0 * k3 + k4)
+        t_now += h
+        peak = np.max(np.abs(q))
+        if not np.isfinite(peak) or peak > BLOWUP_GUARD:
+            j = int(np.nanargmax(np.abs(q)))
+            raise EvolutionDivergedError(
+                f"amplitude {peak:.3g} at t = {t_now:.6g}, x = {grid.points[j]:.6g}",
+                time=t_now, location=float(grid.points[j]), value=float(peak),
+            )
     return EvolutionRun(
-        grid=grid, times=np.asarray(times), snapshots=np.asarray(shots),
-        dt=dt, steps=int(sum(counts)), e1=np.asarray(e1),
-        diagnostics={"cfl": cfl, "guard": guard},
+        grid=grid, times=np.array([0.0, T]), snapshots=np.array([start, q]), dt=dt,
+        steps=int(count), e1=np.array([e1_start, conserved_E1(make_potential(grid, q))]),
+        diagnostics={"cfl": cfl, "guard": BLOWUP_GUARD},
     )

@@ -49,6 +49,7 @@ from .errors import (
 from .lattice import GridFunction, SpatialGrid, _halving_miss, _lagrange_interpolant
 from .lax import conserved_E1, make_potential
 from .rhp import (
+    DEFAULT_WINDOW,
     DELTA_CONJUGATED,
     TRIANGULAR,
     _delta_shift,
@@ -70,7 +71,8 @@ __all__ = [
 SLOPE_MARGIN = 1e-6
 # Largest |Re| and -Im the explicit map admits in the diagonal moment
 MOMENT_TOLERANCE = 1e-3
-DEFAULT_WINDOW = 6.0
+# Largest |q_H| the recovered potential may keep at the sweep-window ends
+DEFAULT_DECAY_FLOOR = 1e-6
 # Spectral samples per batch of cells: a batch's (B, N_z) arrays are 512 KiB
 # and the kernel's padded buffer 1 MiB, inside a per-core L2 cache.  Fastest
 # of 2^13..2^17 on both N_z = 2048 and 4096.
@@ -82,10 +84,10 @@ BATCH_SAMPLES = 2**15
 LATTICE_PHASE_STEP = 2.0 * np.pi / 10
 
 
-def qh_from_slope(s: np.ndarray, margin: float = SLOPE_MARGIN) -> np.ndarray:
+def qh_from_slope(s: np.ndarray) -> np.ndarray:
     """Invert the slope relation s -> q_H.
 
-    Requires max |s| < 1 - margin; the relation degenerates at |s| = 1
+    Requires max |s| < 1 - ``SLOPE_MARGIN``; the relation degenerates at |s| = 1
     (vertical tangent of the hodograph), which is the regime boundary,
     so violation raises SlopeConditionError rather than clipping.  A
     non-finite slope is a failed solve, not a regime outcome, and raises
@@ -96,9 +98,9 @@ def qh_from_slope(s: np.ndarray, margin: float = SLOPE_MARGIN) -> np.ndarray:
         raise RhpUnsolvedError("the RHP solves returned a non-finite slope")
     mags = np.abs(s)
     worst = float(mags.max()) if mags.size else 0.0
-    if worst >= 1.0 - margin:
+    if worst >= 1.0 - SLOPE_MARGIN:
         raise SlopeConditionError(
-            f"max |s| = {worst:.6g} is not below 1 - {margin:g}", max_slope=worst
+            f"max |s| = {worst:.6g} is not below 1 - {SLOPE_MARGIN:g}", max_slope=worst
         )
     return s / np.sqrt(1.0 - mags**2)
 
@@ -171,7 +173,7 @@ def x_from_m11(x_H: np.ndarray, m1_11: np.ndarray) -> np.ndarray:
 
 
 def resample_q(q_H: np.ndarray, x_map: np.ndarray, xgrid: SpatialGrid,
-               decay_floor: float = 1e-6):
+               decay_floor: float = DEFAULT_DECAY_FLOOR):
     """Interpolate pairs (x_map[i], q_H[i]) onto a uniform grid.
 
     ``x_map`` holds x at the hodograph cells: q(x) = q_H(x_H(x)) is
@@ -229,7 +231,7 @@ def _window_mask(points: np.ndarray, window: float) -> np.ndarray:
 
 def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
                       window: float = DEFAULT_WINDOW,
-                      decay_floor: float = 1e-6) -> ReconstructionResult:
+                      decay_floor: float = DEFAULT_DECAY_FLOOR) -> ReconstructionResult:
     """Recover q(., t) on xgrid from reflection data.
 
     The reflection data is evolved to time t first and the jump is then

@@ -80,6 +80,8 @@ NEUMANN_TOL = 1e-10
 NEUMANN_CAP = 200
 DENSE_CAP = 1024
 POINTS_PER_PERIOD = 5.0
+# half-width of the x_H window the inverse sweeps, unless a run sets one
+DEFAULT_WINDOW = 6.0
 
 TRIANGULAR = "Triangular"
 DELTA_CONJUGATED = "DeltaConjugated"
@@ -193,11 +195,6 @@ def _half_step(x, u, entry, kind, zgrid):
     return _cauchy_plus_batch(x, zgrid, minus=_in_w_plus(kind, entry), weight=u)
 
 
-def _apply_cw(x1, x2, u21, u12, kind, zgrid):
-    """C_w(X) as its column pair, for the columns x1, x2 of a batch."""
-    return _half_step(x2, u21, 21, kind, zgrid), _half_step(x1, u12, 12, kind, zgrid)
-
-
 def _l2_residual(e, h):
     """Discrete L2 norm of each cell of a (B, N) residual, without temporaries (a float view)."""
     v = np.ascontiguousarray(e).view(float)
@@ -306,7 +303,7 @@ def _dense_solve(u21_row, u12_row, rhs_pairs, kind, zgrid):
     return [(X[:n, j], X[n:, j]) for j in range(X.shape[1])]
 
 
-def _solve_batch(u21, u12, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP):
+def _solve_batch(u21, u12, kind, zgrid):
     """Row 1 of mu and the slope d m^(1)_12/d x_H, with residuals, for (B, N) cells.
 
     The inverse map reads m^(1)_11 and the slope, which are integrals of
@@ -316,9 +313,9 @@ def _solve_batch(u21, u12, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP):
     residual of the returned iterate.  "iterations" is the sweep count of
     the batch's solve (column-1 updates in the returned iterate),
     "cell_iterations" the sweep count of the first half-step check at
-    which each cell met ``tol``.  A batch in which any cell misses
-    ``tol`` raises ``RhpUnsolvedError``, naming how many cells, the kind,
-    the sweep count and the worst residual.
+    which each cell met ``NEUMANN_TOL``.  A batch in which any cell misses
+    it in ``NEUMANN_CAP`` sweeps raises ``RhpUnsolvedError``, naming how
+    many cells, the kind, the sweep count and the worst residual.
 
     The grid cuts the jump off at |z| = Z, where r still decays only like
     c1/z.  The band term ``_tail_outside(u12)``, the Cauchy transform of
@@ -335,8 +332,8 @@ def _solve_batch(u21, u12, kind, zgrid, tol=NEUMANN_TOL, cap=NEUMANN_CAP):
     """
     band = _tail_outside(u12, zgrid)
     # a read-only broadcast: the sweeps only read the right-hand side
-    mu, res, its, ok, met = _neumann(
-        u21, u12, np.broadcast_to(np.complex128(1.0), u21.shape), band, kind, zgrid, tol, cap)
+    ones = np.broadcast_to(np.complex128(1.0), u21.shape)
+    mu, res, its, ok, met = _neumann(u21, u12, ones, band, kind, zgrid, NEUMANN_TOL, NEUMANN_CAP)
     if not ok.all():
         raise RhpUnsolvedError(
             f"{np.count_nonzero(~ok)} of {ok.size} {kind} cells unsolved after "
@@ -389,7 +386,8 @@ def _m0_rows(x1, x2, u21, u12, zgrid):
     return pref * dot(x2, u21), pref * dot(x1, u12)
 
 
-def suggest_z_min(Z: float, N_z: int, window: float = 6.0, t_max: float = 0.0) -> float:
+def suggest_z_min(Z: float, N_z: int, window: float = DEFAULT_WINDOW,
+                  t_max: float = 0.0) -> float:
     """Smallest |z| at which N_z points on [-Z, Z) still resolve the jump phase.
 
     The local wavelength in z of the evolved jump's phase, e^{2 i phi} with

@@ -58,6 +58,10 @@ __all__ = [
 # safety factor) rather than pretending to machine-precision placement.
 SINGULARITY_RADIUS = 5e-5
 
+EPSILON_RESIDUAL_TOL = 1e-12
+RESIDUAL_DT = 1e-3
+RESIDUAL_LEVELS = 3
+
 
 @dataclass(frozen=True)
 class SolitonParams:
@@ -131,13 +135,12 @@ def soliton_peak(p: SolitonParams) -> float:
     return float(np.sqrt(4.0 * A * (1.0 - A)) / (1.0 - 2.0 * A))
 
 
-def soliton_epsilon(x, t: float, p: SolitonParams,
-                    residual_tol: float = 1e-12):
+def soliton_epsilon(x, t: float, p: SolitonParams):
     """Hodograph shift eps(x, t), vectorized over x.
 
     Bisection on eps - g(eps) over the bracket [0, 2 eta/(xi^2+eta^2)],
     finished with a few Newton steps; the result is checked to satisfy
-    the fixed-point equation to ``residual_tol``.
+    the fixed-point equation to ``EPSILON_RESIDUAL_TOL``.
 
     Looped parameters (|xi| < eta) are refused: the hodograph map folds
     there, the fixed point stops being unique, and whichever root the
@@ -174,7 +177,7 @@ def soliton_epsilon(x, t: float, p: SolitonParams,
             np.abs(denom) > 1e-8, denom, 1.0), 0.0)
         eps = np.clip(eps - step, 0.0, 2.0 * amp)
     worst = float(np.max(np.abs(eps - g(eps))))
-    if worst > residual_tol:
+    if worst > EPSILON_RESIDUAL_TOL:
         raise InvalidArgumentError(
             f"hodograph shift fixed point residual {worst:.3e}; "
             "parameters may be in the looped regime"
@@ -201,27 +204,27 @@ def soliton_q(x, t: float, p: SolitonParams):
 
 
 def soliton_pde_residual(p: SolitonParams, grid: SpatialGrid,
-                         t_center: float = 0.1, dt: float = 1e-3,
-                         levels: int = 3) -> dict:
+                         t_center: float = 0.1) -> dict:
     """Centered-difference check that the closed form solves the flow.
 
     Measures sup |i (q(t+dt) - q(t-dt)) / (2 dt) + d_xx (q / <q>)| on the
-    grid for ``levels`` halvings of dt; the residual is dominated by the
-    O(dt^2) time-difference error, so successive ratios should approach
-    4.  Returns the sups and the ratios.
+    grid at ``RESIDUAL_LEVELS`` steps dt, halving from ``RESIDUAL_DT``;
+    the residual is dominated by the O(dt^2) time-difference error, so
+    successive ratios should approach 4.  Returns the steps, the sups
+    and the ratios.
     """
     k = 2.0 * np.pi * np.fft.fftfreq(grid.point_count, d=grid.spacing)
     q0 = soliton_q(grid.points, t_center, p)
     flux = q0 / np.sqrt(1.0 + np.abs(q0) ** 2)
     flux_xx = np.fft.ifft(-(k**2) * np.fft.fft(flux))
     sups = []
-    step = dt
-    for _ in range(levels):
+    step = RESIDUAL_DT
+    for _ in range(RESIDUAL_LEVELS):
         qp = soliton_q(grid.points, t_center + step, p)
         qm = soliton_q(grid.points, t_center - step, p)
         residual = 1j * (qp - qm) / (2.0 * step) + flux_xx
         sups.append(float(np.max(np.abs(residual))))
         step *= 0.5
     ratios = [sups[i] / sups[i + 1] for i in range(len(sups) - 1)]
-    return {"steps": [dt * 0.5**i for i in range(levels)],
+    return {"steps": [RESIDUAL_DT * 0.5**i for i in range(RESIDUAL_LEVELS)],
             "sups": sups, "ratios": ratios}

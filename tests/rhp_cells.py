@@ -15,8 +15,8 @@ from wkist.lattice import _TAIL_SCALE, _TAIL_TERMS, GridFunction, _tail_completi
 from wkist.reconstruction import _solve_cells
 from wkist.rhp import (
     DELTA_CONJUGATED,
-    _apply_cw,
     _delta_shift,
+    _half_step,
     _jump_entries,
     _l2_residual,
     delta_function,
@@ -43,7 +43,7 @@ def both_rows(u21, u12):
 
 def exact_residual(x, rhs, u21, u12, kind, zgrid):
     """Each cell's L2 residual of the column pair ``x``, recomputed over both columns."""
-    c = _apply_cw(*x, u21, u12, kind, zgrid)
+    c = (_half_step(x[1], u21, 21, kind, zgrid), _half_step(x[0], u12, 12, kind, zgrid))
     return _l2_residual(np.concatenate([xa - ra - ca for xa, ra, ca in zip(x, rhs, c)], axis=-1),
                         zgrid.spacing)
 

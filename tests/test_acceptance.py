@@ -176,7 +176,7 @@ def test_criterion_8_soliton_values(capfd):
     par = SolitonParams(xi=3.0, eta=1.0)
     peak_defect = abs(soliton_peak(par) - 0.75)
     grid = make_spatial_grid(30.0, 2048)
-    res = soliton_pde_residual(par, grid, t_center=0.1, dt=1e-3, levels=3)
+    res = soliton_pde_residual(par, grid, t_center=0.1)
     worst_ratio = min(res["ratios"])
     run = evolve(GridFunction(grid, soliton_q(grid.points, 0.0, par)), 0.25)
     oracle_gap = float(np.max(np.abs(

@@ -169,20 +169,6 @@ def test_band_rows_of_the_forward_anchors_are_unitary(name):
     assert np.max(np.abs(np.abs(sd.a) ** 2 + np.abs(sd.b) ** 2 - 1.0)) < 1e-11
 
 
-def test_band_no_larger_than_the_lattice_is_marched_itself():
-    p = gaussian_potential()
-    zgrid = make_spectral_grid(40.0, 128, z_min=1.0)
-    lam = -1.0 / zgrid.points[zgrid.active]
-    assert _lam_lattice(p, lam) is lam
-    sd = reflection_coefficient(p, zgrid)
-    a, b, _, _, det_defect = _wronskians(p, lam)
-    assert_bitwise(sd.a, a)
-    assert_bitwise(sd.b, b)
-    assert_bitwise(sd.r[sd.active], b / a)
-    assert sd.diagnostics["det_defect"] == det_defect
-    assert sd.diagnostics["spectral_lattice_error_estimate"] == 0.0
-
-
 def test_reflection_scales_linearly_at_small_amplitude():
     zgrid = make_spectral_grid(40.0, 1024, z_min=0.5)
     r1 = reflection_coefficient(gaussian_potential(N=1024, amp=0.01), zgrid)

@@ -75,9 +75,11 @@ def test_evolution_is_a_group(t1, t2, family, amplitude, width, momentum):
     assert twice.time == pytest.approx(once.time, abs=1e-15)
 
 
-# The console script's small grid: 374 lattice lam for a band of 1,011.
+# The console script's small grid: 374 lattice lam for a band of 1,011; and a
+# coarse z grid whose band of 125 lam is smaller than its lattice of 164.
 SMALL_XGRID = make_spatial_grid(20.0, 512)
-SMALL_ZGRID = make_spectral_grid(40.0, 1024, z_min=suggest_z_min(40.0, 1024, window=4.5))
+SMALL_ZGRIDS = (make_spectral_grid(40.0, 1024, z_min=suggest_z_min(40.0, 1024, window=4.5)),
+                make_spectral_grid(40.0, 128, z_min=1.0))
 
 
 @hypothesis.settings(max_examples=20, deadline=None)
@@ -91,10 +93,11 @@ def test_lattice_reflection_is_within_its_estimate(family, amplitude, width, mom
     # moves r by the scheme's O(h^2) error (1e-5 on this grid), so the
     # band is marched with the lattice's end node in its batch.
     p = potential(family, amplitude, width, momentum, grid=SMALL_XGRID)
-    sd = reflection_coefficient(p, SMALL_ZGRID, a_floor=0.0)
-    end = _lam_lattice(p, sd.lam)[-1]
-    a, b = (v[:-1] for v in _wronskians(p, np.append(sd.lam, end))[:2])
-    miss = np.max(np.abs(sd.r[sd.active] - b / a))
-    assert miss <= sd.diagnostics["spectral_lattice_error_estimate"]
-    for key in ("unitarity_defect", "det_defect", "symmetry_defect"):
-        assert sd.diagnostics[key] < 1e-10
+    for zgrid in SMALL_ZGRIDS:
+        sd = reflection_coefficient(p, zgrid, a_floor=0.0)
+        end = _lam_lattice(p, sd.lam)[-1]
+        a, b = (v[:-1] for v in _wronskians(p, np.append(sd.lam, end))[:2])
+        miss = np.max(np.abs(sd.r[sd.active] - b / a))
+        assert miss <= sd.diagnostics["spectral_lattice_error_estimate"]
+        for key in ("unitarity_defect", "det_defect", "symmetry_defect"):
+            assert sd.diagnostics[key] < 1e-10

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import wkist.pde_oracle
 from wkist.errors import EvolutionDivergedError, InvalidArgumentError, ResolutionExceededError
 from wkist.lattice import GridFunction, make_spatial_grid
 from wkist.lax import make_potential
-from wkist.pde_oracle import STEP_CAP, evolve, step_count, wki_rhs
+from wkist.pde_oracle import evolve, step_count, wki_rhs
 
 
 def gaussian(grid, amp, momentum=0.0):
@@ -56,22 +57,11 @@ def test_negative_times_integrate_backward():
     assert np.max(np.abs(back.final.values - q0)) < 1e-12
 
 
-def test_snapshots_are_hit_exactly():
-    grid = make_spatial_grid(20.0, 512)
-    run = evolve(GridFunction(grid, gaussian(grid, 0.02)), 0.1,
-                 snapshot_times=[0.03, 0.07, 0.1])
-    assert np.array_equal(run.times, [0.0, 0.03, 0.07, 0.1])
-    assert run.snapshots.shape == (4, 512)
-    assert len(run.e1) == 4
-    # a snapshot sequence is the same trajectory, not a different one
-    direct = evolve(GridFunction(grid, gaussian(grid, 0.02)), 0.1)
-    assert np.max(np.abs(run.final.values - direct.final.values)) < 1e-13
-
-
-def test_guard_trips_on_blowup():
+def test_guard_trips_on_blowup(monkeypatch):
     grid = make_spatial_grid(20.0, 256)
+    monkeypatch.setattr(wkist.pde_oracle, "BLOWUP_GUARD", 0.01)
     with pytest.raises(EvolutionDivergedError) as info:
-        evolve(GridFunction(grid, gaussian(grid, 0.05)), 0.1, guard=0.01)
+        evolve(GridFunction(grid, gaussian(grid, 0.05)), 0.1)
     err = info.value
     assert err.kind == "evolution-diverged"
     assert err.time is not None and err.time > 0
@@ -83,19 +73,13 @@ def test_argument_validation():
     grid = make_spatial_grid(20.0, 256)
     q = GridFunction(grid, gaussian(grid, 0.01))
     with pytest.raises(InvalidArgumentError):
-        evolve(q, 0.1, dt=0.0)
+        evolve(q, 0.1, cfl=0.0)
     with pytest.raises(InvalidArgumentError):
-        evolve(q, 0.1, dt=-1e-3)
+        evolve(q, 0.1, cfl=-0.1)
     # a NaN step cannot be counted and an infinite one is a single RK4 step
     for bad in (float("nan"), float("inf")):
         with pytest.raises(InvalidArgumentError):
-            evolve(q, 0.1, dt=bad)
-        with pytest.raises(InvalidArgumentError):
             evolve(q, 0.1, cfl=bad)
-    with pytest.raises(InvalidArgumentError):
-        evolve(q, 0.1, snapshot_times=[0.07, 0.03, 0.1])
-    with pytest.raises(InvalidArgumentError):
-        evolve(q, 0.1, snapshot_times=[0.03, 0.07])
 
 
 def test_step_budget_is_checked_before_the_first_step():
@@ -103,17 +87,25 @@ def test_step_budget_is_checked_before_the_first_step():
     q = GridFunction(grid, gaussian(grid, 0.01))
     # 1e299 steps: refused at once instead of never finishing
     with pytest.raises(ResolutionExceededError):
-        evolve(q, 0.1, dt=1e-300)
-    # the budget counts every snapshot segment, not only the longest
-    span = 0.1 / 3
+        evolve(q, 0.1, cfl=1e-300)
     with pytest.raises(ResolutionExceededError):
-        evolve(q, 0.1, dt=span / (0.4 * STEP_CAP), snapshot_times=[span, 2 * span, 0.1])
-    with pytest.raises(ResolutionExceededError):
-        step_count(grid, 0.1, dt=1e-300)
+        step_count(grid, 0.1, cfl=1e-300)
 
 
 def test_step_count_is_the_steps_evolve_takes():
     grid = make_spatial_grid(20.0, 256)
     q = GridFunction(grid, gaussian(grid, 0.01))
-    for kwargs in ({}, {"cfl": 0.1}, {"snapshot_times": [0.004, 0.01]}):
+    for kwargs in ({}, {"cfl": 0.1}):
         assert step_count(grid, 0.01, **kwargs) == evolve(q, 0.01, **kwargs).steps
+
+
+def test_run_keeps_the_start_and_the_end():
+    grid = make_spatial_grid(20.0, 256)
+    q0 = gaussian(grid, 0.02)
+    run = evolve(GridFunction(grid, q0), 0.01)
+    assert np.array_equal(run.times, [0.0, 0.01])
+    assert run.snapshots.shape == (2, 256) and np.array_equal(run.snapshots[0], q0)
+    assert len(run.e1) == 2 and run.steps == step_count(grid, 0.01) > 1
+    # t = 0 takes no step and returns the start
+    still = evolve(GridFunction(grid, q0), 0.0)
+    assert still.steps == 0 and np.array_equal(still.final.values, q0)

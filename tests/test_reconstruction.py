@@ -53,7 +53,7 @@ def test_qh_from_slope_rejects_steep_slopes():
     assert info.value.max_slope == pytest.approx(0.999999999)
     assert info.value.kind == "slope-condition-violated"
     # a touch below the margin is accepted
-    out = qh_from_slope(np.array([0.5]), margin=1e-6)
+    out = qh_from_slope(np.array([0.5]))
     assert abs(out[0] - 0.5 / np.sqrt(0.75)) < 1e-15
 
 

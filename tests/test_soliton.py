@@ -141,7 +141,7 @@ def test_singularity_radius_reflects_root_degeneracy():
 
 def test_closed_form_solves_the_flow():
     grid = make_spatial_grid(30.0, 2048)
-    out = soliton_pde_residual(SMOOTH, grid, t_center=0.1, dt=1e-3, levels=3)
+    out = soliton_pde_residual(SMOOTH, grid, t_center=0.1)
     assert len(out["sups"]) == 3
     # centered time differences: quartering per halving of dt
     for ratio in out["ratios"]:
