@@ -5,6 +5,8 @@ from wkist import direct_scattering
 from wkist.direct_scattering import (
     LAM_STEP_FACTOR,
     LOCAL_ERROR_BOUND,
+    _halving_miss,
+    _lagrange_interpolant,
     _lam_lattice,
     _midpoint_values,
     _sub_values,
@@ -167,6 +169,25 @@ def test_band_rows_of_the_forward_anchors_are_unitary(name):
     sd = reflection_coefficient(p, zgrid)
     assert sd.lam.size == np.count_nonzero(sd.active)
     assert np.max(np.abs(np.abs(sd.a) ** 2 + np.abs(sd.b) ** 2 - 1.0)) < 1e-11
+
+
+def test_band_no_larger_than_the_lattice_is_interpolated_from_it():
+    # a band of 125 lam under a lattice of 164 is not marched itself: a and b
+    # come from the lattice's Wronskians through the interpolant, as for a
+    # band larger than its lattice, and the estimate is the lattice's own
+    p = gaussian_potential()
+    zgrid = make_spectral_grid(40.0, 128, z_min=1.0)
+    lam = -1.0 / zgrid.points[zgrid.active]
+    nodes = _lam_lattice(p, lam)
+    assert lam.size <= nodes.size
+    sd = reflection_coefficient(p, zgrid)
+    a, b, _, _, det_defect = _wronskians(p, nodes)
+    band_a, band_b = _lagrange_interpolant(nodes, np.stack([a, b], axis=1))(lam).T
+    assert_bitwise(sd.a, band_a)
+    assert_bitwise(sd.b, band_b)
+    assert_bitwise(sd.r[sd.active], band_b / band_a)
+    assert sd.diagnostics["det_defect"] == det_defect
+    assert sd.diagnostics["spectral_lattice_error_estimate"] == _halving_miss(nodes, b / a)
 
 
 def test_reflection_scales_linearly_at_small_amplitude():
