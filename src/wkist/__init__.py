@@ -6,8 +6,8 @@ Pipeline:  potential -> Jost solutions -> reflection coefficient
            -> slope -> hodograph inversion -> potential.
 
 The submodules follow those stages: ``lattice`` (grids, Cauchy
-projections), ``lax`` (gauge fields, conserved functionals),
-``direct_scattering`` (Jost propagation, transition matrix),
+projections), ``lax`` (sampled potential, gauge fields, E1),
+``direct_scattering`` (Jost march, reflection coefficient),
 ``rhp`` (jump factorizations, Beals-Coifman solve, moments),
 ``reconstruction`` (slope to potential, hodograph maps),
 ``soliton`` (closed forms), ``pde_oracle`` (independent integrator),
@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     AT_SINGULARITY,
-    DiagnosticUnreliableError,
     EvolutionDivergedError,
     HodographInconsistentError,
     InvalidArgumentError,
@@ -46,18 +45,14 @@ from .lax import (
     Potential,
     akns_potentials,
     conserved_E1,
-    conserved_E2,
     eigvec_matrix,
     make_potential,
 )
 from .direct_scattering import (
-    JostSolution,
     ScatteringData,
     check_a_asymptotics,
     evolve_reflection,
-    propagate_jost,
     reflection_coefficient,
-    transition_matrix,
 )
 from .rhp import delta_function, suggest_z_min
 from .reconstruction import (
@@ -71,7 +66,6 @@ from .reconstruction import (
 from .soliton import (
     SolitonParams,
     soliton_epsilon,
-    soliton_m1_entries,
     soliton_pde_residual,
     soliton_peak,
     soliton_q,

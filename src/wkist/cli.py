@@ -107,9 +107,14 @@ def _read_samples_csv(path) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidArgumentError(f"{path}: expected header coordinate,re,im")
     try:
         data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=float)
-        return data[:, 0], data[:, 1] + 1j * data[:, 2]
+        coords, re, im = data[:, 0], data[:, 1], data[:, 2]
     except (ValueError, IndexError) as err:
         raise InvalidArgumentError(f"{path}: expected numeric coordinate,re,im rows ({err})") from err
+    finite = np.isfinite(coords) & np.isfinite(re) & np.isfinite(im)
+    if not finite.all():
+        line = int(np.argmin(finite)) + 2  # the header is line 1
+        raise InvalidArgumentError(f"{path}: line {line} holds a non-finite value")
+    return coords, re + 1j * im
 
 
 def _check_coordinates(coords: np.ndarray, grid, message: str):

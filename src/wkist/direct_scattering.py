@@ -1,4 +1,4 @@
-"""Jost solutions, the transition matrix, and the reflection coefficient.
+"""The reflection coefficient r = b/a, from the first Jost column marched on row pairs.
 
 The spectral problem psi_x = A(x) psi with A = i*lam*sigma3 - lam*M(q)
 is integrated by a second-order midpoint Magnus scheme: over one cell
@@ -66,10 +66,7 @@ from .lattice import SpectralGrid, _halving_miss, _lagrange_interpolant
 from .lax import Potential, akns_potentials
 
 __all__ = [
-    "JostSolution",
     "ScatteringData",
-    "propagate_jost",
-    "transition_matrix",
     "reflection_coefficient",
     "evolve_reflection",
     "check_a_asymptotics",
@@ -87,15 +84,6 @@ LAM_STEP_FACTOR = np.pi / 16
 BLOCK_SAMPLES = 8192
 # Smallest min |a| the forward map accepts, unless a run sets its own floor
 DEFAULT_A_FLOOR = 0.5
-
-
-@dataclass
-class JostSolution:
-    lam: float
-    side: str  # "+" or "-": which infinity carries the e^{i lam sigma3 x} normalization
-    grid: object
-    psi: np.ndarray  # (N, 2, 2) samples over the spatial grid
-    det_defect: float
 
 
 @dataclass
@@ -351,29 +339,6 @@ def _propagate_to_mid(p: Potential, lams, side):
     return _fill_second_column(psi), det_defect
 
 
-def propagate_jost(p: Potential, lam: float, side: str) -> JostSolution:
-    """Jost solution normalized at the `side` infinity, sampled on the grid.
-
-    The same cell propagation as the scattering coefficients, continued
-    through x = 0 to the far end so the samples cover the whole grid.
-    det psi = 1 holds to roundoff at every point because each cell
-    propagator is exactly unimodular; ``det_defect`` is the largest
-    deviation over the grid, |alpha|^2 + |beta|^2 - 1 as in the march.
-    """
-    N = p.grid.point_count
-    cols = np.empty((N, 2), dtype=complex)  # in march order
-    det_defect, n = 0.0, 0
-    for block, defect in _march(p, [float(lam)], side, 0 if side == "+" else N - 1):
-        det_defect = max(det_defect, defect)
-        cols[n:n + len(block)] = block[:, :, 0]
-        n += len(block)
-    psi_samples = np.empty((N, 2, 2), dtype=complex)
-    psi = np.moveaxis(psi_samples, 0, -1)
-    psi[:, 0] = (cols if side == "-" else cols[::-1]).T
-    _fill_second_column(psi)
-    return JostSolution(float(lam), side, p.grid, psi_samples, det_defect)
-
-
 def _wronskians(p: Potential, lams):
     """a, b, c, d for a batch of lam, and the det defect of both halves."""
     psim, ddm = _propagate_to_mid(p, lams, "-")
@@ -383,12 +348,6 @@ def _wronskians(p: Potential, lams):
     c = psim[0, 0] * psip[1, 1] - psip[0, 1] * psim[1, 0]
     d = psip[0, 1] * psim[1, 1] - psim[0, 1] * psip[1, 1]
     return a, b, c, d, max(ddm, ddp)
-
-
-def transition_matrix(p: Potential, lam: float) -> np.ndarray:
-    """Transition matrix T = [[a, d], [b, c]] with psi_+ = psi_- T."""
-    a, b, c, d, _ = _wronskians(p, [lam])
-    return np.array([[a[0], d[0]], [b[0], c[0]]], dtype=complex)
 
 
 def _lam_lattice(p: Potential, lam: np.ndarray) -> np.ndarray:

@@ -92,14 +92,6 @@ class EvolutionDivergedError(NumericalError):
         self.value = value
 
 
-class DiagnosticUnreliableError(NumericalError):
-    kind = "diagnostic-unreliable"
-
-    def __init__(self, message, excluded_fraction=None):
-        super().__init__(message)
-        self.excluded_fraction = excluded_fraction
-
-
 class _AtSingularity:
     """Typed outcome for a query sitting exactly on a bursting peak.
 

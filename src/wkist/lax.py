@@ -2,22 +2,24 @@
 
 The spectral problem psi_x = [i*lam*sigma3 - lam*M(q)] psi is brought to
 AKNS form by the eigenvector matrix G of the coefficient, a diagonal
-gauge factor built from B, and the phase p(x) = x + int(<q> - 1).  Only
-the pieces with a numeric job downstream are materialized: G, the gauge
-potentials Q and B, H = <q> - 1, and p; the gauge exponential itself is
-derived from B on demand by ``cumulative_integral``.
+gauge factor built from B, and the phase p(x) = x + int(<q> - 1).  The
+pipelines read the sampled ``Potential`` (samples, spectral derivative,
+profile) and E1.  The AKNS fields -- G, the gauge potentials Q and B,
+H = <q> - 1, and p -- feed the large-lam check of a
+(``check_a_asymptotics``); the gauge exponential itself is derived from
+B on demand by ``cumulative_integral``.
 
 Notation: <q> = sqrt(1 + |q|^2) throughout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DiagnosticUnreliableError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .lattice import GridFunction, SpatialGrid, cumulative_integral
 
 __all__ = [
@@ -27,11 +29,7 @@ __all__ = [
     "eigvec_matrix",
     "akns_potentials",
     "conserved_E1",
-    "conserved_E2",
 ]
-
-E2_GUARD = 1e-8
-E2_MAX_EXCLUDED = 0.95
 
 
 @dataclass
@@ -49,7 +47,6 @@ class Potential:
     q: np.ndarray
     q_x: np.ndarray
     profile: Optional[Callable] = None
-    diagnostics: dict = field(default_factory=dict)
 
 
 def make_potential(grid: SpatialGrid, q) -> Potential:
@@ -65,17 +62,9 @@ def make_potential(grid: SpatialGrid, q) -> Potential:
     if not np.all(np.isfinite(samples)):
         raise InvalidArgumentError("potential samples must be finite")
 
-    h = grid.spacing
-    k = 2.0 * np.pi * np.fft.fftfreq(len(samples), d=h)
+    k = 2.0 * np.pi * np.fft.fftfreq(len(samples), d=grid.spacing)
     q_x = np.fft.ifft(1j * k * np.fft.fft(samples))
-    x = grid.points
-    wx = np.sqrt(1.0 + x * x)
-    diagnostics = {
-        "sup_norm": float(np.max(np.abs(samples))),
-        "weighted_l2": float(np.sqrt(h * np.sum((wx * np.abs(samples)) ** 2))),
-        "weighted_l2_dx": float(np.sqrt(h * np.sum((wx * np.abs(q_x)) ** 2))),
-    }
-    return Potential(grid, samples, q_x, profile, diagnostics)
+    return Potential(grid, samples, q_x, profile)
 
 
 @dataclass
@@ -136,28 +125,3 @@ def conserved_E1(p: Potential) -> float:
     H = np.sqrt(1.0 + np.abs(p.q) ** 2) - 1.0
     return float(np.trapezoid(H, dx=p.grid.spacing))
 
-
-def conserved_E2(p: Potential) -> complex:
-    """Second conserved functional, as a guarded diagnostic.
-
-    The integrand contains q_x / q, which has no meaning where q
-    vanishes, so points with |q| <= ``E2_GUARD`` are excluded, and an
-    excluded fraction of the line above ``E2_MAX_EXCLUDED`` raises
-    DiagnosticUnreliableError.
-    """
-    q, q_x = p.q, p.q_x
-    keep = np.abs(q) > E2_GUARD
-    frac = 1.0 - keep.sum() / len(q)
-    if frac > E2_MAX_EXCLUDED:
-        raise DiagnosticUnreliableError(
-            f"E2 guard excluded {frac:.1%} of the line (limit {E2_MAX_EXCLUDED:.1%})",
-            excluded_fraction=frac,
-        )
-    w = np.sqrt(1.0 + np.abs(q) ** 2)
-    d_abs2 = 2.0 * np.real(np.conj(q) * q_x)
-    integrand = np.zeros(len(q), dtype=complex)
-    integrand[keep] = (
-        0.5 * d_abs2[keep] / (1.0 + np.abs(q[keep]) ** 2)
-        + (q_x[keep] / q[keep]) * (1.0 - w[keep]) / w[keep]
-    )
-    return complex(np.trapezoid(integrand, dx=p.grid.spacing))

@@ -37,6 +37,8 @@ import numpy as np
 
 from .errors import AT_SINGULARITY, InvalidArgumentError, RegimeError
 from .lattice import SpatialGrid
+from .lax import make_potential
+from .pde_oracle import wki_rhs
 
 __all__ = [
     "SolitonParams",
@@ -44,7 +46,6 @@ __all__ = [
     "soliton_q",
     "soliton_qh",
     "soliton_slope",
-    "soliton_m1_entries",
     "soliton_peak",
     "soliton_pde_residual",
 ]
@@ -116,15 +117,6 @@ def soliton_qh(x_H, t: float, p: SolitonParams):
     c2 = np.cosh(chi) ** 2
     metric = c2 / (c2 - 2.0 * p.eta**2 / p.modulus_sq)
     return metric * soliton_slope(x_H, t, p)
-
-
-def soliton_m1_entries(x_H, t: float, p: SolitonParams):
-    """Moment entries (m1_12, m1_11) of the soliton's RHP solution."""
-    Phi, chi = _phases(p, x_H, t)
-    amp = p.eta / p.modulus_sq
-    m12 = -amp * np.exp(-1j * Phi) / np.cosh(chi)
-    m11 = 1j * amp * (np.tanh(chi) + 1.0)
-    return m12, m11
 
 
 def soliton_peak(p: SolitonParams) -> float:
@@ -207,22 +199,20 @@ def soliton_pde_residual(p: SolitonParams, grid: SpatialGrid,
                          t_center: float = 0.1) -> dict:
     """Centered-difference check that the closed form solves the flow.
 
-    Measures sup |i (q(t+dt) - q(t-dt)) / (2 dt) + d_xx (q / <q>)| on the
-    grid at ``RESIDUAL_LEVELS`` steps dt, halving from ``RESIDUAL_DT``;
-    the residual is dominated by the O(dt^2) time-difference error, so
+    Measures sup |i (q(t+dt) - q(t-dt)) / (2 dt) - i q_t| on the grid,
+    q_t the flow's right-hand side at t (``pde_oracle.wki_rhs``), at
+    ``RESIDUAL_LEVELS`` steps dt, halving from ``RESIDUAL_DT``; the
+    residual is dominated by the O(dt^2) time-difference error, so
     successive ratios should approach 4.  Returns the steps, the sups
     and the ratios.
     """
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.point_count, d=grid.spacing)
-    q0 = soliton_q(grid.points, t_center, p)
-    flux = q0 / np.sqrt(1.0 + np.abs(q0) ** 2)
-    flux_xx = np.fft.ifft(-(k**2) * np.fft.fft(flux))
+    q_t = wki_rhs(make_potential(grid, soliton_q(grid.points, t_center, p))).values
     sups = []
     step = RESIDUAL_DT
     for _ in range(RESIDUAL_LEVELS):
         qp = soliton_q(grid.points, t_center + step, p)
         qm = soliton_q(grid.points, t_center - step, p)
-        residual = 1j * (qp - qm) / (2.0 * step) + flux_xx
+        residual = 1j * (qp - qm) / (2.0 * step) - 1j * q_t
         sups.append(float(np.max(np.abs(residual))))
         step *= 0.5
     ratios = [sups[i] / sups[i + 1] for i in range(len(sups) - 1)]

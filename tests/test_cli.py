@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -307,6 +308,56 @@ def test_reflection_inside_the_floor_exits_2(tmp_path, capsys, value):
                header="coordinate,re,im", comments="")
     assert run(["inverse", "--input", str(fwd), "--outdir", str(out)] + SMALL, capsys) == 2
     assert json.loads((out / "error.json").read_text())["kind"] == "invalid-argument"
+
+
+def run_quietly(args, capsys):
+    """``run``, and the warnings the run raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(args, capsys)
+    return code, caught
+
+
+def set_non_finite(path, pick, value):
+    """Write ``value`` into the im column of the row ``pick`` chooses; its line."""
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    k = int(pick(rows[:, 0]))
+    rows[k, 2] = value
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header="coordinate,re,im",
+               comments="")
+    return k + 2  # the header is line 1
+
+
+@pytest.mark.parametrize("value, band", [(np.inf, "active"), (np.nan, "inactive")])
+def test_non_finite_reflection_samples_exit_2(tmp_path, capsys, value, band):
+    # the reader refuses them, naming the file and the line: an inf used to
+    # pass it with numpy's invalid-value warning and fail later without the
+    # file name, and a nan below z_min was reported as data inside the floor
+    fwd, out = tmp_path / "fwd", tmp_path / "out"
+    assert run(["forward", "--outdir", str(fwd)] + SMALL, capsys) == 0
+    z_min = json.loads((fwd / "manifest.json").read_text())["results"]["z_min"]
+    outside = band == "inactive"
+    line = set_non_finite(fwd / "reflection.csv",
+                          lambda z: np.flatnonzero((np.abs(z) < z_min) == outside)[-1], value)
+    code, caught = run_quietly(["inverse", "--input", str(fwd), "--outdir", str(out)]
+                               + SMALL, capsys)
+    assert code == 2 and not caught, [str(w.message) for w in caught]
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "invalid-argument"
+    assert f"{fwd / 'reflection.csv'}: line {line} " in err["message"]
+
+
+def test_non_finite_potential_samples_exit_2(tmp_path, capsys):
+    fwd, out = tmp_path / "fwd", tmp_path / "out"
+    assert run(["forward", "--outdir", str(fwd)] + SMALL, capsys) == 0
+    samples = fwd / "potential.csv"
+    line = set_non_finite(samples, lambda x: np.argmin(np.abs(x)), np.nan)
+    code, caught = run_quietly(["forward", "--family", "file", "--input", str(samples),
+                                "--outdir", str(out)] + SMALL, capsys)
+    assert code == 2 and not caught, [str(w.message) for w in caught]
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "invalid-argument"
+    assert f"{samples}: line {line} " in err["message"]
 
 
 BAD_SAMPLE_ROWS = pytest.mark.parametrize(

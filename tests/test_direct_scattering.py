@@ -13,9 +13,7 @@ from wkist.direct_scattering import (
     _wronskians,
     check_a_asymptotics,
     evolve_reflection,
-    propagate_jost,
     reflection_coefficient,
-    transition_matrix,
 )
 from wkist.errors import (
     InvalidArgumentError,
@@ -26,7 +24,7 @@ from wkist.lattice import make_spatial_grid, make_spectral_grid
 from wkist.lax import make_potential
 from wkist.rhp import suggest_z_min
 
-from jost_checks import b_from_integral, symmetry_defect
+from jost_checks import b_from_integral, propagate_jost, symmetry_defect, transition_matrix
 
 # Reference values for the box potential q = 0.1 on [-1, 1], lam = 2,
 # from the exact piecewise-constant propagator in 40-digit arithmetic

@@ -9,13 +9,14 @@ st = hypothesis.strategies
 from wkist.direct_scattering import (  # noqa: E402
     _lam_lattice,
     _wronskians,
-    propagate_jost,
     evolve_reflection,
     reflection_coefficient,
 )
 from wkist.lattice import make_spatial_grid, make_spectral_grid  # noqa: E402
 from wkist.lax import make_potential  # noqa: E402
 from wkist.rhp import suggest_z_min  # noqa: E402
+
+from jost_checks import propagate_jost  # noqa: E402
 
 XGRID = make_spatial_grid(10.0, 512)
 

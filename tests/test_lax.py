@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from wkist.errors import DiagnosticUnreliableError, InvalidArgumentError
+from wkist.errors import InvalidArgumentError
 from wkist.lattice import make_spatial_grid
 from wkist.lax import (
     akns_potentials,
     conserved_E1,
-    conserved_E2,
     eigvec_matrix,
     make_potential,
 )
@@ -54,13 +53,6 @@ def test_spectral_derivative_matches_the_closed_form():
     assert np.max(np.abs(p.q_x - samples * (1j - 2.0 * x))) < 1e-14
 
 
-def test_make_potential_diagnostics():
-    p = gaussian_potential()
-    assert p.diagnostics["sup_norm"] == pytest.approx(0.05, abs=1e-12)
-    assert p.diagnostics["weighted_l2"] > 0
-    assert p.diagnostics["weighted_l2_dx"] > 0
-
-
 def test_gauge_field_b_vanishes_for_real_potentials():
     p = gaussian_potential()
     fields = akns_potentials(p)
@@ -100,19 +92,6 @@ def test_conserved_e1_of_zero_potential():
     grid = make_spatial_grid(10.0, 256)
     p = make_potential(grid, np.zeros(256, dtype=complex))
     assert conserved_E1(p) == 0.0
-
-
-def test_conserved_e2_runs_on_the_gaussian():
-    value = conserved_E2(gaussian_potential())
-    assert np.isfinite(value.real) and np.isfinite(value.imag)
-
-
-def test_conserved_e2_rejects_payload_below_guard():
-    grid = make_spatial_grid(10.0, 256)
-    p = make_potential(grid, np.zeros(256, dtype=complex))
-    with pytest.raises(DiagnosticUnreliableError) as err:
-        conserved_E2(p)
-    assert err.value.excluded_fraction == 1.0
 
 
 def test_make_potential_rejects_wrong_sample_count():

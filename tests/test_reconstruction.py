@@ -27,11 +27,12 @@ from wkist.rhp import DELTA_CONJUGATED, TRIANGULAR, suggest_z_min
 from wkist.soliton import (
     SolitonParams,
     soliton_epsilon,
-    soliton_m1_entries,
     soliton_q,
     soliton_qh,
     soliton_slope,
 )
+
+from soliton_moments import soliton_m1_entries
 
 SOLITON = SolitonParams(3.0, 1.0)
 

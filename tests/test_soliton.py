@@ -7,13 +7,14 @@ from wkist.soliton import (
     SINGULARITY_RADIUS,
     SolitonParams,
     soliton_epsilon,
-    soliton_m1_entries,
     soliton_pde_residual,
     soliton_peak,
     soliton_q,
     soliton_qh,
     soliton_slope,
 )
+
+from soliton_moments import soliton_m1_entries
 
 SMOOTH = SolitonParams(3.0, 1.0)
 BURSTING = SolitonParams(1.0, 1.0)
