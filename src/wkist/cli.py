@@ -15,11 +15,12 @@ re-running a configuration reproduces the outputs byte for byte (keep
 BLAS single-threaded, e.g. OMP_NUM_THREADS=1, for the tail completion's
 matrix products).
 
-Exit codes: 0 success; 2 bad arguments or configuration; 3 regime
-violation (bound states, slope condition); 4 numerical failure
-(unresolved RHP, hodograph trouble, blow-up); 1 unexpected error.
-On failure an error.json with the error kind and message is left in the
-output directory.
+Exit codes: 0 success; otherwise the error's ``exit_code`` (2 bad
+arguments or configuration; 3 regime violation, such as bound states or
+the slope condition; 4 numerical failure, such as an unresolved RHP,
+hodograph trouble or blow-up); 1 unexpected error.  A failed pipeline
+leaves an error.json with the error kind and message in the output
+directory.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from . import __version__
 from .direct_scattering import (DEFAULT_A_FLOOR, ScatteringData, evolve_reflection,
                                 reflection_coefficient)
-from .errors import InvalidArgumentError, NumericalError, RegimeError, WkiError, check_threshold
+from .errors import InvalidArgumentError, WkiError, check_number
 from .lattice import (
     GridFunction,
     columns_to_csv,
@@ -82,9 +83,9 @@ class RunConfig:
 
 
 def _build_profile(cfg: RunConfig):
-    a, w, c, m = cfg.amplitude, cfg.width, cfg.center, cfg.momentum
-    if not 0.0 < w < float("inf"):
-        raise InvalidArgumentError(f"width must be a finite number > 0, got {w}")
+    a, c, m = (check_number(name, getattr(cfg, name))
+               for name in ("amplitude", "center", "momentum"))
+    w = check_number("width", cfg.width, 0.0, strict=True)
     mod = (lambda x: np.exp(1j * m * x)) if m else (lambda x: 1.0 + 0j)
     if cfg.family == "gaussian":
         return lambda x: a * np.exp(-(((x - c) / w) ** 2)) * mod(x)
@@ -185,24 +186,14 @@ def _write_reflection(sd: ScatteringData, outdir: Path):
 def run_forward(cfg: RunConfig, outdir: Path) -> dict:
     xgrid, p, sd = _forward_data(cfg, outdir)
     _write_reflection(sd, outdir)
-    return {
-        "time": sd.time,
-        "z_min": sd.zgrid.z_min,
-        "E1": conserved_E1(p),
-        **_jsonable(sd.diagnostics),
-    }
+    return {"time": sd.time, "z_min": sd.zgrid.z_min, "E1": conserved_E1(p), **sd.diagnostics}
 
 
 def run_evolve(cfg: RunConfig, outdir: Path) -> dict:
     xgrid, p, sd = _forward_data(cfg, outdir)
     sd_t = evolve_reflection(sd, cfg.t)
     _write_reflection(sd_t, outdir)
-    return {
-        "time": sd_t.time,
-        "z_min": sd.zgrid.z_min,
-        "E1": conserved_E1(p),
-        **_jsonable(sd.diagnostics),
-    }
+    return {"time": sd_t.time, "z_min": sd.zgrid.z_min, "E1": conserved_E1(p), **sd.diagnostics}
 
 
 def _load_reflection(indir: Path) -> ScatteringData:
@@ -238,7 +229,7 @@ def run_inverse(cfg: RunConfig, outdir: Path) -> dict:
         xgrid, _, sd = _forward_data(cfg, outdir)
     rec = inverse_transform(sd, cfg.t, xgrid, window=cfg.window, decay_floor=cfg.decay_floor)
     _write_reconstruction(rec, outdir)
-    return {"time": cfg.t, "z_min": sd.zgrid.z_min, **_jsonable(rec.diagnostics)}
+    return {"time": cfg.t, "z_min": sd.zgrid.z_min, **rec.diagnostics}
 
 
 def run_roundtrip(cfg: RunConfig, outdir: Path) -> dict:
@@ -250,8 +241,8 @@ def run_roundtrip(cfg: RunConfig, outdir: Path) -> dict:
         "sup_error": sup_error,
         "z_min": sd.zgrid.z_min,
         "E1_input": conserved_E1(p),
-        **_jsonable(rec.diagnostics),
-        **{f"forward_{k}": v for k, v in _jsonable(sd.diagnostics).items()},
+        **rec.diagnostics,
+        **{f"forward_{k}": v for k, v in sd.diagnostics.items()},
     }
 
 
@@ -278,7 +269,7 @@ def run_compare_pde(cfg: RunConfig, outdir: Path) -> dict:
         "e1_drift": run.e1_drift,
         "pde_steps": run.steps,
         "z_min": sd.zgrid.z_min,
-        **_jsonable(rec.diagnostics),
+        **rec.diagnostics,
     }
 
 
@@ -374,16 +365,11 @@ def _config_from_args(args) -> RunConfig:
     }
     cfg = replace(cfg, **overrides)
     # checked before any pipeline runs: ``inverse --input`` never reaches
-    # the forward guard that reads a_floor, and only compare-pde reads cfl;
-    # suggest_z_min's bisection would take a NaN t, or a NaN or negative window
-    for name in ("decay_floor", "a_floor"):
-        check_threshold(name, getattr(cfg, name))
-    if not 0.0 < cfg.cfl < float("inf"):
-        raise InvalidArgumentError(f"cfl must be a finite number > 0, got {cfg.cfl}")
-    if not abs(cfg.t) < float("inf"):
-        raise InvalidArgumentError(f"t must be a finite number, got {cfg.t}")
-    if not 0.0 <= cfg.window < float("inf"):
-        raise InvalidArgumentError(f"window must be a finite number >= 0, got {cfg.window}")
+    # the forward's checks of a_floor, window and t, and only compare-pde reads cfl
+    for name in ("decay_floor", "a_floor", "window"):
+        check_number(name, getattr(cfg, name), 0.0)
+    check_number("cfl", cfg.cfl, 0.0, strict=True)
+    check_number("t", cfg.t)
     return cfg
 
 
@@ -399,26 +385,17 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        results = _PIPELINES[cfg.pipeline](cfg, outdir)
-    except WkiError as err:
+        results = _jsonable(_PIPELINES[cfg.pipeline](cfg, outdir))
+    except Exception as err:
+        known = isinstance(err, WkiError)
+        kind = err.kind if known else "unexpected"
         (outdir / "error.json").write_text(json.dumps(
-            {"kind": err.kind, "message": str(err)}, indent=2) + "\n")
-        print(f"error [{err.kind}]: {err}", file=sys.stderr)
-        if isinstance(err, InvalidArgumentError):
-            return 2
-        if isinstance(err, RegimeError):
-            return 3
-        if isinstance(err, NumericalError):
-            return 4
-        return 1
-    except Exception as err:  # pragma: no cover - defensive
-        (outdir / "error.json").write_text(json.dumps(
-            {"kind": "unexpected", "message": str(err)}, indent=2) + "\n")
-        print(f"unexpected error: {err}", file=sys.stderr)
-        return 1
+            {"kind": kind, "message": str(err)}, indent=2) + "\n")
+        print(f"error [{kind}]: {err}" if known else f"unexpected error: {err}", file=sys.stderr)
+        return err.exit_code if known else 1
 
-    _write_manifest(outdir, cfg, _jsonable(results))
-    for key, val in sorted(_jsonable(results).items()):
+    _write_manifest(outdir, cfg, results)
+    for key, val in sorted(results.items()):
         print(f"{key}: {val}")
     return 0
 

@@ -60,7 +60,7 @@ from .errors import (
     InvalidArgumentError,
     PossibleBoundStateError,
     ResolutionExceededError,
-    check_threshold,
+    check_number,
 )
 from .lattice import SpectralGrid, _halving_miss, _lagrange_interpolant
 from .lax import Potential, akns_potentials
@@ -382,7 +382,7 @@ def reflection_coefficient(p: Potential, zgrid: SpectralGrid,
     signals discrete spectrum the radiation-only inverse problem cannot
     represent.
     """
-    check_threshold("a_floor", a_floor)
+    check_number("a_floor", a_floor, 0.0)
     z = zgrid.points
     active = zgrid.active
     lam = -1.0 / z[active]
@@ -419,8 +419,7 @@ def reflection_coefficient(p: Potential, zgrid: SpectralGrid,
 
 def evolve_reflection(sd: ScatteringData, t: float) -> ScatteringData:
     """r(z, t) = r(z) e^{4 i t / z^2}; |r| is unchanged, zeros stay zero."""
-    if not np.isfinite(t):
-        raise InvalidArgumentError("t must be finite")
+    check_number("t", t)
     z = sd.zgrid.points
     phase = np.ones(len(z), dtype=complex)
     nz = z != 0.0

@@ -9,7 +9,9 @@ Two families matter operationally:
 * ``NumericalError`` -- a solver or resolution budget was exhausted.
 
 Every error carries a stable kebab-case ``kind`` string used in
-machine-readable error records.
+machine-readable error records, and the ``exit_code`` the CLI returns
+for it: 2 for bad input, 3 for a regime violation, 4 for a numerical
+failure, 1 for any other toolkit error.
 """
 
 
@@ -17,20 +19,21 @@ class WkiError(Exception):
     """Base class for all toolkit errors."""
 
     kind = "error"
+    exit_code = 1
 
 
 class InvalidArgumentError(WkiError, ValueError):
     kind = "invalid-argument"
+    exit_code = 2
 
 
-def check_threshold(name: str, value: float) -> float:
-    """A guard threshold, which must be a finite number >= 0.
-
-    A NaN compares false and would switch its guard off; a negative one
-    would trip it on every run.
-    """
-    if not 0.0 <= value < float("inf"):
-        raise InvalidArgumentError(f"{name} must be a finite number >= 0, got {value}")
+def check_number(name: str, value: float, low: float | None = None,
+                 strict: bool = False) -> float:
+    """``value``, refused unless finite and >= ``low`` (> ``low`` when ``strict``)."""
+    in_range = low is None or (value > low if strict else value >= low)
+    if not (abs(value) < float("inf") and in_range):
+        bound = "" if low is None else f" {'>' if strict else '>='} {low:g}"
+        raise InvalidArgumentError(f"{name} must be a finite number{bound}, got {value}")
     return value
 
 
@@ -38,6 +41,7 @@ class RegimeError(WkiError):
     """The potential/data violates the small-data assumptions."""
 
     kind = "regime-error"
+    exit_code = 3
 
 
 class PossibleBoundStateError(RegimeError):
@@ -62,6 +66,7 @@ class SlopeConditionError(RegimeError):
 
 class NumericalError(WkiError):
     kind = "numerical-error"
+    exit_code = 4
 
 
 class ResolutionExceededError(NumericalError):

@@ -57,8 +57,8 @@ __all__ = [
 
 
 @dataclass
-class SpatialGrid:
-    """Uniform grid x_k = -L + k * (2L/N), k = 0..N-1."""
+class _UniformGrid:
+    """Points -half_width + k * spacing, k = 0..point_count-1, on [-half_width, half_width)."""
 
     half_width: float
     point_count: int
@@ -73,7 +73,12 @@ class SpatialGrid:
 
 
 @dataclass
-class SpectralGrid:
+class SpatialGrid(_UniformGrid):
+    """Uniform grid x_k = -L + k * (2L/N), k = 0..N-1."""
+
+
+@dataclass
+class SpectralGrid(_UniformGrid):
     """Uniform grid on [-Z, Z) for the spectral variable z.
 
     ``z_min`` is the truncation floor: jump data is forced to zero for
@@ -83,8 +88,6 @@ class SpectralGrid:
     embedding of every grid.
     """
 
-    half_width: float
-    point_count: int
     z_min: float = 0.0
     padding: ClassVar[int] = 2
 
@@ -95,14 +98,6 @@ class SpectralGrid:
         if not self.z_min < self.half_width:
             raise InvalidArgumentError(
                 f"z_min must be a number below the grid half-width, got {self.z_min}")
-
-    @property
-    def spacing(self) -> float:
-        return 2.0 * self.half_width / self.point_count
-
-    @property
-    def points(self) -> np.ndarray:
-        return -self.half_width + self.spacing * np.arange(self.point_count)
 
     @property
     def active(self) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EvolutionDivergedError, InvalidArgumentError, ResolutionExceededError
+from .errors import EvolutionDivergedError, ResolutionExceededError, check_number
 from .lattice import GridFunction
 from .lax import Potential, conserved_E1, make_potential
 
@@ -71,14 +71,12 @@ class EvolutionRun:
 def _schedule(grid, T, cfl):
     """The RK4 time step cfl * h^2 and the number of steps to T.
 
-    Refuses a time step that is not a finite number > 0, and a step
-    count above ``STEP_CAP``, counted in floating point
-    (ResolutionExceededError).
+    Refuses a span T that is not a finite number, a time step that is
+    not a finite number > 0, and a step count above ``STEP_CAP``,
+    counted in floating point (ResolutionExceededError).
     """
-    dt = cfl * grid.spacing**2
-    # a NaN step fails every comparison and an infinite one takes one step
-    if not 0.0 < dt < float("inf"):
-        raise InvalidArgumentError(f"time step must be a finite number > 0, got {dt}")
+    check_number("T", T)
+    dt = check_number("time step", cfl * grid.spacing**2, 0.0, strict=True)
     count = max(1.0, np.ceil(abs(T) / dt)) if T else 0.0
     if not count <= STEP_CAP:
         raise ResolutionExceededError(

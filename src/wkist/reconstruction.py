@@ -44,9 +44,10 @@ from .errors import (
     RangeError,
     RhpUnsolvedError,
     SlopeConditionError,
-    check_threshold,
+    check_number,
 )
-from .lattice import GridFunction, SpatialGrid, _halving_miss, _lagrange_interpolant
+from .lattice import (LAGRANGE_POINTS, GridFunction, SpatialGrid, _halving_miss,
+                      _lagrange_interpolant)
 from .lax import conserved_E1, make_potential
 from .rhp import (
     DEFAULT_WINDOW,
@@ -81,7 +82,7 @@ BATCH_SAMPLES = 2**15
 # between hodograph lattice nodes: ten nodes per shortest period, one per
 # point of the ``LAGRANGE_POINTS`` stencil that carries the lattice onto
 # the sweep.
-LATTICE_PHASE_STEP = 2.0 * np.pi / 10
+LATTICE_PHASE_STEP = 2.0 * np.pi / LAGRANGE_POINTS
 
 
 def qh_from_slope(s: np.ndarray) -> np.ndarray:
@@ -183,6 +184,7 @@ def resample_q(q_H: np.ndarray, x_map: np.ndarray, xgrid: SpatialGrid,
     resampled GridFunction and the interpolation-error estimate
     ``_halving_miss`` of (x_map, q_H).
     """
+    check_number("decay_floor", decay_floor, 0.0)
     q_H = np.asarray(q_H, dtype=complex)
     x_map = np.asarray(x_map, dtype=float)
     if x_map.size < 2 or np.any(np.diff(x_map) <= 0):
@@ -271,7 +273,7 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
     which needs a jump that is the identity around z = 0.  The window
     must hold at least two points of ``xgrid``.
     """
-    check_threshold("decay_floor", decay_floor)
+    check_number("decay_floor", decay_floor, 0.0)
     if np.any(sd.r[~sd.active] != 0):
         raise InvalidArgumentError("reflection data is nonzero for |z| < z_min or at z = 0")
     if window > xgrid.half_width:

@@ -69,9 +69,11 @@ kernel pass beyond the solve's.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import InvalidArgumentError, RhpUnsolvedError
+from .errors import InvalidArgumentError, RhpUnsolvedError, check_number
 from .lattice import GridFunction, SpectralGrid, _cauchy_plus_batch, _tail_outside
 
 __all__ = ["delta_function", "suggest_z_min"]
@@ -392,30 +394,34 @@ def suggest_z_min(Z: float, N_z: int, window: float = DEFAULT_WINDOW,
 
     The local wavelength in z of the evolved jump's phase, e^{2 i phi} with
     phi = x_H/z + 2 t/z^2, is 2 pi / |phi'(z)| with |phi'| <= window/z^2 +
-    4 t/z^3; the floor is where that wavelength
-    falls to ``POINTS_PER_PERIOD`` grid spacings.
+    4 t/z^3; the floor is where that wavelength falls to
+    ``POINTS_PER_PERIOD`` grid spacings h_z, the one positive root of
+    z^3 = a z + b with a = window h_z / rho, b = 4 |t| h_z / rho and
+    rho = 2 pi / ``POINTS_PER_PERIOD``.  It is sqrt(a) at t = 0, else
+    Cardano's root, in its trigonometric form when the cubic has three
+    real roots.  A floor above Z is refused.
     """
-    Z = float(Z)
-    hz = 2.0 * Z / int(N_z)
-    target = 2.0 * np.pi / POINTS_PER_PERIOD
-
-    def excess(zz):
-        # numpy powers round like Python's but overflow to inf on huge grids
-        with np.errstate(over="ignore"):
-            zz = np.float64(zz)
-            return (window / zz**2 + 4.0 * abs(t_max) / zz**3) * hz - target
-
-    lo, hi = 1e-9, Z
-    if excess(hi) > 0:
-        raise InvalidArgumentError(
-            "the requested window cannot be phase-resolved anywhere on this grid"
-        )
-    if excess(lo) < 0:
-        return 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0:
-            lo = mid
+    check_number("window", window, 0.0)
+    check_number("t_max", t_max)
+    rho = 2.0 * math.pi / POINTS_PER_PERIOD
+    hz = 2.0 * float(Z) / int(N_z)
+    a = window * hz / rho
+    b = 4.0 * abs(t_max) * hz / rho
+    if b == 0.0:
+        z = math.sqrt(a)
+    else:
+        # in units of k, the larger of the a = 0 and b = 0 roots, p, q <= 1: no underflow
+        za, zb = math.sqrt(a), float(np.cbrt(b))  # math.cbrt needs Python 3.11
+        k = max(za, zb)
+        p, q = (za / k) ** 2, (zb / k) ** 3
+        disc = (q / 2.0) ** 2 - (p / 3.0) ** 3
+        if disc < 0.0:
+            r = math.sqrt(p / 3.0)
+            z = k * 2.0 * r * math.cos(math.acos(min(q / (2.0 * r**3), 1.0)) / 3.0)
         else:
-            hi = mid
-    return hi
+            u = float(np.cbrt(q / 2.0 + math.sqrt(disc)))
+            z = k * (u + p / (3.0 * u))
+    if not z <= Z:  # an overflowing a or b gives inf or NaN, refused too
+        raise InvalidArgumentError(
+            "the requested window cannot be phase-resolved anywhere on this grid")
+    return z

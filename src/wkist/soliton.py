@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AT_SINGULARITY, InvalidArgumentError, RegimeError
+from .errors import AT_SINGULARITY, InvalidArgumentError, RegimeError, check_number
 from .lattice import SpatialGrid
 from .lax import make_potential
 from .pde_oracle import wki_rhs
@@ -70,10 +70,8 @@ class SolitonParams:
     eta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.xi) and np.isfinite(self.eta)):
-            raise InvalidArgumentError(f"xi and eta must be finite, got {self.xi}, {self.eta}")
-        if self.eta <= 0:
-            raise InvalidArgumentError("eta must be positive")
+        check_number("xi", self.xi)
+        check_number("eta", self.eta, 0.0, strict=True)
 
     @property
     def bursting(self) -> bool:

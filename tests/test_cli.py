@@ -185,22 +185,33 @@ def test_non_finite_t_or_bad_window_exits_2(tmp_path, capsys, pipeline, flags):
     assert not (out / "manifest.json").exists()
 
 
+SHAPE_FLAGS = [["--amplitude", "inf"], ["--amplitude", "nan"], ["--center", "inf"],
+               ["--center=-inf"], ["--momentum", "inf"]]
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("pipeline, flags", [
     ("forward", ["--width", "inf"]), ("roundtrip", ["--width", "inf"]),
     ("forward", ["--width", "nan"]), ("forward", ["--width", "0"]),
     ("soliton", ["--eta", "inf"]), ("soliton", ["--eta", "nan"]), ("soliton", ["--xi", "nan"]),
-], ids=["forward-infinite-width", "roundtrip-infinite-width", "forward-nan-width",
-        "forward-zero-width", "soliton-infinite-eta", "soliton-nan-eta", "soliton-nan-xi"])
+] + [(pipeline, flags) for pipeline in ("forward", "roundtrip") for flags in SHAPE_FLAGS],
+    ids=["forward-infinite-width", "roundtrip-infinite-width", "forward-nan-width",
+         "forward-zero-width", "soliton-infinite-eta", "soliton-nan-eta", "soliton-nan-xi"]
+    + [f"{pipeline}-{'='.join(flags)}" for pipeline in ("forward", "roundtrip")
+       for flags in SHAPE_FLAGS])
 def test_non_finite_shape_parameter_exits_2(tmp_path, capsys, pipeline, flags):
     # an infinite width is no profile: forward ran on it and roundtrip
     # failed as a range error; an infinite eta is no soliton, and was
-    # classified as a looped one
+    # classified as a looped one; an infinite center ran a zero potential,
+    # and an infinite amplitude warned before the samples were refused
     out = tmp_path / "o"
     code = main([pipeline, "--outdir", str(out)] + SMALL[:4] + flags)
     err = capsys.readouterr().err
     assert code == 2
     assert "invalid-argument" in err
-    assert json.loads((out / "error.json").read_text())["kind"] == "invalid-argument"
+    error = json.loads((out / "error.json").read_text())
+    assert error["kind"] == "invalid-argument"
+    assert error["message"].startswith(flags[0].lstrip("-").split("=")[0] + " must be")
 
 
 def test_window_without_two_sweep_cells_exits_2(tmp_path, capsys):

@@ -82,6 +82,15 @@ def test_argument_validation():
             evolve(q, 0.1, cfl=bad)
 
 
+def test_nan_span_is_refused():
+    # a NaN span counted as a single step
+    grid = make_spatial_grid(20.0, 256)
+    with pytest.raises(InvalidArgumentError, match="T must be a finite number"):
+        step_count(grid, float("nan"))
+    with pytest.raises(InvalidArgumentError, match="T must be a finite number"):
+        evolve(GridFunction(grid, gaussian(grid, 0.01)), float("nan"))
+
+
 def test_step_budget_is_checked_before_the_first_step():
     grid = make_spatial_grid(20.0, 256)
     q = GridFunction(grid, gaussian(grid, 0.01))

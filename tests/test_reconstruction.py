@@ -201,6 +201,14 @@ def test_resample_q_rejects_undecayed_ranges():
         resample_q(qh.astype(complex), x_map, g)
 
 
+def test_resample_q_refuses_a_nan_decay_floor():
+    # a NaN floor switched the range guard off
+    g = make_spatial_grid(20.0, 512)
+    x_map = np.linspace(-1.0, 1.0, 64)
+    with pytest.raises(InvalidArgumentError, match="decay_floor"):
+        resample_q(0.5 / np.cosh(x_map) + 0j, x_map, g, decay_floor=float("nan"))
+
+
 def test_inverse_transform_roundtrip_small():
     grid = make_spatial_grid(20.0, 1024)
     p = make_potential(grid, lambda x: 0.05 * np.exp(-(x**2)))

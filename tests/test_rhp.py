@@ -255,6 +255,17 @@ def test_suggest_z_min_scales_with_demand():
         suggest_z_min(0.5, 8, window=1e6, t_max=0.0)
 
 
+@pytest.mark.parametrize("kwargs", [{"window": float("nan")}, {"window": -1.0},
+                                    {"t_max": float("nan")}],
+                         ids=["nan-window", "negative-window", "nan-t_max"])
+def test_suggest_z_min_refuses_a_bad_window_or_time(kwargs):
+    # a NaN window gave a floor of 1e-9, and a NaN or negative one can
+    # resolve no phase
+    name = next(iter(kwargs))
+    with pytest.raises(InvalidArgumentError, match=f"{name} must be a finite number"):
+        suggest_z_min(40.0, 1024, **kwargs)
+
+
 def test_tail_rhs_pulls_band_solution_toward_wide_grid():
     # same decaying jump on a Z = 40 and a Z = 160 grid with equal
     # spacing: the narrow solve differs from the wide one only by where

@@ -1,4 +1,6 @@
-"""Property tests of the Beals-Coifman solver (need ``hypothesis``)."""
+"""Property tests of the Beals-Coifman solver and its z cut (need ``hypothesis``)."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,15 +8,18 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from wkist.errors import InvalidArgumentError  # noqa: E402
 from wkist.lattice import _TAIL_REGION, _tail_outside, make_spectral_grid  # noqa: E402
 from wkist.rhp import (  # noqa: E402
     DELTA_CONJUGATED,
     NEUMANN_TOL,
+    POINTS_PER_PERIOD,
     TRIANGULAR,
     _dense_solve,
     _m0_rows,
     _neumann,
     _solve_batch,
+    suggest_z_min,
 )
 from rhp_cells import both_rows, cell_solve, exact_residual, fd_slope_gap, jump_batch  # noqa: E402
 
@@ -159,3 +164,23 @@ def test_slope_identity_on_a_gaussian_edge():
     tri, dc = (cell_solve(r, FINE_ZGRID, k, [0.0]) for k in (TRIANGULAR, DELTA_CONJUGATED))
     assert fd_slope_gap(r, FINE_ZGRID, TRIANGULAR, -0.5) < 1e-5
     assert abs(tri["slope"][0] - dc["slope"][0]) < 1e-6
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(Z=st.floats(0.5, 200.0), log_n=st.integers(2, 16),
+                  window=st.floats(0.0, 20.0), t=st.floats(-8.0, 8.0))
+def test_z_min_is_the_root_of_its_cubic(Z, log_n, window, t):
+    # z_min is the positive root of z^3 = a z + b, checked in exact
+    # arithmetic; a refusal means the cubic is still below zero at Z
+    rho = 2.0 * np.pi / POINTS_PER_PERIOD
+    hz = 2.0 * Z / 2**log_n
+    a, b = Fraction(window * hz / rho), Fraction(4.0 * abs(t) * hz / rho)
+    tol = Fraction(1, 10**13)
+    try:
+        z = suggest_z_min(Z, 2**log_n, window=window, t_max=t)
+    except InvalidArgumentError:
+        assert Fraction(Z) ** 3 < (a * Fraction(Z) + b) * (1 + tol)
+        return
+    assert 0.0 <= z <= Z
+    root = Fraction(z)
+    assert abs(root**3 - a * root - b) <= tol * root**3

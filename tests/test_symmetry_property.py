@@ -5,7 +5,7 @@ constant phase, q -> e^{i phi} q, takes r to r e^{-i phi}; a translation,
 q(x) -> q(x - x0), takes b(lam) to b e^{2 i lam x0}, so r(z) to
 r e^{-2 i x0 / z} at lam = -1/z; and a dilation, q(x) -> q(x / c), takes
 lam to lam / c, so the z grid to c z.  The discrete transform keeps each
-to rounding where its grids carry the map: the phase everywhere, a
+to rounding where its grids carry the map: the phase at any t, a
 translation by whole grid steps, and a dilation by 2, which scales every
 grid spacing and every product by a power of two, as long as no cell of
 either march substeps (the rule lam^2 |q| h^3 scales with c).
@@ -43,8 +43,8 @@ SHAPES = {"gaussian": lambda x, w: np.exp(-((x / w) ** 2)),
           "box": lambda x, w: (np.abs(x) <= w).astype(float)}
 
 
-def grids(L, N, Z, N_z, window):
-    zgrid = make_spectral_grid(Z, N_z, z_min=suggest_z_min(Z, N_z, window=window))
+def grids(L, N, Z, N_z, window, t=0.0):
+    zgrid = make_spectral_grid(Z, N_z, z_min=suggest_z_min(Z, N_z, window=window, t_max=t))
     return make_spatial_grid(L, N), zgrid
 
 
@@ -67,19 +67,21 @@ def substeps(p, sd) -> bool:
 
 @hypothesis.settings(max_examples=20, deadline=None)
 @hypothesis.given(phi=st.floats(-np.pi, np.pi), amplitude=st.floats(0.01, 0.1),
-                  width=st.floats(0.95, 1.2), momentum=st.floats(-0.5, 0.5))
-def test_a_constant_phase_turns_r_and_the_roundtrip(phi, amplitude, width, momentum):
+                  width=st.floats(0.95, 1.2), momentum=st.floats(-0.5, 0.5),
+                  t=st.floats(0.0, 0.25))
+def test_a_constant_phase_turns_r_and_the_roundtrip(phi, amplitude, width, momentum, t):
     # the smoke roundtrip's Gaussians: wider or taller ones leave |q| above
-    # its decay floor at the ends of the mapped range
+    # its decay floor at the ends of the mapped range; the inverse runs at
+    # t, so the phase map also commutes with the evolution
     window = SMOKE[4]
-    xgrid, zgrid = grids(*SMOKE)
+    xgrid, zgrid = grids(*SMOKE, t=t)
     q = profile("gaussian", amplitude, width, momentum)
     turn = np.exp(1j * phi)
     sd = reflection_coefficient(make_potential(xgrid, q), zgrid, a_floor=0.0)
     sd_turned = reflection_coefficient(make_potential(xgrid, lambda x: turn * q(x)), zgrid,
                                        a_floor=0.0)
     assert np.max(np.abs(sd_turned.r - sd.r * np.conj(turn))) < PHASE_BOUND
-    rec, rec_turned = (inverse_transform(s, 0.0, xgrid, window=window, decay_floor=1e-3)
+    rec, rec_turned = (inverse_transform(s, t, xgrid, window=window, decay_floor=1e-3)
                        for s in (sd, sd_turned))
     assert np.max(np.abs(rec_turned.q.values - rec.q.values * turn)) < PHASE_BOUND
 
