@@ -1,17 +1,30 @@
 """The reflection coefficient r = b/a, from the first Jost column marched on row pairs.
 
-The spectral problem psi_x = A(x) psi with A = i*lam*sigma3 - lam*M(q)
-is integrated by a second-order midpoint Magnus scheme: over one cell
-the coefficient is frozen at its midpoint value and the cell propagator
-is the closed-form exponential
+The spectral problem psi_x = A(x) psi with A = lam [[i, -q], [conj q, -i]]
+is integrated by the fourth-order Magnus scheme with two Gauss points
+(Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009): over a step of
+length H about x_m, with A1, A2 at x_m -+ (sqrt 3 / 6) H in path order,
 
-    A^2 = -lam^2 <q>^2 I  =>  exp(hA) = cos(h u) I + sin(h u)/u * A,
+    Omega = (H/2)(A1 + A2) + (sqrt 3 / 12) H^2 [A2, A1],
+    exp(Omega) = cos(phi) I + sin(phi)/phi * Omega,  phi^2 = -det Omega.
 
-with u = lam <q>.  Each factor is exactly unimodular and respects the
-conjugation symmetry J conj(A) J^-1 = A (J = [[0,-1],[1,0]]), which is
-why det psi = 1 and the transition-matrix symmetry d = -conj(b),
-c = conj(a) hold to roundoff for real lam at any resolution; the O(h^2)
-midpoint error only moves (a, b) along the unit sphere |a|^2 + |b|^2 = 1.
+Omega stays in su(2) for real lam, so each factor is exactly unimodular
+and respects the conjugation symmetry J conj(A) J^-1 = A (J = [[0,-1],
+[1,0]]), which is why det psi = 1 and the transition-matrix symmetry
+d = -conj(b), c = conj(a) hold to roundoff for real lam at any
+resolution; the O(H^4) error only moves (a, b) along the unit sphere
+|a|^2 + |b|^2 = 1.  A step with q1 = q2 is the midpoint exponential.
+
+The step schedule (``_steps``) lets one step span up to ``STEP_CELLS``
+grid cells where the profile is smooth.  One dimensionless rule sets
+both the span and the substeps at large lam: a step's phase lam_max H
+sqrt(1 + |q|^2) stays at or below ``PHASE_BOUND``, with lam_max the
+batch's largest |lam|.  A dilation q(x) -> q(x / c) with the grid keeps
+lam_max h and |q|, so it keeps the schedule.  A cell that holds a jump
+of the profile is a step of its own, cut at the jump into two pieces
+the profile is smooth on, so a piecewise-constant profile is marched
+exactly wherever its jumps sit.  Samples without a profile are marched
+one cell a step, at the Gauss points of their linear interpolant.
 
 Scattering coefficients are Wronskians evaluated at x = 0 (both Jost
 solutions are propagated only halfway, which also halves the cost):
@@ -31,23 +44,23 @@ The diagnostic ``spectral_lattice_error_estimate`` is its ``_halving_miss``
 of r over the lattice.
 
 One loop, `_march`, steps psi for a whole batch of lam.  For real lam
-each cell propagator is in SU(2), [[a, -conj b], [b, conj a]], bit for
+each step propagator is in SU(2), [[a, -conj b], [b, conj a]], bit for
 bit, and so is psi: the loop steps only its first column (alpha, beta),
 two contiguous rows over lam.  The propagator is kept as the row pairs
 D = (E00, E11) and O = (E01, E10), so a (sub)step is three calls into
-preallocated buffers: D col + O col[::-1].  The cell propagator's
-diagonal and sin(h u)/u depend on the cell only through (h, w =
-sqrt(1 + |q|^2)) and are reused while consecutive (sub)steps repeat
-them; the two off-diagonal entries, proportional to q, take one product
-each per step, and h, w, q and conj q of every step are laid out before
-the first.  det psi is |alpha|^2 + |beta|^2 at every cell end: the
-march writes the cell-end columns into a block of ``BLOCK_SAMPLES``
-samples and checks the whole block at once.  The full matrix is built
-once, at x = 0, with its second column (-conj beta, conj alpha).
-A substepped cell applies its substeps in path order on both marches.
-The loop is bitwise equal to an interleaved loop with a fresh
-exponential and a full 2x2 product per step in the same arithmetic
-(`tests/test_direct_scattering.py` keeps it as an oracle).
+preallocated buffers: D col + O col[::-1].  The scalars of every step
+are laid out before the first (``_step_scalars``).  cos(phi) and
+sin(phi)/phi depend on a step only through (H, c2, c3, c4, kappa), and
+commutator terms below half an ulp are dropped from that key, so
+plateaus and tails reuse the trigonometry; the off-diagonal pair is
+one (2, 2) x (2, L) product per step.  det psi is |alpha|^2 + |beta|^2
+at every step end: the march writes the step-end columns into a block
+of ``BLOCK_SAMPLES`` samples and checks the whole block at once.  The
+full matrix is built once, at x = 0, with its second column (-conj beta,
+conj alpha).  A substepped cell applies its substeps in path order on
+both marches.  The loop is bitwise equal to an interleaved loop with its
+own schedule, a fresh exponential and a full 2x2 product per step in the
+same arithmetic (`tests/test_direct_scattering.py` keeps it as an oracle).
 """
 
 from __future__ import annotations
@@ -72,15 +85,28 @@ __all__ = [
     "check_a_asymptotics",
 ]
 
-# Per-step commutator-error surrogate lam^2 |q| h^3 is kept below this
-# by substepping; at desk resolutions one step per cell suffices.
-LOCAL_ERROR_BOUND = 1e-5
+# A step's phase phi = lam_max |H| sqrt(1 + |q|^2) is kept at or below
+# this: it sets how many cells a step spans and how many substeps a cell
+# takes.  lam_max |H| and |q| are both dimensionless and unchanged by a
+# dilation q(x) -> q(x / c) that scales the grid with it.
+PHASE_BOUND = 0.4
+STEP_CELLS = 4  # most cells one step spans: the grid sets how finely q is resolved
 STEP_CAP_FACTOR = 64  # max total substeps per lam, in units of the cell count
+# A cell holds a jump when its midpoint value misses the mean of its end
+# values by more than this share of max |q|: h^2 |q''| / 8 on a smooth profile.
+JUMP_TOLERANCE = 1e-2
+JUMP_SECTIONS = 64  # a jump is bracketed 64 times closer on each pass
+GAUSS_OFFSET = np.sqrt(3.0) / 6.0  # the Gauss points are x_m -+ GAUSS_OFFSET * H
+# A commutator term below this share of the term it adds to is dropped
+# from the trigonometry: an eighth of the float64 epsilon keeps the sum's
+# rounded value, which is a quarter of an ulp at a power of two, with room
+# for the rounding of the term itself, so dropping it changes no bit.
+DROP_SHARE = np.finfo(float).eps / 8
 # The lam lattice's spacing, in units of 1/L: pi/16 is 16 nodes per period
 # of e^{2 i lam x} at the grid edge |x| = L.
 LAM_STEP_FACTOR = np.pi / 16
-# The march keeps its cell-end columns in blocks of at most this many
-# (cell, lam) samples, 32 bytes each, and checks det psi once per block.
+# The march keeps its step-end columns in blocks of at most this many
+# (step, lam) samples, 32 bytes each, and checks det psi once per block.
 BLOCK_SAMPLES = 8192
 # Smallest min |a| the forward map accepts, unless a run sets its own floor
 DEFAULT_A_FLOOR = 0.5
@@ -105,97 +131,278 @@ class ScatteringData:
 
 
 class _CellPropagator:
-    """The cell propagator of one batch of lam, reused from step to step.
+    """The step propagator of one batch of lam, reused from step to step.
 
     ``E`` is (2, 2, len(lam)) by row pairs: ``D`` = E[0] holds the
     diagonal (E00, E11) and ``O`` = E[1] the off-diagonal (E01, E10), so
-    that a step takes (alpha, beta) to D (alpha, beta) + O (beta, alpha);
-    the four rows are also kept as views.  ``hw`` is the (h, w) it was
-    last built for.  ``lam_sc`` and ``neg_lam_sc`` are lam*sc and
-    -lam*sc, sc = sin(h u)/u, as complex rows, so that each step forms an
-    off-diagonal entry with one product.  The rebuild writes its
-    temporaries into the preallocated rows ``hu``, ``c``, ``sc`` and
-    ``ilam_sc``; i*lam is formed once, and ``lam_abs_min`` tells whether
-    sinc needs its zero guard.
+    that a step takes (alpha, beta) to D (alpha, beta) + O (beta, alpha).
+    ``key`` is the (H, c2, c3, c4, kappa) the trigonometry was last built
+    for.  ``R`` holds the rows (lam S, lam^2 S), S = sin(phi)/phi, as
+    complex rows with zero imaginary parts, so that the (2, 2) x (2, L)
+    product coef R gives the off-diagonal pair; ``T``, ``phi`` and ``S``
+    are scratch rows, and ``zero`` marks the lam = 0 of the batch, where
+    S is 1.
     """
 
     def __init__(self, lam):
         L = lam.size
-        self.lam, self.ilam = lam, 1j * lam
-        self.lam_abs_min = np.min(np.abs(lam))
+        self.lam = lam
+        self.zero = lam == 0.0 if np.any(lam == 0.0) else None
         self.E = np.empty((2, 2, L), dtype=complex)
         self.D, self.O = self.E
-        (self.E00, self.E11), (self.E01, self.E10) = self.E
-        self.hw = None
-        self.hu, self.c, self.sc = np.empty(L), np.empty(L), np.empty(L)
-        self.ilam_sc, self.lam_sc, self.neg_lam_sc = np.empty((3, L), dtype=complex)
+        (self.E00, self.E11), _ = self.E
+        self.key = None
+        self.phi, self.S = np.empty((2, L))
+        self.R = np.zeros((2, L), dtype=complex)
+        self.T = np.empty((2, L), dtype=complex)
 
 
-def _cell_exponential(h, w, q, q_conj, cell: _CellPropagator):
-    """exp(h * (i lam sigma3 - lam M(q))) for the batch of ``cell``, into cell.E.
+def _cell_exponential(key, coef, cell: _CellPropagator):
+    """exp(Omega) of one Magnus-4 step for the batch of ``cell``, into cell.E.
 
-    ``w`` is sqrt(1 + |q|^2) and ``q_conj`` is conj(q).  The diagonal
-    entries and sin(h u)/u, u = lam w, depend on the cell only through
-    (h, w), and are rebuilt only when (h, w) changes: c = cos(h u),
-    sc = h sinc(h u / pi), c +- i lam sc, and the rows lam sc and
-    -lam sc.  When no h u / pi of the batch is 0, sinc's own operations,
-    sin(pi x) / (pi x), are spelled out without its zero guard, which
-    changes no bit.  Every call writes the off-diagonal entries
-    E01 = q (-lam sc) and E10 = conj(q) (lam sc), one product each.
+    Omega = [[i theta, Omega12], [-conj Omega12, -i theta]] with theta =
+    lam (H + kappa lam) and Omega12 = coef[0] . (lam, lam^2), so exp Omega
+    = cos(phi) I + S Omega, S = sin(phi)/phi and phi = lam sqrt(c2 + lam
+    (c3 + lam c4)) (``_step_scalars``).  The diagonal and the rows
+    (lam S, lam^2 S) depend on the step only through ``key`` = (H, c2, c3,
+    c4, kappa) and are rebuilt only when it changes; a dropped term
+    (c3 = c4 = 0, or kappa = 0) skips its products.  Every call writes
+    the off-diagonal pair (E01, E10) = coef (lam S, lam^2 S) as two
+    column-by-row products and their sum: numpy's matmul would call
+    BLAS, whose first call alone raises a forward run's peak memory by
+    a quarter MB, for no gain in time.
     """
-    if cell.hw != (h, w):
-        hu, c, sc = cell.hu, cell.c, cell.sc
-        np.multiply(cell.lam, w, out=hu)
-        np.multiply(h, hu, out=hu)
-        np.cos(hu, out=c)
-        np.divide(hu, np.pi, out=hu)
-        # the smallest |h u / pi| of the batch, by the same monotone operations
-        if h * (cell.lam_abs_min * w) / np.pi != 0.0:
-            np.multiply(np.pi, hu, out=hu)
-            np.sin(hu, out=sc)
-            np.divide(sc, hu, out=sc)
+    if cell.key != key:
+        H, c2, c3, c4, kappa = key
+        lam, phi, S = cell.lam, cell.phi, cell.S
+        if c3 == 0.0 and c4 == 0.0:
+            np.multiply(lam, np.sqrt(c2), out=phi)
         else:
-            np.copyto(sc, np.sinc(hu))
-        np.multiply(h, sc, out=sc)  # sin(h u)/u, exact at u = 0
-        np.multiply(cell.ilam, sc, out=cell.ilam_sc)
-        np.add(c, cell.ilam_sc, out=cell.E00)
-        np.subtract(c, cell.ilam_sc, out=cell.E11)
-        np.multiply(cell.lam, sc, out=cell.lam_sc)
-        np.negative(cell.lam_sc, out=cell.neg_lam_sc)
-        cell.hw = (h, w)
-    np.multiply(q, cell.neg_lam_sc, out=cell.E01)
-    np.multiply(q_conj, cell.lam_sc, out=cell.E10)
+            np.multiply(lam, c4, out=phi)
+            np.add(phi, c3, out=phi)
+            np.multiply(phi, lam, out=phi)
+            np.add(phi, c2, out=phi)
+            np.sqrt(phi, out=phi)
+            np.multiply(phi, lam, out=phi)
+        np.cos(phi, out=cell.E00.real)
+        np.sin(phi, out=S)
+        if cell.zero is None:
+            np.divide(S, phi, out=S)
+        else:
+            np.divide(S, phi, out=S, where=~cell.zero)
+            S[cell.zero] = 1.0
+        lam_S, lam2_S = cell.R.real
+        np.multiply(lam, S, out=lam_S)
+        np.multiply(lam, lam_S, out=lam2_S)
+        if kappa == 0.0:
+            np.multiply(H, lam_S, out=cell.E00.imag)
+        else:
+            np.multiply(lam, kappa, out=S)
+            np.add(S, H, out=S)
+            np.multiply(S, lam_S, out=cell.E00.imag)
+        np.copyto(cell.E11.real, cell.E00.real)
+        np.negative(cell.E00.imag, out=cell.E11.imag)
+        cell.key = key
+    np.multiply(coef[:, :1], cell.R[0], out=cell.O)
+    np.multiply(coef[:, 1:], cell.R[1], out=cell.T)
+    np.add(cell.O, cell.T, out=cell.O)
     return cell.E
 
 
-def _midpoint_values(p: Potential, k0, k1):
-    """Potential values at the midpoints of cells k0..k1-1."""
-    x = p.grid.points
-    if p.profile is not None:
-        return np.asarray(p.profile(x[k0:k1] + 0.5 * p.grid.spacing), dtype=complex)
-    return 0.5 * (p.q[k0:k1] + p.q[k0 + 1:k1 + 1])
+def _cells(p: Potential, lam_max):
+    """Per cell k = 0..N-2: (jump, cap, substeps).
 
-
-def _sub_values(p: Potential, k, m):
-    """m sub-cell midpoint values inside cell k (profile or linear interp), increasing x."""
-    x0 = p.grid.points[k]
-    hs = p.grid.spacing / m
-    xs = x0 + hs * (np.arange(m) + 0.5)
-    if p.profile is not None:
-        return np.asarray(p.profile(xs), dtype=complex)
-    frac = (xs - x0) / p.grid.spacing
-    return p.q[k] * (1 - frac) + p.q[k + 1] * frac
-
-
-def _step_scalars(q):
-    """w = sqrt(1 + |q|^2), q and conj(q) as lists of scalars, per value of q.
-
-    |q|^2 is taken as a Python float's ** 2, which is C pow like a numpy
-    scalar's: an array's ** 2 is np.square, and the two can differ in the
-    last bit.
+    ``jump``: the profile's midpoint value misses the mean of the cell's
+    end values by more than ``JUMP_TOLERANCE`` times the largest midpoint
+    |q| (never for samples without a profile).  phi = lam_max h sqrt(1 +
+    |q|^2), |q| the largest of the cell's end and midpoint values, or 0
+    where those three are equal, as on plateaus and zero tails, over
+    which a step is exact;
+    ``cap`` = min(STEP_CELLS, floor(PHASE_BOUND / phi)) cells a step may
+    span, and ``substeps`` = ceil(phi / PHASE_BOUND) for a cell alone.
     """
-    w = np.sqrt(1.0 + np.array([a ** 2 for a in np.abs(q).tolist()]))
-    return w.tolist(), list(q), list(np.conj(q))
+    q, h = p.q, p.grid.spacing
+    left, right = q[:-1], q[1:]
+    if p.profile is not None:
+        mid = np.asarray(p.profile(p.grid.points[:-1] + 0.5 * h), dtype=complex)
+        jump = np.abs(mid - 0.5 * (left + right)) > JUMP_TOLERANCE * np.max(np.abs(mid))
+    else:
+        mid, jump = 0.5 * (left + right), np.zeros(left.size, dtype=bool)
+    amp = np.maximum(np.maximum(np.abs(left), np.abs(right)), np.abs(mid))
+    varies = (left != mid) | (mid != right)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        phi = np.where(varies, lam_max * h * np.sqrt(1.0 + amp * amp), 0.0)
+        cap = np.minimum(STEP_CELLS, np.floor(PHASE_BOUND / phi))
+        substeps = np.maximum(1.0, np.ceil(phi / PHASE_BOUND))
+    return jump, cap, substeps
+
+
+def _jump_points(p: Potential, k):
+    """Where the profile jumps inside cells ``k``, to adjacent floats.
+
+    Each pass evaluates the profile at ``JUMP_SECTIONS`` - 1 points across
+    every bracket and keeps the bracket of its first point that is closer
+    to the cell's right end value than to its left one, until no point
+    falls strictly inside; the right end of the bracket is returned.
+    """
+    lo, hi = p.grid.points[k], p.grid.points[k + 1]
+    q_lo, q_hi = p.q[k, None], p.q[k + 1, None]
+    frac = np.arange(1, JUMP_SECTIONS) / JUMP_SECTIONS
+    rows = np.arange(k.size)
+    while True:
+        at = lo[:, None] + (hi - lo)[:, None] * frac
+        inside = (lo[:, None] < at) & (at < hi[:, None])
+        if not np.any(inside):
+            return hi
+        q = np.asarray(p.profile(at.ravel()), dtype=complex).reshape(at.shape)
+        right = inside & (np.abs(q - q_lo) > np.abs(q - q_hi))
+        first = np.argmax(right, axis=1)
+        found = right[rows, first]
+        lo = np.where(found, np.where(first > 0, at[rows, first - 1], lo), at[:, -1])
+        hi = np.where(found, at[rows, first], hi)
+
+
+def _chunk(cells, alone, cap):
+    """Steps over ``cells``, listed outward from x = 0: (first cell, cell count) arrays.
+
+    Runs of cells that are not ``alone`` are cut, from their x = 0 end,
+    into steps of the run's smallest cap; every other cell is a step of
+    its own.
+    """
+    n = cells.size
+    merge = ~alone[cells]
+    starts = alone[cells]
+    if np.any(merge):
+        opens = merge & np.r_[True, ~merge[:-1]]
+        run = np.cumsum(opens) - 1
+        first = np.flatnonzero(opens)
+        run_cap = np.minimum.reduceat(np.where(merge, cap[cells], np.inf), first)
+        # cells before the first run have run -1, and are alone
+        pos = np.arange(n) - first[run]
+        starts = starts | (pos % run_cap[run].astype(int) == 0)
+    heads = np.flatnonzero(starts)
+    return cells[heads], np.diff(np.r_[heads, n])
+
+
+def _steps(p: Potential, lam_max, side, stop):
+    """The (sub)step schedule of a march, in march order: (H, q1, q2, node).
+
+    Steps are laid out from x = 0 outward over each half of the grid
+    (``_chunk``), so x = 0 ends a step and both marches take the same
+    steps; a march runs from the ``side`` infinity to ``stop``, which is
+    the middle node N/2 or the far end.  H is the signed step length, q1
+    and q2 the values at x_m -+ (sqrt 3 / 6) H, in path order, and
+    ``node`` the grid index the step ends on, or -1 inside a cell.
+
+    The values come from the profile, or from the samples' linear
+    interpolant, where every cell is a step of its own.  A cell with a
+    jump is a step of its own too, cut at the jump (``_jump_points``)
+    into two pieces that the profile is smooth on.  Cells with cap >= 2
+    merge.  A cell alone with phi > ``PHASE_BOUND`` takes m =
+    ceil(phi / ``PHASE_BOUND``) substeps of h / m, on each piece, and
+    their total over the traversed cells is checked, in floating point,
+    before anything else is built.
+    """
+    grid = p.grid
+    N, h, x = grid.point_count, grid.spacing, grid.points
+    mid = N // 2
+    if (side, stop) not in (("-", mid), ("-", N - 1), ("+", mid), ("+", 0)):
+        raise InvalidArgumentError(
+            f"a march runs from side '+' or '-' to x = 0 or the far end, got {side!r}, {stop!r}")
+    halves = [side == "-" or stop == 0, side == "+" or stop == N - 1]
+    jump, cap, substeps = _cells(p, lam_max)
+    pieces = (1 + jump) * substeps
+    total = float(halves[0] * pieces[:mid].sum() + halves[1] * pieces[mid:].sum())
+    if not total <= STEP_CAP_FACTOR * N:  # also refuses inf and NaN
+        raise ResolutionExceededError(
+            f"propagation needs {total:.3g} substeps (> {STEP_CAP_FACTOR * N}); "
+            "lam is too large for this grid")
+
+    # the steps in increasing x: the left half's, listed outward, reversed
+    alone = jump | (cap < 2) | (p.profile is None)
+    lo, count = [], []
+    if halves[0]:
+        first, n = _chunk(np.arange(mid - 1, -1, -1), alone, cap)
+        lo.append((first - n + 1)[::-1])
+        count.append(n[::-1])
+    if halves[1]:
+        first, n = _chunk(np.arange(mid, N - 1), alone, cap)
+        lo.append(first)
+        count.append(n)
+    lo, count = np.concatenate(lo), np.concatenate(count)
+    cut = (count == 1) & jump[lo]
+
+    # the pieces in increasing x: a cut cell is two
+    piece = np.repeat(np.arange(lo.size), 1 + cut)
+    start, span = x[lo][piece], (count * h)[piece]
+    second = np.r_[False, piece[1:] == piece[:-1]]
+    at = _jump_points(p, lo[cut]) if np.any(cut) else np.empty(0)
+    start[second] = at
+    span[second] = x[lo[cut] + 1] - at
+    span[np.r_[second[1:], False]] = at - x[lo[cut]]
+    keep = span > 0.0  # a jump found at a cell end leaves one piece
+    piece, start, span = piece[keep], start[keep], span[keep]
+    m = np.where(count[piece] == 1, substeps[lo[piece]], 1.0).astype(int)
+
+    # the (sub)steps in increasing x
+    sub = np.repeat(np.arange(piece.size), m)
+    j = np.arange(sub.size) - np.repeat(np.cumsum(m) - m, m)
+    m, piece = m[sub], piece[sub]
+    width = span[sub] / m
+    centre = start[sub] + (j + 0.5) * width
+    ends_step = np.r_[piece[1:] != piece[:-1], True]
+    begins_step = np.r_[True, piece[1:] != piece[:-1]]
+    if side == "-":
+        node = np.where(ends_step, (lo + count)[piece], -1)
+        H = width
+    else:
+        node = np.where(begins_step, lo[piece], -1)[::-1]
+        H, centre, j, m, piece = -width[::-1], centre[::-1], j[::-1], m[::-1], piece[::-1]
+
+    if p.profile is not None:
+        values = np.asarray(p.profile(np.r_[centre - GAUSS_OFFSET * H,
+                                             centre + GAUSS_OFFSET * H]), dtype=complex)
+        return H, values[:H.size], values[H.size:], node
+    # a cell's own fraction of each Gauss point, in path order
+    k = lo[piece]
+    frac = (j + 0.5) / m
+    shift = np.where(H > 0, GAUSS_OFFSET, -GAUSS_OFFSET) / m
+    q1, q2 = ((p.q[k] * (1.0 - f) + p.q[k + 1] * f) for f in (frac - shift, frac + shift))
+    return H, q1, q2, node
+
+
+def _step_scalars(H, q1, q2, lam_max):
+    """Per step: the trigonometry key (H, c2, c3, c4, kappa) and the (2, 2) coefficients.
+
+    With s = (q1 + q2)/2, delta = (sqrt 3 / 6) H^2 (q2 - q1) and kappa =
+    (sqrt 3 / 6) H^2 Im(q1 conj q2), the Magnus-4 exponent is Omega11 =
+    i (lam H + kappa lam^2) and Omega12 = -lam H s + i lam^2 delta, and
+    phi^2 = lam^2 (c2 + lam (c3 + lam c4)) with c2 = H^2 (1 + |s|^2), c3
+    = 2 H (kappa - Im(s conj delta)) and c4 = kappa^2 + |delta|^2.  The
+    coefficients [[-H s, i delta], [H conj s, i conj delta]] take (lam S,
+    lam^2 S) to (E01, E10).  c3 and c4 are set to 0 where |c3| lam_max +
+    c4 lam_max^2 < ``DROP_SHARE`` c2, and kappa where |kappa| lam_max <
+    ``DROP_SHARE`` |H|: no bit of phi or theta moves, and plateaus and
+    tails share one key.  Squares are products, and Im(a conj b) is
+    Im a Re b - Re a Im b.
+    """
+    g = GAUSS_OFFSET * H * H
+    s = 0.5 * (q1 + q2)
+    delta = g * (q2 - q1)
+    kappa = g * (q1.imag * q2.real - q1.real * q2.imag)
+    c2 = H * H * (1.0 + (s.real * s.real + s.imag * s.imag))
+    c3 = 2.0 * H * (kappa - (s.imag * delta.real - s.real * delta.imag))
+    c4 = kappa * kappa + (delta.real * delta.real + delta.imag * delta.imag)
+    drop = np.abs(c3) * lam_max + c4 * lam_max * lam_max < DROP_SHARE * c2
+    c3[drop] = c4[drop] = 0.0
+    kappa_theta = np.where(np.abs(kappa) * lam_max < DROP_SHARE * np.abs(H), 0.0, kappa)
+    coef = np.empty((H.size, 2, 2), dtype=complex)
+    coef[:, 0, 0] = -H * s
+    coef[:, 0, 1] = 1j * delta
+    coef[:, 1, 0] = H * np.conj(s)
+    coef[:, 1, 1] = 1j * np.conj(delta)
+    keys = zip(H.tolist(), c2.tolist(), c3.tolist(), c4.tolist(), kappa_theta.tolist())
+    return list(keys), coef
 
 
 def _det_defect(cols, scratch) -> float:
@@ -229,73 +436,42 @@ def _fill_second_column(psi):
 
 
 def _march(p: Potential, lams, side, stop):
-    """Step the first Jost column cell by cell from the `side` infinity to grid index `stop`.
+    """Step the first Jost column from the `side` infinity to grid index `stop`.
 
     A generator of (block, det defect) in march order, a block of
     columns being (n, 2, len(lams)): first the start column alone, then
-    the columns at the ends of the next cells, up to ``BLOCK_SAMPLES`` //
-    len(lams) cells per block.  The det defect is the block's largest
+    the columns at the ends of the next steps, up to ``BLOCK_SAMPLES`` //
+    len(lams) steps per block.  The det defect is the block's largest
     |det psi - 1|, taken over the whole block with one set of calls.  A
     column (alpha, beta) is the first column of psi = [[alpha, -conj
-    beta], [beta, conj alpha]]: psi and every cell propagator are in
+    beta], [beta, conj alpha]]: psi and every step propagator are in
     SU(2) for real lam, so the column determines psi.  A block is a view
     of one buffer, valid only until the generator resumes, so a consumer
     copies what it keeps.
 
-    The (sub)step schedule -- h, w, q, conj(q) and whether the step ends
-    a cell -- is laid out before the first step.  A substepped cell
-    applies its substeps in path order, so the leftward march takes them
-    by decreasing x, and its inner substeps go through a spare column.
-    `_cell_exponential` rebuilds the cell propagator in one buffer per
-    (sub)step and redoes its trigonometry only when (h, w) changes; w
-    repeats across the plateaus of piecewise-constant potentials and
-    wherever 1 + |q|^2 rounds to 1.  Each (sub)step is then three calls
-    on row pairs: D col, O col[::-1] and their sum.  The batch must be
-    nonempty and finite, and the substep total of the traversed cells is
-    checked, in floating point, before the first step.
+    The (sub)step schedule (``_steps``, with lam_max the batch's largest
+    |lam|) and each step's scalars (``_step_scalars``) are laid out
+    before the first step.  A substepped cell's inner substeps go
+    through a spare column.  `_cell_exponential` rebuilds the step
+    propagator in one buffer per (sub)step and redoes its trigonometry
+    only when the step's key changes, as it does not across plateaus and
+    tails.  Each (sub)step is then three calls on row pairs: D col,
+    O col[::-1] and their sum.  The batch must be nonempty and finite.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if lams.size == 0 or not np.all(np.isfinite(lams)):
         raise InvalidArgumentError("lam must be a nonempty batch of finite values")
-    grid = p.grid
-    N = grid.point_count
-    h = grid.spacing
-    if side == "-":
-        start, cells, step, first = 0, range(0, stop), h, 0
-    elif side == "+":
-        start, cells, step, first = N - 1, range(N - 2, stop - 1, -1), -h, stop
-    else:
-        raise InvalidArgumentError(f"side must be '+' or '-', got {side!r}")
-
-    qm_all = _midpoint_values(p, 0, N - 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        err = np.max(np.abs(lams)) ** 2 * np.abs(qm_all) * h**3
-        msub = np.maximum(1.0, np.ceil(np.sqrt(err / LOCAL_ERROR_BOUND)))
-    msub = msub[first:first + len(cells)]
-    total = float(msub.sum())
-    if not total <= STEP_CAP_FACTOR * N:  # also refuses inf and NaN
-        raise ResolutionExceededError(
-            f"propagation needs {total:.3g} substeps (> {STEP_CAP_FACTOR * N}); "
-            "lam is too large for this grid"
-        )
-
-    # the (sub)step schedule, in march order
-    order = slice(None) if side == "-" else slice(None, None, -1)
-    msub = msub.astype(int)[order]
-    q = np.repeat(qm_all[first:first + len(cells)][order], msub)
-    ends = np.cumsum(msub)
-    split = msub > 1
-    for k, m, end in zip(np.asarray(cells)[split], msub[split], ends[split]):
-        q[end - m:end] = _sub_values(p, k, m)[order]
-    ends_cell = np.zeros(q.size, dtype=bool)
-    ends_cell[ends - 1] = True
-    schedule = zip(np.repeat(step / msub, msub).tolist(), *_step_scalars(q),
-                   ends_cell.tolist())
+    lam_max = float(np.max(np.abs(lams)))
+    H, q1, q2, node = _steps(p, lam_max, side, stop)
+    keys, coefs = _step_scalars(H, q1, q2, lam_max)
+    schedule = zip(keys, coefs, (node >= 0).tolist())
 
     L = lams.size
-    B = max(1, min(len(cells), BLOCK_SAMPLES // L))
+    n_steps = int(np.count_nonzero(node >= 0))
+    B = max(1, min(n_steps, BLOCK_SAMPLES // L))
     block = np.zeros((B + 1, 2, L), dtype=complex)
-    block[0, 0] = np.exp(1j * lams * grid.points[start])
+    start = 0 if side == "-" else p.grid.point_count - 1
+    block[0, 0] = np.exp(1j * lams * p.grid.points[start])
     scratch = np.empty((B, 2, 2 * L)), np.empty((B, 2 * L)), np.empty((B, L))
     yield block[:1], _det_defect(block[:1], scratch)
     cols = list(block)
@@ -304,8 +480,8 @@ def _march(p: Potential, lams, side, stop):
     D, O = cell.D, cell.O
     spare, t1, t2 = np.empty((3, 2, L), dtype=complex)
     j, col, flip = 0, cols[0], flips[0]
-    for hk, w, qk, qk_conj, last in schedule:
-        _cell_exponential(hk, w, qk, qk_conj, cell)
+    for key, coef, last in schedule:
+        _cell_exponential(key, coef, cell)
         np.multiply(D, col, out=t1)
         np.multiply(O, flip, out=t2)
         if last:
@@ -326,7 +502,7 @@ def _propagate_to_mid(p: Potential, lams, side):
     """Propagate psi from the `side` infinity to x = 0 for a batch of lam.
 
     Returns (psi at x = 0 with shape (2, 2, len(lams)), max det defect).
-    The det defect is taken over every cell end, one block of the march
+    The det defect is taken over every step end, one block of the march
     at a time; the full SU(2) matrix is built once, at x = 0.
     """
     blocks = _march(p, lams, side, p.grid.point_count // 2)  # x = 0 (N even)
@@ -373,7 +549,9 @@ def reflection_coefficient(p: Potential, zgrid: SpectralGrid,
     a, b, c, d are the Wronskians on the lam lattice (``_lam_lattice``);
     a and b are interpolated onto the band's lam through one basis, and
     r = b/a there.  The unitarity, det and symmetry defects and min |a|
-    are read on the lattice, where the Wronskians are exact to the scheme;
+    are read on the lattice, where the Wronskians are exact to the scheme
+    (``det_defect`` is the largest |det psi - 1| over every step end of
+    both marches);
     ``outer_truncation`` and ``inner_truncation``, the largest |r| at
     the band's outer and inner edges, on the band.
 

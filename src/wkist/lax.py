@@ -38,9 +38,11 @@ class Potential:
 
     ``q_x`` is the spectral derivative on the periodic truncation.
     ``profile``, when present, is the analytic function the samples came
-    from; the Jost propagator uses it to evaluate true mid-cell values,
-    which is what keeps discontinuous profiles (box potentials) exactly
-    resolved when their jumps sit on grid points.
+    from; the Jost propagator evaluates it at the Gauss points of its
+    steps and locates a jump inside a cell with it, which keeps
+    piecewise-constant profiles (box potentials) exactly resolved
+    wherever their jumps sit.  Without it the samples' linear
+    interpolant stands in.
     """
 
     grid: SpatialGrid

@@ -388,6 +388,23 @@ def _m0_rows(x1, x2, u21, u12, zgrid):
     return pref * dot(x2, u21), pref * dot(x1, u12)
 
 
+def _root(x, e, hz, rho, n):
+    """(x 2^e hz / rho)^(1/n) for n = 2 (sqrt) or 3 (cbrt), x >= 0.
+
+    The radicand is (x 2^e) * hz / rho.  Where that would overflow, x is
+    scaled by 2^(-n k) first, with k from the exponents of x and hz, and
+    the root by 2^k, which is exact; a root beyond the float range is inf.
+    """
+    size = math.frexp(x)[1] + e + math.frexp(hz)[1]
+    k = size // n if size > 1000 else 0
+    radicand = math.ldexp(x, e - n * k) * hz / rho
+    root = math.sqrt(radicand) if n == 2 else float(np.cbrt(radicand))  # math.cbrt: 3.11
+    try:
+        return math.ldexp(root, k)
+    except OverflowError:
+        return math.inf
+
+
 def suggest_z_min(Z: float, N_z: int, window: float = DEFAULT_WINDOW,
                   t_max: float = 0.0) -> float:
     """Smallest |z| at which N_z points on [-Z, Z) still resolve the jump phase.
@@ -399,19 +416,19 @@ def suggest_z_min(Z: float, N_z: int, window: float = DEFAULT_WINDOW,
     z^3 = a z + b with a = window h_z / rho, b = 4 |t| h_z / rho and
     rho = 2 pi / ``POINTS_PER_PERIOD``.  It is sqrt(a) at t = 0, else
     Cardano's root, in its trigonometric form when the cubic has three
-    real roots.  A floor above Z is refused.
+    real roots.  sqrt(a) and cbrt(b) are formed by ``_root``, so that an
+    overflowing a or b does not refuse a floor below Z.  A floor above Z
+    is refused.
     """
     check_number("window", window, 0.0)
     check_number("t_max", t_max)
     rho = 2.0 * math.pi / POINTS_PER_PERIOD
     hz = 2.0 * float(Z) / int(N_z)
-    a = window * hz / rho
-    b = 4.0 * abs(t_max) * hz / rho
-    if b == 0.0:
-        z = math.sqrt(a)
+    za, zb = _root(window, 0, hz, rho, 2), _root(abs(t_max), 2, hz, rho, 3)
+    if zb == 0.0:
+        z = za
     else:
         # in units of k, the larger of the a = 0 and b = 0 roots, p, q <= 1: no underflow
-        za, zb = math.sqrt(a), float(np.cbrt(b))  # math.cbrt needs Python 3.11
         k = max(za, zb)
         p, q = (za / k) ** 2, (zb / k) ** 3
         disc = (q / 2.0) ** 2 - (p / 3.0) ** 3
@@ -421,7 +438,7 @@ def suggest_z_min(Z: float, N_z: int, window: float = DEFAULT_WINDOW,
         else:
             u = float(np.cbrt(q / 2.0 + math.sqrt(disc)))
             z = k * (u + p / (3.0 * u))
-    if not z <= Z:  # an overflowing a or b gives inf or NaN, refused too
+    if not z <= Z:  # a root beyond the float range is inf, refused too
         raise InvalidArgumentError(
             "the requested window cannot be phase-resolved anywhere on this grid")
     return z

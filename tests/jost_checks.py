@@ -3,7 +3,7 @@
 The pipelines only need the first Jost column at x = 0 on a batch of
 lam (``wkist.direct_scattering``).  The tests also look at the whole
 Jost solution and the transition matrix at single lam:
-``propagate_jost`` samples psi over the whole grid with the same march,
+``propagate_jost`` samples psi at every step end of the same march,
 and ``transition_matrix`` arranges the Wronskians as T.  As independent
 checks of those outputs, ``symmetry_defect`` measures the real-lam
 symmetry of T, and ``b_from_integral`` computes b from its integral
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wkist.direct_scattering import _fill_second_column, _march, _wronskians
+from wkist.direct_scattering import _fill_second_column, _march, _steps, _wronskians
 from wkist.lax import Potential
 
 
@@ -23,31 +23,38 @@ class JostSolution:
     lam: float
     side: str  # "+" or "-": which infinity carries the e^{i lam sigma3 x} normalization
     grid: object
-    psi: np.ndarray  # (N, 2, 2) samples over the spatial grid
+    nodes: np.ndarray  # increasing grid indices of the samples: the step ends
+    psi: np.ndarray  # (len(nodes), 2, 2) samples
     det_defect: float
+
+    def at(self, node: int) -> np.ndarray:
+        """psi at grid index ``node``, which must end a step."""
+        return self.psi[np.flatnonzero(self.nodes == node)[0]]
 
 
 def propagate_jost(p: Potential, lam: float, side: str) -> JostSolution:
-    """Jost solution normalized at the `side` infinity, sampled on the grid.
+    """Jost solution normalized at the `side` infinity, sampled at every step end.
 
-    The same cell propagation as the scattering coefficients, continued
-    through x = 0 to the far end so the samples cover the whole grid.
-    det psi = 1 holds to roundoff at every point because each cell
-    propagator is exactly unimodular; ``det_defect`` is the largest
-    deviation over the grid, |alpha|^2 + |beta|^2 - 1 as in the march.
+    The same march as the scattering coefficients, continued through
+    x = 0 to the far end, so the samples span the whole grid; x = 0 ends
+    a step.  det psi = 1 holds to roundoff at every sample because each
+    step propagator is exactly unimodular; ``det_defect`` is the largest
+    deviation over the samples, |alpha|^2 + |beta|^2 - 1 as in the march.
     """
     N = p.grid.point_count
-    cols = np.empty((N, 2), dtype=complex)  # in march order
-    det_defect, n = 0.0, 0
-    for block, defect in _march(p, [float(lam)], side, 0 if side == "+" else N - 1):
-        det_defect = max(det_defect, defect)
-        cols[n:n + len(block)] = block[:, :, 0]
-        n += len(block)
-    psi_samples = np.empty((N, 2, 2), dtype=complex)
+    stop = 0 if side == "+" else N - 1
+    blocks = [(block[:, :, 0].copy(), defect)
+              for block, defect in _march(p, [float(lam)], side, stop)]
+    cols = np.concatenate([block for block, _ in blocks])
+    det_defect = max(defect for _, defect in blocks)
+    node = _steps(p, abs(float(lam)), side, stop)[3]
+    nodes = np.r_[N - 1 - stop, node[node >= 0]]  # in march order
+    psi_samples = np.empty((nodes.size, 2, 2), dtype=complex)
     psi = np.moveaxis(psi_samples, 0, -1)
-    psi[:, 0] = (cols if side == "-" else cols[::-1]).T
+    order = slice(None) if side == "-" else slice(None, None, -1)
+    psi[:, 0] = cols[order].T
     _fill_second_column(psi)
-    return JostSolution(float(lam), side, p.grid, psi_samples, det_defect)
+    return JostSolution(float(lam), side, p.grid, nodes[order], psi_samples, det_defect)
 
 
 def transition_matrix(p: Potential, lam: float) -> np.ndarray:
@@ -71,7 +78,7 @@ def b_from_integral(p: Potential, lam: float) -> complex:
         b = -lam * int e^{2 i lam y} conj(q(y)) m11(y) dy.
     """
     sol = propagate_jost(p, lam, "-")
-    x = p.grid.points
+    x = p.grid.points[sol.nodes]
     m11 = sol.psi[:, 0, 0] * np.exp(-1j * lam * x)
-    integrand = np.exp(2j * lam * x) * np.conj(p.q) * m11
-    return complex(-lam * np.trapezoid(integrand, dx=p.grid.spacing))
+    integrand = np.exp(2j * lam * x) * np.conj(p.q[sol.nodes]) * m11
+    return complex(-lam * np.trapezoid(integrand, x=x))

@@ -3,13 +3,18 @@ import pytest
 
 from wkist import direct_scattering
 from wkist.direct_scattering import (
+    DROP_SHARE,
+    GAUSS_OFFSET,
     LAM_STEP_FACTOR,
-    LOCAL_ERROR_BOUND,
+    PHASE_BOUND,
+    STEP_CELLS,
+    _cells,
     _halving_miss,
+    _jump_points,
     _lagrange_interpolant,
     _lam_lattice,
-    _midpoint_values,
-    _sub_values,
+    _step_scalars,
+    _steps,
     _wronskians,
     check_a_asymptotics,
     evolve_reflection,
@@ -29,7 +34,7 @@ from jost_checks import b_from_integral, propagate_jost, symmetry_defect, transi
 # Reference values for the box potential q = 0.1 on [-1, 1], lam = 2,
 # from the exact piecewise-constant propagator in 40-digit arithmetic
 # (cross-checked against an adaptive ODE solve to 1e-12).  On a grid
-# whose cells are constant across the box, the midpoint scheme is exact.
+# whose edges sit on grid points, every step sees a constant q and is exact.
 BOX_A = 0.99691014207005984865 - 0.017452116303854008882j
 BOX_B = 0.076587154760898656498 + 0.0j
 BOX_PSI_MINUS_00 = 0.99586582594074452404 + 0.011844225803639022634j
@@ -57,7 +62,7 @@ def test_transition_matrix_against_box_reference():
 def test_box_jost_solution_at_origin():
     p = box_potential()
     sol = propagate_jost(p, 2.0, "-")
-    at_zero = sol.psi[p.grid.point_count // 2]
+    at_zero = sol.at(p.grid.point_count // 2)
     assert abs(at_zero[0, 0] - BOX_PSI_MINUS_00) < 1e-12
     assert abs(at_zero[0, 1] - BOX_PSI_MINUS_01) < 1e-12
     # the conjugation symmetry ties the second row to the first
@@ -69,6 +74,7 @@ def test_jost_determinant_and_normalization():
     p = gaussian_potential(N=1024)
     sol = propagate_jost(p, 2.0, "-")
     assert sol.det_defect < 1e-12
+    assert sol.nodes[0] == 0
     start = sol.psi[0]
     x0 = p.grid.points[0]
     assert abs(start[0, 0] - np.exp(2j * x0)) < 1e-14
@@ -80,7 +86,7 @@ def test_jost_sides_disagree_inside_the_support():
     left = propagate_jost(p, 2.0, "-")
     right = propagate_jost(p, 2.0, "+")
     mid = p.grid.point_count // 2
-    assert np.max(np.abs(left.psi[mid] - right.psi[mid])) > 1e-3
+    assert np.max(np.abs(left.at(mid) - right.at(mid))) > 1e-3
 
 
 def test_propagate_jost_rejects_bad_side():
@@ -223,9 +229,8 @@ def test_substep_cap_rejects_unresolvable_lam():
 
 @pytest.mark.parametrize("lam", [1e150, 1e160])
 def test_substep_guard_refuses_huge_lam_without_wrapping(lam):
-    # the substep count is checked in floating point: 1e150 needs ~6e151
-    # substeps, which an int cast wrapped to a small count, and 1e160
-    # squares to inf
+    # the substep count is checked in floating point: 1e150 needs ~2e150
+    # substeps a cell, which an int cast would wrap to a small count
     p = gaussian_potential(L=10.0, N=256, amp=0.3)
     with pytest.raises(ResolutionExceededError):
         _wronskians(p, [lam])
@@ -249,18 +254,22 @@ def test_empty_lam_batch_is_refused():
 
 
 def test_leftward_substeps_follow_the_path():
-    # N = 1024 takes 10 substeps per cell near the peak; N = 32768 takes
-    # none.  Substeps applied in increasing x on the leftward march put
-    # max |r - r_ref| at 1.2e-3; in path order it is 2.6e-5.
+    # N = 512 takes 2 substeps in each of the 10 cells at the peak, where
+    # phi = 4 h sqrt(1 + |q|^2) > PHASE_BOUND; N = 32768 takes none.  Substeps
+    # applied in increasing x on the leftward march put max |r - r_ref|
+    # at 5.6e-3; in path order it is 3.3e-5.
     lams = np.linspace(-4.0, 4.0, 81)
 
-    def r(N):
+    def potential(N):
         grid = make_spatial_grid(20.0, N)
-        p = make_potential(grid, lambda x: np.exp(-(((x - 0.3) / 0.7) ** 2) + 0.4j * x))
-        a, b, *_ = _wronskians(p, lams)
+        return make_potential(grid, lambda x: np.exp(-(((x - 0.3) / 0.7) ** 2) + 0.4j * x))
+
+    def r(N):
+        a, b, *_ = _wronskians(potential(N), lams)
         return b / a
 
-    assert np.max(np.abs(r(1024) - r(32768))) < 1e-4
+    assert np.count_nonzero(_cells(potential(512), 4.0)[2] > 1) == 10
+    assert np.max(np.abs(r(512) - r(32768))) < 1e-4
 
 
 def test_evolution_phase_and_composition():
@@ -298,24 +307,239 @@ def test_b_integral_form_agrees_with_wronskian():
 
 
 # ---------------------------------------------------------------------------
-# Bitwise oracle: an interleaved (L, 2, 2) cell loop with a fresh cell
-# exponential and a fresh 2x2 product on every (sub)step, substeps in path
-# order, and det psi taken as |alpha|^2 + |beta|^2.  The propagator
-# promises the same floating-point operations per element of the first
-# column, and the second column by symmetry, so results must match bit
-# for bit.
+# The Magnus-4 step and its schedule.
 
-def _oracle_cell_exponential(h, lam_col, qm):
-    w = np.sqrt(1.0 + np.abs(qm) ** 2)
-    u = lam_col * w
-    c = np.cos(h * u)
-    sc = h * np.sinc(h * u / np.pi)
-    E = np.empty(np.broadcast(lam_col, qm).shape + (2, 2), dtype=complex)
-    E[..., 0, 0] = c + 1j * lam_col * sc
-    lam_sc = (lam_col * sc).astype(complex)
-    E[..., 0, 1] = qm * -lam_sc
-    E[..., 1, 0] = np.conj(qm) * lam_sc
-    E[..., 1, 1] = c - 1j * lam_col * sc
+def _box_reference(amp, left, right, lam):
+    """a and b of the box amp on [left, right], from the exact propagator.
+
+    T = e^{-i lam sigma3 left} exp(-(right - left) A) e^{i lam sigma3 right},
+    with exp(t A) = cos(t u) I + sin(t u)/u A and u = lam sqrt(1 + amp^2).
+    """
+    u = lam * np.sqrt(1.0 + amp**2)
+    A = lam * np.array([[1j, -amp], [amp, -1j]])
+    E = np.cos(u * (left - right)) * np.eye(2) + np.sin(u * (left - right)) / u * A
+    T = np.diag(np.exp([-1j * lam * left, 1j * lam * left])) @ E
+    T = T @ np.diag(np.exp([1j * lam * right, -1j * lam * right]))
+    return T[0, 0], T[1, 0]
+
+
+def test_box_reference_reproduces_the_40_digit_values():
+    a, b = _box_reference(0.1, -1.0, 1.0, 2.0)
+    assert abs(a - BOX_A) < 1e-15 and abs(b - BOX_B) < 1e-15
+
+
+# A box of 0.5 on L = 4, N = 512 (h = 1/64), r on 24 lam in [-3, 3]: the
+# error against the exact propagator, and what the midpoint march of the
+# previous release measured on the same input.  A jump off the grid was
+# an O(h) error there; now the cell holding it is cut at the jump.
+BOX_EDGES = {
+    "on the grid": ((-1.0, 1.0), 6.0e-16),
+    "off the grid": ((-1.0 - 0.3 / 64, 1.0 + 0.41 / 64), 1.595e-2),
+    "at a cell midpoint": ((-1.0 - 0.3 / 64, 1.0 + 0.5 / 64), 7.228e-3),
+}
+
+
+@pytest.mark.parametrize("name", list(BOX_EDGES))
+def test_boxes_are_exact_wherever_their_edges_sit(name):
+    (left, right), _midpoint_march = BOX_EDGES[name]
+    p = make_potential(make_spatial_grid(4.0, 512),
+                       lambda x: 0.5 * ((x >= left) & (x <= right)).astype(complex))
+    lams = np.linspace(-3.0, 3.0, 25)
+    lams = lams[lams != 0.0]
+    a, b, *_ = _wronskians(p, lams)
+    ref = np.array([_box_reference(0.5, left, right, lam) for lam in lams]).T
+    assert np.max(np.abs(b / a - ref[1] / ref[0])) < 1e-12
+    # the two cells that hold an edge are the only jumps
+    assert np.count_nonzero(_cells(p, 3.0)[0]) == 2
+
+
+def test_jump_points_are_found_to_adjacent_floats():
+    h = 1.0 / 64
+    p = make_potential(make_spatial_grid(4.0, 512), lambda x: 0.5 * (np.abs(x) <= 1.0 + 0.5 * h))
+    cells = np.flatnonzero(_cells(p, 1.0)[0])
+    at = _jump_points(p, cells)
+    x = p.grid.points
+    assert np.all((x[cells] < at) & (at <= x[cells + 1]))
+    assert np.max(np.abs(np.abs(at) - (1.0 + 0.5 * h))) <= 4e-16
+
+
+def test_samples_without_a_profile_are_no_less_accurate():
+    # a sech given by its samples on L = 10, N = 512, against a fine march of
+    # its profile: the Gauss points of the samples' linear interpolant give
+    # 1.2363e-4; the midpoint march of the previous release, with its
+    # substeps at lam^2 |q| h^3 > 1e-5, gave 1.2409e-4
+    def q(x):
+        return 0.7 / np.cosh(x / 0.9) * np.exp(0.2j * x)
+
+    lams = np.linspace(-2.0, 2.0, 33)
+    a, b, *_ = _wronskians(make_potential(make_spatial_grid(10.0, 16384), q), lams)
+    grid = make_spatial_grid(10.0, 512)
+    a_s, b_s, *_ = _wronskians(make_potential(grid, q(grid.points)), lams)
+    assert np.max(np.abs(b_s / a_s - b / a)) < 1.2409e-4
+
+
+def test_magnus_step_is_fourth_order():
+    # a smooth Gaussian at lam up to 2, where every step spans STEP_CELLS
+    # cells: doubling N divides the error of r by ~16 (12 at least); the
+    # midpoint march of the previous release divided it by ~4
+    lams = np.linspace(-2.0, 2.0, 41)
+
+    def r(N):
+        p = make_potential(make_spatial_grid(20.0, N),
+                           lambda x: 0.5 * np.exp(-(x**2)) * np.exp(0.3j * x))
+        a, b, *_ = _wronskians(p, lams)
+        return b / a
+
+    ref = r(16384)
+    errors = [np.max(np.abs(r(N) - ref)) for N in (2048, 4096)]
+    assert errors[0] / errors[1] >= 12.0
+    assert errors[1] < 1e-7
+
+
+def test_steps_span_cells_up_to_the_phase_bound():
+    # lam_max h sqrt(1 + |q|^2) = 0.09 a cell: four cells a step; at four
+    # times lam_max the phase bound allows one, and nothing merges
+    p = gaussian_potential(N=1024, amp=0.3)  # h = 0.039
+    half = p.grid.point_count // 2
+    for lam_max, cells in ((2.3, STEP_CELLS), (9.2, 1)):
+        H, q1, q2, node = _steps(p, lam_max, "-", half)
+        assert np.all(node >= 0)
+        assert np.max(np.abs(H)) == cells * p.grid.spacing
+        assert lam_max * np.max(np.abs(H)) * np.sqrt(1.0 + 0.3**2) <= PHASE_BOUND
+    # x = 0 ends a step on both marches, and their steps are the same
+    _, _, _, left = _steps(p, 2.3, "-", p.grid.point_count - 1)
+    _, _, _, right = _steps(p, 2.3, "+", 0)
+    assert half in left and np.array_equal(np.sort(np.r_[0, left]), np.sort(np.r_[right, 1023]))
+
+
+def test_gauss_values_are_in_path_order():
+    p = make_potential(make_spatial_grid(10.0, 512), lambda x: x + 0j)
+    for side in "-+":
+        H, q1, q2, _ = _steps(p, 1.0, side, 256)
+        # on q = x: q2 - q1 = (sqrt 3 / 3) H, along the march
+        assert np.allclose(q2 - q1, 2.0 * GAUSS_OFFSET * H, rtol=1e-9, atol=1e-14)
+
+
+def test_dropped_commutator_terms_change_no_bit():
+    # phi and theta with every term kept against the key's dropped ones,
+    # over the steps of the oracle inputs and their lam
+    dropped = [0, 0]
+    for name, p in ORACLE_INPUTS.items():
+        lams = ORACLE_LAMS * LAM_SCALE.get(name, 1.0)
+        lam_max = float(np.max(np.abs(lams)))
+        H, q1, q2, _ = _steps(p, lam_max, "-", p.grid.point_count // 2)
+        keys, _ = _step_scalars(H, q1, q2, lam_max)
+        g = GAUSS_OFFSET * H * H
+        s = 0.5 * (q1 + q2)
+        delta = g * (q2 - q1)
+        kappa = g * (q1.imag * q2.real - q1.real * q2.imag)
+        c3 = 2.0 * H * (kappa - (s.imag * delta.real - s.real * delta.imag))
+        c4 = kappa * kappa + (delta.real * delta.real + delta.imag * delta.imag)
+        for k, (Hk, c2k, c3k, c4k, kappa_k) in enumerate(keys):
+            full = np.sqrt(c2k + lams * (c3[k] + lams * c4[k]))
+            kept = np.sqrt(c2k + lams * (c3k + lams * c4k))
+            assert full.tobytes() == kept.tobytes()
+            assert (kappa[k] * lams + Hk).tobytes() == (kappa_k * lams + Hk).tobytes()
+            dropped[0] += (c3k, c4k) != (c3[k], c4[k])
+            dropped[1] += kappa_k != kappa[k]
+    assert min(dropped) > 0
+
+
+# ---------------------------------------------------------------------------
+# Bitwise oracle: an interleaved (L, 2, 2) loop with its own step schedule,
+# laid out cell by cell in plain Python, a fresh step exponential and a fresh
+# 2x2 product on every (sub)step, substeps in path order, and det psi taken
+# as |alpha|^2 + |beta|^2.  The propagator promises the same floating-point
+# operations per element of the first column, and the second column by
+# symmetry, so results must match bit for bit.
+
+def _oracle_steps(p, lam_max, side, stop):
+    """(H, q1, q2, node) per (sub)step in march order, cell by cell."""
+    N, h, x = p.grid.point_count, p.grid.spacing, p.grid.points
+    mid = N // 2
+    jump, cap, substeps = _cells(p, lam_max)
+    alone = jump | (cap < 2) | (p.profile is None)
+
+    def outward(cells):
+        steps, k = [], 0
+        while k < len(cells):
+            end = k + 1
+            if not alone[cells[k]]:
+                while end < len(cells) and not alone[cells[end]]:
+                    end += 1
+                size = int(min(cap[c] for c in cells[k:end]))
+                steps += [cells[s:min(s + size, end)] for s in range(k, end, size)]
+            else:
+                steps.append(cells[k:end])
+            k = end
+        return steps
+
+    steps = []
+    if side == "-" or stop == 0:
+        steps += [sorted(cells) for cells in outward(list(range(mid - 1, -1, -1)))[::-1]]
+    if side == "+" or stop == N - 1:
+        steps += outward(list(range(mid, N - 1)))
+    subs = []  # (width, centre, cell, j, m, first, last) in increasing x
+    for cells in steps:
+        k = cells[0]
+        pieces, m = [(x[k], len(cells) * h)], 1
+        if len(cells) == 1:
+            m = int(substeps[k])
+            if jump[k]:
+                at = _jump_points(p, np.array([k]))[0]
+                pieces = [(x[k], at - x[k]), (at, x[k + 1] - at)]
+                pieces = [piece for piece in pieces if piece[1] > 0.0]
+        for i, (start, span) in enumerate(pieces):
+            for j in range(m):
+                width = span / m
+                subs.append((width, start + (j + 0.5) * width, k, j, m,
+                             i == 0 and j == 0, i == len(pieces) - 1 and j == m - 1,
+                             cells[-1] + 1))
+    if side == "+":
+        subs = subs[::-1]
+    H = np.array([w if side == "-" else -w for w, *_ in subs])
+    centre = np.array([c for _, c, *_ in subs])
+    node = np.array([(end if last else -1) if side == "-" else (k if first else -1)
+                     for _, _, k, _, _, first, last, end in subs])
+    if p.profile is not None:
+        values = np.asarray(p.profile(np.r_[centre - GAUSS_OFFSET * H,
+                                             centre + GAUSS_OFFSET * H]), dtype=complex)
+        return H, values[:H.size], values[H.size:], node
+    q1, q2 = [], []
+    for (_, _, k, j, m, *_), Hk in zip(subs, H):
+        shift = (GAUSS_OFFSET if Hk > 0 else -GAUSS_OFFSET) / m
+        for f, out in (((j + 0.5) / m - shift, q1), ((j + 0.5) / m + shift, q2)):
+            out.append(p.q[k] * (1.0 - f) + p.q[k + 1] * f)
+    return H, np.array(q1), np.array(q2), node
+
+
+def _oracle_step_exponential(H, lam_col, q1, q2, lam_max):
+    g = GAUSS_OFFSET * H * H
+    s = 0.5 * (q1 + q2)
+    delta = g * (q2 - q1)
+    kappa = g * (q1.imag * q2.real - q1.real * q2.imag)
+    c2 = H * H * (1.0 + (s.real * s.real + s.imag * s.imag))
+    c3 = 2.0 * H * (kappa - (s.imag * delta.real - s.real * delta.imag))
+    c4 = kappa * kappa + (delta.real * delta.real + delta.imag * delta.imag)
+    if abs(c3) * lam_max + c4 * lam_max * lam_max < DROP_SHARE * c2:
+        phi = lam_col * np.sqrt(c2)
+    else:
+        phi = np.sqrt(((lam_col * c4) + c3) * lam_col + c2) * lam_col
+    with np.errstate(invalid="ignore"):
+        S = np.sin(phi) / phi
+    S[lam_col == 0.0] = 1.0
+    lam_S = lam_col * S
+    if abs(kappa) * lam_max < DROP_SHARE * abs(H):
+        theta_S = H * lam_S
+    else:
+        theta_S = ((lam_col * kappa) + H) * lam_S
+    E = np.empty(lam_col.shape + (2, 2), dtype=complex)
+    E[..., 0, 0].real = E[..., 1, 1].real = np.cos(phi)
+    E[..., 0, 0].imag = theta_S
+    E[..., 1, 1].imag = -theta_S
+    coef = np.array([[-H * s, 1j * delta], [H * np.conj(s), 1j * np.conj(delta)]])
+    rows = np.array([lam_S, lam_col * lam_S], dtype=complex)
+    E[..., [0, 1], [1, 0]] = (coef[:, :1] * rows[0] + coef[:, 1:] * rows[1]).T
     return E
 
 
@@ -336,28 +560,18 @@ def _oracle_det_defect(psi):
 
 
 def _oracle_march(p, lams, side, stop):
+    """(node, psi) at the start and at every step end, in march order."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    N, h = p.grid.point_count, p.grid.spacing
-    if side == "-":
-        start, cells, step = 0, range(0, stop), h
-    else:
-        start, cells, step = N - 1, range(N - 2, stop - 1, -1), -h
-    qm_all = _midpoint_values(p, 0, N - 1)
-    err = float(np.max(np.abs(lams))) ** 2 * np.abs(qm_all) * h**3
-    msub = np.maximum(1, np.ceil(np.sqrt(err / LOCAL_ERROR_BOUND)).astype(int))
+    lam_max = float(np.max(np.abs(lams)))
+    start = 0 if side == "-" else p.grid.point_count - 1
     psi = np.zeros((lams.size, 2, 2), dtype=complex)
     psi[:, 0, 0] = np.exp(1j * lams * p.grid.points[start])
     psi[:, 1, 1] = np.exp(-1j * lams * p.grid.points[start])
     yield start, psi
-    for k in cells:
-        m = msub[k]
-        if m == 1:
-            psi = _oracle_matmul2(_oracle_cell_exponential(step, lams, qm_all[k]), psi)
-        else:
-            # substeps in path order: decreasing x on the leftward march
-            for qs in _sub_values(p, k, m)[::1 if side == "-" else -1]:
-                psi = _oracle_matmul2(_oracle_cell_exponential(step / m, lams, qs), psi)
-        yield (k + 1 if side == "-" else k), psi
+    for H, q1, q2, node in zip(*_oracle_steps(p, lam_max, side, stop)):
+        psi = _oracle_matmul2(_oracle_step_exponential(H, lams, q1, q2, lam_max), psi)
+        if node >= 0:
+            yield node, psi
 
 
 def _oracle_wronskians(p, lams):
@@ -378,11 +592,11 @@ def _oracle_wronskians(p, lams):
 
 
 def _oracle_jost(p, lam, side):
-    N = p.grid.point_count
-    samples = np.empty((N, 2, 2), dtype=complex)
-    for k, psi in _oracle_march(p, [lam], side, 0 if side == "+" else N - 1):
-        samples[k] = psi[0]
-    return samples, _oracle_det_defect(samples)
+    stop = 0 if side == "+" else p.grid.point_count - 1
+    nodes, samples = zip(*((k, psi[0]) for k, psi in _oracle_march(p, [lam], side, stop)))
+    order = slice(None) if side == "-" else slice(None, None, -1)
+    samples = np.array(samples)[order]
+    return np.array(nodes)[order], samples, _oracle_det_defect(samples)
 
 
 def assert_bitwise(got, want):
@@ -391,8 +605,10 @@ def assert_bitwise(got, want):
     assert got.tobytes() == want.tobytes()   # also tells -0.0 from 0.0
 
 
-def _cell_w(p):
-    return np.sqrt(1.0 + np.abs(_midpoint_values(p, 0, p.grid.point_count - 1)) ** 2)
+def _keys(p, lams):
+    lam_max = float(np.max(np.abs(lams)))
+    H, q1, q2, node = _steps(p, lam_max, "-", p.grid.point_count // 2)
+    return _step_scalars(H, q1, q2, lam_max)[0], node
 
 
 ORACLE_GRID = make_spatial_grid(10.0, 512)
@@ -403,28 +619,37 @@ ORACLE_INPUTS = {
     "sech": make_potential(ORACLE_GRID, lambda x: 1.0 / np.cosh((x - 0.1) / 1.1) * np.exp(0.2j * x)),
     "substepped": make_potential(ORACLE_GRID, lambda x: np.exp(-(x**2))),
     "samples-only": make_potential(ORACLE_GRID, 0.7 / np.cosh(ORACLE_GRID.points / 0.9)),
+    "off-grid box": make_potential(ORACLE_GRID, lambda x: 0.8 * (np.abs(x - 0.01) <= 1.0)),
+    "moving gaussian": make_potential(ORACLE_GRID, lambda x: 0.3 * np.exp(-(x**2) + 0.5j * x)),
 }
+# the lam the substep inputs are marched at, in units of ORACLE_LAMS
+LAM_SCALE = {"substepped": 5.0, "samples-only": 5.0}
 
 
 @pytest.mark.parametrize("name", list(ORACLE_INPUTS))
 def test_propagator_matches_the_interleaved_loop_bitwise(name):
     p = ORACLE_INPUTS[name]
-    lams = ORACLE_LAMS * (4.0 if name == "substepped" else 1.0)
-    w = _cell_w(p)
-    repeats = int(np.sum(w[1:] == w[:-1]))
-    h = p.grid.spacing
-    substeps = np.max(lams) ** 2 * np.max(np.abs(p.q)) * h**3 > LOCAL_ERROR_BOUND
-    # the inputs cover each path of the (h, w) reuse
+    lams = ORACLE_LAMS * LAM_SCALE.get(name, 1.0)
+    keys, node = _keys(p, lams)
+    repeats = sum(a == b for a, b in zip(keys[1:], keys[:-1]))
+    # the inputs cover each path of the trigonometry's reuse, the jump cut
+    # and the substeps
     if name == "box":
-        assert repeats > 0.9 * w.size and np.any(w > 1.0)
+        assert repeats > 0.8 * len(keys) and any(key[1] > key[0] ** 2 for key in keys)
+        assert any(key[4] != 0.0 for key in keys)
     elif name == "gaussian":
-        assert np.mean(w == 1.0) > 0.5
+        assert repeats > 0.5 * len(keys)
     elif name == "sech":
-        assert repeats == 0
+        assert repeats == 0 and any(key[2] != 0.0 for key in keys)
     elif name == "substepped":
-        assert substeps
+        assert np.any(node < 0)
+    elif name == "samples-only":
+        assert p.profile is None and np.any(node < 0)
+    elif name == "off-grid box":
+        assert np.any(_cells(p, 2.0)[0]) and len(keys) > np.count_nonzero(node >= 0)
     else:
-        assert p.profile is None and substeps
+        # kappa is kept at the peak and dropped in the tails
+        assert {key[4] == 0.0 for key in keys} == {True, False}
     got = _wronskians(p, lams)
     want = _oracle_wronskians(p, lams)
     for g, o in zip(got[:4], want[:4]):
@@ -432,33 +657,33 @@ def test_propagator_matches_the_interleaved_loop_bitwise(name):
     assert got[4] == want[4]
     for lam, side in ((1.3, "-"), (-0.7, "+"), (0.0, "-")):
         sol = propagate_jost(p, lam, side)
-        samples, defect = _oracle_jost(p, lam, side)
+        nodes, samples, defect = _oracle_jost(p, lam, side)
+        assert np.array_equal(sol.nodes, nodes)
         assert_bitwise(sol.psi, samples)
         assert sol.det_defect == defect
 
 
 # ---------------------------------------------------------------------------
 # Blocks of the march: the columns and the det check are taken one block of
-# cells at a time, BLOCK_SAMPLES // len(lams) cells to a block.  A
+# step ends at a time, BLOCK_SAMPLES // len(lams) steps to a block.  A
 # substepped cell on a block boundary, a last block shorter than the rest
-# and one-cell blocks must all keep the oracle's bytes.
+# and one-step blocks must all keep the oracle's bytes.  Samples without a
+# profile are marched one cell a step, so their blocks count cells.
 
 def _spiked(nodes):
-    """Samples-only input, 0.01 e^{0.3 i x} but 2 at ``nodes``: at the
+    """Samples-only input, 0.01 e^{0.3 i x} but 12 at ``nodes``: at the
     oracle's lams only the cells beside a spike are substepped."""
     q = 0.01 * np.exp(0.3j * ORACLE_GRID.points)
-    q[nodes] = 2.0
+    q[nodes] = 12.0
     return make_potential(ORACLE_GRID, q)
 
 
 def _substeps(p, lams):
-    qm = _midpoint_values(p, 0, p.grid.point_count - 1)
-    err = float(np.max(np.abs(lams))) ** 2 * np.abs(qm) * p.grid.spacing**3
-    return np.ceil(np.sqrt(err / LOCAL_ERROR_BOUND)) > 1
+    return _cells(p, float(np.max(np.abs(lams))))[2] > 1
 
 
-def _oracle_cell_defects(p, lams, side):
-    """det defect after each cell of the oracle's half march, in march order."""
+def _oracle_step_defects(p, lams, side):
+    """det defect after each step of the oracle's half march, in march order."""
     steps = _oracle_march(p, lams, side, p.grid.point_count // 2)
     next(steps)
     return np.array([_oracle_det_defect(psi) for _, psi in steps])
@@ -495,7 +720,8 @@ def test_jost_samples_span_many_blocks(per_block, side, monkeypatch):
     p = _spiked([100, 300])
     assert np.any(_substeps(p, np.array([1.9])))
     sol = propagate_jost(p, 1.9, side)
-    samples, defect = _oracle_jost(p, 1.9, side)
+    nodes, samples, defect = _oracle_jost(p, 1.9, side)
+    assert np.array_equal(sol.nodes, np.arange(p.grid.point_count))
     assert_bitwise(sol.psi, samples)
     assert sol.det_defect == defect
 
@@ -503,27 +729,28 @@ def test_jost_samples_span_many_blocks(per_block, side, monkeypatch):
 @pytest.mark.parametrize("name, per_block", [("substepped", None), ("samples-only", None),
                                              ("substepped", 120)])
 def test_det_check_reaches_cells_inside_the_blocks(name, per_block, monkeypatch):
-    # the largest det defect of these inputs falls inside a block and
-    # exceeds every block end's, x = 0 included, so the oracle test's
-    # got[4] == want[4] fails for a check taken only there; at 120 cells a
-    # block it also falls before the last block of its half march
+    # at these lam both inputs are marched one cell a step; the largest
+    # det defect falls inside a block and exceeds every block end's, x = 0
+    # included, so the oracle test's got[4] == want[4] fails for a check
+    # taken only there; at 120 cells a block it also falls before the last
+    # block of its half march
     p = ORACLE_INPUTS[name]
-    lams = ORACLE_LAMS * (4.0 if name == "substepped" else 1.0)
+    lams = ORACLE_LAMS * LAM_SCALE[name]
     if per_block is not None:
         monkeypatch.setattr(direct_scattering, "BLOCK_SAMPLES", per_block * lams.size)
     B = direct_scattering.BLOCK_SAMPLES // lams.size
     worst = at_ends = at_zero = in_last = 0.0
     for side in "-+":
-        defects = _oracle_cell_defects(p, lams, side)
-        cells = defects.size
-        assert cells % B != 0
-        ends = np.zeros(cells, dtype=bool)
+        defects = _oracle_step_defects(p, lams, side)
+        steps = defects.size
+        assert steps % B != 0
+        ends = np.zeros(steps, dtype=bool)
         ends[B - 1::B] = ends[-1] = True
         worst = max(worst, defects.max())
         at_ends = max(at_ends, defects[ends].max())
         at_zero = max(at_zero, defects[-1])
-        in_last = max(in_last, defects[-(cells % B):].max())
-        # each block reports the largest defect of its own cells
+        in_last = max(in_last, defects[-(steps % B):].max())
+        # each block reports the largest defect of its own steps
         blocks = direct_scattering._march(p, lams, side, p.grid.point_count // 2)
         next(blocks)
         sizes = []
@@ -531,7 +758,7 @@ def test_det_check_reaches_cells_inside_the_blocks(name, per_block, monkeypatch)
             start = sum(sizes)
             sizes.append(len(cols))
             assert defect == defects[start:start + len(cols)].max()
-        assert sizes == [B] * (cells // B) + [cells % B]
+        assert sizes == [B] * (steps // B) + [steps % B]
     assert worst > at_ends >= at_zero
     if per_block is not None:
         assert worst > in_last

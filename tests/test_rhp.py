@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from wkist.rhp import (
     DELTA_CONJUGATED,
     NEUMANN_CAP,
     NEUMANN_TOL,
+    POINTS_PER_PERIOD,
     TRIANGULAR,
     _delta_shift,
     _dense_solve,
@@ -253,6 +256,20 @@ def test_suggest_z_min_scales_with_demand():
     assert suggest_z_min(40.0, 4096, window=0.0, t_max=0.0) == 0.0
     with pytest.raises(InvalidArgumentError):
         suggest_z_min(0.5, 8, window=1e6, t_max=0.0)
+
+
+@pytest.mark.parametrize("t_max", [0.0, 1e300, 1.7e308])
+def test_suggest_z_min_keeps_a_floor_below_z_when_a_or_b_overflows(t_max):
+    # window h_z / rho = 1e300 * 5e306 / rho overflows, yet the floor is
+    # sqrt(a) = 2.0e303, far below Z = 1e307; cbrt(b) <= 5e205 hardly moves it
+    hz, rho = 2e307 / 4, 2.0 * math.pi / POINTS_PER_PERIOD
+    z = suggest_z_min(1e307, 4, window=1e300, t_max=t_max)
+    za = math.sqrt(1e300) * math.sqrt(hz / rho)
+    assert z == pytest.approx(za, rel=1e-15)
+    # a floor above Z is still refused, also when it leaves the float range
+    for Z, window in ((1e300, 1e308), (1.7e308, 1.7e308)):
+        with pytest.raises(InvalidArgumentError):
+            suggest_z_min(Z, 4, window=window, t_max=t_max)
 
 
 @pytest.mark.parametrize("kwargs", [{"window": float("nan")}, {"window": -1.0},

@@ -6,9 +6,11 @@ q(x) -> q(x - x0), takes b(lam) to b e^{2 i lam x0}, so r(z) to
 r e^{-2 i x0 / z} at lam = -1/z; and a dilation, q(x) -> q(x / c), takes
 lam to lam / c, so the z grid to c z.  The discrete transform keeps each
 to rounding where its grids carry the map: the phase at any t, a
-translation by whole grid steps, and a dilation by 2, which scales every
-grid spacing and every product by a power of two, as long as no cell of
-either march substeps (the rule lam^2 |q| h^3 scales with c).
+translation of a smooth profile by whole grid steps (a box's, to the
+scheme's error), and a dilation by 2, which scales every
+grid spacing and every product by a power of two.  The march's step rule
+reads only lam_max h and |q|, which the dilation keeps, so both marches
+take the same steps and substeps.
 """
 
 import numpy as np
@@ -17,12 +19,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from wkist.direct_scattering import (  # noqa: E402
-    LOCAL_ERROR_BOUND,
-    _lam_lattice,
-    _midpoint_values,
-    reflection_coefficient,
-)
+from wkist.direct_scattering import reflection_coefficient  # noqa: E402
 from wkist.lattice import make_spatial_grid, make_spectral_grid  # noqa: E402
 from wkist.lax import make_potential  # noqa: E402
 from wkist.reconstruction import inverse_transform  # noqa: E402
@@ -37,6 +34,11 @@ DEFAULT = (20.0, 2048, 40.0, 4096, DEFAULT_WINDOW)
 # point by up to an ulp of L, which moves q by |q_x| ulp(L).
 PHASE_BOUND = 5e-15
 TRANSLATION_BOUND = 1e-13
+# A shift by k cells moves a box against the march's steps, which are laid
+# out from x = 0, so its modulated plateau is cut into other Magnus-4 steps
+# and r moves at the scheme's O(h^4) level: 3.2e-6 at worst over 180 box
+# draws.  On a smooth profile the alignment of the steps does not show.
+TRANSLATED_BOX_BOUND = 1e-5
 
 SHAPES = {"gaussian": lambda x, w: np.exp(-((x / w) ** 2)),
           "sech": lambda x, w: 1.0 / np.cosh(x / w),
@@ -51,18 +53,6 @@ def grids(L, N, Z, N_z, window, t=0.0):
 def profile(family, amplitude, width, momentum):
     shape = SHAPES[family]
     return lambda x: amplitude * shape(x, width) * np.exp(1j * momentum * x)
-
-
-def substeps(p, sd) -> bool:
-    """Whether the march of ``sd``'s lam lattice substeps a cell of ``p``.
-
-    The rule of ``_march``: a cell takes ceil(sqrt(lam^2 |q| h^3 /
-    LOCAL_ERROR_BOUND)) steps, lam the lattice's largest |lam|.
-    """
-    lam = np.max(np.abs(_lam_lattice(p, sd.lam)))
-    q = np.abs(_midpoint_values(p, 0, p.grid.point_count - 1))
-    err = lam**2 * q * p.grid.spacing**3
-    return bool(np.any(np.ceil(np.sqrt(err / LOCAL_ERROR_BOUND)) > 1.0))
 
 
 @hypothesis.settings(max_examples=20, deadline=None)
@@ -102,17 +92,19 @@ def test_a_translation_by_grid_steps_turns_r_by_its_phase(k, family, amplitude, 
                                       a_floor=0.0)
     z = zgrid.points[zgrid.active]
     expected = sd.r[zgrid.active] * np.exp(-2j * shift / z)
-    assert np.max(np.abs(sd_moved.r[zgrid.active] - expected)) < TRANSLATION_BOUND
+    bound = TRANSLATED_BOX_BOUND if family == "box" else TRANSLATION_BOUND
+    assert np.max(np.abs(sd_moved.r[zgrid.active] - expected)) < bound
 
 
 @hypothesis.settings(max_examples=20, deadline=None)
 @hypothesis.given(family=st.sampled_from(["gaussian", "sech", "box"]),
-                  amplitude=st.floats(0.01, 0.06), width=st.floats(0.8, 1.2),
+                  amplitude=st.floats(0.05, 1.0), width=st.floats(0.8, 1.2),
                   momentum=st.floats(0.0, 0.5))
 def test_a_dilation_by_two_doubles_z_and_keeps_r(family, amplitude, width, momentum):
     # doubling L, Z and the window with N and N_z kept doubles every
-    # spacing and halves every lam, which changes no product's bits; the
-    # amplitudes stop short of where the dilated march would substep
+    # spacing and halves every lam, which changes no product's bits, and
+    # the jump points of a box double with the grid; the amplitudes are
+    # the benchmark's forward scan's
     L, N, Z, N_z, window = DEFAULT
     xgrid, zgrid = grids(*DEFAULT)
     xgrid2, zgrid2 = grids(2.0 * L, N, 2.0 * Z, N_z, 2.0 * window)
@@ -122,5 +114,4 @@ def test_a_dilation_by_two_doubles_z_and_keeps_r(family, amplitude, width, momen
     p2 = make_potential(xgrid2, lambda x: q(x / 2.0))
     sd = reflection_coefficient(p, zgrid, a_floor=0.0)
     sd2 = reflection_coefficient(p2, zgrid2, a_floor=0.0)
-    assert not substeps(p, sd) and not substeps(p2, sd2)
     assert sd2.r.tobytes() == sd.r.tobytes()
