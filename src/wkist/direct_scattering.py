@@ -20,14 +20,18 @@ grid cells where the profile is smooth.  One dimensionless rule sets
 both the span and the substeps at large lam: a step's phase lam_max H
 sqrt(1 + |q|^2) stays at or below ``PHASE_BOUND``, with lam_max the
 batch's largest |lam|.  A dilation q(x) -> q(x / c) with the grid keeps
-lam_max h and |q|, so it keeps the schedule.  A cell that holds a jump
-of the profile is a step of its own, cut at the jump into two pieces
-the profile is smooth on, so a piecewise-constant profile is marched
-exactly wherever its jumps sit.  Samples without a profile are marched
-one cell a step, at the Gauss points of their linear interpolant.
+lam_max h and |q|, so it keeps the schedule.  The steps are laid out
+once over the whole grid, each run of merged cells cut from the end
+that borders a cell alone, so they move with the profile under a
+translation by whole cells.  A cell that holds a jump of the profile
+is a step of its own, cut at the jump into two pieces the profile is
+smooth on, so a piecewise-constant profile is marched exactly wherever
+its jumps sit.  Samples without a profile are marched one cell a step,
+at the Gauss points of their linear interpolant.
 
-Scattering coefficients are Wronskians evaluated at x = 0 (both Jost
-solutions are propagated only halfway, which also halves the cost):
+Scattering coefficients are Wronskians evaluated where the two marches
+meet, the step end nearest x = 0 (both Jost solutions are propagated
+only halfway, which also halves the cost):
 
     a = det((psi+)_1, (psi-)_2)      b = det((psi-)_1, (psi+)_1)
     c = det((psi-)_1, (psi+)_2)      d = det((psi+)_2, (psi-)_2)
@@ -56,11 +60,12 @@ plateaus and tails reuse the trigonometry; the off-diagonal pair is
 one (2, 2) x (2, L) product per step.  det psi is |alpha|^2 + |beta|^2
 at every step end: the march writes the step-end columns into a block
 of ``BLOCK_SAMPLES`` samples and checks the whole block at once.  The
-full matrix is built once, at x = 0, with its second column (-conj beta,
-conj alpha).  A substepped cell applies its substeps in path order on
-both marches.  The loop is bitwise equal to an interleaved loop with its
-own schedule, a fresh exponential and a full 2x2 product per step in the
-same arithmetic (`tests/test_direct_scattering.py` keeps it as an oracle).
+full matrix is built once, where the marches meet, with its second
+column (-conj beta, conj alpha).  A substepped cell applies its
+substeps in path order on both marches.  The loop is bitwise equal to an
+interleaved loop with its own schedule, a fresh exponential and a full
+2x2 product per step in the same arithmetic
+(`tests/test_direct_scattering.py` keeps it as an oracle).
 """
 
 from __future__ import annotations
@@ -89,7 +94,7 @@ __all__ = [
 # this: it sets how many cells a step spans and how many substeps a cell
 # takes.  lam_max |H| and |q| are both dimensionless and unchanged by a
 # dilation q(x) -> q(x / c) that scales the grid with it.
-PHASE_BOUND = 0.4
+PHASE_BOUND = 0.3
 STEP_CELLS = 4  # most cells one step spans: the grid sets how finely q is resolved
 STEP_CAP_FACTOR = 64  # max total substeps per lam, in units of the cell count
 # A cell holds a jump when its midpoint value misses the mean of its end
@@ -165,8 +170,7 @@ def _cell_exponential(key, coef, cell: _CellPropagator):
     = cos(phi) I + S Omega, S = sin(phi)/phi and phi = lam sqrt(c2 + lam
     (c3 + lam c4)) (``_step_scalars``).  The diagonal and the rows
     (lam S, lam^2 S) depend on the step only through ``key`` = (H, c2, c3,
-    c4, kappa) and are rebuilt only when it changes; a dropped term
-    (c3 = c4 = 0, or kappa = 0) skips its products.  Every call writes
+    c4, kappa) and are rebuilt only when it changes.  Every call writes
     the off-diagonal pair (E01, E10) = coef (lam S, lam^2 S) as two
     column-by-row products and their sum: numpy's matmul would call
     BLAS, whose first call alone raises a forward run's peak memory by
@@ -175,15 +179,12 @@ def _cell_exponential(key, coef, cell: _CellPropagator):
     if cell.key != key:
         H, c2, c3, c4, kappa = key
         lam, phi, S = cell.lam, cell.phi, cell.S
-        if c3 == 0.0 and c4 == 0.0:
-            np.multiply(lam, np.sqrt(c2), out=phi)
-        else:
-            np.multiply(lam, c4, out=phi)
-            np.add(phi, c3, out=phi)
-            np.multiply(phi, lam, out=phi)
-            np.add(phi, c2, out=phi)
-            np.sqrt(phi, out=phi)
-            np.multiply(phi, lam, out=phi)
+        np.multiply(lam, c4, out=phi)
+        np.add(phi, c3, out=phi)
+        np.multiply(phi, lam, out=phi)
+        np.add(phi, c2, out=phi)
+        np.sqrt(phi, out=phi)
+        np.multiply(phi, lam, out=phi)
         np.cos(phi, out=cell.E00.real)
         np.sin(phi, out=S)
         if cell.zero is None:
@@ -194,12 +195,9 @@ def _cell_exponential(key, coef, cell: _CellPropagator):
         lam_S, lam2_S = cell.R.real
         np.multiply(lam, S, out=lam_S)
         np.multiply(lam, lam_S, out=lam2_S)
-        if kappa == 0.0:
-            np.multiply(H, lam_S, out=cell.E00.imag)
-        else:
-            np.multiply(lam, kappa, out=S)
-            np.add(S, H, out=S)
-            np.multiply(S, lam_S, out=cell.E00.imag)
+        np.multiply(lam, kappa, out=S)
+        np.add(S, H, out=S)
+        np.multiply(S, lam_S, out=cell.E00.imag)
         np.copyto(cell.E11.real, cell.E00.real)
         np.negative(cell.E00.imag, out=cell.E11.imag)
         cell.key = key
@@ -262,37 +260,45 @@ def _jump_points(p: Potential, k):
         hi = np.where(found, at[rows, first], hi)
 
 
-def _chunk(cells, alone, cap):
-    """Steps over ``cells``, listed outward from x = 0: (first cell, cell count) arrays.
+def _chunk(alone, cap):
+    """Steps over every cell, in increasing x: (first cell, cell count) arrays.
 
-    Runs of cells that are not ``alone`` are cut, from their x = 0 end,
-    into steps of the run's smallest cap; every other cell is a step of
-    its own.
+    Runs of cells that are not ``alone`` are cut into steps of the run's
+    smallest cap, from the end that borders a cell alone: the run at the
+    grid's left end from its right end, every other run from its left
+    end.  Every other cell is a step of its own.  A run's shorter last
+    step then falls at the end of the grid, where the profile has
+    decayed, and the other steps move with the profile under a
+    translation by whole cells.
     """
-    n = cells.size
-    merge = ~alone[cells]
-    starts = alone[cells]
+    n = alone.size
+    merge = ~alone
+    starts = alone.copy()
     if np.any(merge):
-        opens = merge & np.r_[True, ~merge[:-1]]
+        opens = merge & np.r_[True, alone[:-1]]
+        closes = np.flatnonzero(merge & np.r_[alone[1:], True]) + 1
         run = np.cumsum(opens) - 1
         first = np.flatnonzero(opens)
-        run_cap = np.minimum.reduceat(np.where(merge, cap[cells], np.inf), first)
+        run_cap = np.minimum.reduceat(np.where(merge, cap, np.inf), first)
         # cells before the first run have run -1, and are alone
         pos = np.arange(n) - first[run]
-        starts = starts | (pos % run_cap[run].astype(int) == 0)
+        if first[0] == 0:
+            pos[:closes[0]] = closes[0] - np.arange(closes[0])
+        starts |= opens | (pos % run_cap[run].astype(int) == 0)
     heads = np.flatnonzero(starts)
-    return cells[heads], np.diff(np.r_[heads, n])
+    return heads, np.diff(np.r_[heads, n])
 
 
 def _steps(p: Potential, lam_max, side, stop):
     """The (sub)step schedule of a march, in march order: (H, q1, q2, node).
 
-    Steps are laid out from x = 0 outward over each half of the grid
-    (``_chunk``), so x = 0 ends a step and both marches take the same
-    steps; a march runs from the ``side`` infinity to ``stop``, which is
-    the middle node N/2 or the far end.  H is the signed step length, q1
-    and q2 the values at x_m -+ (sqrt 3 / 6) H, in path order, and
-    ``node`` the grid index the step ends on, or -1 inside a cell.
+    The steps are laid out once over the whole grid, in increasing x
+    (``_chunk``), so both marches take the same steps; ``meet``, the step
+    end nearest the middle node N/2, is where the marches of the
+    Wronskians meet.  A march runs from the ``side`` infinity to ``stop``:
+    "mid" is ``meet`` and "end" the far end.  H is the signed step
+    length, q1 and q2 the values at x_m -+ (sqrt 3 / 6) H, in path order,
+    and ``node`` the grid index the step ends on, or -1 inside a cell.
 
     The values come from the profile, or from the samples' linear
     interpolant, where every cell is a step of its own.  A cell with a
@@ -305,31 +311,23 @@ def _steps(p: Potential, lam_max, side, stop):
     """
     grid = p.grid
     N, h, x = grid.point_count, grid.spacing, grid.points
-    mid = N // 2
-    if (side, stop) not in (("-", mid), ("-", N - 1), ("+", mid), ("+", 0)):
+    if side not in ("-", "+") or stop not in ("mid", "end"):
         raise InvalidArgumentError(
-            f"a march runs from side '+' or '-' to x = 0 or the far end, got {side!r}, {stop!r}")
-    halves = [side == "-" or stop == 0, side == "+" or stop == N - 1]
+            f"a march runs from side '+' or '-' to 'mid' or 'end', got {side!r}, {stop!r}")
     jump, cap, substeps = _cells(p, lam_max)
-    pieces = (1 + jump) * substeps
-    total = float(halves[0] * pieces[:mid].sum() + halves[1] * pieces[mid:].sum())
+    lo, count = _chunk(jump | (cap < 2) | (p.profile is None), cap)
+    if stop == "mid":
+        meet = lo[np.argmin(np.abs(lo - N // 2))]
+        keep = lo < meet if side == "-" else lo >= meet
+        lo, count = lo[keep], count[keep]
+    cells = slice(lo[0], lo[-1] + count[-1]) if lo.size else slice(0)
+    total = float(((1 + jump) * substeps)[cells].sum())
     if not total <= STEP_CAP_FACTOR * N:  # also refuses inf and NaN
         raise ResolutionExceededError(
             f"propagation needs {total:.3g} substeps (> {STEP_CAP_FACTOR * N}); "
             "lam is too large for this grid")
-
-    # the steps in increasing x: the left half's, listed outward, reversed
-    alone = jump | (cap < 2) | (p.profile is None)
-    lo, count = [], []
-    if halves[0]:
-        first, n = _chunk(np.arange(mid - 1, -1, -1), alone, cap)
-        lo.append((first - n + 1)[::-1])
-        count.append(n[::-1])
-    if halves[1]:
-        first, n = _chunk(np.arange(mid, N - 1), alone, cap)
-        lo.append(first)
-        count.append(n)
-    lo, count = np.concatenate(lo), np.concatenate(count)
+    if not lo.size:  # a grid of a few cells can meet at its end
+        return np.empty(0), np.empty(0, dtype=complex), np.empty(0, dtype=complex), lo
     cut = (count == 1) & jump[lo]
 
     # the pieces in increasing x: a cut cell is two
@@ -436,18 +434,18 @@ def _fill_second_column(psi):
 
 
 def _march(p: Potential, lams, side, stop):
-    """Step the first Jost column from the `side` infinity to grid index `stop`.
+    """Step the first Jost column from the `side` infinity to `stop` ("mid" or "end").
 
-    A generator of (block, det defect) in march order, a block of
-    columns being (n, 2, len(lams)): first the start column alone, then
-    the columns at the ends of the next steps, up to ``BLOCK_SAMPLES`` //
-    len(lams) steps per block.  The det defect is the block's largest
-    |det psi - 1|, taken over the whole block with one set of calls.  A
-    column (alpha, beta) is the first column of psi = [[alpha, -conj
-    beta], [beta, conj alpha]]: psi and every step propagator are in
-    SU(2) for real lam, so the column determines psi.  A block is a view
-    of one buffer, valid only until the generator resumes, so a consumer
-    copies what it keeps.
+    A generator of (block, nodes, det defect) in march order, a block of
+    columns being (n, 2, len(lams)) and ``nodes`` the n grid indices
+    they sit at: first the start column alone, then the columns at the
+    ends of the next steps, up to ``BLOCK_SAMPLES`` // len(lams) steps
+    per block.  The det defect is the block's largest |det psi - 1|,
+    taken over the whole block with one set of calls.  A column (alpha,
+    beta) is the first column of psi = [[alpha, -conj beta], [beta, conj
+    alpha]]: psi and every step propagator are in SU(2) for real lam, so
+    the column determines psi.  A block is a view of one buffer, valid
+    only until the generator resumes, so a consumer copies what it keeps.
 
     The (sub)step schedule (``_steps``, with lam_max the batch's largest
     |lam|) and each step's scalars (``_step_scalars``) are laid out
@@ -465,21 +463,21 @@ def _march(p: Potential, lams, side, stop):
     H, q1, q2, node = _steps(p, lam_max, side, stop)
     keys, coefs = _step_scalars(H, q1, q2, lam_max)
     schedule = zip(keys, coefs, (node >= 0).tolist())
+    ends = node[node >= 0]
 
     L = lams.size
-    n_steps = int(np.count_nonzero(node >= 0))
-    B = max(1, min(n_steps, BLOCK_SAMPLES // L))
+    B = max(1, min(ends.size, BLOCK_SAMPLES // L))
     block = np.zeros((B + 1, 2, L), dtype=complex)
     start = 0 if side == "-" else p.grid.point_count - 1
     block[0, 0] = np.exp(1j * lams * p.grid.points[start])
     scratch = np.empty((B, 2, 2 * L)), np.empty((B, 2 * L)), np.empty((B, L))
-    yield block[:1], _det_defect(block[:1], scratch)
+    yield block[:1], np.array([start]), _det_defect(block[:1], scratch)
     cols = list(block)
     flips = [col[::-1] for col in cols]
     cell = _CellPropagator(lams)
     D, O = cell.D, cell.O
     spare, t1, t2 = np.empty((3, 2, L), dtype=complex)
-    j, col, flip = 0, cols[0], flips[0]
+    done, j, col, flip = 0, 0, cols[0], flips[0]
     for key, coef, last in schedule:
         _cell_exponential(key, coef, cell)
         np.multiply(D, col, out=t1)
@@ -491,24 +489,26 @@ def _march(p: Potential, lams, side, stop):
             col, flip = spare, spare[::-1]
         np.add(t1, t2, out=col)
         if j == B:
-            yield block[1:], _det_defect(block[1:], scratch)
+            yield block[1:], ends[done:done + B], _det_defect(block[1:], scratch)
             block[0] = block[B]
-            j, col, flip = 0, cols[0], flips[0]
+            done, j, col, flip = done + B, 0, cols[0], flips[0]
     if j:
-        yield block[1:j + 1], _det_defect(block[1:j + 1], scratch)
+        yield block[1:j + 1], ends[done:], _det_defect(block[1:j + 1], scratch)
 
 
 def _propagate_to_mid(p: Potential, lams, side):
-    """Propagate psi from the `side` infinity to x = 0 for a batch of lam.
+    """Propagate psi from the `side` infinity to the marches' meeting node.
 
-    Returns (psi at x = 0 with shape (2, 2, len(lams)), max det defect).
-    The det defect is taken over every step end, one block of the march
-    at a time; the full SU(2) matrix is built once, at x = 0.
+    Returns (psi there with shape (2, 2, len(lams)), max det defect).
+    Both marches meet at the step end nearest x = 0 (``_steps``), and a
+    Wronskian of their columns is the same at any node.  The det defect
+    is taken over every step end, one block of the march at a time; the
+    full SU(2) matrix is built once, at the meeting node.
     """
-    blocks = _march(p, lams, side, p.grid.point_count // 2)  # x = 0 (N even)
-    cols, _ = next(blocks)  # the start column
+    blocks = _march(p, lams, side, "mid")
+    cols, _, _ = next(blocks)  # the start column
     det_defect = 0.0
-    for cols, defect in blocks:
+    for cols, _, defect in blocks:
         det_defect = max(det_defect, defect)
     psi = np.empty((2, 2, cols.shape[-1]), dtype=complex)
     psi[:, 0] = cols[-1]

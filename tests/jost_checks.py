@@ -1,10 +1,11 @@
 """Reference views of the forward transform, for the tests.
 
-The pipelines only need the first Jost column at x = 0 on a batch of
-lam (``wkist.direct_scattering``).  The tests also look at the whole
-Jost solution and the transition matrix at single lam:
-``propagate_jost`` samples psi at every step end of the same march,
-and ``transition_matrix`` arranges the Wronskians as T.  As independent
+The pipelines only need the first Jost column where the two marches
+meet, near x = 0, on a batch of lam (``wkist.direct_scattering``).
+The tests also look at the whole Jost solution and the transition
+matrix at single lam: ``propagate_jost`` samples psi at every step end
+of the same march, and ``transition_matrix`` arranges the Wronskians
+as T.  As independent
 checks of those outputs, ``symmetry_defect`` measures the real-lam
 symmetry of T, and ``b_from_integral`` computes b from its integral
 representation.
@@ -13,8 +14,9 @@ representation.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
-from wkist.direct_scattering import _fill_second_column, _march, _steps, _wronskians
+from wkist.direct_scattering import _fill_second_column, _march, _wronskians
 from wkist.lax import Potential
 
 
@@ -35,20 +37,17 @@ class JostSolution:
 def propagate_jost(p: Potential, lam: float, side: str) -> JostSolution:
     """Jost solution normalized at the `side` infinity, sampled at every step end.
 
-    The same march as the scattering coefficients, continued through
-    x = 0 to the far end, so the samples span the whole grid; x = 0 ends
-    a step.  det psi = 1 holds to roundoff at every sample because each
-    step propagator is exactly unimodular; ``det_defect`` is the largest
-    deviation over the samples, |alpha|^2 + |beta|^2 - 1 as in the march.
+    The same march as the scattering coefficients, continued to the far
+    end, so the samples span the whole grid.  det psi = 1 holds to
+    roundoff at every sample because each step propagator is exactly
+    unimodular; ``det_defect`` is the largest deviation over the samples,
+    |alpha|^2 + |beta|^2 - 1 as in the march.
     """
-    N = p.grid.point_count
-    stop = 0 if side == "+" else N - 1
-    blocks = [(block[:, :, 0].copy(), defect)
-              for block, defect in _march(p, [float(lam)], side, stop)]
-    cols = np.concatenate([block for block, _ in blocks])
-    det_defect = max(defect for _, defect in blocks)
-    node = _steps(p, abs(float(lam)), side, stop)[3]
-    nodes = np.r_[N - 1 - stop, node[node >= 0]]  # in march order
+    blocks = [(block[:, :, 0].copy(), nodes, defect)
+              for block, nodes, defect in _march(p, [float(lam)], side, "end")]
+    cols = np.concatenate([block for block, _, _ in blocks])
+    nodes = np.concatenate([nodes for _, nodes, _ in blocks])
+    det_defect = max(defect for _, _, defect in blocks)
     psi_samples = np.empty((nodes.size, 2, 2), dtype=complex)
     psi = np.moveaxis(psi_samples, 0, -1)
     order = slice(None) if side == "-" else slice(None, None, -1)
@@ -78,7 +77,11 @@ def b_from_integral(p: Potential, lam: float) -> complex:
         b = -lam * int e^{2 i lam y} conj(q(y)) m11(y) dy.
     """
     sol = propagate_jost(p, lam, "-")
-    x = p.grid.points[sol.nodes]
-    m11 = sol.psi[:, 0, 0] * np.exp(-1j * lam * x)
-    integrand = np.exp(2j * lam * x) * np.conj(p.q[sol.nodes]) * m11
+    # m11 is smooth: a cubic spline through the step ends carries it to
+    # every grid node, where the trapezoid rule takes the integral
+    x_ends = p.grid.points[sol.nodes]
+    m11_ends = sol.psi[:, 0, 0] * np.exp(-1j * lam * x_ends)
+    x = p.grid.points
+    m11 = CubicSpline(x_ends, m11_ends)(x)
+    integrand = np.exp(2j * lam * x) * np.conj(p.q) * m11
     return complex(-lam * np.trapezoid(integrand, x=x))

@@ -254,10 +254,10 @@ def test_empty_lam_batch_is_refused():
 
 
 def test_leftward_substeps_follow_the_path():
-    # N = 512 takes 2 substeps in each of the 10 cells at the peak, where
+    # N = 640 takes 2 substeps in each of the 15 cells at the peak, where
     # phi = 4 h sqrt(1 + |q|^2) > PHASE_BOUND; N = 32768 takes none.  Substeps
     # applied in increasing x on the leftward march put max |r - r_ref|
-    # at 5.6e-3; in path order it is 3.3e-5.
+    # at 3.5e-3; in path order it is 1.0e-5.
     lams = np.linspace(-4.0, 4.0, 81)
 
     def potential(N):
@@ -268,8 +268,33 @@ def test_leftward_substeps_follow_the_path():
         a, b, *_ = _wronskians(potential(N), lams)
         return b / a
 
-    assert np.count_nonzero(_cells(potential(512), 4.0)[2] > 1) == 10
-    assert np.max(np.abs(r(512) - r(32768))) < 1e-4
+    assert np.count_nonzero(_cells(potential(640), 4.0)[2] > 1) == 15
+    assert np.max(np.abs(r(640) - r(32768))) < 1e-4
+
+
+# Grids on which a cell's phase lam_max h sqrt(1 + |q|^2) at lam_max = 4 is
+# 0.29 (N = 544) or 0.28 (N = 576) in the tails, one cell a step, or half
+# that, two cells a step (N = 1088, 1152), against max |r - r_ref| of the
+# midpoint march of the previous release, which substepped where
+# lam^2 |q| h^3 > 1e-5.  This march reads 9.9e-6, 2.29e-5, 1.08e-5 and
+# 2.29e-5 on them.
+PHASE_BAND_MIDPOINT_MARCH = {544: 2.46e-5, 576: 2.34e-5, 1088: 2.64e-5, 1152: 2.72e-5}
+
+
+@pytest.mark.parametrize("N", list(PHASE_BAND_MIDPOINT_MARCH))
+def test_steps_near_the_phase_bound_are_no_less_accurate(N):
+    lams = np.linspace(-4.0, 4.0, 81)
+
+    def r(N):
+        p = make_potential(make_spatial_grid(20.0, N),
+                           lambda x: np.exp(-(((x - 0.3) / 0.7) ** 2) + 0.4j * x))
+        a, b, *_ = _wronskians(p, lams)
+        return b / a, p
+
+    r_N, p = r(N)
+    phi = 4.0 * p.grid.spacing * (1.0 if N < 1024 else 2.0)
+    assert 0.2 < phi <= PHASE_BOUND
+    assert np.max(np.abs(r_N - r(32768)[0])) < PHASE_BAND_MIDPOINT_MARCH[N]
 
 
 def test_evolution_phase_and_composition():
@@ -397,25 +422,44 @@ def test_magnus_step_is_fourth_order():
 
 
 def test_steps_span_cells_up_to_the_phase_bound():
-    # lam_max h sqrt(1 + |q|^2) = 0.09 a cell: four cells a step; at four
+    # lam_max h sqrt(1 + |q|^2) = 0.069 a cell: four cells a step; at four
     # times lam_max the phase bound allows one, and nothing merges
     p = gaussian_potential(N=1024, amp=0.3)  # h = 0.039
-    half = p.grid.point_count // 2
-    for lam_max, cells in ((2.3, STEP_CELLS), (9.2, 1)):
-        H, q1, q2, node = _steps(p, lam_max, "-", half)
+    for lam_max, cells in ((1.7, STEP_CELLS), (6.8, 1)):
+        H, q1, q2, node = _steps(p, lam_max, "-", "end")
         assert np.all(node >= 0)
         assert np.max(np.abs(H)) == cells * p.grid.spacing
         assert lam_max * np.max(np.abs(H)) * np.sqrt(1.0 + 0.3**2) <= PHASE_BOUND
-    # x = 0 ends a step on both marches, and their steps are the same
-    _, _, _, left = _steps(p, 2.3, "-", p.grid.point_count - 1)
-    _, _, _, right = _steps(p, 2.3, "+", 0)
-    assert half in left and np.array_equal(np.sort(np.r_[0, left]), np.sort(np.r_[right, 1023]))
+    # both marches take the same steps, and meet at the step end nearest x = 0
+    left = _steps(p, 1.7, "-", "end")[3]
+    right = _steps(p, 1.7, "+", "end")[3]
+    assert np.array_equal(np.sort(np.r_[0, left]), np.sort(np.r_[right, 1023]))
+    meet = _steps(p, 1.7, "-", "mid")[3][-1]
+    assert meet == _steps(p, 1.7, "+", "mid")[3][-1]
+    assert np.min(np.abs(left - 512)) == abs(meet - 512)
+
+
+def test_steps_move_with_a_box_shifted_by_whole_cells():
+    # the runs of a box start at its edges, so a shift by k cells moves
+    # every step of its modulated plateau by k cells
+    grid = make_spatial_grid(20.0, 512)
+
+    def step_ends(k):
+        shift = k * grid.spacing
+        p = make_potential(grid, lambda x: 0.5 * (np.abs(x - shift) <= 0.93) * np.exp(0.3j * x))
+        node = _steps(p, 1.5, "-", "end")[3]
+        return node[node >= 0]
+
+    inside = lambda node, k: node[(node > 244 + k) & (node < 268 + k)]  # noqa: E731
+    for k in (-7, 1, 2, 3, 13):
+        assert np.array_equal(inside(step_ends(k), k), inside(step_ends(0), 0) + k)
+        assert np.any(np.diff(inside(step_ends(k), k)) > 1)
 
 
 def test_gauss_values_are_in_path_order():
     p = make_potential(make_spatial_grid(10.0, 512), lambda x: x + 0j)
     for side in "-+":
-        H, q1, q2, _ = _steps(p, 1.0, side, 256)
+        H, q1, q2, _ = _steps(p, 1.0, side, "end")
         # on q = x: q2 - q1 = (sqrt 3 / 3) H, along the march
         assert np.allclose(q2 - q1, 2.0 * GAUSS_OFFSET * H, rtol=1e-9, atol=1e-14)
 
@@ -427,7 +471,7 @@ def test_dropped_commutator_terms_change_no_bit():
     for name, p in ORACLE_INPUTS.items():
         lams = ORACLE_LAMS * LAM_SCALE.get(name, 1.0)
         lam_max = float(np.max(np.abs(lams)))
-        H, q1, q2, _ = _steps(p, lam_max, "-", p.grid.point_count // 2)
+        H, q1, q2, _ = _steps(p, lam_max, "-", "end")
         keys, _ = _step_scalars(H, q1, q2, lam_max)
         g = GAUSS_OFFSET * H * H
         s = 0.5 * (q1 + q2)
@@ -456,30 +500,29 @@ def test_dropped_commutator_terms_change_no_bit():
 def _oracle_steps(p, lam_max, side, stop):
     """(H, q1, q2, node) per (sub)step in march order, cell by cell."""
     N, h, x = p.grid.point_count, p.grid.spacing, p.grid.points
-    mid = N // 2
     jump, cap, substeps = _cells(p, lam_max)
     alone = jump | (cap < 2) | (p.profile is None)
-
-    def outward(cells):
-        steps, k = [], 0
-        while k < len(cells):
-            end = k + 1
-            if not alone[cells[k]]:
-                while end < len(cells) and not alone[cells[end]]:
-                    end += 1
-                size = int(min(cap[c] for c in cells[k:end]))
-                steps += [cells[s:min(s + size, end)] for s in range(k, end, size)]
+    # cell lists in increasing x; a run is cut from its left end, or from
+    # its right end at the grid's left end
+    steps, k = [], 0
+    while k < N - 1:
+        end = k + 1
+        if not alone[k]:
+            while end < N - 1 and not alone[end]:
+                end += 1
+            size = int(min(cap[k:end]))
+            if k == 0:
+                heads = sorted({0} | set(range(end - size, 0, -size)))
             else:
-                steps.append(cells[k:end])
-            k = end
-        return steps
-
-    steps = []
-    if side == "-" or stop == 0:
-        steps += [sorted(cells) for cells in outward(list(range(mid - 1, -1, -1)))[::-1]]
-    if side == "+" or stop == N - 1:
-        steps += outward(list(range(mid, N - 1)))
-    subs = []  # (width, centre, cell, j, m, first, last) in increasing x
+                heads = list(range(k, end, size))
+            steps += [list(range(s, e)) for s, e in zip(heads, heads[1:] + [end])]
+        else:
+            steps.append([k])
+        k = end
+    if stop == "mid":
+        meet = min((cells[0] for cells in steps), key=lambda k: (abs(k - N // 2), k))
+        steps = [cells for cells in steps if (cells[0] < meet) == (side == "-")]
+    subs = []  # (width, centre, cell, j, m, first, last, cells) in increasing x
     for cells in steps:
         k = cells[0]
         pieces, m = [(x[k], len(cells) * h)], 1
@@ -494,13 +537,13 @@ def _oracle_steps(p, lam_max, side, stop):
                 width = span / m
                 subs.append((width, start + (j + 0.5) * width, k, j, m,
                              i == 0 and j == 0, i == len(pieces) - 1 and j == m - 1,
-                             cells[-1] + 1))
+                             cells))
     if side == "+":
         subs = subs[::-1]
-    H = np.array([w if side == "-" else -w for w, *_ in subs])
+    H = np.array([w if side == "-" else -w for w, *_ in subs], dtype=float)
     centre = np.array([c for _, c, *_ in subs])
-    node = np.array([(end if last else -1) if side == "-" else (k if first else -1)
-                     for _, _, k, _, _, first, last, end in subs])
+    node = np.array([(cells[-1] + 1 if last else -1) if side == "-" else (cells[0] if first else -1)
+                     for _, _, _, _, _, first, last, cells in subs], dtype=int)
     if p.profile is not None:
         values = np.asarray(p.profile(np.r_[centre - GAUSS_OFFSET * H,
                                              centre + GAUSS_OFFSET * H]), dtype=complex)
@@ -560,7 +603,7 @@ def _oracle_det_defect(psi):
 
 
 def _oracle_march(p, lams, side, stop):
-    """(node, psi) at the start and at every step end, in march order."""
+    """(node, psi) at the start and at every step end, in march order; stop is "mid" or "end"."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     lam_max = float(np.max(np.abs(lams)))
     start = 0 if side == "-" else p.grid.point_count - 1
@@ -577,7 +620,7 @@ def _oracle_march(p, lams, side, stop):
 def _oracle_wronskians(p, lams):
     halves = []
     for side in "-+":
-        steps = _oracle_march(p, lams, side, p.grid.point_count // 2)
+        steps = _oracle_march(p, lams, side, "mid")
         _, psi = next(steps)
         defect = 0.0
         for _, psi in steps:
@@ -592,8 +635,7 @@ def _oracle_wronskians(p, lams):
 
 
 def _oracle_jost(p, lam, side):
-    stop = 0 if side == "+" else p.grid.point_count - 1
-    nodes, samples = zip(*((k, psi[0]) for k, psi in _oracle_march(p, [lam], side, stop)))
+    nodes, samples = zip(*((k, psi[0]) for k, psi in _oracle_march(p, [lam], side, "end")))
     order = slice(None) if side == "-" else slice(None, None, -1)
     samples = np.array(samples)[order]
     return np.array(nodes)[order], samples, _oracle_det_defect(samples)
@@ -607,7 +649,7 @@ def assert_bitwise(got, want):
 
 def _keys(p, lams):
     lam_max = float(np.max(np.abs(lams)))
-    H, q1, q2, node = _steps(p, lam_max, "-", p.grid.point_count // 2)
+    H, q1, q2, node = _steps(p, lam_max, "-", "end")
     return _step_scalars(H, q1, q2, lam_max)[0], node
 
 
@@ -623,7 +665,7 @@ ORACLE_INPUTS = {
     "moving gaussian": make_potential(ORACLE_GRID, lambda x: 0.3 * np.exp(-(x**2) + 0.5j * x)),
 }
 # the lam the substep inputs are marched at, in units of ORACLE_LAMS
-LAM_SCALE = {"substepped": 5.0, "samples-only": 5.0}
+LAM_SCALE = {"substepped": 6.0, "samples-only": 5.0}
 
 
 @pytest.mark.parametrize("name", list(ORACLE_INPUTS))
@@ -663,6 +705,20 @@ def test_propagator_matches_the_interleaved_loop_bitwise(name):
         assert sol.det_defect == defect
 
 
+def test_a_march_of_no_steps_meets_at_the_grid_end():
+    # three cells of a linear profile at small lam merge into one step, so
+    # the marches meet at x = -L and the rightward one takes no step
+    p = make_potential(make_spatial_grid(20.0, 4), lambda x: 0.01 + 1e-4 * x + 0j)
+    lams = np.array([1e-3, -5e-4])
+    assert _steps(p, 1e-3, "-", "mid")[0].size == 0
+    assert _steps(p, 1e-3, "+", "mid")[0].size == 1
+    got = _wronskians(p, lams)
+    want = _oracle_wronskians(p, lams)
+    for g, o in zip(got[:4], want[:4]):
+        assert_bitwise(g, o)
+    assert got[4] == want[4]
+
+
 # ---------------------------------------------------------------------------
 # Blocks of the march: the columns and the det check are taken one block of
 # step ends at a time, BLOCK_SAMPLES // len(lams) steps to a block.  A
@@ -684,7 +740,7 @@ def _substeps(p, lams):
 
 def _oracle_step_defects(p, lams, side):
     """det defect after each step of the oracle's half march, in march order."""
-    steps = _oracle_march(p, lams, side, p.grid.point_count // 2)
+    steps = _oracle_march(p, lams, side, "mid")
     next(steps)
     return np.array([_oracle_det_defect(psi) for _, psi in steps])
 
@@ -751,10 +807,10 @@ def test_det_check_reaches_cells_inside_the_blocks(name, per_block, monkeypatch)
         at_zero = max(at_zero, defects[-1])
         in_last = max(in_last, defects[-(steps % B):].max())
         # each block reports the largest defect of its own steps
-        blocks = direct_scattering._march(p, lams, side, p.grid.point_count // 2)
+        blocks = direct_scattering._march(p, lams, side, "mid")
         next(blocks)
         sizes = []
-        for cols, defect in blocks:
+        for cols, _, defect in blocks:
             start = sum(sizes)
             sizes.append(len(cols))
             assert defect == defects[start:start + len(cols)].max()
