@@ -82,10 +82,16 @@ class RunConfig:
     eta: float = 1.0
 
 
-def _build_profile(cfg: RunConfig):
+def _build_profile(cfg: RunConfig, spacing: float):
     a, c, m = (check_number(name, getattr(cfg, name))
                for name in ("amplitude", "center", "momentum"))
     w = check_number("width", cfg.width, 0.0, strict=True)
+    if cfg.family != "zero" and w < spacing:
+        # a profile narrower than a grid cell is not sampled, and a box
+        # wider than the float range of its profile would overflow there
+        raise InvalidArgumentError(
+            f"width {w:g} is below the grid spacing {spacing:g}: the grid does not resolve "
+            "the profile (raise N or lower L)")
     mod = (lambda x: np.exp(1j * m * x)) if m else (lambda x: 1.0 + 0j)
     if cfg.family == "gaussian":
         return lambda x: a * np.exp(-(((x - c) / w) ** 2)) * mod(x)
@@ -140,7 +146,7 @@ def _make_input_potential(cfg: RunConfig, xgrid):
         coords, values = _read_samples_csv(cfg.input)
         _check_coordinates(coords, xgrid, "sample coordinates do not match the configured grid")
         return make_potential(xgrid, values)
-    return make_potential(xgrid, _build_profile(cfg))
+    return make_potential(xgrid, _build_profile(cfg, xgrid.spacing))
 
 
 def _write_manifest(outdir: Path, cfg: RunConfig, results: dict):

@@ -76,6 +76,7 @@ import numpy as np
 
 from .errors import (
     InvalidArgumentError,
+    NumericalError,
     PossibleBoundStateError,
     ResolutionExceededError,
     check_number,
@@ -566,7 +567,14 @@ def reflection_coefficient(p: Potential, zgrid: SpectralGrid,
     lam = -1.0 / z[active]
 
     nodes = _lam_lattice(p, lam)
-    a, b, c, d, det_defect = _wronskians(p, nodes)
+    # a march whose cells overflow leaves a or b non-finite: a numerical
+    # failure, raised as one rather than as warnings and a bad r
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a, b, c, d, det_defect = _wronskians(p, nodes)
+    broken = ~(np.isfinite(a) & np.isfinite(b))
+    if broken.any():
+        raise NumericalError(f"the Jost march left a or b non-finite at {np.count_nonzero(broken)} "
+                             f"of {nodes.size} lam nodes")
 
     min_abs_a = float(np.min(np.abs(a)))
     if min_abs_a < a_floor:

@@ -83,6 +83,9 @@ BATCH_SAMPLES = 2**15
 # point of the ``LAGRANGE_POINTS`` stencil that carries the lattice onto
 # the sweep.
 LATTICE_PHASE_STEP = 2.0 * np.pi / LAGRANGE_POINTS
+# Largest lattice_error_estimate at which the slope is carried from the
+# half lattice, five nodes per shortest period
+LATTICE_TOLERANCE = 5e-7
 
 
 def qh_from_slope(s: np.ndarray) -> np.ndarray:
@@ -201,6 +204,7 @@ class ReconstructionResult:
     xgrid: SpatialGrid
     q: GridFunction                      # recovered potential on xgrid
     x_H: np.ndarray                      # hodograph sweep cells
+    nodes: np.ndarray                    # x_H the slope is interpolated from
     slope: np.ndarray                    # s(x_H) over the sweep
     q_H: np.ndarray                      # potential over the sweep
     m1_11: np.ndarray
@@ -229,6 +233,124 @@ def _solve_cells(kind, r, zgrid, x_H, Delta=None, d1=None) -> dict:
 
 def _window_mask(points: np.ndarray, window: float) -> np.ndarray:
     return np.abs(points) <= window + 1e-12
+
+
+def _kind(x_H: float) -> str:
+    """A cell x_H <= 0 takes the Triangular factorization, a cell x_H > 0 the DeltaConjugated one."""
+    return TRIANGULAR if x_H <= 0.0 else DELTA_CONJUGATED
+
+
+def _by_kind(x_H) -> dict:
+    """Increasing cells ``x_H`` split by ``_kind``, each kind's from the sweep end inward."""
+    x_H = np.asarray(x_H, dtype=float)
+    return {TRIANGULAR: x_H[x_H <= 0.0], DELTA_CONJUGATED: x_H[x_H > 0.0][::-1]}
+
+
+def _fill(groups, extra: np.ndarray, size: int):
+    """Batches of at most ``size`` cells: each group of cells in runs of
+    ``size`` from its start, whose free rows take the ``extra`` cells, each
+    in the batch of the nearest span that has room.  Returns the batches
+    and the extra cells left over."""
+    blocks = [group[k:k + size] for group in groups for k in range(0, group.size, size)]
+    rows = [list(block) for block in blocks]
+    left = []
+    for x in extra:
+        room = [k for k, row in enumerate(rows) if len(row) < size]
+        if not room:
+            left.append(x)
+            continue
+        near = min(room, key=lambda k: max(blocks[k].min() - x, x - blocks[k].max(), 0.0))
+        rows[near].append(x)
+    return [np.array(row) for row in rows], np.array(left)
+
+
+def _solve_waves(solved: dict, waves: dict, extra: dict, size: int, rv, zgrid, Delta, d1) -> dict:
+    """Solve each kind's groups of cells in ``_fill``'s batches, with that kind's ``extra`` cells.
+
+    Each cell's slope, m^(1)_11, sweep count and residual go into
+    ``solved`` under (kind, x_H).  Returns the extra cells left over, per
+    kind.
+    """
+    left = {}
+    for kind, groups in waves.items():
+        batches, left[kind] = _fill([np.asarray(group, dtype=float) for group in groups],
+                                    np.asarray(extra.get(kind, ()), dtype=float), size)
+        for block in batches:
+            out = _solve_cells(kind, rv, zgrid, block, Delta, d1)
+            for row in zip(block, out["slope"], out["m11"], out["cell_iterations"],
+                           out["residual"]):
+                solved[kind, row[0]] = row[1:]
+            # free this batch's (B, N) arrays before the next batch builds its own
+            del out
+    return left
+
+
+def _by_sweeps(wave: np.ndarray, fine: np.ndarray, solved: dict) -> list:
+    """``wave``, nodes of ``fine``, in groups by the most sweeps a solved
+    neighbour took, so that a batch does not hold cells that converge in
+    fewer sweeps than its slowest one."""
+    guess = np.zeros(wave.size, dtype=int)
+    for n, k in enumerate(np.searchsorted(fine, wave)):
+        for x in fine[max(k - 1, 0):k + 2:2]:
+            guess[n] = max(guess[n], solved.get((_kind(x), x), (0, 0, 0))[2])
+    return [wave[guess == g] for g in np.unique(guess)]
+
+
+def _solved_at(solved: dict, x_H: np.ndarray, column: int) -> np.ndarray:
+    """One column of ``solved`` at cells ``x_H``, each read in the kind its sign gives."""
+    return np.array([solved[_kind(x), x][column] for x in x_H])
+
+
+def _miss(nodes: np.ndarray, slope: np.ndarray, solved: dict, checks: np.ndarray) -> float:
+    """Worst miss of the slope's interpolant through ``nodes`` at solved cells ``checks``."""
+    if checks.size == 0:
+        return 0.0
+    inside = np.clip(checks, nodes[0], nodes[-1])
+    return float(np.max(np.abs(_lagrange_interpolant(nodes, slope)(inside)
+                               - _solved_at(solved, checks, 0))))
+
+
+def _check_cells(fine: np.ndarray, coarse: np.ndarray, points) -> np.ndarray:
+    """``points`` as check cells of the half lattice ``coarse``: a point
+    that is a node of ``fine`` to rounding is that node, and one that is
+    a node of ``coarse`` is dropped."""
+    tol = 1e-9 * (fine[1] - fine[0])
+    out = []
+    for x in points:
+        k = np.argmin(np.abs(fine - x))
+        x = fine[k] if abs(fine[k] - x) <= tol else x
+        if not np.any(coarse == x):
+            out.append(x)
+    return np.unique(out)
+
+
+def _end_peaks(nodes: np.ndarray) -> list:
+    """Where in each end interval of ``nodes`` the node polynomial of its
+    one-sided ``_lagrange_interpolant`` stencil peaks: the interpolant's
+    likeliest worst miss there, nearer the end node than the midpoint."""
+    out = []
+    for ends in (nodes[:LAGRANGE_POINTS], nodes[::-1][:LAGRANGE_POINTS]):
+        x = np.linspace(ends[0], ends[1], 65)[1:-1]
+        out.append(x[np.argmax(np.abs(np.prod(x[:, None] - ends, axis=1)))])
+    return out
+
+
+def _peak_midpoints(fine: np.ndarray, coarse: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """The midpoints of ``fine`` beside the worst node on each side of
+    x_H = 0 of the half lattice's own every-other-node miss profile."""
+    dropped = np.arange(1, coarse.size - 1, 2)
+    if dropped.size < 3:
+        return np.empty(0)
+    profile = np.abs(_lagrange_interpolant(coarse[::2], slope[::2])(coarse[dropped])
+                     - slope[dropped])
+    # the end values are left to the sweep-end checks
+    profile[[0, -1]] = 0.0
+    beside = []
+    for side in (coarse[dropped] < 0.0, coarse[dropped] > 0.0):
+        if side.any():
+            k = np.searchsorted(fine, coarse[dropped[side][np.argmax(profile[side])]])
+            beside += [fine[i] for i in (k - 1, k + 1) if 0 <= i < fine.size]
+    return np.setdiff1d(beside, coarse)
 
 
 def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
@@ -286,53 +408,84 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
     rv = np.asarray(sd_t.r, dtype=complex)
 
     z_near = np.min(np.abs(zgrid.points[sd_t.active]), initial=np.inf)
-    nodes = _hodograph_lattice(sweep, xgrid.spacing, z_near)
-    neg = nodes[nodes <= 0.0]
-    pos = nodes[nodes > 0.0]
+    fine = _hodograph_lattice(sweep, xgrid.spacing, z_near)
+    Delta = delta_function(GridFunction(zgrid, rv))[2].values
+    d1 = _delta_shift(rv, zgrid)
+    size = max(1, BATCH_SAMPLES // zgrid.point_count)
+    solved = {}
 
-    Delta = d1 = None
-    if pos.size:
-        Delta = delta_function(GridFunction(zgrid, rv))[2].values
-        d1 = _delta_shift(rv, zgrid)
+    def solve(waves, extra={}):
+        return _solve_waves(solved, waves, extra, size, rv, zgrid, Delta, d1)
 
-    n_cells = nodes.size
-    m11 = np.zeros(n_cells, dtype=complex)
-    dx12 = np.zeros(n_cells, dtype=complex)
+    def kind_gap():
+        return float(abs(solved[DELTA_CONJUGATED, 0.0][0] - solved[TRIANGULAR, 0.0][0]))
+
+    def unsolved(cells):
+        # by kind, with the DeltaConjugated cell at x_H = 0 last
+        cells = _by_kind([x for x in cells if (_kind(x), x) not in solved])
+        if (DELTA_CONJUGATED, 0.0) not in solved:
+            cells[DELTA_CONJUGATED] = np.append(cells[DELTA_CONJUGATED], 0.0)
+        return cells
+
+    if fine is sweep:
+        # nothing is interpolated: every sweep cell is solved
+        nodes, lattice_err = sweep, 0.0
+        solve({kind: [cells] for kind, cells in unsolved(np.union1d(sweep, [0.0])).items()})
+    else:
+        # the half lattice: every other node from x_H = 0, and both end nodes
+        zero = np.flatnonzero(fine == 0.0)[0]
+        half = (np.arange(fine.size) - zero) % 2 == 0
+        half[[0, -1]] = True
+        coarse = fine[half]
+        # its check cells known before any solve, the midpoints flanking
+        # x_H = 0 and those of its two end intervals, fill the free rows of
+        # its batches after the DeltaConjugated cell at x_H = 0
+        checks = _check_cells(fine, coarse, (fine[zero - 1], fine[zero + 1], *_end_peaks(coarse)))
+        extra = _by_kind(checks)
+        extra[DELTA_CONJUGATED] = np.append(0.0, extra[DELTA_CONJUGATED])
+        left = solve({kind: [cells] for kind, cells in _by_kind(coarse).items()}, extra)
+        coarse_slope = _solved_at(solved, coarse, 0)
+        held = np.array([x for x in checks if (_kind(x), x) in solved])
+        lattice_err = _miss(coarse, coarse_slope, solved, held)
+        if (DELTA_CONJUGATED, 0.0) in solved:
+            lattice_err = max(lattice_err, kind_gap())
+        if lattice_err <= LATTICE_TOLERANCE:
+            # the cells left over, and the midpoints beside the peaks of
+            # the half lattice's every-other-node miss profile: one batch
+            # per kind when they fit
+            peaks = np.setdiff1d(_peak_midpoints(fine, coarse, coarse_slope), checks)
+            checks = np.union1d(checks, peaks)
+            peaks = _by_kind(peaks)
+            solve({kind: [np.concatenate([left[kind], peaks[kind]])] for kind in left})
+            lattice_err = max(_miss(coarse, coarse_slope, solved, checks), kind_gap())
+        nodes = coarse
+        if lattice_err > LATTICE_TOLERANCE:
+            # the rest of the lattice, grouped by its neighbours' sweeps
+            solve({kind: _by_sweeps(cells, fine, solved) for kind, cells in unsolved(fine).items()})
+            nodes = fine
+            lattice_err = max(_halving_miss(fine, _solved_at(solved, fine, 0)), kind_gap())
+
+    # the cells in x_H order, the Triangular cell at x_H = 0 first
+    keys = sorted(solved, key=lambda key: (key[1], key[0] == DELTA_CONJUGATED))
+    rows = [solved[key] for key in keys]
+    dx12 = np.array([row[0] for row in rows])
     cells = {
-        "x_H": nodes,
-        "t": np.full(n_cells, float(t)),
-        "kind": np.empty(n_cells, dtype=object),
-        "iterations": np.zeros(n_cells, dtype=int),
-        "residual": np.zeros(n_cells),
+        "x_H": np.array([x for _, x in keys]),
+        "t": np.full(len(keys), float(t)),
+        "kind": np.array([kind for kind, _ in keys], dtype=object),
+        "iterations": np.array([row[2] for row in rows], dtype=int),
+        "residual": np.array([row[3] for row in rows]),
+        # hypot rounds as abs() of a complex scalar does; np.abs of an
+        # array can differ from it in the last bit
+        "abs_dx_m1_12": np.hypot(dx12.real, dx12.imag),
     }
 
-    batch = max(1, BATCH_SAMPLES // zgrid.point_count)
-    offset = 0
-    for kind, part in ((TRIANGULAR, neg), (DELTA_CONJUGATED, pos)):
-        for block in np.array_split(part, max(1, int(np.ceil(part.size / batch)))):
-            if block.size == 0:
-                continue
-            out = _solve_cells(kind, rv, zgrid, block, Delta, d1)
-            sl = slice(offset, offset + block.size)
-            m11[sl] = out["m11"]
-            dx12[sl] = out["slope"]
-            cells["kind"][sl] = kind
-            cells["iterations"][sl] = out["cell_iterations"]
-            cells["residual"][sl] = out["residual"]
-            offset += block.size
-            # free this batch's (B, N) arrays before the next batch builds its own
-            del out
-    # hypot rounds as abs() of a complex scalar does; np.abs of an array
-    # can differ from it in the last bit
-    cells["abs_dx_m1_12"] = np.hypot(dx12.real, dx12.imag)
-
-    slope, m1_11, lattice_err = dx12, m11, 0.0
+    slope, m1_11 = _solved_at(solved, nodes, 0), _solved_at(solved, nodes, 1)
     if nodes is not sweep:
         # the end nodes cover the sweep only to rounding; the interpolant
         # is 0 beyond
         inside = np.clip(sweep, nodes[0], nodes[-1])
-        slope, m1_11 = _lagrange_interpolant(nodes, np.stack([dx12, m11], axis=1))(inside).T
-        lattice_err = _halving_miss(nodes, dx12)
+        slope, m1_11 = _lagrange_interpolant(nodes, np.stack([slope, m1_11], axis=1))(inside).T
 
     q_H = qh_from_slope(slope)
 
@@ -357,9 +510,10 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
         "epsilon_vs_E1": abs(float(eps[-1]) - e1),
         "resample_error_estimate": interp_err,
         "lattice_error_estimate": lattice_err,
+        "kind_gap": kind_gap(),
     }
     return ReconstructionResult(
-        xgrid=xgrid, q=q, x_H=sweep, slope=slope, q_H=q_H,
+        xgrid=xgrid, q=q, x_H=sweep, nodes=nodes, slope=slope, q_H=q_H,
         m1_11=m1_11, epsilon=eps, x_explicit=x_exp, q_explicit=q_explicit,
         cells=cells, diagnostics=diagnostics,
     )

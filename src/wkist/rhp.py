@@ -119,23 +119,41 @@ def _inv_z(zgrid: SpectralGrid) -> np.ndarray:
 def _phases(x_H, iz):
     """e^{2 i theta}, theta = x_H / z, as a (B, N) array, rows in the order of ``x_H``.
 
-    ``iz`` is 1/z, 0 at z = 0.  When the x_H are equally spaced to a few
-    ulps, as the lattice cells of the inverse are, only the first row
-    takes ``np.exp``: each later row is the previous one times
-    e^{2 i dx / z}, one complex product per sample instead of a cosine
-    and a sine.  The rows then match ``np.exp(2j * theta)`` to the
-    rounding of theta.
+    ``iz`` is 1/z, 0 at z = 0.  In a run of three or more consecutive
+    rows equally spaced to a few ulps, as the lattice waves of the
+    inverse are, only the first row takes ``np.exp``: each later row is
+    the previous one times e^{2 i dx / z}, one complex product per sample
+    instead of a cosine and a sine.  The rows then match
+    ``np.exp(2j * theta)`` to the rounding of theta.  Every other row
+    takes ``np.exp``.
     """
     b = len(x_H)
-    step = (x_H[-1] - x_H[0]) / max(b - 1, 1)
-    spread = np.max(np.abs(x_H - (x_H[0] + step * np.arange(b))))
-    if b == 1 or spread > 4 * np.finfo(float).eps * np.max(np.abs(x_H)):
-        return np.exp(2j * (x_H[:, None] * iz))
+    spread = 4 * np.finfo(float).eps * np.max(np.abs(x_H), initial=0.0)
+    runs = []
+    start = 0
+    while start < b - 2:
+        # the longest run from ``start`` whose gaps match its first to a millionth
+        gap = x_H[start + 1] - x_H[start]
+        stop = start + 2
+        while stop < b and abs(x_H[stop] - x_H[stop - 1] - gap) <= 1e-6 * abs(gap):
+            stop += 1
+        if stop - start < 3:
+            start += 1
+            continue
+        step = (x_H[stop - 1] - x_H[start]) / (stop - start - 1)
+        even = x_H[start] + step * np.arange(stop - start)
+        if np.max(np.abs(x_H[start:stop] - even)) <= spread:
+            runs.append((start, stop, step))
+        start = stop
+    exact = np.ones(b, dtype=bool)
+    for start, stop, _ in runs:
+        exact[start + 1:stop] = False
     e2 = np.empty((b, iz.size), dtype=complex)
-    e2[0] = np.exp(2j * (x_H[0] * iz))
-    factor = np.exp((2j * step) * iz)
-    for k in range(1, b):
-        np.multiply(e2[k - 1], factor, out=e2[k])
+    e2[exact] = np.exp(2j * (x_H[exact, None] * iz))
+    for start, stop, step in runs:
+        factor = np.exp((2j * step) * iz)
+        for k in range(start + 1, stop):
+            np.multiply(e2[k - 1], factor, out=e2[k])
     return e2
 
 

@@ -72,6 +72,10 @@ class SolitonParams:
     def __post_init__(self):
         check_number("xi", self.xi)
         check_number("eta", self.eta, 0.0, strict=True)
+        # xi^2 + eta^2 scales every amplitude and phase, and must be a float
+        if np.hypot(self.xi, self.eta) > np.sqrt(np.finfo(float).max):
+            raise InvalidArgumentError(
+                f"xi^2 + eta^2 overflows at xi = {self.xi:g}, eta = {self.eta:g}")
 
     @property
     def bursting(self) -> bool:

@@ -214,6 +214,36 @@ def test_non_finite_shape_parameter_exits_2(tmp_path, capsys, pipeline, flags):
     assert error["message"].startswith(flags[0].lstrip("-").split("=")[0] + " must be")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pipeline, flags, message", [
+    ("soliton", ["--xi", "1e300", "--eta", "1"], "xi^2 + eta^2 overflows"),
+    ("forward", ["--L", "1e300"], "width 1 is below the grid spacing"),
+    ("forward", ["--width", "1e-300"], "width 1e-300 is below the grid spacing"),
+], ids=["soliton-huge-xi", "forward-huge-box", "forward-tiny-width"])
+def test_parameters_out_of_the_grid_or_float_range_exit_2(tmp_path, capsys, pipeline, flags,
+                                                           message):
+    # a soliton whose xi^2 overflowed, and a profile a box of 1e300 samples
+    # once per 1e297, exited 1; a profile narrower than a cell is not sampled
+    out = tmp_path / "o"
+    code = main([pipeline, "--outdir", str(out), "--N", "256"] + flags)
+    assert code == 2
+    assert "invalid-argument" in capsys.readouterr().err
+    error = json.loads((out / "error.json").read_text())
+    assert error["kind"] == "invalid-argument"
+    assert error["message"].startswith(message)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_non_finite_jost_march_exits_4(tmp_path, capsys):
+    # on a box of half-width 1e-300 the march overflows: a numerical
+    # failure, not samples refused as non-finite, and no warning escapes
+    out = tmp_path / "o"
+    code = main(["forward", "--outdir", str(out), "--N", "256", "--N-z", "512", "--L", "1e-300"])
+    assert code == 4
+    assert "numerical-error" in capsys.readouterr().err
+    assert json.loads((out / "error.json").read_text())["kind"] == "numerical-error"
+
+
 def test_window_without_two_sweep_cells_exits_2(tmp_path, capsys):
     # a window holding one grid point leaves no sweep to integrate
     out = tmp_path / "o"

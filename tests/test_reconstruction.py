@@ -32,6 +32,7 @@ from wkist.soliton import (
     soliton_slope,
 )
 
+from rhp_cells import cell_solve
 from soliton_moments import soliton_m1_entries
 
 SOLITON = SolitonParams(3.0, 1.0)
@@ -239,8 +240,9 @@ def _stride5():
 
 def test_inverse_transform_sizes_cell_batches_to_the_grid(monkeypatch):
     # every batch holds at most BATCH_SAMPLES spectral samples, so its
-    # arrays stay cache-sized, and equally spaced lattice nodes, so its
-    # phases take the recurrence; 1-cell batches give the same results
+    # arrays stay cache-sized, and its lattice nodes are one wave, every
+    # other node of the lattice, equally spaced, so its phases take the
+    # recurrence; 1-cell batches give the same results
     grid, sd = _stride5()
     jump = wkist.reconstruction._jump_entries
     blocks = []
@@ -252,30 +254,37 @@ def test_inverse_transform_sizes_cell_batches_to_the_grid(monkeypatch):
 
     monkeypatch.setattr(wkist.reconstruction, "_jump_entries", recording)
     rec = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
-    nodes = rec.cells["x_H"]
     assert all(shape == (x.size, 1024) for x, shape in blocks)
-    assert all(1 < x.size and x.size * 1024 <= 2**15 for x, _ in blocks)
-    assert sum(x.size for x, _ in blocks) == nodes.size < rec.x_H.size
-    assert np.array_equal(np.concatenate([x for x, _ in blocks]), nodes)
+    assert all(x.size * 1024 <= 2**15 for x, _ in blocks)
+    solved = np.concatenate([x for x, _ in blocks])
+    assert solved.size == rec.cells["x_H"].size < rec.x_H.size
+    assert np.array_equal(np.sort(solved), rec.cells["x_H"])
+    h_H = 5 * grid.spacing
     for x, _ in blocks:
-        assert np.max(np.abs(np.diff(x) - 5 * grid.spacing)) < 1e-12
+        j = x / h_H
+        inner = (np.abs(j - np.rint(j)) < 1e-9) & (np.abs(j) < 29)
+        for parity in (0, 1):
+            wave = np.sort(j[inner & (np.rint(j) % 2 == parity)])
+            assert np.all(np.abs(np.diff(wave) - 2.0) < 1e-9)
 
     blocks.clear()
     monkeypatch.setattr(wkist.reconstruction, "BATCH_SAMPLES", 1)
     single = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
     assert {x.size for x, _ in blocks} == {1}
+    assert np.array_equal(single.nodes, rec.nodes)
     for name in ("slope", "m1_11"):
         assert np.max(np.abs(getattr(rec, name) - getattr(single, name))) < 1e-12
     assert np.max(np.abs(rec.q.values - single.q.values)) < 1e-12
 
 
 def test_lattice_matches_the_full_sweep(monkeypatch):
-    # the interpolant from every fifth cell against a solve at every sweep cell
+    # the interpolant from the refined lattice, every fifth cell, against a
+    # solve at every sweep cell
     grid, sd = _stride5()
     rec = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
     monkeypatch.setattr(wkist.reconstruction, "LATTICE_PHASE_STEP", 0.0)
     full = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
-    assert np.array_equal(full.cells["x_H"], full.x_H)
+    assert np.array_equal(full.nodes, full.x_H)
     assert full.diagnostics["lattice_error_estimate"] == 0.0
     slope_gap = np.max(np.abs(rec.slope - full.slope))
     assert slope_gap < 5e-7
@@ -285,31 +294,86 @@ def test_lattice_matches_the_full_sweep(monkeypatch):
     assert slope_gap < rec.diagnostics["lattice_error_estimate"] < 1e-5
 
 
+def _accepted():
+    # h = 1/32 and h_H = 3 h on the N_z = 2048 band of window 4.5, where
+    # the half lattice, every sixth cell, meets LATTICE_TOLERANCE
+    grid = make_spatial_grid(16.0, 1024)
+    p = make_potential(grid, lambda x: 0.05 * np.exp(-(x**2)))
+    z_min = suggest_z_min(40.0, 2048, window=4.5)
+    return grid, reflection_coefficient(p, make_spectral_grid(40.0, 2048, z_min=z_min))
+
+
+def test_an_accepted_half_lattice_estimate_bounds_the_full_sweep(monkeypatch):
+    grid, sd = _accepted()
+    rec = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
+    h_H = 3 * grid.spacing
+    assert np.max(np.abs(np.diff(rec.nodes) - 2 * h_H)) < 1e-12 and 0.0 in rec.nodes
+    monkeypatch.setattr(wkist.reconstruction, "LATTICE_PHASE_STEP", 0.0)
+    full = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
+    slope_gap = np.max(np.abs(rec.slope - full.slope))
+    estimate = rec.diagnostics["lattice_error_estimate"]
+    assert slope_gap <= estimate <= wkist.reconstruction.LATTICE_TOLERANCE
+    assert estimate >= rec.diagnostics["kind_gap"]
+
+
+def test_a_missed_check_refines_to_the_hodograph_lattice():
+    grid, sd = _stride5()
+    rec = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
+    z_near = np.min(np.abs(sd.zgrid.points[sd.active]))
+    assert np.array_equal(rec.nodes, _hodograph_lattice(rec.x_H, grid.spacing, z_near))
+    assert rec.diagnostics["lattice_error_estimate"] > wkist.reconstruction.LATTICE_TOLERANCE
+
+
+def test_kind_gap_is_the_slope_gap_of_the_kinds_at_x_H_zero():
+    # criterion 5's gap, from one solve of each kind at x_H = 0
+    grid, sd = _stride5()
+    rec = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
+    tri, dc = (cell_solve(sd.r, sd.zgrid, kind, [0.0]) for kind in (TRIANGULAR, DELTA_CONJUGATED))
+    gap = abs(tri["slope"][0] - dc["slope"][0])
+    assert rec.diagnostics["kind_gap"] == pytest.approx(gap, rel=1e-6)
+
+
+def test_cells_hold_every_solve_and_the_worst_residual():
+    # the cells are every solved cell, x_H = 0 once in each kind; the
+    # worst residual is over all of them
+    grid, sd = _accepted()
+    rec = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
+    x_H, kinds = rec.cells["x_H"], rec.cells["kind"]
+    assert np.all(np.diff(x_H) >= 0.0) and not set(rec.nodes) - set(x_H)
+    assert list(kinds[x_H == 0.0]) == [TRIANGULAR, DELTA_CONJUGATED]
+    # the check cells besides
+    assert x_H.size > rec.nodes.size + 1
+    assert rec.diagnostics["worst_residual"] == rec.cells["residual"].max()
+
+
 def test_lattice_keeps_x_H_zero_a_node_between_the_kinds():
     grid, sd = _stride5()
     rec = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
-    nodes, kinds = rec.cells["x_H"], rec.cells["kind"]
+    nodes, x_H, kinds = rec.nodes, rec.cells["x_H"], rec.cells["kind"]
     h_H = 5 * grid.spacing
     assert 0.0 in nodes
     assert np.max(np.abs(np.diff(nodes) - h_H)) < 1e-12
     # the nodes cover the sweep, overhanging it by less than one spacing
     assert 0.0 <= rec.x_H[0] - nodes[0] < h_H and 0.0 <= nodes[-1] - rec.x_H[-1] < h_H
-    assert np.all(kinds[nodes <= 0.0] == TRIANGULAR)
-    assert np.all(kinds[nodes > 0.0] == DELTA_CONJUGATED)
+    assert np.all(kinds[x_H < 0.0] == TRIANGULAR)
+    assert np.all(kinds[x_H > 0.0] == DELTA_CONJUGATED)
 
 
 def test_lattice_of_five_nodes_estimates_by_the_parabola_miss():
-    # nodes -2..2 h_H, the sweep ends -10 h and 10 h: every other node is
-    # three, so the estimate is the parabola's miss at the dropped two (the
-    # floor admits the undecayed ends of so small a window)
+    # nodes -2..2 h_H, the sweep ends -10 h and 10 h: the half lattice of
+    # three nodes misses its checks, so the run refines, and every other
+    # node is three, so the estimate is the parabola's miss at the dropped
+    # two (the floor admits the undecayed ends of so small a window)
     grid, sd = _stride5()
     rec = inverse_transform(sd, 0.0, grid, window=0.32, decay_floor=1.0)
-    nodes = rec.cells["x_H"]
+    nodes = rec.nodes
     assert nodes.size == 5 and nodes[2] == 0.0
     # every node is a sweep cell, where the interpolant takes the node's slope
     assert np.array_equal(rec.x_H[::5], nodes)
     slope = rec.slope[::5]
-    assert np.array_equal(np.hypot(slope.real, slope.imag), rec.cells["abs_dx_m1_12"])
+    triangular = rec.cells["kind"] == TRIANGULAR
+    at_nodes = np.isin(rec.cells["x_H"], nodes) & (triangular | (rec.cells["x_H"] > 0.0))
+    assert np.array_equal(np.hypot(slope.real, slope.imag), rec.cells["abs_dx_m1_12"][at_nodes])
     miss = _polynomial_through(nodes[::2], slope[::2], nodes[1::2]) - slope[1::2]
     assert 0.0 < np.max(np.abs(miss)) < np.max(np.abs(slope[1::2]))
     assert rec.diagnostics["lattice_error_estimate"] == pytest.approx(np.max(np.abs(miss)),

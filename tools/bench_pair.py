@@ -15,9 +15,10 @@ process runs with ``OMP_NUM_THREADS=1``.
 
 The file holds, per workload, seed and side, every end-to-end value, its
 median and quartiles, and the number of pairs in which the change's
-``op_s`` is lower; per workload and side, the traced
-``direct_scattering.propagate_s``, ``direct_scattering.magnus_steps`` and
-``trace.missing_wrappers``.
+``op_s`` is lower; per workload and side, the traced metrics in
+``TRACED``: the forward's propagation time and Magnus steps, the
+inverse's RHP cells, Neumann sweeps and solve time, the Cauchy kernel
+calls, FFT points and time, and ``trace.missing_wrappers``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from pathlib import Path
 WORKLOADS = ("forward-scan", "roundtrip-default", "roundtrip-coarse-sweep")
 END_TO_END = ("setup_s", "op_s", "sup_error", "route_gap_q", "peak_rss_mb")
 TRACED = ("direct_scattering.propagate_s", "direct_scattering.magnus_steps",
+          "rhp.cells", "rhp.iterations_mu", "rhp.neumann_mu_s",
+          "lattice.cauchy_calls", "lattice.fft_points", "lattice.cauchy_s",
           "trace.missing_wrappers", "failed_fraction")
 ENV = {**os.environ, "OMP_NUM_THREADS": "1"}
 
