@@ -21,14 +21,22 @@ which must hold at least two of its points; outside the window the
 potential is below the decay floor and is extended by zero.  The RHP is
 not solved at every sweep cell: m^(1) and the slope depend on x_H only
 through e^{2 i x_H / z} on the active band |z| >= z_min, so they are
-band-limited to 2 lambda_max = 2 / min |z|, and step 1 runs on a uniform
-hodograph lattice of spacing h_H = stride * h, the largest multiple of
-the grid spacing h with 2 lambda_max h_H <= ``LATTICE_PHASE_STEP``, ten
-nodes per shortest period, and the slope and m^(1)_11 are carried onto
-the sweep; steps 2 and 3 run on the sweep.  Both the lattice and the
-resampling are interpolated by the ten-point Lagrange stencil
-(``lattice._lagrange_interpolant``), and both estimate their error as
-its miss at every other node (``_halving_miss``).
+band-limited to 2 lambda_max = 2 / min |z|.  The hodograph lattice has
+spacing h_H = stride * h, the largest multiple of the grid spacing h
+with 2 lambda_max h_H <= ``LATTICE_PHASE_STEP``, ten nodes per shortest
+period.  Step 1 runs first on its half lattice, every other node from
+x_H = 0 (five per period) and both end nodes, and on check cells: the
+lattice midpoints flanking x_H = 0, the points of the two end intervals
+where the one-sided stencil's node polynomial peaks, and the midpoints
+beside the peak, on each side of x_H = 0, of the half lattice's own
+every-other-node miss profile.  x_H = 0 is solved in both factorization
+kinds, and the gap of their slopes is ``kind_gap``.  When the
+interpolant from the half lattice misses its check cells, and the kinds
+differ, by at most ``LATTICE_TOLERANCE``, the slope and m^(1)_11 are
+carried onto the sweep from the half lattice; otherwise the rest of the
+lattice is solved and they are carried from all of it.  Steps 2 and 3
+run on the sweep.  Both the lattice and the resampling are interpolated
+by the ten-point Lagrange stencil (``lattice._lagrange_interpolant``).
 """
 
 from __future__ import annotations
@@ -246,12 +254,12 @@ def _by_kind(x_H) -> dict:
     return {TRIANGULAR: x_H[x_H <= 0.0], DELTA_CONJUGATED: x_H[x_H > 0.0][::-1]}
 
 
-def _fill(groups, extra: np.ndarray, size: int):
-    """Batches of at most ``size`` cells: each group of cells in runs of
-    ``size`` from its start, whose free rows take the ``extra`` cells, each
-    in the batch of the nearest span that has room.  Returns the batches
-    and the extra cells left over."""
-    blocks = [group[k:k + size] for group in groups for k in range(0, group.size, size)]
+def _fill(wave: np.ndarray, extra: np.ndarray, size: int):
+    """``wave`` split evenly into as few batches of at most ``size`` cells
+    as hold it, whose free rows take the ``extra`` cells, each in the
+    batch of the nearest span that has room.  Returns the batches and the
+    extra cells left over."""
+    blocks = np.array_split(wave, -(-wave.size // size)) if wave.size else []
     rows = [list(block) for block in blocks]
     left = []
     for x in extra:
@@ -265,15 +273,15 @@ def _fill(groups, extra: np.ndarray, size: int):
 
 
 def _solve_waves(solved: dict, waves: dict, extra: dict, size: int, rv, zgrid, Delta, d1) -> dict:
-    """Solve each kind's groups of cells in ``_fill``'s batches, with that kind's ``extra`` cells.
+    """Solve each kind's wave in ``_fill``'s batches, with that kind's ``extra`` cells.
 
     Each cell's slope, m^(1)_11, sweep count and residual go into
     ``solved`` under (kind, x_H).  Returns the extra cells left over, per
     kind.
     """
     left = {}
-    for kind, groups in waves.items():
-        batches, left[kind] = _fill([np.asarray(group, dtype=float) for group in groups],
+    for kind, wave in waves.items():
+        batches, left[kind] = _fill(np.asarray(wave, dtype=float),
                                     np.asarray(extra.get(kind, ()), dtype=float), size)
         for block in batches:
             out = _solve_cells(kind, rv, zgrid, block, Delta, d1)
@@ -285,15 +293,15 @@ def _solve_waves(solved: dict, waves: dict, extra: dict, size: int, rv, zgrid, D
     return left
 
 
-def _by_sweeps(wave: np.ndarray, fine: np.ndarray, solved: dict) -> list:
-    """``wave``, nodes of ``fine``, in groups by the most sweeps a solved
-    neighbour took, so that a batch does not hold cells that converge in
-    fewer sweeps than its slowest one."""
+def _in_sweep_order(wave: np.ndarray, fine: np.ndarray, solved: dict) -> np.ndarray:
+    """``wave``, nodes of ``fine``, stably sorted by the most sweeps a
+    solved neighbour took, so that a batch holds cells that converge in
+    about as many sweeps as its slowest one."""
     guess = np.zeros(wave.size, dtype=int)
     for n, k in enumerate(np.searchsorted(fine, wave)):
         for x in fine[max(k - 1, 0):k + 2:2]:
             guess[n] = max(guess[n], solved.get((_kind(x), x), (0, 0, 0))[2])
-    return [wave[guess == g] for g in np.unique(guess)]
+    return wave[np.argsort(guess, kind="stable")]
 
 
 def _solved_at(solved: dict, x_H: np.ndarray, column: int) -> np.ndarray:
@@ -301,13 +309,18 @@ def _solved_at(solved: dict, x_H: np.ndarray, column: int) -> np.ndarray:
     return np.array([solved[_kind(x), x][column] for x in x_H])
 
 
-def _miss(nodes: np.ndarray, slope: np.ndarray, solved: dict, checks: np.ndarray) -> float:
-    """Worst miss of the slope's interpolant through ``nodes`` at solved cells ``checks``."""
+def _carry(nodes: np.ndarray, solved: dict):
+    """``_lagrange_interpolant`` of the (slope, m^(1)_11) columns solved at ``nodes``."""
+    return _lagrange_interpolant(nodes, np.stack([_solved_at(solved, nodes, 0),
+                                                  _solved_at(solved, nodes, 1)], axis=1))
+
+
+def _miss(carry, nodes: np.ndarray, solved: dict, checks: np.ndarray) -> float:
+    """Worst miss of the slope ``carry`` takes through ``nodes`` at solved cells ``checks``."""
     if checks.size == 0:
         return 0.0
     inside = np.clip(checks, nodes[0], nodes[-1])
-    return float(np.max(np.abs(_lagrange_interpolant(nodes, slope)(inside)
-                               - _solved_at(solved, checks, 0))))
+    return float(np.max(np.abs(carry(inside)[:, 0] - _solved_at(solved, checks, 0))))
 
 
 def _check_cells(fine: np.ndarray, coarse: np.ndarray, points) -> np.ndarray:
@@ -321,7 +334,7 @@ def _check_cells(fine: np.ndarray, coarse: np.ndarray, points) -> np.ndarray:
         x = fine[k] if abs(fine[k] - x) <= tol else x
         if not np.any(coarse == x):
             out.append(x)
-    return np.unique(out)
+    return np.array(sorted(set(out)))
 
 
 def _end_peaks(nodes: np.ndarray) -> list:
@@ -349,8 +362,9 @@ def _peak_midpoints(fine: np.ndarray, coarse: np.ndarray, slope: np.ndarray) -> 
     for side in (coarse[dropped] < 0.0, coarse[dropped] > 0.0):
         if side.any():
             k = np.searchsorted(fine, coarse[dropped[side][np.argmax(profile[side])]])
-            beside += [fine[i] for i in (k - 1, k + 1) if 0 <= i < fine.size]
-    return np.setdiff1d(beside, coarse)
+            # the end nodes are half-lattice nodes
+            beside += [fine[i] for i in (k - 1, k + 1) if 0 < i < fine.size - 1]
+    return np.array(beside)
 
 
 def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
@@ -365,19 +379,31 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
     from the edge samples of the jump itself, so it carries the evolution
     factor too.
 
-    The RHP is solved at the nodes of the hodograph lattice
-    (``_hodograph_lattice``), whose spacing the active band sets, and the
-    slope and m^(1)_11 are carried onto the sweep by
-    ``_lagrange_interpolant``; a lattice that is the sweep itself is not
-    interpolated.  ``cells`` has one entry per lattice node, and the
-    diagnostic ``lattice_error_estimate`` is the slope's ``_halving_miss``
-    over the lattice (0 when nothing is interpolated).  Lattice nodes x_H <= 0 use the Triangular
-    factorization; nodes x_H > 0 use the DeltaConjugated one (each keeps
-    its oscillatory entries decaying in the half-plane its projection
-    sees).  Every solve adds the outer band of the jump
+    The RHP is solved on the hodograph lattice (``_hodograph_lattice``),
+    whose spacing the active band sets, in two waves.  The first solves
+    its half lattice, every other node from x_H = 0 and both end nodes,
+    with the DeltaConjugated cell at x_H = 0 and the check cells (module
+    docstring) in the free rows of its batches and, if they do not fit,
+    in one more batch per kind.  ``lattice_error_estimate`` is the
+    larger of the half-lattice interpolant's worst miss at the check
+    cells and ``kind_gap``, the slope gap of the two kinds at x_H = 0.
+    When it is at most ``LATTICE_TOLERANCE`` the slope and m^(1)_11 are
+    carried onto the sweep from the half lattice by
+    ``_lagrange_interpolant``.  Otherwise the second wave solves the
+    rest of the lattice, in batches grouped by the sweeps the solved
+    neighbours took, the estimate becomes the larger of the slope's
+    ``_halving_miss`` over the lattice and ``kind_gap``, and they are
+    carried from the whole lattice.  A lattice that is the sweep itself
+    is solved in one wave and not interpolated (estimate 0).  ``nodes``
+    are the x_H interpolated from; ``cells`` has one entry per solved
+    cell, in x_H order, x_H = 0 once per kind, and ``worst_residual`` is
+    the largest residual over all of them.  Cells x_H <= 0 use the
+    Triangular factorization and cells x_H > 0 the DeltaConjugated one
+    (each keeps its oscillatory entries decaying in the half-plane its
+    projection sees).  Every solve adds the outer band of the jump
     (``_solve_batch``) and stops at ``NEUMANN_TOL``; the slope must stay
-    below 1 - ``SLOPE_MARGIN``.  Cells are solved in even, equally spaced
-    batches of at most max(1, ``BATCH_SAMPLES // N_z``).
+    below 1 - ``SLOPE_MARGIN``.  A batch holds at most
+    max(1, ``BATCH_SAMPLES // N_z``) cells, from the sweep end inward.
 
     The hodograph map is then undone twice: by the quadrature of
     dx = dx_H / <q_H> (``x_from_qh``, the primary route, which gives
@@ -411,7 +437,11 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
     fine = _hodograph_lattice(sweep, xgrid.spacing, z_near)
     Delta = delta_function(GridFunction(zgrid, rv))[2].values
     d1 = _delta_shift(rv, zgrid)
-    size = max(1, BATCH_SAMPLES // zgrid.point_count)
+    # a batch holds no more cells than a batch of the whole lattice's
+    # larger kind, split evenly into batches of BATCH_SAMPLES samples
+    cap = max(1, BATCH_SAMPLES // zgrid.point_count)
+    most = max(part.size for part in _by_kind(fine).values())
+    size = -(-most // -(-most // cap))
     solved = {}
 
     def solve(waves, extra={}):
@@ -430,39 +460,38 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
     if fine is sweep:
         # nothing is interpolated: every sweep cell is solved
         nodes, lattice_err = sweep, 0.0
-        solve({kind: [cells] for kind, cells in unsolved(np.union1d(sweep, [0.0])).items()})
+        solve(unsolved(sweep if np.any(sweep == 0.0) else np.sort(np.append(sweep, 0.0))))
     else:
-        # the half lattice: every other node from x_H = 0, and both end nodes
+        # the half lattice: every other node from x_H = 0, and both end
+        # nodes, with the DeltaConjugated cell at x_H = 0; its check cells
+        # known before any solve, the midpoints flanking x_H = 0 and the
+        # end-interval peaks, fill the free rows of its batches
         zero = np.flatnonzero(fine == 0.0)[0]
         half = (np.arange(fine.size) - zero) % 2 == 0
         half[[0, -1]] = True
         coarse = fine[half]
-        # its check cells known before any solve, the midpoints flanking
-        # x_H = 0 and those of its two end intervals, fill the free rows of
-        # its batches after the DeltaConjugated cell at x_H = 0
         checks = _check_cells(fine, coarse, (fine[zero - 1], fine[zero + 1], *_end_peaks(coarse)))
-        extra = _by_kind(checks)
-        extra[DELTA_CONJUGATED] = np.append(0.0, extra[DELTA_CONJUGATED])
-        left = solve({kind: [cells] for kind, cells in _by_kind(coarse).items()}, extra)
-        coarse_slope = _solved_at(solved, coarse, 0)
+        left = solve(unsolved(coarse), _by_kind(checks))
+        carry = _carry(coarse, solved)
         held = np.array([x for x in checks if (_kind(x), x) in solved])
-        lattice_err = _miss(coarse, coarse_slope, solved, held)
-        if (DELTA_CONJUGATED, 0.0) in solved:
-            lattice_err = max(lattice_err, kind_gap())
+        lattice_err = max(_miss(carry, coarse, solved, held), kind_gap())
         if lattice_err <= LATTICE_TOLERANCE:
-            # the cells left over, and the midpoints beside the peaks of
-            # the half lattice's every-other-node miss profile: one batch
-            # per kind when they fit
-            peaks = np.setdiff1d(_peak_midpoints(fine, coarse, coarse_slope), checks)
-            checks = np.union1d(checks, peaks)
+            # the check cells left over, and the midpoints beside the peaks
+            # of the half lattice's every-other-node miss profile: one
+            # batch per kind when they fit
+            peaks = np.array(sorted(set(_peak_midpoints(fine, coarse,
+                                                        _solved_at(solved, coarse, 0)))
+                                    - set(checks)))
+            checks = np.concatenate([checks, peaks])
             peaks = _by_kind(peaks)
-            solve({kind: [np.concatenate([left[kind], peaks[kind]])] for kind in left})
-            lattice_err = max(_miss(coarse, coarse_slope, solved, checks), kind_gap())
+            solve({kind: np.concatenate([left[kind], peaks[kind]]) for kind in left})
+            lattice_err = max(_miss(carry, coarse, solved, checks), kind_gap())
         nodes = coarse
         if lattice_err > LATTICE_TOLERANCE:
-            # the rest of the lattice, grouped by its neighbours' sweeps
-            solve({kind: _by_sweeps(cells, fine, solved) for kind, cells in unsolved(fine).items()})
-            nodes = fine
+            # the rest of the lattice, in the order of its neighbours' sweeps
+            solve({kind: _in_sweep_order(cells, fine, solved)
+                   for kind, cells in unsolved(fine).items()})
+            nodes, carry = fine, _carry(fine, solved)
             lattice_err = max(_halving_miss(fine, _solved_at(solved, fine, 0)), kind_gap())
 
     # the cells in x_H order, the Triangular cell at x_H = 0 first
@@ -480,12 +509,12 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
         "abs_dx_m1_12": np.hypot(dx12.real, dx12.imag),
     }
 
-    slope, m1_11 = _solved_at(solved, nodes, 0), _solved_at(solved, nodes, 1)
-    if nodes is not sweep:
+    if nodes is sweep:
+        slope, m1_11 = _solved_at(solved, sweep, 0), _solved_at(solved, sweep, 1)
+    else:
         # the end nodes cover the sweep only to rounding; the interpolant
         # is 0 beyond
-        inside = np.clip(sweep, nodes[0], nodes[-1])
-        slope, m1_11 = _lagrange_interpolant(nodes, np.stack([slope, m1_11], axis=1))(inside).T
+        slope, m1_11 = carry(np.clip(sweep, nodes[0], nodes[-1])).T
 
     q_H = qh_from_slope(slope)
 

@@ -129,13 +129,14 @@ def _phases(x_H, iz):
     """
     b = len(x_H)
     spread = 4 * np.finfo(float).eps * np.max(np.abs(x_H), initial=0.0)
+    x = x_H.tolist()
     runs = []
     start = 0
     while start < b - 2:
         # the longest run from ``start`` whose gaps match its first to a millionth
-        gap = x_H[start + 1] - x_H[start]
+        gap = x[start + 1] - x[start]
         stop = start + 2
-        while stop < b and abs(x_H[stop] - x_H[stop - 1] - gap) <= 1e-6 * abs(gap):
+        while stop < b and abs(x[stop] - x[stop - 1] - gap) <= 1e-6 * abs(gap):
             stop += 1
         if stop - start < 3:
             start += 1
@@ -163,8 +164,8 @@ def _jump_entries(kind, r_values, zgrid, x_H, Delta=None):
     The DeltaConjugated kind needs ``Delta`` from :func:`delta_function`.
     The phase is theta = x_H / z, taken as 0 at z = 0; the jump entries
     vanish there because r does (truncation floor).  Time enters only
-    through r itself (``evolve_reflection``).  The phases of an equally
-    spaced batch are built by recurrence (:func:`_phases`).
+    through r itself (``evolve_reflection``).  The phases of the equally
+    spaced runs of a batch are built by recurrence (:func:`_phases`).
     """
     e2 = _phases(np.asarray(x_H, dtype=float), _inv_z(zgrid))
     if kind == TRIANGULAR:

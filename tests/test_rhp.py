@@ -145,6 +145,22 @@ def test_recurrence_phases_match_the_exponential():
     assert u21.tobytes() == np.exp(2j * (block[:, None] * iz)).tobytes()
 
 
+def test_phases_of_runs_broken_by_gaps_and_extra_cells_match_the_exponential():
+    # a wave of the inverse with a gap where a check cell was solved, and
+    # cells of no run after it: each run of three or more equally spaced
+    # cells takes the recurrence from its first row, the rest np.exp
+    zg = make_spectral_grid(40.0, 2048)
+    iz = np.divide(1.0, zg.points, out=np.zeros(2048), where=zg.points != 0)
+    h = 0.1171875
+    block = np.concatenate([-h * np.arange(51, 31, -2), -h * np.arange(27, 1, -2),
+                            [0.0, -5.923, 0.35]])
+    u21, _ = _jump_entries(TRIANGULAR, np.ones(2048), zg, block)
+    assert np.max(np.abs(u21 - np.exp(2j * block[:, None] * iz))) <= 1e-13
+    # the first row of each run, and every row of no run, is np.exp itself
+    exact = [0, 10, 23, 24, 25]
+    assert u21[exact].tobytes() == np.exp(2j * (block[exact, None] * iz)).tobytes()
+
+
 def slope_of(mu11, mu12, u21, u12, zgrid, band=0.0):
     """2i M11(0) M12(0) from row 1 of a solution and the band term at z = 0."""
     m11, m12 = _m0_rows(mu11, mu12, u21, u12, zgrid)
