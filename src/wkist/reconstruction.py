@@ -444,8 +444,8 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
     size = -(-most // -(-most // cap))
     solved = {}
 
-    def solve(waves, extra={}):
-        return _solve_waves(solved, waves, extra, size, rv, zgrid, Delta, d1)
+    def solve(waves, extra=None):
+        return _solve_waves(solved, waves, extra or {}, size, rv, zgrid, Delta, d1)
 
     def kind_gap():
         return float(abs(solved[DELTA_CONJUGATED, 0.0][0] - solved[TRIANGULAR, 0.0][0]))
@@ -458,9 +458,9 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
         return cells
 
     if fine is sweep:
-        # nothing is interpolated: every sweep cell is solved
+        # nothing is interpolated: every sweep cell is solved, and x_H = 0
         nodes, lattice_err = sweep, 0.0
-        solve(unsolved(sweep if np.any(sweep == 0.0) else np.sort(np.append(sweep, 0.0))))
+        solve(unsolved(np.sort(np.append(sweep[sweep != 0.0], 0.0))))
     else:
         # the half lattice: every other node from x_H = 0, and both end
         # nodes, with the DeltaConjugated cell at x_H = 0; its check cells

@@ -255,7 +255,7 @@ def test_inverse_transform_sizes_cell_batches_to_the_grid(monkeypatch):
     monkeypatch.setattr(wkist.reconstruction, "_jump_entries", recording)
     rec = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
     assert all(shape == (x.size, 1024) for x, shape in blocks)
-    assert all(x.size * 1024 <= 2**15 for x, _ in blocks)
+    assert all(1 < x.size and x.size * 1024 <= 2**15 for x, _ in blocks)
     solved = np.concatenate([x for x, _ in blocks])
     assert solved.size == rec.cells["x_H"].size < rec.x_H.size
     assert np.array_equal(np.sort(solved), rec.cells["x_H"])
