@@ -25,11 +25,12 @@ band-limited to 2 lambda_max = 2 / min |z|.  The hodograph lattice has
 spacing h_H = stride * h, the largest multiple of the grid spacing h
 with 2 lambda_max h_H <= ``LATTICE_PHASE_STEP``, ten nodes per shortest
 period.  Step 1 runs first on its half lattice, every other node from
-x_H = 0 (five per period) and both end nodes, and on check cells: the
-lattice midpoints flanking x_H = 0, the points of the two end intervals
-where the one-sided stencil's node polynomial peaks, and the midpoints
-beside the peak, on each side of x_H = 0, of the half lattice's own
-every-other-node miss profile.  x_H = 0 is solved in both factorization
+x_H = 0 (five per period) and both end nodes, and on check cells where
+its interpolant is likeliest to miss: the lattice midpoints flanking
+x_H = 0, where the factorization kind switches; the points of the two
+end intervals where the one-sided stencil's node polynomial peaks; and
+the midpoints beside the peak, on each side of x_H = 0, of the half
+lattice's own every-other-node miss profile.  x_H = 0 is solved in both
 kinds, and the gap of their slopes is ``kind_gap``.  When the
 interpolant from the half lattice misses its check cells, and the kinds
 differ, by at most ``LATTICE_TOLERANCE``, the slope and m^(1)_11 are
@@ -380,30 +381,34 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
     factor too.
 
     The RHP is solved on the hodograph lattice (``_hodograph_lattice``),
-    whose spacing the active band sets, in two waves.  The first solves
-    its half lattice, every other node from x_H = 0 and both end nodes,
-    with the DeltaConjugated cell at x_H = 0 and the check cells (module
-    docstring) in the free rows of its batches and, if they do not fit,
-    in one more batch per kind.  ``lattice_error_estimate`` is the
-    larger of the half-lattice interpolant's worst miss at the check
-    cells and ``kind_gap``, the slope gap of the two kinds at x_H = 0.
-    When it is at most ``LATTICE_TOLERANCE`` the slope and m^(1)_11 are
-    carried onto the sweep from the half lattice by
-    ``_lagrange_interpolant``.  Otherwise the second wave solves the
-    rest of the lattice, in batches grouped by the sweeps the solved
-    neighbours took, the estimate becomes the larger of the slope's
-    ``_halving_miss`` over the lattice and ``kind_gap``, and they are
-    carried from the whole lattice.  A lattice that is the sweep itself
-    is solved in one wave and not interpolated (estimate 0).  ``nodes``
-    are the x_H interpolated from; ``cells`` has one entry per solved
-    cell, in x_H order, x_H = 0 once per kind, and ``worst_residual`` is
-    the largest residual over all of them.  Cells x_H <= 0 use the
-    Triangular factorization and cells x_H > 0 the DeltaConjugated one
-    (each keeps its oscillatory entries decaying in the half-plane its
-    projection sees).  Every solve adds the outer band of the jump
+    whose spacing the active band sets, in up to three waves.  The first
+    solves its half lattice, every other node from x_H = 0 and both end
+    nodes, and the DeltaConjugated cell at x_H = 0, with the midpoints
+    flanking x_H = 0 in the free rows of its batches.  If their miss
+    and ``kind_gap``, the slope gap of the two kinds at x_H = 0, are at
+    most ``LATTICE_TOLERANCE``, the second wave solves the flanking
+    midpoints left over and the other check cells (module docstring),
+    one batch per kind when they fit.  ``lattice_error_estimate`` is then
+    the larger of the half-lattice interpolant's worst miss at the check
+    cells and ``kind_gap``; at most ``LATTICE_TOLERANCE``, the slope and
+    m^(1)_11 are carried onto the sweep from the half lattice by
+    ``_lagrange_interpolant``.  Otherwise the last wave solves the rest
+    of the lattice, ordered by the sweeps its solved neighbours took, the
+    estimate becomes the larger of the slope's ``_halving_miss`` over
+    the lattice and ``kind_gap``, and they are carried from the whole
+    lattice.  A lattice that is the sweep itself is solved in one wave
+    and not interpolated (estimate 0).  ``nodes`` are the x_H
+    interpolated from; ``cells`` has one entry per solved cell, in x_H
+    order, x_H = 0 once per kind, and ``worst_residual`` is the largest
+    residual over all of them.  Cells x_H <= 0 use the Triangular
+    factorization and cells x_H > 0 the DeltaConjugated one (each keeps
+    its oscillatory entries decaying in the half-plane its projection
+    sees).  Every solve adds the outer band of the jump
     (``_solve_batch``) and stops at ``NEUMANN_TOL``; the slope must stay
-    below 1 - ``SLOPE_MARGIN``.  A batch holds at most
-    max(1, ``BATCH_SAMPLES // N_z``) cells, from the sweep end inward.
+    below 1 - ``SLOPE_MARGIN``.  A batch holds no more cells than a batch
+    of the whole lattice's larger kind split evenly into batches of at
+    most max(1, ``BATCH_SAMPLES // N_z``) cells, and each kind's waves
+    run from the sweep end inward.
 
     The hodograph map is then undone twice: by the quadrature of
     dx = dx_H / <q_H> (``x_from_qh``, the primary route, which gives
@@ -463,28 +468,29 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
         solve(unsolved(np.sort(np.append(sweep[sweep != 0.0], 0.0))))
     else:
         # the half lattice: every other node from x_H = 0, and both end
-        # nodes, with the DeltaConjugated cell at x_H = 0; its check cells
-        # known before any solve, the midpoints flanking x_H = 0 and the
-        # end-interval peaks, fill the free rows of its batches
+        # nodes, with the DeltaConjugated cell at x_H = 0; the midpoints
+        # flanking x_H = 0, lattice nodes whichever way the run goes, fill
+        # the free rows of its batches
         zero = np.flatnonzero(fine == 0.0)[0]
         half = (np.arange(fine.size) - zero) % 2 == 0
         half[[0, -1]] = True
         coarse = fine[half]
-        checks = _check_cells(fine, coarse, (fine[zero - 1], fine[zero + 1], *_end_peaks(coarse)))
+        checks = _check_cells(fine, coarse, (fine[zero - 1], fine[zero + 1]))
         left = solve(unsolved(coarse), _by_kind(checks))
         carry = _carry(coarse, solved)
         held = np.array([x for x in checks if (_kind(x), x) in solved])
         lattice_err = max(_miss(carry, coarse, solved, held), kind_gap())
         if lattice_err <= LATTICE_TOLERANCE:
-            # the check cells left over, and the midpoints beside the peaks
-            # of the half lattice's every-other-node miss profile: one
-            # batch per kind when they fit
-            peaks = np.array(sorted(set(_peak_midpoints(fine, coarse,
-                                                        _solved_at(solved, coarse, 0)))
-                                    - set(checks)))
-            checks = np.concatenate([checks, peaks])
-            peaks = _by_kind(peaks)
-            solve({kind: np.concatenate([left[kind], peaks[kind]]) for kind in left})
+            # the flanking midpoints left over, the end-interval peaks and
+            # the midpoints beside the peaks of the half lattice's
+            # every-other-node miss profile: one batch per kind when they fit
+            more = np.array(sorted(set(_check_cells(fine, coarse, _end_peaks(coarse)))
+                                   | set(_peak_midpoints(fine, coarse,
+                                                         _solved_at(solved, coarse, 0)))
+                                   - set(checks)))
+            checks = np.concatenate([checks, more])
+            more = _by_kind(more)
+            solve({kind: np.concatenate([left[kind], more[kind]]) for kind in left})
             lattice_err = max(_miss(carry, coarse, solved, checks), kind_gap())
         nodes = coarse
         if lattice_err > LATTICE_TOLERANCE:
