@@ -87,8 +87,8 @@ def _build_profile(cfg: RunConfig, spacing: float):
                for name in ("amplitude", "center", "momentum"))
     w = check_number("width", cfg.width, 0.0, strict=True)
     if cfg.family != "zero" and w < spacing:
-        # a profile narrower than a grid cell is not sampled, and a box
-        # wider than the float range of its profile would overflow there
+        # a profile narrower than a grid cell is not sampled; on a grid
+        # as coarse as L = 1e300 the profile itself overflows
         raise InvalidArgumentError(
             f"width {w:g} is below the grid spacing {spacing:g}: the grid does not resolve "
             "the profile (raise N or lower L)")
