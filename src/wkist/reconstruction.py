@@ -383,12 +383,13 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
     The RHP is solved on the hodograph lattice (``_hodograph_lattice``),
     whose spacing the active band sets, in up to three waves.  The first
     solves its half lattice, every other node from x_H = 0 and both end
-    nodes, and the DeltaConjugated cell at x_H = 0, with the midpoints
-    flanking x_H = 0 in the free rows of its batches.  If their miss
-    and ``kind_gap``, the slope gap of the two kinds at x_H = 0, are at
-    most ``LATTICE_TOLERANCE``, the second wave solves the flanking
-    midpoints left over and the other check cells (module docstring),
-    one batch per kind when they fit.  ``lattice_error_estimate`` is then
+    nodes, and the DeltaConjugated cell at x_H = 0, with the check cells
+    known before any solve (module docstring: the flanking midpoints and
+    the end-interval points) in the free rows of its batches.  If their
+    miss and ``kind_gap``, the slope gap of the two kinds at x_H = 0, are
+    at most ``LATTICE_TOLERANCE``, the second wave solves the check cells
+    left over and the profile-peak midpoints, one batch per kind when
+    they fit.  ``lattice_error_estimate`` is then
     the larger of the half-lattice interpolant's worst miss at the check
     cells and ``kind_gap``; at most ``LATTICE_TOLERANCE``, the slope and
     m^(1)_11 are carried onto the sweep from the half lattice by
@@ -468,29 +469,28 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
         solve(unsolved(np.sort(np.append(sweep[sweep != 0.0], 0.0))))
     else:
         # the half lattice: every other node from x_H = 0, and both end
-        # nodes, with the DeltaConjugated cell at x_H = 0; the midpoints
-        # flanking x_H = 0, lattice nodes whichever way the run goes, fill
-        # the free rows of its batches
+        # nodes, with the DeltaConjugated cell at x_H = 0; its check cells
+        # known before any solve, the midpoints flanking x_H = 0 and the
+        # end-interval peaks, fill the free rows of its batches
         zero = np.flatnonzero(fine == 0.0)[0]
         half = (np.arange(fine.size) - zero) % 2 == 0
         half[[0, -1]] = True
         coarse = fine[half]
-        checks = _check_cells(fine, coarse, (fine[zero - 1], fine[zero + 1]))
+        checks = _check_cells(fine, coarse, (fine[zero - 1], fine[zero + 1], *_end_peaks(coarse)))
         left = solve(unsolved(coarse), _by_kind(checks))
         carry = _carry(coarse, solved)
         held = np.array([x for x in checks if (_kind(x), x) in solved])
         lattice_err = max(_miss(carry, coarse, solved, held), kind_gap())
         if lattice_err <= LATTICE_TOLERANCE:
-            # the flanking midpoints left over, the end-interval peaks and
-            # the midpoints beside the peaks of the half lattice's
-            # every-other-node miss profile: one batch per kind when they fit
-            more = np.array(sorted(set(_check_cells(fine, coarse, _end_peaks(coarse)))
-                                   | set(_peak_midpoints(fine, coarse,
-                                                         _solved_at(solved, coarse, 0)))
-                                   - set(checks)))
-            checks = np.concatenate([checks, more])
-            more = _by_kind(more)
-            solve({kind: np.concatenate([left[kind], more[kind]]) for kind in left})
+            # the check cells left over, and the midpoints beside the peaks
+            # of the half lattice's every-other-node miss profile: one
+            # batch per kind when they fit
+            peaks = np.array(sorted(set(_peak_midpoints(fine, coarse,
+                                                        _solved_at(solved, coarse, 0)))
+                                    - set(checks)))
+            checks = np.concatenate([checks, peaks])
+            peaks = _by_kind(peaks)
+            solve({kind: np.concatenate([left[kind], peaks[kind]]) for kind in left})
             lattice_err = max(_miss(carry, coarse, solved, checks), kind_gap())
         nodes = coarse
         if lattice_err > LATTICE_TOLERANCE:
