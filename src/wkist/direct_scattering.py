@@ -81,7 +81,7 @@ from .errors import (
     ResolutionExceededError,
     check_number,
 )
-from .lattice import SpectralGrid, _halving_miss, _lagrange_interpolant
+from .lattice import GridFunction, SpectralGrid, _halving_miss, _lagrange_interpolant
 from .lax import Potential, akns_potentials
 
 __all__ = [
@@ -603,9 +603,15 @@ def reflection_coefficient(p: Potential, zgrid: SpectralGrid,
     return ScatteringData(zgrid, r, lam, a, b, 0.0, diagnostics)
 
 
-def evolve_reflection(sd: ScatteringData, t: float) -> ScatteringData:
-    """r(z, t) = r(z) e^{4 i t / z^2}; |r| is unchanged, zeros stay zero."""
+def evolve_reflection(sd, t: float):
+    """r(z, t) = r(z) e^{4 i t / z^2}; |r| is unchanged, zeros stay zero.
+
+    ``sd`` is ScatteringData, or r on the inverse's lam grid as a
+    GridFunction, whose samples take the same factor, e^{4 i t lam^2}.
+    """
     check_number("t", t)
+    if isinstance(sd, GridFunction):
+        return GridFunction(sd.grid, sd.values * np.exp(4j * t * sd.grid.points ** 2))
     z = sd.zgrid.points
     phase = np.ones(len(z), dtype=complex)
     nz = z != 0.0

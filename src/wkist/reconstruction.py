@@ -67,6 +67,8 @@ from .rhp import (
     _moment_rows,
     _solve_batch,
     delta_function,
+    lam_grid,
+    lam_reflection,
 )
 
 __all__ = [
@@ -224,17 +226,17 @@ class ReconstructionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _solve_cells(kind, r, zgrid, x_H, Delta=None, d1=None) -> dict:
+def _solve_cells(kind, r, grid, x_H, Delta=None, d1=None) -> dict:
     """``_solve_batch`` at cells ``x_H`` of one kind, with their jump entries and moments.
 
     Adds "u21", "u12", "m11" (less the delta shift ``d1`` for the
     DeltaConjugated kind, which also needs ``Delta``) and "m12", the
     windowed (1,2) moment.
     """
-    u21, u12 = _jump_entries(kind, r, zgrid, x_H, Delta)
+    u21, u12 = _jump_entries(kind, r, grid, x_H, Delta)
     # row 1 of mu: the only row the moment and the slope read
-    out = _solve_batch(u21, u12, kind, zgrid)
-    m11, m12 = _moment_rows(*out["mu"], u21, u12, zgrid.spacing)
+    out = _solve_batch(u21, u12, kind, grid)
+    m11, m12 = _moment_rows(*out["mu"], u21, u12, grid.spacing)
     if kind == DELTA_CONJUGATED:
         m11 = m11 - d1
     return dict(out, u21=u21, u12=u12, m11=m11, m12=m12)
@@ -273,7 +275,7 @@ def _fill(wave: np.ndarray, extra: np.ndarray, size: int):
     return [np.array(row) for row in rows], np.array(left)
 
 
-def _solve_waves(solved: dict, waves: dict, extra: dict, size: int, rv, zgrid, Delta, d1) -> dict:
+def _solve_waves(solved: dict, waves: dict, extra: dict, size: int, rv, grid, Delta, d1) -> dict:
     """Solve each kind's wave in ``_fill``'s batches, with that kind's ``extra`` cells.
 
     Each cell's slope, m^(1)_11, sweep count and residual go into
@@ -285,7 +287,7 @@ def _solve_waves(solved: dict, waves: dict, extra: dict, size: int, rv, zgrid, D
         batches, left[kind] = _fill(np.asarray(wave, dtype=float),
                                     np.asarray(extra.get(kind, ()), dtype=float), size)
         for block in batches:
-            out = _solve_cells(kind, rv, zgrid, block, Delta, d1)
+            out = _solve_cells(kind, rv, grid, block, Delta, d1)
             for row in zip(block, out["slope"], out["m11"], out["cell_iterations"],
                            out["residual"]):
                 solved[kind, row[0]] = row[1:]
@@ -435,23 +437,25 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
     sweep = xgrid.points[_window_mask(xgrid.points, window)]
     if sweep.size < 2:
         raise InvalidArgumentError("sweep needs at least two cells")
-    sd_t = evolve_reflection(sd, t - sd.time) if t != sd.time else sd
-    zgrid = sd_t.zgrid
-    rv = np.asarray(sd_t.r, dtype=complex)
+    zgrid = sd.zgrid
+    grid = lam_grid(zgrid, xgrid.half_width + window, t)
+    r = GridFunction(grid, lam_reflection(sd.r, zgrid, grid))
+    if t != sd.time:
+        r = evolve_reflection(r, t - sd.time)
+    rv = r.values
 
-    z_near = np.min(np.abs(zgrid.points[sd_t.active]), initial=np.inf)
-    fine = _hodograph_lattice(sweep, xgrid.spacing, z_near)
-    Delta = delta_function(GridFunction(zgrid, rv))[2].values
-    d1 = _delta_shift(rv, zgrid)
+    fine = _hodograph_lattice(sweep, xgrid.spacing, np.min(np.abs(zgrid.points[sd.active])))
+    Delta = delta_function(r)[2].values
+    d1 = _delta_shift(rv, grid)
     # a batch holds no more cells than a batch of the whole lattice's
     # larger kind, split evenly into batches of BATCH_SAMPLES samples
-    cap = max(1, BATCH_SAMPLES // zgrid.point_count)
+    cap = max(1, BATCH_SAMPLES // grid.point_count)
     most = max(part.size for part in _by_kind(fine).values())
     size = -(-most // -(-most // cap))
     solved = {}
 
     def solve(waves, extra=None):
-        return _solve_waves(solved, waves, extra or {}, size, rv, zgrid, Delta, d1)
+        return _solve_waves(solved, waves, extra or {}, size, rv, grid, Delta, d1)
 
     def kind_gap():
         return float(abs(solved[DELTA_CONJUGATED, 0.0][0] - solved[TRIANGULAR, 0.0][0]))

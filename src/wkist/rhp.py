@@ -69,12 +69,15 @@ kernel pass beyond the solve's.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .errors import InvalidArgumentError, RhpUnsolvedError, check_number
-from .lattice import GridFunction, SpectralGrid, _cauchy_plus_batch, _tail_outside
+from .errors import (InvalidArgumentError, ResolutionExceededError, RhpUnsolvedError,
+                     check_number)
+from .lattice import (GridFunction, SpectralGrid, _cauchy_plus_batch, _halving_miss,
+                      _lagrange_interpolant)
 
 __all__ = ["delta_function", "suggest_z_min"]
 
@@ -84,22 +87,120 @@ DENSE_CAP = 1024
 POINTS_PER_PERIOD = 5.0
 # half-width of the x_H window the inverse sweeps, unless a run sets one
 DEFAULT_WINDOW = 6.0
+# nodes of the lam grid per period of its fastest jump mode (``lam_grid``)
+LAM_POINTS_PER_PERIOD = 4.0
+# most points a lam grid may have
+LAM_CAP = 2**16
 
 TRIANGULAR = "Triangular"
 DELTA_CONJUGATED = "DeltaConjugated"
 
 
-def delta_function(r: GridFunction):
-    """delta_+- = exp(C+-[log(1 + |r|^2)]) and Delta = 1/(delta_- delta_+).
+def lam_grid(zgrid: SpectralGrid, extent: float, t: float = 0.0) -> SpectralGrid:
+    """The uniform lam grid [-Lambda, Lambda) the RHP of data on ``zgrid`` is solved on.
 
-    Built from the lattice Cauchy projections, so the boundary relation
-    delta_+ = delta_- (1 + |r|^2) is a direct consequence of the exact
-    Plemelj identity, and |delta_+ delta_-| = 1 because C+ + C- is an
-    imaginary multiplier (a Hilbert transform) on the real integrand.
+    Lambda = 1/(z_near - h_z), z_near the band's smallest |z|: the first
+    z node without data, where ``lam_reflection`` lets r reach zero (at
+    most 2/z_near, for a band that reaches the node next to z = 0).  The
+    jump oscillates in lam no faster than e^{2 i reach lam}: r(lam) like
+    e^{2 i lam x} with |x| <= L, the phase e^{-2 i lam x_H} with |x_H| <=
+    window, and the time factor e^{4 i t lam^2} at most like e^{8 i t
+    Lambda lam}, so reach = ``extent`` + 4 |t| Lambda with ``extent`` = L
+    + window.  N is the smallest power of two (>= 4) that puts
+    ``LAM_POINTS_PER_PERIOD`` nodes on the period pi / reach; lam = 0,
+    node N/2, is where the RHP is normalized.  A grid above ``LAM_CAP``
+    points is refused.
+    """
+    z_near = float(np.min(np.abs(zgrid.points[zgrid.active])))
+    lam_max = 1.0 / max(z_near - zgrid.spacing, z_near / 2.0)
+    reach = extent + 4.0 * abs(t) * lam_max
+    n = 2.0 * lam_max * reach * LAM_POINTS_PER_PERIOD / math.pi
+    if not n <= LAM_CAP:  # also refuses inf and NaN
+        raise ResolutionExceededError(
+            f"the lam grid needs {n:.3g} points (> {LAM_CAP}) to resolve the jump")
+    return SpectralGrid(lam_max, max(4, 1 << math.ceil(math.log2(max(n, 1.0)))))
+
+
+def _roll_off(s):
+    """A C-infinity step from 1 at s <= 0 to 0 at s >= 1."""
+    s = np.clip(s, 0.0, 1.0)
+    f = lambda y: np.exp(-1.0 / np.maximum(y, 1e-300)) * (y > 0.0)
+    return f(1.0 - s) / (f(1.0 - s) + f(s))
+
+
+def lam_reflection(r_values: np.ndarray, zgrid: SpectralGrid, grid: SpectralGrid) -> np.ndarray:
+    """r(lam) = r(z = -1/lam) on the lam ``grid`` of :func:`lam_grid`, from z-grid samples.
+
+    The band's lam = -1/z are crowded toward lam = 0, spaced h_z lam^2,
+    and stop at |lam| = 1/Z; r vanishes at lam = 0 (z = infinity) like
+    -c1 lam.  The band nodes are thinned, on each side outward from lam
+    = 0, to the first node of each interval of ``grid.spacing`` (so that
+    no stencil holds clustered nodes beside the gap), lam = 0 is added
+    with the value 0, and ``_lagrange_interpolant`` carries them onto
+    the grid: every grid point in the gap |lam| < 1/Z has band nodes on
+    both sides of its stencil, so nothing is extrapolated across it.
+
+    Beyond the band's outermost node of a side, r continues the line
+    through its two outermost nodes up to 1/z_min, the band edge, and is
+    rolled off from there to zero at the grid end Lambda, the first z
+    node without data, by a C-infinity step: a cut with a jump there
+    would ring across the whole x_H window, and a solve with one
+    converges only at first order in the grid spacing.
+    """
+    active = zgrid.active
+    lam = -1.0 / zgrid.points[active]
+    values = np.asarray(r_values)[active]
+    nodes, kept = [np.zeros(1)], [np.zeros(1, dtype=complex)]
+    for side in (lam < 0.0, lam > 0.0):
+        order = np.argsort(np.abs(lam[side]))
+        reach = np.abs(lam[side][order])
+        first = np.unique(np.floor((reach - reach[0]) / grid.spacing), return_index=True)[1]
+        nodes.append(lam[side][order][first])
+        kept.append(values[side][order][first])
+    nodes, kept = np.concatenate(nodes), np.concatenate(kept)
+    order = np.argsort(nodes)
+    nodes, kept = nodes[order], kept[order]
+    points = grid.points
+    # the frame of the potential: the centre x_c at which r(lam) e^{-2 i lam x_c}
+    # turns slowest, from the phase steps of neighbouring nodes at most a
+    # grid spacing apart, weighted by |r|^2
+    step = np.diff(nodes)
+    turn = kept[1:] * np.conj(kept[:-1])
+    near = (step <= grid.spacing * (1.0 + 1e-9)) & (nodes[1:] * nodes[:-1] > 0.0)
+    weight = np.abs(turn[near])
+    x_c = 0.0
+    if weight.sum() > 0.0:
+        x_c = float(np.sum(weight * np.angle(turn[near]) / (2.0 * step[near])) / weight.sum())
+    # data that are no potential's need not turn slower in that frame
+    framed = kept * np.exp(-2j * nodes * x_c)
+    if _halving_miss(nodes, framed) > _halving_miss(nodes, kept):
+        x_c, framed = 0.0, kept
+    kept = framed
+    out = _lagrange_interpolant(nodes, kept)(points)
+    edge = 1.0 / max(zgrid.z_min, 1.0 / grid.half_width)
+    for beyond, end in ((points < nodes[0], slice(0, 2)), (points > nodes[-1], slice(-2, None))):
+        (x0, x1), (y0, y1) = nodes[end], kept[end]
+        line = y0 + (y1 - y0) * ((points[beyond] - x0) / (x1 - x0))
+        if edge < grid.half_width:
+            line *= _roll_off((np.abs(points[beyond]) - edge) / (grid.half_width - edge))
+        out[beyond] = line
+    return out * np.exp(2j * points * x_c)
+
+
+def delta_function(r: GridFunction):
+    """delta_+- = exp(C+-[log(1 + |r|^2)] - C[log(1 + |r|^2)](0)) and Delta = 1/(delta_- delta_+).
+
+    On the lam grid, ``r`` vanishing at lam = 0 (z = infinity), where
+    delta is 1.  Built from the lattice Cauchy projections, so the
+    boundary relation delta_+ = delta_- (1 + |r|^2) is a direct
+    consequence of the exact Plemelj identity, and |delta_+ delta_-| = 1
+    because C+ + C- is an imaginary multiplier (a Hilbert transform) on
+    the real integrand, less its value at lam = 0, which is imaginary.
     """
     grid = r.grid
     g = np.log1p(np.abs(np.asarray(r.values)) ** 2).astype(complex)
     cp = _cauchy_plus_batch(g, grid)
+    cp -= cp[grid.point_count // 2]
     cm = cp - g
     delta_plus = np.exp(cp)
     delta_minus = np.exp(cm)
@@ -111,22 +212,17 @@ def delta_function(r: GridFunction):
     )
 
 
-def _inv_z(zgrid: SpectralGrid) -> np.ndarray:
-    z = zgrid.points
-    return np.where(z != 0.0, 1.0 / np.where(z == 0.0, 1.0, z), 0.0)
+def _phases(x_H, lam):
+    """e^{2 i theta}, theta = -x_H lam, as a (B, N) array, rows in the order of ``x_H``.
 
-
-def _phases(x_H, iz):
-    """e^{2 i theta}, theta = x_H / z, as a (B, N) array, rows in the order of ``x_H``.
-
-    ``iz`` is 1/z, 0 at z = 0.  In a run of three or more consecutive
-    rows equally spaced to a few ulps, as the lattice waves of the
-    inverse are, only the first row takes ``np.exp``: each later row is
-    the previous one times e^{2 i dx / z}, one complex product per sample
-    instead of a cosine and a sine.  The rows then match
-    ``np.exp(2j * theta)`` to the rounding of theta.  Every other row
-    takes ``np.exp``.
+    In a run of three or more consecutive rows equally spaced to a few
+    ulps, as the lattice waves of the inverse are, only the first row
+    takes ``np.exp``: each later row is the previous one times
+    e^{-2 i dx lam}, one complex product per sample instead of a cosine
+    and a sine.  The rows then match ``np.exp(2j * theta)`` to the
+    rounding of theta.  Every other row takes ``np.exp``.
     """
+    iz = -lam
     b = len(x_H)
     spread = 4 * np.finfo(float).eps * np.max(np.abs(x_H), initial=0.0)
     x = x_H.tolist()
@@ -158,16 +254,16 @@ def _phases(x_H, iz):
     return e2
 
 
-def _jump_entries(kind, r_values, zgrid, x_H, Delta=None):
+def _jump_entries(kind, r_values, grid, x_H, Delta=None):
     """u21, u12 as (B, N) arrays for a batch of B x_H values, a (B,) array.
 
-    The DeltaConjugated kind needs ``Delta`` from :func:`delta_function`.
-    The phase is theta = x_H / z, taken as 0 at z = 0; the jump entries
-    vanish there because r does (truncation floor).  Time enters only
-    through r itself (``evolve_reflection``).  The phases of the equally
-    spaced runs of a batch are built by recurrence (:func:`_phases`).
+    ``r_values`` are r on the lam ``grid``; the DeltaConjugated kind
+    needs ``Delta`` from :func:`delta_function`.  The phase is theta =
+    -x_H lam; the jump entries vanish at lam = 0 because r does.  Time
+    enters only through r itself.  The phases of the equally spaced runs
+    of a batch are built by recurrence (:func:`_phases`).
     """
-    e2 = _phases(np.asarray(x_H, dtype=float), _inv_z(zgrid))
+    e2 = _phases(np.asarray(x_H, dtype=float), grid.points)
     if kind == TRIANGULAR:
         u21 = r_values * e2
     elif kind == DELTA_CONJUGATED:
@@ -178,13 +274,25 @@ def _jump_entries(kind, r_values, zgrid, x_H, Delta=None):
     return u21, np.conj(u21)
 
 
-def _delta_shift(r_values: np.ndarray, zgrid: SpectralGrid) -> complex:
-    """d1 = (1/2 pi i) int log(1 + |r|^2) ds by the trapezoid rule.
+@functools.lru_cache(maxsize=16)
+def _odd_offsets(n: int) -> np.ndarray:
+    """1/m on the nodes at odd offsets m from lam = 0 (node n/2) of an n-point grid, 0 elsewhere."""
+    m = np.arange(n) - n // 2
+    out = np.where(m % 2 == 1, 1.0 / np.where(m == 0, 1, m), 0.0)
+    out.setflags(write=False)
+    return out
+
+
+def _delta_shift(r_values: np.ndarray, grid: SpectralGrid) -> complex:
+    """d1 = (1/2 pi i) int log(1 + |r|^2) ds, ds = d lam / lam^2, as a sum on the lam grid.
 
     The 1/z coefficient of log delta, by which the DeltaConjugated kind's
-    raw moment is shifted (module docstring).
+    raw moment is shifted (module docstring); the sum is the odd-offset
+    rule of :func:`_moment_rows`.
     """
-    return np.trapezoid(np.log1p(np.abs(r_values) ** 2), dx=zgrid.spacing) / (2j * np.pi)
+    w = _odd_offsets(grid.point_count)
+    log = np.log1p(np.abs(r_values) ** 2)
+    return 2.0 * np.dot(log, w * w) / (grid.spacing * 2j * np.pi)
 
 
 # --------------------------------------------------------------------------
@@ -205,15 +313,18 @@ def _in_w_plus(kind, entry: int) -> bool:
     return (kind == TRIANGULAR) == (entry == 21)
 
 
-def _half_step(x, u, entry, kind, zgrid):
-    """C_w on one column: the projection of x * u for every cell.
+def _half_step(x, u, entry, kind, grid):
+    """C_w on one column: the projection of x * u for every cell, less its value at lam = 0.
 
     ``x`` is (B, N): the column the jump entry ``u`` multiplies, i.e.
     column 2 (X_i2) for the (2,1) entry, giving column 1 of C_w(X), and
     column 1 (X_i1) for the (1,2) entry, giving column 2.  One kernel
-    pass, C- for a w_+ entry and C+ for a w_- entry.
+    pass, C- for a w_+ entry and C+ for a w_- entry; C_z[f](z) =
+    C[f](lam) - C[f](0), and u vanishes at lam = 0, where C+ and C- agree.
     """
-    return _cauchy_plus_batch(x, zgrid, minus=_in_w_plus(kind, entry), weight=u)
+    out = _cauchy_plus_batch(x, grid, minus=_in_w_plus(kind, entry), weight=u)
+    out -= out[..., grid.point_count // 2, None]
+    return out
 
 
 def _l2_residual(e, h):
@@ -222,7 +333,7 @@ def _l2_residual(e, h):
     return np.sqrt(h * np.einsum("...i,...i->...", v, v))
 
 
-def _neumann(u21, u12, rhs1, rhs2, kind, zgrid,
+def _neumann(u21, u12, rhs1, rhs2, kind, grid,
              tol=NEUMANN_TOL, cap=NEUMANN_CAP):
     """Solve (I - C_w) X = rhs by block Gauss-Seidel sweeps, batched.
 
@@ -257,10 +368,10 @@ def _neumann(u21, u12, rhs1, rhs2, kind, zgrid,
     check its residual met ``tol`` at (the sweep count for cells that
     never did).
     """
-    h = zgrid.spacing
+    h = grid.spacing
     # a copy, so the returned columns never alias the caller's right-hand side
     x1 = np.array(rhs1, dtype=complex)
-    x2 = _half_step(x1, u12, 12, kind, zgrid)
+    x2 = _half_step(x1, u12, 12, kind, grid)
     x2 += rhs2
     x = [x1, x2]
     # half-step k updates column c = k % 2 (0: column 1, 1: column 2)
@@ -275,7 +386,7 @@ def _neumann(u21, u12, rhs1, rhs2, kind, zgrid,
         while True:
             c = k % 2
             u, entry, rhs = steps[c]
-            new = _half_step(x[1 - c], u, entry, kind, zgrid)
+            new = _half_step(x[1 - c], u, entry, kind, grid)
             new += rhs
             res = _l2_residual(new - x[c], h)
             sweeps = (k + 1) // 2
@@ -293,14 +404,18 @@ def _neumann(u21, u12, rhs1, rhs2, kind, zgrid,
     return (x[0], x[1]), res, sweeps, res < tol, met
 
 
-def _dense_matrix(u21_row, u12_row, kind, zgrid):
-    n = zgrid.point_count
+def _dense_matrix(u21_row, u12_row, kind, grid):
+    n = grid.point_count
     if n > DENSE_CAP:
         raise RhpUnsolvedError(
-            f"dense reference solve capped at N_z = {DENSE_CAP}, grid has {n}"
+            f"dense reference solve capped at N = {DENSE_CAP}, grid has {n}"
         )
-    KP = _cauchy_plus_batch(np.eye(n, dtype=complex), zgrid).T
-    KM = KP - np.eye(n, dtype=complex)
+    eye = np.eye(n, dtype=complex)
+    KP = _cauchy_plus_batch(eye, grid).T
+    KM = KP - eye
+    # each projection less its value at lam = 0 (``_half_step``)
+    KP -= KP[n // 2]
+    KM -= KM[n // 2]
     S1 = KM if _in_w_plus(kind, 21) else KP
     S2 = KM if _in_w_plus(kind, 12) else KP
     A = np.zeros((2 * n, 2 * n), dtype=complex)
@@ -311,57 +426,49 @@ def _dense_matrix(u21_row, u12_row, kind, zgrid):
     return A
 
 
-def _dense_solve(u21_row, u12_row, rhs_pairs, kind, zgrid):
+def _dense_solve(u21_row, u12_row, rhs_pairs, kind, grid):
     """Direct collocation solve of (I - C_w) X = rhs for one cell.
 
     ``rhs_pairs`` is a list of (rhs_col1, rhs_col2) row right-hand
     sides; both matrix rows share the same 2N x 2N operator.
     """
-    n = zgrid.point_count
-    A = _dense_matrix(u21_row, u12_row, kind, zgrid)
+    n = grid.point_count
+    A = _dense_matrix(u21_row, u12_row, kind, grid)
     B = np.stack([np.concatenate([r1, r2]) for r1, r2 in rhs_pairs], axis=1)
     X = np.linalg.solve(A, B)
     return [(X[:n, j], X[n:, j]) for j in range(X.shape[1])]
 
 
-def _solve_batch(u21, u12, kind, zgrid):
+def _solve_batch(u21, u12, kind, grid):
     """Row 1 of mu and the slope d m^(1)_12/d x_H, with residuals, for (B, N) cells.
 
     The inverse map reads m^(1)_11 and the slope, which are integrals of
     row 1 only, and row 1's equations do not involve row 2; so only row
-    1 is solved, and every kernel pass transforms the B cells.  "mu" is
-    the pair (X11, X12) of (B, N) arrays; "residual" is each cell's exact
-    residual of the returned iterate.  "iterations" is the sweep count of
-    the batch's solve (column-1 updates in the returned iterate),
-    "cell_iterations" the sweep count of the first half-step check at
-    which each cell met ``NEUMANN_TOL``.  A batch in which any cell misses
-    it in ``NEUMANN_CAP`` sweeps raises ``RhpUnsolvedError``, naming how
-    many cells, the kind, the sweep count and the worst residual.
-
-    The grid cuts the jump off at |z| = Z, where r still decays only like
-    c1/z.  The band term ``_tail_outside(u12)``, the Cauchy transform of
-    the fitted tail of u12 beyond the window, is added to the right-hand
-    side, so the solve is of the full-line equation: out there mu ~ I
-    and Delta -> 1, and inside the window the outer part of C+ and C- is
-    the same, so one term serves both kinds.  Only column 2 takes it:
-    column 1's outer term, C(X12 u21), is quadratic in r, since X12 is.
+    1 is solved, with the right-hand side (1, 0), and every kernel pass
+    transforms the B cells.  ``grid`` is the lam grid the jump entries
+    are sampled on.  "mu" is the pair (X11, X12) of (B, N) arrays;
+    "residual" is each cell's exact residual of the returned iterate.
+    "iterations" is the sweep count of the batch's solve (column-1
+    updates in the returned iterate), "cell_iterations" the sweep count
+    of the first half-step check at which each cell met ``NEUMANN_TOL``.
+    A batch in which any cell misses it in ``NEUMANN_CAP`` sweeps raises
+    ``RhpUnsolvedError``, naming how many cells, the kind, the sweep
+    count and the worst residual.
 
     The slope is 2i M11(0) M12(0) (module docstring), from the solved
-    row 1 and, in M12(0), the band term's value at z = 0, which is the
-    outer band's part of the integral.  So a batch makes only its
-    solve's kernel passes: 2 s + 1 or 2 s + 2 for s sweeps (``_neumann``).
+    row 1, so a batch makes only its solve's kernel passes: 2 s + 1 or
+    2 s + 2 for s sweeps (``_neumann``).
     """
-    band = _tail_outside(u12, zgrid)
-    # a read-only broadcast: the sweeps only read the right-hand side
+    # read-only broadcasts: the sweeps only read the right-hand side
     ones = np.broadcast_to(np.complex128(1.0), u21.shape)
-    mu, res, its, ok, met = _neumann(u21, u12, ones, band, kind, zgrid, NEUMANN_TOL, NEUMANN_CAP)
+    zeros = np.broadcast_to(np.complex128(0.0), u21.shape)
+    mu, res, its, ok, met = _neumann(u21, u12, ones, zeros, kind, grid, NEUMANN_TOL, NEUMANN_CAP)
     if not ok.all():
         raise RhpUnsolvedError(
             f"{np.count_nonzero(~ok)} of {ok.size} {kind} cells unsolved after "
             f"{its} sweeps (worst residual {np.max(res):.3e})"
         )
-    m11, m12 = _m0_rows(*mu, u21, u12, zgrid)
-    m12 += band[:, zgrid.point_count // 2]
+    m11, m12 = _m0_rows(*mu, u21, u12, grid)
     return {
         "mu": mu,
         "slope": 2j * (1.0 + m11) * m12,
@@ -371,40 +478,34 @@ def _solve_batch(u21, u12, kind, zgrid):
     }
 
 
-def _trapezoid_dot(x, u):
-    """Trapezoid sum of x u over the trailing axis (unit spacing), without forming x u."""
-    s = np.einsum("...n,...n->...", x, u)
-    s -= 0.5 * (x[..., 0] * u[..., 0] + x[..., -1] * u[..., -1])
-    return s
-
-
 def _moment_rows(x1, x2, u21, u12, h):
-    """-(1/2 pi i) int X (w_+ + w_-) ds per cell, as a column pair.
+    """m^(1) = -(1/2 pi i) int X (w_+ + w_-) ds per cell, as a column pair.
 
-    ``x1``, ``x2`` are the (B, N) columns of the cells' rows; for row i
-    the (i,1) entry integrates X_i2 u21 and the (i,2) entry X_i1 u12.
+    ``x1``, ``x2`` are the (B, N) columns of the cells' rows on a lam
+    grid of spacing ``h``; for row i the (i,1) entry integrates X_i2 u21
+    and the (i,2) entry X_i1 u12.  With ds = d lam / lam^2 the integral
+    is minus the lam-derivative at lam = 0 of the Cauchy integral, which
+    on the sinc grid is the sum over the nodes at odd offsets m from
+    lam = 0 of 2 (X u)_m / (m^2 h) (Stenger 1993; Weideman 1995).
     """
-    pref = -h / (2j * np.pi)
-    return pref * _trapezoid_dot(x2, u21), pref * _trapezoid_dot(x1, u12)
+    w = _odd_offsets(x1.shape[-1])
+    w2 = w * w
+    pref = -2.0 / (h * 2j * np.pi)
+    return pref * np.einsum("...n,...n->...", x2 * w2, u21), pref * np.einsum("...n,...n->...", x1 * w2, u12)
 
 
-def _m0_rows(x1, x2, u21, u12, zgrid):
-    """M(0) - I = (1/2 pi i) int X (w_+ + w_-) ds/s per cell, as a column pair.
+def _m0_rows(x1, x2, u21, u12, grid):
+    """M(z = 0) - I = -C[X (w_+ + w_-)](lam = 0) per cell, as a column pair.
 
-    Shapes as in :func:`_moment_rows`.  The grid [-Z, Z) holds one end
-    node, and the integrand, ~ conj(c1)/s^2 out there, takes nearly the
-    same value at +-Z; so the trapezoid rule on [-Z, Z] weights every
-    node fully, the -Z node standing in for both ends, and the band term
-    covers |s| > Z.  (Half weights at both ends, right for the odd 1/s
-    integrand of :func:`_moment_rows`, would drop the cell [Z - h, Z].)
-    The node z = 0, where the jump vanishes, drops out; it is not read
-    off a kernel pass, whose value there sees only the nodes at odd
-    offsets.
+    Shapes as in :func:`_moment_rows`.  z = 0 is lam = infinity, where
+    the lam-plane Cauchy integral vanishes, so M(z = 0) - I is minus its
+    value at lam = 0: the kernel's own value there, (1/2 pi i) times the
+    sum over the nodes at odd offsets m of 2 (X u)_m / m, which no
+    kernel pass is spent on.
     """
-    iz = _inv_z(zgrid)
-    pref = zgrid.spacing / (2j * np.pi)
-    dot = lambda x, u: np.einsum("...n,...n->...", x * iz, u)
-    return pref * dot(x2, u21), pref * dot(x1, u12)
+    w = _odd_offsets(grid.point_count)
+    pref = -2.0 / (2j * np.pi)
+    return pref * np.einsum("...n,...n->...", x2 * w, u21), pref * np.einsum("...n,...n->...", x1 * w, u12)
 
 
 def _root(x, e, hz, rho, n):

@@ -21,7 +21,6 @@ from wkist.cli import RunConfig, run_compare_pde
 from wkist.direct_scattering import reflection_coefficient
 from wkist.lattice import (
     GridFunction,
-    _tail_outside,
     cauchy_minus,
     cauchy_plus,
     make_spatial_grid,
@@ -38,7 +37,7 @@ from wkist.soliton import (
     soliton_qh,
 )
 from wkist.pde_oracle import evolve
-from rhp_cells import cell_solve, fd_slope_gap
+from rhp_cells import cell_solve, fd_slope_gap, lam_data
 
 
 GAUSSIAN = lambda x: 0.05 * np.exp(-(x**2))
@@ -215,15 +214,15 @@ def test_criterion_10_rhp_solver_agreement(base, capfd):
     sd = reflection_coefficient(p, zgrid)
 
     # row 1 of the inverse's solve against the dense solve of the same
-    # full-line equation: column 2 of its right-hand side is the band
+    # full-line equation on its lam grid, right-hand side (1, 0)
     solver_gap = 0.0
     worst_res = base[2].diagnostics["worst_residual"]
+    grid = lam_data(sd.r, zgrid)[1]
+    ones = np.ones(grid.point_count)
     for x_H, kind in ((-0.4, TRIANGULAR), (0.4, DELTA_CONJUGATED)):
         out = cell_solve(sd.r, zgrid, kind, [x_H])
         worst_res = max(worst_res, out["residual"][0])
-        band = _tail_outside(out["u12"][0], zgrid)
-        [dense] = _dense_solve(out["u21"][0], out["u12"][0],
-                               [(np.ones(zgrid.point_count), band)], kind, zgrid)
+        [dense] = _dense_solve(out["u21"][0], out["u12"][0], [(ones, 0 * ones)], kind, grid)
         for x, d in zip(out["mu"], dense):
             solver_gap = max(solver_gap, float(np.max(np.abs(x[0] - d))))
 

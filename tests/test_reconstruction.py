@@ -23,7 +23,7 @@ from wkist.reconstruction import (
     x_from_m11,
     x_from_qh,
 )
-from wkist.rhp import DELTA_CONJUGATED, TRIANGULAR, suggest_z_min
+from wkist.rhp import DELTA_CONJUGATED, TRIANGULAR, lam_grid, suggest_z_min
 from wkist.soliton import (
     SolitonParams,
     soliton_epsilon,
@@ -245,6 +245,8 @@ def test_inverse_transform_sizes_cell_batches_to_the_grid(monkeypatch):
     # batch solved, so its phases take the recurrence; 1-cell batches give
     # the same results
     grid, sd = _stride5()
+    # the lam grid of this sweep: L + window = 16 + 4.5
+    n = lam_grid(sd.zgrid, 20.5).point_count
     jump = wkist.reconstruction._jump_entries
     blocks = []
 
@@ -255,8 +257,8 @@ def test_inverse_transform_sizes_cell_batches_to_the_grid(monkeypatch):
 
     monkeypatch.setattr(wkist.reconstruction, "_jump_entries", recording)
     rec = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
-    assert all(shape == (x.size, 1024) for x, shape in blocks)
-    assert all(1 < x.size and x.size * 1024 <= 2**15 for x, _ in blocks)
+    assert all(shape == (x.size, n) for x, shape in blocks)
+    assert all(1 < x.size and x.size * n <= 2**15 for x, _ in blocks)
     solved = np.concatenate([x for x, _ in blocks])
     assert solved.size == rec.cells["x_H"].size < rec.x_H.size
     assert np.array_equal(np.sort(solved), rec.cells["x_H"])
@@ -276,16 +278,23 @@ def test_inverse_transform_sizes_cell_batches_to_the_grid(monkeypatch):
     single = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
     assert {x.size for x, _ in blocks} == {1}
     assert np.array_equal(single.nodes, rec.nodes)
-    for name in ("slope", "m1_11"):
-        assert np.max(np.abs(getattr(rec, name) - getattr(single, name))) < 1e-12
+    assert np.max(np.abs(rec.slope - single.slope)) < 1e-12
+    # a cell alone stops at its own first check below NEUMANN_TOL, one in a
+    # batch when the batch's last cell meets it; the moment, a derivative
+    # at lam = 0, reads that residual 25 times larger than the slope does
+    # (2e-12 from a residual of 8e-11)
+    assert np.max(np.abs(rec.m1_11 - single.m1_11)) < 1e-11
     assert np.max(np.abs(rec.q.values - single.q.values)) < 1e-12
 
 
 def test_lattice_matches_the_full_sweep(monkeypatch):
     # the interpolant from the refined lattice, every fifth cell, against a
-    # solve at every sweep cell
+    # solve at every sweep cell; a tolerance of 0 refines on any miss (this
+    # grid's half lattice meets LATTICE_TOLERANCE on the lam solve)
     grid, sd = _stride5()
+    monkeypatch.setattr(wkist.reconstruction, "LATTICE_TOLERANCE", 0.0)
     rec = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
+    assert np.max(np.abs(np.diff(rec.nodes) - 5 * grid.spacing)) < 1e-12
     monkeypatch.setattr(wkist.reconstruction, "LATTICE_PHASE_STEP", 0.0)
     full = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
     assert np.array_equal(full.nodes, full.x_H)
@@ -320,21 +329,41 @@ def test_an_accepted_half_lattice_estimate_bounds_the_full_sweep(monkeypatch):
     assert estimate >= rec.diagnostics["kind_gap"]
 
 
-def test_a_missed_check_refines_to_the_hodograph_lattice():
+def test_a_missed_check_refines_to_the_hodograph_lattice(monkeypatch):
+    # the half lattice misses its checks by 4.97e-7 here: a tolerance of
+    # 1e-7 refines
     grid, sd = _stride5()
+    monkeypatch.setattr(wkist.reconstruction, "LATTICE_TOLERANCE", 1e-7)
     rec = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
     z_near = np.min(np.abs(sd.zgrid.points[sd.active]))
     assert np.array_equal(rec.nodes, _hodograph_lattice(rec.x_H, grid.spacing, z_near))
     assert rec.diagnostics["lattice_error_estimate"] > wkist.reconstruction.LATTICE_TOLERANCE
 
 
-def test_kind_gap_is_the_slope_gap_of_the_kinds_at_x_H_zero():
-    # criterion 5's gap, from one solve of each kind at x_H = 0
+def test_kind_gap_is_the_slope_gap_of_the_kinds_at_x_H_zero(monkeypatch):
+    # criterion 5's gap, from the run's one solve of each kind at x_H = 0.
+    # On the lam grid the kinds agree to 1e-11, the scale of the sweeps'
+    # own tolerance, so the gap is read off the run's own cells rather
+    # than off a second solve that stops after a different sweep count
     grid, sd = _stride5()
+    solve = wkist.reconstruction._solve_cells
+    at_zero = {}
+
+    def recording(kind, r, lgrid, x_H, *args):
+        out = solve(kind, r, lgrid, x_H, *args)
+        at_zero.update({kind: s for x, s in zip(x_H, out["slope"]) if x == 0.0})
+        return out
+
+    monkeypatch.setattr(wkist.reconstruction, "_solve_cells", recording)
     rec = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
-    tri, dc = (cell_solve(sd.r, sd.zgrid, kind, [0.0]) for kind in (TRIANGULAR, DELTA_CONJUGATED))
-    gap = abs(tri["slope"][0] - dc["slope"][0])
+    gap = abs(at_zero[TRIANGULAR] - at_zero[DELTA_CONJUGATED])
     assert rec.diagnostics["kind_gap"] == pytest.approx(gap, rel=1e-6)
+    # and a solve of each kind on its own, on the run's lam grid (L + window
+    # = 16 + 4.5), agrees with the run's to the tolerance
+    n = lam_grid(sd.zgrid, 20.5).point_count
+    tri, dc = (cell_solve(sd.r, sd.zgrid, kind, [0.0], n) for kind in (TRIANGULAR, DELTA_CONJUGATED))
+    assert abs(tri["slope"][0] - at_zero[TRIANGULAR]) < 1e-9
+    assert abs(dc["slope"][0] - at_zero[DELTA_CONJUGATED]) < 1e-9
 
 
 def test_cells_hold_every_solve_and_the_worst_residual():
@@ -350,8 +379,10 @@ def test_cells_hold_every_solve_and_the_worst_residual():
     assert rec.diagnostics["worst_residual"] == rec.cells["residual"].max()
 
 
-def test_lattice_keeps_x_H_zero_a_node_between_the_kinds():
+def test_lattice_keeps_x_H_zero_a_node_between_the_kinds(monkeypatch):
+    # the refined lattice, as a tolerance of 0 forces
     grid, sd = _stride5()
+    monkeypatch.setattr(wkist.reconstruction, "LATTICE_TOLERANCE", 0.0)
     rec = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
     nodes, x_H, kinds = rec.nodes, rec.cells["x_H"], rec.cells["kind"]
     h_H = 5 * grid.spacing
