@@ -49,7 +49,8 @@ from .lax import conserved_E1, make_potential
 from .pde_oracle import DEFAULT_CFL, evolve, step_count
 from .reconstruction import DEFAULT_DECAY_FLOOR, inverse_transform
 from .rhp import DEFAULT_WINDOW, suggest_z_min
-from .soliton import SolitonParams, soliton_epsilon, soliton_peak, soliton_pde_residual, soliton_q
+from .soliton import (SolitonParams, check_resolved, soliton_epsilon, soliton_peak,
+                      soliton_pde_residual, soliton_q)
 
 __all__ = ["RunConfig", "run_forward", "run_evolve", "run_inverse",
            "run_roundtrip", "run_compare_pde", "run_soliton", "main"]
@@ -282,6 +283,7 @@ def run_compare_pde(cfg: RunConfig, outdir: Path) -> dict:
 def run_soliton(cfg: RunConfig, outdir: Path) -> dict:
     params = SolitonParams(xi=cfg.xi, eta=cfg.eta)
     xgrid = make_spatial_grid(cfg.L, cfg.N)
+    check_resolved(params, xgrid)
     q = soliton_q(xgrid.points, cfg.t, params)
     eps = soliton_epsilon(xgrid.points, cfg.t, params)
     gridfunction_to_csv(GridFunction(xgrid, q), outdir / "soliton.csv")

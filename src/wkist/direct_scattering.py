@@ -116,6 +116,8 @@ LAM_STEP_FACTOR = np.pi / 16
 BLOCK_SAMPLES = 8192
 # Smallest min |a| the forward map accepts, unless a run sets its own floor
 DEFAULT_A_FLOOR = 0.5
+# Most nodes the lam lattice may have: each is marched across the whole grid
+LAM_LATTICE_CAP = 2**16
 
 
 @dataclass
@@ -532,11 +534,18 @@ def _lam_lattice(p: Potential, lam: np.ndarray) -> np.ndarray:
 
     The nodes are +-(j + 1/2) dlam, j = 0..J, dlam = ``LAM_STEP_FACTOR`` /
     L, with (J + 1/2) dlam >= max |lam|: symmetric, free of lam = 0, and
-    covering the band, off which the interpolant is zero.
+    covering the band, off which the interpolant is zero.  A lattice of
+    more than ``LAM_LATTICE_CAP`` nodes is refused before it is built.
     """
     step = LAM_STEP_FACTOR / p.grid.half_width
     reach = np.max(np.abs(lam))
-    count = int(np.ceil(reach / step - 0.5)) + 1
+    with np.errstate(over="ignore"):  # a step of 1e-309 overflows the count to inf
+        count = np.ceil(reach / step - 0.5) + 1
+    if not 2 * count <= LAM_LATTICE_CAP:  # also refuses inf and NaN
+        raise ResolutionExceededError(
+            f"the lam lattice needs {2 * count:.3g} nodes (> {LAM_LATTICE_CAP}) to cover the "
+            "band at 16 per period of e^{2 i lam L}; L is too large for this band")
+    count = int(count)
     if (count - 0.5) * step < reach:  # rounding
         count += 1
     half = (np.arange(count) + 0.5) * step

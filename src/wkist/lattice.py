@@ -18,16 +18,19 @@ samples are fitted in (a/(s + i a))^k, whose C+ is the fit itself and
 whose C- is zero (the closed-form-basis idea of Olver, Numer. Math.
 2012), so the windowed kernel misses exactly (B - K+ B) c of the fitted
 tail B c.  The public ``cauchy_plus`` and ``cauchy_minus`` add that
-term to the kernel and meet 6e-9 on ``1/(s +- i)`` at Z = 40; the RHP
-solver adds it to its right-hand side as the outer band of the jump.
+term to the kernel and meet 6e-9 on ``1/(s +- i)`` at Z = 40.  The RHP
+solver needs no tail: it runs the kernel on a uniform lam = -1/z grid,
+where the jump's slow 1/z decay is its smooth vanishing at lam = 0, and
+subtracts the kernel's own value there (``rhp._half_step``).
 
 The package's one interpolant and its one error estimate live here.
 Lagrange interpolation through a stencil of ten nodes
 (``_lagrange_interpolant``) takes any increasing nodes, with barycentric
 weights computed once per stencil.  It carries the forward's lam lattice
-onto the spectral band, the inverse's hodograph lattice onto the sweep,
-and the inverse's q_H from the mapped nodes x(x_H), which are close to
-uniform since dx/dx_H = 1/<q_H>, onto the physical grid.  Its error
+onto the spectral band, the band's samples onto the inverse's lam grid
+(``rhp.lam_reflection``), the inverse's hodograph lattice onto the
+sweep, and the inverse's q_H from the mapped nodes x(x_H), which are
+close to uniform since dx/dx_H = 1/<q_H>, onto the physical grid.  Its error
 estimate is its miss at every other node (``_halving_miss``).
 """
 
@@ -79,12 +82,13 @@ class SpatialGrid(_UniformGrid):
 
 @dataclass
 class SpectralGrid(_UniformGrid):
-    """Uniform grid on [-Z, Z) for the spectral variable z.
+    """Uniform grid on [-Z, Z) for a spectral variable: z, or lam = -1/z.
 
-    ``z_min`` is the truncation floor: jump data is forced to zero for
-    |z| < z_min because the phase x_H/z + 2t/z^2 oscillates faster than
-    the grid can resolve there.  ``padding`` is a class constant, not a
-    setting: the Cauchy kernel transforms the 2N-point circulant
+    On a z grid, ``z_min`` is the truncation floor: the forward map
+    leaves r zero for |z| < z_min, where the phase x_H/z + 2t/z^2
+    oscillates faster than the grid can resolve.  The inverse's lam grid
+    (``rhp.lam_grid``) has no floor.  ``padding`` is a class constant,
+    not a setting: the Cauchy kernel transforms the 2N-point circulant
     embedding of every grid.
     """
 
@@ -208,9 +212,10 @@ def _cauchy_plus_batch(values: np.ndarray, grid: SpectralGrid, minus: bool = Fal
     the bytes of the kernel applied to ``values * weight``.
     On samples that decay inside the window it converges spectrally;
     samples it is not given count as zero, so a 1/s tail outside [-Z, Z)
-    costs O(1/Z), which ``_tail_outside`` supplies.  The solver calls
-    this kernel directly, once per half-step of a Beals-Coifman sweep,
-    with the jump entry as the weight.
+    costs O(1/Z), which ``_tail_outside`` supplies to the public
+    projectors.  The solver calls this kernel directly, once per
+    half-step of a Beals-Coifman sweep on the lam grid, with the jump
+    entry as the weight.
     """
     n = grid.point_count
     values = np.asarray(values)

@@ -2,8 +2,8 @@
 
 The chain per hodograph cell x_H:
 
-1. solve the jump RHP, with the outer band beyond the grid edge taken
-   from the lattice's closed-form tail completion, and read off
+1. solve the jump RHP on the uniform lam = -1/z grid of
+   ``rhp.lam_grid``, which holds the whole jump, and read off
    s(x_H) = d/dx_H m^(1)_{12} = 2i M11(0) M12(0),
 2. undo the stereographic slope:  |q_H|^2 = |s|^2 / (1 - |s|^2),
    q_H = sqrt(1 + |q_H|^2) s,
@@ -20,11 +20,11 @@ The sweep of x_H cells is the physical grid inside a finite window,
 which must hold at least two of its points; outside the window the
 potential is below the decay floor and is extended by zero.  The RHP is
 not solved at every sweep cell: m^(1) and the slope depend on x_H only
-through e^{2 i x_H / z} on the active band |z| >= z_min, so they are
-band-limited to 2 lambda_max = 2 / min |z|.  The hodograph lattice has
-spacing h_H = stride * h, the largest multiple of the grid spacing h
-with 2 lambda_max h_H <= ``LATTICE_PHASE_STEP``, ten nodes per shortest
-period.  Step 1 runs first on its half lattice, every other node from
+through e^{-2 i x_H lam} on the band the forward map leaves, |lam| <=
+lambda_max = 1 / min |z|, so they are band-limited to 2 lambda_max.
+The hodograph lattice has spacing h_H = stride * h, the largest multiple
+of the grid spacing h with 2 lambda_max h_H <= ``LATTICE_PHASE_STEP``,
+ten nodes per shortest period.  Step 1 runs first on its half lattice, every other node from
 x_H = 0 (five per period) and both end nodes, and on check cells where
 its interpolant is likeliest to miss: the lattice midpoints flanking
 x_H = 0, where the factorization kind switches; the points of the two
@@ -85,9 +85,9 @@ SLOPE_MARGIN = 1e-6
 MOMENT_TOLERANCE = 1e-3
 # Largest |q_H| the recovered potential may keep at the sweep-window ends
 DEFAULT_DECAY_FLOOR = 1e-6
-# Spectral samples per batch of cells: a batch's (B, N_z) arrays are 512 KiB
-# and the kernel's padded buffer 1 MiB, inside a per-core L2 cache.  Fastest
-# of 2^13..2^17 on both N_z = 2048 and 4096.
+# Spectral samples per batch of cells: a batch's (B, N) arrays are at most
+# 512 KiB and the kernel's padded buffer 1 MiB, inside a per-core L2 cache.
+# On the lam grid of 256 points every kind's lattice wave fits one batch.
 BATCH_SAMPLES = 2**15
 # Largest phase step 2 lambda_max h_H, in radians, of the fastest jump mode
 # between hodograph lattice nodes: ten nodes per shortest period, one per
@@ -231,7 +231,7 @@ def _solve_cells(kind, r, grid, x_H, Delta=None, d1=None) -> dict:
 
     Adds "u21", "u12", "m11" (less the delta shift ``d1`` for the
     DeltaConjugated kind, which also needs ``Delta``) and "m12", the
-    windowed (1,2) moment.
+    (1,2) moment; ``grid`` is the lam grid ``r`` is sampled on.
     """
     u21, u12 = _jump_entries(kind, r, grid, x_H, Delta)
     # row 1 of mu: the only row the moment and the slope read
@@ -375,12 +375,13 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
                       decay_floor: float = DEFAULT_DECAY_FLOOR) -> ReconstructionResult:
     """Recover q(., t) on xgrid from reflection data.
 
-    The reflection data is evolved to time t first and the jump is then
-    built at time zero -- the evolution factor e^{4 i t / z^2} and the
-    t-part of the phase are the same thing, and composing them twice
-    would double it.  The outer band beyond the grid edge is completed
-    from the edge samples of the jump itself, so it carries the evolution
-    factor too.
+    The RHP is solved on the uniform lam grid of ``rhp.lam_grid``, sized
+    from the band edge, the window and L: r is carried there from the z
+    band samples ``sd.r`` (``rhp.lam_reflection``, so a run from
+    reflection.csv solves the same cells as one in memory), then evolved
+    from ``sd.time`` to t on that grid by e^{4 i t lam^2} and the jump is
+    built at time zero -- the evolution factor and the t-part of the
+    phase are the same thing, and composing them twice would double it.
 
     The RHP is solved on the hodograph lattice (``_hodograph_lattice``),
     whose spacing the active band sets, in up to three waves.  The first
@@ -406,12 +407,11 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
     residual over all of them.  Cells x_H <= 0 use the Triangular
     factorization and cells x_H > 0 the DeltaConjugated one (each keeps
     its oscillatory entries decaying in the half-plane its projection
-    sees).  Every solve adds the outer band of the jump
-    (``_solve_batch``) and stops at ``NEUMANN_TOL``; the slope must stay
+    sees).  Every solve stops at ``NEUMANN_TOL``; the slope must stay
     below 1 - ``SLOPE_MARGIN``.  A batch holds no more cells than a batch
     of the whole lattice's larger kind split evenly into batches of at
-    most max(1, ``BATCH_SAMPLES // N_z``) cells, and each kind's waves
-    run from the sweep end inward.
+    most max(1, ``BATCH_SAMPLES // N``) cells, N the lam grid's points,
+    and each kind's waves run from the sweep end inward.
 
     The hodograph map is then undone twice: by the quadrature of
     dx = dx_H / <q_H> (``x_from_qh``, the primary route, which gives
@@ -421,8 +421,8 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
     the diagnostic ``resample_error_estimate`` is the primary route's.
 
     ``decay_floor`` bounds how large the recovered q_H may be at the
-    sweep-window ends; the reconstruction noise there scales with the
-    spectral quadrature error, so coarse z-grids need a looser floor.
+    sweep-window ends; the reconstruction noise there is set by the band
+    cut at z_min, so coarse z-grids need a looser floor.
 
     The reflection data must vanish off ``sd.active`` (|z| < z_min and
     z = 0), as the forward map leaves it: the slope is read off M(0),
@@ -439,7 +439,7 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
         raise InvalidArgumentError("sweep needs at least two cells")
     zgrid = sd.zgrid
     grid = lam_grid(zgrid, xgrid.half_width + window, t)
-    r = GridFunction(grid, lam_reflection(sd.r, zgrid, grid))
+    r = GridFunction(grid, lam_reflection(sd.r, zgrid, grid, window))
     if t != sd.time:
         r = evolve_reflection(r, t - sd.time)
     rv = r.values

@@ -1,4 +1,4 @@
-"""Jump factorizations and the Beals-Coifman singular integral solve.
+"""Jump factorizations and the Beals-Coifman singular integral solve, in lam = -1/z.
 
 For jump data v = (I - w_-)^{-1} (I + w_+) on the real z line, the
 sectionally analytic solution of the normalized RHP is parameterized by
@@ -7,16 +7,30 @@ mu solving
     mu = I + C+(mu w_-) + C-(mu w_+),
 
 after which the large-z moment m^(1) = lim z (m(z) - I) is an integral
-of mu against the jump data.  Two factorizations of the same jump are
-used, switched on the sign of x_H so that the off-diagonal phases decay
-in the half-plane where each Cauchy projection lives:
+of mu against the jump data.  The equation is posed in lam = -1/z,
+which maps each half-plane onto itself and z = infinity, where the RHP
+is normalized, onto the interior point lam = 0 (Olver, Numer. Math.
+2012; Trogdon & Olver, SIAM 2016).  With s = -1/sigma,
+
+    C_z[f](z) = C[f](lam) - C[f](0),
+
+so each half-step of the solve is the lattice Cauchy kernel on a
+uniform lam grid (``lam_grid``) less its own value at the node lam = 0,
+where the jump vanishes because r does.  r on that grid is carried from
+the z band the forward map leaves (``lam_reflection``); the band's z
+cut at |z| = Z becomes the gap |lam| < 1/Z around lam = 0, which the
+interpolant spans, so no outer band or tail completion enters the solve.
+
+Two factorizations of the same jump are used, switched on the sign of
+x_H so that the off-diagonal phases decay in the half-plane where each
+Cauchy projection lives:
 
 * Triangular (x_H <= 0): w_+ has only the (2,1) entry r e^{2 i theta},
   w_- only the (1,2) entry conj(r) e^{-2 i theta}.
 * DeltaConjugated (x_H > 0): the jump is first conjugated by the
-  scalar function delta(z) = exp(C[log(1 + |r|^2)]), after which
-  w_+ has only (1,2) = conj(rho) e^{-2 i theta} and w_- only
-  (2,1) = rho e^{2 i theta}, with rho = r / (delta_- delta_+).
+  scalar function delta = exp(C[log(1 + |r|^2)] - C[log(1 + |r|^2)](0)),
+  1 at lam = 0, after which w_+ has only (1,2) = conj(rho) e^{-2 i theta}
+  and w_- only (2,1) = rho e^{2 i theta}, with rho = r / (delta_- delta_+).
 
 The delta conjugation rescales the RHP solution columns, so the raw
 moment of the conjugated problem differs from the original one by the
@@ -26,8 +40,15 @@ m^(1)_11 of its DeltaConjugated cells, so the two factorization kinds
 report the moment of the same underlying problem.
 
 In both kinds the (2,1)-position entry carries e^{+2 i theta} and the
-(1,2)-position entry carries e^{-2 i theta}, theta = x_H/z; the time
-factor e^{4 i t/z^2} is carried by r itself (``evolve_reflection``).
+(1,2)-position entry carries e^{-2 i theta}, theta = x_H/z = -x_H lam;
+the time factor e^{4 i t lam^2} is carried by r itself
+(``evolve_reflection``).
+
+The moments are read at lam = 0.  With ds = d lam / lam^2, m^(1) =
+-(1/2 pi i) int X (w_+ + w_-) ds is minus the lam-derivative there of
+the Cauchy integral, which on the sinc grid is a sum over the nodes at
+odd offsets m from lam = 0 of 2 (X u)_m / (m^2 h) (``_moment_rows``;
+Stenger 1993; Weideman 1995), and d1 the same sum of log(1 + |r|^2).
 
 The equation (I - C_w) X = rhs is solved a batch of cells at a time by
 block Gauss-Seidel sweeps that measure their exact residual after every
@@ -45,13 +66,6 @@ The inverse transform (``_solve_batch``) solves row 1 alone, since
 m^(1)_11 and the slope are integrals of row 1; row 2 is its Schwarz
 reflection.
 
-The grid cuts the contour at |z| = Z, where r still decays only like
-c1/z.  ``_solve_batch`` adds the jump's outer band to its right-hand
-side, taken from the lattice's closed-form tail completion
-(``_tail_outside``, the one tail mechanism of the package), so the
-inverse solves the full-line equation, the one RHP equation of the
-package.
-
 The x_H-derivative of the moment needs no second solve.  The jump
 depends on x_H only through e^{i (x_H/z) sigma3} and is the identity
 for |z| < z_min, so M(z) is analytic at z = 0 and M(z) e^{-i (x_H/z)
@@ -60,9 +74,10 @@ RHP, Beals & Coifman, CPAM 37, 1984)
 
     d m^(1)/d x_H = -i (M(0) sigma3 M(0)^{-1} - sigma3),
 
-whose (1,2) entry is the slope 2i M11(0) M12(0).  M(0) - I =
-(1/2 pi i) int mu (w_+ + w_-) ds/s is a sum over every node but z = 0
-(``_m0_rows``); the DeltaConjugated kind solves for M(z) delta(z)^{sigma3},
+whose (1,2) entry is the slope 2i M11(0) M12(0).  z = 0 is lam =
+infinity, where the lam-plane Cauchy integral vanishes, so M(z = 0) - I
+is minus its value at lam = 0, the kernel's own odd-offset sum
+(``_m0_rows``); the DeltaConjugated kind solves for M delta^{sigma3},
 which leaves both the product and the derivative unchanged, and costs no
 kernel pass beyond the solve's.
 """
@@ -76,10 +91,9 @@ import numpy as np
 
 from .errors import (InvalidArgumentError, ResolutionExceededError, RhpUnsolvedError,
                      check_number)
-from .lattice import (GridFunction, SpectralGrid, _cauchy_plus_batch, _halving_miss,
-                      _lagrange_interpolant)
+from .lattice import GridFunction, SpectralGrid, _cauchy_plus_batch, _lagrange_interpolant
 
-__all__ = ["delta_function", "suggest_z_min"]
+__all__ = ["delta_function", "lam_grid", "lam_reflection", "suggest_z_min"]
 
 NEUMANN_TOL = 1e-10
 NEUMANN_CAP = 200
@@ -128,7 +142,8 @@ def _roll_off(s):
     return f(1.0 - s) / (f(1.0 - s) + f(s))
 
 
-def lam_reflection(r_values: np.ndarray, zgrid: SpectralGrid, grid: SpectralGrid) -> np.ndarray:
+def lam_reflection(r_values: np.ndarray, zgrid: SpectralGrid, grid: SpectralGrid,
+                   window: float = DEFAULT_WINDOW) -> np.ndarray:
     """r(lam) = r(z = -1/lam) on the lam ``grid`` of :func:`lam_grid`, from z-grid samples.
 
     The band's lam = -1/z are crowded toward lam = 0, spaced h_z lam^2,
@@ -139,6 +154,16 @@ def lam_reflection(r_values: np.ndarray, zgrid: SpectralGrid, grid: SpectralGrid
     with the value 0, and ``_lagrange_interpolant`` carries them onto
     the grid: every grid point in the gap |lam| < 1/Z has band nodes on
     both sides of its stencil, so nothing is extrapolated across it.
+
+    The interpolant runs in the frame of the potential: r of a potential
+    moved by x0 is r e^{2 i lam x0}, so r is carried as r e^{-2 i lam
+    x_c}, with x_c the |r|^2-weighted mean of (1/2) d arg r / d lam over
+    neighbouring nodes at most a grid spacing apart, which moves with
+    the potential.  The sparse band nodes near |lam| = 1/z_min then see
+    the potential's shape, not its position, and a translated potential
+    gets the translated data to rounding.  An x_c beyond the sweep
+    ``window`` belongs to no potential the window holds, and the frame
+    stays at 0.
 
     Beyond the band's outermost node of a side, r continues the line
     through its two outermost nodes up to 1/z_min, the band edge, and is
@@ -154,16 +179,15 @@ def lam_reflection(r_values: np.ndarray, zgrid: SpectralGrid, grid: SpectralGrid
     for side in (lam < 0.0, lam > 0.0):
         order = np.argsort(np.abs(lam[side]))
         reach = np.abs(lam[side][order])
-        first = np.unique(np.floor((reach - reach[0]) / grid.spacing), return_index=True)[1]
+        first = np.unique(np.floor((reach - reach[:1]) / grid.spacing), return_index=True)[1]
         nodes.append(lam[side][order][first])
         kept.append(values[side][order][first])
     nodes, kept = np.concatenate(nodes), np.concatenate(kept)
     order = np.argsort(nodes)
     nodes, kept = nodes[order], kept[order]
     points = grid.points
-    # the frame of the potential: the centre x_c at which r(lam) e^{-2 i lam x_c}
-    # turns slowest, from the phase steps of neighbouring nodes at most a
-    # grid spacing apart, weighted by |r|^2
+    # the frame of the potential, from the phase steps of neighbouring
+    # nodes at most a grid spacing apart, weighted by |r|^2
     step = np.diff(nodes)
     turn = kept[1:] * np.conj(kept[:-1])
     near = (step <= grid.spacing * (1.0 + 1e-9)) & (nodes[1:] * nodes[:-1] > 0.0)
@@ -171,11 +195,9 @@ def lam_reflection(r_values: np.ndarray, zgrid: SpectralGrid, grid: SpectralGrid
     x_c = 0.0
     if weight.sum() > 0.0:
         x_c = float(np.sum(weight * np.angle(turn[near]) / (2.0 * step[near])) / weight.sum())
-    # data that are no potential's need not turn slower in that frame
-    framed = kept * np.exp(-2j * nodes * x_c)
-    if _halving_miss(nodes, framed) > _halving_miss(nodes, kept):
-        x_c, framed = 0.0, kept
-    kept = framed
+    if not abs(x_c) <= window:
+        x_c = 0.0
+    kept = kept * np.exp(-2j * nodes * x_c)
     out = _lagrange_interpolant(nodes, kept)(points)
     edge = 1.0 / max(zgrid.z_min, 1.0 / grid.half_width)
     for beyond, end in ((points < nodes[0], slice(0, 2)), (points > nodes[-1], slice(-2, None))):

@@ -48,6 +48,7 @@ __all__ = [
     "soliton_slope",
     "soliton_peak",
     "soliton_pde_residual",
+    "check_resolved",
 ]
 
 # At a burst (|xi| = eta, chi = 0) the fixed-point residual for the
@@ -92,6 +93,21 @@ class SolitonParams:
     @property
     def speed(self) -> float:
         return 4.0 * self.xi
+
+
+def check_resolved(p: SolitonParams, grid: SpatialGrid):
+    """Refuse a soliton whose phases turn by more than pi per cell of ``grid``.
+
+    Phi turns by 2 |xi| h and chi by 2 eta h per cell of spacing h; beyond
+    pi the grid samples neither the carrier e^{-i Phi} nor sech(chi), and
+    at xi = 1e150 the phases themselves leave the range where cosh and the
+    carrier are computed in floating point.
+    """
+    turn = 2.0 * max(abs(p.xi), p.eta) * grid.spacing
+    if not turn <= np.pi:
+        raise InvalidArgumentError(
+            f"xi = {p.xi:g}, eta = {p.eta:g}: the soliton phases turn by {turn:.3g} rad per "
+            "grid cell, more than pi; the grid does not resolve them (raise N or lower L)")
 
 
 def _phases(p: SolitonParams, x_H, t):
@@ -206,8 +222,10 @@ def soliton_pde_residual(p: SolitonParams, grid: SpatialGrid,
     ``RESIDUAL_LEVELS`` steps dt, halving from ``RESIDUAL_DT``; the
     residual is dominated by the O(dt^2) time-difference error, so
     successive ratios should approach 4.  Returns the steps, the sups
-    and the ratios.
+    and the ratios.  A soliton the grid does not resolve is refused
+    (``check_resolved``).
     """
+    check_resolved(p, grid)
     q_t = wki_rhs(make_potential(grid, soliton_q(grid.points, t_center, p))).values
     sups = []
     step = RESIDUAL_DT

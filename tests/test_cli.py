@@ -219,11 +219,14 @@ def test_non_finite_shape_parameter_exits_2(tmp_path, capsys, pipeline, flags):
     ("soliton", ["--xi", "1e300", "--eta", "1"], "xi^2 + eta^2 overflows"),
     ("forward", ["--L", "1e300"], "width 1 is below the grid spacing"),
     ("forward", ["--width", "1e-300"], "width 1e-300 is below the grid spacing"),
-], ids=["soliton-huge-xi", "forward-huge-box", "forward-tiny-width"])
+    ("soliton", ["--xi", "1e150", "--eta", "1"], "xi = 1e+150, eta = 1: the soliton phases"),
+], ids=["soliton-huge-xi", "forward-huge-box", "forward-tiny-width", "soliton-unresolved-xi"])
 def test_parameters_out_of_the_grid_or_float_range_exit_2(tmp_path, capsys, pipeline, flags,
                                                            message):
     # a soliton whose xi^2 overflowed, and a profile a box of 1e300 samples
-    # once per 1e297, exited 1; a profile narrower than a cell is not sampled
+    # once per 1e297, exited 1; a profile narrower than a cell is not
+    # sampled; a soliton whose phases turn by 2e149 per cell overflowed
+    # cosh and was refused only as non-finite samples
     out = tmp_path / "o"
     code = main([pipeline, "--outdir", str(out), "--N", "256"] + flags)
     assert code == 2
@@ -242,6 +245,21 @@ def test_a_non_finite_jost_march_exits_4(tmp_path, capsys):
     assert code == 4
     assert "numerical-error" in capsys.readouterr().err
     assert json.loads((out / "error.json").read_text())["kind"] == "numerical-error"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("L", ["1e300", "8e307"])
+def test_a_lam_lattice_beyond_its_cap_exits_4(tmp_path, capsys, L):
+    # a zero potential on a box of half-width 1e300 needs a lam lattice of
+    # 3e301 nodes: it exited 1 from numpy's allocation, and is refused
+    # before; at 8e307 the node count itself overflows
+    out = tmp_path / "o"
+    code = main(["forward", "--outdir", str(out), "--N", "256", "--L", L, "--family", "zero"])
+    assert code == 4
+    assert "resolution-exceeded" in capsys.readouterr().err
+    error = json.loads((out / "error.json").read_text())
+    assert error["kind"] == "resolution-exceeded"
+    assert error["message"].startswith("the lam lattice needs")
 
 
 def test_window_without_two_sweep_cells_exits_2(tmp_path, capsys):

@@ -15,10 +15,11 @@ process runs with ``OMP_NUM_THREADS=1``.
 
 The file holds, per workload, seed and side, every end-to-end value, its
 median and quartiles, and the number of pairs in which the change's
-``op_s`` is lower; per workload and side, the traced metrics in
-``TRACED``: the forward's propagation time and Magnus steps, the
-inverse's RHP cells, Neumann sweeps and solve time, the Cauchy kernel
-calls, FFT points and time, and ``trace.missing_wrappers``.
+``op_s`` is lower; per workload and side, every per-layer metric and
+counter the traced run prints (layer self times, Cauchy kernel calls, FFT
+points, RHP cells, Neumann sweeps, Magnus steps, exit classes and
+``trace.missing_wrappers``); and per side the line count of
+``src/wkist``.  ``--workloads`` limits the run to some workloads.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ from pathlib import Path
 
 WORKLOADS = ("forward-scan", "roundtrip-default", "roundtrip-coarse-sweep")
 END_TO_END = ("setup_s", "op_s", "sup_error", "route_gap_q", "peak_rss_mb")
-TRACED = ("direct_scattering.propagate_s", "direct_scattering.magnus_steps",
-          "rhp.cells", "rhp.iterations_mu", "rhp.neumann_mu_s",
-          "lattice.cauchy_calls", "lattice.fft_points", "lattice.cauchy_s",
-          "trace.missing_wrappers", "failed_fraction")
 ENV = {**os.environ, "OMP_NUM_THREADS": "1"}
 
 
@@ -61,6 +58,11 @@ def sup_error(root: Path, *grid: str) -> float:
         return json.loads((Path(outdir) / "manifest.json").read_text())["results"]["sup_error"]
 
 
+def source_lines(root: Path) -> int:
+    """Lines of the package's source files under ``root``."""
+    return sum(len(path.read_text().splitlines()) for path in (root / "src" / "wkist").glob("*.py"))
+
+
 def summary(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"runs": values, "median": statistics.median(values), "q1": q1, "q3": q3}
@@ -74,12 +76,13 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
     parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     args = parser.parse_args(argv)
     sides = {"before": args.before.resolve(), "after": args.after.resolve()}
 
     report = {"pairs": args.pairs, "seconds": args.seconds, "omp_num_threads": 1,
               "workloads": {}}
-    for workload in WORKLOADS:
+    for workload in args.workloads:
         entry = report["workloads"][workload] = {}
         for seed in args.seeds:
             runs = {side: [] for side in sides}
@@ -97,11 +100,11 @@ def main(argv=None) -> int:
             before, after = (per_seed[side]["op_s"]["median"] for side in sides)
             per_seed["op_s_change"] = after / before - 1.0
             entry[f"seed {seed}"] = per_seed
-        entry["traced"] = {side: {name: value for name, value in
-                                  perfbench(root, workload, args.seeds[0], args.seconds,
-                                            trace=True).items() if name in TRACED}
+        entry["traced"] = {side: perfbench(root, workload, args.seeds[0], args.seconds,
+                                           trace=True)
                            for side, root in sides.items()}
 
+    report["src_lines"] = {side: source_lines(root) for side, root in sides.items()}
     report["criterion_4"] = {}
     for side, root in sides.items():
         base = sup_error(root)
