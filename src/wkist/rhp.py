@@ -105,6 +105,9 @@ DEFAULT_WINDOW = 6.0
 LAM_POINTS_PER_PERIOD = 4.0
 # most points a lam grid may have
 LAM_CAP = 2**16
+# largest |r| on the lam grid, in units of the largest band sample, that
+# ``lam_reflection`` accepts from the frame of the potential
+OVERSHOOT = 1.5
 
 TRIANGULAR = "Triangular"
 DELTA_CONJUGATED = "DeltaConjugated"
@@ -162,8 +165,10 @@ def lam_reflection(r_values: np.ndarray, zgrid: SpectralGrid, grid: SpectralGrid
     the potential.  The sparse band nodes near |lam| = 1/z_min then see
     the potential's shape, not its position, and a translated potential
     gets the translated data to rounding.  An x_c beyond the sweep
-    ``window`` belongs to no potential the window holds, and the frame
-    stays at 0.
+    ``window``, or a frame whose interpolant overshoots the largest
+    sample by more than ``OVERSHOOT`` (data that turn too fast in it for
+    the sparse nodes), belongs to no potential the window holds, and the
+    frame stays at 0.
 
     Beyond the band's outermost node of a side, r continues the line
     through its two outermost nodes up to 1/z_min, the band edge, and is
@@ -190,15 +195,19 @@ def lam_reflection(r_values: np.ndarray, zgrid: SpectralGrid, grid: SpectralGrid
     # nodes at most a grid spacing apart, weighted by |r|^2
     step = np.diff(nodes)
     turn = kept[1:] * np.conj(kept[:-1])
-    near = (step <= grid.spacing * (1.0 + 1e-9)) & (nodes[1:] * nodes[:-1] > 0.0)
+    near = (step <= grid.spacing) & (nodes[1:] * nodes[:-1] > 0.0)
     weight = np.abs(turn[near])
     x_c = 0.0
     if weight.sum() > 0.0:
         x_c = float(np.sum(weight * np.angle(turn[near]) / (2.0 * step[near])) / weight.sum())
     if not abs(x_c) <= window:
         x_c = 0.0
-    kept = kept * np.exp(-2j * nodes * x_c)
-    out = _lagrange_interpolant(nodes, kept)(points)
+    for x_c in (x_c, 0.0):
+        framed = kept * np.exp(-2j * nodes * x_c)
+        out = _lagrange_interpolant(nodes, framed)(points)
+        if np.max(np.abs(out)) <= OVERSHOOT * np.max(np.abs(kept)):
+            break
+    kept = framed
     edge = 1.0 / max(zgrid.z_min, 1.0 / grid.half_width)
     for beyond, end in ((points < nodes[0], slice(0, 2)), (points > nodes[-1], slice(-2, None))):
         (x0, x1), (y0, y1) = nodes[end], kept[end]
@@ -510,10 +519,10 @@ def _moment_rows(x1, x2, u21, u12, h):
     on the sinc grid is the sum over the nodes at odd offsets m from
     lam = 0 of 2 (X u)_m / (m^2 h) (Stenger 1993; Weideman 1995).
     """
-    w = _odd_offsets(x1.shape[-1])
-    w2 = w * w
+    w2 = _odd_offsets(x1.shape[-1]) ** 2
     pref = -2.0 / (h * 2j * np.pi)
-    return pref * np.einsum("...n,...n->...", x2 * w2, u21), pref * np.einsum("...n,...n->...", x1 * w2, u12)
+    dot = lambda x, u: np.einsum("...n,...n->...", x * w2, u)
+    return pref * dot(x2, u21), pref * dot(x1, u12)
 
 
 def _m0_rows(x1, x2, u21, u12, grid):
@@ -527,7 +536,8 @@ def _m0_rows(x1, x2, u21, u12, grid):
     """
     w = _odd_offsets(grid.point_count)
     pref = -2.0 / (2j * np.pi)
-    return pref * np.einsum("...n,...n->...", x2 * w, u21), pref * np.einsum("...n,...n->...", x1 * w, u12)
+    dot = lambda x, u: np.einsum("...n,...n->...", x * w, u)
+    return pref * dot(x2, u21), pref * dot(x1, u12)
 
 
 def _root(x, e, hz, rho, n):

@@ -43,7 +43,7 @@ def lam_data(r, zgrid, extent=EXTENT, points=None):
 
 
 def jump_batch(r, grid, kind, x_H):
-    """u21, u12 of a batch of cells on the lam ``grid``, with Delta built for the DeltaConjugated kind."""
+    """u21, u12 of a batch of cells on the lam ``grid``, with Delta for the DeltaConjugated kind."""
     Delta = delta_function(GridFunction(grid, r))[2].values if kind == DELTA_CONJUGATED else None
     return _jump_entries(kind, r, grid, np.asarray(x_H, float), Delta)
 

@@ -369,6 +369,19 @@ def test_reflection_inside_the_floor_exits_2(tmp_path, capsys, value):
     assert json.loads((out / "error.json").read_text())["kind"] == "invalid-argument"
 
 
+@pytest.mark.filterwarnings("error")
+def test_an_inverse_lam_grid_beyond_its_cap_exits_4(tmp_path, capsys):
+    # the inverse's lam grid resolves e^{2 i lam x} out to |x| = L + window:
+    # the smoke band read on a box of half-width 1e6 would take 5e6 points
+    fwd, out = tmp_path / "fwd", tmp_path / "out"
+    assert run(["forward", "--outdir", str(fwd)] + SMALL, capsys) == 0
+    assert run(["inverse", "--input", str(fwd), "--outdir", str(out), "--N", "512",
+                "--L", "1e6", "--window", "1e5"], capsys) == 4
+    error = json.loads((out / "error.json").read_text())
+    assert error["kind"] == "resolution-exceeded"
+    assert error["message"].startswith("the lam grid needs")
+
+
 def run_quietly(args, capsys):
     """``run``, and the warnings the run raised."""
     with warnings.catch_warnings(record=True) as caught:

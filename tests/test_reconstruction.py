@@ -361,7 +361,8 @@ def test_kind_gap_is_the_slope_gap_of_the_kinds_at_x_H_zero(monkeypatch):
     # and a solve of each kind on its own, on the run's lam grid (L + window
     # = 16 + 4.5), agrees with the run's to the tolerance
     n = lam_grid(sd.zgrid, 20.5).point_count
-    tri, dc = (cell_solve(sd.r, sd.zgrid, kind, [0.0], n) for kind in (TRIANGULAR, DELTA_CONJUGATED))
+    tri, dc = (cell_solve(sd.r, sd.zgrid, kind, [0.0], n)
+               for kind in (TRIANGULAR, DELTA_CONJUGATED))
     assert abs(tri["slope"][0] - at_zero[TRIANGULAR]) < 1e-9
     assert abs(dc["slope"][0] - at_zero[DELTA_CONJUGATED]) < 1e-9
 

@@ -1,4 +1,7 @@
-"""Property tests of the Beals-Coifman solver on the lam grid and of the z cut (need ``hypothesis``)."""
+"""Property tests of the Beals-Coifman solver on the lam grid and of the z cut.
+
+They need ``hypothesis``.
+"""
 
 from fractions import Fraction
 
@@ -21,8 +24,8 @@ from wkist.rhp import (  # noqa: E402
     _solve_batch,
     suggest_z_min,
 )
-from rhp_cells import (both_rows, cell_solve, exact_residual, fd_slope_gap, jump_batch,  # noqa: E402
-                       lam_data)
+from rhp_cells import (  # noqa: E402
+    both_rows, cell_solve, exact_residual, fd_slope_gap, jump_batch, lam_data)
 
 ZGRID = make_spectral_grid(20.0, 256, z_min=0.5)
 FINE_ZGRID = make_spectral_grid(20.0, 512, z_min=0.5)
