@@ -223,8 +223,7 @@ def test_factorization_kinds_agree_where_both_apply():
 
 def test_factorization_kinds_agree_on_m1_12():
     # conjugation by Delta shifts only the diagonal of m^(1), so the
-    # kinds' full-line m^(1)_12 must agree at x_H = 0 too (the z-plane
-    # solve missed this by 1.6e-6: its Delta and d1 lacked the outer band)
+    # kinds' full-line m^(1)_12 must agree at x_H = 0 too
     sd = small_reflection()
     tri, dc = (cell_solve(sd.r, sd.zgrid, kind, [0.0]) for kind in (TRIANGULAR, DELTA_CONJUGATED))
     assert abs(tri["m12"][0] - dc["m12"][0]) < 1e-6

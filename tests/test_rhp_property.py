@@ -163,8 +163,7 @@ def test_slope_identity_on_random_data(seed, amplitude, x_H, kind):
 
 def test_slope_identity_on_a_gaussian_edge():
     # a draw of random_reflection whose Gaussians reach the edge |z| = Z
-    # of its z grid, which the z-plane solve's tail fit turned into a band
-    # that moved the slope off the full-line equation by 5.1e-4
+    # of its z grid: the gap |lam| < 1/Z is interpolated from them
     r = random_reflection(6, 0.2, FINE_ZGRID, smooth=True)
     tri, dc = (cell_solve(r, FINE_ZGRID, k, [0.0], FINE_POINTS)
                for k in (TRIANGULAR, DELTA_CONJUGATED))
