@@ -289,12 +289,9 @@ def test_inverse_transform_sizes_cell_batches_to_the_grid(monkeypatch):
 
 def test_lattice_matches_the_full_sweep(monkeypatch):
     # the interpolant from the refined lattice, every fifth cell, against a
-    # solve at every sweep cell; a tolerance of 0 refines on any miss (this
-    # grid's half lattice meets LATTICE_TOLERANCE on the lam solve)
+    # solve at every sweep cell
     grid, sd = _stride5()
-    monkeypatch.setattr(wkist.reconstruction, "LATTICE_TOLERANCE", 0.0)
     rec = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
-    assert np.max(np.abs(np.diff(rec.nodes) - 5 * grid.spacing)) < 1e-12
     monkeypatch.setattr(wkist.reconstruction, "LATTICE_PHASE_STEP", 0.0)
     full = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
     assert np.array_equal(full.nodes, full.x_H)
@@ -329,11 +326,8 @@ def test_an_accepted_half_lattice_estimate_bounds_the_full_sweep(monkeypatch):
     assert estimate >= rec.diagnostics["kind_gap"]
 
 
-def test_a_missed_check_refines_to_the_hodograph_lattice(monkeypatch):
-    # the half lattice misses its checks by 4.97e-7 here: a tolerance of
-    # 1e-7 refines
+def test_a_missed_check_refines_to_the_hodograph_lattice():
     grid, sd = _stride5()
-    monkeypatch.setattr(wkist.reconstruction, "LATTICE_TOLERANCE", 1e-7)
     rec = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
     z_near = np.min(np.abs(sd.zgrid.points[sd.active]))
     assert np.array_equal(rec.nodes, _hodograph_lattice(rec.x_H, grid.spacing, z_near))
@@ -380,10 +374,8 @@ def test_cells_hold_every_solve_and_the_worst_residual():
     assert rec.diagnostics["worst_residual"] == rec.cells["residual"].max()
 
 
-def test_lattice_keeps_x_H_zero_a_node_between_the_kinds(monkeypatch):
-    # the refined lattice, as a tolerance of 0 forces
+def test_lattice_keeps_x_H_zero_a_node_between_the_kinds():
     grid, sd = _stride5()
-    monkeypatch.setattr(wkist.reconstruction, "LATTICE_TOLERANCE", 0.0)
     rec = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
     nodes, x_H, kinds = rec.nodes, rec.cells["x_H"], rec.cells["kind"]
     h_H = 5 * grid.spacing
