@@ -612,11 +612,13 @@ def reflection_coefficient(p: Potential, zgrid: SpectralGrid,
     return ScatteringData(zgrid, r, lam, a, b, 0.0, diagnostics)
 
 
-def evolve_reflection(sd, t: float):
+def evolve_reflection(sd: ScatteringData | GridFunction,
+                      t: float) -> ScatteringData | GridFunction:
     """r(z, t) = r(z) e^{4 i t / z^2}; |r| is unchanged, zeros stay zero.
 
     ``sd`` is ScatteringData, or r on the inverse's lam grid as a
-    GridFunction, whose samples take the same factor, e^{4 i t lam^2}.
+    GridFunction, whose samples take the same factor, e^{4 i t lam^2};
+    either comes back evolved in the same type.
     """
     check_number("t", t)
     if isinstance(sd, GridFunction):

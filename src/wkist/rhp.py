@@ -52,7 +52,8 @@ Stenger 1993; Weideman 1995), and d1 the same sum of log(1 + |r|^2).
 
 The equation (I - C_w) X = rhs is solved a batch of cells at a time by
 block Gauss-Seidel sweeps that measure their exact residual after every
-half-step at no extra cost and stop at the first iterate that meets tol
+half-step at no extra cost, in the z line's L2 norm (``_l2_residual``),
+and stop at the first iterate that meets tol
 (``_neumann``: 2 s + 1 or 2 s + 2 Cauchy kernel passes for s column-1
 updates, each pass C+ or C- directly).  They are the only solver: for
 small data the operator is a contraction (Beals & Coifman, CPAM 37,
@@ -106,7 +107,8 @@ LAM_POINTS_PER_PERIOD = 4.0
 # most points a lam grid may have
 LAM_CAP = 2**16
 # largest |r| on the lam grid, in units of the largest band sample, that
-# ``lam_reflection`` accepts from the frame of the potential
+# ``lam_reflection`` accepts from the frame of the potential, above the
+# 1.02 that the forward map's data reach in it
 OVERSHOOT = 1.5
 
 TRIANGULAR = "Triangular"
@@ -168,7 +170,12 @@ def lam_reflection(r_values: np.ndarray, zgrid: SpectralGrid, grid: SpectralGrid
     ``window``, or a frame whose interpolant overshoots the largest
     sample by more than ``OVERSHOOT`` (data that turn too fast in it for
     the sparse nodes), belongs to no potential the window holds, and the
-    frame stays at 0.
+    frame stays at 0.  The forward map's data on the grids the command
+    line builds stay within 1.02 of their largest sample in the frame
+    x_c; the frame falls back for band data it did not write, such as a
+    hand-written reflection.csv of z-Gaussians cut below the z_min floor
+    of ``suggest_z_min``, whose x_c is no potential's position and whose
+    framed interpolant can reach thousands of times the largest sample.
 
     Beyond the band's outermost node of a side, r continues the line
     through its two outermost nodes up to 1/z_min, the band edge, and is
@@ -358,10 +365,29 @@ def _half_step(x, u, entry, kind, grid):
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _ds_weights(n: int) -> np.ndarray:
+    """1/m^2 at offset m from lam = 0 (node n/2) of an n-point grid, 0 there, twice per node."""
+    m = np.arange(n) - n // 2
+    out = np.repeat(np.where(m == 0, 0.0, 1.0 / np.where(m == 0, 1, m) ** 2), 2)
+    out.setflags(write=False)
+    return out
+
+
 def _l2_residual(e, h):
-    """Discrete L2 norm of each cell of a (B, N) residual, without temporaries (a float view)."""
+    """L2(ds) norm, ds = d lam / lam^2 = dz, of each cell of a (B, N) residual on a lam grid.
+
+    ``h`` is the spacing of the grid, whose node N/2 is lam = 0, where
+    every residual vanishes.  The measure is the z line's, which the
+    moments and M(z = 0) integrate against (``_moment_rows``,
+    ``_m0_rows``), so by Cauchy-Schwarz a residual below ``NEUMANN_TOL``
+    bounds their error by ``NEUMANN_TOL`` times the jump's norm, however
+    fine the grid; the plain L2(d lam) norm would let the moment's
+    weights 2/(m^2 h) magnify it by 1/h.  Formed on a float view,
+    without a complex temporary.
+    """
     v = np.ascontiguousarray(e).view(float)
-    return np.sqrt(h * np.einsum("...i,...i->...", v, v))
+    return np.sqrt(np.einsum("...i,...i,i->...", v, v, _ds_weights(v.shape[-1] // 2)) / h)
 
 
 def _neumann(u21, u12, rhs1, rhs2, kind, grid,

@@ -63,8 +63,7 @@ def both_rows(u21, u12):
 def exact_residual(x, rhs, u21, u12, kind, grid):
     """Each cell's L2 residual of the column pair ``x``, recomputed over both columns."""
     c = (_half_step(x[1], u21, 21, kind, grid), _half_step(x[0], u12, 12, kind, grid))
-    return _l2_residual(np.concatenate([xa - ra - ca for xa, ra, ca in zip(x, rhs, c)], axis=-1),
-                        grid.spacing)
+    return np.hypot(*(_l2_residual(xa - ra - ca, grid.spacing) for xa, ra, ca in zip(x, rhs, c)))
 
 
 def cell_solve(r, zgrid, kind, x_H, points=None):

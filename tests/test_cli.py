@@ -483,6 +483,30 @@ def test_unsolvable_rhp_exits_4(tmp_path, capsys, N_z):
     assert err["kind"] == "rhp-unsolved"
 
 
+def test_hand_written_band_data_are_carried_in_the_plain_frame(tmp_path, capsys):
+    # three complex Gaussians in z, cut at z_min = 0.5 below the floor of
+    # 0.86 the forward map picks on this grid: their phase gives a frame
+    # of the potential, x_c = -1.35, that the band's edge nodes cannot
+    # carry (the interpolant reaches 6.5 times the largest sample), so
+    # lam_reflection keeps the plain frame and the inverse solves; in the
+    # frame x_c the sweeps diverge and the run exits 4 rhp-unsolved
+    from test_rhp_property import ZGRID, random_reflection
+
+    data = tmp_path / "data"
+    data.mkdir()
+    r = random_reflection(734786019, 0.25)
+    columns_to_csv(data / "reflection.csv", ["coordinate", "re", "im"],
+                   [ZGRID.points, r.real, r.imag])
+    (data / "manifest.json").write_text(json.dumps(
+        {"config": {"Z": ZGRID.half_width, "N_z": ZGRID.point_count},
+         "results": {"z_min": ZGRID.z_min, "time": 0.0}}))
+    out = tmp_path / "out"
+    assert run(["inverse", "--input", str(data), "--outdir", str(out), "--N", "512",
+                "--decay-floor", "0.1"], capsys) == 0
+    cells = np.loadtxt(out / "cells.csv", delimiter=",", skiprows=1, usecols=4)
+    assert np.all(cells < 1e-10)
+
+
 def test_compare_pde_step_budget_exits_4(tmp_path, capsys):
     out = tmp_path / "out"
     code = run(["compare-pde", "--outdir", str(out), "--N", "256", "--N-z", "512",

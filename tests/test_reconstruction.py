@@ -278,12 +278,8 @@ def test_inverse_transform_sizes_cell_batches_to_the_grid(monkeypatch):
     single = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
     assert {x.size for x, _ in blocks} == {1}
     assert np.array_equal(single.nodes, rec.nodes)
-    assert np.max(np.abs(rec.slope - single.slope)) < 1e-12
-    # a cell alone stops at its own first check below NEUMANN_TOL, one in a
-    # batch when the batch's last cell meets it; the moment, a derivative
-    # at lam = 0, reads that residual 25 times larger than the slope does
-    # (2e-12 from a residual of 8e-11)
-    assert np.max(np.abs(rec.m1_11 - single.m1_11)) < 1e-11
+    for name in ("slope", "m1_11"):
+        assert np.max(np.abs(getattr(rec, name) - getattr(single, name))) < 1e-12
     assert np.max(np.abs(rec.q.values - single.q.values)) < 1e-12
 
 
@@ -334,31 +330,15 @@ def test_a_missed_check_refines_to_the_hodograph_lattice():
     assert rec.diagnostics["lattice_error_estimate"] > wkist.reconstruction.LATTICE_TOLERANCE
 
 
-def test_kind_gap_is_the_slope_gap_of_the_kinds_at_x_H_zero(monkeypatch):
-    # criterion 5's gap, from the run's one solve of each kind at x_H = 0.
-    # On the lam grid the kinds agree to 1e-11, the scale of the sweeps'
-    # own tolerance, so the gap is read off the run's own cells rather
-    # than off a second solve that stops after a different sweep count
+def test_kind_gap_is_the_slope_gap_of_the_kinds_at_x_H_zero():
+    # criterion 5's gap, from one solve of each kind at x_H = 0 on its
+    # own, on the run's lam grid (L + window = 16 + 4.5)
     grid, sd = _stride5()
-    solve = wkist.reconstruction._solve_cells
-    at_zero = {}
-
-    def recording(kind, r, lgrid, x_H, *args):
-        out = solve(kind, r, lgrid, x_H, *args)
-        at_zero.update({kind: s for x, s in zip(x_H, out["slope"]) if x == 0.0})
-        return out
-
-    monkeypatch.setattr(wkist.reconstruction, "_solve_cells", recording)
     rec = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
-    gap = abs(at_zero[TRIANGULAR] - at_zero[DELTA_CONJUGATED])
-    assert rec.diagnostics["kind_gap"] == pytest.approx(gap, rel=1e-6)
-    # and a solve of each kind on its own, on the run's lam grid (L + window
-    # = 16 + 4.5), agrees with the run's to the tolerance
     n = lam_grid(sd.zgrid, 20.5).point_count
-    tri, dc = (cell_solve(sd.r, sd.zgrid, kind, [0.0], n)
-               for kind in (TRIANGULAR, DELTA_CONJUGATED))
-    assert abs(tri["slope"][0] - at_zero[TRIANGULAR]) < 1e-9
-    assert abs(dc["slope"][0] - at_zero[DELTA_CONJUGATED]) < 1e-9
+    tri, dc = (cell_solve(sd.r, sd.zgrid, kind, [0.0], n) for kind in (TRIANGULAR, DELTA_CONJUGATED))
+    gap = abs(tri["slope"][0] - dc["slope"][0])
+    assert rec.diagnostics["kind_gap"] == pytest.approx(gap, rel=1e-6)
 
 
 def test_cells_hold_every_solve_and_the_worst_residual():

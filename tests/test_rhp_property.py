@@ -109,9 +109,10 @@ def test_reported_residual_is_the_exact_residual_on_random_small_data(seed, ampl
     assert np.all(out["residual"] < NEUMANN_TOL)
     # relative 1e-3; a cell that kept contracting while the batch waited
     # for the others can fall to ~1e-14, where the recomputation's own
-    # round-off (~3e-17) is no longer small beside it, so the gap is
-    # taken relative to at least 1e-13
-    gap = np.abs(out["residual"] - exact) / np.maximum(exact, 1e-13)
+    # round-off (up to 6.4e-16 over 300 draws: the L2(ds) norm's weights
+    # 1/(m^2 h) read it near lam = 0) is no longer small beside it, so the
+    # gap is taken relative to at least 1e-12
+    gap = np.abs(out["residual"] - exact) / np.maximum(exact, 1e-12)
     assert np.all(gap < 1e-3)
 
 

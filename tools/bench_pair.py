@@ -19,7 +19,7 @@ median and quartiles, and the number of pairs in which the change's
 counter the traced run prints (layer self times, Cauchy kernel calls, FFT
 points, RHP cells, Neumann sweeps, Magnus steps, exit classes and
 ``trace.missing_wrappers``); and per side the line count of
-``src/wkist``.  ``--workloads`` limits the run to some workloads.
+``src/wkist``.
 """
 
 from __future__ import annotations
@@ -76,13 +76,12 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     args = parser.parse_args(argv)
     sides = {"before": args.before.resolve(), "after": args.after.resolve()}
 
     report = {"pairs": args.pairs, "seconds": args.seconds, "omp_num_threads": 1,
               "workloads": {}}
-    for workload in args.workloads:
+    for workload in WORKLOADS:
         entry = report["workloads"][workload] = {}
         for seed in args.seeds:
             runs = {side: [] for side in sides}
