@@ -35,7 +35,9 @@ kinds, and the gap of their slopes is ``kind_gap``.  When the
 interpolant from the half lattice misses its check cells, and the kinds
 differ, by at most ``LATTICE_TOLERANCE``, the slope and m^(1)_11 are
 carried onto the sweep from the half lattice; otherwise the rest of the
-lattice is solved and they are carried from all of it.  Steps 2 and 3
+lattice is solved and they are carried from all of it.  Each kind's
+cells of a wave are solved in as few equal batches as hold them, each of
+at most ``BATCH_SAMPLES`` spectral samples.  Steps 2 and 3
 run on the sweep.  Both the lattice and the resampling are interpolated
 by the ten-point Lagrange stencil (``lattice._lagrange_interpolant``).
 """
@@ -46,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .direct_scattering import ScatteringData, evolve_reflection
+from .direct_scattering import ScatteringData
 from .errors import (
     HodographInconsistentError,
     InvalidArgumentError,
@@ -85,9 +87,10 @@ SLOPE_MARGIN = 1e-6
 MOMENT_TOLERANCE = 1e-3
 # Largest |q_H| the recovered potential may keep at the sweep-window ends
 DEFAULT_DECAY_FLOOR = 1e-6
-# Spectral samples per batch of cells: a batch's (B, N) arrays are at most
-# 512 KiB and the kernel's padded buffer 1 MiB, inside a per-core L2 cache.
-# On the lam grid of 256 points every kind's lattice wave fits one batch.
+# Spectral samples per batch of cells, the solve's memory bound: a batch's
+# (B, N) arrays are at most 512 KiB and the kernel's padded buffer 1 MiB.
+# The lam grid grows with t (``rhp.lam_grid``); at its 256 points for t = 0
+# a batch holds 128 cells, and each kind's lattice wave is one batch.
 BATCH_SAMPLES = 2**15
 # Largest phase step 2 lambda_max h_H, in radians, of the fastest jump mode
 # between hodograph lattice nodes: ten nodes per shortest period, one per
@@ -257,56 +260,6 @@ def _by_kind(x_H) -> dict:
     return {TRIANGULAR: x_H[x_H <= 0.0], DELTA_CONJUGATED: x_H[x_H > 0.0][::-1]}
 
 
-def _fill(wave: np.ndarray, extra: np.ndarray, size: int):
-    """``wave`` split evenly into as few batches of at most ``size`` cells
-    as hold it, whose free rows take the ``extra`` cells, each in the
-    batch of the nearest span that has room.  Returns the batches and the
-    extra cells left over."""
-    blocks = np.array_split(wave, -(-wave.size // size)) if wave.size else []
-    rows = [list(block) for block in blocks]
-    left = []
-    for x in extra:
-        room = [k for k, row in enumerate(rows) if len(row) < size]
-        if not room:
-            left.append(x)
-            continue
-        near = min(room, key=lambda k: max(blocks[k].min() - x, x - blocks[k].max(), 0.0))
-        rows[near].append(x)
-    return [np.array(row) for row in rows], np.array(left)
-
-
-def _solve_waves(solved: dict, waves: dict, extra: dict, size: int, rv, grid, Delta, d1) -> dict:
-    """Solve each kind's wave in ``_fill``'s batches, with that kind's ``extra`` cells.
-
-    Each cell's slope, m^(1)_11, sweep count and residual go into
-    ``solved`` under (kind, x_H).  Returns the extra cells left over, per
-    kind.
-    """
-    left = {}
-    for kind, wave in waves.items():
-        batches, left[kind] = _fill(np.asarray(wave, dtype=float),
-                                    np.asarray(extra.get(kind, ()), dtype=float), size)
-        for block in batches:
-            out = _solve_cells(kind, rv, grid, block, Delta, d1)
-            for row in zip(block, out["slope"], out["m11"], out["cell_iterations"],
-                           out["residual"]):
-                solved[kind, row[0]] = row[1:]
-            # free this batch's (B, N) arrays before the next batch builds its own
-            del out
-    return left
-
-
-def _in_sweep_order(wave: np.ndarray, fine: np.ndarray, solved: dict) -> np.ndarray:
-    """``wave``, nodes of ``fine``, stably sorted by the most sweeps a
-    solved neighbour took, so that a batch holds cells that converge in
-    about as many sweeps as its slowest one."""
-    guess = np.zeros(wave.size, dtype=int)
-    for n, k in enumerate(np.searchsorted(fine, wave)):
-        for x in fine[max(k - 1, 0):k + 2:2]:
-            guess[n] = max(guess[n], solved.get((_kind(x), x), (0, 0, 0))[2])
-    return wave[np.argsort(guess, kind="stable")]
-
-
 def _solved_at(solved: dict, x_H: np.ndarray, column: int) -> np.ndarray:
     """One column of ``solved`` at cells ``x_H``, each read in the kind its sign gives."""
     return np.array([solved[_kind(x), x][column] for x in x_H])
@@ -386,32 +339,29 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
     The RHP is solved on the hodograph lattice (``_hodograph_lattice``),
     whose spacing the active band sets, in up to three waves.  The first
     solves its half lattice, every other node from x_H = 0 and both end
-    nodes, and the DeltaConjugated cell at x_H = 0, with the check cells
-    known before any solve (module docstring: the flanking midpoints and
-    the end-interval points) in the free rows of its batches.  If their
-    miss and ``kind_gap``, the slope gap of the two kinds at x_H = 0, are
-    at most ``LATTICE_TOLERANCE``, the second wave solves the check cells
-    left over and the profile-peak midpoints, one batch per kind when
-    they fit.  ``lattice_error_estimate`` is then
-    the larger of the half-lattice interpolant's worst miss at the check
-    cells and ``kind_gap``; at most ``LATTICE_TOLERANCE``, the slope and
-    m^(1)_11 are carried onto the sweep from the half lattice by
-    ``_lagrange_interpolant``.  Otherwise the last wave solves the rest
-    of the lattice, ordered by the sweeps its solved neighbours took, the
-    estimate becomes the larger of the slope's ``_halving_miss`` over
-    the lattice and ``kind_gap``, and they are carried from the whole
-    lattice.  A lattice that is the sweep itself is solved in one wave
-    and not interpolated (estimate 0).  ``nodes`` are the x_H
-    interpolated from; ``cells`` has one entry per solved cell, in x_H
+    nodes, the DeltaConjugated cell at x_H = 0, and the check cells known
+    before any solve (module docstring: the flanking midpoints and the
+    end-interval points).  If their miss and ``kind_gap``, the slope gap
+    of the two kinds at x_H = 0, are at most ``LATTICE_TOLERANCE``, the
+    second wave solves the profile-peak midpoints.
+    ``lattice_error_estimate`` is then the larger of the half-lattice
+    interpolant's worst miss at the check cells and ``kind_gap``; at most
+    ``LATTICE_TOLERANCE``, the slope and m^(1)_11 are carried onto the
+    sweep from the half lattice by ``_lagrange_interpolant``.  Otherwise
+    the last wave solves the rest of the lattice, the estimate becomes
+    the larger of the slope's ``_halving_miss`` over the lattice and
+    ``kind_gap``, and they are carried from the whole lattice.  A lattice
+    that is the sweep itself is solved in one wave and not interpolated
+    (estimate 0).  ``nodes`` are the x_H interpolated from; ``cells`` has one entry per solved cell, in x_H
     order, x_H = 0 once per kind, and ``worst_residual`` is the largest
     residual over all of them.  Cells x_H <= 0 use the Triangular
     factorization and cells x_H > 0 the DeltaConjugated one (each keeps
     its oscillatory entries decaying in the half-plane its projection
     sees).  Every solve stops at ``NEUMANN_TOL``; the slope must stay
-    below 1 - ``SLOPE_MARGIN``.  A batch holds no more cells than a batch
-    of the whole lattice's larger kind split evenly into batches of at
-    most max(1, ``BATCH_SAMPLES // N``) cells, N the lam grid's points,
-    and each kind's waves run from the sweep end inward.
+    below 1 - ``SLOPE_MARGIN``.  A wave's cells of each kind, from the
+    sweep end inward and its check cells after them, are split evenly
+    into ceil(n / cap) batches, cap = max(1, ``BATCH_SAMPLES // N``) and
+    N the lam grid's points.
 
     The hodograph map is then undone twice: by the quadrature of
     dx = dx_H / <q_H> (``x_from_qh``, the primary route, which gives
@@ -439,23 +389,30 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
         raise InvalidArgumentError("sweep needs at least two cells")
     zgrid = sd.zgrid
     grid = lam_grid(zgrid, xgrid.half_width + window, t)
-    r = GridFunction(grid, lam_reflection(sd.r, zgrid, grid, window))
+    rv = lam_reflection(sd.r, zgrid, grid, window)
     if t != sd.time:
-        r = evolve_reflection(r, t - sd.time)
-    rv = r.values
+        # evolve_reflection's factor e^{4 i t / z^2}, at z = -1/lam
+        rv = rv * np.exp(4j * check_number("t", t - sd.time) * grid.points ** 2)
+    r = GridFunction(grid, rv)
 
     fine = _hodograph_lattice(sweep, xgrid.spacing, np.min(np.abs(zgrid.points[sd.active])))
     Delta = delta_function(r)[2].values
     d1 = _delta_shift(rv, grid)
-    # a batch holds no more cells than a batch of the whole lattice's
-    # larger kind, split evenly into batches of BATCH_SAMPLES samples
     cap = max(1, BATCH_SAMPLES // grid.point_count)
-    most = max(part.size for part in _by_kind(fine).values())
-    size = -(-most // -(-most // cap))
     solved = {}
 
-    def solve(waves, extra=None):
-        return _solve_waves(solved, waves, extra or {}, size, rv, grid, Delta, d1)
+    def solve(waves):
+        # each kind's cells split evenly into as few batches of at most
+        # cap cells as hold them; a cell's slope, m^(1)_11, sweep count
+        # and residual go into solved under (kind, x_H)
+        for kind, cells in waves.items():
+            for block in np.array_split(cells, -(-cells.size // cap)) if cells.size else ():
+                out = _solve_cells(kind, rv, grid, block, Delta, d1)
+                for row in zip(block, out["slope"], out["m11"], out["cell_iterations"],
+                               out["residual"]):
+                    solved[kind, row[0]] = row[1:]
+                # free this batch's (B, N) arrays before the next batch builds its own
+                del out
 
     def kind_gap():
         return float(abs(solved[DELTA_CONJUGATED, 0.0][0] - solved[TRIANGULAR, 0.0][0]))
@@ -473,34 +430,31 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
         solve(unsolved(np.sort(np.append(sweep[sweep != 0.0], 0.0))))
     else:
         # the half lattice: every other node from x_H = 0, and both end
-        # nodes, with the DeltaConjugated cell at x_H = 0; its check cells
-        # known before any solve, the midpoints flanking x_H = 0 and the
-        # end-interval peaks, fill the free rows of its batches
+        # nodes, with the DeltaConjugated cell at x_H = 0, then its check
+        # cells known before any solve, the midpoints flanking x_H = 0 and
+        # the end-interval peaks
         zero = np.flatnonzero(fine == 0.0)[0]
         half = (np.arange(fine.size) - zero) % 2 == 0
         half[[0, -1]] = True
         coarse = fine[half]
         checks = _check_cells(fine, coarse, (fine[zero - 1], fine[zero + 1], *_end_peaks(coarse)))
-        left = solve(unsolved(coarse), _by_kind(checks))
+        first, known = unsolved(coarse), _by_kind(checks)
+        solve({kind: np.concatenate([first[kind], known[kind]]) for kind in first})
         carry = _carry(coarse, solved)
-        held = np.array([x for x in checks if (_kind(x), x) in solved])
-        lattice_err = max(_miss(carry, coarse, solved, held), kind_gap())
+        lattice_err = max(_miss(carry, coarse, solved, checks), kind_gap())
         if lattice_err <= LATTICE_TOLERANCE:
-            # the check cells left over, and the midpoints beside the peaks
-            # of the half lattice's every-other-node miss profile: one
-            # batch per kind when they fit
+            # the midpoints beside the peaks of the half lattice's
+            # every-other-node miss profile
             peaks = np.array(sorted(set(_peak_midpoints(fine, coarse,
                                                         _solved_at(solved, coarse, 0)))
                                     - set(checks)))
+            solve(_by_kind(peaks))
             checks = np.concatenate([checks, peaks])
-            peaks = _by_kind(peaks)
-            solve({kind: np.concatenate([left[kind], peaks[kind]]) for kind in left})
             lattice_err = max(_miss(carry, coarse, solved, checks), kind_gap())
         nodes = coarse
         if lattice_err > LATTICE_TOLERANCE:
-            # the rest of the lattice, in the order of its neighbours' sweeps
-            solve({kind: _in_sweep_order(cells, fine, solved)
-                   for kind, cells in unsolved(fine).items()})
+            # the rest of the lattice
+            solve(unsolved(fine))
             nodes, carry = fine, _carry(fine, solved)
             lattice_err = max(_halving_miss(fine, _solved_at(solved, fine, 0)), kind_gap())
 

@@ -209,7 +209,8 @@ def lam_reflection(r_values: np.ndarray, zgrid: SpectralGrid, grid: SpectralGrid
         x_c = float(np.sum(weight * np.angle(turn[near]) / (2.0 * step[near])) / weight.sum())
     if not abs(x_c) <= window:
         x_c = 0.0
-    for x_c in (x_c, 0.0):
+    # frame 0 is the fallback, so it is interpolated once
+    for x_c in (x_c, 0.0) if x_c else (0.0,):
         framed = kept * np.exp(-2j * nodes * x_c)
         out = _lagrange_interpolant(nodes, framed)(points)
         if np.max(np.abs(out)) <= OVERSHOOT * np.max(np.abs(kept)):

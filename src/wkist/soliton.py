@@ -116,11 +116,17 @@ def _phases(p: SolitonParams, x_H, t):
     return Phi, chi
 
 
+def _sech(chi):
+    """sech(chi) = 2 e^{-|chi|} / (1 + e^{-2|chi|}), 0 where cosh(chi) overflows."""
+    decay = np.exp(-np.abs(chi))
+    return 2.0 * decay / (1.0 + decay * decay)
+
+
 def soliton_slope(x_H, t: float, p: SolitonParams):
     """Reconstruction slope s(x_H, t)."""
     Phi, chi = _phases(p, x_H, t)
     amp = 2.0 * p.eta / p.modulus_sq
-    return amp * np.exp(-1j * Phi) / np.cosh(chi) * (
+    return amp * np.exp(-1j * Phi) * _sech(chi) * (
         p.eta * np.tanh(chi) - 1j * p.xi
     )
 
@@ -132,8 +138,8 @@ def soliton_qh(x_H, t: float, p: SolitonParams):
     cosh^2(chi) = 2A; array inputs simply return huge/inf entries there.
     """
     _, chi = _phases(p, x_H, t)
-    c2 = np.cosh(chi) ** 2
-    metric = c2 / (c2 - 2.0 * p.eta**2 / p.modulus_sq)
+    # cosh^2 / (cosh^2 - 2A) = 1 / (1 - 2A sech^2), with 1 = tanh^2 + sech^2
+    metric = 1.0 / (np.tanh(chi) ** 2 + (1.0 - 2.0 * p.eta**2 / p.modulus_sq) * _sech(chi) ** 2)
     return metric * soliton_slope(x_H, t, p)
 
 
@@ -181,7 +187,7 @@ def soliton_epsilon(x, t: float, p: SolitonParams):
     eps = 0.5 * (lo + hi)
     for _ in range(4):
         arg = 2.0 * p.eta * (shift + eps)
-        gp = amp * 2.0 * p.eta / np.cosh(arg) ** 2
+        gp = amp * 2.0 * p.eta * _sech(arg) ** 2
         denom = 1.0 - gp
         step = np.where(np.abs(denom) > 1e-8, (eps - g(eps)) / np.where(
             np.abs(denom) > 1e-8, denom, 1.0), 0.0)
@@ -222,8 +228,8 @@ def soliton_pde_residual(p: SolitonParams, grid: SpatialGrid,
     ``RESIDUAL_LEVELS`` steps dt, halving from ``RESIDUAL_DT``; the
     residual is dominated by the O(dt^2) time-difference error, so
     successive ratios should approach 4.  Returns the steps, the sups
-    and the ratios.  A soliton the grid does not resolve is refused
-    (``check_resolved``).
+    and the ratios of successive sups, none over a sup of 0.  A soliton
+    the grid does not resolve is refused (``check_resolved``).
     """
     check_resolved(p, grid)
     q_t = wki_rhs(make_potential(grid, soliton_q(grid.points, t_center, p))).values
@@ -235,6 +241,7 @@ def soliton_pde_residual(p: SolitonParams, grid: SpatialGrid,
         residual = 1j * (qp - qm) / (2.0 * step) - 1j * q_t
         sups.append(float(np.max(np.abs(residual))))
         step *= 0.5
-    ratios = [sups[i] / sups[i + 1] for i in range(len(sups) - 1)]
+    # a soliton off the grid leaves residuals of 0, which give no ratio
+    ratios = [hi / lo for hi, lo in zip(sups, sups[1:]) if lo > 0.0]
     return {"steps": [RESIDUAL_DT * 0.5**i for i in range(RESIDUAL_LEVELS)],
             "sups": sups, "ratios": ratios}

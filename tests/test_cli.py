@@ -237,6 +237,19 @@ def test_parameters_out_of_the_grid_or_float_range_exit_2(tmp_path, capsys, pipe
 
 
 @pytest.mark.filterwarnings("error")
+def test_a_soliton_off_the_grid_exits_0(tmp_path, capsys):
+    # at t = 1000 the soliton has left the box: sech(chi) is 0 on the grid,
+    # where cosh(chi) overflowed and the run exited 1
+    out = tmp_path / "o"
+    code = main(["soliton", "--outdir", str(out), "--N", "512", "--t", "1000"])
+    assert code == 0
+    results = json.loads((out / "manifest.json").read_text())["results"]
+    assert results["grid_peak"] == 0.0 and results["residual_sups"] == [0.0, 0.0, 0.0]
+    # a residual of 0 gives no ratio
+    assert results["residual_ratios"] == []
+
+
+@pytest.mark.filterwarnings("error")
 def test_a_non_finite_jost_march_exits_4(tmp_path, capsys):
     # on a box of half-width 1e-300 the march overflows: a numerical
     # failure, not samples refused as non-finite, and no warning escapes

@@ -242,29 +242,42 @@ def test_inverse_transform_sizes_cell_batches_to_the_grid(monkeypatch):
     # every batch holds at most BATCH_SAMPLES spectral samples, so its
     # arrays stay cache-sized, and its lattice nodes lie on one wave, every
     # other node of the lattice, equally spaced but for the nodes an earlier
-    # batch solved, so its phases take the recurrence; 1-cell batches give
-    # the same results
+    # batch solved, so its phases take the recurrence; 1-cell batches, and
+    # a cap that splits each kind's wave, give the same results
     grid, sd = _stride5()
     # the lam grid of this sweep: L + window = 16 + 4.5
     n = lam_grid(sd.zgrid, 20.5).point_count
-    jump = wkist.reconstruction._jump_entries
-    blocks = []
+    reconstruction = wkist.reconstruction
+    jump, carry, check_cells = (reconstruction._jump_entries, reconstruction._carry,
+                                reconstruction._check_cells)
+    blocks, waves, checks = [], [], []
 
     def recording(kind, r, zgrid, x_H, *args):
         out = jump(kind, r, zgrid, x_H, *args)
-        blocks.append((x_H, out[0].shape))
+        blocks.append((x_H, out[0].shape, kind))
         return out
 
-    monkeypatch.setattr(wkist.reconstruction, "_jump_entries", recording)
+    def carrying(*args):
+        # a wave ends where the slope is carried from the cells it solved
+        waves.append(len(blocks))
+        return carry(*args)
+
+    def known(*args):
+        checks.append(check_cells(*args))
+        return checks[-1]
+
+    monkeypatch.setattr(reconstruction, "_jump_entries", recording)
+    monkeypatch.setattr(reconstruction, "_carry", carrying)
+    monkeypatch.setattr(reconstruction, "_check_cells", known)
     rec = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
-    assert all(shape == (x.size, n) for x, shape in blocks)
-    assert all(1 < x.size and x.size * n <= 2**15 for x, _ in blocks)
-    solved = np.concatenate([x for x, _ in blocks])
+    assert all(shape == (x.size, n) for x, shape, _ in blocks)
+    assert all(1 < x.size and x.size * n <= 2**15 for x, _, _ in blocks)
+    solved = np.concatenate([x for x, _, _ in blocks])
     assert solved.size == rec.cells["x_H"].size < rec.x_H.size
     assert np.array_equal(np.sort(solved), rec.cells["x_H"])
     h_H = 5 * grid.spacing
     earlier = set()
-    for x, _ in blocks:
+    for x, _, _ in blocks:
         j = x / h_H
         inner = (np.abs(j - np.rint(j)) < 1e-9) & (np.abs(j) < 29)
         for parity in (0, 1):
@@ -274,13 +287,30 @@ def test_inverse_transform_sizes_cell_batches_to_the_grid(monkeypatch):
         earlier |= set(np.rint(j[inner]).astype(int).tolist())
 
     blocks.clear()
-    monkeypatch.setattr(wkist.reconstruction, "BATCH_SAMPLES", 1)
+    monkeypatch.setattr(reconstruction, "BATCH_SAMPLES", 1)
     single = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
-    assert {x.size for x, _ in blocks} == {1}
+    assert {x.size for x, _, _ in blocks} == {1}
     assert np.array_equal(single.nodes, rec.nodes)
     for name in ("slope", "m1_11"):
         assert np.max(np.abs(getattr(rec, name) - getattr(single, name))) < 1e-12
     assert np.max(np.abs(rec.q.values - single.q.values)) < 1e-12
+
+    # 8 cells a batch: each kind's first wave, 18 cells, in 3 batches
+    blocks.clear()
+    waves.clear()
+    checks.clear()
+    monkeypatch.setattr(reconstruction, "BATCH_SAMPLES", 8 * n)
+    split = inverse_transform(sd, 0.0, grid, window=4.5, decay_floor=1e-3)
+    assert all(x.size <= 8 for x, _, _ in blocks)
+    first = blocks[:waves[0]]
+    for kind in (TRIANGULAR, DELTA_CONJUGATED):
+        assert 2 <= sum(k == kind for _, _, k in first) <= 3
+    # the check cells known before any solve are solved in the first wave
+    assert checks[0].size and set(checks[0]) <= set(np.concatenate([x for x, _, _ in first]))
+    assert np.array_equal(split.nodes, single.nodes)
+    for name in ("slope", "m1_11"):
+        assert np.max(np.abs(getattr(split, name) - getattr(single, name))) < 1e-12
+    assert np.max(np.abs(split.q.values - single.q.values)) < 1e-12
 
 
 def test_lattice_matches_the_full_sweep(monkeypatch):

@@ -273,6 +273,31 @@ def test_lam_reflection_carries_the_band_across_the_gap_at_lam_zero():
     assert got[0] == 0.0
 
 
+def test_lam_reflection_interpolates_once_in_the_plain_frame(monkeypatch):
+    # a Gaussian centred at x = 8, beyond the smoke grid's window 4.5: its
+    # frame is no sweep position, so r is carried in the plain frame, and
+    # its interpolant overshoots there; falling back to the same frame took
+    # a second, identical interpolation
+    xgrid = make_spatial_grid(20.0, 512)
+    zgrid = make_spectral_grid(40.0, 1024, z_min=suggest_z_min(40.0, 1024, window=4.5))
+    p = make_potential(xgrid, lambda x: 0.05 * np.exp(-((x - 8.0) ** 2)))
+    r = reflection_coefficient(p, zgrid, a_floor=0.0).r
+    grid = lam_grid(zgrid, 24.5)
+    calls = []
+    interpolant = wkist.rhp._lagrange_interpolant
+
+    def counting(*args):
+        calls.append(args)
+        return interpolant(*args)
+
+    monkeypatch.setattr(wkist.rhp, "_lagrange_interpolant", counting)
+    got = lam_reflection(r, zgrid, grid, window=4.5)
+    assert len(calls) == 1
+    # the same bytes as the plain frame's interpolant with no fallback
+    monkeypatch.setattr(wkist.rhp, "OVERSHOOT", np.inf)
+    assert lam_reflection(r, zgrid, grid, window=4.5).tobytes() == got.tobytes()
+
+
 def test_lam_solve_needs_no_outer_band():
     # the jump c1 z/(z^2 + 1) decays only like c1/z: a Z = 40 z grid cuts
     # it at |z| = 40, a Z = 160 grid of equal spacing at 160.  On the lam
