@@ -87,22 +87,35 @@ def _build_profile(cfg: RunConfig, spacing: float):
     a, c, m = (check_number(name, getattr(cfg, name))
                for name in ("amplitude", "center", "momentum"))
     w = check_number("width", cfg.width, 0.0, strict=True)
-    if cfg.family != "zero" and w < spacing:
+    if cfg.family == "zero":
+        return lambda x: np.zeros_like(np.asarray(x, dtype=complex))
+    if w < spacing:
         # a profile narrower than a grid cell is not sampled; on a grid
         # as coarse as L = 1e300 the profile itself overflows
         raise InvalidArgumentError(
             f"width {w:g} is below the grid spacing {spacing:g}: the grid does not resolve "
             "the profile (raise N or lower L)")
+    if abs(m) * spacing > np.pi:
+        # a carrier that turns by more than pi per cell aliases to a slower one
+        raise InvalidArgumentError(
+            f"momentum {m:g} turns the carrier by {abs(m) * spacing:.3g} rad per grid cell, "
+            "above pi: the grid does not resolve it (raise N or lower L)")
+    shape = {
+        "gaussian": lambda x: a * np.exp(-(((x - c) / w) ** 2)),
+        "sech": lambda x: a / np.cosh((x - c) / w),
+        "box": lambda x: a * (np.abs(x - c) <= w),
+    }.get(cfg.family)
+    if shape is None:
+        raise InvalidArgumentError(f"unknown potential family {cfg.family!r}")
     mod = (lambda x: np.exp(1j * m * x)) if m else (lambda x: 1.0 + 0j)
-    if cfg.family == "gaussian":
-        return lambda x: a * np.exp(-(((x - c) / w) ** 2)) * mod(x)
-    if cfg.family == "sech":
-        return lambda x: a / np.cosh((x - c) / w) * mod(x)
-    if cfg.family == "box":
-        return lambda x: a * (np.abs(x - c) <= w) * mod(x)
-    if cfg.family == "zero":
-        return lambda x: np.zeros_like(np.asarray(x, dtype=complex))
-    raise InvalidArgumentError(f"unknown potential family {cfg.family!r}")
+
+    def profile(x):
+        # far from the center the square and cosh overflow to inf, where
+        # exp(-inf) = 0 and 1/cosh(inf) = 0 are the exact values
+        with np.errstate(over="ignore"):
+            return shape(x) * mod(x)
+
+    return profile
 
 
 def _read_samples_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -150,6 +163,16 @@ def _make_input_potential(cfg: RunConfig, xgrid):
     return make_potential(xgrid, _build_profile(cfg, xgrid.spacing))
 
 
+def _check_box_ends(q: np.ndarray, decay_floor: float):
+    """Refuse samples above ``decay_floor`` at the box ends, the floor the
+    reconstruction's ends are held to: the box does not hold the profile."""
+    end = max(abs(q[0]), abs(q[-1]))
+    if end > decay_floor:
+        raise InvalidArgumentError(
+            f"the potential is {end:.3g} at the box ends, above the decay floor "
+            f"{decay_floor:g}: the box does not hold it (raise L)")
+
+
 def _write_manifest(outdir: Path, cfg: RunConfig, results: dict):
     manifest = {
         "config": asdict(cfg),
@@ -181,6 +204,9 @@ def _forward_data(cfg: RunConfig, outdir: Path):
     p = _make_input_potential(cfg, xgrid)
     gridfunction_to_csv(GridFunction(xgrid, p.q), outdir / "potential.csv")
     sd = reflection_coefficient(p, zgrid, a_floor=cfg.a_floor)
+    # after the march: a march the box cannot carry (L = 1e-300) is a
+    # numerical failure first
+    _check_box_ends(p.q, cfg.decay_floor)
     return xgrid, p, sd
 
 

@@ -275,6 +275,56 @@ def test_a_lam_lattice_beyond_its_cap_exits_4(tmp_path, capsys, L):
     assert error["message"].startswith("the lam lattice needs")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags", [["--center", "1e160"], ["--family", "sech", "--center", "1e300"]],
+                         ids=["gaussian", "sech"])
+def test_a_profile_far_off_the_box_is_zero_without_a_warning(tmp_path, capsys, flags):
+    # the Gaussian's square and the sech's cosh overflow to inf there: the
+    # overflow warning escaped, and under -W error the run exited 1
+    out = tmp_path / "o"
+    assert main(["forward", "--outdir", str(out)] + SMALL[:4] + flags) == 0
+    capsys.readouterr()
+    q = np.loadtxt(out / "potential.csv", delimiter=",", skiprows=1)
+    assert np.all(q[:, 1:] == 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pipeline, momentum", [("roundtrip", "1000"), ("forward", "-41")])
+def test_a_carrier_the_grid_does_not_resolve_exits_2(tmp_path, capsys, pipeline, momentum):
+    # on the 512-point grid of L = 20, pi/h = 40.2: a carrier turning by
+    # more than pi per cell aliases, and roundtrip reported a sup_error of
+    # the whole amplitude
+    out = tmp_path / "o"
+    code = main([pipeline, "--outdir", str(out)] + SMALL + ["--momentum", momentum])
+    assert code == 2
+    assert "invalid-argument" in capsys.readouterr().err
+    error = json.loads((out / "error.json").read_text())
+    assert error["kind"] == "invalid-argument"
+    assert error["message"].startswith(f"momentum {momentum} turns the carrier")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pipeline, flags", [
+    ("forward", ["--width", "30"]), ("forward", ["--family", "sech", "--width", "3"]),
+    ("evolve", ["--family", "box", "--width", "25"]), ("forward", ["--family", "file"]),
+], ids=["gaussian", "sech", "box", "file"])
+def test_a_profile_the_box_does_not_hold_exits_2(tmp_path, capsys, pipeline, flags):
+    # |q| is 0.032, 1.3e-4, 0.05 and 1e-3 at the box ends, above the
+    # default decay floor of 1e-6 the reconstruction's ends are held to
+    if flags == ["--family", "file"]:
+        x = -20.0 + 40.0 / 512 * np.arange(512)
+        columns_to_csv(tmp_path / "q.csv", ["coordinate", "re", "im"],
+                       [x, 1e-3 + 0.05 * np.exp(-x ** 2), 0 * x])
+        flags = flags + ["--input", str(tmp_path / "q.csv")]
+    out = tmp_path / "o"
+    code = main([pipeline, "--outdir", str(out)] + SMALL[:4] + flags)
+    assert code == 2
+    assert "invalid-argument" in capsys.readouterr().err
+    error = json.loads((out / "error.json").read_text())
+    assert error["kind"] == "invalid-argument"
+    assert "at the box ends, above the decay floor 1e-06" in error["message"]
+
+
 def test_window_without_two_sweep_cells_exits_2(tmp_path, capsys):
     # a window holding one grid point leaves no sweep to integrate
     out = tmp_path / "o"

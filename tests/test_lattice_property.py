@@ -1,4 +1,7 @@
-"""Property tests of the lattice interpolants (need ``hypothesis``)."""
+"""Property tests of the lattice interpolants and the CSV writer (need ``hypothesis``)."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +9,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from wkist.lattice import _halving_miss, _lagrange_interpolant  # noqa: E402
+from wkist.lattice import (  # noqa: E402
+    _CSV_ROWS,
+    _halving_miss,
+    _lagrange_interpolant,
+    columns_to_csv,
+)
 
 
 @hypothesis.settings(max_examples=60, deadline=None)
@@ -71,3 +79,37 @@ def test_lagrange_interpolant_returns_uneven_node_values_and_zero_one_ulp_outsid
     a, b = nodes[0], nodes[-1]
     outside = np.array([np.nextafter(a, -np.inf), a - 1.0, np.nextafter(b, np.inf), b + 1.0])
     assert np.all(interpolant(outside) == 0.0)
+
+
+# the edges of the writer's fast path: signed zeros, the smallest
+# subnormal, the exact 17-digit tie 2**-25 (2.9802322387695312e-08), the
+# fixed-point/exponent boundaries at 1e-4 and 1e17, 17 nines, 0.1 and a
+# value below 1e-280
+PINNED = [0.0, -0.0, 5e-324, 2.0 ** -25, 1e-5, 9.999999999999999e-05, 1e-4, 1e16, 1e17,
+          99999999999999998.0, 0.1, -1e-300]
+TEXT = st.text(st.characters(exclude_categories=["Cs"], exclude_characters="\0"), max_size=20)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(values=st.lists(st.floats() | st.sampled_from(PINNED), max_size=60),
+                  width=st.integers(1, 5), at=st.integers(0, 5),
+                  words=st.lists(TEXT | st.integers(), min_size=1, max_size=4), long=st.booleans())
+@hypothesis.example(values=PINNED, width=3, at=1, words=["Triangular", 7], long=False)
+@hypothesis.example(values=PINNED, width=5, at=5, words=[""], long=True)
+@hypothesis.example(values=[], width=2, at=0, words=["kind"], long=False)
+def test_column_writer_writes_the_percent_17g_bytes(values, width, at, words, long):
+    # the contract: "%.17g" % v per number and "%s" % v per text value,
+    # comma-separated, each line ended in CRLF; long columns cross the
+    # writer's blocks of rows
+    n = 2 * _CSV_ROWS + 5 if long and values else len(values)
+    columns = [np.resize(np.roll(values, k), n) * (-1.0) ** k for k in range(width)]
+    at = min(at, width)
+    columns.insert(at, [words[j % len(words)] for j in range(n)])
+    header = [f"c{k}" for k in range(width + 1)]
+    fmt = ",".join("%s" if k == at else "%.17g" for k in range(width + 1)) + "\r\n"
+    expected = (",".join(header) + "\r\n"
+                + "".join(fmt % row for row in zip(*(list(c) for c in columns)))).encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.csv"
+        columns_to_csv(path, header, columns, text=(header[at],))
+        assert path.read_bytes() == expected
