@@ -89,6 +89,13 @@ def _build_profile(cfg: RunConfig, spacing: float):
     w = check_number("width", cfg.width, 0.0, strict=True)
     if cfg.family == "zero":
         return lambda x: np.zeros_like(np.asarray(x, dtype=complex))
+    shape = {
+        "gaussian": lambda x: a * np.exp(-(((x - c) / w) ** 2)),
+        "sech": lambda x: a / np.cosh((x - c) / w),
+        "box": lambda x: a * (np.abs(x - c) <= w),
+    }.get(cfg.family)
+    if shape is None:
+        raise InvalidArgumentError(f"unknown potential family {cfg.family!r}")
     if w < spacing:
         # a profile narrower than a grid cell is not sampled; on a grid
         # as coarse as L = 1e300 the profile itself overflows
@@ -100,13 +107,6 @@ def _build_profile(cfg: RunConfig, spacing: float):
         raise InvalidArgumentError(
             f"momentum {m:g} turns the carrier by {abs(m) * spacing:.3g} rad per grid cell, "
             "above pi: the grid does not resolve it (raise N or lower L)")
-    shape = {
-        "gaussian": lambda x: a * np.exp(-(((x - c) / w) ** 2)),
-        "sech": lambda x: a / np.cosh((x - c) / w),
-        "box": lambda x: a * (np.abs(x - c) <= w),
-    }.get(cfg.family)
-    if shape is None:
-        raise InvalidArgumentError(f"unknown potential family {cfg.family!r}")
     mod = (lambda x: np.exp(1j * m * x)) if m else (lambda x: 1.0 + 0j)
 
     def profile(x):
@@ -163,16 +163,6 @@ def _make_input_potential(cfg: RunConfig, xgrid):
     return make_potential(xgrid, _build_profile(cfg, xgrid.spacing))
 
 
-def _check_box_ends(q: np.ndarray, decay_floor: float):
-    """Refuse samples above ``decay_floor`` at the box ends, the floor the
-    reconstruction's ends are held to: the box does not hold the profile."""
-    end = max(abs(q[0]), abs(q[-1]))
-    if end > decay_floor:
-        raise InvalidArgumentError(
-            f"the potential is {end:.3g} at the box ends, above the decay floor "
-            f"{decay_floor:g}: the box does not hold it (raise L)")
-
-
 def _write_manifest(outdir: Path, cfg: RunConfig, results: dict):
     manifest = {
         "config": asdict(cfg),
@@ -204,9 +194,13 @@ def _forward_data(cfg: RunConfig, outdir: Path):
     p = _make_input_potential(cfg, xgrid)
     gridfunction_to_csv(GridFunction(xgrid, p.q), outdir / "potential.csv")
     sd = reflection_coefficient(p, zgrid, a_floor=cfg.a_floor)
-    # after the march: a march the box cannot carry (L = 1e-300) is a
-    # numerical failure first
-    _check_box_ends(p.q, cfg.decay_floor)
+    # the floor the reconstruction's ends are held to; checked after the
+    # march, as a march the box cannot carry (L = 1e-300) fails first
+    end = max(abs(p.q[0]), abs(p.q[-1]))
+    if end > cfg.decay_floor:
+        raise InvalidArgumentError(
+            f"the potential is {end:.3g} at the box ends, above the decay floor "
+            f"{cfg.decay_floor:g}: the box does not hold it (raise L)")
     return xgrid, p, sd
 
 

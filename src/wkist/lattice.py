@@ -568,6 +568,7 @@ def _csv_block(block, numeric):
     fields = np.empty((len(values), _FIELD_WORDS, n), _LE64)
     _format_numbers(values, fields)
     if all(numeric):
+        # in place: concatenating the fields costs a tenth of the write
         words = fields.reshape(-1, n)
         ends = np.arange(_FIELD_WORDS - 1, len(words), _FIELD_WORDS)
     else:

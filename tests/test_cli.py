@@ -276,7 +276,8 @@ def test_a_lam_lattice_beyond_its_cap_exits_4(tmp_path, capsys, L):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("flags", [["--center", "1e160"], ["--family", "sech", "--center", "1e300"]],
+@pytest.mark.parametrize("flags", [["--center", "1e160"],
+                                   ["--family", "sech", "--center", "1e300"]],
                          ids=["gaussian", "sech"])
 def test_a_profile_far_off_the_box_is_zero_without_a_warning(tmp_path, capsys, flags):
     # the Gaussian's square and the sech's cosh overflow to inf there: the
