@@ -50,7 +50,6 @@ from .lax import (
 )
 from .direct_scattering import (
     ScatteringData,
-    check_a_asymptotics,
     evolve_reflection,
     reflection_coefficient,
 )

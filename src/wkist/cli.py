@@ -11,9 +11,10 @@ Configuration comes from an optional JSON file (--config) with
 command-line flags overriding individual fields.  Every run writes a
 manifest.json echoing the full configuration, library versions, and the
 scalar results; runs are deterministic -- no timestamps, no RNG -- so
-re-running a configuration reproduces the outputs byte for byte (keep
-BLAS single-threaded, e.g. OMP_NUM_THREADS=1, for the tail completion's
-matrix products).
+re-running a configuration reproduces the outputs byte for byte.  No
+pipeline runs a matrix product (the tail completion's serves only the
+public ``cauchy_plus``/``cauchy_minus``), and a default roundtrip writes
+the same bytes under OMP_NUM_THREADS=1 and 2.
 
 Exit codes: 0 success; otherwise the error's ``exit_code`` (2 bad
 arguments or configuration; 3 regime violation, such as bound states or
@@ -46,7 +47,7 @@ from .lattice import (
     make_spectral_grid,
 )
 from .lax import conserved_E1, make_potential
-from .pde_oracle import DEFAULT_CFL, evolve, step_count
+from .pde_oracle import evolve, step_count
 from .reconstruction import DEFAULT_DECAY_FLOOR, inverse_transform
 from .rhp import DEFAULT_WINDOW, suggest_z_min
 from .soliton import (SolitonParams, check_resolved, soliton_epsilon, soliton_peak,
@@ -76,7 +77,6 @@ class RunConfig:
     t: float = 0.0
     window: float = DEFAULT_WINDOW
     decay_floor: float = DEFAULT_DECAY_FLOOR  # see reconstruction.inverse_transform
-    cfl: float = DEFAULT_CFL
     a_floor: float = DEFAULT_A_FLOOR
     # soliton
     xi: float = 3.0
@@ -173,20 +173,17 @@ def _write_manifest(outdir: Path, cfg: RunConfig, results: dict):
         "results": results,
     }
     (outdir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n"
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
 
 
-def _jsonable(d: dict) -> dict:
-    out = {}
-    for key, val in d.items():
-        if isinstance(val, complex):
-            out[key] = [val.real, val.imag]
-        elif isinstance(val, (np.floating, np.integer)):
-            out[key] = val.item()
-        else:
-            out[key] = val
-    return out
+def _check_box_ends(q: np.ndarray, decay_floor: float):
+    """Refuse samples ``q`` above ``decay_floor`` at the box ends: the box does not hold them."""
+    end = max(abs(q[0]), abs(q[-1]))
+    if end > decay_floor:
+        raise InvalidArgumentError(
+            f"the potential is {end:.3g} at the box ends, above the decay floor "
+            f"{decay_floor:g}: the box does not hold it (raise L)")
 
 
 def _forward_data(cfg: RunConfig, outdir: Path):
@@ -196,11 +193,7 @@ def _forward_data(cfg: RunConfig, outdir: Path):
     sd = reflection_coefficient(p, zgrid, a_floor=cfg.a_floor)
     # the floor the reconstruction's ends are held to; checked after the
     # march, as a march the box cannot carry (L = 1e-300) fails first
-    end = max(abs(p.q[0]), abs(p.q[-1]))
-    if end > cfg.decay_floor:
-        raise InvalidArgumentError(
-            f"the potential is {end:.3g} at the box ends, above the decay floor "
-            f"{cfg.decay_floor:g}: the box does not hold it (raise L)")
+    _check_box_ends(p.q, cfg.decay_floor)
     return xgrid, p, sd
 
 
@@ -276,9 +269,9 @@ def run_roundtrip(cfg: RunConfig, outdir: Path) -> dict:
 def run_compare_pde(cfg: RunConfig, outdir: Path) -> dict:
     xgrid, p, sd = _forward_data(cfg, outdir)
     # a step budget the flow would exceed is refused before the inverse runs
-    step_count(xgrid, cfg.t, cfl=cfg.cfl)
+    step_count(xgrid, cfg.t)
     rec = inverse_transform(sd, cfg.t, xgrid, window=cfg.window, decay_floor=cfg.decay_floor)
-    run = evolve(GridFunction(xgrid, p.q), cfg.t, cfl=cfg.cfl)
+    run = evolve(GridFunction(xgrid, p.q), cfg.t)
     q_pde = run.final.values
     gridfunction_to_csv(rec.q, outdir / "scattering_route.csv")
     gridfunction_to_csv(run.final, outdir / "direct_route.csv")
@@ -305,6 +298,9 @@ def run_soliton(cfg: RunConfig, outdir: Path) -> dict:
     xgrid = make_spatial_grid(cfg.L, cfg.N)
     check_resolved(params, xgrid)
     q = soliton_q(xgrid.points, cfg.t, params)
+    # the residual check differentiates on the periodic box, where a tail
+    # left at one end meets the other end
+    _check_box_ends(q, cfg.decay_floor)
     eps = soliton_epsilon(xgrid.points, cfg.t, params)
     gridfunction_to_csv(GridFunction(xgrid, q), outdir / "soliton.csv")
     columns_to_csv(outdir / "epsilon.csv", ["coordinate", "epsilon"], [xgrid.points, eps])
@@ -317,7 +313,9 @@ def run_soliton(cfg: RunConfig, outdir: Path) -> dict:
     if not (params.bursting or params.looped):
         residual = soliton_pde_residual(params, xgrid, t_center=cfg.t or 0.1)
         results["residual_sups"] = residual["sups"]
-        results["residual_ratios"] = residual["ratios"]
+        # below the decay floor the O(dt^2) check sees only rounding
+        peaked = results["grid_peak"] >= cfg.decay_floor
+        results["residual_ratios"] = residual["ratios"] if peaked else []
     return results
 
 
@@ -393,10 +391,9 @@ def _config_from_args(args) -> RunConfig:
     }
     cfg = replace(cfg, **overrides)
     # checked before any pipeline runs: ``inverse --input`` never reaches
-    # the forward's checks of a_floor, window and t, and only compare-pde reads cfl
+    # the forward's checks of a_floor, window and t
     for name in ("decay_floor", "a_floor", "window"):
         check_number(name, getattr(cfg, name), 0.0)
-    check_number("cfl", cfg.cfl, 0.0, strict=True)
     check_number("t", cfg.t)
     return cfg
 
@@ -413,7 +410,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        results = _jsonable(_PIPELINES[cfg.pipeline](cfg, outdir))
+        results = _PIPELINES[cfg.pipeline](cfg, outdir)
     except Exception as err:
         known = isinstance(err, WkiError)
         kind = err.kind if known else "unexpected"

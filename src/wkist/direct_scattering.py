@@ -82,13 +82,12 @@ from .errors import (
     check_number,
 )
 from .lattice import SpectralGrid, _halving_miss, _lagrange_interpolant
-from .lax import Potential, akns_potentials
+from .lax import Potential
 
 __all__ = [
     "ScatteringData",
     "reflection_coefficient",
     "evolve_reflection",
-    "check_a_asymptotics",
 ]
 
 # A step's phase phi = lam_max |H| sqrt(1 + |q|^2) is kept at or below
@@ -626,25 +625,3 @@ def evolve_reflection(sd: ScatteringData, t: float) -> ScatteringData:
         time=sd.time + t,
         diagnostics=dict(sd.diagnostics),
     )
-
-
-def check_a_asymptotics(p: Potential, lam_list) -> dict:
-    """Defect |a(lam) e^{i lam int H} - e^{-int B}| per requested lam.
-
-    The defect decreases as |lam| grows (until the resolution floor),
-    reflecting the large-lam limit of a in its analytic domain.
-    """
-    fields = akns_potentials(p)
-    h = p.grid.spacing
-    int_H = float(np.trapezoid(fields.H, dx=h))
-    int_B = complex(np.trapezoid(fields.B, dx=h))
-    lams = np.atleast_1d(np.asarray(lam_list, dtype=float))
-
-    a = _wronskians(p, lams)[0]
-    defects = np.abs(a * np.exp(1j * lams * int_H) - np.exp(-int_B))
-    return {
-        "lams": lams,
-        "defects": defects,
-        "int_H": int_H,
-        "int_B": int_B,
-    }

@@ -5,9 +5,10 @@ AKNS form by the eigenvector matrix G of the coefficient, a diagonal
 gauge factor built from B, and the phase p(x) = x + int(<q> - 1).  The
 pipelines read the sampled ``Potential`` (samples, spectral derivative,
 profile) and E1.  The AKNS fields -- G, the gauge potentials Q and B,
-H = <q> - 1, and p -- feed the large-lam check of a
-(``check_a_asymptotics``); the gauge exponential itself is derived from
-B on demand by ``cumulative_integral``.
+H = <q> - 1, and p -- are public; no pipeline reads them, and the tests
+check a against its large-lam limit from int H and int B
+(``tests/jost_checks.py``).  The gauge exponential itself is derived
+from B on demand by ``cumulative_integral``.
 
 Notation: <q> = sqrt(1 + |q|^2) throughout.
 """

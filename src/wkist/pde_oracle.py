@@ -9,7 +9,7 @@ integrated as q_t = i d_xx(q/<q>) with spectral x-derivatives on the
 periodic extension of the grid (legitimate for decaying potentials on a
 wide enough box) and classical fourth-order Runge-Kutta in time.  The
 stiffness is that of a free Schroedinger equation, so the stable step
-scales with the grid spacing squared: the step is at most ``cfl``
+scales with the grid spacing squared: the step is at most ``CFL``
 times h^2.
 
 This module deliberately shares nothing with the scattering transform
@@ -28,7 +28,8 @@ from .lax import Potential, conserved_E1, make_potential
 
 __all__ = ["EvolutionRun", "wki_rhs", "step_count", "evolve"]
 
-DEFAULT_CFL = 0.2
+# the RK4 step in units of h^2; every run takes this one
+CFL = 0.2
 BLOWUP_GUARD = 1e3
 # RK4 steps one run may take; criterion 7 (t = 0.5, N = 2048) takes ~6.6k
 STEP_CAP = 10**6
@@ -68,15 +69,15 @@ class EvolutionRun:
         return float(np.max(np.abs(self.e1 - self.e1[0])))
 
 
-def _schedule(grid, T, cfl):
-    """The RK4 time step cfl * h^2 and the number of steps to T.
+def _schedule(grid, T):
+    """The RK4 time step ``CFL`` * h^2 and the number of steps to T.
 
     Refuses a span T that is not a finite number, a time step that is
     not a finite number > 0, and a step count above ``STEP_CAP``,
     counted in floating point (ResolutionExceededError).
     """
     check_number("T", T)
-    dt = check_number("time step", cfl * grid.spacing**2, 0.0, strict=True)
+    dt = check_number("time step", CFL * grid.spacing**2, 0.0, strict=True)
     count = max(1.0, np.ceil(abs(T) / dt)) if T else 0.0
     if not count <= STEP_CAP:
         raise ResolutionExceededError(
@@ -86,19 +87,19 @@ def _schedule(grid, T, cfl):
     return dt, count
 
 
-def step_count(grid, T: float, cfl: float = DEFAULT_CFL) -> int:
+def step_count(grid, T: float) -> int:
     """The RK4 steps ``evolve`` would take on ``grid`` to time T, without taking them.
 
     Raises what ``evolve`` raises before its first step, so a caller can
     refuse a run before paying for anything else.
     """
-    return int(_schedule(grid, T, cfl)[1])
+    return int(_schedule(grid, T)[1])
 
 
-def evolve(q0: GridFunction, T: float, cfl: float = DEFAULT_CFL) -> EvolutionRun:
+def evolve(q0: GridFunction, T: float) -> EvolutionRun:
     """Integrate the flow from q0 to time T (T may be negative).
 
-    The step is T / n for the fewest n steps no longer than cfl * h^2,
+    The step is T / n for the fewest n steps no longer than ``CFL`` * h^2,
     so T is hit exactly.  Amplitudes beyond ``BLOWUP_GUARD``, or
     non-finite values, abort with EvolutionDivergedError carrying the
     time and location of the blow-up.  A step count above ``STEP_CAP``,
@@ -106,7 +107,7 @@ def evolve(q0: GridFunction, T: float, cfl: float = DEFAULT_CFL) -> EvolutionRun
     ResolutionExceededError (``step_count``).
     """
     grid = q0.grid
-    dt, count = _schedule(grid, T, cfl)
+    dt, count = _schedule(grid, T)
     k2 = _wavenumbers(grid) ** 2
     q = start = np.asarray(q0.values, dtype=complex)
     e1_start = conserved_E1(make_potential(grid, start))
@@ -129,5 +130,5 @@ def evolve(q0: GridFunction, T: float, cfl: float = DEFAULT_CFL) -> EvolutionRun
     return EvolutionRun(
         grid=grid, times=np.array([0.0, T]), snapshots=np.array([start, q]), dt=dt,
         steps=int(count), e1=np.array([e1_start, conserved_E1(make_potential(grid, q))]),
-        diagnostics={"cfl": cfl, "guard": BLOWUP_GUARD},
+        diagnostics={"cfl": CFL, "guard": BLOWUP_GUARD},
     )

@@ -58,11 +58,11 @@ and stop at the first iterate that meets tol
 updates, each pass C+ or C- directly).  They are the only solver: for
 small data the operator is a contraction (Beals & Coifman, CPAM 37,
 1984; Zhou, SIAM J. Math. Anal. 20, 1989), and a batch in which any
-cell fails to converge raises ``RhpUnsolvedError``.  The dense
-collocation solve (``_dense_solve``) is kept as the reference the tests
-compare the sweeps against; nothing in the package calls it.  A cell is
-one row of X: the two rows solve the same operator with their own
-right-hand sides, so both rows of a jump are two cells of one batch.
+cell fails to converge raises ``RhpUnsolvedError``.  The tests compare
+the sweeps against a dense collocation solve of the same discrete
+system (``tests/rhp_cells.py``).  A cell is one row of X: the two rows
+solve the same operator with their own right-hand sides, so both rows of
+a jump are two cells of one batch.
 The inverse transform (``_solve_batch``) solves row 1 alone, since
 m^(1)_11 and the slope are integrals of row 1; row 2 is its Schwarz
 reflection.
@@ -98,7 +98,6 @@ __all__ = ["delta_function", "lam_grid", "lam_reflection", "suggest_z_min"]
 
 NEUMANN_TOL = 1e-10
 NEUMANN_CAP = 200
-DENSE_CAP = 1024
 POINTS_PER_PERIOD = 5.0
 # half-width of the x_H window the inverse sweeps, unless a run sets one
 DEFAULT_WINDOW = 6.0
@@ -460,41 +459,6 @@ def _neumann(u21, u12, rhs1, rhs2, kind, grid,
             k += 1
     met[met < 0] = sweeps
     return (x[0], x[1]), res, sweeps, res < tol, met
-
-
-def _dense_matrix(u21_row, u12_row, kind, grid):
-    n = grid.point_count
-    if n > DENSE_CAP:
-        raise RhpUnsolvedError(
-            f"dense reference solve capped at N = {DENSE_CAP}, grid has {n}"
-        )
-    eye = np.eye(n, dtype=complex)
-    KP = _cauchy_plus_batch(eye, grid).T
-    KM = KP - eye
-    # each projection less its value at lam = 0 (``_half_step``)
-    KP -= KP[n // 2]
-    KM -= KM[n // 2]
-    S1 = KM if _in_w_plus(kind, 21) else KP
-    S2 = KM if _in_w_plus(kind, 12) else KP
-    A = np.zeros((2 * n, 2 * n), dtype=complex)
-    A[:n, :n] = np.eye(n)
-    A[n:, n:] = np.eye(n)
-    A[:n, n:] = -S1 * u21_row[None, :]
-    A[n:, :n] = -S2 * u12_row[None, :]
-    return A
-
-
-def _dense_solve(u21_row, u12_row, rhs_pairs, kind, grid):
-    """Direct collocation solve of (I - C_w) X = rhs for one cell.
-
-    ``rhs_pairs`` is a list of (rhs_col1, rhs_col2) row right-hand
-    sides; both matrix rows share the same 2N x 2N operator.
-    """
-    n = grid.point_count
-    A = _dense_matrix(u21_row, u12_row, kind, grid)
-    B = np.stack([np.concatenate([r1, r2]) for r1, r2 in rhs_pairs], axis=1)
-    X = np.linalg.solve(A, B)
-    return [(X[:n, j], X[n:, j]) for j in range(X.shape[1])]
 
 
 def _solve_batch(u21, u12, kind, grid):

@@ -7,8 +7,9 @@ matrix at single lam: ``propagate_jost`` samples psi at every step end
 of the same march, and ``transition_matrix`` arranges the Wronskians
 as T.  As independent
 checks of those outputs, ``symmetry_defect`` measures the real-lam
-symmetry of T, and ``b_from_integral`` computes b from its integral
-representation.
+symmetry of T, ``b_from_integral`` computes b from its integral
+representation, and ``check_a_asymptotics`` compares a with its
+large-lam limit, which the AKNS fields of ``wkist.lax`` give.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from wkist.direct_scattering import _fill_second_column, _march, _wronskians
-from wkist.lax import Potential
+from wkist.lax import Potential, akns_potentials
 
 
 @dataclass
@@ -85,3 +86,25 @@ def b_from_integral(p: Potential, lam: float) -> complex:
     m11 = CubicSpline(x_ends, m11_ends)(x)
     integrand = np.exp(2j * lam * x) * np.conj(p.q) * m11
     return complex(-lam * np.trapezoid(integrand, x=x))
+
+
+def check_a_asymptotics(p: Potential, lam_list) -> dict:
+    """Defect |a(lam) e^{i lam int H} - e^{-int B}| per requested lam.
+
+    The defect decreases as |lam| grows (until the resolution floor),
+    reflecting the large-lam limit of a in its analytic domain.
+    """
+    fields = akns_potentials(p)
+    h = p.grid.spacing
+    int_H = float(np.trapezoid(fields.H, dx=h))
+    int_B = complex(np.trapezoid(fields.B, dx=h))
+    lams = np.atleast_1d(np.asarray(lam_list, dtype=float))
+
+    a = _wronskians(p, lams)[0]
+    defects = np.abs(a * np.exp(1j * lams * int_H) - np.exp(-int_B))
+    return {
+        "lams": lams,
+        "defects": defects,
+        "int_H": int_H,
+        "int_B": int_B,
+    }

@@ -9,16 +9,21 @@ m^(1)_12, which the inverse never reads but whose x_H-derivative the
 slope is, is the full-line moment: the lam grid holds the whole jump.
 ``fd_slope_gap`` checks the slope against its central differences.
 ``both_rows`` poses both rows of the mu equation as cells of one batch.
+``dense_solve`` is the reference the sweeps are compared against: a
+direct collocation solve of the same discrete system, one cell at a
+time, which the package itself never runs.
 """
 
 import numpy as np
 
-from wkist.lattice import GridFunction, SpectralGrid
+from wkist.errors import RhpUnsolvedError
+from wkist.lattice import GridFunction, SpectralGrid, _cauchy_plus_batch
 from wkist.reconstruction import _solve_cells
 from wkist.rhp import (
     DELTA_CONJUGATED,
     _delta_shift,
     _half_step,
+    _in_w_plus,
     _jump_entries,
     _l2_residual,
     delta_function,
@@ -28,6 +33,8 @@ from wkist.rhp import (
 
 # L + window of the inverse's default grid and sweep, 20 + 6
 EXTENT = 26.0
+# largest grid the dense reference solve takes: its operator is 2N x 2N
+DENSE_CAP = 1024
 
 
 def lam_data(r, zgrid, extent=EXTENT, points=None):
@@ -79,3 +86,39 @@ def fd_slope_gap(r, zgrid, kind, x_H, delta=1e-3, points=None):
     """|slope - central difference of the full-line m^(1)_12| at cell ``x_H``."""
     out = cell_solve(r, zgrid, kind, [x_H, x_H + delta, x_H - delta], points)
     return abs(out["slope"][0] - (out["m12"][1] - out["m12"][2]) / (2 * delta))
+
+
+def dense_matrix(u21_row, u12_row, kind, grid):
+    """The 2N x 2N collocation matrix of I - C_w for one cell, on the lam ``grid``."""
+    n = grid.point_count
+    if n > DENSE_CAP:
+        raise RhpUnsolvedError(
+            f"dense reference solve capped at N = {DENSE_CAP}, grid has {n}"
+        )
+    eye = np.eye(n, dtype=complex)
+    KP = _cauchy_plus_batch(eye, grid).T
+    KM = KP - eye
+    # each projection less its value at lam = 0 (``_half_step``)
+    KP -= KP[n // 2]
+    KM -= KM[n // 2]
+    S1 = KM if _in_w_plus(kind, 21) else KP
+    S2 = KM if _in_w_plus(kind, 12) else KP
+    A = np.zeros((2 * n, 2 * n), dtype=complex)
+    A[:n, :n] = np.eye(n)
+    A[n:, n:] = np.eye(n)
+    A[:n, n:] = -S1 * u21_row[None, :]
+    A[n:, :n] = -S2 * u12_row[None, :]
+    return A
+
+
+def dense_solve(u21_row, u12_row, rhs_pairs, kind, grid):
+    """Direct collocation solve of (I - C_w) X = rhs for one cell.
+
+    ``rhs_pairs`` is a list of (rhs_col1, rhs_col2) row right-hand
+    sides; both matrix rows share the same 2N x 2N operator.
+    """
+    n = grid.point_count
+    A = dense_matrix(u21_row, u12_row, kind, grid)
+    B = np.stack([np.concatenate([r1, r2]) for r1, r2 in rhs_pairs], axis=1)
+    X = np.linalg.solve(A, B)
+    return [(X[:n, j], X[n:, j]) for j in range(X.shape[1])]

@@ -28,7 +28,7 @@ from wkist.lattice import (
 )
 from wkist.lax import make_potential
 from wkist.reconstruction import inverse_transform
-from wkist.rhp import DELTA_CONJUGATED, TRIANGULAR, _dense_solve, suggest_z_min
+from wkist.rhp import DELTA_CONJUGATED, TRIANGULAR, suggest_z_min
 from wkist.soliton import (
     SolitonParams,
     soliton_peak,
@@ -37,7 +37,7 @@ from wkist.soliton import (
     soliton_qh,
 )
 from wkist.pde_oracle import evolve
-from rhp_cells import cell_solve, fd_slope_gap, lam_data
+from rhp_cells import cell_solve, dense_solve, fd_slope_gap, lam_data
 
 
 GAUSSIAN = lambda x: 0.05 * np.exp(-(x**2))
@@ -222,7 +222,7 @@ def test_criterion_10_rhp_solver_agreement(base, capfd):
     for x_H, kind in ((-0.4, TRIANGULAR), (0.4, DELTA_CONJUGATED)):
         out = cell_solve(sd.r, zgrid, kind, [x_H])
         worst_res = max(worst_res, out["residual"][0])
-        [dense] = _dense_solve(out["u21"][0], out["u12"][0], [(ones, 0 * ones)], kind, grid)
+        [dense] = dense_solve(out["u21"][0], out["u12"][0], [(ones, 0 * ones)], kind, grid)
         for x, d in zip(out["mu"], dense):
             solver_gap = max(solver_gap, float(np.max(np.abs(x[0] - d))))
 

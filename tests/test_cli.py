@@ -155,13 +155,11 @@ def test_unreadable_config_exits_2(tmp_path, capsys, content):
 
 @pytest.mark.parametrize("flags", [
     ["--decay-floor", "nan"], ["--a-floor", "nan"], ["--decay-floor", "-1"],
-    ["--Z", "1e308"], ["--cfl", "nan"], ["--cfl", "inf"], ["--cfl", "0"],
-], ids=["nan-decay-floor", "nan-a-floor", "negative-decay-floor", "overflowing-Z",
-        "nan-cfl", "infinite-cfl", "zero-cfl"])
+    ["--Z", "1e308"],
+], ids=["nan-decay-floor", "nan-a-floor", "negative-decay-floor", "overflowing-Z"])
 def test_bad_guard_threshold_or_grid_value_exits_2(tmp_path, capsys, flags):
     # a NaN threshold would switch its guard off, a negative one trip it
-    # on every run; a grid width that overflows is no grid, and a cfl that
-    # is not a finite number > 0 no time step
+    # on every run; a grid width that overflows is no grid
     code = main(["roundtrip", "--outdir", str(tmp_path / "o")] + SMALL + flags)
     err = capsys.readouterr().err
     assert code == 2
@@ -246,6 +244,31 @@ def test_a_soliton_off_the_grid_exits_0(tmp_path, capsys):
     results = json.loads((out / "manifest.json").read_text())["results"]
     assert results["grid_peak"] == 0.0 and results["residual_sups"] == [0.0, 0.0, 0.0]
     # a residual of 0 gives no ratio
+    assert results["residual_ratios"] == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", ["1.5", "2"])
+def test_a_soliton_at_the_box_ends_exits_2(tmp_path, capsys, t):
+    # the soliton runs at speed 4 xi = 12: at t = 1.5 its tail is 0.018 at
+    # the box end, and at t = 2 it has crossed the periodic box's seam,
+    # where the residual check's spectral derivative saw a sup of 0.11
+    # against a grid peak of 3.6e-4
+    out = tmp_path / "o"
+    code = main(["soliton", "--outdir", str(out), "--N", "512", "--t", t])
+    assert code == 2
+    assert "at the box ends" in capsys.readouterr().err
+    assert json.loads((out / "error.json").read_text())["kind"] == "invalid-argument"
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_soliton_below_the_decay_floor_reports_no_ratios(tmp_path, capsys):
+    # at t = 30 the grid holds 5e-296 of the soliton's tail: the residual
+    # sups are rounding, whose ratios read 0.99998 where O(dt^2) reads 4
+    out = tmp_path / "o"
+    assert run(["soliton", "--outdir", str(out), "--N", "512", "--t", "30"], capsys) == 0
+    results = json.loads((out / "manifest.json").read_text())["results"]
+    assert results["grid_peak"] < 1e-6
     assert results["residual_ratios"] == []
 
 
@@ -347,10 +370,11 @@ def test_config_takes_integral_numbers_for_int_fields(tmp_path, capsys):
     assert config["amplitude"] == 1.0 and isinstance(config["amplitude"], float)
 
 
-@pytest.mark.parametrize("flags", [["--no-tail"], ["--tail"], ["--z-min", "0.5"]],
-                         ids=["no-tail", "tail", "z-min"])
+@pytest.mark.parametrize("flags", [["--no-tail"], ["--tail"], ["--z-min", "0.5"],
+                                   ["--cfl", "0.2"]], ids=["no-tail", "tail", "z-min", "cfl"])
 def test_retired_flags_exit_2(tmp_path, capsys, flags):
-    # tail completion is always on and z_min is always the resolved one
+    # tail completion is always on, z_min is always the resolved one and
+    # the PDE oracle's step is always pde_oracle.CFL h^2
     with pytest.raises(SystemExit) as exit_:
         main(["roundtrip", "--outdir", str(tmp_path / "o")] + SMALL + flags)
     capsys.readouterr()
@@ -572,10 +596,11 @@ def test_hand_written_band_data_are_carried_in_the_plain_frame(tmp_path, capsys)
 
 
 def test_compare_pde_step_budget_exits_4(tmp_path, capsys):
+    # 1.02e6 RK4 steps of 0.2 h^2 to t = 800 on this grid, above STEP_CAP
     out = tmp_path / "out"
     code = run(["compare-pde", "--outdir", str(out), "--N", "256", "--N-z", "512",
-                "--L", "8", "--window", "3", "--t", "0.01", "--decay-floor", "1e-2",
-                "--cfl", "1e-300"], capsys)
+                "--L", "8", "--window", "3", "--t", "800", "--decay-floor", "1e-2"],
+               capsys)
     assert code == 4
     err = json.loads((out / "error.json").read_text())
     assert err["kind"] == "resolution-exceeded"
@@ -589,8 +614,8 @@ def test_compare_pde_refuses_the_step_budget_before_the_inverse(tmp_path, capsys
     monkeypatch.setattr(wkist.cli, "inverse_transform", no_inverse)
     out = tmp_path / "out"
     code = run(["compare-pde", "--outdir", str(out), "--N", "256", "--N-z", "512",
-                "--L", "8", "--window", "3", "--t", "0.01", "--decay-floor", "1e-2",
-                "--cfl", "1e-300"], capsys)
+                "--L", "8", "--window", "3", "--t", "800", "--decay-floor", "1e-2"],
+               capsys)
     assert code == 4
     err = json.loads((out / "error.json").read_text())
     assert err["kind"] == "resolution-exceeded"

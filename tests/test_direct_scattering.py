@@ -16,7 +16,6 @@ from wkist.direct_scattering import (
     _step_scalars,
     _steps,
     _wronskians,
-    check_a_asymptotics,
     evolve_reflection,
     reflection_coefficient,
 )
@@ -29,7 +28,8 @@ from wkist.lattice import make_spatial_grid, make_spectral_grid
 from wkist.lax import make_potential
 from wkist.rhp import suggest_z_min
 
-from jost_checks import b_from_integral, propagate_jost, symmetry_defect, transition_matrix
+from jost_checks import (b_from_integral, check_a_asymptotics, propagate_jost, symmetry_defect,
+                         transition_matrix)
 
 # Reference values for the box potential q = 0.1 on [-1, 1], lam = 2,
 # from the exact piecewise-constant propagator in 40-digit arithmetic

@@ -69,19 +69,6 @@ def test_guard_trips_on_blowup(monkeypatch):
     assert err.location is not None
 
 
-def test_argument_validation():
-    grid = make_spatial_grid(20.0, 256)
-    q = GridFunction(grid, gaussian(grid, 0.01))
-    with pytest.raises(InvalidArgumentError):
-        evolve(q, 0.1, cfl=0.0)
-    with pytest.raises(InvalidArgumentError):
-        evolve(q, 0.1, cfl=-0.1)
-    # a NaN step cannot be counted and an infinite one is a single RK4 step
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(InvalidArgumentError):
-            evolve(q, 0.1, cfl=bad)
-
-
 def test_nan_span_is_refused():
     # a NaN span counted as a single step
     grid = make_spatial_grid(20.0, 256)
@@ -94,18 +81,18 @@ def test_nan_span_is_refused():
 def test_step_budget_is_checked_before_the_first_step():
     grid = make_spatial_grid(20.0, 256)
     q = GridFunction(grid, gaussian(grid, 0.01))
-    # 1e299 steps: refused at once instead of never finishing
+    # 1e302 steps: refused at once instead of never finishing
     with pytest.raises(ResolutionExceededError):
-        evolve(q, 0.1, cfl=1e-300)
+        evolve(q, 1e300)
     with pytest.raises(ResolutionExceededError):
-        step_count(grid, 0.1, cfl=1e-300)
+        step_count(grid, 1e300)
 
 
 def test_step_count_is_the_steps_evolve_takes():
     grid = make_spatial_grid(20.0, 256)
     q = GridFunction(grid, gaussian(grid, 0.01))
-    for kwargs in ({}, {"cfl": 0.1}):
-        assert step_count(grid, 0.01, **kwargs) == evolve(q, 0.01, **kwargs).steps
+    for T in (0.01, -0.02):
+        assert step_count(grid, T) == evolve(q, T).steps
 
 
 def test_run_keeps_the_start_and_the_end():

@@ -18,14 +18,13 @@ from wkist.rhp import (  # noqa: E402
     NEUMANN_TOL,
     POINTS_PER_PERIOD,
     TRIANGULAR,
-    _dense_solve,
     _m0_rows,
     _neumann,
     _solve_batch,
     suggest_z_min,
 )
 from rhp_cells import (  # noqa: E402
-    both_rows, cell_solve, exact_residual, fd_slope_gap, jump_batch, lam_data)
+    both_rows, cell_solve, dense_solve, exact_residual, fd_slope_gap, jump_batch, lam_data)
 
 ZGRID = make_spectral_grid(20.0, 256, z_min=0.5)
 FINE_ZGRID = make_spectral_grid(20.0, 512, z_min=0.5)
@@ -74,7 +73,7 @@ def dense_row_1(r, x_H, kind, zgrid=ZGRID):
     r, grid = lam_data(r, zgrid)
     u21, u12 = jump_batch(r, grid, kind, [x_H])
     ones = np.ones(grid.point_count)
-    mu = _dense_solve(u21[0], u12[0], [(ones, 0 * ones)], kind, grid)[0]
+    mu = dense_solve(u21[0], u12[0], [(ones, 0 * ones)], kind, grid)[0]
     return u21, u12, mu, grid
 
 
