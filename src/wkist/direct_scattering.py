@@ -117,6 +117,10 @@ BLOCK_SAMPLES = 8192
 DEFAULT_A_FLOOR = 0.5
 # Most nodes the lam lattice may have: each is marched across the whole grid
 LAM_LATTICE_CAP = 2**16
+# Below this |lam|, phi = |lam| sqrt(c2 + ...) may underflow to 0 and make
+# sin(phi)/phi 0/0; there phi^2/6 is far below an ulp, so S is 1 to the
+# last bit, as the division gives wherever phi stays nonzero.
+TINY_LAM = 1e-100
 
 
 @dataclass
@@ -147,14 +151,15 @@ class _CellPropagator:
     for.  ``R`` holds the rows (lam S, lam^2 S), S = sin(phi)/phi, as
     complex rows with zero imaginary parts, so that the (2, 2) x (2, L)
     product coef R gives the off-diagonal pair; ``T``, ``phi`` and ``S``
-    are scratch rows, and ``zero`` marks the lam = 0 of the batch, where
-    S is 1.
+    are scratch rows, and ``zero`` marks the lam of the batch below
+    ``TINY_LAM`` in size, lam = 0 among them, where S is 1.
     """
 
     def __init__(self, lam):
         L = lam.size
         self.lam = lam
-        self.zero = lam == 0.0 if np.any(lam == 0.0) else None
+        tiny = np.abs(lam) < TINY_LAM
+        self.zero = tiny if np.any(tiny) else None
         self.E = np.empty((2, 2, L), dtype=complex)
         self.D, self.O = self.E
         (self.E00, self.E11), _ = self.E

@@ -50,6 +50,9 @@ def test_transition_matrix_is_unimodular_and_symmetric(lam_max, family, amplitud
 
 @hypothesis.settings(max_examples=20, deadline=None)
 @hypothesis.given(lam=st.floats(-8.0, 8.0), side=st.sampled_from("-+"), **potentials)
+# a subnormal lam, whose phi underflows to 0
+@hypothesis.example(lam=5e-324, side="-", family="gaussian", amplitude=1.0, width=1.0,
+                    momentum=0.0)
 def test_det_defect_matches_the_complex_determinant(lam, side, family, amplitude,
                                                     width, momentum):
     # the march reads det psi as |alpha|^2 + |beta|^2 off its first column;
