@@ -15,7 +15,7 @@ d = -conj(b), c = conj(a) hold to roundoff for real lam at any
 resolution; the O(H^4) error only moves (a, b) along the unit sphere
 |a|^2 + |b|^2 = 1.  A step with q1 = q2 is the midpoint exponential.
 
-The step schedule (``_steps``) lets one step span up to ``STEP_CELLS``
+The step schedule (``_layout``) lets one step span up to ``STEP_CELLS``
 grid cells where the profile is smooth.  One dimensionless rule sets
 both the span and the substeps at large lam: a step's phase lam_max H
 sqrt(1 + |q|^2) stays at or below ``PHASE_BOUND``, with lam_max the
@@ -35,6 +35,19 @@ only halfway, which also halves the cost):
 
     a = det((psi+)_1, (psi-)_2)      b = det((psi-)_1, (psi+)_1)
     c = det((psi-)_1, (psi+)_2)      d = det((psi+)_2, (psi-)_2)
+
+The schedule is laid out once for both halves.  Where q has decayed,
+the Jost column is the free one, e^{i lam x} (1, 0), so each half-march
+starts where the potential first couples (``_first_step``): it skips
+the leading steps whose bound on the pull off the free rotation sums to
+at most ``DROP_SHARE`` of the whole half's, and starts with the free
+column at the last grid node among them.  The rule reads q only through
+ratios of couplings, so a tiny potential keeps its relative accuracy; a
+sech, which still couples 1e-9 of its height at |x| = 20, starts at the
+grid ends, and a half where q is zero at the meeting node.  For real q
+each step at -lam is the conjugate of the step at lam, bit for bit, so
+psi(-lam) = sigma3 conj psi(lam) sigma3: on a batch symmetric about lam
+= 0, such as the lattice below, only lam > 0 is marched (``_mirror``).
 
 and r(z) = b(-1/z)/a(-1/z) on the spectral grid of the inverse problem.
 The grid's active band crowds its lam = -1/z near 0, spaced down to
@@ -105,7 +118,9 @@ GAUSS_OFFSET = np.sqrt(3.0) / 6.0  # the Gauss points are x_m -+ GAUSS_OFFSET * 
 # A commutator term below this share of the term it adds to is dropped
 # from the trigonometry: an eighth of the float64 epsilon keeps the sum's
 # rounded value, which is a quarter of an ulp at a power of two, with room
-# for the rounding of the term itself, so dropping it changes no bit.
+# for the rounding of the term itself, so dropping it changes no bit.  A
+# half-march skips the tail steps whose coupling sums to at most this
+# share of the whole half's (``_first_step``).
 DROP_SHARE = np.finfo(float).eps / 8
 # The lam lattice's spacing, in units of 1/L: pi/16 is 16 nodes per period
 # of e^{2 i lam x} at the grid edge |x| = L.
@@ -296,45 +311,42 @@ def _chunk(alone, cap):
     return heads, np.diff(np.r_[heads, n])
 
 
-def _steps(p: Potential, lam_max, side, stop):
-    """The (sub)step schedule of a march, in march order: (H, q1, q2, node).
+def _layout(p: Potential, lam_max, stop):
+    """The (sub)steps of both marches to ``stop``, laid out once in increasing x.
 
-    The steps are laid out once over the whole grid, in increasing x
-    (``_chunk``), so both marches take the same steps; ``meet``, the step
-    end nearest the middle node N/2, is where the marches of the
-    Wronskians meet.  A march runs from the ``side`` infinity to ``stop``:
-    "mid" is ``meet`` and "end" the far end.  H is the signed step
-    length, q1 and q2 the values at x_m -+ (sqrt 3 / 6) H, in path order,
-    and ``node`` the grid index the step ends on, or -1 inside a cell.
+    Returns (width, low, high, left, right, reach): per (sub)step its
+    length, the values at its Gauss points x_m - (sqrt 3 / 6) width and
+    x_m + (sqrt 3 / 6) width, and the grid indices its step begins and
+    ends on, or -1 inside a cell; ``reach`` maps each side to the slice
+    of (sub)steps its march crosses.  For "mid" the marches meet at
+    ``meet``, the step end nearest the middle node N/2; for "end" each
+    crosses the whole grid.
 
-    The values come from the profile, or from the samples' linear
-    interpolant, where every cell is a step of its own.  A cell with a
-    jump is a step of its own too, cut at the jump (``_jump_points``)
-    into two pieces that the profile is smooth on.  Cells with cap >= 2
-    merge.  A cell alone with phi > ``PHASE_BOUND`` takes m =
-    ceil(phi / ``PHASE_BOUND``) substeps of h / m, on each piece, and
-    their total over the traversed cells is checked, in floating point,
-    before anything else is built.
+    The steps are laid out over the whole grid (``_chunk``), so both
+    marches take the same steps.  The values come from the profile, or
+    from the samples' linear interpolant, where every cell is a step of
+    its own.  A cell with a jump is a step of its own too, cut at the
+    jump (``_jump_points``) into two pieces that the profile is smooth
+    on.  Cells with cap >= 2 merge.  A cell alone with phi >
+    ``PHASE_BOUND`` takes m = ceil(phi / ``PHASE_BOUND``) substeps of h /
+    m, on each piece, and their total over the cells each march
+    traverses is checked, in floating point, before anything else is
+    built.
     """
     grid = p.grid
     N, h, x = grid.point_count, grid.spacing, grid.points
-    if side not in ("-", "+") or stop not in ("mid", "end"):
-        raise InvalidArgumentError(
-            f"a march runs from side '+' or '-' to 'mid' or 'end', got {side!r}, {stop!r}")
     jump, cap, substeps = _cells(p, lam_max)
     lo, count = _chunk(jump | (cap < 2) | (p.profile is None), cap)
+    halves = [lo.size]
     if stop == "mid":
-        meet = lo[np.argmin(np.abs(lo - N // 2))]
-        keep = lo < meet if side == "-" else lo >= meet
-        lo, count = lo[keep], count[keep]
-    cells = slice(lo[0], lo[-1] + count[-1]) if lo.size else slice(0)
-    total = float(((1 + jump) * substeps)[cells].sum())
-    if not total <= STEP_CAP_FACTOR * N:  # also refuses inf and NaN
-        raise ResolutionExceededError(
-            f"propagation needs {total:.3g} substeps (> {STEP_CAP_FACTOR * N}); "
-            "lam is too large for this grid")
-    if not lo.size:  # a grid of a few cells can meet at its end
-        return np.empty(0), np.empty(0, dtype=complex), np.empty(0, dtype=complex), lo
+        halves = [int(np.argmin(np.abs(lo - N // 2))), lo.size]
+    for first, end in zip([0] + halves, halves):
+        cells = slice(lo[first], lo[end - 1] + count[end - 1]) if end > first else slice(0)
+        total = float(((1 + jump) * substeps)[cells].sum())
+        if not total <= STEP_CAP_FACTOR * N:  # also refuses inf and NaN
+            raise ResolutionExceededError(
+                f"propagation needs {total:.3g} substeps (> {STEP_CAP_FACTOR * N}); "
+                "lam is too large for this grid")
     cut = (count == 1) & jump[lo]
 
     # the pieces in increasing x: a cut cell is two
@@ -355,25 +367,59 @@ def _steps(p: Potential, lam_max, side, stop):
     m, piece = m[sub], piece[sub]
     width = span[sub] / m
     centre = start[sub] + (j + 0.5) * width
-    ends_step = np.r_[piece[1:] != piece[:-1], True]
-    begins_step = np.r_[True, piece[1:] != piece[:-1]]
-    if side == "-":
-        node = np.where(ends_step, (lo + count)[piece], -1)
-        H = width
-    else:
-        node = np.where(begins_step, lo[piece], -1)[::-1]
-        H, centre, j, m, piece = -width[::-1], centre[::-1], j[::-1], m[::-1], piece[::-1]
+    left = np.where(np.r_[True, piece[1:] != piece[:-1]], lo[piece], -1)
+    right = np.where(np.r_[piece[1:] != piece[:-1], True], (lo + count)[piece], -1)
+    reach = {"-": slice(None), "+": slice(None)}
+    if stop == "mid":
+        split = int(np.searchsorted(piece, halves[0]))
+        reach = {"-": slice(0, split), "+": slice(split, None)}
 
     if p.profile is not None:
-        values = np.asarray(p.profile(np.r_[centre - GAUSS_OFFSET * H,
-                                             centre + GAUSS_OFFSET * H]), dtype=complex)
-        return H, values[:H.size], values[H.size:], node
-    # a cell's own fraction of each Gauss point, in path order
+        offset = GAUSS_OFFSET * width
+        values = np.asarray(p.profile(np.r_[centre - offset, centre + offset]), dtype=complex)
+        return width, values[:width.size], values[width.size:], left, right, reach
+    # a cell's own fraction of each Gauss point
     k = lo[piece]
     frac = (j + 0.5) / m
-    shift = np.where(H > 0, GAUSS_OFFSET, -GAUSS_OFFSET) / m
-    q1, q2 = ((p.q[k] * (1.0 - f) + p.q[k + 1] * f) for f in (frac - shift, frac + shift))
-    return H, q1, q2, node
+    shift = GAUSS_OFFSET / m
+    low, high = ((p.q[k] * (1.0 - f) + p.q[k + 1] * f) for f in (frac - shift, frac + shift))
+    return width, low, high, left, right, reach
+
+
+def _half(layout, side):
+    """The (sub)steps of the march from the ``side`` infinity, in march order: (H, q1, q2, node).
+
+    H is the signed step length, q1 and q2 the values at x_m -+ (sqrt 3 /
+    6) H, in path order, and ``node`` the grid index the step ends on,
+    or -1 inside a cell.
+    """
+    width, low, high, left, right, reach = layout
+    steps = reach[side]
+    if side == "-":
+        return width[steps], low[steps], high[steps], right[steps]
+    return -width[steps][::-1], high[steps][::-1], low[steps][::-1], left[steps][::-1]
+
+
+def _steps(p: Potential, lam_max, side, stop):
+    """The (sub)step schedule of a march, in march order: (H, q1, q2, node).
+
+    A march runs from the ``side`` infinity to ``stop``: "mid" is where
+    the marches of the Wronskians meet and "end" the far end
+    (``_layout``, ``_half``).
+    """
+    if side not in ("-", "+") or stop not in ("mid", "end"):
+        raise InvalidArgumentError(
+            f"a march runs from side '+' or '-' to 'mid' or 'end', got {side!r}, {stop!r}")
+    return _half(_layout(p, lam_max, stop), side)
+
+
+def _couplings(H, q1, q2):
+    """Per step: s = (q1 + q2)/2, delta = g (q2 - q1) and kappa = g Im(q1 conj q2).
+
+    g = (sqrt 3 / 6) H^2; Im(a conj b) is Im a Re b - Re a Im b.
+    """
+    g = GAUSS_OFFSET * H * H
+    return 0.5 * (q1 + q2), g * (q2 - q1), g * (q1.imag * q2.real - q1.real * q2.imag)
 
 
 def _step_scalars(H, q1, q2, lam_max):
@@ -391,10 +437,7 @@ def _step_scalars(H, q1, q2, lam_max):
     tails share one key.  Squares are products, and Im(a conj b) is
     Im a Re b - Re a Im b.
     """
-    g = GAUSS_OFFSET * H * H
-    s = 0.5 * (q1 + q2)
-    delta = g * (q2 - q1)
-    kappa = g * (q1.imag * q2.real - q1.real * q2.imag)
+    s, delta, kappa = _couplings(H, q1, q2)
     c2 = H * H * (1.0 + (s.real * s.real + s.imag * s.imag))
     c3 = 2.0 * H * (kappa - (s.imag * delta.real - s.real * delta.imag))
     c4 = kappa * kappa + (delta.real * delta.real + delta.imag * delta.imag)
@@ -408,6 +451,46 @@ def _step_scalars(H, q1, q2, lam_max):
     coef[:, 1, 1] = 1j * np.conj(delta)
     keys = zip(H.tolist(), c2.tolist(), c3.tolist(), c4.tolist(), kappa_theta.tolist())
     return list(keys), coef
+
+
+def _first_step(H, q1, q2, node, lam_max):
+    """The first (sub)step a half-march takes: the start rule.
+
+    c_k = lam_max (|H| |s| + lam_max (|delta| + |kappa|)) (``_couplings``)
+    bounds || Omega - Omega_free || over the batch, Omega_free = i lam H
+    sigma3 the free rotation, and ||e^A - e^B|| <= ||A - B|| for skew-
+    Hermitian A and B.  So the leading steps whose running sum of c_k, in
+    march order, is at most ``DROP_SHARE`` times the whole half's would
+    move the free column e^{i lam x} (1, 0) by at most that share of the
+    coupling the march takes.  The march skips them, up to the last of
+    them that ends on a grid node, and starts there; 0 skips none.  The
+    rule reads q only through ratios of couplings, so it keeps a tiny
+    potential's relative accuracy, and a half where q is zero starts at
+    the meeting node.  |z| is libm's hypot of its parts, as Python's
+    complex abs gives it; numpy's complex abs may differ in the last bit.
+    """
+    s, delta, kappa = _couplings(H, q1, q2)
+    pull = lam_max * (np.abs(H) * np.hypot(s.real, s.imag)
+                      + lam_max * (np.hypot(delta.real, delta.imag) + np.abs(kappa)))
+    running = np.cumsum(pull)
+    if not running.size or not np.isfinite(running[-1]):
+        return 0
+    skip = np.flatnonzero((running <= DROP_SHARE * running[-1]) & (node >= 0))
+    return int(skip[-1]) + 1 if skip.size else 0
+
+
+def _plan(p: Potential, steps, side, stop, lam_max):
+    """The (sub)steps a march takes and the grid node it starts at: (H, q1, q2, node, start).
+
+    ``steps`` is the march's schedule (``_steps``).  A march to "end"
+    starts at the grid end; one to "mid" skips the steps the start rule
+    drops (``_first_step``).
+    """
+    first = _first_step(*steps, lam_max) if stop == "mid" else 0
+    start = 0 if side == "-" else p.grid.point_count - 1
+    if first:
+        start = int(steps[3][first - 1])
+    return (*(v[first:] for v in steps), start)
 
 
 def _det_defect(cols, scratch) -> float:
@@ -440,7 +523,15 @@ def _fill_second_column(psi):
     return psi
 
 
-def _march(p: Potential, lams, side, stop):
+def _lam_batch(lams):
+    """``lams`` as a 1-D float batch; it must be nonempty and finite."""
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    if lams.size == 0 or not np.all(np.isfinite(lams)):
+        raise InvalidArgumentError("lam must be a nonempty batch of finite values")
+    return lams
+
+
+def _march(p: Potential, lams, side, stop, plan=None):
     """Step the first Jost column from the `side` infinity to `stop` ("mid" or "end").
 
     A generator of (block, nodes, det defect) in march order, a block of
@@ -454,20 +545,22 @@ def _march(p: Potential, lams, side, stop):
     the column determines psi.  A block is a view of one buffer, valid
     only until the generator resumes, so a consumer copies what it keeps.
 
-    The (sub)step schedule (``_steps``, with lam_max the batch's largest
-    |lam|) and each step's scalars (``_step_scalars``) are laid out
-    before the first step.  A substepped cell's inner substeps go
-    through a spare column.  `_cell_exponential` rebuilds the step
-    propagator in one buffer per (sub)step and redoes its trigonometry
-    only when the step's key changes, as it does not across plateaus and
-    tails.  Each (sub)step is then three calls on row pairs: D col,
-    O col[::-1] and their sum.  The batch must be nonempty and finite.
+    The march takes ``plan`` (``_plan``), by default laid out from
+    ``_steps`` with lam_max the batch's largest |lam|, and starts with
+    the free column e^{i lam x} (1, 0) at its start node.  Each step's
+    scalars (``_step_scalars``) are laid out before the first step.  A
+    substepped cell's inner substeps go through a spare column.
+    `_cell_exponential` rebuilds the step propagator in one buffer per
+    (sub)step and redoes its trigonometry only when the step's key
+    changes, as it does not across plateaus and tails.  Each (sub)step
+    is then three calls on row pairs: D col, O col[::-1] and their sum.
+    The batch must be nonempty and finite.
     """
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    if lams.size == 0 or not np.all(np.isfinite(lams)):
-        raise InvalidArgumentError("lam must be a nonempty batch of finite values")
+    lams = _lam_batch(lams)
     lam_max = float(np.max(np.abs(lams)))
-    H, q1, q2, node = _steps(p, lam_max, side, stop)
+    if plan is None:
+        plan = _plan(p, _steps(p, lam_max, side, stop), side, stop, lam_max)
+    H, q1, q2, node, start = plan
     keys, coefs = _step_scalars(H, q1, q2, lam_max)
     schedule = zip(keys, coefs, (node >= 0).tolist())
     ends = node[node >= 0]
@@ -475,7 +568,6 @@ def _march(p: Potential, lams, side, stop):
     L = lams.size
     B = max(1, min(ends.size, BLOCK_SAMPLES // L))
     block = np.zeros((B + 1, 2, L), dtype=complex)
-    start = 0 if side == "-" else p.grid.point_count - 1
     block[0, 0] = np.exp(1j * lams * p.grid.points[start])
     scratch = np.empty((B, 2, 2 * L)), np.empty((B, 2 * L)), np.empty((B, L))
     yield block[:1], np.array([start]), _det_defect(block[:1], scratch)
@@ -503,16 +595,17 @@ def _march(p: Potential, lams, side, stop):
         yield block[1:j + 1], ends[done:], _det_defect(block[1:j + 1], scratch)
 
 
-def _propagate_to_mid(p: Potential, lams, side):
+def _propagate_to_mid(p: Potential, lams, side, plan=None):
     """Propagate psi from the `side` infinity to the marches' meeting node.
 
     Returns (psi there with shape (2, 2, len(lams)), max det defect).
-    Both marches meet at the step end nearest x = 0 (``_steps``), and a
-    Wronskian of their columns is the same at any node.  The det defect
-    is taken over every step end, one block of the march at a time; the
-    full SU(2) matrix is built once, at the meeting node.
+    Both marches meet at the step end nearest x = 0 (``_layout``), and a
+    Wronskian of their columns is the same at any node.  ``plan`` is the
+    march's (``_plan``), laid out here by default.  The det defect is
+    taken over every step end the march reaches, one block at a time;
+    the full SU(2) matrix is built once, at the meeting node.
     """
-    blocks = _march(p, lams, side, "mid")
+    blocks = _march(p, lams, side, "mid", plan)
     cols, _, _ = next(blocks)  # the start column
     det_defect = 0.0
     for cols, _, defect in blocks:
@@ -522,10 +615,52 @@ def _propagate_to_mid(p: Potential, lams, side):
     return _fill_second_column(psi), det_defect
 
 
+def _positive_half(lams):
+    """The upper half of a batch [-lam[::-1], lam] with every lam > 0, else None."""
+    n = lams.size // 2
+    half = lams[n:]
+    if lams.size % 2 == 0 and np.all(half > 0.0) and np.array_equal(lams[:n], -half[::-1]):
+        return half
+    return None
+
+
+def _mirror(psi):
+    """psi over [-lam[::-1], lam] from psi (2, 2, L) over lam, for real q.
+
+    psi(-lam) = sigma3 conj psi(lam) sigma3, so the first column (alpha,
+    beta) turns to (conj alpha, -conj beta), with 0 - x for -x as the
+    march gives +0.0 where a part is zero.
+    """
+    L = psi.shape[-1]
+    out = np.empty((2, 2, 2 * L), dtype=complex)
+    out[:, 0, L:] = psi[:, 0]
+    np.conjugate(psi[0, 0, ::-1], out=out[0, 0, :L])
+    np.subtract(0.0, psi[1, 0, ::-1].real, out=out[1, 0, :L].real)
+    np.copyto(out[1, 0, :L].imag, psi[1, 0, ::-1].imag)
+    return _fill_second_column(out)
+
+
 def _wronskians(p: Potential, lams):
-    """a, b, c, d for a batch of lam, and the det defect of both halves."""
-    psim, ddm = _propagate_to_mid(p, lams, "-")
-    psip, ddp = _propagate_to_mid(p, lams, "+")
+    """a, b, c, d for a batch of lam, and the det defect of both halves.
+
+    The schedule is laid out once for both half-marches (``_layout``).
+    Where every value the marches read is real and the batch is
+    symmetric about lam = 0 and free of it (``_positive_half``), only
+    lam > 0 is marched and lam < 0 filled in by ``_mirror``: each step
+    at -lam is then the conjugate of the step at lam, bit for bit, so
+    the columns, and a, b, c, d, are those of the full march.
+    """
+    lams = _lam_batch(lams)
+    lam_max = float(np.max(np.abs(lams)))
+    layout = _layout(p, lam_max, "mid")
+    plan_m, plan_p = (_plan(p, _half(layout, side), side, "mid", lam_max) for side in "-+")
+    real = not any(np.any(q.imag) for plan in (plan_m, plan_p) for q in plan[1:3])
+    half = _positive_half(lams) if real else None
+    marched = lams if half is None else half
+    psim, ddm = _propagate_to_mid(p, marched, "-", plan_m)
+    psip, ddp = _propagate_to_mid(p, marched, "+", plan_p)
+    if half is not None:
+        psim, psip = _mirror(psim), _mirror(psip)
     a = psip[0, 0] * psim[1, 1] - psim[0, 1] * psip[1, 0]
     b = psim[0, 0] * psip[1, 0] - psip[0, 0] * psim[1, 0]
     c = psim[0, 0] * psip[1, 1] - psip[0, 1] * psim[1, 0]

@@ -49,6 +49,17 @@ def test_roundtrip_pipeline(tmp_path, capsys):
     assert not (out / "error.json").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_tiny_potential_keeps_its_relative_accuracy(tmp_path, capsys):
+    # the Jost march's start rule reads q only through ratios of its
+    # couplings, so a Gaussian of 1e-300 is marched like one of 1; a rule
+    # that skipped steps below a fixed share of 1 would skip them all and
+    # reconstruct q = 0
+    out = tmp_path / "tiny"
+    assert run(["roundtrip", "--outdir", str(out), "--amplitude", "1e-300"] + SMALL, capsys) == 0
+    assert json.loads((out / "manifest.json").read_text())["results"]["sup_error"] < 1e-302
+
+
 def test_forward_is_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

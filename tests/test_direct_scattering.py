@@ -602,25 +602,65 @@ def _oracle_det_defect(psi):
     return float(np.max(np.abs(det - 1.0)))
 
 
-def _oracle_march(p, lams, side, stop):
-    """(node, psi) at the start and at every step end, in march order; stop is "mid" or "end"."""
+def _oracle_skipped(steps, lam_max):
+    """How many leading (sub)steps of a half march the start rule skips, and the node it starts at.
+
+    Each step pulls the column off the free rotation by at most c =
+    lam_max (|H| |s| + lam_max (|delta| + |kappa|)); the march skips the
+    leading steps whose running sum of c is at most DROP_SHARE times the
+    sum over the whole half, up to the last of them that ends on a grid
+    node.  Sums run one step at a time in march order, and |z| is
+    Python's complex abs.
+    """
+    pulls = []
+    for H, q1, q2 in zip(*steps[:3]):
+        g = GAUSS_OFFSET * H * H
+        s = 0.5 * (q1 + q2)
+        delta = g * (q2 - q1)
+        kappa = g * (q1.imag * q2.real - q1.real * q2.imag)
+        pulls.append(lam_max * (abs(H) * abs(complex(s))
+                                + lam_max * (abs(complex(delta)) + abs(kappa))))
+    total = 0.0
+    for pull in pulls:
+        total += pull
+    skipped, start, running = 0, None, 0.0
+    if np.isfinite(total):
+        for k, (pull, node) in enumerate(zip(pulls, steps[3])):
+            running += pull
+            if running > DROP_SHARE * total:
+                break
+            if node >= 0:
+                skipped, start = k + 1, int(node)
+    return skipped, start
+
+
+def _oracle_march(p, lams, side, stop, start_rule=True):
+    """(node, psi) at the start and at every step end, in march order; stop is "mid" or "end".
+
+    A march to "mid" starts where the start rule says, unless ``start_rule`` is off.
+    """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     lam_max = float(np.max(np.abs(lams)))
+    steps = _oracle_steps(p, lam_max, side, stop)
     start = 0 if side == "-" else p.grid.point_count - 1
+    if stop == "mid" and start_rule:
+        skipped, node = _oracle_skipped(steps, lam_max)
+        steps = [v[skipped:] for v in steps]
+        start = start if node is None else node
     psi = np.zeros((lams.size, 2, 2), dtype=complex)
     psi[:, 0, 0] = np.exp(1j * lams * p.grid.points[start])
     psi[:, 1, 1] = np.exp(-1j * lams * p.grid.points[start])
     yield start, psi
-    for H, q1, q2, node in zip(*_oracle_steps(p, lam_max, side, stop)):
+    for H, q1, q2, node in zip(*steps):
         psi = _oracle_matmul2(_oracle_step_exponential(H, lams, q1, q2, lam_max), psi)
         if node >= 0:
             yield node, psi
 
 
-def _oracle_wronskians(p, lams):
+def _oracle_wronskians(p, lams, start_rule=True):
     halves = []
     for side in "-+":
-        steps = _oracle_march(p, lams, side, "mid")
+        steps = _oracle_march(p, lams, side, "mid", start_rule)
         _, psi = next(steps)
         defect = 0.0
         for _, psi in steps:
@@ -717,6 +757,97 @@ def test_a_march_of_no_steps_meets_at_the_grid_end():
     for g, o in zip(got[:4], want[:4]):
         assert_bitwise(g, o)
     assert got[4] == want[4]
+
+
+# ---------------------------------------------------------------------------
+# The start rule and the mirror.  A half march starts where the potential
+# first couples (``_first_step``), and for real q on a batch symmetric
+# about lam = 0 only lam > 0 is marched and lam < 0 is its mirror.  The
+# oracle marches every lam of the batch, by the start rule or from the
+# grid end.
+
+SYMMETRIC_LAMS = np.r_[-(np.arange(21) + 0.5)[::-1], np.arange(21) + 0.5] * 0.095
+
+
+def assert_same_wronskians(got, want):
+    """a, b, c, d bitwise and the det defect equal."""
+    for g, o in zip(got[:4], want[:4]):
+        assert_bitwise(g, o)
+    assert got[4] == want[4]
+
+
+def _marched_batches(monkeypatch):
+    """The batch size of every half march ``_wronskians`` makes, as a list filled in as it runs."""
+    sizes = []
+    propagate = direct_scattering._propagate_to_mid
+
+    def spy(p, lams, side, plan=None):
+        sizes.append(len(lams))
+        return propagate(p, lams, side, plan)
+
+    monkeypatch.setattr(direct_scattering, "_propagate_to_mid", spy)
+    return sizes
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["gaussian", "substepped", "samples-only", "off-grid box"])
+def test_mirror_matches_the_interleaved_loop_bitwise(name, monkeypatch):
+    # the real oracle inputs on a symmetric batch: half the lam are marched
+    p = ORACLE_INPUTS[name]
+    lams = SYMMETRIC_LAMS * LAM_SCALE.get(name, 1.0)
+    sizes = _marched_batches(monkeypatch)
+    got = _wronskians(p, lams)
+    assert sizes == [lams.size // 2] * 2
+    want = _oracle_wronskians(p, lams)
+    assert_same_wronskians(got, want)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_sech_starts_both_halves_at_the_grid_ends():
+    # a / cosh(x) still couples about 1e-9 a at |x| = 20, far above the
+    # rule's share of the whole half, so each half starts at its grid end
+    # and the march is the full one
+    p = make_potential(make_spatial_grid(20.0, 512), lambda x: 0.5 / np.cosh(x) + 0j)
+    for side, end in (("-", 0), ("+", 511)):
+        _, nodes, _ = next(direct_scattering._march(p, SYMMETRIC_LAMS, side, "mid"))
+        assert np.array_equal(nodes, [end])
+    got = _wronskians(p, SYMMETRIC_LAMS)
+    want = _oracle_wronskians(p, SYMMETRIC_LAMS, start_rule=False)
+    assert_same_wronskians(got, want)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["complex potential", "asymmetric batch"])
+def test_complex_potentials_and_asymmetric_batches_march_every_lam(case, monkeypatch):
+    momentum, lams = {"complex potential": (0.25, SYMMETRIC_LAMS),
+                      "asymmetric batch": (0.0, SYMMETRIC_LAMS[1:])}[case]
+    p = make_potential(make_spatial_grid(20.0, 512),
+                       lambda x: 0.05 * np.exp(-(x**2)) * np.exp(1j * momentum * x))
+    # the Gaussian's tails are skipped on both halves
+    lam_max = float(np.max(np.abs(lams)))
+    assert all(direct_scattering._first_step(*_steps(p, lam_max, side, "mid"), lam_max) > 0
+               for side in "-+")
+    sizes = _marched_batches(monkeypatch)
+    got = _wronskians(p, lams)
+    assert sizes == [lams.size] * 2
+    want = _oracle_wronskians(p, lams)
+    assert_same_wronskians(got, want)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_half_where_q_is_zero_starts_at_the_meeting_node():
+    # a box on x > 0 couples nothing left of the meeting node, so the
+    # leftward march takes no step; the mirror holds there too
+    p = make_potential(make_spatial_grid(20.0, 512), lambda x: 0.3 * (np.abs(x - 5.0) <= 1.0) + 0j)
+    lam_max = float(np.max(SYMMETRIC_LAMS))
+    meet = _steps(p, lam_max, "-", "mid")[3][-1]
+    assert meet == _steps(p, lam_max, "+", "mid")[3][-1]
+    blocks = direct_scattering._march(p, SYMMETRIC_LAMS, "-", "mid")
+    _, nodes, _ = next(blocks)
+    assert np.array_equal(nodes, [meet]) and next(blocks, None) is None
+    got = _wronskians(p, SYMMETRIC_LAMS)
+    want = _oracle_wronskians(p, SYMMETRIC_LAMS)
+    assert_same_wronskians(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from wkist.lax import make_potential  # noqa: E402
 from wkist.rhp import suggest_z_min  # noqa: E402
 
 from jost_checks import propagate_jost  # noqa: E402
+from test_direct_scattering import _oracle_wronskians  # noqa: E402
 
 XGRID = make_spatial_grid(10.0, 512)
 
@@ -105,3 +106,27 @@ def test_lattice_reflection_is_within_its_estimate(family, amplitude, width, mom
         assert miss <= sd.diagnostics["spectral_lattice_error_estimate"]
         for key in ("unitarity_defect", "det_defect", "symmetry_defect"):
             assert sd.diagnostics[key] < 1e-10
+
+
+# a and b of the march by the start rule against the same march from the
+# grid end: the skipped steps move the column by far less than the
+# rounding the longer march adds.  The worst of 600 random draws over the
+# test's ranges (the console script's lattice of 374 lam) read 3.0e-14.
+START_RULE_BOUND = 1e-13
+
+
+@pytest.mark.filterwarnings("error")
+@hypothesis.settings(max_examples=20, deadline=None)
+@hypothesis.given(family=st.sampled_from(["gaussian", "sech", "box"]),
+                  log_amplitude=st.floats(-6.0, 0.0), width=st.floats(0.8, 1.2),
+                  momentum=st.floats(0.0, 0.5), samples=st.booleans())
+def test_the_start_rule_keeps_a_and_b_of_the_march_from_the_grid_end(family, log_amplitude,
+                                                                     width, momentum, samples):
+    p = potential(family, 10.0 ** log_amplitude, width, momentum, grid=SMALL_XGRID)
+    if samples:
+        p = make_potential(SMALL_XGRID, p.q)
+    lams = _lam_lattice(p, -1.0 / SMALL_ZGRIDS[0].points[SMALL_ZGRIDS[0].active])
+    a, b, *_ = _wronskians(p, lams)
+    a_end, b_end, *_ = _oracle_wronskians(p, lams, start_rule=False)
+    assert np.max(np.abs(a - a_end)) < START_RULE_BOUND
+    assert np.max(np.abs(b - b_end)) < START_RULE_BOUND

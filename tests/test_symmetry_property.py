@@ -26,7 +26,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from wkist.direct_scattering import _lam_lattice, _wronskians, reflection_coefficient  # noqa: E402
+from wkist.direct_scattering import (  # noqa: E402
+    _lam_lattice,
+    _wronskians,
+    evolve_reflection,
+    reflection_coefficient,
+)
 from wkist.errors import RangeError  # noqa: E402
 from wkist.lattice import make_spatial_grid, make_spectral_grid  # noqa: E402
 from wkist.lax import make_potential  # noqa: E402
@@ -167,6 +172,46 @@ def test_a_dilation_by_two_doubles_z_and_keeps_r(family, amplitude, width, momen
     sd = reflection_coefficient(p, zgrid, a_floor=0.0)
     sd2 = reflection_coefficient(p2, zgrid2, a_floor=0.0)
     assert sd2.r.tobytes() == sd.r.tobytes()
+
+
+@hypothesis.settings(max_examples=20, deadline=None)
+@hypothesis.given(k=st.integers(-20, 20), t=st.floats(-0.5, 0.5),
+                  family=st.sampled_from(["gaussian", "box"]), amplitude=st.floats(0.01, 0.5),
+                  width=st.floats(0.8, 1.2), momentum=st.floats(0.0, 0.5))
+def test_evolution_commutes_with_a_translation_by_grid_steps(k, t, family, amplitude, width,
+                                                             momentum):
+    # evolving the translated potential's r is turning the evolved r by the
+    # translation's phase: e^{4 i t / z^2} has modulus 1, so the bound is
+    # the forward's
+    xgrid, zgrid = grids(*SMOKE, t=t)
+    q = profile(family, amplitude, width, momentum)
+    shift = k * xgrid.spacing
+    sd, sd_moved = (evolve_reflection(reflection_coefficient(make_potential(xgrid, f), zgrid,
+                                                             a_floor=0.0), t)
+                    for f in (q, lambda x: q(x - shift)))
+    z = zgrid.points[zgrid.active]
+    expected = sd.r[zgrid.active] * np.exp(-2j * shift / z)
+    assert np.max(np.abs(sd_moved.r[zgrid.active] - expected)) < TRANSLATION_BOUND
+
+
+@hypothesis.settings(max_examples=20, deadline=None)
+@hypothesis.given(t=st.floats(-0.5, 0.5), family=st.sampled_from(["gaussian", "sech", "box"]),
+                  amplitude=st.floats(0.05, 1.0), width=st.floats(0.8, 1.2),
+                  momentum=st.floats(0.0, 0.5))
+def test_evolution_commutes_with_a_dilation_by_two(t, family, amplitude, width, momentum):
+    # q(x / 2) on the doubled grids, evolved to 4 t: z doubles, so 4 (4 t)
+    # / (2 z)^2 and (4 t) (lam / 2)^2 are the phases at t to the bit
+    L, N, Z, N_z, window = DEFAULT
+    xgrid, zgrid = grids(*DEFAULT, t=t)
+    xgrid2 = make_spatial_grid(2.0 * L, N)
+    zgrid2 = make_spectral_grid(2.0 * Z, N_z, z_min=2.0 * zgrid.z_min)
+    q = profile(family, amplitude, width, momentum)
+    sd = evolve_reflection(reflection_coefficient(make_potential(xgrid, q), zgrid, a_floor=0.0), t)
+    sd2 = evolve_reflection(reflection_coefficient(make_potential(xgrid2, lambda x: q(x / 2.0)),
+                                                   zgrid2, a_floor=0.0), 4.0 * t)
+    assert sd2.time == 4.0 * sd.time
+    assert sd2.r.tobytes() == sd.r.tobytes()
+    assert sd2.b.tobytes() == sd.b.tobytes()
 
 
 def mirror_pairs(q):
