@@ -311,16 +311,15 @@ def _chunk(alone, cap):
     return heads, np.diff(np.r_[heads, n])
 
 
-def _layout(p: Potential, lam_max, stop):
-    """The (sub)steps of both marches to ``stop``, laid out once in increasing x.
+def _layout(p: Potential, lam_max):
+    """The (sub)steps of both half-marches, laid out once in increasing x.
 
-    Returns (width, low, high, left, right, reach): per (sub)step its
+    Returns (width, low, high, left, right, split): per (sub)step its
     length, the values at its Gauss points x_m - (sqrt 3 / 6) width and
     x_m + (sqrt 3 / 6) width, and the grid indices its step begins and
-    ends on, or -1 inside a cell; ``reach`` maps each side to the slice
-    of (sub)steps its march crosses.  For "mid" the marches meet at
-    ``meet``, the step end nearest the middle node N/2; for "end" each
-    crosses the whole grid.
+    ends on, or -1 inside a cell.  The marches meet at the step end
+    nearest the middle node N/2: the march from the left crosses the
+    first ``split`` (sub)steps, the march from the right the others.
 
     The steps are laid out over the whole grid (``_chunk``), so both
     marches take the same steps.  The values come from the profile, or
@@ -337,11 +336,8 @@ def _layout(p: Potential, lam_max, stop):
     N, h, x = grid.point_count, grid.spacing, grid.points
     jump, cap, substeps = _cells(p, lam_max)
     lo, count = _chunk(jump | (cap < 2) | (p.profile is None), cap)
-    halves = [lo.size]
-    if stop == "mid":
-        halves = [int(np.argmin(np.abs(lo - N // 2))), lo.size]
-    for first, end in zip([0] + halves, halves):
-        cells = slice(lo[first], lo[end - 1] + count[end - 1]) if end > first else slice(0)
+    meet = int(np.argmin(np.abs(lo - N // 2)))
+    for cells in (slice(0, lo[meet]), slice(lo[meet], N - 1)):
         total = float(((1 + jump) * substeps)[cells].sum())
         if not total <= STEP_CAP_FACTOR * N:  # also refuses inf and NaN
             raise ResolutionExceededError(
@@ -369,48 +365,18 @@ def _layout(p: Potential, lam_max, stop):
     centre = start[sub] + (j + 0.5) * width
     left = np.where(np.r_[True, piece[1:] != piece[:-1]], lo[piece], -1)
     right = np.where(np.r_[piece[1:] != piece[:-1], True], (lo + count)[piece], -1)
-    reach = {"-": slice(None), "+": slice(None)}
-    if stop == "mid":
-        split = int(np.searchsorted(piece, halves[0]))
-        reach = {"-": slice(0, split), "+": slice(split, None)}
+    split = int(np.searchsorted(piece, meet))
 
     if p.profile is not None:
         offset = GAUSS_OFFSET * width
         values = np.asarray(p.profile(np.r_[centre - offset, centre + offset]), dtype=complex)
-        return width, values[:width.size], values[width.size:], left, right, reach
+        return width, values[:width.size], values[width.size:], left, right, split
     # a cell's own fraction of each Gauss point
     k = lo[piece]
     frac = (j + 0.5) / m
     shift = GAUSS_OFFSET / m
     low, high = ((p.q[k] * (1.0 - f) + p.q[k + 1] * f) for f in (frac - shift, frac + shift))
-    return width, low, high, left, right, reach
-
-
-def _half(layout, side):
-    """The (sub)steps of the march from the ``side`` infinity, in march order: (H, q1, q2, node).
-
-    H is the signed step length, q1 and q2 the values at x_m -+ (sqrt 3 /
-    6) H, in path order, and ``node`` the grid index the step ends on,
-    or -1 inside a cell.
-    """
-    width, low, high, left, right, reach = layout
-    steps = reach[side]
-    if side == "-":
-        return width[steps], low[steps], high[steps], right[steps]
-    return -width[steps][::-1], high[steps][::-1], low[steps][::-1], left[steps][::-1]
-
-
-def _steps(p: Potential, lam_max, side, stop):
-    """The (sub)step schedule of a march, in march order: (H, q1, q2, node).
-
-    A march runs from the ``side`` infinity to ``stop``: "mid" is where
-    the marches of the Wronskians meet and "end" the far end
-    (``_layout``, ``_half``).
-    """
-    if side not in ("-", "+") or stop not in ("mid", "end"):
-        raise InvalidArgumentError(
-            f"a march runs from side '+' or '-' to 'mid' or 'end', got {side!r}, {stop!r}")
-    return _half(_layout(p, lam_max, stop), side)
+    return width, low, high, left, right, split
 
 
 def _couplings(H, q1, q2):
@@ -479,18 +445,28 @@ def _first_step(H, q1, q2, node, lam_max):
     return int(skip[-1]) + 1 if skip.size else 0
 
 
-def _plan(p: Potential, steps, side, stop, lam_max):
-    """The (sub)steps a march takes and the grid node it starts at: (H, q1, q2, node, start).
+def _plans(p: Potential, lam_max):
+    """The half-marches from the left and the right infinity, a plan (H, q1, q2, node, start) each.
 
-    ``steps`` is the march's schedule (``_steps``).  A march to "end"
-    starts at the grid end; one to "mid" skips the steps the start rule
-    drops (``_first_step``).
+    Both come from one layout (``_layout``), cut at the meeting node.  A
+    plan holds the (sub)steps in march order: H the signed step length,
+    q1 and q2 the values at x_m -+ (sqrt 3 / 6) H in path order, and
+    ``node`` the grid index the step ends on, or -1 inside a cell.  It
+    leaves out the leading steps the start rule drops (``_first_step``),
+    and ``start`` is the grid node the march starts at: the end of the
+    last step dropped, else the grid end.
     """
-    first = _first_step(*steps, lam_max) if stop == "mid" else 0
-    start = 0 if side == "-" else p.grid.point_count - 1
-    if first:
-        start = int(steps[3][first - 1])
-    return (*(v[first:] for v in steps), start)
+    width, low, high, left, right, split = _layout(p, lam_max)
+    halves = ((width[:split], low[:split], high[:split], right[:split], 0),
+              (-width[split:][::-1], high[split:][::-1], low[split:][::-1], left[split:][::-1],
+               p.grid.point_count - 1))
+    plans = []
+    for H, q1, q2, node, start in halves:
+        first = _first_step(H, q1, q2, node, lam_max)
+        if first:
+            start = int(node[first - 1])
+        plans.append((H[first:], q1[first:], q2[first:], node[first:], start))
+    return plans
 
 
 def _det_defect(cols, scratch) -> float:
@@ -531,8 +507,8 @@ def _lam_batch(lams):
     return lams
 
 
-def _march(p: Potential, lams, side, stop, plan=None):
-    """Step the first Jost column from the `side` infinity to `stop` ("mid" or "end").
+def _march(p: Potential, lams, plan):
+    """Step the first Jost column along ``plan``, from its start node.
 
     A generator of (block, nodes, det defect) in march order, a block of
     columns being (n, 2, len(lams)) and ``nodes`` the n grid indices
@@ -545,9 +521,9 @@ def _march(p: Potential, lams, side, stop, plan=None):
     the column determines psi.  A block is a view of one buffer, valid
     only until the generator resumes, so a consumer copies what it keeps.
 
-    The march takes ``plan`` (``_plan``), by default laid out from
-    ``_steps`` with lam_max the batch's largest |lam|, and starts with
-    the free column e^{i lam x} (1, 0) at its start node.  Each step's
+    ``plan`` is (H, q1, q2, node, start), a half-march as ``_plans``
+    lays it out for the batch's largest |lam|, and the march starts with
+    the free column e^{i lam x} (1, 0) at node ``start``.  Each step's
     scalars (``_step_scalars``) are laid out before the first step.  A
     substepped cell's inner substeps go through a spare column.
     `_cell_exponential` rebuilds the step propagator in one buffer per
@@ -558,8 +534,6 @@ def _march(p: Potential, lams, side, stop, plan=None):
     """
     lams = _lam_batch(lams)
     lam_max = float(np.max(np.abs(lams)))
-    if plan is None:
-        plan = _plan(p, _steps(p, lam_max, side, stop), side, stop, lam_max)
     H, q1, q2, node, start = plan
     keys, coefs = _step_scalars(H, q1, q2, lam_max)
     schedule = zip(keys, coefs, (node >= 0).tolist())
@@ -595,17 +569,16 @@ def _march(p: Potential, lams, side, stop, plan=None):
         yield block[1:j + 1], ends[done:], _det_defect(block[1:j + 1], scratch)
 
 
-def _propagate_to_mid(p: Potential, lams, side, plan=None):
-    """Propagate psi from the `side` infinity to the marches' meeting node.
+def _propagate_to_mid(p: Potential, lams, plan):
+    """Propagate psi along a half-march ``plan`` (``_plans``) to the meeting node.
 
     Returns (psi there with shape (2, 2, len(lams)), max det defect).
     Both marches meet at the step end nearest x = 0 (``_layout``), and a
-    Wronskian of their columns is the same at any node.  ``plan`` is the
-    march's (``_plan``), laid out here by default.  The det defect is
-    taken over every step end the march reaches, one block at a time;
+    Wronskian of their columns is the same at any node.  The det defect
+    is taken over every step end the march reaches, one block at a time;
     the full SU(2) matrix is built once, at the meeting node.
     """
-    blocks = _march(p, lams, side, "mid", plan)
+    blocks = _march(p, lams, plan)
     cols, _, _ = next(blocks)  # the start column
     det_defect = 0.0
     for cols, _, defect in blocks:
@@ -643,7 +616,7 @@ def _mirror(psi):
 def _wronskians(p: Potential, lams):
     """a, b, c, d for a batch of lam, and the det defect of both halves.
 
-    The schedule is laid out once for both half-marches (``_layout``).
+    Both half-marches come from one layout (``_plans``).
     Where every value the marches read is real and the batch is
     symmetric about lam = 0 and free of it (``_positive_half``), only
     lam > 0 is marched and lam < 0 filled in by ``_mirror``: each step
@@ -652,13 +625,12 @@ def _wronskians(p: Potential, lams):
     """
     lams = _lam_batch(lams)
     lam_max = float(np.max(np.abs(lams)))
-    layout = _layout(p, lam_max, "mid")
-    plan_m, plan_p = (_plan(p, _half(layout, side), side, "mid", lam_max) for side in "-+")
+    plan_m, plan_p = _plans(p, lam_max)
     real = not any(np.any(q.imag) for plan in (plan_m, plan_p) for q in plan[1:3])
     half = _positive_half(lams) if real else None
     marched = lams if half is None else half
-    psim, ddm = _propagate_to_mid(p, marched, "-", plan_m)
-    psip, ddp = _propagate_to_mid(p, marched, "+", plan_p)
+    psim, ddm = _propagate_to_mid(p, marched, plan_m)
+    psip, ddp = _propagate_to_mid(p, marched, plan_p)
     if half is not None:
         psim, psip = _mirror(psim), _mirror(psip)
     a = psip[0, 0] * psim[1, 1] - psim[0, 1] * psip[1, 0]

@@ -584,10 +584,11 @@ def _csv_block(block, numeric):
 def columns_to_csv(path, header, columns, text=()):
     """Write equal-length ``columns`` under ``header`` as one CSV file.
 
-    Columns named in ``text`` are written with %s (values holding no NUL),
-    the others with %.17g, and lines end in CRLF: the bytes ``csv.writer``
-    writes for these fields.  Numbers are formatted ``_CSV_ROWS`` rows at a time by numpy
-    arithmetic, bytes equal to '%.17g' % v by construction.  With X =
+    Columns named in ``text`` are written with %s of the caller's values
+    (holding no NUL), the others with %.17g, and lines end in CRLF: the
+    bytes ``csv.writer`` writes for these fields.  Numbers are formatted
+    ``_CSV_ROWS`` rows at a time by numpy arithmetic, bytes equal to
+    '%.17g' % v by construction.  With X =
     floor(log10|v|), |v| 10^(16 - X) is formed from Dekker's exact
     product of |v| and the double hi of 10^(16 - X) = hi + lo (Numer.
     Math. 18, 1971) plus |v| lo, within about 1e-14; it is rounded
@@ -603,7 +604,8 @@ def columns_to_csv(path, header, columns, text=()):
     more keep it.
     """
     numeric = [name not in text for name in header]
-    columns = [np.asarray(c) for c in columns]
+    # a text column is kept as objects: numpy would turn [0, 2**63] into floats
+    columns = [np.asarray(c, dtype=None if num else object) for c, num in zip(columns, numeric)]
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, len(columns[0]), _CSV_ROWS):

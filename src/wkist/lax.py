@@ -3,12 +3,13 @@
 The spectral problem psi_x = [i*lam*sigma3 - lam*M(q)] psi is brought to
 AKNS form by the eigenvector matrix G of the coefficient, a diagonal
 gauge factor built from B, and the phase p(x) = x + int(<q> - 1).  The
-pipelines read the sampled ``Potential`` (samples, spectral derivative,
-profile) and E1.  The AKNS fields -- G, the gauge potentials Q and B,
-H = <q> - 1, and p -- are public; no pipeline reads them, and the tests
-check a against its large-lam limit from int H and int B
-(``tests/jost_checks.py``).  The gauge exponential itself is derived
-from B on demand by ``cumulative_integral``.
+pipelines read the sampled ``Potential`` (samples and profile) and E1.
+The AKNS fields -- G, the gauge potentials Q and B, H = <q> - 1, and p
+-- are public; no pipeline reads them, and the tests check a against
+its large-lam limit from int H and int B (``tests/jost_checks.py``).
+They take the spectral derivative of q (``_spectral_derivative``) when
+they are built.  The gauge exponential itself is derived from B on
+demand by ``cumulative_integral``.
 
 Notation: <q> = sqrt(1 + |q|^2) throughout.
 """
@@ -37,7 +38,6 @@ __all__ = [
 class Potential:
     """Complex potential samples on a spatial grid.
 
-    ``q_x`` is the spectral derivative on the periodic truncation.
     ``profile``, when present, is the analytic function the samples came
     from; the Jost propagator evaluates it at the Gauss points of its
     steps and locates a jump inside a cell with it, which keeps
@@ -48,7 +48,6 @@ class Potential:
 
     grid: SpatialGrid
     q: np.ndarray
-    q_x: np.ndarray
     profile: Optional[Callable] = None
 
 
@@ -64,10 +63,13 @@ def make_potential(grid: SpatialGrid, q) -> Potential:
         raise InvalidArgumentError("potential samples must match the grid")
     if not np.all(np.isfinite(samples)):
         raise InvalidArgumentError("potential samples must be finite")
+    return Potential(grid, samples, profile)
 
-    k = 2.0 * np.pi * np.fft.fftfreq(len(samples), d=grid.spacing)
-    q_x = np.fft.ifft(1j * k * np.fft.fft(samples))
-    return Potential(grid, samples, q_x, profile)
+
+def _spectral_derivative(p: Potential) -> np.ndarray:
+    """q_x of the samples, spectrally, on the periodic truncation of the grid."""
+    k = 2.0 * np.pi * np.fft.fftfreq(len(p.q), d=p.grid.spacing)
+    return np.fft.ifft(1j * k * np.fft.fft(p.q))
 
 
 @dataclass
@@ -110,7 +112,7 @@ def eigvec_matrix(q_value) -> np.ndarray:
 
 def akns_potentials(p: Potential) -> AknsFields:
     """Gauge potentials Q, B plus H, p, and G from a sampled potential."""
-    q, q_x = p.q, p.q_x
+    q, q_x = p.q, _spectral_derivative(p)
     w = np.sqrt(1.0 + np.abs(q) ** 2)
     denom = 4.0 * (w * w + w)
     w_x = np.real(np.conj(q) * q_x) / w

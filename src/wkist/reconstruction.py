@@ -198,8 +198,7 @@ def resample_q(q_H: np.ndarray, x_map: np.ndarray, xgrid: SpatialGrid,
     interpolated by ``_lagrange_interpolant`` and extended by zero outside the
     mapped range, which is only legitimate if it has decayed below
     ``decay_floor`` at the end nodes; otherwise RangeError.  Returns the
-    resampled GridFunction and the interpolation-error estimate
-    ``_halving_miss`` of (x_map, q_H).
+    resampled GridFunction.
     """
     check_number("decay_floor", decay_floor, 0.0)
     q_H = np.asarray(q_H, dtype=complex)
@@ -210,7 +209,7 @@ def resample_q(q_H: np.ndarray, x_map: np.ndarray, xgrid: SpatialGrid,
     if edge > decay_floor:
         raise RangeError(f"potential has not decayed at the mapped range ends (|q| = {edge:.3e})")
     values = _lagrange_interpolant(x_map, q_H)(xgrid.points)
-    return GridFunction(xgrid, values), _halving_miss(x_map, q_H)
+    return GridFunction(xgrid, values)
 
 
 @dataclass
@@ -368,7 +367,8 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
     ``q`` and ``epsilon`` = x_H - x at the cells) and explicitly from the
     diagonal moment (``x_from_m11``, the cross-check route, which gives
     ``q_explicit``).  Both resample q_H onto ``xgrid`` with ``resample_q``;
-    the diagnostic ``resample_error_estimate`` is the primary route's.
+    the diagnostic ``resample_error_estimate`` is the ``_halving_miss`` of
+    the primary route's (x, q_H).
 
     ``decay_floor`` bounds how large the recovered q_H may be at the
     sweep-window ends; the reconstruction noise there is set by the band
@@ -487,10 +487,10 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
     x_exp = x_from_m11(sweep, m1_11)
     # primary route: the quadrature of dx = dx_H / <q_H>
     x_map = x_from_qh(sweep, q_H)
-    q, interp_err = resample_q(q_H, x_map, xgrid, decay_floor=decay_floor)
+    q = resample_q(q_H, x_map, xgrid, decay_floor=decay_floor)
     eps = sweep - x_map
     # cross-check route: explicit map from the diagonal moment
-    q_explicit, _ = resample_q(q_H, x_exp, xgrid, decay_floor=decay_floor)
+    q_explicit = resample_q(q_H, x_exp, xgrid, decay_floor=decay_floor)
 
     e1 = conserved_E1(make_potential(xgrid, q.values))
     diagnostics = {
@@ -501,7 +501,7 @@ def inverse_transform(sd: ScatteringData, t: float, xgrid: SpatialGrid,
         "epsilon_infinity": float(eps[-1]),
         "E1_reconstructed": e1,
         "epsilon_vs_E1": abs(float(eps[-1]) - e1),
-        "resample_error_estimate": interp_err,
+        "resample_error_estimate": _halving_miss(x_map, q_H),
         "lattice_error_estimate": lattice_err,
         "kind_gap": kind_gap(),
     }

@@ -3,9 +3,10 @@
 The pipelines only need the first Jost column where the two marches
 meet, near x = 0, on a batch of lam (``wkist.direct_scattering``).
 The tests also look at the whole Jost solution and the transition
-matrix at single lam: ``propagate_jost`` samples psi at every step end
-of the same march, and ``transition_matrix`` arranges the Wronskians
-as T.  As independent
+matrix at single lam: ``whole_plan`` joins the two halves of the
+package's schedule into one march across the grid, ``propagate_jost``
+samples psi at every step end of it, and ``transition_matrix``
+arranges the Wronskians as T.  As independent
 checks of those outputs, ``symmetry_defect`` measures the real-lam
 symmetry of T, ``b_from_integral`` computes b from its integral
 representation, and ``check_a_asymptotics`` compares a with its
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from wkist.direct_scattering import _fill_second_column, _march, _wronskians
+from wkist.direct_scattering import _fill_second_column, _lam_batch, _layout, _march, _wronskians
+from wkist.errors import InvalidArgumentError
 from wkist.lax import Potential, akns_potentials
 
 
@@ -35,17 +37,35 @@ class JostSolution:
         return self.psi[np.flatnonzero(self.nodes == node)[0]]
 
 
+def whole_plan(p: Potential, lam_max: float, side: str):
+    """The march across the whole grid from the ``side`` infinity, as a plan for ``_march``.
+
+    (H, q1, q2, node, start): the (sub)steps of ``_layout`` in march
+    order, H signed and the Gauss values in path order, as the package's
+    half-marches take them, but both halves and no start rule: the march
+    starts at the grid end.
+    """
+    if side not in ("-", "+"):
+        raise InvalidArgumentError(f"a march runs from side '+' or '-', got {side!r}")
+    width, low, high, left, right, _ = _layout(p, lam_max)
+    if side == "-":
+        return width, low, high, right, 0
+    return -width[::-1], high[::-1], low[::-1], left[::-1], p.grid.point_count - 1
+
+
 def propagate_jost(p: Potential, lam: float, side: str) -> JostSolution:
     """Jost solution normalized at the `side` infinity, sampled at every step end.
 
-    The same march as the scattering coefficients, continued to the far
-    end, so the samples span the whole grid.  det psi = 1 holds to
-    roundoff at every sample because each step propagator is exactly
-    unimodular; ``det_defect`` is the largest deviation over the samples,
-    |alpha|^2 + |beta|^2 - 1 as in the march.
+    The march of the scattering coefficients, from the grid end across
+    the whole grid (``whole_plan``), so the samples span it.  det psi = 1
+    holds to roundoff at every sample because each step propagator is
+    exactly unimodular; ``det_defect`` is the largest deviation over the
+    samples, |alpha|^2 + |beta|^2 - 1 as in the march.
     """
+    lams = _lam_batch([float(lam)])
+    plan = whole_plan(p, float(np.abs(lams[0])), side)
     blocks = [(block[:, :, 0].copy(), nodes, defect)
-              for block, nodes, defect in _march(p, [float(lam)], side, "end")]
+              for block, nodes, defect in _march(p, lams, plan)]
     cols = np.concatenate([block for block, _, _ in blocks])
     nodes = np.concatenate([nodes for _, nodes, _ in blocks])
     det_defect = max(defect for _, _, defect in blocks)

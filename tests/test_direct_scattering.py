@@ -13,8 +13,10 @@ from wkist.direct_scattering import (
     _jump_points,
     _lagrange_interpolant,
     _lam_lattice,
+    _layout,
+    _march,
+    _plans,
     _step_scalars,
-    _steps,
     _wronskians,
     evolve_reflection,
     reflection_coefficient,
@@ -29,7 +31,7 @@ from wkist.lax import make_potential
 from wkist.rhp import suggest_z_min
 
 from jost_checks import (b_from_integral, check_a_asymptotics, propagate_jost, symmetry_defect,
-                         transition_matrix)
+                         transition_matrix, whole_plan)
 
 # Reference values for the box potential q = 0.1 on [-1, 1], lam = 2,
 # from the exact piecewise-constant propagator in 40-digit arithmetic
@@ -421,21 +423,28 @@ def test_magnus_step_is_fourth_order():
     assert errors[1] < 1e-7
 
 
+def _meeting_node(p, lam_max):
+    """The grid node the half-marches meet at: the left one's last step ends there, the right one's
+    first begins there."""
+    _, _, _, left, right, split = _layout(p, lam_max)
+    assert split == 0 or right[split - 1] == left[split]
+    return int(left[split])
+
+
 def test_steps_span_cells_up_to_the_phase_bound():
     # lam_max h sqrt(1 + |q|^2) = 0.069 a cell: four cells a step; at four
     # times lam_max the phase bound allows one, and nothing merges
     p = gaussian_potential(N=1024, amp=0.3)  # h = 0.039
     for lam_max, cells in ((1.7, STEP_CELLS), (6.8, 1)):
-        H, q1, q2, node = _steps(p, lam_max, "-", "end")
+        H, q1, q2, node, _ = whole_plan(p, lam_max, "-")
         assert np.all(node >= 0)
         assert np.max(np.abs(H)) == cells * p.grid.spacing
         assert lam_max * np.max(np.abs(H)) * np.sqrt(1.0 + 0.3**2) <= PHASE_BOUND
     # both marches take the same steps, and meet at the step end nearest x = 0
-    left = _steps(p, 1.7, "-", "end")[3]
-    right = _steps(p, 1.7, "+", "end")[3]
+    left = whole_plan(p, 1.7, "-")[3]
+    right = whole_plan(p, 1.7, "+")[3]
     assert np.array_equal(np.sort(np.r_[0, left]), np.sort(np.r_[right, 1023]))
-    meet = _steps(p, 1.7, "-", "mid")[3][-1]
-    assert meet == _steps(p, 1.7, "+", "mid")[3][-1]
+    meet = _meeting_node(p, 1.7)
     assert np.min(np.abs(left - 512)) == abs(meet - 512)
 
 
@@ -447,7 +456,7 @@ def test_steps_move_with_a_box_shifted_by_whole_cells():
     def step_ends(k):
         shift = k * grid.spacing
         p = make_potential(grid, lambda x: 0.5 * (np.abs(x - shift) <= 0.93) * np.exp(0.3j * x))
-        node = _steps(p, 1.5, "-", "end")[3]
+        node = whole_plan(p, 1.5, "-")[3]
         return node[node >= 0]
 
     inside = lambda node, k: node[(node > 244 + k) & (node < 268 + k)]  # noqa: E731
@@ -459,7 +468,7 @@ def test_steps_move_with_a_box_shifted_by_whole_cells():
 def test_gauss_values_are_in_path_order():
     p = make_potential(make_spatial_grid(10.0, 512), lambda x: x + 0j)
     for side in "-+":
-        H, q1, q2, _ = _steps(p, 1.0, side, "end")
+        H, q1, q2, _, _ = whole_plan(p, 1.0, side)
         # on q = x: q2 - q1 = (sqrt 3 / 3) H, along the march
         assert np.allclose(q2 - q1, 2.0 * GAUSS_OFFSET * H, rtol=1e-9, atol=1e-14)
 
@@ -471,7 +480,7 @@ def test_dropped_commutator_terms_change_no_bit():
     for name, p in ORACLE_INPUTS.items():
         lams = ORACLE_LAMS * LAM_SCALE.get(name, 1.0)
         lam_max = float(np.max(np.abs(lams)))
-        H, q1, q2, _ = _steps(p, lam_max, "-", "end")
+        H, q1, q2, _, _ = whole_plan(p, lam_max, "-")
         keys, _ = _step_scalars(H, q1, q2, lam_max)
         g = GAUSS_OFFSET * H * H
         s = 0.5 * (q1 + q2)
@@ -689,7 +698,7 @@ def assert_bitwise(got, want):
 
 def _keys(p, lams):
     lam_max = float(np.max(np.abs(lams)))
-    H, q1, q2, node = _steps(p, lam_max, "-", "end")
+    H, q1, q2, node, _ = whole_plan(p, lam_max, "-")
     return _step_scalars(H, q1, q2, lam_max)[0], node
 
 
@@ -750,8 +759,8 @@ def test_a_march_of_no_steps_meets_at_the_grid_end():
     # the marches meet at x = -L and the rightward one takes no step
     p = make_potential(make_spatial_grid(20.0, 4), lambda x: 0.01 + 1e-4 * x + 0j)
     lams = np.array([1e-3, -5e-4])
-    assert _steps(p, 1e-3, "-", "mid")[0].size == 0
-    assert _steps(p, 1e-3, "+", "mid")[0].size == 1
+    width, *_, split = _layout(p, 1e-3)
+    assert (split, width.size) == (0, 1)
     got = _wronskians(p, lams)
     want = _oracle_wronskians(p, lams)
     for g, o in zip(got[:4], want[:4]):
@@ -781,9 +790,9 @@ def _marched_batches(monkeypatch):
     sizes = []
     propagate = direct_scattering._propagate_to_mid
 
-    def spy(p, lams, side, plan=None):
+    def spy(p, lams, plan):
         sizes.append(len(lams))
-        return propagate(p, lams, side, plan)
+        return propagate(p, lams, plan)
 
     monkeypatch.setattr(direct_scattering, "_propagate_to_mid", spy)
     return sizes
@@ -808,8 +817,8 @@ def test_a_sech_starts_both_halves_at_the_grid_ends():
     # rule's share of the whole half, so each half starts at its grid end
     # and the march is the full one
     p = make_potential(make_spatial_grid(20.0, 512), lambda x: 0.5 / np.cosh(x) + 0j)
-    for side, end in (("-", 0), ("+", 511)):
-        _, nodes, _ = next(direct_scattering._march(p, SYMMETRIC_LAMS, side, "mid"))
+    for plan, end in zip(_plans(p, float(np.max(SYMMETRIC_LAMS))), (0, 511)):
+        _, nodes, _ = next(_march(p, SYMMETRIC_LAMS, plan))
         assert np.array_equal(nodes, [end])
     got = _wronskians(p, SYMMETRIC_LAMS)
     want = _oracle_wronskians(p, SYMMETRIC_LAMS, start_rule=False)
@@ -824,9 +833,8 @@ def test_complex_potentials_and_asymmetric_batches_march_every_lam(case, monkeyp
     p = make_potential(make_spatial_grid(20.0, 512),
                        lambda x: 0.05 * np.exp(-(x**2)) * np.exp(1j * momentum * x))
     # the Gaussian's tails are skipped on both halves
-    lam_max = float(np.max(np.abs(lams)))
-    assert all(direct_scattering._first_step(*_steps(p, lam_max, side, "mid"), lam_max) > 0
-               for side in "-+")
+    plan_m, plan_p = _plans(p, float(np.max(np.abs(lams))))
+    assert plan_m[4] > 0 and plan_p[4] < 511
     sizes = _marched_batches(monkeypatch)
     got = _wronskians(p, lams)
     assert sizes == [lams.size] * 2
@@ -840,9 +848,8 @@ def test_a_half_where_q_is_zero_starts_at_the_meeting_node():
     # leftward march takes no step; the mirror holds there too
     p = make_potential(make_spatial_grid(20.0, 512), lambda x: 0.3 * (np.abs(x - 5.0) <= 1.0) + 0j)
     lam_max = float(np.max(SYMMETRIC_LAMS))
-    meet = _steps(p, lam_max, "-", "mid")[3][-1]
-    assert meet == _steps(p, lam_max, "+", "mid")[3][-1]
-    blocks = direct_scattering._march(p, SYMMETRIC_LAMS, "-", "mid")
+    meet = _meeting_node(p, lam_max)
+    blocks = _march(p, SYMMETRIC_LAMS, _plans(p, lam_max)[0])
     _, nodes, _ = next(blocks)
     assert np.array_equal(nodes, [meet]) and next(blocks, None) is None
     got = _wronskians(p, SYMMETRIC_LAMS)
@@ -927,7 +934,7 @@ def test_det_check_reaches_cells_inside_the_blocks(name, per_block, monkeypatch)
         monkeypatch.setattr(direct_scattering, "BLOCK_SAMPLES", per_block * lams.size)
     B = direct_scattering.BLOCK_SAMPLES // lams.size
     worst = at_ends = at_zero = in_last = 0.0
-    for side in "-+":
+    for side, plan in zip("-+", _plans(p, float(np.max(np.abs(lams))))):
         defects = _oracle_step_defects(p, lams, side)
         steps = defects.size
         assert steps % B != 0
@@ -938,7 +945,7 @@ def test_det_check_reaches_cells_inside_the_blocks(name, per_block, monkeypatch)
         at_zero = max(at_zero, defects[-1])
         in_last = max(in_last, defects[-(steps % B):].max())
         # each block reports the largest defect of its own steps
-        blocks = direct_scattering._march(p, lams, side, "mid")
+        blocks = _march(p, lams, plan)
         next(blocks)
         sizes = []
         for cols, _, defect in blocks:

@@ -8,6 +8,8 @@ st = hypothesis.strategies
 
 from wkist.direct_scattering import (  # noqa: E402
     _lam_lattice,
+    _layout,
+    _plans,
     _wronskians,
     evolve_reflection,
     reflection_coefficient,
@@ -16,8 +18,8 @@ from wkist.lattice import make_spatial_grid, make_spectral_grid  # noqa: E402
 from wkist.lax import make_potential  # noqa: E402
 from wkist.rhp import suggest_z_min  # noqa: E402
 
-from jost_checks import propagate_jost  # noqa: E402
-from test_direct_scattering import _oracle_wronskians  # noqa: E402
+from jost_checks import propagate_jost, whole_plan  # noqa: E402
+from test_direct_scattering import _oracle_skipped, _oracle_wronskians  # noqa: E402
 
 XGRID = make_spatial_grid(10.0, 512)
 
@@ -130,3 +132,30 @@ def test_the_start_rule_keeps_a_and_b_of_the_march_from_the_grid_end(family, log
     a_end, b_end, *_ = _oracle_wronskians(p, lams, start_rule=False)
     assert np.max(np.abs(a - a_end)) < START_RULE_BOUND
     assert np.max(np.abs(b - b_end)) < START_RULE_BOUND
+
+
+@pytest.mark.filterwarnings("error")
+@hypothesis.settings(max_examples=20, deadline=None)
+@hypothesis.given(lam_max=st.floats(0.5, 8.0), samples=st.booleans(), **potentials)
+def test_the_half_plans_are_the_whole_march_cut_at_the_meeting_node(lam_max, samples, family,
+                                                                    amplitude, width, momentum):
+    # one layout gives both half-marches: the march across the whole grid
+    # from either end, cut where the marches meet, at the step start
+    # nearest N/2, and less the leading steps the start rule drops (the
+    # oracle's rule, one step at a time in Python)
+    p = potential(family, amplitude, width, momentum)
+    if samples:
+        p = make_potential(XGRID, p.q)
+    N = p.grid.point_count
+    left = _layout(p, lam_max)[3]
+    starts = left[left >= 0]
+    meet = starts[np.argmin(np.abs(starts - N // 2))]
+    cut = int(np.flatnonzero(left == meet)[0])
+    for side, plan in zip("-+", _plans(p, lam_max)):
+        *whole, end = whole_plan(p, lam_max, side)
+        steps = [v[:cut] if side == "-" else v[:v.size - cut] for v in whole]
+        assert steps[3][-1:].tolist() in ([], [meet])
+        skipped, start = _oracle_skipped(steps, lam_max)
+        assert plan[4] == (end if start is None else start)
+        for got, want in zip(plan[:4], steps):
+            assert got.tobytes() == want[skipped:].tobytes()

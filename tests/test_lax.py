@@ -4,6 +4,7 @@ import pytest
 from wkist.errors import InvalidArgumentError
 from wkist.lattice import make_spatial_grid
 from wkist.lax import (
+    _spectral_derivative,
     akns_potentials,
     conserved_E1,
     eigvec_matrix,
@@ -50,7 +51,20 @@ def test_spectral_derivative_matches_the_closed_form():
     p = make_potential(grid, samples)
     # spectral accuracy on a Gaussian that has decayed to rounding at the
     # grid ends: 7.7e-16 here, where centered differences miss by 2.3e-5
-    assert np.max(np.abs(p.q_x - samples * (1j - 2.0 * x))) < 1e-14
+    assert np.max(np.abs(_spectral_derivative(p) - samples * (1j - 2.0 * x))) < 1e-14
+
+
+def test_make_potential_takes_no_fft(monkeypatch):
+    # no pipeline reads q_x: the AKNS fields take it when they are built
+    def fft(*args, **kwargs):
+        raise AssertionError("make_potential called np.fft.fft")
+
+    monkeypatch.setattr(np.fft, "fft", fft)
+    grid = make_spatial_grid(20.0, 256)
+    make_potential(grid, lambda x: 0.05 * np.exp(-(x**2)))
+    make_potential(grid, np.zeros(256, dtype=complex))
+    with pytest.raises(AssertionError, match="np.fft.fft"):
+        akns_potentials(make_potential(grid, np.zeros(256, dtype=complex)))
 
 
 def test_gauge_field_b_vanishes_for_real_potentials():

@@ -25,6 +25,6 @@ def test_x_from_qh_is_increasing_and_its_total_shift_is_E1(amplitude, width, cen
     assert np.all(np.diff(x) > 0)
     # eps(+inf) = int (<q> - 1) dx is E1 of the potential the map gives,
     # up to the trapezoid and resampling errors, O(h^2)
-    q, _ = resample_q(q_H, x, g)
+    q = resample_q(q_H, x, g)
     e1 = conserved_E1(make_potential(g, q.values))
     assert abs(g.points[-1] - x[-1] - e1) < (amplitude * g.spacing / width) ** 2

@@ -16,15 +16,18 @@ from wkist.lattice import make_spectral_grid  # noqa: E402
 from wkist.rhp import (  # noqa: E402
     DELTA_CONJUGATED,
     NEUMANN_TOL,
+    OVERSHOOT,
     POINTS_PER_PERIOD,
     TRIANGULAR,
     _m0_rows,
     _neumann,
     _solve_batch,
+    lam_grid,
     suggest_z_min,
 )
 from rhp_cells import (  # noqa: E402
-    both_rows, cell_solve, dense_solve, exact_residual, fd_slope_gap, jump_batch, lam_data)
+    EXTENT, both_rows, cell_solve, dense_solve, exact_residual, fd_slope_gap, jump_batch,
+    lam_data)
 
 ZGRID = make_spectral_grid(20.0, 256, z_min=0.5)
 FINE_ZGRID = make_spectral_grid(20.0, 512, z_min=0.5)
@@ -60,6 +63,21 @@ def random_reflection(seed, amplitude, zgrid=ZGRID, smooth=False):
         r = r * smooth_step(np.abs(z) / zgrid.z_min - 1.0)
     else:
         r = np.where(np.abs(z) >= zgrid.z_min, r, 0.0)
+    return r * (amplitude / np.max(np.abs(r)))
+
+
+def random_lam_reflection(seed, amplitude, grid):
+    """Random smooth reflection data on the lam ``grid``, with r(0) = 0 and max |r| = amplitude.
+
+    lam times three Gaussians, rolled off to zero over the outer quarter
+    of the grid by a C-infinity step.
+    """
+    lam, reach = grid.points, grid.half_width
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(3, 2)) @ [1.0, 1j]
+    centers, widths = rng.uniform(-0.5, 0.5, 3) * reach, rng.uniform(0.1, 0.4, 3) * reach
+    r = lam * (c * np.exp(-((lam[:, None] - centers) / widths) ** 2)).sum(axis=1)
+    r = r * smooth_step(4.0 * (1.0 - np.abs(lam) / reach))
     return r * (amplitude / np.max(np.abs(r)))
 
 
@@ -117,17 +135,32 @@ def test_reported_residual_is_the_exact_residual_on_random_small_data(seed, ampl
 
 @hypothesis.settings(max_examples=20, deadline=None)
 @hypothesis.given(**small_data)
+# the draw whose z data lam_reflection carried to max |r| 3.25
+@hypothesis.example(seed=19026, amplitude=0.28125, x_H=0.0, kind=TRIANGULAR)
 def test_row_2_is_the_schwarz_reflection_of_row_1(seed, amplitude, x_H, kind):
     # u12 = conj(u21) in both kinds and C-(conj v) = -conj(C+ v), so row 2
     # of mu is fixed by row 1: this is why the inverse solves row 1 alone.
     # Both rows of the operator, with the mu right-hand sides, as the two
-    # cells of one batch
-    r, grid = lam_data(random_reflection(seed, amplitude), ZGRID)
+    # cells of one batch.  The data are drawn on the lam grid itself, so
+    # the property tests the solver, not the carrying of z data onto it
+    grid = lam_grid(ZGRID, EXTENT)
+    r = random_lam_reflection(seed, amplitude, grid)
     jump = jump_batch(r, grid, kind, [x_H])
     (x1, x2), _, _, ok, _ = _neumann(*both_rows(*jump), kind, grid)
     assert ok.all()
     assert np.max(np.abs(x1[1] + np.conj(x2[0]))) < 1e-9
     assert np.max(np.abs(x2[1] - np.conj(x1[0]))) < 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="lam_reflection keeps the plain frame when it overshoots "
+                   "as well: these data of max |r| 0.28 reach 3.25 on the lam grid")
+def test_lam_reflection_keeps_z_data_within_its_overshoot_bound():
+    # z data that turn too fast for the moving frame fall back to the plain
+    # frame, whose interpolant overshoots by 11.5x; the sweeps diverge on
+    # them, and inverse --input exits 4 rhp-unsolved
+    r = random_reflection(19026, 0.28125)
+    on_grid, _ = lam_data(r, ZGRID)
+    assert np.max(np.abs(on_grid)) <= OVERSHOOT * np.max(np.abs(r))
 
 
 @hypothesis.settings(max_examples=20, deadline=None)
