@@ -554,41 +554,25 @@ def _format_numbers(values, out):
         out[slow[0], :5, slow[1]] = text.view(_LE64).reshape(-1, 5)
 
 
-def _text_words(column):
-    """A text column's %s fields as (words, n) little-endian words, their last two bytes NUL."""
-    text = np.array([("%s" % v).encode() for v in column.tolist()])
-    width = (text.itemsize + 9) // 8 * 8
-    return text.astype(f"S{width}").view(_LE64).reshape(len(text), -1).T
-
-
-def _csv_block(block, numeric):
-    """The CSV lines of one block of rows: ``block`` its columns, ``numeric`` which are numbers."""
-    n = len(block[0])
-    values = np.array([c for c, num in zip(block, numeric) if num], dtype=float).reshape(-1, n)
-    fields = np.empty((len(values), _FIELD_WORDS, n), _LE64)
+def _csv_block(block):
+    """The CSV lines of one block of rows: ``block`` its number columns."""
+    values = np.array(block, dtype=float)
+    fields = np.empty((len(values), _FIELD_WORDS, values.shape[1]), _LE64)
     _format_numbers(values, fields)
-    if all(numeric):
-        # in place: concatenating the fields costs a tenth of the write
-        words = fields.reshape(-1, n)
-        ends = np.arange(_FIELD_WORDS - 1, len(words), _FIELD_WORDS)
-    else:
-        numbers = iter(fields)
-        parts = [next(numbers) if num else _text_words(c) for c, num in zip(block, numeric)]
-        words = np.concatenate(parts)
-        ends = np.cumsum([len(part) for part in parts]) - 1
-    words[ends[:-1]] |= _COMMA
-    words[ends[-1]] |= _CRLF
-    return words.T.tobytes().translate(None, b"\0")
+    fields[:-1, -1] |= _COMMA
+    fields[-1, -1] |= _CRLF
+    return fields.reshape(-1, values.shape[1]).T.tobytes().translate(None, b"\0")
 
 
 def columns_to_csv(path, header, columns, text=()):
     """Write equal-length ``columns`` under ``header`` as one CSV file.
 
-    Columns named in ``text`` are written with %s of the caller's values
-    (holding no NUL), the others with %.17g, and lines end in CRLF: the
-    bytes ``csv.writer`` writes for these fields.  Numbers are formatted
-    ``_CSV_ROWS`` rows at a time by numpy arithmetic, bytes equal to
-    '%.17g' % v by construction.  With X =
+    Columns named in ``text`` are written with %s of the caller's values,
+    the others with %.17g, and lines end in CRLF: the bytes ``csv.writer``
+    writes for these fields.  A file with text columns is written row by
+    row, each line '%s' % v or '%.17g' % v per field.  A file of numbers
+    only is formatted ``_CSV_ROWS`` rows at a time by numpy arithmetic,
+    bytes equal to '%.17g' % v by construction.  With X =
     floor(log10|v|), |v| 10^(16 - X) is formed from Dekker's exact
     product of |v| and the double hi of 10^(16 - X) = hi + lo (Numer.
     Math. 18, 1971) plus |v| lo, within about 1e-14; it is rounded
@@ -603,13 +587,14 @@ def columns_to_csv(path, header, columns, text=()):
     calls however long it is: 256 rows lose most of the gain, 512 and
     more keep it.
     """
-    numeric = [name not in text for name in header]
-    # a text column is kept as objects: numpy would turn [0, 2**63] into floats
-    columns = [np.asarray(c, dtype=None if num else object) for c, num in zip(columns, numeric)]
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        for start in range(0, len(columns[0]), _CSV_ROWS):
-            fh.write(_csv_block([c[start:start + _CSV_ROWS] for c in columns], numeric))
+        if any(name in text for name in header):
+            line = ",".join("%s" if name in text else "%.17g" for name in header) + "\r\n"
+            fh.write("".join(line % row for row in zip(*columns)).encode())
+        else:
+            for start in range(0, len(columns[0]), _CSV_ROWS):
+                fh.write(_csv_block([c[start:start + _CSV_ROWS] for c in columns]))
 
 
 def gridfunction_to_csv(f: GridFunction, path):

@@ -119,6 +119,16 @@ def test_inverse_consumes_forward_output(tmp_path, capsys):
     assert np.max(gap) < 1e-3
 
 
+def test_inverse_without_input_evolves_its_own_forward(tmp_path, capsys):
+    # with no --input the inverse runs the forward map in memory: at t it
+    # reconstructs the potential compare-pde's scattering route writes
+    inv, cmp = tmp_path / "inv", tmp_path / "cmp"
+    flags = SMALL + ["--t", "0.05"]
+    assert run(["inverse", "--outdir", str(inv)] + flags, capsys) == 0
+    assert run(["compare-pde", "--outdir", str(cmp)] + flags, capsys) == 0
+    assert (inv / "reconstructed.csv").read_bytes() == (cmp / "scattering_route.csv").read_bytes()
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"N": 512, "N_z": 1024, "window": 4.5,
@@ -407,6 +417,24 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
                + SMALL, capsys) == 2
     err = json.loads((out / "error.json").read_text())
     assert err["kind"] == "invalid-argument"
+
+
+def test_unknown_family_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["forward", "--family", "nosuch", "--outdir", str(out)] + SMALL, capsys) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "invalid-argument"
+    assert "'nosuch'" in err["message"]
+
+
+def test_potential_samples_under_another_header_exit_2(tmp_path, capsys):
+    samples, out = tmp_path / "q.csv", tmp_path / "out"
+    samples.write_bytes(b"x,re,im\n-20,0,0\n20,0,0\n")
+    assert run(["forward", "--family", "file", "--input", str(samples),
+                "--outdir", str(out)] + SMALL, capsys) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "invalid-argument"
+    assert err["message"] == f"{samples}: expected header coordinate,re,im"
 
 
 @pytest.mark.parametrize("manifest", [

@@ -87,31 +87,35 @@ def test_lagrange_interpolant_returns_uneven_node_values_and_zero_one_ulp_outsid
 # value below 1e-280
 PINNED = [0.0, -0.0, 5e-324, 2.0 ** -25, 1e-5, 9.999999999999999e-05, 1e-4, 1e16, 1e17,
           99999999999999998.0, 0.1, -1e-300]
-TEXT = st.text(st.characters(exclude_categories=["Cs"], exclude_characters="\0"), max_size=20)
+TEXT = st.text(st.characters(exclude_categories=["Cs"]), max_size=20)
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(values=st.lists(st.floats() | st.sampled_from(PINNED), max_size=60),
                   width=st.integers(1, 5), at=st.integers(0, 5),
-                  words=st.lists(TEXT | st.integers(), min_size=1, max_size=4), long=st.booleans())
+                  words=st.lists(TEXT | st.integers(), max_size=4), long=st.booleans())
 @hypothesis.example(values=PINNED, width=3, at=1, words=["Triangular", 7], long=False)
 @hypothesis.example(values=PINNED, width=5, at=5, words=[""], long=True)
 @hypothesis.example(values=[], width=2, at=0, words=["kind"], long=False)
 # numpy makes [0, 2**63] a float64 column: a text column keeps the caller's ints
 @hypothesis.example(values=[0.0, 0.0], width=1, at=0, words=[0, 2**63], long=False)
+@hypothesis.example(values=PINNED, width=3, at=0, words=[], long=True)
 def test_column_writer_writes_the_percent_17g_bytes(values, width, at, words, long):
     # the contract: "%.17g" % v per number and "%s" % v per text value,
-    # comma-separated, each line ended in CRLF; long columns cross the
-    # writer's blocks of rows
+    # comma-separated, each line ended in CRLF; no words leave the text
+    # column out, a file the writer formats by numpy arithmetic, and long
+    # columns cross its blocks of rows
     n = 2 * _CSV_ROWS + 5 if long and values else len(values)
     columns = [np.resize(np.roll(values, k), n) * (-1.0) ** k for k in range(width)]
     at = min(at, width)
-    columns.insert(at, [words[j % len(words)] for j in range(n)])
-    header = [f"c{k}" for k in range(width + 1)]
-    fmt = ",".join("%s" if k == at else "%.17g" for k in range(width + 1)) + "\r\n"
+    if words:
+        columns.insert(at, [words[j % len(words)] for j in range(n)])
+    header = [f"c{k}" for k in range(len(columns))]
+    text = header[at:at + 1] if words else []
+    fmt = ",".join("%s" if name in text else "%.17g" for name in header) + "\r\n"
     expected = (",".join(header) + "\r\n"
                 + "".join(fmt % row for row in zip(*(list(c) for c in columns)))).encode()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.csv"
-        columns_to_csv(path, header, columns, text=(header[at],))
+        columns_to_csv(path, header, columns, text=text)
         assert path.read_bytes() == expected

@@ -8,12 +8,13 @@ checkouts.  The ops are every op ``perfbench/workloads.py`` of the after
 checkout generates for the given seeds at the benchmark's run length of
 ``SECONDS``, and the CI workflow's pipeline commands: the smoke
 and tiny roundtrips, forward and then ``inverse --input`` on its files,
-evolve, compare-pde and the two soliton runs.  Each op runs as
-``python -m wkist.cli`` from each checkout's ``src/``, in a fresh
-process with ``OMP_NUM_THREADS=1``.  Per op the two sides must give the
-same exit code, the same CSV files byte for byte, and the same
-``manifest.json`` ``results`` and ``config`` (less ``outdir`` and
-``input``, which name the side's own directories) as JSON.  Nothing
+evolve, compare-pde, ``inverse`` without ``--input`` and the two
+soliton runs.  Each op runs as ``python -m wkist.cli`` from each
+checkout's ``src/``, in a fresh process with ``OMP_NUM_THREADS=1``.
+Per op the two sides must give the same exit code, the same CSV files
+byte for byte, and the same ``manifest.json`` ``results`` and
+``config`` (less ``outdir`` and ``input``, which name the side's own
+directories) as JSON.  Nothing
 under ``perfbench/`` is changed.  Exits 0 when every op agrees, else 1
 and names the first difference.
 """
@@ -40,6 +41,7 @@ CI_OPS = [
                 "--decay-floor", "1e-3"]),
     ("ci-evo", ["evolve", *SMALL, "--t", "0.25"]),
     ("ci-cmp", ["compare-pde", *SMALL, "--t", "0.05", "--decay-floor", "1e-3"]),
+    ("ci-inv-mem", ["inverse", *SMALL, "--t", "0.05", "--decay-floor", "1e-3"]),
     ("ci-sol", ["soliton", "--N", "512"]),
     ("ci-sol-burst", ["soliton", "--N", "512", "--xi", "1", "--eta", "1"]),
 ]
