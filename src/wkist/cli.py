@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -329,6 +330,13 @@ _PIPELINES = {
 }
 
 
+# every flag takes a value: --config, and one per field but the pipeline
+_FIELDS = [f for f in fields(RunConfig) if f.name != "pipeline"]
+_FLAGS = ["--config"] + ["--" + f.name.replace("_", "-") for f in _FIELDS]
+# a negative decimal number, exponent and all
+_NEGATIVE = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wkist",
@@ -337,12 +345,27 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("pipeline", choices=sorted(_PIPELINES))
     parser.add_argument("--config", help="JSON file with RunConfig fields")
-    for f in fields(RunConfig):
-        if f.name == "pipeline":
-            continue
-        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None,
-                            type=type(f.default))
+    for f, flag in zip(_FIELDS, _FLAGS[1:]):
+        parser.add_argument(flag, dest=f.name, default=None, type=type(f.default))
     return parser
+
+
+def _joined_negatives(argv: list[str]) -> list[str]:
+    """``argv`` with a negative number after a value flag joined to it: ``--flag=-1e-3``.
+
+    Some argparse versions read a token such as -1e-3 as an option of its
+    own, but every version reads ``--flag=value`` alike.  A value flag may
+    be abbreviated, as argparse allows, and a bare ``--`` ends the flags.
+    """
+    out = []
+    for token in argv:
+        last = out[-1] if out else ""
+        if (_NEGATIVE.fullmatch(token) and last.startswith("--") and "=" not in last
+                and "--" not in out and any(flag.startswith(last) for flag in _FLAGS)):
+            out[-1] = f"{last}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 _CONFIG_TYPES = {"int": "an integral number", "float": "a finite number", "str": "a string"}
@@ -384,11 +407,8 @@ def _config_from_args(args) -> RunConfig:
         values = {k: _config_value(k, kinds[k], v) for k, v in raw.items()}
         values.pop("pipeline", None)
         cfg = replace(cfg, **values)
-    overrides = {
-        f.name: getattr(args, f.name)
-        for f in fields(RunConfig)
-        if f.name != "pipeline" and getattr(args, f.name, None) is not None
-    }
+    overrides = {f.name: getattr(args, f.name) for f in _FIELDS
+                 if getattr(args, f.name) is not None}
     cfg = replace(cfg, **overrides)
     # checked before any pipeline runs: ``inverse --input`` never reaches
     # the forward's checks of a_floor, window and t
@@ -399,7 +419,7 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_joined_negatives(sys.argv[1:] if argv is None else list(argv)))
     try:
         cfg = _config_from_args(args)
         outdir = Path(cfg.outdir)

@@ -36,6 +36,7 @@ estimate is its miss at every other node (``_halving_miss``).
 
 from __future__ import annotations
 
+import csv
 import functools
 import warnings
 from dataclasses import dataclass
@@ -569,10 +570,10 @@ def columns_to_csv(path, header, columns, text=()):
 
     Columns named in ``text`` are written with %s of the caller's values,
     the others with %.17g, and lines end in CRLF: the bytes ``csv.writer``
-    writes for these fields.  A file with text columns is written row by
-    row, each line '%s' % v or '%.17g' % v per field.  A file of numbers
-    only is formatted ``_CSV_ROWS`` rows at a time by numpy arithmetic,
-    bytes equal to '%.17g' % v by construction.  With X =
+    writes for these fields.  A file with text columns goes through
+    ``csv.writer``, which quotes a text value holding a comma, a quote or
+    a line break.  A file of numbers only is formatted ``_CSV_ROWS`` rows
+    at a time by numpy arithmetic, bytes equal to '%.17g' % v.  With X =
     floor(log10|v|), |v| 10^(16 - X) is formed from Dekker's exact
     product of |v| and the double hi of 10^(16 - X) = hi + lo (Numer.
     Math. 18, 1971) plus |v| lo, within about 1e-14; it is rounded
@@ -587,14 +588,16 @@ def columns_to_csv(path, header, columns, text=()):
     calls however long it is: 256 rows lose most of the gain, 512 and
     more keep it.
     """
+    if any(name in text for name in header):
+        formats = ["%s" if name in text else "%.17g" for name in header]
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            rows = zip(*[[f % (v,) for v in c] for f, c in zip(formats, columns)])
+            csv.writer(fh, lineterminator="\r\n").writerows([header, *rows])
+        return
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        if any(name in text for name in header):
-            line = ",".join("%s" if name in text else "%.17g" for name in header) + "\r\n"
-            fh.write("".join(line % row for row in zip(*columns)).encode())
-        else:
-            for start in range(0, len(columns[0]), _CSV_ROWS):
-                fh.write(_csv_block([c[start:start + _CSV_ROWS] for c in columns]))
+        for start in range(0, len(columns[0]), _CSV_ROWS):
+            fh.write(_csv_block([c[start:start + _CSV_ROWS] for c in columns]))
 
 
 def gridfunction_to_csv(f: GridFunction, path):

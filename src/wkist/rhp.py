@@ -250,46 +250,22 @@ def delta_function(r: GridFunction):
     )
 
 
-def _phases(x_H, lam):
-    """e^{2 i theta}, theta = -x_H lam, as a (B, N) array, rows in the order of ``x_H``.
+def _phases(x_H, grid):
+    """e^{2 i theta}, theta = -x_H lam, on the lam ``grid``: a (B, N) array, a row per x_H.
 
-    In a run of three or more consecutive rows equally spaced to a few
-    ulps, as the lattice waves of the inverse are, only the first row
-    takes ``np.exp``: each later row is the previous one times
-    e^{-2 i dx lam}, one complex product per sample instead of a cosine
-    and a sine.  The rows then match ``np.exp(2j * theta)`` to the
-    rounding of theta.  Every other row takes ``np.exp``.
+    The grid is uniform, so with node k = j m + i the phase is e^{-2 i
+    x_H lam_{jm}} e^{-2 i x_H i h}: each row is the outer product of a
+    table over every m-th node and one over the m offsets, one complex
+    product per sample and no accumulation, and matches ``np.exp(2j *
+    theta)`` to the rounding of theta whatever the other rows are.  m =
+    N/16 (1 below 16 points) divides every grid: the coarse table holds
+    16 exponentials and the product's inner loops run m samples long.
     """
-    iz = -lam
-    b = len(x_H)
-    spread = 4 * np.finfo(float).eps * np.max(np.abs(x_H), initial=0.0)
-    x = x_H.tolist()
-    runs = []
-    start = 0
-    while start < b - 2:
-        # the longest run from ``start`` whose gaps match its first to a millionth
-        gap = x[start + 1] - x[start]
-        stop = start + 2
-        while stop < b and abs(x[stop] - x[stop - 1] - gap) <= 1e-6 * abs(gap):
-            stop += 1
-        if stop - start < 3:
-            start += 1
-            continue
-        step = (x_H[stop - 1] - x_H[start]) / (stop - start - 1)
-        even = x_H[start] + step * np.arange(stop - start)
-        if np.max(np.abs(x_H[start:stop] - even)) <= spread:
-            runs.append((start, stop, step))
-        start = stop
-    exact = np.ones(b, dtype=bool)
-    for start, stop, _ in runs:
-        exact[start + 1:stop] = False
-    e2 = np.empty((b, iz.size), dtype=complex)
-    e2[exact] = np.exp(2j * (x_H[exact, None] * iz))
-    for start, stop, step in runs:
-        factor = np.exp((2j * step) * iz)
-        for k in range(start + 1, stop):
-            np.multiply(e2[k - 1], factor, out=e2[k])
-    return e2
+    m = max(grid.point_count // 16, 1)
+    x = x_H[:, None]
+    coarse = np.exp(2j * (x * -grid.points[::m]))
+    fine = np.exp(2j * (x * (-grid.spacing * np.arange(m))))
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(x_H), grid.point_count)
 
 
 def _jump_entries(kind, r_values, grid, x_H, Delta=None):
@@ -298,10 +274,10 @@ def _jump_entries(kind, r_values, grid, x_H, Delta=None):
     ``r_values`` are r on the lam ``grid``; the DeltaConjugated kind
     needs ``Delta`` from :func:`delta_function`.  The phase is theta =
     -x_H lam; the jump entries vanish at lam = 0 because r does.  Time
-    enters only through r itself.  The phases of the equally spaced runs
-    of a batch are built by recurrence (:func:`_phases`).
+    enters only through r itself.  Each cell's phase row is the outer
+    product of two short exponential tables along the grid (:func:`_phases`).
     """
-    e2 = _phases(np.asarray(x_H, dtype=float), grid.points)
+    e2 = _phases(np.asarray(x_H, dtype=float), grid)
     if kind == TRIANGULAR:
         u21 = r_values * e2
     elif kind == DELTA_CONJUGATED:

@@ -1,8 +1,11 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -253,6 +256,34 @@ def test_parameters_out_of_the_grid_or_float_range_exit_2(tmp_path, capsys, pipe
     error = json.loads((out / "error.json").read_text())
     assert error["kind"] == "invalid-argument"
     assert error["message"].startswith(message)
+
+
+@pytest.mark.parametrize("pipeline, flag, value, joined", [
+    ("forward", "--amplitude", "-1e-3", "--amplitude=-1e-3"),
+    ("forward", "--center", "-5E-1", "--center=-5E-1"),
+    ("evolve", "--t", "-2e-2", "--t=-2e-2"),
+    ("forward", "--amp", "-1e-3", "--amplitude=-1e-3"),
+], ids=["amplitude", "center", "evolve-t", "abbreviated"])
+def test_a_negative_value_with_an_exponent_is_read_as_the_flags_value(tmp_path, capsys,
+                                                                       pipeline, flag, value,
+                                                                       joined):
+    # argparse 3.11 reads -1e-3 as an option of its own, not as the value
+    # of the flag before it: the run exited 2, "expected one argument"
+    for name, flags in (("split", [flag, value]), ("joined", [joined])):
+        assert run([pipeline, "--outdir", str(tmp_path / name)] + SMALL + flags, capsys) == 0
+    split, joined = ({p.name: p.read_bytes() for p in (tmp_path / name).glob("*.csv")}
+                     for name in ("split", "joined"))
+    assert split and split == joined
+    results = [json.loads((tmp_path / name / "manifest.json").read_text())["results"]
+               for name in ("split", "joined")]
+    assert results[0] == results[1]
+
+
+def test_a_flag_without_its_value_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["forward", "--outdir", str(tmp_path / "o"), "--amplitude", "--width", "1"])
+    assert exit_.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("error")
@@ -752,3 +783,68 @@ def test_column_writer_matches_csv_writer_on_cell_records(tmp_path):
     columns_to_csv(tmp_path / "new.csv", header, [[c[k] for c in cells] for k in header],
                    text=("kind", "iterations"))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# the fuzz's flags: log10 of the smallest and largest |value| drawn, and
+# whether negative values are drawn too
+FUZZ_FLAGS = {"amplitude": (-6, 1, True), "width": (-2, 1.5, False), "center": (-3, 1.5, True),
+              "momentum": (-3, 2, True), "L": (0, 2, False), "Z": (0, 2.5, False),
+              "t": (-4, 1, True), "window": (-1, 1.5, False), "decay-floor": (-8, 0, False),
+              "a-floor": (-8, -1, False), "xi": (-1, 1, True), "eta": (-1, 1, False)}
+FUZZ_PIPELINES = ["forward", "evolve", "inverse", "roundtrip", "compare-pde", "soliton"]
+
+
+def test_well_formed_flags_exit_0_2_3_or_4():
+    # random well-formed command lines, run in process with warnings made
+    # errors: a wide draw of the flags (most exit 2), or one inside the
+    # benchmark's ranges on a 256-point grid.  A negative value is its own
+    # token in exponent form.  Each draw stays cheap: compare-pde's RK4
+    # steps t N^2 / (0.8 L^2) are held to 300, and an inverse's |t| to 1,
+    # as its lam grid grows with |t|
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def command_lines(draw):
+        pipeline = draw(st.sampled_from(FUZZ_PIPELINES))
+        if draw(st.booleans()):
+            values = {"amplitude": draw(st.floats(0.03, 0.2)), "width": draw(st.floats(0.8, 1.2)),
+                      "momentum": draw(st.floats(0.0, 0.3)), "t": draw(st.floats(-0.5, 0.5)),
+                      "center": draw(st.floats(-1.0, 1.0)), "window": draw(st.floats(2.0, 4.5)),
+                      "L": 20.0, "decay-floor": 1e-2}
+            n, n_z = 256, draw(st.sampled_from([512, 1024]))
+        else:
+            values = {}
+            for flag, (low, high, signed) in FUZZ_FLAGS.items():
+                if draw(st.booleans()):
+                    sign = -1.0 if signed and draw(st.booleans()) else 1.0
+                    values[flag] = sign * 10.0 ** draw(st.floats(low, high))
+            n, n_z = 2 ** draw(st.integers(2, 8)), 2 ** draw(st.integers(2, 10))
+        if "t" in values and pipeline in ("inverse", "compare-pde"):
+            cap = 1.0
+            if pipeline == "compare-pde":
+                cap = min(cap, 240.0 * values.get("L", 20.0) ** 2 / n**2)
+            values["t"] = max(-cap, min(cap, values["t"]))
+        argv = [pipeline, "--N", str(n), "--N-z", str(n_z)]
+        for flag, value in values.items():
+            argv += ["--" + flag, f"{value:.6e}" if value < 0 else repr(value)]
+        return argv
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(argv=command_lines())
+    def check(argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(out):
+                warnings.simplefilter("error")
+                try:
+                    code = main(argv + ["--outdir", tmp])
+                except SystemExit as exit_:
+                    code = f"SystemExit({exit_.code}) escaped main"
+            assert code in (0, 2, 3, 4), f"{code}: {out.getvalue()}"
+            if code in (3, 4):
+                kind = json.loads((Path(tmp) / "error.json").read_text())["kind"]
+                assert kind != "unexpected"
+
+    check()

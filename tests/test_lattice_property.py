@@ -1,5 +1,7 @@
 """Property tests of the lattice interpolants and the CSV writer (need ``hypothesis``)."""
 
+import csv
+import io
 import tempfile
 from pathlib import Path
 
@@ -100,11 +102,14 @@ TEXT = st.text(st.characters(exclude_categories=["Cs"]), max_size=20)
 # numpy makes [0, 2**63] a float64 column: a text column keeps the caller's ints
 @hypothesis.example(values=[0.0, 0.0], width=1, at=0, words=[0, 2**63], long=False)
 @hypothesis.example(values=PINNED, width=3, at=0, words=[], long=True)
+# a comma, a quote and a line break: csv.writer quotes the field
+@hypothesis.example(values=PINNED, width=2, at=1, words=["x,y", 'a"b', "c\r\nd"], long=False)
 def test_column_writer_writes_the_percent_17g_bytes(values, width, at, words, long):
     # the contract: "%.17g" % v per number and "%s" % v per text value,
-    # comma-separated, each line ended in CRLF; no words leave the text
-    # column out, a file the writer formats by numpy arithmetic, and long
-    # columns cross its blocks of rows
+    # written by csv.writer with CRLF line ends (comma-separated, numbers
+    # never quoted); no words leave the text column out, a file the
+    # writer formats by numpy arithmetic, and long columns cross its
+    # blocks of rows
     n = 2 * _CSV_ROWS + 5 if long and values else len(values)
     columns = [np.resize(np.roll(values, k), n) * (-1.0) ** k for k in range(width)]
     at = min(at, width)
@@ -112,9 +117,13 @@ def test_column_writer_writes_the_percent_17g_bytes(values, width, at, words, lo
         columns.insert(at, [words[j % len(words)] for j in range(n)])
     header = [f"c{k}" for k in range(len(columns))]
     text = header[at:at + 1] if words else []
-    fmt = ",".join("%s" if name in text else "%.17g" for name in header) + "\r\n"
-    expected = (",".join(header) + "\r\n"
-                + "".join(fmt % row for row in zip(*(list(c) for c in columns)))).encode()
+    formats = ["%s" if name in text else "%.17g" for name in header]
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows([f % (v,) for f, v in zip(formats, row)]
+                     for row in zip(*(list(c) for c in columns)))
+    expected = buffer.getvalue().encode()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.csv"
         columns_to_csv(path, header, columns, text=text)

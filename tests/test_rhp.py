@@ -134,41 +134,26 @@ def test_dense_reference_size_cap():
         dense_solve(u21[0], u12[0], [(ones, 0 * ones)], TRIANGULAR, grid)
 
 
-def test_recurrence_phases_match_the_exponential():
-    # the inverse's cells are equally spaced: past the first row of a
-    # batch, each row of e^{2 i theta} is the one before it times
-    # e^{-2 i dx lam}; 16 rows at the far end of the default sweep, on
-    # the default run's lam grid
-    zg = make_spectral_grid(40.0, 4096, z_min=suggest_z_min(40.0, 4096))
-    lg = lam_grid(zg, 26.0)
-    n = lg.point_count
-    x = make_spatial_grid(20.0, 2048).points
-    sweep = x[np.abs(x) <= 6.0 + 1e-12]
-    iz = -lg.points
-    for block in (sweep[:16], sweep[-16:]):
-        u21, _ = _jump_entries(TRIANGULAR, np.ones(n), lg, block)
-        assert u21.shape == (16, n)
-        assert np.max(np.abs(u21 - np.exp(2j * block[:, None] * iz))) <= 1e-13
-    # cells that are not equally spaced take the exponential row by row
-    block = np.array([-1.0, -0.5, 0.25])
-    u21, _ = _jump_entries(TRIANGULAR, np.ones(n), lg, block)
-    assert u21.tobytes() == np.exp(2j * (block[:, None] * iz)).tobytes()
-
-
-def test_phases_of_runs_broken_by_gaps_and_extra_cells_match_the_exponential():
-    # a wave of the inverse with a gap where a check cell was solved, and
-    # cells of no run after it: each run of three or more equally spaced
-    # cells takes the recurrence from its first row, the rest np.exp
-    lg = SpectralGrid(2.3, 256)
-    iz = -lg.points
-    h = 0.1171875
-    block = np.concatenate([-h * np.arange(51, 31, -2), -h * np.arange(27, 1, -2),
-                            [0.0, -5.923, 0.35]])
-    u21, _ = _jump_entries(TRIANGULAR, np.ones(256), lg, block)
-    assert np.max(np.abs(u21 - np.exp(2j * block[:, None] * iz))) <= 1e-13
-    # the first row of each run, and every row of no run, is np.exp itself
-    exact = [0, 10, 23, 24, 25]
-    assert u21[exact].tobytes() == np.exp(2j * (block[exact, None] * iz)).tobytes()
+def test_phases_match_the_exponential_to_the_rounding_of_theta():
+    # each row of e^{2 i theta}, theta = -x_H lam, is the outer product of
+    # two exponential tables along the uniform grid, so it matches
+    # np.exp(2j * theta) to the rounding of theta, 16 eps (1 + |x_H|
+    # Lambda), whatever the other rows are: irregular batches with
+    # x_H = 0, an equally spaced run and both ends of the default sweep,
+    # on grids of 4 to LAM_CAP points
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(46)
+    run = -0.1171875 * np.arange(5)
+    for k in range(2, 17):
+        for half_width in (0.5, 2.3, 40.0):
+            lg = SpectralGrid(half_width, 2**k)
+            block = rng.permutation(np.concatenate(
+                [[0.0, -6.0, 6.0], run, rng.uniform(-20.0, 20.0, 6)]))
+            u21, _ = _jump_entries(TRIANGULAR, np.ones(lg.point_count), lg, block)
+            exact = np.exp(2j * (block[:, None] * -lg.points))
+            miss = np.max(np.abs(u21 - exact), axis=1)
+            assert np.all(miss <= 16 * eps * (1.0 + np.abs(block) * half_width)), (k, half_width)
+            assert np.all(u21[block == 0.0] == 1.0)
 
 
 def slope_of(mu11, mu12, u21, u12, grid):

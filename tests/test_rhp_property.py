@@ -152,6 +152,25 @@ def test_row_2_is_the_schwarz_reflection_of_row_1(seed, amplitude, x_H, kind):
     assert np.max(np.abs(x2[1] - np.conj(x1[0]))) < 1e-9
 
 
+# an equally spaced run of lattice cells, x_H = 0 and cells of no run
+BATCH = np.array([-1.0, -0.875, -0.75, -0.625, -0.5, 0.0, -0.3, 0.45])
+
+
+@hypothesis.settings(max_examples=20, deadline=None)
+@hypothesis.given(seed=small_data["seed"], amplitude=small_data["amplitude"],
+                  kind=small_data["kind"], order=st.permutations(range(BATCH.size)))
+def test_a_cell_solves_to_the_same_bits_wherever_it_sits_in_its_batch(seed, amplitude, kind,
+                                                                        order):
+    # a cell's jump entries are built from its own x_H alone, and the
+    # sweeps treat the rows of a batch alike, so the order in which the
+    # inverse passes its cells does not reach any cell's results
+    r = random_reflection(seed, amplitude)
+    out = cell_solve(r, ZGRID, kind, BATCH)
+    permuted = cell_solve(r, ZGRID, kind, BATCH[list(order)])
+    for key in ("slope", "m11", "residual", "cell_iterations"):
+        assert permuted[key].tobytes() == out[key][list(order)].tobytes(), key
+
+
 @pytest.mark.xfail(strict=True, reason="lam_reflection keeps the plain frame when it overshoots "
                    "as well: these data of max |r| 0.28 reach 3.25 on the lam grid")
 def test_lam_reflection_keeps_z_data_within_its_overshoot_bound():

@@ -8,15 +8,16 @@ checkouts.  The ops are every op ``perfbench/workloads.py`` of the after
 checkout generates for the given seeds at the benchmark's run length of
 ``SECONDS``, and the CI workflow's pipeline commands: the smoke
 and tiny roundtrips, forward and then ``inverse --input`` on its files,
-evolve, compare-pde, ``inverse`` without ``--input`` and the two
-soliton runs.  Each op runs as ``python -m wkist.cli`` from each
+evolve, evolve with negative values written with an exponent,
+compare-pde, ``inverse`` without ``--input`` and the two soliton runs.
+Each op runs as ``python -m wkist.cli`` from each
 checkout's ``src/``, in a fresh process with ``OMP_NUM_THREADS=1``.
 Per op the two sides must give the same exit code, the same CSV files
 byte for byte, and the same ``manifest.json`` ``results`` and
 ``config`` (less ``outdir`` and ``input``, which name the side's own
 directories) as JSON.  Nothing
-under ``perfbench/`` is changed.  Exits 0 when every op agrees, else 1
-and names the first difference.
+under ``perfbench/`` is changed.  Exits 0 when every op agrees, else 1;
+every op that differs is named with its first difference.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ CI_OPS = [
     ("ci-inv", ["inverse", "--input", "ci-fwd", "--N", "512", "--window", "4.5",
                 "--decay-floor", "1e-3"]),
     ("ci-evo", ["evolve", *SMALL, "--t", "0.25"]),
+    ("ci-neg", ["evolve", *SMALL, "--center", "-5e-1", "--t", "1e-1"]),
     ("ci-cmp", ["compare-pde", *SMALL, "--t", "0.05", "--decay-floor", "1e-3"]),
     ("ci-inv-mem", ["inverse", *SMALL, "--t", "0.05", "--decay-floor", "1e-3"]),
     ("ci-sol", ["soliton", "--N", "512"]),
@@ -121,7 +123,7 @@ def main(argv=None) -> int:
     sides = {"before": args.before.resolve(), "after": args.after.resolve()}
 
     ops = benchmark_ops(sides["after"], args.seeds, SECONDS) + ci_ops()
-    files = 0
+    files = differing = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name, op in ops:
             results = {}
@@ -132,9 +134,13 @@ def main(argv=None) -> int:
             difference = first_difference(results["before"], results["after"])
             if difference:
                 print(f"{name} ({' '.join(op)}): {difference}")
-                return 1
+                differing += 1
+                continue
             files += len(results["after"][1])
             print(f"{name}: same (exit {results['after'][0]})", file=sys.stderr)
+    if differing:
+        print(f"{differing} of {len(ops)} ops differ")
+        return 1
     print(f"{len(ops)} ops, {files} outputs: identical")
     return 0
 
