@@ -134,6 +134,43 @@ def test_dense_reference_size_cap():
         dense_solve(u21[0], u12[0], [(ones, 0 * ones)], TRIANGULAR, grid)
 
 
+def test_recurrence_phases_match_the_exponential():
+    # 16 rows at each end of the default sweep, on the default run's lam
+    # grid, and cells that are not equally spaced: every row of
+    # e^{2 i theta} is the cell's own, the same bytes as when the cell is
+    # alone in its batch, and within 1e-13 of np.exp
+    zg = make_spectral_grid(40.0, 4096, z_min=suggest_z_min(40.0, 4096))
+    lg = lam_grid(zg, 26.0)
+    n = lg.point_count
+    x = make_spatial_grid(20.0, 2048).points
+    sweep = x[np.abs(x) <= 6.0 + 1e-12]
+    iz = -lg.points
+    for block in (sweep[:16], sweep[-16:], np.array([-1.0, -0.5, 0.25])):
+        u21, _ = _jump_entries(TRIANGULAR, np.ones(n), lg, block)
+        assert u21.shape == (block.size, n)
+        assert np.max(np.abs(u21 - np.exp(2j * block[:, None] * iz))) <= 1e-13
+        for i in (0, block.size - 1):
+            alone, _ = _jump_entries(TRIANGULAR, np.ones(n), lg, block[i:i + 1])
+            assert u21[i].tobytes() == alone[0].tobytes()
+
+
+def test_phases_of_runs_broken_by_gaps_and_extra_cells_match_the_exponential():
+    # a wave of the inverse with a gap where a check cell was solved, and
+    # cells of no run after it: every row matches np.exp, is the same
+    # bytes as the cell's row alone, and x_H = 0 gives phase 1 exactly
+    lg = SpectralGrid(2.3, 256)
+    iz = -lg.points
+    h = 0.1171875
+    block = np.concatenate([-h * np.arange(51, 31, -2), -h * np.arange(27, 1, -2),
+                            [0.0, -5.923, 0.35]])
+    u21, _ = _jump_entries(TRIANGULAR, np.ones(256), lg, block)
+    assert np.max(np.abs(u21 - np.exp(2j * block[:, None] * iz))) <= 1e-13
+    for i in (0, 10, 23, 24, 25):
+        alone, _ = _jump_entries(TRIANGULAR, np.ones(256), lg, block[i:i + 1])
+        assert u21[i].tobytes() == alone[0].tobytes()
+    assert np.all(u21[23] == 1.0)
+
+
 def test_phases_match_the_exponential_to_the_rounding_of_theta():
     # each row of e^{2 i theta}, theta = -x_H lam, is the outer product of
     # two exponential tables along the uniform grid, so it matches
