@@ -6,7 +6,7 @@ Pipeline:  potential -> Jost solutions -> reflection coefficient
            -> slope -> hodograph inversion -> potential.
 
 The submodules follow those stages: ``lattice`` (grids, Cauchy
-projections), ``lax`` (sampled potential, gauge fields, E1),
+projections), ``lax`` (sampled potential, E1),
 ``direct_scattering`` (Jost march, reflection coefficient),
 ``rhp`` (jump factorizations, Beals-Coifman solve, moments),
 ``reconstruction`` (slope to potential, hodograph maps),
@@ -36,18 +36,10 @@ from .lattice import (
     SpectralGrid,
     cauchy_minus,
     cauchy_plus,
-    cumulative_integral,
     make_spatial_grid,
     make_spectral_grid,
 )
-from .lax import (
-    AknsFields,
-    Potential,
-    akns_potentials,
-    conserved_E1,
-    eigvec_matrix,
-    make_potential,
-)
+from .lax import Potential, conserved_E1, make_potential
 from .direct_scattering import (
     ScatteringData,
     evolve_reflection,

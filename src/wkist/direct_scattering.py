@@ -703,8 +703,12 @@ def reflection_coefficient(p: Potential, zgrid: SpectralGrid,
             "the potential likely carries bound states",
             min_abs_a=min_abs_a,
         )
+    # a march that leaves |a| or |b| beyond 1.3e154 squares it to inf: the
+    # defect then reads inf, its value rounded to the floats
+    with np.errstate(over="ignore"):
+        unitarity_defect = float(np.max(np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0)))
     diagnostics = {
-        "unitarity_defect": float(np.max(np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0))),
+        "unitarity_defect": unitarity_defect,
         "min_abs_a": min_abs_a,
         "det_defect": det_defect,
         "symmetry_defect": float(np.max(np.abs(d + np.conj(b)) + np.abs(c - np.conj(a)))),
@@ -724,12 +728,24 @@ def reflection_coefficient(p: Potential, zgrid: SpectralGrid,
 
 
 def evolve_reflection(sd: ScatteringData, t: float) -> ScatteringData:
-    """r(z, t) = r(z) e^{4 i t / z^2}; |r| is unchanged, zeros stay zero."""
+    """r(z, t) = r(z) e^{4 i t / z^2}; |r| is unchanged, zeros stay zero.
+
+    The phase 4 t / z^2 = 4 t lam^2 is largest at the grid's smallest
+    |z|, its spacing; a t or a grid at which it overflows is refused.
+    """
     check_number("t", t)
+    h = sd.zgrid.spacing
+    if not h > 2.0 * np.sqrt(max(abs(t), 1.0) / np.finfo(float).max):
+        raise InvalidArgumentError(
+            f"t = {t:g}, z spacing {h:.3g}: the evolution phase 4 t lam^2, lam = -1/z, "
+            "leaves the floats (raise Z, lower N-z or lower |t|)")
     z = sd.zgrid.points
     phase = np.ones(len(z), dtype=complex)
     nz = z != 0.0
-    phase[nz] = np.exp(4j * t / z[nz] ** 2)
+    # z^2 overflows beyond |z| = 1.3e154, where the phase's limit is 1:
+    # 4 i t / inf = 0 gives it exactly
+    with np.errstate(over="ignore"):
+        phase[nz] = np.exp(4j * t / z[nz] ** 2)
     return replace(
         sd,
         r=sd.r * phase,

@@ -52,7 +52,6 @@ __all__ = [
     "GridFunction",
     "make_spatial_grid",
     "make_spectral_grid",
-    "cumulative_integral",
     "cauchy_plus",
     "cauchy_minus",
     "columns_to_csv",
@@ -145,20 +144,6 @@ def make_spatial_grid(L: float, N: int) -> SpatialGrid:
 def make_spectral_grid(Z: float, N_z: int, z_min: float = 0.0) -> SpectralGrid:
     _check_half_width(Z)
     return SpectralGrid(float(Z), int(N_z), float(z_min))
-
-
-def cumulative_integral(f: GridFunction) -> GridFunction:
-    """Trapezoid cumulative sum from the left grid end.
-
-    The last value approximates the integral over the truncated line.
-    """
-    h = f.grid.spacing
-    v = f.values
-    out = np.zeros_like(v, dtype=complex if np.iscomplexobj(v) else float)
-    if len(v) > 1:
-        incr = 0.5 * h * (v[1:] + v[:-1])
-        out[1:] = np.cumsum(incr, axis=0)
-    return GridFunction(f.grid, out)
 
 
 _DECAY_TOL = 1e-6

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EvolutionDivergedError, ResolutionExceededError, check_number
+from .errors import (EvolutionDivergedError, InvalidArgumentError, ResolutionExceededError,
+                     check_number)
 from .lattice import GridFunction
 from .lax import Potential, conserved_E1, make_potential
 
@@ -36,7 +37,17 @@ STEP_CAP = 10**6
 
 
 def _wavenumbers(grid) -> np.ndarray:
-    return 2.0 * np.pi * np.fft.fftfreq(grid.point_count, d=grid.spacing)
+    """2 pi fftfreq of the grid; a grid whose N k^2 overflows is refused.
+
+    The spectral second derivative scales the N-point transform of the
+    flux, |flux| < 1, by k^2 up to (pi/h)^2.
+    """
+    n, h = grid.point_count, grid.spacing
+    if not h > np.pi * np.sqrt(n / np.finfo(float).max):
+        raise InvalidArgumentError(
+            f"L = {grid.half_width:g}, N = {n}: the grid's wavenumbers reach pi/h, whose "
+            "square the spectral derivative cannot carry (raise L or lower N)")
+    return 2.0 * np.pi * np.fft.fftfreq(n, d=h)
 
 
 def _rhs(values: np.ndarray, k2: np.ndarray) -> np.ndarray:

@@ -134,7 +134,10 @@ def _hodograph_lattice(sweep: np.ndarray, h: float, z_near: float) -> np.ndarray
     nodes overhang the sweep by less than h_H.  A stride of 1, or a
     lattice of fewer than four nodes, gives the sweep itself.
     """
-    stride = np.floor(LATTICE_PHASE_STEP * z_near / (2.0 * h))
+    # z_near / (2 h) overflows only for a stride longer than any sweep: the
+    # infinite stride leaves one node, and the sweep stands in
+    with np.errstate(over="ignore"):
+        stride = np.floor(LATTICE_PHASE_STEP * z_near / (2.0 * h))
     if stride >= 2:
         h_H = stride * h
         # the slack keeps a sweep end that is a node to rounding from

@@ -73,10 +73,15 @@ class SolitonParams:
     def __post_init__(self):
         check_number("xi", self.xi)
         check_number("eta", self.eta, 0.0, strict=True)
-        # xi^2 + eta^2 scales every amplitude and phase, and must be a float
-        if np.hypot(self.xi, self.eta) > np.sqrt(np.finfo(float).max):
+        # xi^2 + eta^2 scales every amplitude and phase, and must be a
+        # normal float: neither overflow nor underflow
+        modulus = np.hypot(self.xi, self.eta)
+        if modulus > np.sqrt(np.finfo(float).max):
             raise InvalidArgumentError(
                 f"xi^2 + eta^2 overflows at xi = {self.xi:g}, eta = {self.eta:g}")
+        if modulus < np.sqrt(np.finfo(float).tiny):
+            raise InvalidArgumentError(
+                f"xi^2 + eta^2 underflows at xi = {self.xi:g}, eta = {self.eta:g}")
 
     @property
     def bursting(self) -> bool:
@@ -111,8 +116,15 @@ def check_resolved(p: SolitonParams, grid: SpatialGrid):
 
 
 def _phases(p: SolitonParams, x_H, t):
-    Phi = -2.0 * p.xi * np.asarray(x_H) + 4.0 * (p.xi**2 - p.eta**2) * t
-    chi = 2.0 * p.eta * np.asarray(x_H) - 8.0 * p.xi * p.eta * t
+    """Phi and chi at x_H and t; a t at which their t terms overflow is refused."""
+    span = float(t)  # in Python floats, whose products overflow to inf without a warning
+    drift_Phi, drift_chi = 4.0 * (p.xi**2 - p.eta**2) * span, -8.0 * p.xi * p.eta * span
+    if not (np.isfinite(drift_Phi) and np.isfinite(drift_chi)):
+        raise InvalidArgumentError(
+            f"t = {t:g}: the soliton phases 4 (xi^2 - eta^2) t and 8 xi eta t overflow at "
+            f"xi = {p.xi:g}, eta = {p.eta:g}")
+    Phi = -2.0 * p.xi * np.asarray(x_H) + drift_Phi
+    chi = 2.0 * p.eta * np.asarray(x_H) + drift_chi
     return Phi, chi
 
 

@@ -10,7 +10,9 @@ arranges the Wronskians as T.  As independent
 checks of those outputs, ``symmetry_defect`` measures the real-lam
 symmetry of T, ``b_from_integral`` computes b from its integral
 representation, and ``check_a_asymptotics`` compares a with its
-large-lam limit, which the AKNS fields of ``wkist.lax`` give.
+large-lam limit e^{-i lam int H - int B}, from the AKNS gauge fields:
+H = <q> - 1, whose integral is E1, and B = (q_x conj(q) - q conj(q_x)) /
+(4 (<q>^2 + <q>)), with q_x taken spectrally.
 """
 
 from dataclasses import dataclass
@@ -20,7 +22,7 @@ from scipy.interpolate import CubicSpline
 
 from wkist.direct_scattering import _fill_second_column, _lam_batch, _layout, _march, _wronskians
 from wkist.errors import InvalidArgumentError
-from wkist.lax import Potential, akns_potentials
+from wkist.lax import Potential, conserved_E1
 
 
 @dataclass
@@ -108,16 +110,25 @@ def b_from_integral(p: Potential, lam: float) -> complex:
     return complex(-lam * np.trapezoid(integrand, x=x))
 
 
+def gauge_field_b(p: Potential) -> np.ndarray:
+    """B = (q_x conj(q) - q conj(q_x)) / (4 (<q>^2 + <q>)), purely imaginary.
+
+    q_x is spectral, on the periodic truncation of the grid.
+    """
+    k = 2.0 * np.pi * np.fft.fftfreq(len(p.q), d=p.grid.spacing)
+    q, q_x = p.q, np.fft.ifft(1j * k * np.fft.fft(p.q))
+    w = np.sqrt(1.0 + np.abs(q) ** 2)
+    return (q_x * np.conj(q) - q * np.conj(q_x)) / (4.0 * (w * w + w))
+
+
 def check_a_asymptotics(p: Potential, lam_list) -> dict:
     """Defect |a(lam) e^{i lam int H} - e^{-int B}| per requested lam.
 
     The defect decreases as |lam| grows (until the resolution floor),
     reflecting the large-lam limit of a in its analytic domain.
     """
-    fields = akns_potentials(p)
-    h = p.grid.spacing
-    int_H = float(np.trapezoid(fields.H, dx=h))
-    int_B = complex(np.trapezoid(fields.B, dx=h))
+    int_H = conserved_E1(p)
+    int_B = complex(np.trapezoid(gauge_field_b(p), dx=p.grid.spacing))
     lams = np.atleast_1d(np.asarray(lam_list, dtype=float))
 
     a = _wronskians(p, lams)[0]

@@ -242,13 +242,23 @@ def test_non_finite_shape_parameter_exits_2(tmp_path, capsys, pipeline, flags):
     ("forward", ["--L", "1e300"], "width 1 is below the grid spacing"),
     ("forward", ["--width", "1e-300"], "width 1e-300 is below the grid spacing"),
     ("soliton", ["--xi", "1e150", "--eta", "1"], "xi = 1e+150, eta = 1: the soliton phases"),
-], ids=["soliton-huge-xi", "forward-huge-box", "forward-tiny-width", "soliton-unresolved-xi"])
+    ("soliton", ["--xi", "8.2e-178", "--eta", "3.2e-228"], "xi^2 + eta^2 underflows"),
+    ("soliton", ["--L", "5.8e-252", "--eta", "2e-135"], "L = 5.8e-252, N = 256: the grid's"),
+    ("soliton", ["--L", "1.01e-199", "--t", "2.03e52", "--xi=-3.14e146"],
+     "t = 2.03e+52: the soliton phases"),
+    ("evolve", ["--N-z", "64", "--family", "zero", "--L", "6e-277", "--Z", "5.9e-243",
+                "--window", "1.1e-125"], "t = 0, z spacing 1.84e-244: the evolution phase"),
+], ids=["soliton-huge-xi", "forward-huge-box", "forward-tiny-width", "soliton-unresolved-xi",
+        "soliton-tiny-modulus", "soliton-tiny-grid", "soliton-phases-at-t", "evolve-tiny-z-grid"])
 def test_parameters_out_of_the_grid_or_float_range_exit_2(tmp_path, capsys, pipeline, flags,
                                                            message):
-    # a soliton whose xi^2 overflowed, and a profile a box of 1e300 samples
-    # once per 1e297, exited 1; a profile narrower than a cell is not
-    # sampled; a soliton whose phases turn by 2e149 per cell overflowed
-    # cosh and was refused only as non-finite samples
+    # a soliton whose xi^2 overflowed, or whose xi^2 + eta^2 underflowed to
+    # a division by zero, and a profile a box of 1e300 samples once per
+    # 1e297, exited 1; a profile narrower than a cell is not sampled; a
+    # soliton whose phases turn by 2e149 per cell overflowed cosh and was
+    # refused only as non-finite samples, as were a soliton residual whose
+    # k^2 overflowed and one whose phases overflowed at t, and an evolution
+    # on a z grid whose lam^2 overflowed
     out = tmp_path / "o"
     code = main([pipeline, "--outdir", str(out), "--N", "256"] + flags)
     assert code == 2
@@ -794,20 +804,41 @@ FUZZ_FLAGS = {"amplitude": (-6, 1, True), "width": (-2, 1.5, False), "center": (
 FUZZ_PIPELINES = ["forward", "evolve", "inverse", "roundtrip", "compare-pde", "soliton"]
 
 
+# one extreme command line per source of an exit 1 on well-formed flags:
+# xi^2 + eta^2 underflows, k^2 overflows on the PDE oracle's grid, the
+# soliton phases overflow at t, z^2 overflows on the z grid, the
+# hodograph lattice's stride overflows, lam^2 overflows on the z grid,
+# and |a|^2 overflows in the unitarity defect of a march of huge q
+EXTREME_EXAMPLES = [
+    ["soliton", "--N", "128", "--N-z", "64", "--xi", "8.2e-178", "--eta", "3.2e-228"],
+    ["soliton", "--N", "8", "--N-z", "16", "--L", "5.8e-252", "--eta", "2e-135"],
+    ["soliton", "--N", "4", "--N-z", "16", "--L", "1.01e-199", "--t", "2.03e52",
+     "--xi", "-3.14e146"],
+    ["evolve", "--N", "256", "--N-z", "32", "--Z", "9.1e219"],
+    ["inverse", "--N", "32", "--N-z", "64", "--amplitude", "1.9e-109", "--width", "2.3e124",
+     "--L", "3.7e-111", "--Z", "1.3e267", "--window", "5.1e-198", "--decay-floor", "7.6e146"],
+    ["evolve", "--N", "64", "--N-z", "64", "--amplitude", "1.2e-91", "--L", "6e-277",
+     "--Z", "5.9e-243", "--window", "1.1e-125"],
+    ["forward", "--N", "32", "--N-z", "64", "--amplitude", "-7.4e35", "--width", "3.2e277",
+     "--L", "4.9e114", "--Z", "3.5e177"],
+]
+
+
 def test_well_formed_flags_exit_0_2_3_or_4():
     # random well-formed command lines, run in process with warnings made
-    # errors: a wide draw of the flags (most exit 2), or one inside the
-    # benchmark's ranges on a 256-point grid.  A negative value is its own
-    # token in exponent form.  Each draw stays cheap: compare-pde's RK4
-    # steps t N^2 / (0.8 L^2) are held to 300, and an inverse's |t| to 1,
-    # as its lam grid grows with |t|
+    # errors: a wide draw of the flags (most exit 2), one inside the
+    # benchmark's ranges on a 256-point grid, or an extreme one, every flag
+    # over 1e-300..1e300.  A negative value is its own token in exponent
+    # form.  Each draw stays cheap: compare-pde's RK4 steps t N^2 / (0.8 L^2)
+    # are held to 300, and an inverse's |t| to 1, as its lam grid grows with |t|
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     @st.composite
     def command_lines(draw):
         pipeline = draw(st.sampled_from(FUZZ_PIPELINES))
-        if draw(st.booleans()):
+        tier = draw(st.sampled_from(["benchmark", "wide", "extreme"]))
+        if tier == "benchmark":
             values = {"amplitude": draw(st.floats(0.03, 0.2)), "width": draw(st.floats(0.8, 1.2)),
                       "momentum": draw(st.floats(0.0, 0.3)), "t": draw(st.floats(-0.5, 0.5)),
                       "center": draw(st.floats(-1.0, 1.0)), "window": draw(st.floats(2.0, 4.5)),
@@ -816,6 +847,8 @@ def test_well_formed_flags_exit_0_2_3_or_4():
         else:
             values = {}
             for flag, (low, high, signed) in FUZZ_FLAGS.items():
+                if tier == "extreme":
+                    low, high = -300, 300
                 if draw(st.booleans()):
                     sign = -1.0 if signed and draw(st.booleans()) else 1.0
                     values[flag] = sign * 10.0 ** draw(st.floats(low, high))
@@ -823,14 +856,16 @@ def test_well_formed_flags_exit_0_2_3_or_4():
         if "t" in values and pipeline in ("inverse", "compare-pde"):
             cap = 1.0
             if pipeline == "compare-pde":
-                cap = min(cap, 240.0 * values.get("L", 20.0) ** 2 / n**2)
+                # the cap is 1 from L = n / 15.5 on; bounding L first keeps
+                # its square finite
+                cap = min(cap, 240.0 * min(values.get("L", 20.0), n) ** 2 / n**2)
             values["t"] = max(-cap, min(cap, values["t"]))
         argv = [pipeline, "--N", str(n), "--N-z", str(n_z)]
         for flag, value in values.items():
             argv += ["--" + flag, f"{value:.6e}" if value < 0 else repr(value)]
         return argv
 
-    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(argv=command_lines())
     def check(argv):
         with tempfile.TemporaryDirectory() as tmp:
@@ -847,4 +882,6 @@ def test_well_formed_flags_exit_0_2_3_or_4():
                 kind = json.loads((Path(tmp) / "error.json").read_text())["kind"]
                 assert kind != "unexpected"
 
+    for argv in EXTREME_EXAMPLES:
+        check = hypothesis.example(argv=argv)(check)
     check()

@@ -325,6 +325,23 @@ def test_a_asymptotics_defect_decreases():
     assert out["int_H"] > 0
 
 
+@pytest.mark.parametrize("momentum", [0.5, 2.0])
+def test_a_asymptotics_carries_the_gauge_term(momentum):
+    # a Gaussian carried at a momentum has int B = 3.91e-4 i (0.5) and
+    # 1.565e-3 i (2); the lam = 8 defect reads 6.7e-5 and 3.0e-4, and
+    # 4.6e-4 and 1.9e-3 with int B dropped from the limit
+    grid = make_spatial_grid(20.0, 1024)
+    p = make_potential(grid, lambda x: 0.05 * np.exp(-(x**2) + 1j * momentum * x))
+    out = check_a_asymptotics(p, [1.0, 2.0, 4.0, 8.0])
+    assert out["defects"][-1] < out["defects"][0]
+    assert out["defects"][-1] < abs(out["int_B"]) / 4.0
+    # for q = g(x) e^{imx} with real g:  q_x conj(q) - q conj(q_x) = 2im|q|^2
+    w = np.sqrt(1.0 + np.abs(p.q) ** 2)
+    closed = np.trapezoid(2j * momentum * np.abs(p.q) ** 2 / (4.0 * (w**2 + w)), dx=grid.spacing)
+    assert abs(out["int_B"].real) < 1e-18
+    assert abs(out["int_B"] - closed) < 1e-12 * abs(closed)
+
+
 def test_b_integral_form_agrees_with_wronskian():
     p = gaussian_potential(N=2048)
     lam = 1.5

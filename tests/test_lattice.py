@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.special import dawsn, erf
+from scipy.special import dawsn
 
 from wkist.errors import InvalidArgumentError
 from wkist.lattice import (
@@ -13,7 +13,6 @@ from wkist.lattice import (
     _tail_outside,
     cauchy_minus,
     cauchy_plus,
-    cumulative_integral,
     gridfunction_to_csv,
     make_spatial_grid,
     make_spectral_grid,
@@ -67,24 +66,6 @@ def test_gridfunction_validates_length_and_finiteness():
     bad[3] = np.nan
     with pytest.raises(InvalidArgumentError):
         GridFunction(g, bad)
-
-
-def test_cumulative_integral_matches_erf():
-    g = make_spatial_grid(10.0, 1024)
-    f = GridFunction(g, np.exp(-g.points**2))
-    integral = cumulative_integral(f)
-    exact = np.sqrt(np.pi) / 2 * (erf(g.points) - erf(-10.0))
-    # interior points carry the O(h^2) trapezoid boundary term ...
-    assert np.max(np.abs(integral.values - exact)) < 5e-5
-    # ... which cancels once the integrand has decayed again
-    assert abs(integral.values[-1] - exact[-1]) < 1e-14
-
-
-def test_cumulative_integral_of_complex_samples():
-    g = make_spatial_grid(5.0, 512)
-    f = GridFunction(g, (1 + 2j) * np.exp(-g.points**2))
-    integral = cumulative_integral(f)
-    assert np.allclose(integral.values.imag, 2 * integral.values.real)
 
 
 # --- Cauchy projections ----------------------------------------------------

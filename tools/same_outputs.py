@@ -9,8 +9,9 @@ checkout generates for the given seeds at the benchmark's run length of
 ``SECONDS``, and the CI workflow's pipeline commands: the smoke
 and tiny roundtrips, forward and then ``inverse --input`` on its files,
 evolve, evolve with negative values written with an exponent,
-compare-pde, ``inverse`` without ``--input`` and the two soliton runs.
-Each op runs as ``python -m wkist.cli`` from each
+compare-pde, ``inverse`` without ``--input``, the two soliton runs, and
+the runs at the ends of the float range: a soliton whose xi^2 + eta^2
+underflows and an evolve on a z grid whose z^2 overflows.  Each op runs as ``python -m wkist.cli`` from each
 checkout's ``src/``, in a fresh process with ``OMP_NUM_THREADS=1``.
 Per op the two sides must give the same exit code, the same CSV files
 byte for byte, and the same ``manifest.json`` ``results`` and
@@ -46,6 +47,8 @@ CI_OPS = [
     ("ci-inv-mem", ["inverse", *SMALL, "--t", "0.05", "--decay-floor", "1e-3"]),
     ("ci-sol", ["soliton", "--N", "512"]),
     ("ci-sol-burst", ["soliton", "--N", "512", "--xi", "1", "--eta", "1"]),
+    ("ci-sol-tiny", ["soliton", "--N", "128", "--xi", "8.2e-178", "--eta", "3.2e-228"]),
+    ("ci-huge-z", ["evolve", "--N", "256", "--N-z", "32", "--Z", "9.1e219"]),
 ]
 UNCOMPARED_CONFIG = ("outdir", "input")
 
